@@ -1,6 +1,6 @@
 (* The benchmark's command line:
 
-     main.exe --workload NAME --seed N --seconds S --trace 0|1 [--tiny]
+     main.exe --workload NAME --seed N --seconds S --trace 0|1
 
    Runs one workload in this process, on one domain, checks its outputs,
    and prints the result object as the last line of standard output. With
@@ -12,12 +12,11 @@
 let usage () =
   prerr_endline
     "usage: main.exe --workload serve_churn|solve_cold|packet_websearch --seed N \
-     --seconds S --trace 0|1 [--tiny]";
+     --seconds S --trace 0|1";
   exit 2
 
 let () =
   let workload = ref "" and seed = ref None and seconds = ref None and trace = ref None in
-  let tiny = ref false in
   let rec parse = function
     | [] -> ()
     | "--workload" :: v :: rest ->
@@ -32,9 +31,6 @@ let () =
     | "--trace" :: (("0" | "1") as v) :: rest ->
       trace := Some (String.equal v "1");
       parse rest
-    | "--tiny" :: rest ->
-      tiny := true;
-      parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -43,7 +39,7 @@ let () =
     let dir = ".nfbench" in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let spans_out = Filename.concat dir (Printf.sprintf "%s-seed%d.spans.tsv" !workload seed) in
-    let o = w.Nfbench.Workloads.run ~tiny:!tiny ~seconds ~seed ~trace ~spans_out in
+    let o = w.Nfbench.Workloads.run ~tiny:false ~seconds ~seed ~trace ~spans_out in
     List.iter (fun p -> prerr_endline ("check failed: " ^ p)) o.Nfbench.Outcome.problems;
     print_endline (Nfbench.Outcome.fingerprint_line o);
     print_endline (Nfbench.Outcome.to_json o);

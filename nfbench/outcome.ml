@@ -52,6 +52,25 @@ let percentile xs p =
   let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
   s.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
+(* setup_s: [samples] times, each from a fully collected heap, the CPU
+   time of [batch] set-ups back to back, and reports the median per
+   set-up. The batch makes one sample some 50 ms of work, well above the
+   clock's µs steps and a scheduler tick. Returns the last set-up's
+   result for the run to use. *)
+let timed_setup ~samples ~batch f =
+  let last = ref None in
+  let sample () =
+    last := None;
+    Gc.full_major ();
+    let t0 = Spans.now () in
+    for _ = 1 to batch do
+      last := Some (f ())
+    done;
+    (Spans.now () -. t0) /. float_of_int batch
+  in
+  let times = Array.init samples (fun _ -> sample ()) in
+  (median times, Option.get !last)
+
 let gc_counts () =
   let s = Gc.quick_stat () in
   (s.Gc.minor_collections, s.Gc.major_collections)

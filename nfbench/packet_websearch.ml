@@ -33,15 +33,22 @@ module Rng = Nf_util.Rng
 type size = {
   horizon : float;  (* simulated seconds *)
   events_per_op : int;
-  setups : int;
+  setups : int;  (* setup_s samples *)
+  setup_batch : int;  (* set-ups per sample *)
 }
 
 (* The fabric simulates about 1.5 ms a second on a 2-core VM (about
-   1.2M events a second), so a 30 s run covers 45 ms in some 2000 ops. *)
+   1.2M events a second), so a 30 s run covers 45 ms in some 2000 ops. A
+   set-up takes about 25 ms, so a setup_s sample is two of them. *)
 let full ~seconds =
-  { horizon = 1.5e-3 *. float_of_int seconds; events_per_op = 15_000; setups = 9 }
+  {
+    horizon = 1.5e-3 *. float_of_int seconds;
+    events_per_op = 15_000;
+    setups = 11;
+    setup_batch = 2;
+  }
 
-let tiny = { horizon = 200e-6; events_per_op = 500; setups = 2 }
+let tiny = { horizon = 200e-6; events_per_op = 500; setups = 2; setup_batch = 1 }
 
 (* Offered load, as a share of aggregate host capacity. *)
 let load = 0.6
@@ -56,10 +63,20 @@ let max_growth = 2.
 
 let mss = float_of_int Nf_sim.Packet.data_size
 
-type flow = { bytes : float; start : float }
+(* A flow that arrives in the first half of the horizon and is no larger
+   than this share of what its host link carries in half the horizon
+   must have completed by the end: it needs at most that share of line
+   rate. At the full size that is every flow of at most 1.76 MB; on seed
+   1 the smallest flow of that half still running at the end had 8.5 MB. *)
+let must_finish_share = 1. /. 16.
+
+type flow = {
+  bytes : float;
+  start : float;
+  must_finish : bool;
+}
 
 let setup ~size ~seed =
-  let t0 = Spans.now () in
   let ls = Builders.paper_leaf_spine () in
   let topo = ls.Builders.topo in
   let hosts = ls.Builders.servers in
@@ -79,6 +96,8 @@ let setup ~size ~seed =
   let net = Network.create ~topology:topo ~protocol:(Nf_sim.Protocols.get "numfabric") () in
   let router = Routing.router topo in
   let utility = Nf_num.Utility.proportional_fair () in
+  let half = size.horizon /. 2. in
+  let must_finish_bytes = must_finish_share *. half *. host_capacity /. 8. in
   let flows =
     List.mapi
       (fun id { Traffic.at; size = s; pair = { Traffic.src; dst } } ->
@@ -87,10 +106,10 @@ let setup ~size ~seed =
           Array.of_list (Routing.ecmp_path_fast router ~src ~dst ~hash:(id * 2654435761))
         in
         Network.add_flow net (Network.flow ~path ~utility ~size:bytes ~start:at ~id ~src ~dst ());
-        { bytes; start = at })
+        { bytes; start = at; must_finish = at <= half && bytes <= must_finish_bytes })
       arrivals
   in
-  (Spans.now () -. t0, net, Array.of_list flows)
+  (net, Array.of_list flows)
 
 (* The simulator's global counters, read as deltas around a pass. *)
 let counter_names =
@@ -111,8 +130,8 @@ let counters () =
     counter_names
 
 type pass = {
-  times : float array;  (* wall seconds per op *)
-  wall : float;
+  times : float array;  (* CPU seconds per op *)
+  busy : float;  (* CPU seconds of all ops *)
   events : int;
   counts : (string * int) list;  (* counter deltas *)
   gc : int * int;
@@ -121,10 +140,13 @@ type pass = {
 }
 
 (* Every completed flow must have delivered exactly its size; a failure
-   counts against the op it completed in. *)
+   counts against the op it completed in. Every [must_finish] flow must
+   have completed, and some flow must have; a failure counts against the
+   last op. *)
 let check_deliveries ~ends net flows =
   let bad_ops = Hashtbl.create 8 in
-  let problems =
+  let last = Array.length ends - 1 in
+  let short =
     List.filter_map
       (fun (id, fct) ->
         let f = flows.(id) in
@@ -132,19 +154,38 @@ let check_deliveries ~ends net flows =
         | None -> None
         | Some why ->
           let at = f.start +. fct in
-          let rec op i = if i + 1 >= Array.length ends || at <= ends.(i) then i else op (i + 1) in
+          let rec op i = if i >= last || at <= ends.(i) then i else op (i + 1) in
           Hashtbl.replace bad_ops (op 0) ();
           Some why)
       (Network.completions net)
   in
-  (Hashtbl.length bad_ops, problems)
+  let unfinished =
+    List.filter_map
+      (fun id ->
+        let f = flows.(id) in
+        if f.must_finish && Option.is_none (Network.fct net id) then begin
+          Hashtbl.replace bad_ops last ();
+          Some (Printf.sprintf "flow %d (%.0f bytes, arrived at %.3g s) did not complete" id
+                  f.bytes f.start)
+        end
+        else None)
+      (List.init (Array.length flows) Fun.id)
+  in
+  let none =
+    if List.is_empty (Network.completions net) then begin
+      Hashtbl.replace bad_ops last ();
+      [ "no flow completed" ]
+    end
+    else []
+  in
+  (Hashtbl.length bad_ops, short @ unfinished @ none)
 
 let pass ~size ?on_slice net flows =
   let sim = Network.sim net in
   let times = ref [] and ends = ref [] in
   let c0 = counters () in
   let minor0, major0 = Outcome.gc_counts () in
-  let wall = ref 0. and slice = ref first_slice and clock = ref 0. and i = ref 0 in
+  let busy = ref 0. and slice = ref first_slice and clock = ref 0. and i = ref 0 in
   while !clock < size.horizon do
     let until = Float.min size.horizon (!clock +. !slice) in
     let ev0 = Nf_engine.Sim.events_processed sim in
@@ -155,7 +196,7 @@ let pass ~size ?on_slice net flows =
     let dt = Spans.now () -. t0 in
     times := dt :: !times;
     ends := until :: !ends;
-    wall := !wall +. dt;
+    busy := !busy +. dt;
     let ev = Nf_engine.Sim.events_processed sim - ev0 in
     let scale = float_of_int size.events_per_op /. float_of_int (Stdlib.max 1 ev) in
     slice := Float.max min_slice (!slice *. Float.min max_growth scale);
@@ -168,7 +209,7 @@ let pass ~size ?on_slice net flows =
   let failed, problems = check_deliveries ~ends net flows in
   {
     times = Array.of_list (List.rev !times);
-    wall = !wall;
+    busy = !busy;
     events = Nf_engine.Sim.events_processed (Network.sim net);
     counts = List.map2 (fun (k, a) (_, b) -> (k, b - a)) c0 c1;
     gc = (minor1 - minor0, major1 - major0);
@@ -206,9 +247,10 @@ let handler_categories =
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let runs = List.init size.setups (fun _ -> setup ~size ~seed) in
-    let setup_s = Outcome.median (Array.of_list (List.map (fun (s, _, _) -> s) runs)) in
-    let _, net, flows = List.nth runs (size.setups - 1) in
+    let setup_s, (net, flows) =
+      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
+          setup ~size ~seed)
+    in
     let p = pass ~size net flows in
     let ms = 1e3 in
     {
@@ -219,15 +261,15 @@ let run ~size ~seed ~trace ~spans_out =
         [
           Outcome.metric "setup_s" "s" setup_s;
           Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.times 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.times) /. p.wall);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.times) /. p.busy);
         ];
       fingerprint = fingerprint p;
     }
   end
   else begin
-    let _, net, flows = setup ~size ~seed in
+    let net, flows = setup ~size ~seed in
     let p = pass ~size net flows in
-    let _, net, flows = setup ~size ~seed in
+    let net, flows = setup ~size ~seed in
     let sp = Spans.create () in
     let k_run = Spans.kind sp "network.run" in
     Profile.reset ();
@@ -251,7 +293,7 @@ let run ~size ~seed ~trace ~spans_out =
     let problems =
       (if fingerprint traced = fingerprint p then []
        else [ "traced pass differs from the untraced pass in its counts" ])
-      @ p.problems
+      @ p.problems @ traced.problems
     in
     let handlers =
       List.concat_map
@@ -268,15 +310,15 @@ let run ~size ~seed ~trace ~spans_out =
         [
           Outcome.metric "op.p99_ms" "ms" (1e3 *. Outcome.percentile p.times 99.);
           Outcome.metric "engine.events" "count" (float_of_int p.events);
-          Outcome.metric "engine.events_per_s" "1/s" (float_of_int p.events /. p.wall);
-          Outcome.metric "sim.wall_s_per_sim_s" "s/s" (p.wall /. size.horizon);
+          Outcome.metric "engine.events_per_s" "1/s" (float_of_int p.events /. p.busy);
+          Outcome.metric "sim.wall_s_per_sim_s" "s/s" (p.busy /. size.horizon);
         ]
         @ handlers
         @ List.map (fun (k, v) -> Outcome.metric k "count" (float_of_int v)) p.counts
         @ [
             Outcome.metric "gc.minor_collections" "count" (float_of_int minor);
             Outcome.metric "gc.major_collections" "count" (float_of_int major);
-            Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced.wall /. p.wall) -. 1.));
+            Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced.busy /. p.busy) -. 1.));
           ];
       fingerprint = fingerprint p;
     }

@@ -1,8 +1,8 @@
 (* Self-tests of the benchmark: every workload at a tiny size reports
    every catalogued metric with its unit and passes its own checks;
    BENCHMARK.json names exactly the catalogued metrics; and the
-   correctness gate rejects a perturbed allocation and a short-delivered
-   flow. *)
+   correctness gate rejects a perturbed allocation, a short-delivered
+   flow and a stalled one. *)
 
 open Nfbench
 module Problem = Nf_num.Problem
@@ -105,6 +105,32 @@ let gate_rejects_short_delivery () =
     (Option.is_some
        (Gate.delivery ~flow:0 ~size ~received:(received -. float_of_int Nf_sim.Packet.data_size)))
 
+(* A flow cut off before it completes: the packet gate fails the run if
+   the flow had to finish, and fails it anyway when no flow completed. *)
+let gate_rejects_stalled_flow () =
+  let sb = Nf_topo.Builders.single_bottleneck ~n_senders:1 () in
+  let net =
+    Nf_sim.Network.create ~topology:sb.Nf_topo.Builders.sb_topo
+      ~protocol:(Nf_sim.Protocols.get "numfabric") ()
+  in
+  let size = 3000. *. float_of_int Nf_sim.Packet.data_size in
+  Nf_sim.Network.add_flow net
+    (Nf_sim.Network.flow ~utility:(Nf_num.Utility.proportional_fair ()) ~size ~id:0
+       ~src:sb.Nf_topo.Builders.senders.(0) ~dst:sb.Nf_topo.Builders.receiver ());
+  let until = 100e-6 in
+  Nf_sim.Network.run net ~until;
+  Alcotest.(check bool) "flow still running" true (Option.is_none (Nf_sim.Network.fct net 0));
+  let check must_finish =
+    Packet_websearch.check_deliveries ~ends:[| until |] net
+      [| { Packet_websearch.bytes = size; start = 0.; must_finish } |]
+  in
+  let failed, problems = check true in
+  Alcotest.(check int) "must-finish flow fails the op" 1 failed;
+  Alcotest.(check int) "unfinished flow and no completion" 2 (List.length problems);
+  let failed, problems = check false in
+  Alcotest.(check int) "no completion fails the op" 1 failed;
+  Alcotest.(check (list string)) "no completion" [ "no flow completed" ] problems
+
 let () =
   let tiny name =
     [
@@ -121,5 +147,6 @@ let () =
           Alcotest.test_case "accepts the optimum" `Quick gate_accepts_optimum;
           Alcotest.test_case "rejects a perturbed rate vector" `Quick gate_rejects_perturbed;
           Alcotest.test_case "rejects a short-delivered flow" `Quick gate_rejects_short_delivery;
+          Alcotest.test_case "rejects a stalled flow" `Quick gate_rejects_stalled_flow;
         ] );
     ]

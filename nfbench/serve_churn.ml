@@ -32,14 +32,16 @@ module Rng = Nf_util.Rng
 type size = {
   target : int;  (* standing flow population *)
   events : int;  (* churn ops after the cold epoch *)
-  setups : int;  (* repeats of the set-up, for the setup_s median *)
+  setups : int;  (* setup_s samples *)
+  setup_batch : int;  (* set-ups per sample *)
 }
 
 (* About 50 epochs a second on a 2-core VM: a 30 s run makes 1500
-   epochs, so the p99 has 15 samples beyond it (10 need 1000). *)
-let full ~seconds = { target = 100; events = 50 * seconds; setups = 21 }
+   epochs, so the p99 has 15 samples beyond it (10 need 1000). A set-up
+   takes about 3 ms, so a setup_s sample is 16 of them. *)
+let full ~seconds = { target = 100; events = 50 * seconds; setups = 11; setup_batch = 16 }
 
-let tiny = { target = 8; events = 12; setups = 2 }
+let tiny = { target = 8; events = 12; setups = 2; setup_batch = 1 }
 
 (* The engine's own defaults, restated so the replay stops where it does. *)
 let max_iters = 50_000
@@ -110,13 +112,12 @@ let apply_engine engine = function
 
 (* Input generation and the ramp, up to the first op. *)
 let setup ~seed ~target =
-  let t0 = Spans.now () in
   let c = client ~seed in
   let engine = Engine.create ~tol:Gate.kkt_tol ~max_iters ~caps:c.sc.Scenario.caps () in
   while c.n_live < target do
     Option.iter (arrived c) (apply_engine engine (next_event c ~target))
   done;
-  (Spans.now () -. t0, c, engine)
+  (c, engine)
 
 (* One op; returns its latency and epoch. *)
 let op c engine ~target ~op =
@@ -139,7 +140,7 @@ type pass = {
   lat : float array;  (* seconds per op *)
   iters : int array;  (* xWI iterations per epoch *)
   failed : int;
-  wall : float;  (* whole op loop *)
+  busy : float;  (* CPU seconds of the whole op loop *)
   gc : int * int;  (* minor, major collections during the loop *)
   problems : string list;
   rates : float array;  (* final allocation *)
@@ -158,14 +159,14 @@ let untraced_pass ~size c engine =
     iters.(i) <- ep.Engine.iterations;
     if not ep.Engine.converged then incr failed
   done;
-  let wall = Spans.now () -. t0 in
+  let busy = Spans.now () -. t0 in
   let minor1, major1 = Outcome.gc_counts () in
   let rates = Engine.rates engine and prices = Engine.prices engine in
   {
     lat;
     iters;
     failed = !failed;
-    wall;
+    busy;
     gc = (minor1 - minor0, major1 - major0);
     problems =
       (if !failed = 0 then [] else [ Printf.sprintf "%d epochs did not converge" !failed ])
@@ -291,9 +292,10 @@ let fingerprint p =
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let runs = List.init size.setups (fun _ -> setup ~seed ~target:size.target) in
-    let setup_s = Outcome.median (Array.of_list (List.map (fun (s, _, _) -> s) runs)) in
-    let _, c, engine = List.nth runs (size.setups - 1) in
+    let setup_s, (c, engine) =
+      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
+          setup ~seed ~target:size.target)
+    in
     let p = untraced_pass ~size c engine in
     let ms = 1e3 in
     {
@@ -304,13 +306,13 @@ let run ~size ~seed ~trace ~spans_out =
         [
           Outcome.metric "setup_s" "s" setup_s;
           Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.lat 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.lat) /. p.wall);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.lat) /. p.busy);
         ];
       fingerprint = fingerprint p;
     }
   end
   else begin
-    let _, c, engine = setup ~seed ~target:size.target in
+    let c, engine = setup ~seed ~target:size.target in
     let p = untraced_pass ~size c engine in
     let sp = Spans.create () in
     let k = kinds sp in
@@ -321,7 +323,7 @@ let run ~size ~seed ~trace ~spans_out =
       (fun i expected ->
         if traced_op sp k c r ~target:size.target ~op:i <> expected then incr mismatches)
       p.iters;
-    let traced_wall = Spans.now () -. t0 in
+    let traced_busy = Spans.now () -. t0 in
     Spans.write sp spans_out;
     let same_allocation =
       match r.state with
@@ -365,7 +367,7 @@ let run ~size ~seed ~trace ~spans_out =
           Outcome.metric "xwi.iters" "count" (float_of_int total_iters);
           Outcome.metric "gc.minor_collections" "count" (float_of_int minor);
           Outcome.metric "gc.major_collections" "count" (float_of_int major);
-          Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced_wall /. p.wall) -. 1.));
+          Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced_busy /. p.busy) -. 1.));
         ];
       fingerprint = fingerprint p;
     }

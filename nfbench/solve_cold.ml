@@ -26,14 +26,17 @@ type size = {
   k : int;  (* fat-tree arity *)
   flows : int;  (* flows per instance *)
   solves : int;
-  setups : int;
+  setups : int;  (* setup_s samples *)
+  setup_batch : int;  (* set-ups per sample *)
 }
 
 (* A cold solve takes about 3.5 s on a 2-core VM: seven in a 30 s run,
-   some 2500 ops. *)
-let full ~seconds = { k = 8; flows = 2560; solves = Stdlib.max 2 (seconds / 4); setups = 15 }
+   some 2500 ops. A set-up takes about 12 ms, so a setup_s sample is four
+   of them. *)
+let full ~seconds =
+  { k = 8; flows = 2560; solves = Stdlib.max 2 (seconds / 4); setups = 11; setup_batch = 4 }
 
-let tiny = { k = 4; flows = 64; solves = 2; setups = 2 }
+let tiny = { k = 4; flows = 64; solves = 2; setups = 2; setup_batch = 1 }
 
 (* [run_until_kkt]'s defaults, restated for the replay. *)
 let check_every = 10
@@ -70,18 +73,16 @@ let instance fab router ~size ~seed ~op = problem fab (routes fab router ~size ~
 
 (* Input generation up to the first op's problem. *)
 let setup ~size ~seed =
-  let t0 = Spans.now () in
   let fab = fabric size.k in
   let router = Routing.router fab.topo in
-  let p = instance fab router ~size ~seed ~op:0 in
-  (Spans.now () -. t0, fab, router, p)
+  (fab, router, instance fab router ~size ~seed ~op:0)
 
 type pass = {
   op_times : float array;  (* seconds per op *)
   solve_times : float array;  (* seconds per solve *)
   iters : int array;  (* per solve *)
   failed : int;  (* ops of solves that hit [max_iters] *)
-  wall : float;
+  busy : float;  (* CPU seconds of all ops *)
   gc : int * int;
   problems : string list;
 }
@@ -141,7 +142,7 @@ let untraced_pass ~size ~seed fab router p0 =
     solve_times;
     iters;
     failed = !failed;
-    wall = Array.fold_left ( +. ) 0. solve_times;
+    busy = Array.fold_left ( +. ) 0. solve_times;
     gc = (minor1 - minor0, major1 - major0);
     problems = List.rev !problems;
   }
@@ -169,7 +170,7 @@ let traced_pass ~size ~seed ~expect sp =
     Spans.leave sp s;
     p
   in
-  let mismatches = ref 0 and wall = ref 0. in
+  let mismatches = ref 0 and busy = ref 0. in
   let rounds = ref 0 and saturated = ref 0 in
   for i = 0 to size.solves - 1 do
     Spans.set_op sp i;
@@ -195,7 +196,7 @@ let traced_pass ~size ~seed ~expect sp =
     in
     let iters = loop 0 in
     Spans.leave sp o;
-    wall := !wall +. (sp.Spans.stop.(o) -. sp.Spans.start.(o));
+    busy := !busy +. (sp.Spans.stop.(o) -. sp.Spans.start.(o));
     if iters <> expect.(i) then incr mismatches;
     (* Water-fill attribution, off the critical path. *)
     let inc = Problem.incidence p in
@@ -211,13 +212,14 @@ let traced_pass ~size ~seed ~expect sp =
     saturated := !saturated + Maxmin.sparse_saturated_links ws
   done;
   let per_op x = float_of_int x /. float_of_int size.solves in
-  (!mismatches, !wall, per_op !rounds, per_op !saturated)
+  (!mismatches, !busy, per_op !rounds, per_op !saturated)
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let runs = List.init size.setups (fun _ -> setup ~size ~seed) in
-    let setup_s = Outcome.median (Array.of_list (List.map (fun (s, _, _, _) -> s) runs)) in
-    let _, fab, router, p0 = List.nth runs (size.setups - 1) in
+    let setup_s, (fab, router, p0) =
+      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
+          setup ~size ~seed)
+    in
     let p = untraced_pass ~size ~seed fab router p0 in
     let ms = 1e3 in
     let n_ops = Array.length p.op_times in
@@ -229,16 +231,16 @@ let run ~size ~seed ~trace ~spans_out =
         [
           Outcome.metric "setup_s" "s" setup_s;
           Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.op_times 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int n_ops /. p.wall);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int n_ops /. p.busy);
         ];
       fingerprint = [ ("xwi.iters", Array.fold_left ( + ) 0 p.iters) ];
     }
   end
   else begin
-    let _, fab, router, p0 = setup ~size ~seed in
+    let fab, router, p0 = setup ~size ~seed in
     let p = untraced_pass ~size ~seed fab router p0 in
     let sp = Spans.create () in
-    let mismatches, traced_wall, rounds, saturated = traced_pass ~size ~seed ~expect:p.iters sp in
+    let mismatches, traced_busy, rounds, saturated = traced_pass ~size ~seed ~expect:p.iters sp in
     Spans.write sp spans_out;
     let s = Spans.summary sp in
     let a name = Spans.find s name in
@@ -270,7 +272,7 @@ let run ~size ~seed ~trace ~spans_out =
           Outcome.metric "problem.create_ms" "ms" (Spans.mean_self ~scale:ms (a "problem.create"));
           Outcome.metric "gc.minor_collections" "count" (float_of_int minor);
           Outcome.metric "gc.major_collections" "count" (float_of_int major);
-          Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced_wall /. p.wall) -. 1.));
+          Outcome.metric "trace.overhead_pct" "%" (100. *. ((traced_busy /. p.busy) -. 1.));
         ];
       fingerprint = [ ("xwi.iters", Array.fold_left ( + ) 0 p.iters) ];
     }

@@ -2,10 +2,11 @@
 
    A span is one call into a layer, recorded from the benchmark's own
    code: its kind, the span that was open when it started (its parent),
-   the op it belongs to, wall-clock start and end, and the bytes the
-   current domain allocated in between. Spans live in flat growable
-   arrays, so recording one costs two clock reads and two allocation
-   counter reads; nothing is written out until the run ends ([write]).
+   the op it belongs to, start and end in process CPU time ([now]), and
+   the bytes the current domain allocated in between. Spans live in flat
+   growable arrays, so recording one costs two clock reads and two
+   allocation counter reads; nothing is written out until the run ends
+   ([write]).
 
    A span's self time is its duration minus the durations of its direct
    children; self bytes likewise. [summary] aggregates both per kind. *)
@@ -28,7 +29,15 @@ type t = {
          counters of [Gc.allocated_bytes]); subtracted from every span *)
 }
 
-let now = Unix.gettimeofday
+(* The benchmark's clock, for every timing it reports: the process's
+   CPU time (user + system, from getrusage, in µs steps). The benchmark
+   runs on one domain and never blocks, so this is its wall time minus
+   the time the kernel or the hypervisor gave its CPU to someone else.
+   On a shared VM, wall-clock op times of the same work moved by up to
+   50% within minutes. *)
+let now () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
 let bytes = Gc.allocated_bytes
 
