@@ -52,24 +52,54 @@ let percentile xs p =
   let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
   s.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
-(* setup_s: [samples] times, each from a fully collected heap, the CPU
-   time of [batch] set-ups back to back, and reports the median per
-   set-up. The batch makes one sample some 50 ms of work, well above the
-   clock's µs steps and a scheduler tick. Returns the last set-up's
-   result for the run to use. *)
-let timed_setup ~samples ~batch f =
-  let last = ref None in
-  let sample () =
-    last := None;
-    Gc.full_major ();
-    let t0 = Spans.now () in
-    for _ = 1 to batch do
-      last := Some (f ())
-    done;
-    (Spans.now () -. t0) /. float_of_int batch
-  in
-  let times = Array.init samples (fun _ -> sample ()) in
-  (median times, Option.get !last)
+(* setup_s. One sample is the CPU time of [batch] set-ups back to back,
+   divided by the batch: some 50 ms of work, well above the clock's µs
+   steps and a scheduler tick. Each sample starts from a fully collected
+   heap and its garbage is collected off the clock, so the ops that follow
+   do not pay for it. The run's own set-up is the first sample; the rest
+   repeat the set-up between ops, one every [spacing] CPU seconds, so
+   they meet the machine at as many moments of the run as the op times
+   do. [setup_s] is their median. *)
+type 'a setup = {
+  f : unit -> 'a;
+  batch : int;
+  samples : int;
+  spacing : float;
+  mutable times : float list;
+  mutable due : float;
+}
+
+let time_batch ~batch f =
+  Gc.full_major ();
+  let t0 = Spans.now () in
+  let r = ref (f ()) in
+  for _ = 2 to batch do
+    r := f ()
+  done;
+  let dt = (Spans.now () -. t0) /. float_of_int batch in
+  (dt, !r)
+
+(* The run's set-up: its result, and the sampler for the rest. *)
+let setup ~samples ~batch ~spacing f =
+  let dt, r = time_batch ~batch f in
+  Gc.full_major ();
+  ({ f; batch; samples; spacing; times = [ dt ]; due = Spans.now () +. spacing }, r)
+
+let sample s =
+  let dt, _ = time_batch ~batch:s.batch s.f in
+  Gc.full_major ();
+  s.times <- dt :: s.times;
+  s.due <- Spans.now () +. s.spacing
+
+(* Between two ops, off their clock: take a sample if one is due. *)
+let tick s = if List.length s.times < s.samples && Spans.now () >= s.due then sample s
+
+(* After the last op: the samples still missing, then the median. *)
+let setup_s s =
+  while List.length s.times < s.samples do
+    sample s
+  done;
+  median (Array.of_list s.times)
 
 let gc_counts () =
   let s = Gc.quick_stat () in

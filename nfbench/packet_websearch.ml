@@ -35,6 +35,7 @@ type size = {
   events_per_op : int;
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
+  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* The fabric simulates about 1.5 ms a second on a 2-core VM (about
@@ -46,9 +47,11 @@ let full ~seconds =
     events_per_op = 15_000;
     setups = 11;
     setup_batch = 2;
+    setup_spacing = float_of_int seconds /. 11.;
   }
 
-let tiny = { horizon = 200e-6; events_per_op = 500; setups = 2; setup_batch = 1 }
+let tiny =
+  { horizon = 200e-6; events_per_op = 500; setups = 2; setup_batch = 1; setup_spacing = 0. }
 
 (* Offered load, as a share of aggregate host capacity. *)
 let load = 0.6
@@ -180,7 +183,8 @@ let check_deliveries ~ends net flows =
   in
   (Hashtbl.length bad_ops, short @ unfinished @ none)
 
-let pass ~size ?on_slice net flows =
+(* [tick] runs between ops, off the clock. *)
+let pass ?(tick = ignore) ~size ?on_slice net flows =
   let sim = Network.sim net in
   let times = ref [] and ends = ref [] in
   let c0 = counters () in
@@ -201,7 +205,8 @@ let pass ~size ?on_slice net flows =
     let scale = float_of_int size.events_per_op /. float_of_int (Stdlib.max 1 ev) in
     slice := Float.max min_slice (!slice *. Float.min max_growth scale);
     clock := until;
-    incr i
+    incr i;
+    tick ()
   done;
   let minor1, major1 = Outcome.gc_counts () in
   let c1 = counters () in
@@ -247,11 +252,12 @@ let handler_categories =
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let setup_s, (net, flows) =
-      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
-          setup ~size ~seed)
+    let sampler, (net, flows) =
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+        (fun () -> setup ~size ~seed)
     in
-    let p = pass ~size net flows in
+    let p = pass ~tick:(fun () -> Outcome.tick sampler) ~size net flows in
+    let setup_s = Outcome.setup_s sampler in
     let ms = 1e3 in
     {
       Outcome.attempted = Array.length p.times;

@@ -34,14 +34,22 @@ type size = {
   events : int;  (* churn ops after the cold epoch *)
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
+  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* About 50 epochs a second on a 2-core VM: a 30 s run makes 1500
    epochs, so the p99 has 15 samples beyond it (10 need 1000). A set-up
    takes about 3 ms, so a setup_s sample is 16 of them. *)
-let full ~seconds = { target = 100; events = 50 * seconds; setups = 11; setup_batch = 16 }
+let full ~seconds =
+  {
+    target = 100;
+    events = 50 * seconds;
+    setups = 11;
+    setup_batch = 16;
+    setup_spacing = float_of_int seconds /. 11.;
+  }
 
-let tiny = { target = 8; events = 12; setups = 2; setup_batch = 1 }
+let tiny = { target = 8; events = 12; setups = 2; setup_batch = 1; setup_spacing = 0. }
 
 (* The engine's own defaults, restated so the replay stops where it does. *)
 let max_iters = 50_000
@@ -147,26 +155,28 @@ type pass = {
   prices : float array;
 }
 
-let untraced_pass ~size c engine =
+(* [tick] runs between ops, off the clock. *)
+let untraced_pass ?(tick = ignore) ~size c engine =
   let n = size.events + 1 in
   let lat = Array.make n 0. and iters = Array.make n 0 in
-  let failed = ref 0 in
+  let failed = ref 0 and busy = ref 0. in
   let minor0, major0 = Outcome.gc_counts () in
-  let t0 = Spans.now () in
   for i = 0 to n - 1 do
+    let t0 = Spans.now () in
     let dt, ep = op c engine ~target:size.target ~op:i in
+    busy := !busy +. (Spans.now () -. t0);
     lat.(i) <- dt;
     iters.(i) <- ep.Engine.iterations;
-    if not ep.Engine.converged then incr failed
+    if not ep.Engine.converged then incr failed;
+    tick ()
   done;
-  let busy = Spans.now () -. t0 in
   let minor1, major1 = Outcome.gc_counts () in
   let rates = Engine.rates engine and prices = Engine.prices engine in
   {
     lat;
     iters;
     failed = !failed;
-    busy;
+    busy = !busy;
     gc = (minor1 - minor0, major1 - major0);
     problems =
       (if !failed = 0 then [] else [ Printf.sprintf "%d epochs did not converge" !failed ])
@@ -292,11 +302,12 @@ let fingerprint p =
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let setup_s, (c, engine) =
-      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
-          setup ~seed ~target:size.target)
+    let sampler, (c, engine) =
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+        (fun () -> setup ~seed ~target:size.target)
     in
-    let p = untraced_pass ~size c engine in
+    let p = untraced_pass ~tick:(fun () -> Outcome.tick sampler) ~size c engine in
+    let setup_s = Outcome.setup_s sampler in
     let ms = 1e3 in
     {
       Outcome.attempted = Array.length p.lat;

@@ -28,15 +28,23 @@ type size = {
   solves : int;
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
+  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* A cold solve takes about 3.5 s on a 2-core VM: seven in a 30 s run,
    some 2500 ops. A set-up takes about 12 ms, so a setup_s sample is four
    of them. *)
 let full ~seconds =
-  { k = 8; flows = 2560; solves = Stdlib.max 2 (seconds / 4); setups = 11; setup_batch = 4 }
+  {
+    k = 8;
+    flows = 2560;
+    solves = Stdlib.max 2 (seconds / 4);
+    setups = 11;
+    setup_batch = 4;
+    setup_spacing = float_of_int seconds /. 11.;
+  }
 
-let tiny = { k = 4; flows = 64; solves = 2; setups = 2; setup_batch = 1 }
+let tiny = { k = 4; flows = 64; solves = 2; setups = 2; setup_batch = 1; setup_spacing = 0. }
 
 (* [run_until_kkt]'s defaults, restated for the replay. *)
 let check_every = 10
@@ -90,8 +98,8 @@ type pass = {
 (* Each solve is the op sequence [run_until_kkt ~check_every:10] runs:
    [init] and the first KKT check, then every [check_every] steps with
    the check that follows them. Ops tile the solve, so their times sum
-   to the solve's. *)
-let untraced_pass ~size ~seed fab router p0 =
+   to the solve's. [tick] runs between ops, off the clock. *)
+let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
   let ops = ref (Array.make 4096 0.) and n_ops = ref 0 in
   let push dt =
     if !n_ops = Array.length !ops then begin
@@ -115,20 +123,23 @@ let untraced_pass ~size ~seed fab router p0 =
       let worst =
         Kkt.worst (Kkt.check !p ~rates:st.Xwi_core.rates ~prices:st.Xwi_core.prices)
       in
-      let t1 = Spans.now () in
-      push (t1 -. t0);
-      if worst <= Gate.kkt_tol then (iter, true, t1)
-      else if iter >= max_iters then (iter, false, t1)
+      push (Spans.now () -. t0);
+      if worst <= Gate.kkt_tol then (iter, true)
+      else if iter >= max_iters then (iter, false)
       else begin
+        tick ();
+        let t0 = Spans.now () in
         let chunk = Stdlib.min check_every (max_iters - iter) in
         for _ = 1 to chunk do
           Xwi_core.step !p params st
         done;
-        loop (iter + chunk) t1
+        loop (iter + chunk) t0
       end
     in
-    let iterations, converged, t_end = loop 0 t_start in
-    solve_times.(i) <- t_end -. t_start;
+    let iterations, converged = loop 0 t_start in
+    for j = first to !n_ops - 1 do
+      solve_times.(i) <- solve_times.(i) +. !ops.(j)
+    done;
     iters.(i) <- iterations;
     if not converged then failed := !failed + (!n_ops - first);
     (match Gate.allocation !p ~rates:st.Xwi_core.rates ~prices:st.Xwi_core.prices with
@@ -216,11 +227,12 @@ let traced_pass ~size ~seed ~expect sp =
 
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
-    let setup_s, (fab, router, p0) =
-      Outcome.timed_setup ~samples:size.setups ~batch:size.setup_batch (fun () ->
-          setup ~size ~seed)
+    let sampler, (fab, router, p0) =
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+        (fun () -> setup ~size ~seed)
     in
-    let p = untraced_pass ~size ~seed fab router p0 in
+    let p = untraced_pass ~tick:(fun () -> Outcome.tick sampler) ~size ~seed fab router p0 in
+    let setup_s = Outcome.setup_s sampler in
     let ms = 1e3 in
     let n_ops = Array.length p.op_times in
     {
