@@ -43,6 +43,8 @@ let fingerprint_line t =
 
 let median xs = Nf_util.Stats.median xs
 
+let sum xs = Array.fold_left ( +. ) 0. xs
+
 (* Nearest-rank percentile: an actual sample, so p99 of 1000 samples is
    the 990th smallest and ten samples lie beyond it. *)
 let percentile xs p =
@@ -57,16 +59,18 @@ let percentile xs p =
    steps and a scheduler tick. Each sample starts from a fully collected
    heap and its garbage is collected off the clock, so the ops that follow
    do not pay for it. The run's own set-up is the first sample; the rest
-   repeat the set-up between ops, one every [spacing] CPU seconds, so
-   they meet the machine at as many moments of the run as the op times
-   do. [setup_s] is their median. *)
+   repeat the set-up between ops, one each time the run's progress (its
+   share of the work done, which the workload reports) passes another
+   [1 / samples], so they meet the machine at as many moments of the run
+   as the op times do, and at the same points of the work on every run
+   of a seed whatever the host's speed. Each sample is scaled to reference time by the calibration passes
+   around it (see [Calib]); [setup_s] is their median. *)
 type 'a setup = {
   f : unit -> 'a;
   batch : int;
   samples : int;
-  spacing : float;
-  mutable times : float list;
-  mutable due : float;
+  calib : Calib.t;  (* one pass after every op *)
+  mutable times : (float * int) list;  (* seconds per set-up, pass it sits next to *)
 }
 
 let time_batch ~batch f =
@@ -80,26 +84,34 @@ let time_batch ~batch f =
   (dt, !r)
 
 (* The run's set-up: its result, and the sampler for the rest. *)
-let setup ~samples ~batch ~spacing f =
+let setup ~samples ~batch f =
   let dt, r = time_batch ~batch f in
   Gc.full_major ();
-  ({ f; batch; samples; spacing; times = [ dt ]; due = Spans.now () +. spacing }, r)
+  ({ f; batch; samples; calib = Calib.create (); times = [ (dt, 0) ] }, r)
 
 let sample s =
   let dt, _ = time_batch ~batch:s.batch s.f in
   Gc.full_major ();
-  s.times <- dt :: s.times;
-  s.due <- Spans.now () +. s.spacing
+  s.times <- (dt, Calib.count s.calib - 1) :: s.times
 
-(* Between two ops, off their clock: take a sample if one is due. *)
-let tick s = if List.length s.times < s.samples && Spans.now () >= s.due then sample s
+(* After every op, off its clock: a calibration pass, and the set-up
+   samples due by [progress], in [0, 1]. *)
+let tick s ~progress =
+  Calib.sample s.calib;
+  while
+    List.length s.times < s.samples
+    && progress *. float_of_int s.samples >= float_of_int (List.length s.times)
+  do
+    sample s
+  done
 
 (* After the last op: the samples still missing, then the median. *)
 let setup_s s =
+  if Calib.count s.calib = 0 then Calib.sample s.calib;
   while List.length s.times < s.samples do
     sample s
   done;
-  median (Array.of_list s.times)
+  median (Array.of_list (List.map (fun (dt, i) -> Calib.scale s.calib i dt) s.times))
 
 let gc_counts () =
   let s = Gc.quick_stat () in

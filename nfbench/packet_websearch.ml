@@ -35,7 +35,6 @@ type size = {
   events_per_op : int;
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
-  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* The fabric simulates about 1.5 ms a second on a 2-core VM (about
@@ -47,11 +46,10 @@ let full ~seconds =
     events_per_op = 15_000;
     setups = 11;
     setup_batch = 2;
-    setup_spacing = float_of_int seconds /. 11.;
   }
 
 let tiny =
-  { horizon = 200e-6; events_per_op = 500; setups = 2; setup_batch = 1; setup_spacing = 0. }
+  { horizon = 200e-6; events_per_op = 500; setups = 2; setup_batch = 1 }
 
 (* Offered load, as a share of aggregate host capacity. *)
 let load = 0.6
@@ -183,8 +181,9 @@ let check_deliveries ~ends net flows =
   in
   (Hashtbl.length bad_ops, short @ unfinished @ none)
 
-(* [tick] runs between ops, off the clock. *)
-let pass ?(tick = ignore) ~size ?on_slice net flows =
+(* [tick ~progress] runs after every op, off the clock; progress is
+   simulated time. *)
+let pass ?(tick = fun ~progress:_ -> ()) ~size ?on_slice net flows =
   let sim = Network.sim net in
   let times = ref [] and ends = ref [] in
   let c0 = counters () in
@@ -206,7 +205,7 @@ let pass ?(tick = ignore) ~size ?on_slice net flows =
     slice := Float.max min_slice (!slice *. Float.min max_growth scale);
     clock := until;
     incr i;
-    tick ()
+    tick ~progress:(until /. size.horizon)
   done;
   let minor1, major1 = Outcome.gc_counts () in
   let c1 = counters () in
@@ -253,28 +252,32 @@ let handler_categories =
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
     let sampler, (net, flows) =
-      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch
         (fun () -> setup ~size ~seed)
     in
-    let p = pass ~tick:(fun () -> Outcome.tick sampler) ~size net flows in
+    let p = pass ~tick:(Outcome.tick sampler) ~size net flows in
     let setup_s = Outcome.setup_s sampler in
+    let times = Calib.reference_times sampler.Outcome.calib p.times in
     let ms = 1e3 in
     {
-      Outcome.attempted = Array.length p.times;
+      Outcome.attempted = Array.length times;
       failed = p.failed;
       problems = p.problems;
       metrics =
         [
           Outcome.metric "setup_s" "s" setup_s;
-          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.times 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.times) /. p.busy);
+          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile times 50.);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length times) /. Outcome.sum times);
         ];
       fingerprint = fingerprint p;
     }
   end
   else begin
     let net, flows = setup ~size ~seed in
-    let p = pass ~size net flows in
+    let calib = Calib.create () in
+    let p = pass ~tick:(fun ~progress:_ -> Calib.sample calib) ~size net flows in
+    let times = Calib.reference_times calib p.times in
+    let busy = Outcome.sum times in
     let net, flows = setup ~size ~seed in
     let sp = Spans.create () in
     let k_run = Spans.kind sp "network.run" in
@@ -314,10 +317,11 @@ let run ~size ~seed ~trace ~spans_out =
       problems;
       metrics =
         [
-          Outcome.metric "op.p99_ms" "ms" (1e3 *. Outcome.percentile p.times 99.);
+          Outcome.metric "op.p99_ms" "ms" (1e3 *. Outcome.percentile times 99.);
+          Outcome.metric "calib.pass_ms" "ms" (1e3 *. Calib.median_pass calib);
           Outcome.metric "engine.events" "count" (float_of_int p.events);
-          Outcome.metric "engine.events_per_s" "1/s" (float_of_int p.events /. p.busy);
-          Outcome.metric "sim.wall_s_per_sim_s" "s/s" (p.busy /. size.horizon);
+          Outcome.metric "engine.events_per_s" "1/s" (float_of_int p.events /. busy);
+          Outcome.metric "sim.wall_s_per_sim_s" "s/s" (busy /. size.horizon);
         ]
         @ handlers
         @ List.map (fun (k, v) -> Outcome.metric k "count" (float_of_int v)) p.counts

@@ -55,6 +55,16 @@ let benchmark_json () =
        (fun w -> Option.get (Sjson.obj_str "name" w))
        (Option.get (Sjson.obj_list "workloads" doc)))
 
+(* Reference time divides each op by the median pass around it, and an
+   op without its pass is a benchmark bug. *)
+let calib_scales_by_local_median () =
+  let c = { Calib.times = [| 2e-3; 2e-3; 8e-3 |]; n = 3 } in
+  Alcotest.(check (array (float 1e-12)))
+    "op time over the median pass, times 1 ms" [| 0.5e-3; 1.5e-3; 2.5e-3 |]
+    (Calib.reference_times c [| 1e-3; 3e-3; 5e-3 |]);
+  Alcotest.check_raises "one pass per op" (Invalid_argument "Calib.reference_times: one pass per op")
+    (fun () -> ignore (Calib.reference_times c [| 1e-3 |]))
+
 (* A parking lot: one two-link flow against two one-link flows. *)
 let solved () =
   let u = Nf_num.Utility.proportional_fair () in
@@ -142,6 +152,7 @@ let () =
     [
       ("tiny", List.concat_map tiny [ "serve_churn"; "solve_cold"; "packet_websearch" ]);
       ("catalogue", [ Alcotest.test_case "BENCHMARK.json" `Quick benchmark_json ]);
+      ("calib", [ Alcotest.test_case "scales by the local median" `Quick calib_scales_by_local_median ]);
       ( "gate",
         [
           Alcotest.test_case "accepts the optimum" `Quick gate_accepts_optimum;

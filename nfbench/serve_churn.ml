@@ -34,7 +34,6 @@ type size = {
   events : int;  (* churn ops after the cold epoch *)
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
-  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* About 50 epochs a second on a 2-core VM: a 30 s run makes 1500
@@ -46,10 +45,9 @@ let full ~seconds =
     events = 50 * seconds;
     setups = 11;
     setup_batch = 16;
-    setup_spacing = float_of_int seconds /. 11.;
   }
 
-let tiny = { target = 8; events = 12; setups = 2; setup_batch = 1; setup_spacing = 0. }
+let tiny = { target = 8; events = 12; setups = 2; setup_batch = 1 }
 
 (* The engine's own defaults, restated so the replay stops where it does. *)
 let max_iters = 50_000
@@ -155,8 +153,8 @@ type pass = {
   prices : float array;
 }
 
-(* [tick] runs between ops, off the clock. *)
-let untraced_pass ?(tick = ignore) ~size c engine =
+(* [tick ~progress] runs after every op, off the clock. *)
+let untraced_pass ?(tick = fun ~progress:_ -> ()) ~size c engine =
   let n = size.events + 1 in
   let lat = Array.make n 0. and iters = Array.make n 0 in
   let failed = ref 0 and busy = ref 0. in
@@ -168,7 +166,7 @@ let untraced_pass ?(tick = ignore) ~size c engine =
     lat.(i) <- dt;
     iters.(i) <- ep.Engine.iterations;
     if not ep.Engine.converged then incr failed;
-    tick ()
+    tick ~progress:(float_of_int (i + 1) /. float_of_int n)
   done;
   let minor1, major1 = Outcome.gc_counts () in
   let rates = Engine.rates engine and prices = Engine.prices engine in
@@ -303,28 +301,30 @@ let fingerprint p =
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
     let sampler, (c, engine) =
-      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch
         (fun () -> setup ~seed ~target:size.target)
     in
-    let p = untraced_pass ~tick:(fun () -> Outcome.tick sampler) ~size c engine in
+    let p = untraced_pass ~tick:(Outcome.tick sampler) ~size c engine in
     let setup_s = Outcome.setup_s sampler in
+    let lat = Calib.reference_times sampler.Outcome.calib p.lat in
     let ms = 1e3 in
     {
-      Outcome.attempted = Array.length p.lat;
+      Outcome.attempted = Array.length lat;
       failed = p.failed;
       problems = p.problems;
       metrics =
         [
           Outcome.metric "setup_s" "s" setup_s;
-          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.lat 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length p.lat) /. p.busy);
+          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile lat 50.);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int (Array.length lat) /. Outcome.sum lat);
         ];
       fingerprint = fingerprint p;
     }
   end
   else begin
     let c, engine = setup ~seed ~target:size.target in
-    let p = untraced_pass ~size c engine in
+    let calib = Calib.create () in
+    let p = untraced_pass ~tick:(fun ~progress:_ -> Calib.sample calib) ~size c engine in
     let sp = Spans.create () in
     let k = kinds sp in
     let c, r = replay_setup ~seed ~target:size.target in
@@ -359,7 +359,9 @@ let run ~size ~seed ~trace ~spans_out =
       problems;
       metrics =
         [
-          Outcome.metric "op.p99_ms" "ms" (1e3 *. Outcome.percentile p.lat 99.);
+          Outcome.metric "op.p99_ms" "ms"
+            (1e3 *. Outcome.percentile (Calib.reference_times calib p.lat) 99.);
+          Outcome.metric "calib.pass_ms" "ms" (1e3 *. Calib.median_pass calib);
           Outcome.metric "protocol.codec_us" "us"
             ((a "protocol.codec").Spans.self_s *. us /. float_of_int n);
           Outcome.metric "problem.ledger_us" "us" (Spans.mean_self ~scale:us (a "problem.ledger"));

@@ -28,7 +28,6 @@ type size = {
   solves : int;
   setups : int;  (* setup_s samples *)
   setup_batch : int;  (* set-ups per sample *)
-  setup_spacing : float;  (* CPU seconds of ops between samples *)
 }
 
 (* A cold solve takes about 3.5 s on a 2-core VM: seven in a 30 s run,
@@ -41,10 +40,9 @@ let full ~seconds =
     solves = Stdlib.max 2 (seconds / 4);
     setups = 11;
     setup_batch = 4;
-    setup_spacing = float_of_int seconds /. 11.;
   }
 
-let tiny = { k = 4; flows = 64; solves = 2; setups = 2; setup_batch = 1; setup_spacing = 0. }
+let tiny = { k = 4; flows = 64; solves = 2; setups = 2; setup_batch = 1 }
 
 (* [run_until_kkt]'s defaults, restated for the replay. *)
 let check_every = 10
@@ -87,7 +85,7 @@ let setup ~size ~seed =
 
 type pass = {
   op_times : float array;  (* seconds per op *)
-  solve_times : float array;  (* seconds per solve *)
+  solve_ops : int array;  (* ops per solve; they follow one another *)
   iters : int array;  (* per solve *)
   failed : int;  (* ops of solves that hit [max_iters] *)
   busy : float;  (* CPU seconds of all ops *)
@@ -98,8 +96,9 @@ type pass = {
 (* Each solve is the op sequence [run_until_kkt ~check_every:10] runs:
    [init] and the first KKT check, then every [check_every] steps with
    the check that follows them. Ops tile the solve, so their times sum
-   to the solve's. [tick] runs between ops, off the clock. *)
-let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
+   to the solve's. [tick ~progress] runs after every op, off the clock;
+   progress counts whole solves. *)
+let untraced_pass ?(tick = fun ~progress:_ -> ()) ~size ~seed fab router p0 =
   let ops = ref (Array.make 4096 0.) and n_ops = ref 0 in
   let push dt =
     if !n_ops = Array.length !ops then begin
@@ -111,7 +110,7 @@ let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
     incr n_ops
   in
   let n = size.solves in
-  let solve_times = Array.make n 0. and iters = Array.make n 0 in
+  let solve_ops = Array.make n 0 and iters = Array.make n 0 in
   let failed = ref 0 and problems = ref [] in
   let minor0, major0 = Outcome.gc_counts () in
   let p = ref p0 in
@@ -124,10 +123,10 @@ let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
         Kkt.worst (Kkt.check !p ~rates:st.Xwi_core.rates ~prices:st.Xwi_core.prices)
       in
       push (Spans.now () -. t0);
+      tick ~progress:(float_of_int i /. float_of_int n);
       if worst <= Gate.kkt_tol then (iter, true)
       else if iter >= max_iters then (iter, false)
       else begin
-        tick ();
         let t0 = Spans.now () in
         let chunk = Stdlib.min check_every (max_iters - iter) in
         for _ = 1 to chunk do
@@ -137,9 +136,7 @@ let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
       end
     in
     let iterations, converged = loop 0 t_start in
-    for j = first to !n_ops - 1 do
-      solve_times.(i) <- solve_times.(i) +. !ops.(j)
-    done;
+    solve_ops.(i) <- !n_ops - first;
     iters.(i) <- iterations;
     if not converged then failed := !failed + (!n_ops - first);
     (match Gate.allocation !p ~rates:st.Xwi_core.rates ~prices:st.Xwi_core.prices with
@@ -148,12 +145,13 @@ let untraced_pass ?(tick = ignore) ~size ~seed fab router p0 =
     if i + 1 < n then p := instance fab router ~size ~seed ~op:(i + 1)
   done;
   let minor1, major1 = Outcome.gc_counts () in
+  let op_times = Array.sub !ops 0 !n_ops in
   {
-    op_times = Array.sub !ops 0 !n_ops;
-    solve_times;
+    op_times;
+    solve_ops;
     iters;
     failed = !failed;
-    busy = Array.fold_left ( +. ) 0. solve_times;
+    busy = Outcome.sum op_times;
     gc = (minor1 - minor0, major1 - major0);
     problems = List.rev !problems;
   }
@@ -228,13 +226,14 @@ let traced_pass ~size ~seed ~expect sp =
 let run ~size ~seed ~trace ~spans_out =
   if not trace then begin
     let sampler, (fab, router, p0) =
-      Outcome.setup ~samples:size.setups ~batch:size.setup_batch ~spacing:size.setup_spacing
+      Outcome.setup ~samples:size.setups ~batch:size.setup_batch
         (fun () -> setup ~size ~seed)
     in
-    let p = untraced_pass ~tick:(fun () -> Outcome.tick sampler) ~size ~seed fab router p0 in
+    let p = untraced_pass ~tick:(Outcome.tick sampler) ~size ~seed fab router p0 in
     let setup_s = Outcome.setup_s sampler in
+    let op_times = Calib.reference_times sampler.Outcome.calib p.op_times in
     let ms = 1e3 in
-    let n_ops = Array.length p.op_times in
+    let n_ops = Array.length op_times in
     {
       Outcome.attempted = n_ops;
       failed = p.failed;
@@ -242,15 +241,26 @@ let run ~size ~seed ~trace ~spans_out =
       metrics =
         [
           Outcome.metric "setup_s" "s" setup_s;
-          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile p.op_times 50.);
-          Outcome.metric "ops_per_s" "1/s" (float_of_int n_ops /. p.busy);
+          Outcome.metric "op_p50_ms" "ms" (ms *. Outcome.percentile op_times 50.);
+          Outcome.metric "ops_per_s" "1/s" (float_of_int n_ops /. Outcome.sum op_times);
         ];
       fingerprint = [ ("xwi.iters", Array.fold_left ( + ) 0 p.iters) ];
     }
   end
   else begin
     let fab, router, p0 = setup ~size ~seed in
-    let p = untraced_pass ~size ~seed fab router p0 in
+    let calib = Calib.create () in
+    let p = untraced_pass ~tick:(fun ~progress:_ -> Calib.sample calib) ~size ~seed fab router p0 in
+    let op_times = Calib.reference_times calib p.op_times in
+    let solve_times =
+      let first = ref 0 in
+      Array.map
+        (fun n ->
+          let t = Outcome.sum (Array.sub op_times !first n) in
+          first := !first + n;
+          t)
+        p.solve_ops
+    in
     let sp = Spans.create () in
     let mismatches, traced_busy, rounds, saturated = traced_pass ~size ~seed ~expect:p.iters sp in
     Spans.write sp spans_out;
@@ -267,14 +277,15 @@ let run ~size ~seed ~trace ~spans_out =
         @ p.problems;
       metrics =
         [
-          Outcome.metric "op.p99_ms" "ms" (ms *. Outcome.percentile p.op_times 99.);
+          Outcome.metric "op.p99_ms" "ms" (ms *. Outcome.percentile op_times 99.);
+          Outcome.metric "calib.pass_ms" "ms" (ms *. Calib.median_pass calib);
           Outcome.metric "xwi.step_us" "us" (Spans.mean_self ~scale:us (a "xwi.step"));
           Outcome.metric "xwi.step_bytes" "B" (a "xwi.step").Spans.bytes_p50;
           Outcome.metric "kkt.check_us" "us" (Spans.mean_self ~scale:us (a "kkt.check"));
           Outcome.metric "kkt.check_bytes" "B" (a "kkt.check").Spans.bytes_p50;
           Outcome.metric "kkt.checks" "count" (float_of_int (a "kkt.check").Spans.calls);
           Outcome.metric "xwi.iters" "count" (float_of_int (Array.fold_left ( + ) 0 p.iters));
-          Outcome.metric "solve.p50_ms" "ms" (ms *. Outcome.median p.solve_times);
+          Outcome.metric "solve.p50_ms" "ms" (ms *. Outcome.median solve_times);
           Outcome.metric "xwi.init_ms" "ms" (Spans.mean_self ~scale:ms (a "xwi.init"));
           Outcome.metric "maxmin.solve_us" "us" (Spans.mean_self ~scale:us (a "maxmin.solve"));
           Outcome.metric "maxmin.rounds" "count" rounds;

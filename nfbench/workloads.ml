@@ -10,6 +10,7 @@ let end_to_end = [ ("setup_s", "s"); ("op_p50_ms", "ms"); ("ops_per_s", "1/s") ]
 let per_layer =
   [
     ("op.p99_ms", "ms");
+    ("calib.pass_ms", "ms");
     ("protocol.codec_us", "us");
     ("problem.ledger_us", "us");
     ("problem.commit_us", "us");
