@@ -63,8 +63,9 @@ let percentile xs p =
    share of the work done, which the workload reports) passes another
    [1 / samples], so they meet the machine at as many moments of the run
    as the op times do, and at the same points of the work on every run
-   of a seed whatever the host's speed. Each sample is scaled to reference time by the calibration passes
-   around it (see [Calib]); [setup_s] is their median. *)
+   of a seed whatever the host's speed. Each sample is scaled to
+   reference time by the calibration passes around it (see [Calib]);
+   [setup_s] is their median. *)
 type 'a setup = {
   f : unit -> 'a;
   batch : int;
