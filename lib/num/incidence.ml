@@ -1,39 +1,16 @@
 (* Sparse flow×link incidence core: the flat data layout every hot NUM
    kernel (xWI sweeps, water-filling, load/price accumulation) iterates
-   over. Built once per [Problem.t]; see DESIGN.md "Sparse NUM core". *)
+   over. Built once per [Problem.t] snapshot; see DESIGN.md "Sparse NUM
+   core". *)
 
-type vec =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* The working set of the NUM kernels is plain [float array]s, which
+   OCaml stores unboxed: the state's prices, rates and weights are the
+   vectors the sweeps read and write. *)
+type vec = float array
 
-let vec n : vec =
-  let v = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n in
-  Bigarray.Array1.fill v 0.;
-  v
+let vec n : vec = Array.make n 0.
 
-let vec_of_array a : vec =
-  Bigarray.Array1.of_array Bigarray.Float64 Bigarray.C_layout a
-
-let vec_fill (v : vec) x = Bigarray.Array1.fill v x
-
-let vec_blit (src : vec) (dst : vec) = Bigarray.Array1.blit src dst
-
-(* Array <-> vec copies are the only boundary between the sparse working
-   set and the [float array] world the rest of the repo speaks; both are
-   unboxed float64, so these are straight element loops. *)
-let vec_to_array (v : vec) (out : float array) =
-  for i = 0 to Array.length out - 1 do
-    Array.unsafe_set out i (Bigarray.Array1.unsafe_get v i)
-  done
-
-let vec_of_array_into (a : float array) (v : vec) =
-  for i = 0 to Array.length a - 1 do
-    Bigarray.Array1.unsafe_set v i (Array.unsafe_get a i)
-  done
-
-let array_of_vec (v : vec) =
-  let out = Array.make (Bigarray.Array1.dim v) 0. in
-  vec_to_array v out;
-  out
+let vec_of_array (a : float array) : vec = Array.copy a
 
 type t = {
   n_links : int;
@@ -48,7 +25,7 @@ type t = {
   grp_flows : int array;
   group_of_flow : int array;
   singleton : bool;
-  caps : vec;
+  caps : float array;
 }
 
 let create ~caps ~paths ~group_of_flow ~n_groups =
@@ -143,53 +120,56 @@ let create ~caps ~paths ~group_of_flow ~n_groups =
     grp_flows;
     group_of_flow = Array.copy group_of_flow;
     singleton;
-    caps = vec_of_array caps;
+    caps;
   }
-
-let sync_caps t caps =
-  if Array.length caps <> t.n_links then
-    invalid_arg "Incidence.sync_caps: capacity array length";
-  vec_of_array_into caps t.caps
 
 let path_len t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
 let link_degree t l = t.col_ptr.(l + 1) - t.col_ptr.(l)
 
-(* Tight CSR/CSC sweeps shared by several kernels. All [@nf.hot]: no
-   allocation; indices come straight off the flat index arrays. *)
+(* Tight CSR/CSC sweeps shared by every kernel, and the only loop bodies
+   for path prices, link loads and group rates outside [Reference]. All
+   [@nf.hot]: no allocation; indices come straight off the flat index
+   arrays. The single-row bodies are [@inline] so the whole-vector sweeps
+   built on them stay allocation-free (a float returned by a call that is
+   not inlined is boxed). *)
+
+let[@nf.hot][@inline] path_price t ~(prices : vec) i =
+  let row_ptr = t.row_ptr and row_cols = t.row_cols in
+  let stop = Array.unsafe_get row_ptr (i + 1) in
+  let acc = ref 0. in
+  for k = Array.unsafe_get row_ptr i to stop - 1 do
+    acc := !acc +. Array.unsafe_get prices (Array.unsafe_get row_cols k)
+  done;
+  !acc
 
 let[@nf.hot] path_prices_into t ~(prices : vec) ~(out : vec) =
-  let row_ptr = t.row_ptr and row_cols = t.row_cols in
   for i = 0 to t.n_flows - 1 do
-    let stop = Array.unsafe_get row_ptr (i + 1) in
-    let acc = ref 0. in
-    for k = Array.unsafe_get row_ptr i to stop - 1 do
-      acc :=
-        !acc
-        +. Bigarray.Array1.unsafe_get prices (Array.unsafe_get row_cols k)
-    done;
-    Bigarray.Array1.unsafe_set out i !acc
+    Array.unsafe_set out i (path_price t ~prices i)
   done
 
 let[@nf.hot] link_loads_into t ~(rates : vec) ~(out : vec) =
-  vec_fill out 0.;
+  Array.fill out 0 (Array.length out) 0.;
   let row_ptr = t.row_ptr and row_cols = t.row_cols in
   for i = 0 to t.n_flows - 1 do
-    let x = Bigarray.Array1.unsafe_get rates i in
+    let x = Array.unsafe_get rates i in
     let stop = Array.unsafe_get row_ptr (i + 1) in
     for k = Array.unsafe_get row_ptr i to stop - 1 do
       let l = Array.unsafe_get row_cols k in
-      Bigarray.Array1.unsafe_set out l (Bigarray.Array1.unsafe_get out l +. x)
+      Array.unsafe_set out l (Array.unsafe_get out l +. x)
     done
   done
 
-let[@nf.hot] group_rates_into t ~(rates : vec) ~(out : vec) =
+let[@nf.hot][@inline] group_rate t ~(rates : vec) g =
   let grp_ptr = t.grp_ptr and grp_flows = t.grp_flows in
+  let stop = Array.unsafe_get grp_ptr (g + 1) in
+  let acc = ref 0. in
+  for k = Array.unsafe_get grp_ptr g to stop - 1 do
+    acc := !acc +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
+  done;
+  !acc
+
+let[@nf.hot] group_rates_into t ~(rates : vec) ~(out : vec) =
   for g = 0 to t.n_groups - 1 do
-    let stop = Array.unsafe_get grp_ptr (g + 1) in
-    let acc = ref 0. in
-    for k = Array.unsafe_get grp_ptr g to stop - 1 do
-      acc := !acc +. Bigarray.Array1.unsafe_get rates (Array.unsafe_get grp_flows k)
-    done;
-    Bigarray.Array1.unsafe_set out g !acc
+    Array.unsafe_set out g (group_rate t ~rates g)
   done

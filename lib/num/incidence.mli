@@ -2,33 +2,20 @@
 
     The flat data layout the hot NUM kernels iterate over: CSR
     (flow → links on its path), CSC (link → flows crossing it), and the
-    group → flows map, all as dense [int array] index arrays, plus
-    unboxed float64 {!vec} buffers for per-link capacities. Built once
-    per {!Problem.t}; see DESIGN.md "Sparse NUM core" for layout and
-    ownership rules. *)
+    group → flows map, all as dense [int array] index arrays, plus the
+    per-link capacities. Built once per {!Problem.t} snapshot; see
+    DESIGN.md "Sparse NUM core" for layout and ownership rules. *)
 
-type vec =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Unboxed float64 buffer (C layout). All per-flow / per-link / per-group
-    working vectors of the sparse kernels use this type. *)
+type vec = float array
+(** Per-flow / per-link / per-group working vector of the sparse
+    kernels. A plain (unboxed) [float array]: the solver state's own
+    arrays are passed to the kernels directly. *)
 
 val vec : int -> vec
 (** Freshly allocated, zero-filled. *)
 
 val vec_of_array : float array -> vec
-
-val vec_fill : vec -> float -> unit
-
-val vec_blit : vec -> vec -> unit
-(** [vec_blit src dst]. *)
-
-val vec_to_array : vec -> float array -> unit
-(** Copy into a caller-owned array; length taken from the array. *)
-
-val vec_of_array_into : float array -> vec -> unit
-(** Copy from an array into an existing vec; length taken from the array. *)
-
-val array_of_vec : vec -> float array
+(** A copy. *)
 
 type t = private {
   n_links : int;
@@ -43,7 +30,10 @@ type t = private {
   grp_flows : int array;  (** flow ids in member order *)
   group_of_flow : int array;
   singleton : bool;  (** every group has exactly one flow *)
-  caps : vec;  (** link capacities; refresh via {!sync_caps} *)
+  caps : float array;
+      (** link capacities: the array given to {!create}, shared, not
+          copied — {!Problem} passes its live capacity array, so a
+          capacity change is seen by the next kernel call *)
 }
 
 val create :
@@ -52,27 +42,31 @@ val create :
   group_of_flow:int array ->
   n_groups:int ->
   t
-(** Build the index arrays. Flows must be numbered group-major (all of
-    group 0's flows first, then group 1's, ...) as {!Problem.create}
-    guarantees. @raise Invalid_argument on out-of-range ids. *)
-
-val sync_caps : t -> float array -> unit
-(** Re-copy the (possibly mutated) capacity array into {!field-caps}.
-    Dynamic experiments change link speeds between iterations; sparse
-    kernels call this once per step. *)
+(** Build the index arrays; [caps] is kept as {!field-caps} without a
+    copy. Flows must be numbered group-major (all of group 0's flows
+    first, then group 1's, ...) as {!Problem.create} guarantees.
+    @raise Invalid_argument on out-of-range ids. *)
 
 val path_len : t -> int -> int
 
 val link_degree : t -> int -> int
 (** Number of distinct flows crossing the link. *)
 
+val path_price : t -> prices:vec -> int -> float
+(** [Σ_{l ∈ L(i)} prices.(l)] for flow [i], in path order (a link the
+    path repeats counts once per traversal; bit-identical to the legacy
+    per-flow fold). *)
+
 val path_prices_into : t -> prices:vec -> out:vec -> unit
-(** [out.(i) = Σ_{l ∈ L(i)} prices.(l)] for every flow, in path order
-    (bit-identical to the legacy per-flow fold). *)
+(** {!path_price} for every flow. *)
 
 val link_loads_into : t -> rates:vec -> out:vec -> unit
-(** [out.(l) = Σ_{i ∋ l} rates.(i)], accumulated flow-major in path order
-    (bit-identical to the legacy sweep). *)
+(** [out.(l) = Σ_{i ∋ l} rates.(i)], accumulated flow-major in path order,
+    once per traversal (bit-identical to the legacy sweep). Clears [out]
+    first. *)
+
+val group_rate : t -> rates:vec -> int -> float
+(** [Σ_{i ∈ g} rates.(i)] for group [g], in member order. *)
 
 val group_rates_into : t -> rates:vec -> out:vec -> unit
-(** [out.(g) = Σ_{i ∈ g} rates.(i)] in member order. *)
+(** {!group_rate} for every group. *)

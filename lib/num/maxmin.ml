@@ -4,27 +4,6 @@ type result = {
   fair_share : float array;
 }
 
-type workspace = {
-  w_frozen : bool array;
-  w_rem_cap : float array;
-  w_active_weight : float array;
-  w_active_count : int array;
-  w_saturated : bool array;  (* per-round scratch, cleared each round *)
-  w_bottleneck : int array;
-  w_fair_share : float array;
-}
-
-let workspace ~n_links ~n_flows =
-  {
-    w_frozen = Array.make n_flows false;
-    w_rem_cap = Array.make n_links 0.;
-    w_active_weight = Array.make n_links 0.;
-    w_active_count = Array.make n_links 0;
-    w_saturated = Array.make n_links false;
-    w_bottleneck = Array.make n_flows (-1);
-    w_fair_share = Array.make n_flows 0.;
-  }
-
 let validate ~caps ~paths ~weights =
   let n_links = Array.length caps in
   if Array.length paths <> Array.length weights then
@@ -51,23 +30,19 @@ let validate ~caps ~paths ~weights =
    rounding noise can never leave a phantom constraint that would stall the
    loop. O(rounds * total path length), rounds <= number of links.
 
-   All state lives in the caller's workspace so the per-iteration fluid
-   solver ({!Xwi_core.step}) allocates nothing here. *)
-let solve_core ws ~caps ~paths ~weights ~rates =
+   This flow-major scan is the reference the sparse solver below is
+   checked against; it allocates freely. *)
+let solve ~caps ~paths ~weights =
+  validate ~caps ~paths ~weights;
   let n_flows = Array.length paths and n_links = Array.length caps in
-  let frozen = ws.w_frozen
-  and rem_cap = ws.w_rem_cap
-  and active_weight = ws.w_active_weight
-  and active_count = ws.w_active_count
-  and bottleneck = ws.w_bottleneck
-  and fair_share = ws.w_fair_share in
-  Array.fill frozen 0 n_flows false;
-  Array.blit caps 0 rem_cap 0 n_links;
-  Array.fill active_weight 0 n_links 0.;
-  Array.fill active_count 0 n_links 0;
-  Array.fill bottleneck 0 n_flows (-1);
-  Array.fill fair_share 0 n_flows 0.;
-  Array.fill rates 0 n_flows 0.;
+  let frozen = Array.make n_flows false
+  and rem_cap = Array.copy caps
+  and active_weight = Array.make n_links 0.
+  and active_count = Array.make n_links 0
+  and saturated = Array.make n_links false
+  and bottleneck = Array.make n_flows (-1)
+  and fair_share = Array.make n_flows 0.
+  and rates = Array.make n_flows 0. in
   for i = 0 to n_flows - 1 do
     let path = paths.(i) in
     let w = weights.(i) in
@@ -114,7 +89,6 @@ let solve_core ws ~caps ~paths ~weights ~rates =
       done;
       (* Links saturated at the new level; the argmin link is saturated by
          construction even if rounding left it epsilon above zero. *)
-      let saturated = ws.w_saturated in
       Array.fill saturated 0 n_links false;
       saturated.(!argmin) <- true;
       for l = 0 to n_links - 1 do
@@ -150,40 +124,13 @@ let solve_core ws ~caps ~paths ~weights ~rates =
          freeze must have happened; assert the loop variant. *)
       assert !froze_any
     end
-  done
-
-let check_sizes ws ~caps ~paths ~weights ~rates =
-  let n_flows = Array.length paths and n_links = Array.length caps in
-  if
-    Array.length weights <> n_flows
-    || Array.length rates <> n_flows
-    || Array.length ws.w_frozen <> n_flows
-    || Array.length ws.w_rem_cap <> n_links
-  then invalid_arg "Maxmin.solve_into: workspace/array size mismatch"
-
-let solve_into ws ~caps ~paths ~weights ~rates =
-  check_sizes ws ~caps ~paths ~weights ~rates;
-  solve_core ws ~caps ~paths ~weights ~rates
-
-let solve ~caps ~paths ~weights =
-  validate ~caps ~paths ~weights;
-  let n_flows = Array.length paths and n_links = Array.length caps in
-  let ws = workspace ~n_links ~n_flows in
-  let rates = Array.make n_flows 0. in
-  solve_core ws ~caps ~paths ~weights ~rates;
-  { rates; bottleneck = ws.w_bottleneck; fair_share = ws.w_fair_share }
-
-let solve_problem problem ~weights =
-  solve ~caps:(Problem.caps problem) ~paths:(Problem.paths problem) ~weights
-
-let solve_problem_into ws problem ~weights ~rates =
-  solve_into ws ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
-    ~weights ~rates
+  done;
+  { rates; bottleneck; fair_share }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse (CSR/CSC-driven) water-filling over an [Incidence.t].
 
-   Same progressive-filling semantics as [solve_core], but the freeze
+   Same progressive-filling semantics as [solve], but the freeze
    scan is link-major: instead of re-walking every unfrozen flow's path
    each round, only the flows on this round's saturated links (their CSC
    columns) are visited, and each frozen flow retires its own CSR row.
@@ -193,7 +140,7 @@ let solve_problem_into ws problem ~weights ~rates =
    active-weight decrements accumulate in link-major rather than
    flow-major order), so rates agree to ~1e-9 relative, not bitwise;
    [bottleneck] reports the lowest-numbered saturated link instead of the
-   first on the flow's path. The array API above stays the reference. *)
+   first on the flow's path. [solve] above stays the reference. *)
 
 type sparse_workspace = {
   s_frozen : bool array;  (* n_flows *)
@@ -266,14 +213,12 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   Array.blit ws.s_count0 0 active_count 0 n_links;
   Array.fill bottleneck 0 n_flows (-1);
   Array.fill fair_share 0 n_flows 0.;
-  Incidence.vec_fill rates 0.;
-  for l = 0 to n_links - 1 do
-    Array.unsafe_set rem_cap l (Bigarray.Array1.unsafe_get caps l)
-  done;
-  (* Flow-major setup sweep, same accumulation order as [solve_core];
+  Array.fill rates 0 n_flows 0.;
+  Array.blit caps 0 rem_cap 0 n_links;
+  (* Flow-major setup sweep, same accumulation order as [solve];
      counts are static and come from the precomputed [s_count0]. *)
   for i = 0 to n_flows - 1 do
-    let w = Bigarray.Array1.unsafe_get weights i in
+    let w = Array.unsafe_get weights i in
     let stop = Array.unsafe_get row_ptr (i + 1) in
     for k = Array.unsafe_get row_ptr i to stop - 1 do
       let l = Array.unsafe_get row_cols k in
@@ -323,8 +268,8 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
         if not (Array.unsafe_get frozen i) then begin
           Array.unsafe_set frozen i true;
           Array.unsafe_set fair_share i !level;
-          Bigarray.Array1.unsafe_set rates i
-            (Bigarray.Array1.unsafe_get weights i *. !level)
+          Array.unsafe_set rates i
+            (Array.unsafe_get weights i *. !level)
         end
       done;
       n_active := 0
@@ -343,7 +288,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
         in
         let rc = if rc < 0. then 0. else rc in
         Array.unsafe_set rem_cap l rc;
-        if Int.equal l !argmin || rc <= 1e-9 *. Bigarray.Array1.unsafe_get caps l
+        if Int.equal l !argmin || rc <= 1e-9 *. Array.unsafe_get caps l
         then begin
           Array.unsafe_set saturated !n_sat l;
           incr n_sat
@@ -366,8 +311,8 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
             Array.unsafe_set frozen i true;
             Array.unsafe_set bottleneck i l;
             Array.unsafe_set fair_share i !level;
-            Bigarray.Array1.unsafe_set rates i
-              (Bigarray.Array1.unsafe_get weights i *. !level);
+            Array.unsafe_set rates i
+              (Array.unsafe_get weights i *. !level);
             Array.unsafe_set round !n_round i;
             incr n_round
           end
@@ -382,7 +327,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
       if !n_active > 0 then
         for r = 0 to !n_round - 1 do
           let i = Array.unsafe_get round r in
-          let w = Bigarray.Array1.unsafe_get weights i in
+          let w = Array.unsafe_get weights i in
           let stop = Array.unsafe_get row_ptr (i + 1) in
           for k = Array.unsafe_get row_ptr i to stop - 1 do
             let l' = Array.unsafe_get row_cols k in

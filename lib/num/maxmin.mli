@@ -3,8 +3,9 @@
     This is the allocation the Swift transport achieves in steady state
     (§4.1): every flow [i] gets rate [w_i * f_i] where [f_i] is the largest
     fair share such that no link is over-subscribed and every flow is
-    bottlenecked at some saturated link. The fluid xWI iteration calls this
-    once per iteration (Eq. 8 of the paper). *)
+    bottlenecked at some saturated link. The fluid xWI iteration calls
+    {!solve_sparse} once per iteration (Eq. 8 of the paper); the dense
+    {!solve} is the reference it is checked against. *)
 
 type result = {
   rates : float array;
@@ -19,34 +20,6 @@ val solve : caps:float array -> paths:int array array -> weights:float array -> 
     strictly positive, every capacity strictly positive.
     @raise Invalid_argument if the requirements are violated. *)
 
-val solve_problem : Problem.t -> weights:float array -> result
-(** Convenience wrapper reading capacities and paths from a {!Problem.t}
-    (group structure is ignored: max-min operates on sub-flows). *)
-
-type workspace
-(** Preallocated scratch state for the allocation-free entry points below.
-    A workspace is sized for one problem shape and may be reused across
-    any number of solves of that shape. Not thread-safe. *)
-
-val workspace : n_links:int -> n_flows:int -> workspace
-
-val solve_into :
-  workspace ->
-  caps:float array ->
-  paths:int array array ->
-  weights:float array ->
-  rates:float array ->
-  unit
-(** Allocation-free variant of {!solve}: writes the allocation into the
-    caller-owned [rates] array (length [n_flows]). Performs only cheap
-    size checks — inputs are assumed validated once up front (the fluid
-    xWI iteration calls this every step on a fixed problem).
-    @raise Invalid_argument on a workspace/array size mismatch. *)
-
-val solve_problem_into :
-  workspace -> Problem.t -> weights:float array -> rates:float array -> unit
-(** {!solve_into} reading capacities and paths from a {!Problem.t}. *)
-
 type sparse_workspace
 (** Scratch state for {!solve_sparse}, sized for one {!Incidence.t}.
     Reusable across solves; not thread-safe. *)
@@ -59,14 +32,16 @@ val solve_sparse :
   weights:Incidence.vec ->
   rates:Incidence.vec ->
   unit
-(** CSR/CSC-driven water-filling: same semantics as {!solve_into} but the
-    freeze scan is link-major over the CSC columns of the round's
-    saturated links, so work is O(rounds · n_links + nnz) instead of
-    O(rounds · nnz). Rates agree with {!solve} to floating-point rounding
-    (the active-weight decrements accumulate in a different order), not
-    bitwise; capacities are read from the incidence's [caps] vec (callers
-    mutating {!Problem.caps} must {!Incidence.sync_caps} first). Inputs
-    are assumed validated (strictly positive weights and capacities). *)
+(** CSR/CSC-driven water-filling into the caller's [rates] (length
+    [n_flows]): same semantics as {!solve} but the freeze scan is
+    link-major over the CSC columns of the round's saturated links, so
+    work is O(rounds · n_links + nnz) instead of O(rounds · nnz), and
+    nothing is allocated. Rates agree with {!solve} to floating-point
+    rounding (the active-weight decrements accumulate in a different
+    order), not bitwise. Capacities are read from [Incidence.caps], which
+    for a {!Problem.incidence} is {!Problem.caps} itself, so capacity
+    changes need no refresh. Inputs are assumed validated (strictly
+    positive weights and capacities). *)
 
 val sparse_rounds : sparse_workspace -> int
 (** Water-fill rounds of the last {!solve_sparse} on this workspace (each

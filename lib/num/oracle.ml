@@ -44,18 +44,7 @@ let solve_dual ?(tol = 1e-8) ?(max_iters = 300_000) problem =
   let n_links = Problem.n_links problem in
   let caps = Problem.caps problem in
   (* Seed prices as in xWI so the first iterate is well-scaled. *)
-  let prices =
-    let weights = Array.make (Problem.n_flows problem) 1. in
-    let rates = (Maxmin.solve_problem problem ~weights).Maxmin.rates in
-    let p = Array.make n_links 0. in
-    for i = 0 to Problem.n_flows problem - 1 do
-      let u = Problem.group_utility problem (Problem.flow_group problem i) in
-      let m = u.Utility.deriv (Float.max rates.(i) 1e-12) in
-      let share = m /. float_of_int (Problem.path_len problem i) in
-      Array.iter (fun l -> if share > p.(l) then p.(l) <- share) (Problem.flow_path problem i)
-    done;
-    p
-  in
+  let _, prices = Xwi_core.seed problem in
   let mean_price =
     let s = Array.fold_left ( +. ) 0. prices in
     Float.max (s /. float_of_int n_links) 1e-12

@@ -23,15 +23,14 @@ type entry = {
 }
 
 type t = {
-  capacities : float array;  (* live; fixed length for the problem's life *)
-  mutable cap_gen : int;  (* bumped by set_cap/touch_caps *)
-  mutable synced_cap_gen : int;  (* cap_gen at the last incidence sync *)
+  capacities : float array;
+      (* live; fixed length for the problem's life; shared with every
+         compiled incidence *)
   (* compiled snapshot: exactly the dense structure solvers iterate over *)
   mutable flow_paths : int array array;  (* flow -> link ids *)
   mutable groups_of_flow : int array;
   mutable members : int array array;  (* group -> flow ids *)
   mutable utilities : Utility.t array;  (* group -> utility *)
-  mutable flows_on_link : int array array;  (* link -> flow ids *)
   mutable incidence : Incidence.t;
   mutable topo_gen : int;  (* bumped on every commit that recompiled *)
   mutable dirty : bool;  (* ledger changed since the last compile *)
@@ -71,7 +70,6 @@ let entry_of_spec ~ctx ~n_links ~gid spec =
    construction and churn maintenance exercise one code route. *)
 
 let compile t =
-  let n_links = Array.length t.capacities in
   let n_groups = t.n_entries in
   let total = ref 0 in
   for s = 0 to n_groups - 1 do
@@ -95,29 +93,13 @@ let compile t =
     done;
     members.(g) <- m
   done;
-  let on_link = Array.make n_links [] in
-  Array.iteri
-    (fun i path ->
-      (* Dedup repeated links on a path (shouldn't happen, but keeps the
-         incidence structure a set). *)
-      let seen = Hashtbl.create 8 in
-      Array.iter
-        (fun lid ->
-          if not (Hashtbl.mem seen lid) then begin
-            Hashtbl.add seen lid ();
-            on_link.(lid) <- i :: on_link.(lid)
-          end)
-        path)
-    flow_paths;
   t.flow_paths <- flow_paths;
   t.groups_of_flow <- groups_of_flow;
   t.members <- members;
   t.utilities <- utilities;
-  t.flows_on_link <- Array.map (fun l -> Array.of_list (List.rev l)) on_link;
   t.incidence <-
     Incidence.create ~caps:t.capacities ~paths:flow_paths
       ~group_of_flow:groups_of_flow ~n_groups;
-  t.synced_cap_gen <- t.cap_gen;
   t.topo_gen <- t.topo_gen + 1;
   t.dirty <- false
 
@@ -148,11 +130,17 @@ let[@inline] force t = if t.dirty then commit t
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+(* A capacity is a positive, finite rate. [c > 0.] alone lets [infinity]
+   through, and an infinite link never saturates: xWI's price on it
+   never settles and the KKT residual turns NaN. *)
+let valid_cap c = Float.is_finite c && c > 0.
+
 let validate_caps caps =
   Array.iteri
     (fun i c ->
-      if not (c > 0.) then
-        invalid_arg (Printf.sprintf "Problem.create: capacity %d not positive" i))
+      if not (valid_cap c) then
+        invalid_arg
+          (Printf.sprintf "Problem.create: capacity %d not positive and finite" i))
     caps
 
 let create_groups ~caps ~groups =
@@ -175,13 +163,10 @@ let create_groups ~caps ~groups =
   let t =
     {
       capacities;
-      cap_gen = 0;
-      synced_cap_gen = 0;
       flow_paths = [||];
       groups_of_flow = [||];
       members = [||];
       utilities = [||];
-      flows_on_link = [||];
       incidence =
         Incidence.create ~caps:capacities ~paths:[||] ~group_of_flow:[||]
           ~n_groups:0;
@@ -254,28 +239,17 @@ let generation t =
 
 (* ------------------------------------------------------------------ *)
 (* Capacities: the array is live (Figure 10 changes link speeds mid-run)
-   but mutations must be announced — [set_cap], or raw writes followed by
-   [touch_caps] — so that generation-gated kernels notice. *)
+   and every compiled incidence shares it, so a write is seen by the
+   next kernel call with nothing to announce. *)
 
 let caps t = t.capacities
 
 let set_cap t l c =
   if l < 0 || l >= Array.length t.capacities then
     invalid_arg "Problem.set_cap: link id out of range";
-  if not (c > 0.) then invalid_arg "Problem.set_cap: capacity not positive";
-  t.capacities.(l) <- c;
-  t.cap_gen <- t.cap_gen + 1
-
-let touch_caps t = t.cap_gen <- t.cap_gen + 1
-
-let cap_generation t = t.cap_gen
-
-let sync_caps t =
-  force t;
-  if not (Int.equal t.synced_cap_gen t.cap_gen) then begin
-    Incidence.sync_caps t.incidence t.capacities;
-    t.synced_cap_gen <- t.cap_gen
-  end
+  if not (valid_cap c) then
+    invalid_arg "Problem.set_cap: capacity not positive and finite";
+  t.capacities.(l) <- c
 
 (* ------------------------------------------------------------------ *)
 (* Compiled-snapshot accessors (all force a pending commit first) *)
@@ -312,7 +286,9 @@ let group_utility t g =
 
 let link_flows t l =
   force t;
-  t.flows_on_link.(l)
+  let inc = t.incidence in
+  Array.sub inc.Incidence.col_rows inc.Incidence.col_ptr.(l)
+    (Incidence.link_degree inc l)
 
 let paths t =
   force t;
@@ -322,67 +298,58 @@ let incidence t =
   force t;
   t.incidence
 
+(* Path prices, link loads and group rates are the incidence's sweeps
+   over the current snapshot. The sweeps index without bounds checks, and
+   these entry points take ids and arrays from any caller, so they check
+   them first. *)
+
+let check ok msg = if not ok then invalid_arg msg
+
 let group_rate t ~rates g =
   force t;
-  let members = t.members.(g) in
-  let acc = ref 0. in
-  for k = 0 to Array.length members - 1 do
-    acc := !acc +. rates.(members.(k))
-  done;
-  !acc
+  let inc = t.incidence in
+  check
+    (g >= 0 && g < inc.Incidence.n_groups
+    && Array.length rates >= inc.Incidence.n_flows)
+    "Problem.group_rate: group id or rates length";
+  Incidence.group_rate inc ~rates g
 
-(* The [_into] sweeps and [path_price] run once per solver iteration, so
-   they walk the flat CSR index arrays of [t.incidence] instead of the
-   array-of-arrays path structure. Accumulation order matches the legacy
-   per-flow walks exactly (same operands, same order: bit-identical). *)
-
-let[@nf.hot] group_rates_into t ~rates out =
+let group_rates_into t ~rates out =
   force t;
   let inc = t.incidence in
-  let grp_ptr = inc.Incidence.grp_ptr and grp_flows = inc.Incidence.grp_flows in
-  for g = 0 to Array.length t.members - 1 do
-    let stop = Array.unsafe_get grp_ptr (g + 1) in
-    let acc = ref 0. in
-    for k = Array.unsafe_get grp_ptr g to stop - 1 do
-      acc := !acc +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
-    done;
-    Array.unsafe_set out g !acc
-  done
+  check
+    (Array.length rates >= inc.Incidence.n_flows
+    && Array.length out >= inc.Incidence.n_groups)
+    "Problem.group_rates_into: array length";
+  Incidence.group_rates_into inc ~rates ~out
 
 let group_rates t ~rates =
   let out = Array.make (n_groups t) 0. in
   group_rates_into t ~rates out;
   out
 
-let[@nf.hot] link_loads_into t ~rates loads =
+let link_loads_into t ~rates loads =
   force t;
-  Array.fill loads 0 (Array.length loads) 0.;
   let inc = t.incidence in
-  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
-  for i = 0 to Array.length t.flow_paths - 1 do
-    let x = Array.unsafe_get rates i in
-    let stop = Array.unsafe_get row_ptr (i + 1) in
-    for k = Array.unsafe_get row_ptr i to stop - 1 do
-      let l = Array.unsafe_get row_cols k in
-      Array.unsafe_set loads l (Array.unsafe_get loads l +. x)
-    done
-  done
+  check
+    (Array.length rates >= inc.Incidence.n_flows
+    && Array.length loads >= inc.Incidence.n_links)
+    "Problem.link_loads_into: array length";
+  Incidence.link_loads_into inc ~rates ~out:loads
 
 let link_loads t ~rates =
   let loads = Array.make (n_links t) 0. in
   link_loads_into t ~rates loads;
   loads
 
-let[@nf.hot] path_price t ~prices i =
+let path_price t ~prices i =
   force t;
   let inc = t.incidence in
-  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
-  let stop = Array.unsafe_get row_ptr (i + 1) in
-  let acc = ref 0. in
-  for k = Array.unsafe_get row_ptr i to stop - 1 do
-    acc := !acc +. Array.unsafe_get prices (Array.unsafe_get row_cols k)
-  done;
-  !acc
+  check
+    (i >= 0 && i < inc.Incidence.n_flows
+    && Array.length prices >= inc.Incidence.n_links)
+    "Problem.path_price: flow id or prices length";
+  Incidence.path_price inc ~prices i
 
 let is_single_path t =
   force t;

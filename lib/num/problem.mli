@@ -43,7 +43,7 @@ type t
 
 val create : caps:float array -> groups:group_spec list -> t
 (** @raise Invalid_argument on empty paths, out-of-range link ids,
-    non-positive capacities, or an empty group list. Initial groups get
+    capacities that are not positive and finite, or an empty group list. Initial groups get
     gids [0 .. n-1] in list order. *)
 
 val create_groups : caps:float array -> groups:group_spec array -> t
@@ -89,26 +89,17 @@ val generation : t -> int
 (** {2 Capacities} *)
 
 val caps : t -> float array
-(** The live capacity array. Mutating it directly is allowed (Figure 10
-    changes link speeds mid-run) but must be followed by {!touch_caps} —
-    or use {!set_cap}, which does both — so that kernels gating their
-    incidence cap refresh on {!cap_generation} notice the change. *)
+(** The live capacity array, shared with every compiled {!incidence}
+    ([Incidence.caps] is this array). Capacity changes are not topology
+    changes: a write — through {!set_cap}, or directly into the array
+    (Figure 10 changes link speeds mid-run) — is seen by the next solver
+    step without a {!commit} or a resize. Direct writes must keep every
+    capacity positive and finite. *)
 
 val set_cap : t -> int -> float -> unit
-(** [set_cap t l c] updates link [l]'s capacity and bumps
-    {!cap_generation}. @raise Invalid_argument on a bad id or [c <= 0]. *)
-
-val touch_caps : t -> unit
-(** Announce direct writes into {!caps}: bumps {!cap_generation}. *)
-
-val cap_generation : t -> int
-(** Bumped by {!set_cap}/{!touch_caps}. *)
-
-val sync_caps : t -> unit
-(** Refresh the incidence's capacity vec from {!caps} iff
-    {!cap_generation} moved since the last sync (a stale-check, not a
-    copy, in the steady state). Sparse kernels call this once per step;
-    it replaces the easy-to-forget [Incidence.sync_caps]. *)
+(** [set_cap t l c] updates link [l]'s capacity.
+    @raise Invalid_argument on a bad link id or a capacity that is not
+    positive and finite. *)
 
 (** {2 Compiled-snapshot accessors}
 
@@ -133,39 +124,41 @@ val group_members : t -> int -> int array
 val group_utility : t -> int -> Utility.t
 
 val link_flows : t -> int -> int array
-(** Flows crossing the given link ([S(l)] of the paper). *)
+(** Flows crossing the given link ([S(l)] of the paper): a copy of the
+    incidence's CSC column, ascending, each flow once even if its path
+    repeats the link. *)
 
 val paths : t -> int array array
 (** The live flow→path incidence array ([paths.(flow)] = link ids).
-    Shared, not copied: callers must treat it as read-only. Exists so
-    per-iteration solvers can avoid rebuilding the routing structure. *)
+    Shared, not copied: callers must treat it as read-only. The dense
+    reference solvers ({!Reference}, [Maxmin.solve]) read paths in this
+    form; the sparse kernels use {!incidence}. *)
 
 val incidence : t -> Incidence.t
 (** The sparse CSR/CSC index structure of the current snapshot. Shared,
     read-only for callers; replaced wholesale by a commit (check
-    {!generation} before caching it across events). Kernels that cache
-    it across iterations must call {!sync_caps} each step to pick up
-    dynamic capacity changes. *)
+    {!generation} before caching it across events). Its capacities are
+    {!caps} itself, so a cached incidence sees capacity changes. *)
 
 val group_rate : t -> rates:float array -> int -> float
-(** [y_g = Σ_{i ∈ g} rates.(i)]. *)
+(** [y_g = Σ_{i ∈ g} rates.(i)] ({!Incidence.group_rate}). *)
 
 val group_rates : t -> rates:float array -> float array
   [@@deprecated "allocates a fresh array per call; use group_rates_into"]
 
 val group_rates_into : t -> rates:float array -> float array -> unit
 (** Like [group_rates] but writes into a caller-owned array of length
-    [n_groups] (no allocation). *)
+    [n_groups] (no allocation; {!Incidence.group_rates_into}). *)
 
 val link_loads : t -> rates:float array -> float array
   [@@deprecated "allocates a fresh array per call; use link_loads_into"]
 
 val link_loads_into : t -> rates:float array -> float array -> unit
 (** Like [link_loads] but clears and fills a caller-owned array of
-    length [n_links] (no allocation). *)
+    length [n_links] (no allocation; {!Incidence.link_loads_into}). *)
 
 val path_price : t -> prices:float array -> int -> float
-(** [Σ_{l ∈ L(i)} prices.(l)] for flow [i]. *)
+(** [Σ_{l ∈ L(i)} prices.(l)] for flow [i] ({!Incidence.path_price}). *)
 
 val is_single_path : t -> bool
 (** All groups are singletons. *)

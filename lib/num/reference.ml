@@ -1,8 +1,10 @@
 (* The pre-sparse (list/array-walking) xWI kernels, retained verbatim as
    the differential-testing oracle for the CSR/CSC implementations in
-   [Xwi_core], [Maxmin.solve_sparse] and the [Problem] sweeps. Nothing
-   here is on a hot path and everything may allocate; clarity and
-   faithfulness to the original code win over speed. *)
+   [Xwi_core], [Maxmin.solve_sparse] and the [Incidence] sweeps. They read
+   only [Problem]'s flow paths and group members, never its incidence, so
+   they share no structure with the code they check. Nothing here is on a
+   hot path and everything may allocate; clarity and faithfulness to the
+   original code win over speed. *)
 
 let path_price problem ~prices i =
   Array.fold_left
@@ -25,6 +27,20 @@ let link_loads problem ~rates =
       (Problem.flow_path problem i)
   done;
   loads
+
+(* S(l) of the paper: the flows crossing each link, ascending, each flow
+   once even if its path repeats the link. *)
+let link_flows problem =
+  let on_link = Array.make (Problem.n_links problem) [] in
+  for i = Problem.n_flows problem - 1 downto 0 do
+    Array.iter
+      (fun lid ->
+        match on_link.(lid) with
+        | j :: _ when Int.equal j i -> ()
+        | flows -> on_link.(lid) <- i :: flows)
+      (Problem.flow_path problem i)
+  done;
+  Array.map Array.of_list on_link
 
 let flow_weights problem ~prices ~prev_rates =
   let out = Array.make (Problem.n_flows problem) 0. in
@@ -70,9 +86,10 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
         (group_marginal.(g) -. path_price problem ~prices i)
         /. float_of_int (Problem.path_len problem i))
   in
+  let link_flows = link_flows problem in
   let out = Array.make n_links 0. in
   for l = 0 to n_links - 1 do
-    let flows = Problem.link_flows problem l in
+    let flows = link_flows.(l) in
     let n_here = float_of_int (Array.length flows) in
     let min_res =
       match params.Xwi_core.residual_agg with
@@ -107,7 +124,9 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
   done;
   out
 
-let maxmin problem ~weights = Maxmin.solve_problem problem ~weights
+let maxmin problem ~weights =
+  Maxmin.solve ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
+    ~weights
 
 let step problem params ~prices ~rates ~weights =
   let w = flow_weights problem ~prices ~prev_rates:rates in

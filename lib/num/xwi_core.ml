@@ -64,36 +64,26 @@ let[@inline] urate_fast u p =
   else Utility.max_rate_cap
 
 (* Per-state scratch: one allocation at [init], zero per [step]. The
-   [v_*] fields are the unboxed float64 working set of the sparse step
-   pipeline (see DESIGN.md "Sparse NUM core"); the [b_*] float arrays
-   serve the fixpoint loop snapshots and the exported legacy-shaped
-   entry points. Abstract in the interface so states can only come from
-   the init functions. *)
+   state's own [prices], [rates] and [weights] are the rest of the sparse
+   step's working set (see DESIGN.md "Sparse NUM core"). Abstract in the
+   interface so states can only come from the init functions. *)
 type buffers = {
-  b_loads : float array;  (* n_links *)
   b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
-  b_residual : float array;  (* n_flows *)
   b_old_rates : float array;  (* n_flows; fixpoint-loop snapshot *)
+  b_path_price : float array;  (* n_flows; computed once per step *)
+  b_loads : float array;  (* n_links *)
+  b_residual : float array;  (* n_flows *)
   b_group_rates : float array;  (* n_groups *)
   b_group_marginal : float array;  (* n_groups *)
-  (* sparse working set *)
-  v_prices : Incidence.vec;  (* n_links *)
-  v_rates : Incidence.vec;  (* n_flows; prev rates in, max-min rates out *)
-  v_weights : Incidence.vec;  (* n_flows *)
-  v_path_price : Incidence.vec;  (* n_flows; computed once per step *)
-  v_loads : Incidence.vec;  (* n_links *)
-  v_residual : Incidence.vec;  (* n_flows *)
-  v_group_rates : Incidence.vec;  (* n_groups *)
-  v_group_marginal : Incidence.vec;  (* n_groups *)
-  v_inv_len : Incidence.vec;  (* n_flows; 1 / |L(i)|, fixed per problem *)
+  b_inv_len : float array;  (* n_flows; 1 / |L(i)|, fixed per problem *)
   b_utils : Utility.t array;  (* n_groups; group utilities, flat copy *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
 }
 
 type state = {
   prices : float array;
-  mutable rates : float array;
-  mutable weights : float array;
+  rates : float array;
+  weights : float array;
   mutable pool : Nf_util.Shard.t option;
   mutable diag : Diag.t option;
   buffers : buffers;
@@ -108,49 +98,37 @@ let make_buffers problem =
   and n_flows = Problem.n_flows problem
   and n_groups = Problem.n_groups problem in
   {
-    b_loads = Array.make n_links 0.;
     b_old_prices = Array.make n_links 0.;
-    b_residual = Array.make n_flows 0.;
     b_old_rates = Array.make n_flows 0.;
+    b_path_price = Array.make n_flows 0.;
+    b_loads = Array.make n_links 0.;
+    b_residual = Array.make n_flows 0.;
     b_group_rates = Array.make n_groups 0.;
     b_group_marginal = Array.make n_groups 0.;
-    v_prices = Incidence.vec n_links;
-    v_rates = Incidence.vec n_flows;
-    v_weights = Incidence.vec n_flows;
-    v_path_price = Incidence.vec n_flows;
-    v_loads = Incidence.vec n_links;
-    v_residual = Incidence.vec n_flows;
-    v_group_rates = Incidence.vec n_groups;
-    v_group_marginal = Incidence.vec n_groups;
-    v_inv_len =
-      (let v = Incidence.vec n_flows in
-       for i = 0 to n_flows - 1 do
-         Bigarray.Array1.set v i (1. /. float_of_int (Problem.path_len problem i))
-       done;
-       v);
+    b_inv_len =
+      Array.init n_flows (fun i -> 1. /. float_of_int (Problem.path_len problem i));
     b_utils = Array.init n_groups (Problem.group_utility problem);
     b_maxmin_sparse = Maxmin.sparse_workspace (Problem.incidence problem);
   }
 
-(* Equal-weight max-min via the sparse solver: the legacy flow-major scan
-   is O(rounds * nnz), which at 100k+ flows turns initialization into the
-   dominant cost. *)
 let equal_weight_rates problem =
-  Problem.sync_caps problem;
   let inc = Problem.incidence problem in
   let n_flows = Problem.n_flows problem in
-  let weights = Incidence.vec n_flows in
-  Incidence.vec_fill weights 1.;
   let rates = Incidence.vec n_flows in
-  Maxmin.solve_sparse (Maxmin.sparse_workspace inc) inc ~weights ~rates;
-  Incidence.array_of_vec rates
+  Maxmin.solve_sparse (Maxmin.sparse_workspace inc) inc
+    ~weights:(Array.make n_flows 1.) ~rates;
+  rates
 
-let seed_prices problem ~rates =
-  (* p_l = max over flows on l of U'_g(y_g) / |L(i)|: the price each link
-     would carry if it were the only bottleneck of its steepest flow. *)
-  let n_links = Problem.n_links problem in
-  let prices = Array.make n_links 0. in
-  for i = 0 to Problem.n_flows problem - 1 do
+(* The xWI seed, shared by every solver that starts from it ([init],
+   [Oracle.solve_dual], [Fluid_dgd]): the equal-weight max-min
+   allocation, by the sparse water-fill, and per link
+   p_l = max over flows on l of U'_g(y_g) / |L(i)|, the price each link
+   would carry if it were the only bottleneck of its steepest flow. *)
+let seed problem =
+  let rates = equal_weight_rates problem in
+  let n_flows = Problem.n_flows problem in
+  let prices = Array.make (Problem.n_links problem) 0. in
+  for i = 0 to n_flows - 1 do
     let g = Problem.flow_group problem i in
     let y = Problem.group_rate problem ~rates g in
     let marginal = (Problem.group_utility problem g).Utility.deriv (Float.max y 1e-12) in
@@ -159,145 +137,28 @@ let seed_prices problem ~rates =
       (fun l -> if share > prices.(l) then prices.(l) <- share)
       (Problem.flow_path problem i)
   done;
-  prices
-
-let[@nf.hot] flow_weights_into problem ~prices ~prev_rates ~out =
-  for g = 0 to Problem.n_groups problem - 1 do
-    let members = Problem.group_members problem g in
-    let u = Problem.group_utility problem g in
-    if Array.length members = 1 then begin
-      let i = members.(0) in
-      let w = Utility.rate_from_price u (Problem.path_price problem ~prices i) in
-      (* Maxmin requires strictly positive weights. *)
-      out.(i) <- Float.max w 1e-30
-    end
-    else begin
-      (* §6.3: each sub-flow computes the group-level weight from its own
-         path price, then scales it by its share of the group throughput. *)
-      let y = ref 0. in
-      for k = 0 to Array.length members - 1 do
-        y := !y +. prev_rates.(members.(k))
-      done;
-      let y = !y in
-      let n = float_of_int (Array.length members) in
-      for k = 0 to Array.length members - 1 do
-        let i = members.(k) in
-        let total = Utility.rate_from_price u (Problem.path_price problem ~prices i) in
-        let share = if y > 1e-12 then prev_rates.(i) /. y else 1. /. n in
-        (* Keep a tiny floor so idle sub-flows can still probe their
-           path and ramp up quickly if capacity appears; small enough
-           that an optimally-unused sub-flow classifies as unused. *)
-        out.(i) <- Float.max (total *. Float.max share (1e-8 /. n)) 1e-30
-      done
-    end
-  done
-
-let flow_weights problem ~prices ~prev_rates =
-  let out = Array.make (Problem.n_flows problem) 0. in
-  flow_weights_into problem ~prices ~prev_rates ~out;
-  out
-
-(* Eqs. 9-11 with every per-iteration array drawn from [bufs]. Updates
-   [prices] in place: each link's new price reads only its own old price
-   plus the residuals/loads precomputed above, so the in-place sweep is
-   equivalent to the synchronized update. *)
-let[@nf.hot] price_update_into problem params bufs ~prices ~rates =
-  let n_links = Problem.n_links problem in
-  let caps = Problem.caps problem in
-  let loads = bufs.b_loads in
-  Problem.link_loads_into problem ~rates loads;
-  let n_groups = Problem.n_groups problem in
-  let group_rates = bufs.b_group_rates in
-  Problem.group_rates_into problem ~rates group_rates;
-  let group_marginal = bufs.b_group_marginal in
-  for g = 0 to n_groups - 1 do
-    group_marginal.(g) <-
-      (Problem.group_utility problem g).Utility.deriv
-        (Float.max group_rates.(g) 1e-12)
-  done;
-  (* Normalized residual of each flow (what the sender would put in the
-     normalizedResidual header field). *)
-  let n_flows = Problem.n_flows problem in
-  let residual = bufs.b_residual in
-  for i = 0 to n_flows - 1 do
-    let g = Problem.flow_group problem i in
-    let price = Problem.path_price problem ~prices i in
-    residual.(i) <-
-      (group_marginal.(g) -. price) /. float_of_int (Problem.path_len problem i)
-  done;
-  for l = 0 to n_links - 1 do
-    let flows = Problem.link_flows problem l in
-    (* Sub-flows carrying negligible traffic contribute (almost) no data
-       packets, hence no residuals at the switch; excluding them also
-       keeps an optimally-unused sub-flow (whose residual is legitimately
-       negative — KKT only requires its path price to EXCEED the marginal
-       utility) from dragging the link price below the fixed point. *)
-    let n_here = float_of_int (Array.length flows) in
-    (* "Negligible" is relative to the average flow on this link, so the
-       rule is scale-free and survives both fat links with many mice and
-       thin links with one elephant. *)
-    let min_res =
-      match params.residual_agg with
-      | Agg_min ->
-        let acc = ref infinity in
-        for k = 0 to Array.length flows - 1 do
-          let i = flows.(k) in
-          if rates.(i) *. n_here >= 1e-3 *. loads.(l) then
-            acc := Float.min !acc residual.(i)
-        done;
-        !acc
-      | Agg_mean ->
-        let sum = ref 0. and count = ref 0 in
-        for k = 0 to Array.length flows - 1 do
-          let i = flows.(k) in
-          if rates.(i) *. n_here >= 1e-3 *. loads.(l) then begin
-            sum := !sum +. residual.(i);
-            incr count
-          end
-        done;
-        if !count = 0 then infinity else !sum /. float_of_int !count
-    in
-    let p_old = prices.(l) in
-    let utilization = Nf_util.Fcmp.clamp ~lo:0. ~hi:1. (loads.(l) /. caps.(l)) in
-    let p_new =
-      if Float.is_finite min_res then
-        Float.max 0.
-          (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
-      else
-        (* No (significant) traffic: drive the price to zero via the
-           utilization term alone. *)
-        Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
-    in
-    prices.(l) <- (params.beta *. p_old) +. ((1. -. params.beta) *. p_new)
-  done
-
-let price_update problem params ~prices ~rates =
-  let out = Array.copy prices in
-  price_update_into problem params (make_buffers problem) ~prices:out ~rates;
-  out
+  (rates, prices)
 
 (* ------------------------------------------------------------------ *)
-(* Sparse step pipeline. Same math as the legacy entry points above, but
-   every sweep is a tight loop over the CSR/CSC index arrays of the
-   problem's [Incidence.t] with the working set in unboxed float64 vecs,
-   and the path prices are computed exactly once per step: the prices do
-   not change between the Eq. 7 weight computation and the Eq. 9 residual
-   computation, so both read [v_path_price]. Accumulation orders match
-   the legacy code operand for operand; only the water-filling freeze
-   order differs (see [Maxmin.solve_sparse]). *)
+(* The step pipeline. Every sweep is a tight loop over the CSR/CSC index
+   arrays of the problem's [Incidence.t], reading and writing the state's
+   own arrays, and the path prices are computed exactly once per step:
+   the prices do not change between the Eq. 7 weight computation and the
+   Eq. 9 residual computation, so both read [b_path_price]. Accumulation
+   orders match [Reference] operand for operand; only the water-filling
+   freeze order differs (see [Maxmin.solve_sparse]). *)
 
-let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
-    ~(path_prices : Incidence.vec) ~(prev_rates : Incidence.vec)
-    ~(out : Incidence.vec) =
+(* Eq. 7 plus the §6.3 multipath split; all weights strictly positive. *)
+let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
+    ~(path_prices : float array) ~(prev_rates : float array)
+    ~(out : float array) =
   if inc.Incidence.singleton then
     (* All groups are singletons, and flows are numbered group-major, so
        flow [i] is exactly group [i]: skip the group indirection. *)
     for i = 0 to inc.Incidence.n_flows - 1 do
       let u = Array.unsafe_get utils i in
-      let w =
-        urate_fast u (Bigarray.Array1.unsafe_get path_prices i)
-      in
-      Bigarray.Array1.unsafe_set out i (Float.max w 1e-30)
+      let w = urate_fast u (Array.unsafe_get path_prices i) in
+      Array.unsafe_set out i (Float.max w 1e-30)
     done
   else begin
     let grp_ptr = inc.Incidence.grp_ptr
@@ -308,11 +169,8 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
       let u = Array.unsafe_get utils g in
       if stop - start = 1 then begin
         let i = Array.unsafe_get grp_flows start in
-        let w =
-          urate_fast u
-            (Bigarray.Array1.unsafe_get path_prices i)
-        in
-        Bigarray.Array1.unsafe_set out i (Float.max w 1e-30)
+        let w = urate_fast u (Array.unsafe_get path_prices i) in
+        Array.unsafe_set out i (Float.max w 1e-30)
       end
       else begin
         (* §6.3: each sub-flow computes the group-level weight from its
@@ -320,23 +178,17 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
            throughput (tiny floor so idle sub-flows keep probing). *)
         let y = ref 0. in
         for k = start to stop - 1 do
-          y :=
-            !y
-            +. Bigarray.Array1.unsafe_get prev_rates (Array.unsafe_get grp_flows k)
+          y := !y +. Array.unsafe_get prev_rates (Array.unsafe_get grp_flows k)
         done;
         let y = !y in
         let n = float_of_int (stop - start) in
         for k = start to stop - 1 do
           let i = Array.unsafe_get grp_flows k in
-          let total =
-            urate_fast u
-              (Bigarray.Array1.unsafe_get path_prices i)
-          in
+          let total = urate_fast u (Array.unsafe_get path_prices i) in
           let share =
-            if y > 1e-12 then Bigarray.Array1.unsafe_get prev_rates i /. y
-            else 1. /. n
+            if y > 1e-12 then Array.unsafe_get prev_rates i /. y else 1. /. n
           in
-          Bigarray.Array1.unsafe_set out i
+          Array.unsafe_set out i
             (Float.max (total *. Float.max share (1e-8 /. n)) 1e-30)
         done
       end
@@ -346,55 +198,54 @@ let[@nf.hot] flow_weights_sparse (utils : Utility.t array) (inc : Incidence.t)
 (* Eq. 9 residuals per flow: marginal utility of the flow's group at the
    fresh rates, minus the (pre-update) path price, normalized by path
    length. *)
-let[@nf.hot] residuals_sparse (inc : Incidence.t) bufs =
-  let rates = bufs.v_rates
-  and group_rates = bufs.v_group_rates
-  and group_marginal = bufs.v_group_marginal
-  and path_prices = bufs.v_path_price
-  and residual = bufs.v_residual
+let[@nf.hot] residuals (inc : Incidence.t) state =
+  let bufs = state.buffers in
+  let group_rates = bufs.b_group_rates
+  and group_marginal = bufs.b_group_marginal
+  and path_prices = bufs.b_path_price
+  and residual = bufs.b_residual
   and utils = bufs.b_utils
-  and inv_len = bufs.v_inv_len in
-  Incidence.group_rates_into inc ~rates ~out:group_rates;
+  and inv_len = bufs.b_inv_len in
+  Incidence.group_rates_into inc ~rates:state.rates ~out:group_rates;
   for g = 0 to inc.Incidence.n_groups - 1 do
     let u = Array.unsafe_get utils g in
-    Bigarray.Array1.unsafe_set group_marginal g
-      (udv_fast u
-         (Float.max (Bigarray.Array1.unsafe_get group_rates g) 1e-12))
+    Array.unsafe_set group_marginal g
+      (udv_fast u (Float.max (Array.unsafe_get group_rates g) 1e-12))
   done;
   let group_of_flow = inc.Incidence.group_of_flow in
-  (* [* inv_len] instead of the legacy [/ len]: up to an ulp apart when
+  (* [* inv_len] instead of [Reference]'s [/ len]: up to an ulp apart when
      the path length is not a power of two, well inside the oracle
      tolerance, and it keeps a division off the per-flow path. *)
   for i = 0 to inc.Incidence.n_flows - 1 do
     let g = Array.unsafe_get group_of_flow i in
-    Bigarray.Array1.unsafe_set residual i
-      ((Bigarray.Array1.unsafe_get group_marginal g
-       -. Bigarray.Array1.unsafe_get path_prices i)
-      *. Bigarray.Array1.unsafe_get inv_len i)
+    Array.unsafe_set residual i
+      ((Array.unsafe_get group_marginal g -. Array.unsafe_get path_prices i)
+      *. Array.unsafe_get inv_len i)
   done
 
 (* Eqs. 9-11 for links [lo, hi): the per-link work reads only flow-level
-   inputs ([v_rates], [v_residual], [v_loads]) and writes only
-   [v_prices.(l)], so results are independent of how the range is
-   chunked — the property the [Shard]-parallel dispatch depends on for
-   [-j N] byte-identity. *)
-let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
+   inputs (rates, residuals, loads) and its own old price, and writes only
+   [prices.(l)], so updating in place is the synchronized update and the
+   results are independent of how the range is chunked — the property the
+   [Shard]-parallel dispatch depends on for [-j N] byte-identity. *)
+let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
   let col_ptr = inc.Incidence.col_ptr
   and col_rows = inc.Incidence.col_rows
   and caps = inc.Incidence.caps in
-  let rates = bufs.v_rates
-  and residual = bufs.v_residual
-  and loads = bufs.v_loads
-  and prices = bufs.v_prices in
+  let rates = state.rates
+  and residual = state.buffers.b_residual
+  and loads = state.buffers.b_loads
+  and prices = state.prices in
   for l = lo to hi - 1 do
     let start = Array.unsafe_get col_ptr l in
     let stop = Array.unsafe_get col_ptr (l + 1) in
     (* Sub-flows carrying negligible traffic (relative to the average
        flow here) contribute no residuals at the switch; excluding them
-       also keeps an optimally-unused sub-flow from dragging the price
-       below the fixed point. *)
+       also keeps an optimally-unused sub-flow (whose residual is
+       legitimately negative) from dragging the price below the fixed
+       point. *)
     let n_here = float_of_int (stop - start) in
-    let load = Bigarray.Array1.unsafe_get loads l in
+    let load = Array.unsafe_get loads l in
     let negligible = 1e-3 *. load in
     let min_res =
       match params.residual_agg with
@@ -402,59 +253,70 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) bufs lo hi =
         let acc = ref infinity in
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
-          if Bigarray.Array1.unsafe_get rates i *. n_here >= negligible then
-            acc := Float.min !acc (Bigarray.Array1.unsafe_get residual i)
+          if Array.unsafe_get rates i *. n_here >= negligible then
+            acc := Float.min !acc (Array.unsafe_get residual i)
         done;
         !acc
       | Agg_mean ->
         let sum = ref 0. and count = ref 0 in
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
-          if Bigarray.Array1.unsafe_get rates i *. n_here >= negligible
-          then begin
-            sum := !sum +. Bigarray.Array1.unsafe_get residual i;
+          if Array.unsafe_get rates i *. n_here >= negligible then begin
+            sum := !sum +. Array.unsafe_get residual i;
             incr count
           end
         done;
         if !count = 0 then infinity else !sum /. float_of_int !count
     in
-    let p_old = Bigarray.Array1.unsafe_get prices l in
+    let p_old = Array.unsafe_get prices l in
     (* [Fcmp.clamp ~lo:0. ~hi:1.] spelled in-unit: the cross-library
        call boxes its float argument and result — one box per link per
        step under -opaque builds. Identical on the reachable domain
        ([load >= 0], [caps > 0], so [r] is never NaN). *)
     let utilization =
-      let r = load /. Bigarray.Array1.unsafe_get caps l in
+      let r = load /. Array.unsafe_get caps l in
       if r > 0. then if r <= 1. then r else 1. else 0.
     in
     let p_new =
       if Float.is_finite min_res then
         Float.max 0.
           (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
-      else Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
+      else
+        (* No (significant) traffic: drive the price to zero via the
+           utilization term alone. *)
+        Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
     in
-    Bigarray.Array1.unsafe_set prices l
+    Array.unsafe_set prices l
       ((params.beta *. p_old) +. ((1. -. params.beta) *. p_new))
   done
 
+(* The first half of an iteration: Eq. 7 weights at the state's prices
+   (path prices computed once, kept for the residuals), then the max-min
+   rates those weights induce (Eq. 8). *)
+let allocate (inc : Incidence.t) state =
+  let bufs = state.buffers in
+  Incidence.path_prices_into inc ~prices:state.prices ~out:bufs.b_path_price;
+  flow_weights bufs.b_utils inc ~path_prices:bufs.b_path_price
+    ~prev_rates:state.rates ~out:state.weights;
+  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:state.weights
+    ~rates:state.rates
+
 (* Not [@nf.hot]: the sharded dispatch allocates one closure per call,
    which is deliberate — the tight loops above are the hot bodies. *)
-let price_update_sparse problem params state =
-  let inc = Problem.incidence problem in
-  let bufs = state.buffers in
-  Incidence.link_loads_into inc ~rates:bufs.v_rates ~out:bufs.v_loads;
-  residuals_sparse inc bufs;
+let price_update (inc : Incidence.t) params state =
+  Incidence.link_loads_into inc ~rates:state.rates ~out:state.buffers.b_loads;
+  residuals inc state;
   match state.pool with
-  | None -> price_links_range params inc bufs 0 inc.Incidence.n_links
+  | None -> price_links_range params inc state 0 inc.Incidence.n_links
   | Some pool -> (
     match state.diag with
     | None ->
       Nf_util.Shard.run pool ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc bufs lo hi)
+          price_links_range params inc state lo hi)
     | Some d ->
       Nf_util.Shard.run ~timings:(Diag.shard_timings d) pool
         ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc bufs lo hi))
+          price_links_range params inc state lo hi))
 
 (* Auto-attach diagnostics when the process-wide [--diag] config is
    active; otherwise states start undiagnosed ([set_diag] can attach
@@ -463,10 +325,7 @@ let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
     ~n_flows:(Problem.n_flows problem)
 
-let init ?pool problem =
-  let gen = Problem.generation problem in
-  let rates = equal_weight_rates problem in
-  let prices = seed_prices problem ~rates in
+let make_state ?pool problem ~prices ~rates =
   {
     prices;
     rates;
@@ -474,34 +333,23 @@ let init ?pool problem =
     pool;
     diag = attach_diag problem;
     buffers = make_buffers problem;
-    problem_gen = gen;
+    problem_gen = Problem.generation problem;
   }
 
+let init ?pool problem =
+  let rates, prices = seed problem in
+  make_state ?pool problem ~prices ~rates
+
+(* Weights from the given prices at the equal-weight allocation, then the
+   allocation those weights induce. *)
 let init_with_prices ?pool problem ~prices =
   if Array.length prices <> Problem.n_links problem then
     invalid_arg "Xwi_core.init_with_prices: prices length";
-  let gen = Problem.generation problem in
-  let rates = equal_weight_rates problem in
   let state =
-    {
-      prices = Array.copy prices;
-      rates;
-      weights = Array.make (Problem.n_flows problem) 1.;
-      pool;
-      diag = attach_diag problem;
-      buffers = make_buffers problem;
-      problem_gen = gen;
-    }
+    make_state ?pool problem ~prices:(Array.copy prices)
+      ~rates:(equal_weight_rates problem)
   in
-  flow_weights_into problem ~prices:state.prices ~prev_rates:state.rates
-    ~out:state.weights;
-  let bufs = state.buffers in
-  Problem.sync_caps problem;
-  let inc = Problem.incidence problem in
-  Incidence.vec_of_array_into state.weights bufs.v_weights;
-  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:bufs.v_weights
-    ~rates:bufs.v_rates;
-  Incidence.vec_to_array bufs.v_rates state.rates;
+  allocate (Problem.incidence problem) state;
   state
 
 (* Warm restart across a problem delta: keep the converged per-link price
@@ -522,39 +370,24 @@ let set_diag state diag = state.diag <- diag
 
 let diag state = state.diag
 
-(* One iteration over the sparse working set: load the mirrors into the
-   vecs, compute path prices once, weights, max-min rates, the (possibly
-   domain-sharded) price update, then store the vecs back into the public
-   mirror arrays — which are updated in place, so live views (e.g.
-   [Fluid_xwi.rates_view]) stay valid. Steady-state stepping allocates
-   nothing beyond the sharding dispatch closure. *)
+(* One iteration, in place on the state's arrays (so live views such as
+   [Fluid_xwi.rates_view] stay valid): path prices once, weights, max-min
+   rates, the (possibly domain-sharded) price update. Steady-state
+   stepping allocates nothing beyond the sharding dispatch closure. *)
 let step problem params state =
   if not (Int.equal (Problem.generation problem) state.problem_gen) then
     invalid_arg
       "Xwi_core.step: problem topology changed since init; call Xwi_core.resize";
   let inc = Problem.incidence problem in
-  let bufs = state.buffers in
   (match state.diag with
   | None -> ()
   | Some d -> Diag.begin_iter d ~prices:state.prices ~rates:state.rates);
-  (* Dynamic experiments mutate capacities between iterations; the sync
-     is generation-gated, so an unchanged run pays one int compare. *)
-  Problem.sync_caps problem;
-  Incidence.vec_of_array_into state.prices bufs.v_prices;
-  Incidence.vec_of_array_into state.rates bufs.v_rates;
-  Incidence.path_prices_into inc ~prices:bufs.v_prices ~out:bufs.v_path_price;
-  flow_weights_sparse bufs.b_utils inc ~path_prices:bufs.v_path_price
-    ~prev_rates:bufs.v_rates ~out:bufs.v_weights;
-  Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:bufs.v_weights
-    ~rates:bufs.v_rates;
-  price_update_sparse problem params state;
-  Incidence.vec_to_array bufs.v_prices state.prices;
-  Incidence.vec_to_array bufs.v_rates state.rates;
-  Incidence.vec_to_array bufs.v_weights state.weights;
+  allocate inc state;
+  price_update inc params state;
   match state.diag with
   | None -> ()
   | Some d ->
-    let ws = bufs.b_maxmin_sparse in
+    let ws = state.buffers.b_maxmin_sparse in
     let shard_chunks =
       match state.pool with
       | None -> 0

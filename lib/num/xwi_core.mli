@@ -34,8 +34,8 @@ type buffers
 
 type state = {
   prices : float array;  (** per link *)
-  mutable rates : float array;  (** per flow; last max-min allocation *)
-  mutable weights : float array;  (** per flow; last Eq. 7 weights *)
+  rates : float array;  (** per flow; last max-min allocation *)
+  weights : float array;  (** per flow; last Eq. 7 weights *)
   mutable pool : Nf_util.Shard.t option;
       (** when set, {!step}'s per-link price update is sharded across the
           pool's domains; results are byte-identical for every job count *)
@@ -50,16 +50,22 @@ type state = {
           {!resize} *)
 }
 
+val seed : Problem.t -> float array * float array
+(** [(rates, prices)]: the equal-weight max-min allocation (by
+    {!Maxmin.solve_sparse}) and the prices seeded from its marginal
+    utilities, [p_l = max_{i ∋ l} U'_g(y_g) / |L(i)|], so that a first
+    weight computation is well-scaled. Every solver that starts from the
+    xWI seed ({!init}, [Oracle.solve_dual], [Fluid_dgd]) calls this. *)
+
 val init : ?pool:Nf_util.Shard.t -> Problem.t -> state
-(** Initial state: prices seeded from the marginal utilities at the
-    equal-weight max-min allocation (so the first weight computation is
-    well-scaled), rates at that allocation. When a process-wide
-    {!Diag.configure}d config is active (the CLI's [--diag]), the state
-    auto-attaches a fresh {!Diag.t}. *)
+(** Initial state at the {!seed}: its prices, rates at its allocation.
+    When a process-wide {!Diag.configure}d config is active (the CLI's
+    [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
 
 val init_with_prices : ?pool:Nf_util.Shard.t -> Problem.t -> prices:float array -> state
 (** Start from given prices (e.g. carried over across a flow-arrival event
-    in dynamic scenarios); rates start at the induced allocation.
+    in dynamic scenarios); rates start at the allocation they induce
+    (Eq. 7 weights at the equal-weight allocation, then the water-fill).
     Auto-attaches a {!Diag.t} like {!init}. *)
 
 val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
@@ -85,28 +91,14 @@ val set_diag : state -> Diag.t option -> unit
 
 val diag : state -> Diag.t option
 
-val flow_weights : Problem.t -> prices:float array -> prev_rates:float array -> float array
-(** Eq. 7 plus the §6.3 multipath split; all weights strictly positive. *)
-
-val flow_weights_into :
-  Problem.t ->
-  prices:float array ->
-  prev_rates:float array ->
-  out:float array ->
-  unit
-(** Allocation-free {!flow_weights} into a caller array of length
-    [n_flows]. *)
-
-val price_update : Problem.t -> params -> prices:float array -> rates:float array -> float array
-(** Eqs. 9–11: one synchronized price update for all links. *)
-
 val step : Problem.t -> params -> state -> unit
 (** One full iteration over the sparse CSR/CSC working set: path prices
-    (computed once), Eq. 7 weights, max-min rates, Eqs. 9–11 price
-    update. Everything is written in place into the state's arrays and
-    scratch buffers — steady-state stepping performs no heap allocation
-    beyond the sharding dispatch. Capacity changes made through
-    {!Problem.caps} are picked up at the start of each step. *)
+    (computed once), Eq. 7 weights (with the §6.3 multipath split; all
+    strictly positive), max-min rates, Eqs. 9–11 price update. The
+    kernels run directly on the state's [prices], [rates] and [weights],
+    in place — steady-state stepping performs no heap allocation beyond
+    the sharding dispatch. The capacities are {!Problem.caps} itself, so
+    a capacity change between steps is seen by the next one. *)
 
 type run = { iterations : int; converged : bool }
 

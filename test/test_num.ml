@@ -509,21 +509,45 @@ let test_problem_structure () =
   let u = Utility.proportional_fair () in
   let group = { Problem.utility = u; paths = [ [| 0 |]; [| 1; 2 |] ] } in
   let solo = Problem.single_path u [| 0; 2 |] in
-  let p = Problem.create ~caps:[| 1.; 2.; 3. |] ~groups:[ group; solo ] in
-  Alcotest.(check int) "flows" 3 (Problem.n_flows p);
-  Alcotest.(check int) "groups" 2 (Problem.n_groups p);
+  (* Flow 3's path crosses link 2 twice. *)
+  let loop = Problem.single_path u [| 2; 1; 2 |] in
+  let p = Problem.create ~caps:[| 1.; 2.; 3. |] ~groups:[ group; solo; loop ] in
+  Alcotest.(check int) "flows" 4 (Problem.n_flows p);
+  Alcotest.(check int) "groups" 3 (Problem.n_groups p);
   Alcotest.(check bool) "not single path" false (Problem.is_single_path p);
   Alcotest.(check int) "flow 1 group" 0 (Problem.flow_group p 1);
   Alcotest.(check int) "flow 2 group" 1 (Problem.flow_group p 2);
-  Alcotest.(check (array int)) "link 2 flows" [| 1; 2 |] (Problem.link_flows p 2);
-  let rates = [| 1.; 2.; 4. |] in
+  (* S(l) is a set: the looping flow appears once in link 2's CSC
+     column, as in the reference's own S(l). *)
+  Alcotest.(check (array int)) "link 2 flows" [| 1; 2; 3 |] (Problem.link_flows p 2);
+  Alcotest.(check (array int))
+    "reference S(2)" [| 1; 2; 3 |]
+    (Nf_num.Reference.link_flows p).(2);
+  let rates = [| 1.; 2.; 4.; 8. |] in
   check_close "group rate" 3. (Problem.group_rate p ~rates 0);
   let loads = Array.make (Problem.n_links p) 0. in
   Problem.link_loads_into p ~rates loads;
   check_close "load l0" 5. loads.(0);
-  check_close "load l2" 6. loads.(2);
+  check_close "load l1" 10. loads.(1);
+  (* ... but its rate loads link 2 once per traversal. *)
+  check_close "load l2" 22. loads.(2);
+  Alcotest.(check (array (float 0.)))
+    "loads match the reference" (Nf_num.Reference.link_loads p ~rates) loads;
   check_close "path price" 5. (Problem.path_price p ~prices:[| 1.; 2.; 4. |] 2);
-  Alcotest.(check bool) "feasible check" false (Problem.feasible p ~rates)
+  check_close "looping path price" 10.
+    (Problem.path_price p ~prices:[| 1.; 2.; 4. |] 3);
+  Alcotest.(check bool) "feasible check" false (Problem.feasible p ~rates);
+  (* The sweeps behind these accessors do not bounds-check; the accessors
+     reject short arrays and bad ids themselves. *)
+  Alcotest.check_raises "short rates"
+    (Invalid_argument "Problem.group_rate: group id or rates length") (fun () ->
+      ignore (Problem.group_rate p ~rates:[| 1. |] 0));
+  Alcotest.check_raises "bad flow id"
+    (Invalid_argument "Problem.path_price: flow id or prices length") (fun () ->
+      ignore (Problem.path_price p ~prices:[| 1.; 2.; 4. |] 4));
+  Alcotest.check_raises "short loads"
+    (Invalid_argument "Problem.link_loads_into: array length") (fun () ->
+      Problem.link_loads_into p ~rates [| 0. |])
 
 let test_problem_validation () =
   let u = Utility.proportional_fair () in
@@ -532,7 +556,30 @@ let test_problem_validation () =
       ignore (Problem.create ~caps:[| 1. |] ~groups:[ Problem.single_path u [||] ]));
   Alcotest.check_raises "bad link"
     (Invalid_argument "Problem.create: link id out of range") (fun () ->
-      ignore (Problem.create ~caps:[| 1. |] ~groups:[ Problem.single_path u [| 3 |] ]))
+      ignore (Problem.create ~caps:[| 1. |] ~groups:[ Problem.single_path u [| 3 |] ]));
+  (* A capacity must be positive and finite: an infinite link never
+     saturates, so xWI could not settle its price. *)
+  List.iter
+    (fun (name, c) ->
+      Alcotest.check_raises ("create: " ^ name)
+        (Invalid_argument "Problem.create: capacity 1 not positive and finite")
+        (fun () ->
+          ignore
+            (Problem.create ~caps:[| 1.; c |]
+               ~groups:[ Problem.single_path u [| 0 |] ])))
+    [ ("infinity", infinity); ("nan", nan); ("zero", 0.) ];
+  let p = Problem.create ~caps:[| 1.; 2. |] ~groups:[ Problem.single_path u [| 0 |] ] in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.check_raises ("set_cap: " ^ name)
+        (Invalid_argument "Problem.set_cap: capacity not positive and finite")
+        (fun () -> Problem.set_cap p 1 c))
+    [ ("infinity", infinity); ("nan", nan); ("zero", 0.) ];
+  Alcotest.check_raises "set_cap: bad link"
+    (Invalid_argument "Problem.set_cap: link id out of range") (fun () ->
+      Problem.set_cap p 2 1.);
+  Alcotest.(check (array (float 0.)))
+    "rejected set_caps leave the capacities alone" [| 1.; 2. |] (Problem.caps p)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse CSR/CSC core vs the legacy reference kernels *)
@@ -564,7 +611,8 @@ let test_incidence_structure () =
     "group_of_flow" [| 0; 0; 1 |] inc.Incidence.group_of_flow;
   Alcotest.(check bool) "multipath => not singleton" false
     inc.Incidence.singleton;
-  check_close "caps mirror" 2. (Bigarray.Array1.get inc.Incidence.caps 1)
+  Alcotest.(check bool) "caps shared with the problem" true
+    (inc.Incidence.caps == Problem.caps p)
 
 (* Random mixed single/multipath problem with varied alpha-fair
    utilities: the adversary for the sparse-vs-reference properties. *)
@@ -603,9 +651,7 @@ let prop_sparse_maxmin_matches_reference =
       let w = Incidence.vec_of_array weights in
       let rates = Incidence.vec n_flows in
       Maxmin.solve_sparse ws inc ~weights:w ~rates;
-      let sparse = Array.make n_flows 0. in
-      Incidence.vec_to_array rates sparse;
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) legacy.Maxmin.rates sparse)
+      Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) legacy.Maxmin.rates rates)
 
 let prop_sparse_step_matches_reference =
   QCheck.Test.make ~name:"sparse xWI step matches the legacy step within 1e-9"
@@ -781,10 +827,7 @@ let test_delta_caps_midrun () =
   Alcotest.(check bool) "converged at 10G" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares of 10" [| 5.; 5. |] state.Xwi.rates;
   let topo_gen = Problem.generation p in
-  let cap_gen = Problem.cap_generation p in
   Problem.set_cap p 0 20.;
-  Alcotest.(check bool) "cap generation bumped" false
-    (Int.equal cap_gen (Problem.cap_generation p));
   Alcotest.(check bool) "topology generation unchanged" true
     (Int.equal topo_gen (Problem.generation p));
   let run = Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state in
@@ -793,11 +836,13 @@ let test_delta_caps_midrun () =
   Alcotest.(check bool) "warm cap change re-solve satisfies KKT" true
     (Kkt.worst (Kkt.check p ~rates:state.Xwi.rates ~prices:state.Xwi.prices)
     < 1e-8);
-  (* Direct writes into [caps] work too, via touch_caps. *)
+  (* A direct write into [caps] is picked up by the same state too: the
+     incidence shares the array. *)
   (Problem.caps p).(0) <- 10.;
-  Problem.touch_caps p;
   ignore (Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state);
-  check_rates ~rel:1e-6 "back to shares of 10" [| 5.; 5. |] state.Xwi.rates
+  check_rates ~rel:1e-6 "back to shares of 10" [| 5.; 5. |] state.Xwi.rates;
+  Alcotest.(check bool) "topology generation unchanged by a raw write" true
+    (Int.equal topo_gen (Problem.generation p))
 
 (* A random single-link-id path over the problem's links, for churn
    properties. *)

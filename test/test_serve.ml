@@ -434,6 +434,18 @@ let ok_or_fail what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what e
 
+(* One raw request line on a fresh connection, one reply line back: for
+   commands [Protocol.encode_command] would never produce. *)
+let raw_request port line =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let data = line ^ "\n" in
+      ignore (Unix.write_substring fd data 0 (String.length data) : int);
+      input_line (Unix.in_channel_of_descr fd))
+
 let test_socket_session () =
   with_server (fun port ->
       let c = Client.connect_tcp port in
@@ -466,6 +478,14 @@ let test_socket_session () =
           (* Errors come back as protocol errors, not closed connections. *)
           (match Client.request c (Protocol.Remove { gid = 9999 }) with
           | Ok _ -> Alcotest.fail "removing an unknown gid must fail"
+          | Error _ -> ());
+          (* 1e999 parses to infinity; an infinite link would never
+             saturate, so the capacity must be refused. *)
+          (match
+             Protocol.decode_reply
+               (raw_request port {|{"cmd":"set_cap","link":0,"cap":1e999}|})
+           with
+          | Ok _ -> Alcotest.fail "an infinite capacity must be refused"
           | Error _ -> ());
           let fields =
             ok_or_fail "stats" (Client.request c Protocol.Stats)

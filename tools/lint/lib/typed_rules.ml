@@ -212,7 +212,6 @@ let blocking_calls =
 let problem_mutators =
   [
     "Problem.add_group"; "Problem.remove_group"; "Problem.set_cap";
-    "Problem.touch_caps";
   ]
 
 let generation_clearers = [ "Problem.commit"; "Xwi_core.resize" ]
