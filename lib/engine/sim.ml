@@ -87,7 +87,10 @@ let[@nf.hot] run_loop t horizon profiling gcing dispatched =
   let continue = ref true in
   while !continue && not t.stopped do
     if Fheap.is_empty q then begin
-      if Float.is_finite horizon then t.clock <- Float.max t.clock horizon;
+      if Float.is_finite horizon then
+        t.clock <-
+          (Float.max t.clock horizon
+          [@nf.allow "hot-alloc -- loop exit, once per run"]);
       continue := false
     end
     else begin

@@ -31,13 +31,28 @@ type report = {
 val worst : report -> float
 (** The largest of the four residuals. *)
 
+val check_into :
+  ?used_threshold:float ->
+  Problem.t ->
+  rates:float array ->
+  prices:float array ->
+  loads:float array ->
+  report
+(** The residuals of [rates] and [prices], computed in one sweep over the
+    problem's {!Incidence.t}. [loads] (length [n_links]) is scratch: it
+    is overwritten with the link loads of [rates], so a buffer reused
+    across calls needs no clearing. Allocates only the report.
+    [used_threshold] (default 1e-6) is the fraction of the group rate
+    below which a sub-flow counts as unused.
+    @raise Invalid_argument on a rates, prices or loads length that does
+    not match the problem. *)
+
 val check :
   ?used_threshold:float ->
   Problem.t ->
   rates:float array ->
   prices:float array ->
   report
-(** [used_threshold] (default 1e-6) is the fraction of the group rate below
-    which a sub-flow counts as unused. *)
+(** {!check_into} with a fresh loads buffer. *)
 
 val pp : Format.formatter -> report -> unit

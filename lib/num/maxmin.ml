@@ -142,6 +142,17 @@ let solve ~caps ~paths ~weights =
    [bottleneck] reports the lowest-numbered saturated link instead of the
    first on the flow's path. [solve] above stays the reference. *)
 
+(* Comparison-only [Float.max] (bit-identical on non-NaN inputs, NaN
+   propagating); see [Xwi_core.fmax] for why each hot unit keeps its
+   own. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x then y
+  else if x > y then x
+  else if Float.is_nan x then x
+  else if Float.is_nan y then y
+  else if Float.equal x 0. then x +. y
+  else x
+
 type sparse_workspace = {
   s_frozen : bool array;  (* n_flows *)
   s_rem_cap : float array;  (* n_links *)
@@ -251,7 +262,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
         Array.unsafe_set live !kept l;
         incr kept;
         let d =
-          Float.max 0.
+          fmax 0.
             (Array.unsafe_get rem_cap l /. Array.unsafe_get active_weight l)
         in
         if d < !delta then begin

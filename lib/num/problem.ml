@@ -284,6 +284,10 @@ let group_utility t g =
   force t;
   t.utilities.(g)
 
+let utilities t =
+  force t;
+  t.utilities
+
 let link_flows t l =
   force t;
   let inc = t.incidence in

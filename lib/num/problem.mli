@@ -123,6 +123,11 @@ val group_members : t -> int -> int array
 
 val group_utility : t -> int -> Utility.t
 
+val utilities : t -> Utility.t array
+(** Every group's utility, indexed by dense group id
+    ([(utilities t).(g)] is [group_utility t g]). Shared, not copied:
+    callers must treat it as read-only; a commit replaces it. *)
+
 val link_flows : t -> int -> int array
 (** Flows crossing the given link ([S(l)] of the paper): a copy of the
     incidence's CSC column, ascending, each flow once even if its path

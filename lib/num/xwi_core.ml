@@ -32,14 +32,36 @@ let trace_iter tr iter =
     Trace.emit tr Trace.XwiIter ~subject:0 ~time:(float_of_int iter)
       (float_of_int iter)
 
-(* Local copies of {!Utility.deriv_fast} / {!Utility.rate_from_price_fast}.
-   Dev-profile builds compile with -opaque, which disables cross-unit
-   inlining, and a non-inlined float -> float call boxes argument and
-   result — per flow, per step. Keeping the shape dispatch in this unit
-   makes the hot loops allocation-free under every build profile.
-   Bit-identical to the Utility versions (equivalence is tested). *)
+(* Comparison-only [Float.max] / [Float.min] for the hot loops. The
+   stdlib pair tests sign bits with [caml_signbit_float], a C call per
+   comparison even when inlined; these use float comparisons only. They
+   equal the stdlib pair bit for bit on every non-NaN input, ±0 included
+   ([0. +. -0.] is [0.], [-.(-.0. -. -0.)] is [-0.]), and return a NaN
+   operand as the stdlib pair does. Defined in each hot unit (here,
+   [Maxmin], [Kkt]) rather than shared: dev-profile builds compile with
+   -opaque, which disables cross-unit inlining, and a non-inlined
+   float -> float call boxes its arguments and result. *)
 
-let[@inline] fmax (a : float) b = if a >= b then a else b
+let[@inline] fmax (x : float) (y : float) =
+  if y > x then y
+  else if x > y then x
+  else if Float.is_nan x then x
+  else if Float.is_nan y then y
+  else if Float.equal x 0. then x +. y
+  else x
+
+let[@inline] fmin (x : float) (y : float) =
+  if y < x then y
+  else if x < y then x
+  else if Float.is_nan x then x
+  else if Float.is_nan y then y
+  else if Float.equal x 0. then -.(-.x -. y)
+  else x
+
+(* Local copies of {!Utility.deriv_fast} / {!Utility.rate_from_price_fast},
+   in-unit for the same -opaque reason: a cross-unit float call per flow
+   per step would box. Bit-identical to the Utility versions on every
+   input, NaN included (equivalence is tested). *)
 
 let[@inline] udv_fast u x =
   match u.Utility.shape with
@@ -76,7 +98,7 @@ type buffers = {
   b_group_rates : float array;  (* n_groups *)
   b_group_marginal : float array;  (* n_groups *)
   b_inv_len : float array;  (* n_flows; 1 / |L(i)|, fixed per problem *)
-  b_utils : Utility.t array;  (* n_groups; group utilities, flat copy *)
+  b_utils : Utility.t array;  (* n_groups; the snapshot's, shared *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
 }
 
@@ -107,7 +129,7 @@ let make_buffers problem =
     b_group_marginal = Array.make n_groups 0.;
     b_inv_len =
       Array.init n_flows (fun i -> 1. /. float_of_int (Problem.path_len problem i));
-    b_utils = Array.init n_groups (Problem.group_utility problem);
+    b_utils = Problem.utilities problem;
     b_maxmin_sparse = Maxmin.sparse_workspace (Problem.incidence problem);
   }
 
@@ -158,7 +180,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
     for i = 0 to inc.Incidence.n_flows - 1 do
       let u = Array.unsafe_get utils i in
       let w = urate_fast u (Array.unsafe_get path_prices i) in
-      Array.unsafe_set out i (Float.max w 1e-30)
+      Array.unsafe_set out i (fmax w 1e-30)
     done
   else begin
     let grp_ptr = inc.Incidence.grp_ptr
@@ -170,7 +192,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
       if stop - start = 1 then begin
         let i = Array.unsafe_get grp_flows start in
         let w = urate_fast u (Array.unsafe_get path_prices i) in
-        Array.unsafe_set out i (Float.max w 1e-30)
+        Array.unsafe_set out i (fmax w 1e-30)
       end
       else begin
         (* §6.3: each sub-flow computes the group-level weight from its
@@ -189,7 +211,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
             if y > 1e-12 then Array.unsafe_get prev_rates i /. y else 1. /. n
           in
           Array.unsafe_set out i
-            (Float.max (total *. Float.max share (1e-8 /. n)) 1e-30)
+            (fmax (total *. fmax share (1e-8 /. n)) 1e-30)
         done
       end
     done
@@ -210,7 +232,7 @@ let[@nf.hot] residuals (inc : Incidence.t) state =
   for g = 0 to inc.Incidence.n_groups - 1 do
     let u = Array.unsafe_get utils g in
     Array.unsafe_set group_marginal g
-      (udv_fast u (Float.max (Array.unsafe_get group_rates g) 1e-12))
+      (udv_fast u (fmax (Array.unsafe_get group_rates g) 1e-12))
   done;
   let group_of_flow = inc.Incidence.group_of_flow in
   (* [* inv_len] instead of [Reference]'s [/ len]: up to an ulp apart when
@@ -254,7 +276,7 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
           if Array.unsafe_get rates i *. n_here >= negligible then
-            acc := Float.min !acc (Array.unsafe_get residual i)
+            acc := fmin !acc (Array.unsafe_get residual i)
         done;
         !acc
       | Agg_mean ->
@@ -279,12 +301,12 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
     in
     let p_new =
       if Float.is_finite min_res then
-        Float.max 0.
+        fmax 0.
           (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
       else
         (* No (significant) traffic: drive the price to zero via the
            utilization term alone. *)
-        Float.max 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
+        fmax 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
     in
     Array.unsafe_set prices l
       ((params.beta *. p_old) +. ((1. -. params.beta) *. p_new))
@@ -445,12 +467,12 @@ let run_to_fixpoint ?(tol = 1e-10) ?(max_iters = 50_000) problem params state =
       trace_iter tr (iter + 1);
       let delta = ref 0. in
       for l = 0 to n_links - 1 do
-        let scale = Float.max (Float.abs old_prices.(l)) 1e-30 in
-        delta := Float.max !delta (Float.abs (state.prices.(l) -. old_prices.(l)) /. scale)
+        let scale = fmax (Float.abs old_prices.(l)) 1e-30 in
+        delta := fmax !delta (Float.abs (state.prices.(l) -. old_prices.(l)) /. scale)
       done;
       for i = 0 to n_flows - 1 do
-        let scale = Float.max (Float.abs old_rates.(i)) 1e-30 in
-        delta := Float.max !delta (Float.abs (state.rates.(i) -. old_rates.(i)) /. scale)
+        let scale = fmax (Float.abs old_rates.(i)) 1e-30 in
+        delta := fmax !delta (Float.abs (state.rates.(i) -. old_rates.(i)) /. scale)
       done;
       last_delta := !delta;
       if !delta < tol then
@@ -465,24 +487,24 @@ let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) proble
     params state =
   Nf_util.Profile.time "xwi-solve" @@ fun () ->
   let tr = Trace.default () in
-  let worst = ref infinity in
-  let optimal () =
+  (* The check's link loads go to the state's own [b_loads]: the next
+     [step] recomputes them before reading, so the stopping test
+     allocates nothing but its report. *)
+  let loads = state.buffers.b_loads in
+  let iter = ref 0 and worst = ref infinity and checking = ref true in
+  while !checking do
     worst :=
-      Kkt.worst (Kkt.check problem ~rates:state.rates ~prices:state.prices);
-    !worst <= tol
-  in
-  let rec loop iter =
-    if optimal () then
-      finish_run state ~residual:!worst { iterations = iter; converged = true }
-    else if iter >= max_iters then
-      finish_run state ~residual:!worst { iterations = iter; converged = false }
+      Kkt.worst
+        (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads);
+    if !worst <= tol || !iter >= max_iters then checking := false
     else begin
-      let chunk = Stdlib.min check_every (max_iters - iter) in
+      let chunk = Stdlib.min check_every (max_iters - !iter) in
       for k = 1 to chunk do
         step problem params state;
-        trace_iter tr (iter + k)
+        trace_iter tr (!iter + k)
       done;
-      loop (iter + chunk)
+      iter := !iter + chunk
     end
-  in
-  loop 0
+  done;
+  finish_run state ~residual:!worst
+    { iterations = !iter; converged = !worst <= tol }

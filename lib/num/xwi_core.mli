@@ -121,4 +121,26 @@ val run_until_kkt :
     falls below [tol] (default 1e-6), checking every [check_every]
     iterations (default 10). This is the efficient stopping rule for
     oracle-style use: per-iteration deltas can stall at numerical noise
-    long after the iterate is optimal to any practical tolerance. *)
+    long after the iterate is optimal to any practical tolerance. Each
+    check is {!Kkt.check_into} on the state's own scratch, so it
+    allocates only its report. *)
+
+(** {2 Hot-loop primitives}
+
+    The in-unit scalar helpers of the step kernels, exposed so the test
+    suite can hold them to their stdlib and {!Utility} counterparts bit
+    for bit. Code outside the kernels should use those counterparts. *)
+
+val fmax : float -> float -> float
+(** [Float.max] from float comparisons only (no sign-bit C call):
+    bit-identical on every non-NaN input, ±0 included, and returns a NaN
+    operand when there is one. *)
+
+val fmin : float -> float -> float
+(** [Float.min], likewise. *)
+
+val udv_fast : Utility.t -> float -> float
+(** {!Utility.deriv_fast}. *)
+
+val urate_fast : Utility.t -> float -> float
+(** {!Utility.rate_from_price_fast}. *)

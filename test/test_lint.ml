@@ -103,6 +103,10 @@ let test_typed_float_compare =
 let test_typed_hot_alloc =
   check_typed "hot-alloc" ~bad:"tbad_hot.ml" ~good:"tgood_hot.ml" ~expect:4
 
+let test_typed_hot_minmax =
+  check_typed "hot-alloc" ~bad:"tbad_hot_minmax.ml" ~good:"tgood_hot_minmax.ml"
+    ~expect:3
+
 let test_domain_safety =
   check_typed "domain-safety" ~bad:"tbad_domain.ml" ~good:"tgood_domain.ml"
     ~expect:5
@@ -360,6 +364,8 @@ let () =
         [
           Alcotest.test_case "float-compare" `Quick test_typed_float_compare;
           Alcotest.test_case "hot-alloc" `Quick test_typed_hot_alloc;
+          Alcotest.test_case "hot-alloc: Float.max/min" `Quick
+            test_typed_hot_minmax;
           Alcotest.test_case "domain-safety" `Quick test_domain_safety;
           Alcotest.test_case "domain-safety waiver" `Quick test_domain_waiver;
           Alcotest.test_case "stale-generation" `Quick test_stale_generation;

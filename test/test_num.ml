@@ -30,6 +30,14 @@ let check_rates ?(rel = 1e-6) what expected actual =
         Alcotest.failf "%s: flow %d expected %.10g, got %.10g" what i e actual.(i))
     expected
 
+(* Bit equality, except that any two NaNs are equal: the stdlib and
+   the hot-loop min/max agree that a NaN comes out, not on its payload. *)
+let check_bits what expected actual =
+  if not (Float.is_nan expected && Float.is_nan actual) then
+    Alcotest.(check int64) what
+      (Int64.bits_of_float expected)
+      (Int64.bits_of_float actual)
+
 (* ------------------------------------------------------------------ *)
 (* Utility functions *)
 
@@ -502,6 +510,140 @@ let test_kkt_slackness () =
   let r = Kkt.check p ~rates:[| 10. |] ~prices:[| 0.1; 0.1 |] in
   Alcotest.(check bool) "slack priced link flagged" true (r.Kkt.slackness > 0.5)
 
+(* The per-flow definition of the residuals, through the Problem
+   accessors: the body [Kkt.check] had before it became one sweep over
+   the incidence. Kept here as the oracle that sweep must match bit for
+   bit, since the serve loop's iteration counts hang on it. *)
+let kkt_oracle ?(used_threshold = 1e-6) problem ~rates ~prices =
+  let n_flows = Problem.n_flows problem in
+  let n_links = Problem.n_links problem in
+  let caps = Problem.caps problem in
+  let loads = Array.make n_links 0. in
+  Problem.link_loads_into problem ~rates loads;
+  let stationarity = ref 0. and unused_direction = ref 0. in
+  for i = 0 to n_flows - 1 do
+    let g = Problem.flow_group problem i in
+    let y = Problem.group_rate problem ~rates g in
+    let marginal = (Problem.group_utility problem g).Utility.deriv y in
+    let price = Problem.path_price problem ~prices i in
+    let scale = Float.max marginal 1e-30 in
+    let used = rates.(i) > used_threshold *. Float.max y 1e-30 in
+    if used then
+      stationarity := Float.max !stationarity (Float.abs (marginal -. price) /. scale)
+    else
+      unused_direction :=
+        Float.max !unused_direction (Float.max 0. (marginal -. price) /. scale)
+  done;
+  let feasibility = ref 0. in
+  for l = 0 to n_links - 1 do
+    feasibility :=
+      Float.max !feasibility (Float.max 0. (loads.(l) -. caps.(l)) /. caps.(l))
+  done;
+  let p_ref = Array.fold_left Float.max 0. prices in
+  let slackness = ref 0. in
+  if p_ref > 0. then
+    for l = 0 to n_links - 1 do
+      let slack = Float.max 0. (caps.(l) -. loads.(l)) in
+      slackness :=
+        Float.max !slackness (prices.(l) *. slack /. (p_ref *. caps.(l)))
+    done;
+  {
+    Kkt.stationarity = !stationarity;
+    unused_direction = !unused_direction;
+    feasibility = !feasibility;
+    slackness = !slackness;
+  }
+
+let check_report what (expected : Kkt.report) (actual : Kkt.report) =
+  let field name e a = check_bits (what ^ ": " ^ name) e a in
+  field "stationarity" expected.Kkt.stationarity actual.Kkt.stationarity;
+  field "unused_direction" expected.Kkt.unused_direction
+    actual.Kkt.unused_direction;
+  field "feasibility" expected.Kkt.feasibility actual.Kkt.feasibility;
+  field "slackness" expected.Kkt.slackness actual.Kkt.slackness
+
+(* A small multipath problem: 1-4 groups of 1-3 sub-flows over up to 7
+   links, utilities drawn from Log, Power (alpha 2 and 0.5) and an Opaque
+   closure-only one. *)
+let random_kkt_problem rng =
+  let n_links = 2 + Rng.int rng 6 in
+  let caps = Array.init n_links (fun _ -> Rng.uniform rng ~lo:1. ~hi:10.) in
+  let path () =
+    let perm = Rng.permutation rng n_links in
+    Array.sub perm 0 (1 + Rng.int rng (min 3 n_links))
+  in
+  let weight () = Rng.uniform rng ~lo:0.5 ~hi:4. in
+  let utility () =
+    match Rng.int rng 4 with
+    | 0 -> Utility.proportional_fair ~weight:(weight ()) ()
+    | 1 -> Utility.alpha_fair ~weight:(weight ()) ~alpha:2. ()
+    | 2 -> Utility.alpha_fair ~weight:(weight ()) ~alpha:0.5 ()
+    | _ ->
+      Utility.make ~name:"opaque" ~value:sqrt
+        ~deriv:(fun x -> 0.5 /. sqrt (Float.max x 1e-12))
+        ~inv_deriv:(fun p -> 0.25 /. (p *. p))
+  in
+  let groups =
+    List.init (1 + Rng.int rng 4) (fun _ ->
+        { Problem.utility = utility (); paths = List.init (1 + Rng.int rng 3) (fun _ -> path ()) })
+  in
+  Problem.create ~caps ~groups
+
+let test_kkt_check_into_matches_oracle () =
+  let rng = Rng.create ~seed:2024 in
+  for case = 1 to 300 do
+    let p = random_kkt_problem rng in
+    let n_links = Problem.n_links p and n_flows = Problem.n_flows p in
+    (* One buffer per problem, reused by every check and seeded with
+       garbage: check_into must overwrite it, not accumulate into it. *)
+    let loads = Array.make n_links 1e300 in
+    loads.(0) <- nan;
+    let agree what ~rates ~prices =
+      let what = Printf.sprintf "case %d, %s" case what in
+      let expected = kkt_oracle p ~rates ~prices in
+      check_report what expected (Kkt.check_into p ~rates ~prices ~loads);
+      check_report (what ^ " (check)") expected (Kkt.check p ~rates ~prices);
+      check_report (what ^ " (threshold)")
+        (kkt_oracle ~used_threshold:0.3 p ~rates ~prices)
+        (Kkt.check_into ~used_threshold:0.3 p ~rates ~prices ~loads)
+    in
+    (* Arbitrary iterates: idle sub-flows (zero or below the used
+       threshold of their group) next to busy ones. *)
+    let rates =
+      Array.init n_flows (fun _ ->
+          match Rng.int rng 4 with
+          | 0 -> 0.
+          | 1 -> 1e-12
+          | _ -> Rng.uniform rng ~lo:0.1 ~hi:6.)
+    in
+    let prices = Array.init n_links (fun _ -> Rng.uniform rng ~lo:0. ~hi:2.) in
+    agree "random prices" ~rates ~prices;
+    agree "all-zero prices" ~rates ~prices:(Array.make n_links 0.);
+    let neg_zero = Array.copy prices in
+    neg_zero.(Rng.int rng n_links) <- -0.;
+    agree "a -0. price" ~rates ~prices:neg_zero;
+    agree "all -0. prices" ~rates ~prices:(Array.make n_links (-0.));
+    (* Iterates along an xWI run, where the residuals are small and the
+       multipath split leaves some sub-flows nearly idle. *)
+    let st = Xwi.init p in
+    agree "xWI seed" ~rates:st.Xwi.rates ~prices:st.Xwi.prices;
+    for _ = 1 to 20 do
+      Xwi.step p Xwi.default_params st
+    done;
+    agree "after 20 xWI steps" ~rates:st.Xwi.rates ~prices:st.Xwi.prices
+  done
+
+let test_kkt_check_into_validates () =
+  let u = Utility.proportional_fair () in
+  let p = single_link_problem ~cap:10. [ u; u ] in
+  Alcotest.check_raises "short loads buffer"
+    (Invalid_argument "Kkt.check: loads length") (fun () ->
+      ignore
+        (Kkt.check_into p ~rates:[| 5.; 5. |] ~prices:[| 0.2 |] ~loads:[||]));
+  Alcotest.check_raises "rates length"
+    (Invalid_argument "Kkt.check: rates length") (fun () ->
+      ignore (Kkt.check p ~rates:[| 5. |] ~prices:[| 0.2 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Problem structure *)
 
@@ -962,22 +1104,44 @@ let test_utility_fast_paths_bitwise () =
         ~inv_deriv:(fun p -> 0.25 /. (p *. p));
     ]
   in
-  let points = [ 0.; 1e-30; 1e-9; 0.5; 1.; 3.25; 1e9; 1e300 ] in
-  let bits = Int64.bits_of_float in
+  let points =
+    [ 0.; 1e-30; 1e-9; 0.5; 1.; 3.25; 1e9; 1e300; nan; -0.; infinity;
+      neg_infinity ]
+  in
   List.iter
     (fun u ->
       List.iter
         (fun x ->
-          Alcotest.(check int64)
-            (Printf.sprintf "%s: deriv_fast(%g)" u.Utility.name x)
-            (bits (u.Utility.deriv x))
-            (bits (Utility.deriv_fast u x));
-          Alcotest.(check int64)
-            (Printf.sprintf "%s: rate_from_price_fast(%g)" u.Utility.name x)
-            (bits (Utility.rate_from_price u x))
-            (bits (Utility.rate_from_price_fast u x)))
+          let what f = Printf.sprintf "%s: %s(%g)" u.Utility.name f x in
+          let deriv = u.Utility.deriv x in
+          check_bits (what "deriv_fast") deriv (Utility.deriv_fast u x);
+          check_bits (what "Xwi_core.udv_fast") deriv (Xwi.udv_fast u x);
+          let rate = Utility.rate_from_price u x in
+          check_bits (what "rate_from_price_fast") rate
+            (Utility.rate_from_price_fast u x);
+          check_bits (what "Xwi_core.urate_fast") rate (Xwi.urate_fast u x))
         points)
     utilities
+
+let test_fmax_fmin_match_stdlib () =
+  (* The hot loops' comparison-only min/max must be Float.max/Float.min
+     on every pair of special values: signed zeros, infinities,
+     subnormals, NaNs of both signs. *)
+  let values =
+    [ 0.; -0.; 1.; -1.; 0.5; -2.5; infinity; neg_infinity; nan; -.nan;
+      Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+      Float.max_float; -.Float.max_float; 1e-30 ]
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          check_bits (Printf.sprintf "fmax %h %h" x y) (Float.max x y)
+            (Xwi.fmax x y);
+          check_bits (Printf.sprintf "fmin %h %h" x y) (Float.min x y)
+            (Xwi.fmin x y))
+        values)
+    values
 
 let test_maxmin_sparse_stats () =
   (* Parking lot: one long flow over both links, one short per link. Both
@@ -1192,6 +1356,9 @@ let () =
           quick "detects bad stationarity" test_kkt_detects_bad_stationarity;
           quick "accepts optimum" test_kkt_accepts_optimum;
           quick "detects slackness violation" test_kkt_slackness;
+          quick "check_into matches the per-flow oracle bitwise"
+            test_kkt_check_into_matches_oracle;
+          quick "check_into validates lengths" test_kkt_check_into_validates;
         ] );
       ( "problem",
         [
@@ -1218,6 +1385,7 @@ let () =
       ( "diag",
         [
           quick "utility fast paths bitwise" test_utility_fast_paths_bitwise;
+          quick "fmax/fmin match Float.max/min" test_fmax_fmin_match_stdlib;
           quick "sparse maxmin stats" test_maxmin_sparse_stats;
           quick "observe and report" test_diag_observe_and_report;
           quick "postmortem on non-convergence"

@@ -374,6 +374,48 @@ let test_engine_emptied_restarts_cold () =
   Alcotest.(check bool) "no stale prices across an empty interval" false
     ep.Engine.warm
 
+(* A fixed seeded churn stream, one epoch per event. The per-epoch
+   iteration counts and the bits of the final rates are pinned: the
+   stopping test decides how many xWI steps each epoch takes, so any
+   drift in the KKT check or in the kernels it stops shows up here as a
+   changed count or a changed bit. *)
+let pinned_churn_iters =
+  [ 55; 0; 55; 57; 20; 20; 20; 57; 57; 57; 20; 57; 57; 20; 57; 57; 57; 53;
+    20; 49; 20; 53; 53; 19; 57; 53; 19; 57; 53; 20; 20; 53; 19; 19; 20; 53;
+    125; 18; 20; 126 ]
+
+let pinned_churn_rates_md5 = "474c03a4b40176e3c3bf20976302bbad"
+
+let test_engine_pinned_churn () =
+  let sc = Scenario.leaf_spine ~seed:1 () in
+  let e = Engine.create ~caps:sc.Scenario.caps () in
+  let rng = Rng.create ~seed:1 in
+  let live = ref [] in
+  let iters =
+    List.init 40 (fun _ ->
+        (match Scenario.next_event rng sc ~live:(List.length !live) ~target:20 with
+        | Scenario.Arrive p ->
+          let gid =
+            Engine.add_flow e ~utility:(pf ()) ~paths:[ sc.Scenario.path_pool.(p) ]
+          in
+          live := !live @ [ gid ]
+        | Scenario.Depart j ->
+          let gid = List.nth !live j in
+          Engine.remove_flow e gid;
+          live := List.filter (fun g -> not (Int.equal g gid)) !live);
+        (Engine.solve_epoch e).Engine.iterations)
+  in
+  let bits =
+    String.concat ","
+      (Array.to_list
+         (Array.map
+            (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r))
+            (Engine.rates e)))
+  in
+  Alcotest.(check (list int)) "iterations per epoch" pinned_churn_iters iters;
+  Alcotest.(check string) "final rate bits" pinned_churn_rates_md5
+    (Digest.to_hex (Digest.string bits))
+
 (* ------------------------------------------------------------------ *)
 (* Scenario *)
 
@@ -608,6 +650,7 @@ let () =
           quick "epoch lifecycle, warm after cold" test_engine_epochs;
           quick "capacity change" test_engine_set_cap;
           quick "emptied fabric restarts cold" test_engine_emptied_restarts_cold;
+          quick "pinned seeded churn stream" test_engine_pinned_churn;
         ] );
       ( "scenario",
         [

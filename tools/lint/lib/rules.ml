@@ -54,7 +54,8 @@ let catalog =
         "functions marked [@nf.hot] may not allocate closures, tuples, \
          boxed constructors, records, array literals, lazy blocks, stage \
          partial applications, or call allocating container constructors \
-         (typed: partial application detected from omitted arguments)";
+         (typed: partial application detected from omitted arguments); \
+         nor use Float.max/Float.min, whose sign-bit tests are C calls";
     };
     {
       id = "domain-safety";

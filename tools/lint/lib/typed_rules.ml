@@ -182,6 +182,18 @@ let allocating_calls =
     "Hashtbl.create"; "Queue.create"; "Printf.sprintf"; "Format.asprintf";
   ]
 
+(* The stdlib float min/max test sign bits through a C call
+   ([caml_signbit_float]) on every comparison, inlined or not. Hot
+   kernels use a comparison-only pair defined in their own unit. *)
+let signbit_minmax = [ "Float.max"; "Float.min" ]
+
+let signbit_minmax_msg id =
+  let op = unqualify id in
+  Printf.sprintf
+    "Float.%s makes a sign-bit C call per comparison inside a [@nf.hot] \
+     function; use the unit's comparison-only f%s"
+    op op
+
 let mutator_targets_ref = [ ":="; "incr"; "decr" ]
 
 let mutator_containers =
@@ -400,6 +412,10 @@ let check_domain_closure ctx ~what closure =
 let check_hot_node ctx e =
   let bad msg = emit ctx ~loc:e.exp_loc "hot-alloc" msg in
   match e.exp_desc with
+  | Texp_ident (p, _, _) when path_in (path_name p) signbit_minmax ->
+    (* A bare mention, e.g. [Array.fold_left Float.max]; an applied one
+       is reported at its application below. *)
+    bad (signbit_minmax_msg (path_name p))
   | Texp_function _ -> bad "closure allocated inside a [@nf.hot] function"
   | Texp_tuple _ -> bad "tuple allocated inside a [@nf.hot] function"
   | Texp_construct (_, cstr, args) when args <> [] -> (
@@ -424,6 +440,8 @@ let check_hot_node ctx e =
          function"
     else
       match head_ident f with
+      | Some id when path_in id signbit_minmax ->
+        bad (signbit_minmax_msg id)
       | Some id when path_in id allocating_calls ->
         bad
           (Printf.sprintf
