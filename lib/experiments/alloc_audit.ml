@@ -13,9 +13,10 @@
    this audit) is boxed no matter what the callee looks like. That is a
    property of the build profile, not of the kernels — release builds
    measure 0 — so [run] probes whether boundary floats box and grants
-   the two Fheap-boundary kernels a fixed [boundary_limit] when they do.
-   The xWI and max-min kernels keep their floats inside one compilation
-   unit by construction and must measure clean under every profile.
+   the two Fheap-boundary kernels and the KKT witness check a fixed
+   [boundary_limit] when they do. The xWI step and max-min kernels keep
+   their floats inside one compilation unit by construction and must
+   measure clean under every profile.
 
    Run with the process-wide [Nf_num.Diag] config *cleared*: an attached
    diag deliberately allocates one sample record per observed step. *)
@@ -112,6 +113,28 @@ let xwi_kernel () =
   let params = Nf_num.Xwi_core.default_params in
   fun () -> Nf_num.Xwi_core.step problem params state
 
+(* [run_until_kkt]'s witness check: one flow's [Kkt.flow_residual] on a
+   mid-run iterate, compared against a tolerance as the stopping test
+   does. Cycles through the flows so every path length is exercised. The
+   float result crosses from nf_num into this library, so a dev build
+   boxes it (a boundary kernel); release inlines it and must measure 0. *)
+let kkt_witness_kernel () =
+  let problem = xwi_problem ~k:4 ~n_flows:64 in
+  let state = Nf_num.Xwi_core.init problem in
+  Nf_num.Xwi_core.set_diag state None;
+  for _ = 1 to 20 do
+    Nf_num.Xwi_core.step problem Nf_num.Xwi_core.default_params state
+  done;
+  let rates = state.Nf_num.Xwi_core.rates
+  and prices = state.Nf_num.Xwi_core.prices in
+  let n_flows = Nf_num.Problem.n_flows problem in
+  let used_threshold = Nf_num.Kkt.default_used_threshold in
+  let cleared = ref 0 and i = ref 0 in
+  fun () ->
+    i := (!i + 1) mod n_flows;
+    if Nf_num.Kkt.flow_residual ~used_threshold problem ~rates ~prices !i <= 1e-6
+    then incr cleared
+
 let maxmin_kernel () =
   let n_links = 32 in
   let n_flows = 64 in
@@ -133,12 +156,13 @@ let maxmin_kernel () =
   let ws = Nf_num.Maxmin.sparse_workspace inc in
   fun () -> Nf_num.Maxmin.solve_sparse ws inc ~weights ~rates
 
-(* (kernel, thunk, crosses an Fheap library boundary with raw floats) *)
+(* (kernel, thunk, crosses a library boundary with raw floats) *)
 let kernels () =
   [
     ("fheap_push_pop", fheap_kernel (), true);
     ("stfq_enqueue_dequeue", stfq_kernel (), true);
     ("xwi_step", xwi_kernel (), false);
+    ("kkt_witness_check", kkt_witness_kernel (), true);
     ("maxmin_solve_sparse", maxmin_kernel (), false);
   ]
 

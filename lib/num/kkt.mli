@@ -31,8 +31,12 @@ type report = {
 val worst : report -> float
 (** The largest of the four residuals. *)
 
+val default_used_threshold : float
+(** 1e-6, {!check_into}'s [used_threshold] when none is given. *)
+
 val check_into :
   ?used_threshold:float ->
+  ?witness:int ref ->
   Problem.t ->
   rates:float array ->
   prices:float array ->
@@ -42,8 +46,11 @@ val check_into :
     problem's {!Incidence.t}. [loads] (length [n_links]) is scratch: it
     is overwritten with the link loads of [rates], so a buffer reused
     across calls needs no clearing. Allocates only the report.
-    [used_threshold] (default 1e-6) is the fraction of the group rate
-    below which a sub-flow counts as unused.
+    [used_threshold] (default {!default_used_threshold}) is the fraction
+    of the group rate below which a sub-flow counts as unused. If
+    [witness] is given, it is set to the flow with the largest
+    {!flow_residual} (the first such flow, or the first with a NaN
+    residual; -1 when there are no flows).
     @raise Invalid_argument on a rates, prices or loads length that does
     not match the problem. *)
 
@@ -54,5 +61,23 @@ val check :
   prices:float array ->
   report
 (** {!check_into} with a fresh loads buffer. *)
+
+val flow_residual :
+  used_threshold:float ->
+  Problem.t ->
+  rates:float array ->
+  prices:float array ->
+  int ->
+  float
+(** [flow_residual ~used_threshold p ~rates ~prices i] is flow [i]'s own
+    term in the report {!check_into} gives with the same
+    [used_threshold]: its stationarity term if it is used, its
+    unused-direction term otherwise, bit for bit. So the max over all
+    flows is [max stationarity unused_direction], and a flow whose
+    residual is not [<= tol] proves that {!worst} is not [<= tol]
+    either. Costs the flow's group and path, not the problem, and
+    allocates nothing where it is inlined (release builds).
+    @raise Invalid_argument on a rates or prices length that does not
+    match the problem, or a flow id out of range. *)
 
 val pp : Format.formatter -> report -> unit

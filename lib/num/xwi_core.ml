@@ -27,6 +27,16 @@ let m_iterations =
     ~buckets:[ 10.; 30.; 100.; 300.; 1000.; 3000.; 10000.; 30000. ]
     "nf_xwi_iterations"
 
+let m_kkt_full_checks =
+  Metrics.counter Metrics.global
+    ~help:"Full KKT sweeps run by run_until_kkt's stopping test"
+    "nf_xwi_kkt_full_checks_total"
+
+let m_kkt_witness_checks =
+  Metrics.counter Metrics.global
+    ~help:"One-flow witness residuals run by run_until_kkt's stopping test"
+    "nf_xwi_kkt_witness_checks_total"
+
 let trace_iter tr iter =
   if Trace.on tr Trace.XwiIter then
     Trace.emit tr Trace.XwiIter ~subject:0 ~time:(float_of_int iter)
@@ -38,7 +48,7 @@ let trace_iter tr iter =
    equal the stdlib pair bit for bit on every non-NaN input, ±0 included
    ([0. +. -0.] is [0.], [-.(-.0. -. -0.)] is [-0.]), and return a NaN
    operand as the stdlib pair does. Defined in each hot unit (here,
-   [Maxmin], [Kkt]) rather than shared: dev-profile builds compile with
+   [Maxmin], [Kkt], [Queue_disc]) rather than shared: dev-profile builds compile with
    -opaque, which disables cross-unit inlining, and a non-inlined
    float -> float call boxes its arguments and result. *)
 
@@ -363,23 +373,30 @@ let init ?pool problem =
   make_state ?pool problem ~prices ~rates
 
 (* Weights from the given prices at the equal-weight allocation, then the
-   allocation those weights induce. *)
+   allocation those weights induce. Only multipath groups read the
+   allocation (their §6.3 split); when every group is a singleton the
+   water-fill overwrites the rates unread, so the equal-weight solve and
+   its throwaway workspace are skipped. *)
 let init_with_prices ?pool problem ~prices =
   if Array.length prices <> Problem.n_links problem then
     invalid_arg "Xwi_core.init_with_prices: prices length";
-  let state =
-    make_state ?pool problem ~prices:(Array.copy prices)
-      ~rates:(equal_weight_rates problem)
+  let inc = Problem.incidence problem in
+  let rates =
+    if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
+    else equal_weight_rates problem
   in
-  allocate (Problem.incidence problem) state;
+  let state = make_state ?pool problem ~prices:(Array.copy prices) ~rates in
+  allocate inc state;
   state
 
 (* Warm restart across a problem delta: keep the converged per-link price
    vector (links are stable across flow churn), rebuild everything sized
    per-flow/per-group for the new snapshot. Near the old fixpoint the
-   carried prices put the first Eq. 7 weight computation — and hence the
-   first max-min allocation — almost exactly right, so re-convergence
-   takes a few iterations instead of a cold start's hundreds. *)
+   carried prices put the first Eq. 7 weight computation, and hence the
+   first max-min allocation, close to right, but re-convergence still
+   takes hundreds of iterations: on nfbench's serve_churn stream (a
+   churning 100-flow leaf-spine, seed 1) about 309 per epoch on average
+   and about 4100 at the p99. *)
 let resize ?pool problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";
@@ -487,24 +504,44 @@ let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) proble
     params state =
   Nf_util.Profile.time "xwi-solve" @@ fun () ->
   let tr = Trace.default () in
+  let rates = state.rates and prices = state.prices in
   (* The check's link loads go to the state's own [b_loads]: the next
      [step] recomputes them before reading, so the stopping test
      allocates nothing but its report. *)
   let loads = state.buffers.b_loads in
+  (* Witness-first stopping test (DESIGN.md "KKT stopping test"): after a
+     failed full check, [witness] is its worst flow, and while that one
+     flow's residual is not [<= tol] the full check would fail too, so the
+     run steps on without it. Iterations, [converged] and the reported
+     residual are those of a full check at every check point. *)
+  let witness = ref (-1) and used_threshold = Kkt.default_used_threshold in
+  let full_checks = ref 0 and witness_checks = ref 0 in
   let iter = ref 0 and worst = ref infinity and checking = ref true in
+  let advance () =
+    let chunk = Stdlib.min check_every (max_iters - !iter) in
+    for k = 1 to chunk do
+      step problem params state;
+      trace_iter tr (!iter + k)
+    done;
+    iter := !iter + chunk
+  in
   while !checking do
-    worst :=
-      Kkt.worst
-        (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads);
-    if !worst <= tol || !iter >= max_iters then checking := false
+    if !witness >= 0 && !iter < max_iters
+       && (incr witness_checks;
+           not
+             (Kkt.flow_residual ~used_threshold problem ~rates ~prices !witness
+             <= tol))
+    then advance ()
     else begin
-      let chunk = Stdlib.min check_every (max_iters - !iter) in
-      for k = 1 to chunk do
-        step problem params state;
-        trace_iter tr (!iter + k)
-      done;
-      iter := !iter + chunk
+      incr full_checks;
+      worst :=
+        Kkt.worst
+          (Kkt.check_into ~used_threshold ~witness problem ~rates ~prices ~loads);
+      if !worst <= tol || !iter >= max_iters then checking := false
+      else advance ()
     end
   done;
+  Metrics.add m_kkt_full_checks !full_checks;
+  Metrics.add m_kkt_witness_checks !witness_checks;
   finish_run state ~residual:!worst
     { iterations = !iter; converged = !worst <= tol }

@@ -65,7 +65,9 @@ val init : ?pool:Nf_util.Shard.t -> Problem.t -> state
 val init_with_prices : ?pool:Nf_util.Shard.t -> Problem.t -> prices:float array -> state
 (** Start from given prices (e.g. carried over across a flow-arrival event
     in dynamic scenarios); rates start at the allocation they induce
-    (Eq. 7 weights at the equal-weight allocation, then the water-fill).
+    (Eq. 7 weights at the equal-weight allocation, then the water-fill;
+    when every group is a single flow the weights do not read the rates,
+    and the equal-weight water-fill is skipped).
     Auto-attaches a {!Diag.t} like {!init}. *)
 
 val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
@@ -121,9 +123,17 @@ val run_until_kkt :
     falls below [tol] (default 1e-6), checking every [check_every]
     iterations (default 10). This is the efficient stopping rule for
     oracle-style use: per-iteration deltas can stall at numerical noise
-    long after the iterate is optimal to any practical tolerance. Each
-    check is {!Kkt.check_into} on the state's own scratch, so it
-    allocates only its report. *)
+    long after the iterate is optimal to any practical tolerance.
+
+    A check first recomputes one flow's {!Kkt.flow_residual}: the worst
+    flow of the last failed full check (its {e witness}). While that
+    residual is not [<= tol] the full check cannot pass, so the run steps
+    on without it; only when the witness clears (or there is none yet, or
+    the run is at [max_iters]) does it run {!Kkt.check_into} on the
+    state's own scratch, which allocates only its report. Iterations,
+    [converged] and the final residual are exactly those of a full check
+    at every check point. The counters [nf_xwi_kkt_full_checks_total] and
+    [nf_xwi_kkt_witness_checks_total] count the two kinds of check. *)
 
 (** {2 Hot-loop primitives}
 

@@ -589,6 +589,26 @@ let random_kkt_problem rng =
   in
   Problem.create ~caps ~groups
 
+(* The per-flow residuals, max-reduced, are the report's
+   [max stationarity unused_direction] bit for bit, and the witness
+   [check_into] names is the first flow holding that max. *)
+let check_flow_residuals what p ~used_threshold ~rates ~prices ~loads =
+  let r =
+    Array.init (Problem.n_flows p) (fun i ->
+        Kkt.flow_residual ~used_threshold p ~rates ~prices i)
+  in
+  let witness = ref (-2) in
+  let report = Kkt.check_into ~used_threshold ~witness p ~rates ~prices ~loads in
+  check_bits (what ^ ": max")
+    (Float.max report.Kkt.stationarity report.Kkt.unused_direction)
+    (Array.fold_left Float.max 0. r);
+  let first_max = ref (-1) in
+  Array.iteri
+    (fun i x ->
+      if !first_max < 0 || x > r.(!first_max) then first_max := i)
+    r;
+  Alcotest.(check int) (what ^ ": witness") !first_max !witness
+
 let test_kkt_check_into_matches_oracle () =
   let rng = Rng.create ~seed:2024 in
   for case = 1 to 300 do
@@ -605,7 +625,14 @@ let test_kkt_check_into_matches_oracle () =
       check_report (what ^ " (check)") expected (Kkt.check p ~rates ~prices);
       check_report (what ^ " (threshold)")
         (kkt_oracle ~used_threshold:0.3 p ~rates ~prices)
-        (Kkt.check_into ~used_threshold:0.3 p ~rates ~prices ~loads)
+        (Kkt.check_into ~used_threshold:0.3 p ~rates ~prices ~loads);
+      List.iter
+        (fun used_threshold ->
+          check_flow_residuals
+            (Printf.sprintf "%s (flow residuals, threshold %g)" what
+               used_threshold)
+            p ~used_threshold ~rates ~prices ~loads)
+        [ Kkt.default_used_threshold; 0.3 ]
     in
     (* Arbitrary iterates: idle sub-flows (zero or below the used
        threshold of their group) next to busy ones. *)
@@ -643,6 +670,114 @@ let test_kkt_check_into_validates () =
   Alcotest.check_raises "rates length"
     (Invalid_argument "Kkt.check: rates length") (fun () ->
       ignore (Kkt.check p ~rates:[| 5. |] ~prices:[| 0.2 |]))
+
+(* [Xwi.run_until_kkt]'s stopping rule without the witness: a full check
+   at every check point. The oracle the witness-first loop must match
+   exactly; returns (iterations, converged, final worst residual). *)
+let run_until_kkt_oracle ~tol ~check_every ~max_iters p state =
+  let iter = ref 0 and worst = ref infinity and checking = ref true in
+  while !checking do
+    worst := Kkt.worst (Kkt.check p ~rates:state.Xwi.rates ~prices:state.Xwi.prices);
+    if !worst <= tol || !iter >= max_iters then checking := false
+    else begin
+      let chunk = min check_every (max_iters - !iter) in
+      for _ = 1 to chunk do
+        Xwi.step p Xwi.default_params state
+      done;
+      iter := !iter + chunk
+    end
+  done;
+  (!iter, !worst <= tol, !worst)
+
+let full_checks =
+  Nf_util.Metrics.counter Nf_util.Metrics.global "nf_xwi_kkt_full_checks_total"
+
+(* Check points of the oracle runs, and the full checks [run_until_kkt]
+   made at the same points, over every [witness_matches_oracle] call. *)
+let oracle_checks = ref 0 and witness_full_checks = ref 0
+
+(* Runs [Xwi.run_until_kkt] and the oracle from bit-identical states and
+   requires the same iterations, [converged], final residual (the one a
+   capped run reports on its [XwiNonconverged] trace event) and rate and
+   price bits. [perturb] edits both start states the same way. Returns
+   the run and its final state. *)
+let witness_matches_oracle what p ~tol ~check_every ~max_iters ~perturb =
+  let fresh () =
+    let st = Xwi.init p in
+    Xwi.set_diag st None;
+    perturb st;
+    st
+  in
+  let oracle_state = fresh () and state = fresh () in
+  let iterations, converged, worst =
+    run_until_kkt_oracle ~tol ~check_every ~max_iters p oracle_state
+  in
+  let sink = Nf_util.Trace.make ~kinds:[ Nf_util.Trace.XwiNonconverged ] () in
+  let saved = Nf_util.Trace.default () in
+  Nf_util.Trace.set_default sink;
+  let full_before = Nf_util.Metrics.counter_value full_checks in
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Nf_util.Trace.set_default saved)
+      (fun () ->
+        Xwi.run_until_kkt ~tol ~check_every ~max_iters p Xwi.default_params state)
+  in
+  oracle_checks := !oracle_checks + 1 + ((iterations + check_every - 1) / check_every);
+  witness_full_checks :=
+    !witness_full_checks + Nf_util.Metrics.counter_value full_checks - full_before;
+  Alcotest.(check int) (what ^ ": iterations") iterations run.Xwi.iterations;
+  Alcotest.(check bool) (what ^ ": converged") converged run.Xwi.converged;
+  (match Nf_util.Trace.events sink with
+  | [] -> Alcotest.(check bool) (what ^ ": no capped-run event") true converged
+  | [ e ] -> check_bits (what ^ ": reported residual") worst e.Nf_util.Trace.value
+  | _ -> Alcotest.fail (what ^ ": more than one capped-run event"));
+  let same name a b =
+    Array.iteri (fun i x -> check_bits (Printf.sprintf "%s: %s %d" what name i) x b.(i)) a
+  in
+  same "rate" oracle_state.Xwi.rates state.Xwi.rates;
+  same "price" oracle_state.Xwi.prices state.Xwi.prices;
+  (run, state)
+
+(* Seeded Log / Power / Opaque problems with multipath groups: to a
+   certificate at both check granularities, into the iteration cap, and
+   from an injected NaN rate. *)
+let test_witness_stopping_matches_oracle () =
+  let rng = Rng.create ~seed:4242 in
+  let idle = ref 0 and capped = ref 0 in
+  let keep _ = () in
+  for case = 1 to 60 do
+    let p = random_kkt_problem rng in
+    let what = Printf.sprintf "case %d" case in
+    List.iter
+      (fun check_every ->
+        let _, st =
+          witness_matches_oracle
+            (Printf.sprintf "%s, check_every %d" what check_every)
+            p ~tol:1e-6 ~check_every ~max_iters:20_000 ~perturb:keep
+        in
+        (* Idle sub-flows at the end: the unused-direction term was in
+           play. *)
+        let y = Array.make (Problem.n_groups p) 0. in
+        Problem.group_rates_into p ~rates:st.Xwi.rates y;
+        Array.iteri
+          (fun i x -> if x <= 1e-6 *. y.(Problem.flow_group p i) then incr idle)
+          st.Xwi.rates)
+      [ 1; 10 ];
+    let run, _ =
+      witness_matches_oracle (what ^ ", capped") p ~tol:1e-14 ~check_every:1
+        ~max_iters:(5 + Rng.int rng 40) ~perturb:keep
+    in
+    if not run.Xwi.converged then incr capped;
+    let victim = Rng.int rng (Problem.n_flows p) in
+    ignore
+      (witness_matches_oracle (what ^ ", NaN rate") p ~tol:1e-6
+         ~check_every:(1 + Rng.int rng 10) ~max_iters:300
+         ~perturb:(fun st -> st.Xwi.rates.(victim) <- nan))
+  done;
+  Alcotest.(check bool) "some runs end with idle sub-flows" true (!idle > 0);
+  Alcotest.(check bool) "some runs hit the cap" true (!capped > 0);
+  Alcotest.(check bool) "the witness skipped full checks" true
+    (!witness_full_checks < !oracle_checks)
 
 (* ------------------------------------------------------------------ *)
 (* Problem structure *)
@@ -1359,6 +1494,8 @@ let () =
           quick "check_into matches the per-flow oracle bitwise"
             test_kkt_check_into_matches_oracle;
           quick "check_into validates lengths" test_kkt_check_into_validates;
+          quick "witness-first stopping matches the full-check loop"
+            test_witness_stopping_matches_oracle;
         ] );
       ( "problem",
         [
