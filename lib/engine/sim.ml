@@ -79,6 +79,18 @@ let schedule_after t ?cat ~delay action =
 let periodic t ?cat ?start ~interval action =
   periodic_cat t ~cat:(cat_of_opt cat) ?start ~interval action
 
+(* Comparison-only [Float.max], the NUM core's [fmax] (see
+   [Nf_num.Xwi_core.fmax]): bit-identical to the stdlib on every non-NaN
+   input, ±0 included, NaN-propagating like it, and free of its
+   [caml_signbit_float] C calls. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x then y
+  else if x > y then x
+  else if Float.is_nan x then x
+  else if Float.is_nan y then y
+  else if Float.equal x 0. then x +. y
+  else x
+
 (* The dispatch loop proper, split out of [run] so it can carry [@nf.hot]
    (the Fun.protect closure in [run] is per-run, not per-event, and stays
    outside the annotation). *)
@@ -88,9 +100,7 @@ let[@nf.hot] run_loop t horizon profiling gcing dispatched =
   while !continue && not t.stopped do
     if Fheap.is_empty q then begin
       if Float.is_finite horizon then
-        t.clock <-
-          (Float.max t.clock horizon
-          [@nf.allow "hot-alloc -- loop exit, once per run"]);
+        t.clock <- fmax t.clock horizon;
       continue := false
     end
     else begin

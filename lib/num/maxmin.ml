@@ -130,40 +130,52 @@ let solve ~caps ~paths ~weights =
 (* ------------------------------------------------------------------ *)
 (* Sparse (CSR/CSC-driven) water-filling over an [Incidence.t].
 
-   Same progressive-filling semantics as [solve], but the freeze
-   scan is link-major: instead of re-walking every unfrozen flow's path
-   each round, only the flows on this round's saturated links (their CSC
-   columns) are visited, and each frozen flow retires its own CSR row.
-   Work is O(rounds * n_links + nnz) instead of O(rounds * nnz).
+   Same progressive-filling semantics as [solve], with different
+   bookkeeping. The freeze scan is link-major: only the flows on this
+   round's saturated links (their CSC columns) are visited, and each
+   frozen flow retires its own CSR row. And each live link carries two
+   fill levels, with F_l the load of its frozen flows and A_l the weight
+   of its active ones:
+   - its saturation level s_l = (c_l - F_l) / A_l, the level at which it
+     is full;
+   - its trip level t_l = (c_l - F_l - 1e-9 c_l) / A_l, the level from
+     which [solve]'s 1e-9 tolerance counts it as saturated.
+   Both change only when a flow crossing the link freezes. A round is
+   then one compare-only scan of the live links: the argmin is the
+   lowest id with the smallest s_l, the level rises to it, and the round
+   saturates the argmin plus every link with t_l <= level. Work is
+   O(rounds * n_links + nnz) instead of O(rounds * nnz).
 
-   The fill levels match [solve_core] up to floating-point rounding (the
-   active-weight decrements accumulate in link-major rather than
-   flow-major order), so rates agree to ~1e-9 relative, not bitwise;
-   [bottleneck] reports the lowest-numbered saturated link instead of the
-   first on the flow's path. [solve] above stays the reference. *)
+   A_l only loses weight once set up, by one subtraction per retired
+   flow, and weights span the 1e-30 floor to 1e300: a heavy flow's
+   retirement can cancel A_l to a fraction of its rounding error, or to
+   exactly 0 with the light flows' weight absorbed. So a retirement that
+   leaves A_l below 2^-12 of its last exact sum makes the round recount
+   it from the link's unfrozen flows. Between recounts the subtractions
+   err by at most ~2^-53 of that sum each, so A_l stays within about
+   (flows on l) * 2^-41 relative, and a level never overshoots a link's
+   capacity by more than that.
 
-(* Comparison-only [Float.max] (bit-identical on non-NaN inputs, NaN
-   propagating); see [Xwi_core.fmax] for why each hot unit keeps its
-   own. *)
-let[@inline] fmax (x : float) (y : float) =
-  if y > x then y
-  else if x > y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then x +. y
-  else x
+   In exact arithmetic the rounds, the tie-break and the tolerance are
+   those of [solve]. In floating point the levels come from a different
+   chain of roundings, so rates agree to ~1e-9 relative, not bitwise.
+   [solve] above stays the reference. *)
 
 type sparse_workspace = {
   s_frozen : bool array;  (* n_flows *)
-  s_rem_cap : float array;  (* n_links *)
-  s_active_weight : float array;  (* n_links *)
+  s_free : float array;  (* n_links; c_l - F_l *)
+  s_active_weight : float array;  (* n_links; A_l *)
+  s_exact_weight : float array;  (* n_links; A_l at its last exact sum *)
   s_active_count : int array;  (* n_links *)
-  s_saturated : int array;  (* n_links; this round's saturated link ids *)
+  s_sat_level : float array;  (* n_links; s_l *)
+  s_trip_level : float array;  (* n_links; t_l *)
+  s_saturated : int array;
+      (* n_links; this round's candidates, then its saturated links,
+         then its links to recount *)
   s_live : int array;  (* n_links; compacting list of links with active flows *)
+  s_live0 : int array;  (* links some flow crosses, ascending (static per inc) *)
   s_round : int array;  (* n_flows; flows frozen in the current round *)
   s_count0 : int array;  (* n_links; initial active counts (static per inc) *)
-  s_bottleneck : int array;  (* n_flows *)
-  s_fair_share : float array;  (* n_flows *)
   (* Diagnostics of the last solve, read by [Nf_num.Diag]. Ints are
      immediate; the final fill level lives in a 1-element float array
      because a mutable float field of this mixed record would box on
@@ -182,17 +194,30 @@ let sparse_workspace (inc : Incidence.t) =
     let l = inc.Incidence.row_cols.(k) in
     count0.(l) <- count0.(l) + 1
   done;
+  let n_live0 = ref 0 in
+  for l = 0 to n_links - 1 do
+    if count0.(l) > 0 then incr n_live0
+  done;
+  let live0 = Array.make !n_live0 0 and j = ref 0 in
+  for l = 0 to n_links - 1 do
+    if count0.(l) > 0 then begin
+      live0.(!j) <- l;
+      incr j
+    end
+  done;
   {
     s_frozen = Array.make n_flows false;
-    s_rem_cap = Array.make n_links 0.;
+    s_free = Array.make n_links 0.;
     s_active_weight = Array.make n_links 0.;
+    s_exact_weight = Array.make n_links 0.;
     s_active_count = Array.make n_links 0;
+    s_sat_level = Array.make n_links 0.;
+    s_trip_level = Array.make n_links 0.;
     s_saturated = Array.make n_links 0;
     s_live = Array.make n_links 0;
+    s_live0 = live0;
     s_round = Array.make n_flows 0;
     s_count0 = count0;
-    s_bottleneck = Array.make n_flows (-1);
-    s_fair_share = Array.make n_flows 0.;
     s_stat_rounds = 0;
     s_stat_saturated = 0;
     s_stat_level = Array.make 1 0.;
@@ -204,6 +229,13 @@ let sparse_saturated_links ws = ws.s_stat_saturated
 
 let sparse_level ws = ws.s_stat_level.(0)
 
+(* Link [l]'s saturation and trip levels, from its free capacity [f] and
+   active weight [a]. *)
+let[@inline] set_levels ws (caps : float array) l f a =
+  Array.unsafe_set ws.s_sat_level l (f /. a);
+  Array.unsafe_set ws.s_trip_level l
+    ((f -. (1e-9 *. Array.unsafe_get caps l)) /. a)
+
 let[@nf.hot] solve_sparse ws (inc : Incidence.t)
     ~(weights : Incidence.vec) ~(rates : Incidence.vec) =
   let n_flows = inc.Incidence.n_flows and n_links = inc.Incidence.n_links in
@@ -213,19 +245,18 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   and col_rows = inc.Incidence.col_rows
   and caps = inc.Incidence.caps in
   let frozen = ws.s_frozen
-  and rem_cap = ws.s_rem_cap
+  and free = ws.s_free
   and active_weight = ws.s_active_weight
+  and exact_weight = ws.s_exact_weight
   and active_count = ws.s_active_count
+  and sat_level = ws.s_sat_level
+  and trip_level = ws.s_trip_level
   and saturated = ws.s_saturated
-  and bottleneck = ws.s_bottleneck
-  and fair_share = ws.s_fair_share in
+  and live = ws.s_live
+  and live0 = ws.s_live0 in
   Array.fill frozen 0 n_flows false;
   Array.fill active_weight 0 n_links 0.;
   Array.blit ws.s_count0 0 active_count 0 n_links;
-  Array.fill bottleneck 0 n_flows (-1);
-  Array.fill fair_share 0 n_flows 0.;
-  Array.fill rates 0 n_flows 0.;
-  Array.blit caps 0 rem_cap 0 n_links;
   (* Flow-major setup sweep, same accumulation order as [solve];
      counts are static and come from the precomputed [s_count0]. *)
   for i = 0 to n_flows - 1 do
@@ -238,79 +269,89 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   done;
   (* Links with active flows, ascending; compacted in place as links
      drain so later rounds only scan what is still constraining. Order
-     preservation keeps every sweep (and hence argmin tie-breaks and the
-     saturated-link freeze order) identical to a full 0..n_links-1 scan
-     that skips empty links. *)
-  let live = ws.s_live in
-  let n_live = ref 0 in
-  for l = 0 to n_links - 1 do
-    if Array.unsafe_get active_count l > 0 then begin
-      Array.unsafe_set live !n_live l;
-      incr n_live
-    end
+     preservation keeps every scan (and hence the argmin tie-break and
+     the saturated-link freeze order) that of a full 0..n_links-1 scan
+     that skips empty links. The capacities are read here on every
+     solve, never cached: [caps] is [Problem.caps], which changes in
+     place. *)
+  let n_live0 = Array.length live0 in
+  Array.blit live0 0 live 0 n_live0;
+  for s = 0 to n_live0 - 1 do
+    let l = Array.unsafe_get live0 s in
+    let c = Array.unsafe_get caps l and a = Array.unsafe_get active_weight l in
+    Array.unsafe_set free l c;
+    Array.unsafe_set exact_weight l a;
+    set_levels ws caps l c a
   done;
   ws.s_stat_rounds <- 0;
   ws.s_stat_saturated <- 0;
   let level = ref 0. in
+  let n_live = ref n_live0 in
   let n_active = ref n_flows in
   while !n_active > 0 do
-    let delta = ref infinity and argmin = ref (-1) in
-    let kept = ref 0 in
+    (* One scan: compact, find the argmin of s_l, and collect as
+       candidates each new running minimum and the links whose t_l is at
+       most the running minimum (or the current level). The minimum only
+       falls, so the argmin and every link with t_l <= max(level, min
+       s_l) are candidates; the filter below drops the rest. *)
+    let lvl = !level in
+    let smin = ref infinity and argmin = ref (-1) in
+    let kept = ref 0 and n_cand = ref 0 in
     for s = 0 to !n_live - 1 do
       let l = Array.unsafe_get live s in
       if Array.unsafe_get active_count l > 0 then begin
         Array.unsafe_set live !kept l;
         incr kept;
-        let d =
-          fmax 0.
-            (Array.unsafe_get rem_cap l /. Array.unsafe_get active_weight l)
-        in
-        if d < !delta then begin
-          delta := d;
-          argmin := l
+        let sl = Array.unsafe_get sat_level l
+        and tl = Array.unsafe_get trip_level l in
+        if sl < !smin then begin
+          smin := sl;
+          argmin := l;
+          Array.unsafe_set saturated !n_cand l;
+          incr n_cand
+        end
+        else if tl <= !smin || tl <= lvl then begin
+          Array.unsafe_set saturated !n_cand l;
+          incr n_cand
         end
       end
     done;
     n_live := !kept;
     if !argmin < 0 then begin
-      (* Defensive: no active flow crosses any link (impossible, every
-         flow has a non-empty path). *)
+      (* Defensive: no live link has a saturation level below +inf,
+         which only non-finite weights can cause (every flow has a
+         non-empty path, and cancelled sums are recounted). Freeze what
+         is left at the current level. *)
       for i = 0 to n_flows - 1 do
         if not (Array.unsafe_get frozen i) then begin
           Array.unsafe_set frozen i true;
-          Array.unsafe_set fair_share i !level;
-          Array.unsafe_set rates i
-            (Array.unsafe_get weights i *. !level)
+          Array.unsafe_set rates i (Array.unsafe_get weights i *. lvl)
         end
       done;
       n_active := 0
     end
     else begin
-      let d = !delta in
-      level := !level +. d;
-      (* Collect this round's saturated links in ascending id order; the
-         argmin link is saturated by construction even if rounding left
-         it epsilon above zero. *)
+      let lv = if !smin > lvl then !smin else lvl in
+      level := lv;
+      (* This round's saturated links, ascending: the candidates whose
+         trip level the new level reaches, and the argmin, which
+         saturates by construction even if its trip level is above the
+         level (an active weight at <= 0, which the recount below
+         prevents, but progress must not depend on it). *)
+      let am = !argmin in
       let n_sat = ref 0 in
-      for s = 0 to !n_live - 1 do
-        let l = Array.unsafe_get live s in
-        let rc =
-          Array.unsafe_get rem_cap l -. (Array.unsafe_get active_weight l *. d)
-        in
-        let rc = if rc < 0. then 0. else rc in
-        Array.unsafe_set rem_cap l rc;
-        if Int.equal l !argmin || rc <= 1e-9 *. Array.unsafe_get caps l
-        then begin
+      for k = 0 to !n_cand - 1 do
+        let l = Array.unsafe_get saturated k in
+        if Int.equal l am || Array.unsafe_get trip_level l <= lv then begin
           Array.unsafe_set saturated !n_sat l;
           incr n_sat
         end
       done;
       (* Freeze pass: record this round's flows first, then retire their
          CSR rows — and skip the retirement entirely when nothing stays
-         active (at the xWI fixpoint every flow freezes in round one, so
-         this skips the whole O(nnz) decrement walk on the steady-state
-         hot path). Deferral is exact: the decrements only feed later
-         rounds, and the same flows are processed in the same order. *)
+         active, which saves the last round's O(nnz) walk. Deferral is
+         exact: the retirements only feed later rounds, and the same
+         flows are processed in the same order. *)
       let round = ws.s_round in
       let n_round = ref 0 in
       for s = 0 to !n_sat - 1 do
@@ -320,10 +361,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
           let i = Array.unsafe_get col_rows c in
           if not (Array.unsafe_get frozen i) then begin
             Array.unsafe_set frozen i true;
-            Array.unsafe_set bottleneck i l;
-            Array.unsafe_set fair_share i !level;
-            Array.unsafe_set rates i
-              (Array.unsafe_get weights i *. !level);
+            Array.unsafe_set rates i (Array.unsafe_get weights i *. lv);
             Array.unsafe_set round !n_round i;
             incr n_round
           end
@@ -335,19 +373,58 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
       ws.s_stat_rounds <- ws.s_stat_rounds + 1;
       ws.s_stat_saturated <- ws.s_stat_saturated + !n_sat;
       n_active := !n_active - !n_round;
-      if !n_active > 0 then
+      if !n_active > 0 then begin
+        (* Retire the round's flows. [saturated] is free again; it
+           collects the links to recount, each once: a queued link's
+           exact sum is set to -inf until its recount. *)
+        let n_recount = ref 0 in
         for r = 0 to !n_round - 1 do
           let i = Array.unsafe_get round r in
-          let w = Array.unsafe_get weights i in
+          let w = Array.unsafe_get weights i
+          and x = Array.unsafe_get rates i in
           let stop = Array.unsafe_get row_ptr (i + 1) in
           for k = Array.unsafe_get row_ptr i to stop - 1 do
-            let l' = Array.unsafe_get row_cols k in
-            Array.unsafe_set active_weight l'
-              (Array.unsafe_get active_weight l' -. w);
-            Array.unsafe_set active_count l'
-              (Array.unsafe_get active_count l' - 1)
+            let l = Array.unsafe_get row_cols k in
+            let n = Array.unsafe_get active_count l - 1 in
+            let a = Array.unsafe_get active_weight l -. w
+            and f = Array.unsafe_get free l -. x in
+            Array.unsafe_set active_count l n;
+            Array.unsafe_set active_weight l a;
+            Array.unsafe_set free l f;
+            (* A drained link leaves the scan; its levels are dead. *)
+            if n > 0 then begin
+              set_levels ws caps l f a;
+              if a < Array.unsafe_get exact_weight l *. 0x1p-12 then begin
+                Array.unsafe_set exact_weight l neg_infinity;
+                Array.unsafe_set saturated !n_recount l;
+                incr n_recount
+              end
+            end
           done
+        done;
+        (* Recount after the whole round has retired, so that no flow of
+           it is subtracted from a fresh sum. A flow whose path repeats
+           the link counts once per repeat, as in the set-up sweep. *)
+        for q = 0 to !n_recount - 1 do
+          let l = Array.unsafe_get saturated q in
+          let a = ref 0. in
+          let cstop = Array.unsafe_get col_ptr (l + 1) in
+          for c = Array.unsafe_get col_ptr l to cstop - 1 do
+            let i = Array.unsafe_get col_rows c in
+            if not (Array.unsafe_get frozen i) then begin
+              let w = Array.unsafe_get weights i in
+              let stop = Array.unsafe_get row_ptr (i + 1) in
+              for k = Array.unsafe_get row_ptr i to stop - 1 do
+                if Int.equal (Array.unsafe_get row_cols k) l then a := !a +. w
+              done
+            end
+          done;
+          let a = !a in
+          Array.unsafe_set active_weight l a;
+          Array.unsafe_set exact_weight l a;
+          set_levels ws caps l (Array.unsafe_get free l) a
         done
+      end
     end
   done;
   ws.s_stat_level.(0) <- !level

@@ -33,20 +33,27 @@ val solve_sparse :
   rates:Incidence.vec ->
   unit
 (** CSR/CSC-driven water-filling into the caller's [rates] (length
-    [n_flows]): same semantics as {!solve} but the freeze scan is
-    link-major over the CSC columns of the round's saturated links, so
-    work is O(rounds · n_links + nnz) instead of O(rounds · nnz), and
-    nothing is allocated. Rates agree with {!solve} to floating-point
-    rounding (the active-weight decrements accumulate in a different
-    order), not bitwise. Capacities are read from [Incidence.caps], which
-    for a {!Problem.incidence} is {!Problem.caps} itself, so capacity
-    changes need no refresh. Inputs are assumed validated (strictly
-    positive weights and capacities). *)
+    [n_flows]): same semantics as {!solve}, but each live link carries
+    the fill level at which it saturates, updated only when one of its
+    flows freezes, so a round is one compare-only scan of the live links
+    and a link-major freeze over the CSC columns of the links it
+    saturates. Work is O(rounds · n_links + nnz) instead of
+    O(rounds · nnz), and nothing is allocated. Rates agree with {!solve}
+    to floating-point rounding, not bitwise. An active-weight sum that
+    cancels (weights 1e-30 to 1e300 on one link) is recounted, so the
+    rates stay feasible where {!solve}'s may not. Capacities are read
+    from [Incidence.caps] on every call; for a {!Problem.incidence} that
+    is {!Problem.caps} itself, so capacity changes need no refresh.
+    Inputs are assumed validated (strictly positive weights and
+    capacities). *)
 
 val sparse_rounds : sparse_workspace -> int
 (** Water-fill rounds of the last {!solve_sparse} on this workspace (each
-    round raises the fill level to the next saturating link). Diagnostic;
-    1 at the xWI fixpoint. *)
+    round raises the fill level to the next saturating link and freezes
+    every flow on the links that saturate). Diagnostic. Not 1 at the xWI
+    fixpoint: a fill takes one round per distinct bottleneck level, e.g.
+    about 62 at the certified weights of a 2560-flow, 768-link fat-tree
+    solve, and about 16 per fill across a 100-flow serve churn run. *)
 
 val sparse_saturated_links : sparse_workspace -> int
 (** Links that saturated across all rounds of the last {!solve_sparse}

@@ -177,8 +177,8 @@ let seed problem =
    own arrays, and the path prices are computed exactly once per step:
    the prices do not change between the Eq. 7 weight computation and the
    Eq. 9 residual computation, so both read [b_path_price]. Accumulation
-   orders match [Reference] operand for operand; only the water-filling
-   freeze order differs (see [Maxmin.solve_sparse]). *)
+   orders match [Reference] operand for operand; only the water-fill
+   rounds differently (see [Maxmin.solve_sparse]). *)
 
 (* Eq. 7 plus the §6.3 multipath split; all weights strictly positive. *)
 let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)

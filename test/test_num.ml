@@ -911,24 +911,71 @@ let random_problem rng =
   in
   Problem.create ~caps ~groups
 
+(* Water-fill draws for the sparse-vs-reference property, by [kind]:
+   - 0: the base mix of [random_problem], weights in [0.2, 5];
+   - 1: weights spread from the 1e-30 floor up to 1e300, so active-weight
+     sums cancel (half the draws cluster them a few decades apart, where
+     the cancellation is partial rather than total), on paths that may
+     repeat a link as in kind 3;
+   - 2: equal capacities and weights 1 or 2, so levels tie exactly;
+   - 3: paths that repeat a link (the flow loads it twice).
+   Kinds 0, 2 and 3 are well conditioned. *)
+let maxmin_draw rng kind =
+  match kind with
+  | 0 ->
+    let p = random_problem rng in
+    (p, Array.init (Problem.n_flows p) (fun _ -> Rng.uniform rng ~lo:0.2 ~hi:5.))
+  | _ ->
+    let n_links = 2 + Rng.int rng 6 in
+    let cap = Rng.uniform rng ~lo:1. ~hi:10. in
+    let caps =
+      Array.init n_links (fun _ ->
+          if kind = 2 then cap else Rng.uniform rng ~lo:1. ~hi:10.)
+    in
+    let n_flows = 2 + Rng.int rng 10 in
+    let path () =
+      let len = 1 + Rng.int rng (min 3 n_links) in
+      let links = Array.sub (Rng.permutation rng n_links) 0 len in
+      if (kind = 1 || kind = 3) && Rng.int rng 2 = 0 then
+        Array.append links [| links.(Rng.int rng len) |]
+      else links
+    in
+    let u = Utility.proportional_fair () in
+    let p =
+      Problem.create ~caps
+        ~groups:(List.init n_flows (fun _ -> Problem.single_path u (path ())))
+    in
+    let exps = Array.init 3 (fun _ -> Rng.uniform rng ~lo:(-30.) ~hi:299.) in
+    let clustered = Rng.int rng 2 = 0 in
+    let weight () =
+      match kind with
+      | 1 when clustered ->
+        (10. ** exps.(Rng.int rng 3)) *. Rng.uniform rng ~lo:1. ~hi:10.
+      | 1 -> 10. ** Rng.uniform rng ~lo:(-30.) ~hi:300.
+      | 2 -> float_of_int (1 + Rng.int rng 2)
+      | _ -> Rng.uniform rng ~lo:0.2 ~hi:5.
+    in
+    (p, Array.init n_flows (fun _ -> weight ()))
+
 let prop_sparse_maxmin_matches_reference =
   QCheck.Test.make
-    ~name:"sparse water-filling matches the legacy solver within 1e-9"
-    ~count:300 QCheck.small_int
+    ~name:
+      "sparse water-filling matches the legacy solver within 1e-9 when \
+       well conditioned, and is feasible on every draw"
+    ~count:600 (QCheck.int_bound 3999)
     (fun seed ->
       let rng = Rng.create ~seed:(seed + 2000) in
-      let p = random_problem rng in
-      let n_flows = Problem.n_flows p in
-      let weights =
-        Array.init n_flows (fun _ -> Rng.uniform rng ~lo:0.2 ~hi:5.)
-      in
-      let legacy = Reference.maxmin p ~weights in
+      let kind = seed mod 4 in
+      let p, weights = maxmin_draw rng kind in
       let inc = Problem.incidence p in
       let ws = Maxmin.sparse_workspace inc in
-      let w = Incidence.vec_of_array weights in
-      let rates = Incidence.vec n_flows in
-      Maxmin.solve_sparse ws inc ~weights:w ~rates;
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) legacy.Maxmin.rates rates)
+      let rates = Incidence.vec (Problem.n_flows p) in
+      Maxmin.solve_sparse ws inc ~weights ~rates;
+      Array.for_all (fun x -> Float.is_finite x && x >= 0.) rates
+      && Problem.feasible p ~rates
+      && (kind = 1
+         || Array.for_all2 (Fcmp.rel_eq ~rel:1e-9)
+              (Reference.maxmin p ~weights).Maxmin.rates rates))
 
 let prop_sparse_step_matches_reference =
   QCheck.Test.make ~name:"sparse xWI step matches the legacy step within 1e-9"
@@ -1296,6 +1343,63 @@ let test_maxmin_sparse_stats () =
   Alcotest.(check bool) "final level positive" true
     (Maxmin.sparse_level ws > 0.)
 
+(* Two single-flow links, one of capacity 1 and one [gap] above it: the
+   round that saturates the first also saturates the second iff the gap
+   is inside the 1e-9 tolerance. *)
+let test_maxmin_sparse_tolerance_round () =
+  let solve gap =
+    let inc =
+      Incidence.create ~caps:[| 1.; 1. +. gap |] ~paths:[| [| 0 |]; [| 1 |] |]
+        ~group_of_flow:[| 0; 1 |] ~n_groups:2
+    in
+    let ws = Maxmin.sparse_workspace inc and rates = Incidence.vec 2 in
+    Maxmin.solve_sparse ws inc ~weights:[| 1.; 1. |] ~rates;
+    (Maxmin.sparse_rounds ws, Maxmin.sparse_saturated_links ws, rates.(1))
+  in
+  let rounds, saturated, rate = solve 1e-10 in
+  Alcotest.(check int) "1e-10 apart: one round" 1 rounds;
+  Alcotest.(check int) "1e-10 apart: both links saturate" 2 saturated;
+  Alcotest.(check (float 0.)) "1e-10 apart: frozen at the first level" 1. rate;
+  let rounds, saturated, rate = solve 1e-8 in
+  Alcotest.(check int) "1e-8 apart: two rounds" 2 rounds;
+  Alcotest.(check int) "1e-8 apart: both links saturate" 2 saturated;
+  Alcotest.(check (float 0.)) "1e-8 apart: frozen at its own level"
+    (1. +. 1e-8) rate
+
+(* The workspace caches only structure. After [set_cap], a solve on a
+   used workspace gives the bits of a fresh one. The new capacity puts
+   link 1's level 1.5e-9 relative above link 0's, so the tolerance
+   (1e-9 of the new capacity, 2e-9 of the old) decides the rounds. *)
+let test_maxmin_sparse_set_cap () =
+  let u = Utility.proportional_fair () in
+  let p =
+    Problem.create ~caps:[| 1.; 2. |]
+      ~groups:
+        [
+          Problem.single_path u [| 0 |];
+          Problem.single_path u [| 1 |];
+          Problem.single_path u [| 0; 1 |];
+        ]
+  in
+  let inc = Problem.incidence p and weights = [| 1.; 1.; 1. |] in
+  let solve ws =
+    let rates = Incidence.vec 3 in
+    Maxmin.solve_sparse ws inc ~weights ~rates;
+    (rates, Maxmin.sparse_rounds ws)
+  in
+  let ws = Maxmin.sparse_workspace inc in
+  let before, _ = solve ws in
+  Problem.set_cap p 1 (1. +. 1.5e-9);
+  let reused, reused_rounds = solve ws in
+  let fresh, fresh_rounds = solve (Maxmin.sparse_workspace inc) in
+  Alcotest.(check bool) "the new capacity moves the rates" false
+    (bits_equal before reused);
+  Alcotest.(check int) "rounds as a fresh workspace" fresh_rounds reused_rounds;
+  Alcotest.(check int) "link 1 outside the tolerance: two rounds" 2
+    reused_rounds;
+  Alcotest.(check bool) "rates as a fresh workspace" true
+    (bits_equal fresh reused)
+
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -1524,6 +1628,8 @@ let () =
           quick "utility fast paths bitwise" test_utility_fast_paths_bitwise;
           quick "fmax/fmin match Float.max/min" test_fmax_fmin_match_stdlib;
           quick "sparse maxmin stats" test_maxmin_sparse_stats;
+          quick "sparse maxmin tolerance round" test_maxmin_sparse_tolerance_round;
+          quick "sparse maxmin after set_cap" test_maxmin_sparse_set_cap;
           quick "observe and report" test_diag_observe_and_report;
           quick "postmortem on non-convergence"
             test_diag_postmortem_on_nonconvergence;

@@ -384,7 +384,7 @@ let pinned_churn_iters =
     20; 49; 20; 53; 53; 19; 57; 53; 19; 57; 53; 20; 20; 53; 19; 19; 20; 53;
     125; 18; 20; 126 ]
 
-let pinned_churn_rates_md5 = "474c03a4b40176e3c3bf20976302bbad"
+let pinned_churn_rates_md5 = "50ebb1cc0d5789078e4688841ddab42c"
 
 let test_engine_pinned_churn () =
   let sc = Scenario.leaf_spine ~seed:1 () in
