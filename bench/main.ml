@@ -174,7 +174,7 @@ let micro_tests () =
       (Staged.stage (fun () ->
            incr seq;
            let p = mk_packet !seq in
-           p.Nf_sim.Packet.virtual_packet_len <- 1500. /. float_of_int (1 + (!seq mod 7));
+           p.Nf_sim.Packet.fl.Nf_sim.Packet.virtual_packet_len <- 1500. /. float_of_int (1 + (!seq mod 7));
            ignore (stfq_queue.Nf_sim.Queue_disc.enqueue p : bool);
            ignore (stfq_queue.Nf_sim.Queue_disc.dequeue () : Nf_sim.Packet.t option)));
     Test.make ~name:"bandwidth_fn_waterfill"

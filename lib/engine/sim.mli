@@ -6,11 +6,19 @@
     All of [nf_sim] runs on top of this.
 
     {b Hot path.} The event queue is a monomorphic structure-of-arrays
-    float-keyed heap ({!Nf_util.Fheap}): steady-state schedule/dispatch
-    allocates nothing beyond the handler closures the caller provides.
-    Per-packet schedulers should intern their category once ({!cat}) and
-    call the [_cat] variants — the [?cat:string] conveniences intern on
-    every call.
+    float-keyed heap ({!Nf_util.Fheap}), and the clock is an unboxed
+    float cell. {!schedule_cat} and {!schedule_after_cat} are inlined at
+    their call sites (their error branches are out of line), so in a
+    release build a float time stays unboxed across the library
+    boundary: scheduling a preallocated handler and dispatching it
+    measures 0 bytes per event (the [sim_schedule_dispatch] kernel of
+    the allocation audit, [bench/main.exe --audit-alloc]), and {!run}
+    itself allocates nothing. A dev build compiles with [-opaque], which
+    disables that inlining, and boxes two floats per schedule/dispatch
+    round trip. Handlers should be allocated once and rescheduled, not
+    built per event. Per-packet schedulers should intern their category
+    once ({!cat}) and call the [_cat] variants — the [?cat:string]
+    conveniences intern on every call.
 
     {b Observability.} Every event carries a scheduling category
     (default ["event"]); when {!Nf_util.Profile.enabled}, the event loop
@@ -39,7 +47,7 @@ val now : t -> float
 (** Current virtual time, seconds. Starts at 0. *)
 
 val schedule_cat : t -> cat:cat -> at:float -> (unit -> unit) -> unit
-(** Allocation-free scheduling primitive.
+(** Allocation-free scheduling primitive (inlined in release builds).
     @raise Invalid_argument if [at] is in the past (the message carries
     both the requested time and the current clock). *)
 

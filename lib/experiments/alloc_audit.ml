@@ -10,13 +10,14 @@
    Build-profile caveat: dune's dev profile compiles with -opaque, which
    disables cross-unit inlining, so a float crossing a library boundary
    (Fheap's [~key] argument and [top_key] result, called from nf_sim /
-   this audit) is boxed no matter what the callee looks like. That is a
+   nf_engine / this audit; [Sim.schedule_after_cat]'s [~delay], called
+   from nf_sim) is boxed no matter what the callee looks like. That is a
    property of the build profile, not of the kernels — release builds
    measure 0 — so [run] probes whether boundary floats box and grants
-   the two Fheap-boundary kernels and the KKT witness check a fixed
-   [boundary_limit] when they do. The xWI step and max-min kernels keep
-   their floats inside one compilation unit by construction and must
-   measure clean under every profile.
+   each kernel a fixed [boundary_limit] of the boxes it owes when they
+   do. The xWI step and max-min kernels keep their floats inside one
+   compilation unit by construction and must measure clean under every
+   profile.
 
    Run with the process-wide [Nf_num.Diag] config *cleared*: an attached
    diag deliberately allocates one sample record per observed step. *)
@@ -25,10 +26,10 @@ type result = { kernel : string; bytes_per_iter : float; limit : float }
 
 let budget = 1.0
 
-(* Two boxes per iteration (32 B) is the exact -opaque boundary cost of
-   the audited Fheap round trips; 40 adds measurement headroom without
-   admitting a third box. *)
-let boundary_limit = 40.0
+(* On -opaque builds, a kernel that passes [boxes] raw floats across a
+   library boundary per iteration owes exactly [boxes] 16-byte boxes;
+   8 bytes of measurement headroom stay strictly below one more box. *)
+let boundary_limit boxes = (16.0 *. float_of_int boxes) +. 8.0
 
 (* Does a float result box when returned across a library boundary? A
    1-element Fheap keyed once: [top_key] is [@inline] and allocation-free,
@@ -62,7 +63,7 @@ let stfq_kernel () =
           Nf_sim.Packet.make_data ~flow:fl ~seq:fl ~size:1500 ~path:[| 0 |]
             ~now:0.
         in
-        p.Nf_sim.Packet.virtual_packet_len <-
+        p.Nf_sim.Packet.fl.Nf_sim.Packet.virtual_packet_len <-
           1500. /. float_of_int (1 + (fl mod 7));
         p)
   in
@@ -72,6 +73,61 @@ let stfq_kernel () =
     let p = packets.(!i mod 16) in
     ignore (q.Nf_sim.Queue_disc.enqueue p : bool);
     ignore (q.Nf_sim.Queue_disc.dequeue_exn () : Nf_sim.Packet.t)
+
+(* One event through the engine: schedule a preallocated handler, then
+   dispatch it ([Sim.run] drains the one-event queue). *)
+let sim_kernel () =
+  let sim = Nf_engine.Sim.create () in
+  let cat = Nf_engine.Sim.cat "audit" in
+  let handler () = () in
+  fun () ->
+    Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:1e-6 handler;
+    Nf_engine.Sim.run sim
+
+(* NUMFabric's switch port (STFQ + the xWI engine) without the periodic
+   price update, so a [Sim.run] drains after one hop instead of running
+   the update chain forever. *)
+let hop_protocol : Nf_sim.Protocol.t =
+  (module struct
+    let name = "audit-hop"
+
+    let description = "STFQ + xWI engine, no periodic updates"
+
+    let needs_utility = false
+
+    let update_interval (_ : Nf_sim.Config.t) = None
+
+    let make_link (cfg : Nf_sim.Config.t) ~capacity =
+      {
+        Nf_sim.Protocol.lh_qdisc =
+          Nf_sim.Queue_disc.stfq ~limit_bytes:cfg.Nf_sim.Config.buffer_bytes ();
+        lh_engine = Nf_sim.Price_engine.xwi ~capacity ();
+      }
+
+    let make_flow (_ : Nf_sim.Protocol.flow_env) ~utility:_ =
+      invalid_arg "audit-hop: no flows"
+  end)
+
+(* One packet hop through the network's real per-link path: STFQ enqueue
+   and the xWI engine's [on_enqueue] ([forward]), dequeue, [on_dequeue]
+   and the two schedules ([try_transmit]), then the dispatch of the
+   link's [tx_done] and [arrive_next] handlers. The packet is reused and
+   its flow has no receiver, so the end of the path delivers nothing. *)
+let packet_hop_kernel () =
+  let sb = Nf_topo.Builders.single_bottleneck ~n_senders:1 () in
+  let net =
+    Nf_sim.Network.create ~topology:sb.Nf_topo.Builders.sb_topo
+      ~protocol:hop_protocol ()
+  in
+  let sim = Nf_sim.Network.sim net in
+  let pkt =
+    Nf_sim.Packet.make_data ~flow:0 ~seq:0 ~size:1500
+      ~path:[| sb.Nf_topo.Builders.bottleneck |] ~now:0.
+  in
+  fun () ->
+    pkt.Nf_sim.Packet.hop <- 0;
+    Nf_sim.Network.transmit net pkt;
+    Nf_engine.Sim.run sim
 
 (* The same k=4 fat-tree / ECMP / proportional-fair scenario as the
    bench's xwi_iters_per_sec@small kernel, shrunk to 64 flows. *)
@@ -156,24 +212,30 @@ let maxmin_kernel () =
   let ws = Nf_num.Maxmin.sparse_workspace inc in
   fun () -> Nf_num.Maxmin.solve_sparse ws inc ~weights ~rates
 
-(* (kernel, thunk, crosses a library boundary with raw floats) *)
+(* (kernel, thunk, raw floats it passes across a library boundary per
+   iteration: each one a box on -opaque builds). The hop's eight are
+   STFQ's Fheap key and [top_key], each [Sim.schedule_after_cat]'s
+   [delay] and the Fheap key it pushes (two schedules), and the two
+   dispatches' [top_key]. *)
 let kernels () =
   [
-    ("fheap_push_pop", fheap_kernel (), true);
-    ("stfq_enqueue_dequeue", stfq_kernel (), true);
-    ("xwi_step", xwi_kernel (), false);
-    ("kkt_witness_check", kkt_witness_kernel (), true);
-    ("maxmin_solve_sparse", maxmin_kernel (), false);
+    ("fheap_push_pop", fheap_kernel (), 2);
+    ("stfq_enqueue_dequeue", stfq_kernel (), 2);
+    ("sim_schedule_dispatch", sim_kernel (), 2);
+    ("packet_hop", packet_hop_kernel (), 8);
+    ("xwi_step", xwi_kernel (), 0);
+    ("kkt_witness_check", kkt_witness_kernel (), 1);
+    ("maxmin_solve_sparse", maxmin_kernel (), 0);
   ]
 
 let run ?iters () =
   let relaxed = boundary_boxing () in
   List.map
-    (fun (kernel, f, boundary) ->
+    (fun (kernel, f, boxes) ->
       {
         kernel;
         bytes_per_iter = Nf_util.Gcstats.bytes_per_iteration ?iters f;
-        limit = (if relaxed && boundary then boundary_limit else budget);
+        limit = (if relaxed && boxes > 0 then boundary_limit boxes else budget);
       })
     (kernels ())
 

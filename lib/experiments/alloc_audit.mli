@@ -1,6 +1,9 @@
 (** Steady-state allocation audit of the [\@nf.hot] kernels.
 
-    Five kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
+    Seven kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
+    event scheduled ({!Nf_engine.Sim.schedule_after_cat}) and dispatched,
+    one packet hop through {!Nf_sim.Network} (STFQ and the xWI engine on
+    enqueue and dequeue, the link's transmit and arrival events), one
     {!Nf_num.Xwi_core.step} on a k=4 fat tree with 64 flows, the
     stopping test's one-flow witness check ({!Nf_num.Kkt.flow_residual})
     on the same problem, and one {!Nf_num.Maxmin.solve_sparse} — are
@@ -11,12 +14,13 @@
 
     Exception: dune's dev profile compiles with [-opaque], which
     disables cross-unit inlining, so the kernels that take a raw float
-    across a library boundary box it there: the two Fheap kernels (its
-    [~key] argument and [top_key] result, two boxes per iteration) and
-    the witness check (its result, one box). {!run} probes for that
-    build profile and grants those three kernels {!boundary_limit};
-    release builds (and the CI gate, which runs the audit under
-    [--profile release]) hold every kernel to {!budget}.
+    across a library boundary box it there: the Fheap, STFQ and
+    schedule/dispatch kernels two boxes per iteration, the packet hop
+    eight, and the witness check one (its result). {!run} probes for
+    that build profile and grants each of those kernels
+    {!boundary_limit} of its box count; release builds (and the CI gate,
+    which runs the audit under [--profile release]) hold every kernel to
+    {!budget}.
 
     Driven by [bench/main.exe --audit-alloc] and the [test_alloc] suite.
     Run with the process-wide {!Nf_num.Diag} config cleared: an attached
@@ -32,9 +36,10 @@ type result = {
 val budget : float
 (** 1.0 byte per iteration. *)
 
-val boundary_limit : float
-(** 40.0 bytes per iteration: two boundary boxes (32 B) plus headroom,
-    strictly below a third box. *)
+val boundary_limit : int -> float
+(** [boundary_limit n]: [n] boundary boxes (16 B each) plus 8 B of
+    headroom, strictly below one more box — 40.0 bytes per iteration for
+    two. *)
 
 val run : ?iters:int -> unit -> result list
 (** Measure every audited kernel ([iters] forwarded to

@@ -19,7 +19,7 @@
     timer. *)
 
 type ctx = {
-  now : unit -> float;
+  sim : Nf_engine.Sim.t;  (** the clock is read from here ({!Nf_engine.Sim.now}) *)
   after : float -> (unit -> unit) -> unit;  (** schedule relative event *)
   transmit : Packet.t -> unit;  (** inject a packet at its first link *)
   complete : int -> unit;  (** called once when a finite flow finishes *)

@@ -80,17 +80,55 @@ let cat_flow_stop = Sim.cat "flow-stop"
 
 let cat_monitor = Sim.cat "monitor"
 
+(* A link's wire: the packets in flight on it (serialized, not yet
+   arrived), in a FIFO ring. A link serializes one packet at a time and
+   every packet on it shares the link's propagation delay, so its
+   arrivals are strictly increasing in time and in scheduling order: the
+   link's one preallocated [arrive_next] handler pops exactly the packet
+   a per-packet closure would have captured. *)
 type link_state = {
   link : Topology.link;
   qdisc : Queue_disc.t;
   engine : Price_engine.t;
   byte_time : float;  (* seconds to serialize one byte *)
   mutable busy : bool;
-  mutable delivered : float;  (* bytes dequeued *)
+  mutable delivered : int;  (* bytes dequeued *)
+  mutable wire : Packet.t array;  (* ring; capacity a power of two *)
+  mutable wire_head : int;  (* index of the oldest packet in flight *)
+  mutable wire_len : int;
   mutable tx_done : unit -> unit;
       (* preallocated "transmission finished" handler, built once the
          network exists, so the per-packet path schedules it for free *)
+  mutable arrive_next : unit -> unit;
+      (* preallocated "oldest packet on the wire arrives" handler *)
 }
+
+let wire_dummy = Packet.make_data ~flow:(-1) ~seq:(-1) ~size:0 ~path:[||] ~now:0.
+
+let grow_wire ls =
+  let cap = Array.length ls.wire in
+  let wire = Array.make (2 * cap) wire_dummy in
+  for i = 0 to ls.wire_len - 1 do
+    wire.(i) <- ls.wire.((ls.wire_head + i) land (cap - 1))
+  done;
+  ls.wire <- wire;
+  ls.wire_head <- 0
+
+let[@nf.hot] wire_push ls pkt =
+  if ls.wire_len = Array.length ls.wire then grow_wire ls;
+  let wire = ls.wire in
+  wire.((ls.wire_head + ls.wire_len) land (Array.length wire - 1)) <- pkt;
+  ls.wire_len <- ls.wire_len + 1
+
+(* Only ever called by [arrive_next], which is scheduled once per push. *)
+let[@nf.hot] wire_pop ls =
+  let wire = ls.wire in
+  let h = ls.wire_head in
+  let pkt = wire.(h) in
+  wire.(h) <- wire_dummy;
+  ls.wire_head <- (h + 1) land (Array.length wire - 1);
+  ls.wire_len <- ls.wire_len - 1;
+  pkt
 
 type t = {
   sim : Sim.t;
@@ -119,64 +157,64 @@ let trace t = t.trace
 (* ------------------------------------------------------------------ *)
 (* Link transmission machinery *)
 
-let rec try_transmit t ls =
+(* Trace emissions of the packet path, out of line: [~aux] builds a [Some]
+   and the payload floats box, a price only an enabled sink pays. Callers
+   guard each with [Trace.on]. *)
+let[@inline never] trace_link t kind link_id pkt =
+  Trace.emit t.trace kind ~subject:link_id ~time:(Sim.now t.sim)
+    ~aux:(float_of_int pkt.Packet.flow)
+    (float_of_int pkt.Packet.size)
+
+let[@inline never] trace_host t kind pkt =
+  Trace.emit t.trace kind ~subject:pkt.Packet.flow ~time:(Sim.now t.sim)
+    ~aux:(float_of_int pkt.Packet.size)
+    (float_of_int pkt.Packet.seq)
+
+let[@nf.hot] rec try_transmit t ls =
   (* [packet_count] then [dequeue_exn] rather than [dequeue]: the option
      wrapper would allocate once per transmitted packet. *)
   if (not ls.busy) && ls.qdisc.Queue_disc.packet_count () > 0 then begin
     let pkt = ls.qdisc.Queue_disc.dequeue_exn () in
     ls.engine.Price_engine.on_dequeue pkt;
-      ls.busy <- true;
-      ls.delivered <- ls.delivered +. float_of_int pkt.Packet.size;
-      if Trace.on t.trace Trace.Dequeue then
-        Trace.emit t.trace Trace.Dequeue ~subject:ls.link.Topology.link_id
-          ~time:(Sim.now t.sim)
-          ~aux:(float_of_int pkt.Packet.flow)
-          (float_of_int pkt.Packet.size);
-      let tx = float_of_int pkt.Packet.size *. ls.byte_time in
-      Sim.schedule_after_cat t.sim ~cat:cat_link_tx ~delay:tx ls.tx_done;
-      Sim.schedule_after_cat t.sim ~cat:cat_pkt_arrive
-        ~delay:(tx +. ls.link.Topology.delay) (fun () -> arrive t pkt)
+    ls.busy <- true;
+    ls.delivered <- ls.delivered + pkt.Packet.size;
+    if Trace.on t.trace Trace.Dequeue then
+      trace_link t Trace.Dequeue ls.link.Topology.link_id pkt;
+    let tx = float_of_int pkt.Packet.size *. ls.byte_time in
+    Sim.schedule_after_cat t.sim ~cat:cat_link_tx ~delay:tx ls.tx_done;
+    wire_push ls pkt;
+    Sim.schedule_after_cat t.sim ~cat:cat_pkt_arrive
+      ~delay:(tx +. ls.link.Topology.delay) ls.arrive_next
   end
 
-and forward t pkt link_id =
+and[@nf.hot] forward t pkt link_id =
   let ls = t.links.(link_id) in
   let marked_before = pkt.Packet.ecn in
   if ls.qdisc.Queue_disc.enqueue pkt then begin
     Metrics.incr m_forwarded;
     if Trace.on t.trace Trace.Enqueue then
-      Trace.emit t.trace Trace.Enqueue ~subject:link_id ~time:(Sim.now t.sim)
-        ~aux:(float_of_int pkt.Packet.flow)
-        (float_of_int pkt.Packet.size);
+      trace_link t Trace.Enqueue link_id pkt;
     if pkt.Packet.ecn && not marked_before then begin
       Metrics.incr m_ecn_marks;
       if Trace.on t.trace Trace.EcnMark then
-        Trace.emit t.trace Trace.EcnMark ~subject:link_id ~time:(Sim.now t.sim)
-          ~aux:(float_of_int pkt.Packet.flow)
-          (float_of_int pkt.Packet.size)
+        trace_link t Trace.EcnMark link_id pkt
     end;
     ls.engine.Price_engine.on_enqueue pkt;
     try_transmit t ls
   end
   else begin
     Metrics.incr m_dropped;
-    if Trace.on t.trace Trace.Drop then
-      Trace.emit t.trace Trace.Drop ~subject:link_id ~time:(Sim.now t.sim)
-        ~aux:(float_of_int pkt.Packet.flow)
-        (float_of_int pkt.Packet.size)
+    if Trace.on t.trace Trace.Drop then trace_link t Trace.Drop link_id pkt
   end
 
-and arrive t pkt =
+and[@nf.hot] arrive t pkt =
   pkt.Packet.hop <- pkt.Packet.hop + 1;
   if pkt.Packet.hop < Array.length pkt.Packet.path then
     forward t pkt pkt.Packet.path.(pkt.Packet.hop)
   else begin
     (* Reached the end host. *)
     Metrics.incr m_delivered;
-    if Trace.on t.trace Trace.PktRecv then
-      Trace.emit t.trace Trace.PktRecv ~subject:pkt.Packet.flow
-        ~time:(Sim.now t.sim)
-        ~aux:(float_of_int pkt.Packet.size)
-        (float_of_int pkt.Packet.seq);
+    if Trace.on t.trace Trace.PktRecv then trace_host t Trace.PktRecv pkt;
     match pkt.Packet.kind with
     | Packet.Data -> (
       match Hashtbl.find_opt t.receivers pkt.Packet.flow with
@@ -189,11 +227,7 @@ and arrive t pkt =
   end
 
 let transmit t pkt =
-  if Trace.on t.trace Trace.PktSend then
-    Trace.emit t.trace Trace.PktSend ~subject:pkt.Packet.flow
-      ~time:(Sim.now t.sim)
-      ~aux:(float_of_int pkt.Packet.size)
-      (float_of_int pkt.Packet.seq);
+  if Trace.on t.trace Trace.PktSend then trace_host t Trace.PktSend pkt;
   forward t pkt pkt.Packet.path.(0)
 
 (* ------------------------------------------------------------------ *)
@@ -222,8 +256,12 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
           engine = lh.Protocol.lh_engine;
           byte_time = 8. /. link.Topology.capacity;
           busy = false;
-          delivered = 0.;
+          delivered = 0;
+          wire = Array.make 16 wire_dummy;
+          wire_head = 0;
+          wire_len = 0;
           tx_done = (fun () -> ());
+          arrive_next = (fun () -> ());
         })
       (Topology.links topology)
   in
@@ -243,7 +281,7 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       trace;
       ctx =
         {
-          Host.now = (fun () -> Sim.now sim);
+          Host.sim;
           after =
             (fun delay f -> Sim.schedule_after_cat sim ~cat:cat_host ~delay f);
           transmit = (fun pkt -> transmit t pkt);
@@ -267,10 +305,13 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
   in
   Array.iter
     (fun ls ->
-      ls.tx_done <-
-        (fun () ->
-          ls.busy <- false;
-          try_transmit t ls))
+      let[@nf.hot] tx_done () =
+        ls.busy <- false;
+        try_transmit t ls
+      in
+      let[@nf.hot] arrive_next () = arrive t (wire_pop ls) in
+      ls.tx_done <- tx_done;
+      ls.arrive_next <- arrive_next)
     links;
   (* Synchronized periodic feedback updates on every link (§5: PTP). *)
   (match P.update_interval config with
@@ -409,7 +450,7 @@ let total_drops t =
 
 let link_price t ~link = t.links.(link).engine.Price_engine.value ()
 
-let link_delivered_bytes t ~link = t.links.(link).delivered
+let link_delivered_bytes t ~link = float_of_int t.links.(link).delivered
 
 let monitor_links t ~links ~every =
   List.iter

@@ -78,6 +78,12 @@ val add_flow : t -> flow_spec -> unit
     invalid pinned path, or a spec the protocol rejects (e.g. a missing
     utility). *)
 
+val transmit : t -> Packet.t -> unit
+(** Hand a packet to the network at the first link of its path, as a
+    sending host does ([hop] must be 0). A packet that reaches the end of
+    its path is handed to its flow's receiver (data) or sender (ACK), and
+    dropped silently if the flow is unknown. *)
+
 val stop_flow_at : t -> id:int -> float -> unit
 (** Schedule a (persistent) flow to stop sending at the given time. *)
 

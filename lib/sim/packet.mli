@@ -12,6 +12,26 @@
 
 type kind = Data | Ack
 
+(** The float header fields, in one all-float record: the compiler stores
+    its fields flat, so the per-hop stores ([path_price] at every dequeue,
+    the rest once per packet) neither box the float nor go through the
+    write barrier, as a [mutable float] field of the mixed record {!t}
+    would. *)
+type floats = {
+  sent_at : float;
+  (* --- NUMFabric data-packet fields (§5) --- *)
+  mutable virtual_packet_len : float;  (** L / w; 0 for control packets *)
+  mutable path_price : float;  (** accumulated at each dequeue *)
+  mutable normalized_residual : float;  (** (U'(R) - pathPrice) / pathLen *)
+  (* --- other protocols --- *)
+  mutable rcp_sum : float;  (** Σ R_l^-α accumulated by RCP* switches *)
+  mutable priority : float;  (** pFabric rank: remaining flow bytes *)
+  (* --- ACK echo fields --- *)
+  mutable ack_ipt : float;  (** receiver inter-packet time; nan if unknown *)
+  mutable ack_path_price : float;
+  mutable ack_rcp_sum : float;
+}
+
 type t = {
   flow : int;  (** flow id *)
   seq : int;  (** packet index within the flow (data), or echoed (ACK) *)
@@ -19,22 +39,12 @@ type t = {
   kind : kind;
   mutable hop : int;  (** index of the next link in [path] *)
   path : int array;  (** link ids from source to destination *)
-  sent_at : float;
-  (* --- NUMFabric data-packet fields (§5) --- *)
-  mutable virtual_packet_len : float;  (** L / w; 0 for control packets *)
-  mutable path_price : float;  (** accumulated at each dequeue *)
-  mutable path_len : int;  (** hop count accumulated with the price *)
-  mutable normalized_residual : float;  (** (U'(R) - pathPrice) / pathLen *)
-  (* --- other protocols --- *)
-  mutable rcp_sum : float;  (** Σ R_l^-α accumulated by RCP* switches *)
+  mutable path_len : int;
+      (** NUMFabric: hop count accumulated with [fl.path_price] *)
   mutable ecn : bool;  (** congestion-experienced mark (DCTCP) *)
-  mutable priority : float;  (** pFabric rank: remaining flow bytes *)
-  (* --- ACK echo fields --- *)
-  mutable ack_ipt : float;  (** receiver inter-packet time; nan if unknown *)
-  mutable ack_path_price : float;
-  mutable ack_path_len : int;
-  mutable ack_rcp_sum : float;
-  mutable ack_ecn : bool;
+  mutable ack_path_len : int;  (** ACK echo of [path_len] *)
+  mutable ack_ecn : bool;  (** ACK echo of [ecn] *)
+  fl : floats;  (** the float header fields *)
 }
 
 val data_size : int
@@ -47,7 +57,7 @@ val make_data :
   flow:int -> seq:int -> size:int -> path:int array -> now:float -> t
 
 val make_ack : data:t -> path:int array -> now:float -> t
-(** An ACK echoing [data]'s accumulated fields; the caller sets [ack_ipt]
-    afterwards if an inter-packet time is available. *)
+(** An ACK echoing [data]'s accumulated fields; the caller sets
+    [fl.ack_ipt] afterwards if an inter-packet time is available. *)
 
 val is_data : t -> bool

@@ -40,7 +40,9 @@ let protocol : Protocol.t =
       let cap = 2. *. env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8. in
       let on_ack (pkt : Packet.t) =
         if pkt.Packet.ack_path_len > 0 then begin
-          let price = Float.max pkt.Packet.ack_path_price Utility.min_price in
+          let price =
+            Fcmp.fmax pkt.Packet.fl.Packet.ack_path_price Utility.min_price
+          in
           rate :=
             Fcmp.clamp ~lo:1e3 ~hi:env.Protocol.env_line_rate
               (Utility.rate_from_price u price)

@@ -29,7 +29,7 @@ let protocol : Protocol.t =
         Float.max mss_f (env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8.)
       in
       let on_send (pkt : Packet.t) =
-        pkt.Packet.priority <- env.Protocol.env_remaining ()
+        pkt.Packet.fl.Packet.priority <- env.Protocol.env_remaining ()
       in
       {
         Protocol.fh_discipline = Protocol.Windowed (fun () -> window);

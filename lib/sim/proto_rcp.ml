@@ -38,10 +38,11 @@ let protocol : Protocol.t =
       let rate = ref (env.Protocol.env_line_rate /. 10.) in
       let cap = 2. *. env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8. in
       let on_ack (pkt : Packet.t) =
-        if pkt.Packet.ack_rcp_sum > 0. then
+        let sum = pkt.Packet.fl.Packet.ack_rcp_sum in
+        if sum > 0. then
           rate :=
             Fcmp.clamp ~lo:1e3 ~hi:env.Protocol.env_line_rate
-              (pkt.Packet.ack_rcp_sum ** (-1. /. alpha))
+              (sum ** (-1. /. alpha))
       in
       {
         Protocol.fh_discipline =

@@ -6,23 +6,30 @@
 
 module Utility = Nf_num.Utility
 module Ewma = Nf_util.Ewma
+module Fcmp = Nf_util.Fcmp
 
 let mss_f = float_of_int Packet.data_size
+
+(* Swift's float state, all-float so the per-packet and per-ACK stores
+   neither box nor go through the write barrier. *)
+type floats = {
+  mutable weight : float;
+  mutable window : float;  (* bytes *)
+  mutable price : float;
+}
 
 type state = {
   mutable utility : Utility.t;
   srpt_eps : float option;
     (* when set, the utility tracks the remaining size (SRPT, §2) *)
   rate : Ewma.timed;  (* R-hat *)
-  mutable weight : float;
-  mutable window : float;  (* bytes *)
-  mutable price : float;
   mutable path_len : int;
+  f : floats;
 }
 
 (* §8 extension: model switches that only support a small set of weight
    classes by rounding the weight to the nearest power of [base]. *)
-let quantize_weight (swc : Config.swift) w =
+let[@inline] quantize_weight (swc : Config.swift) w =
   match swc.Config.weight_quant_base with
   | None -> w
   | Some base when base > 1. -> base ** Float.round (log w /. log base)
@@ -72,28 +79,35 @@ let make ~srpt ~name ~description : Protocol.t =
           utility;
           srpt_eps;
           rate = Ewma.timed ~tau:swc.Config.ewma_time;
-          (* Before any price feedback, a weight on the scale of the line
-             rate keeps virtual packet lengths commensurate with later
-             (rate-scaled) weights. *)
-          weight = env.Protocol.env_line_rate;
-          window = float_of_int swc.Config.init_burst *. mss_f;
-          price = 0.;
           path_len = env.Protocol.env_path_hops;
+          f =
+            {
+              (* Before any price feedback, a weight on the scale of the
+                 line rate keeps virtual packet lengths commensurate with
+                 later (rate-scaled) weights. *)
+              weight = env.Protocol.env_line_rate;
+              window = float_of_int swc.Config.init_burst *. mss_f;
+              price = 0.;
+            };
         }
       in
+      let sf = st.f in
       let on_send (pkt : Packet.t) =
-        pkt.Packet.virtual_packet_len <-
-          mss_f /. Float.max (quantize_weight swc st.weight) 1e-30;
-        match Ewma.timed_value st.rate with
-        | Some r when st.path_len > 0 ->
-          pkt.Packet.normalized_residual <-
-            (st.utility.Utility.deriv (Float.max r 1.) -. st.price)
+        let fl = pkt.Packet.fl in
+        fl.Packet.virtual_packet_len <-
+          mss_f /. Fcmp.fmax (quantize_weight swc sf.weight) 1e-30;
+        if Ewma.timed_is_set st.rate && st.path_len > 0 then
+          fl.Packet.normalized_residual <-
+            (st.utility.Utility.deriv
+               (Fcmp.fmax (Ewma.timed_value_exn st.rate) 1.)
+            -. sf.price)
             /. float_of_int st.path_len
-        | Some _ | None -> pkt.Packet.normalized_residual <- Float.nan
+        else fl.Packet.normalized_residual <- Float.nan
       in
       let on_ack (pkt : Packet.t) =
+        let fl = pkt.Packet.fl in
         if pkt.Packet.ack_path_len > 0 then begin
-          st.price <- pkt.Packet.ack_path_price;
+          sf.price <- fl.Packet.ack_path_price;
           st.path_len <- pkt.Packet.ack_path_len
         end;
         (match st.srpt_eps with
@@ -101,26 +115,26 @@ let make ~srpt ~name ~description : Protocol.t =
           st.utility <-
             Utility.fct_remaining ~remaining:(env.Protocol.env_remaining ()) ~eps
         | None -> ());
-        st.weight <-
+        sf.weight <-
           Utility.rate_from_price st.utility
-            (Float.max st.price Utility.min_price);
-        if Nf_util.Fcmp.is_finite pkt.Packet.ack_ipt && pkt.Packet.ack_ipt > 0.
-        then begin
-          let sample = mss_f *. 8. /. pkt.Packet.ack_ipt in
+            (Fcmp.fmax sf.price Utility.min_price);
+        let ipt = fl.Packet.ack_ipt in
+        if Float.is_finite ipt && ipt > 0. then begin
+          let sample = mss_f *. 8. /. ipt in
           Ewma.timed_update st.rate ~now:(env.Protocol.env_now ()) sample;
           let r = Ewma.timed_value_exn st.rate in
           let w =
             r *. (env.Protocol.env_d0 +. swc.Config.dt_slack) /. 8.
           in
-          st.window <- Float.max w mss_f
+          sf.window <- Fcmp.fmax w mss_f
         end
       in
       {
-        Protocol.fh_discipline = Protocol.Windowed (fun () -> st.window);
+        Protocol.fh_discipline = Protocol.Windowed (fun () -> sf.window);
         fh_on_send = on_send;
         fh_on_ack = on_ack;
         fh_rto = Protocol.default_rto ~d0:env.Protocol.env_d0;
-        fh_window = (fun () -> Some st.window);
+        fh_window = (fun () -> Some sf.window);
         fh_rate_estimate = (fun () -> Ewma.timed_value st.rate);
       }
   end)

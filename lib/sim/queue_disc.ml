@@ -114,7 +114,7 @@ let stfq ?(limit_bytes = default_limit_bytes) () =
       ensure_flow fl;
       let tags = !finish_tags in
       let start_tag = fmax virtual_time.(0) tags.(fl) in
-      tags.(fl) <- start_tag +. p.Packet.virtual_packet_len;
+      tags.(fl) <- start_tag +. p.Packet.fl.Packet.virtual_packet_len;
       Nf_util.Fheap.push heap ~key:start_tag ~aux:0 p;
       bytes := !bytes + p.Packet.size;
       true
@@ -148,6 +148,8 @@ let stfq ?(limit_bytes = default_limit_bytes) () =
 
 type pf_entry = { p : Packet.t; arrival : int }
 
+let prio e = e.p.Packet.fl.Packet.priority
+
 let pfabric ?(limit_bytes = default_limit_bytes) () =
   let entries : pf_entry list ref = ref [] in
   let bytes = ref 0 in
@@ -175,11 +177,11 @@ let pfabric ?(limit_bytes = default_limit_bytes) () =
             match acc with
             | None -> Some e
             | Some w ->
-              if e.p.Packet.priority > w.p.Packet.priority then Some e else acc)
+              if prio e > prio w then Some e else acc)
           None !entries
       in
       match worst with
-      | Some w when w.p.Packet.priority > p.Packet.priority ->
+      | Some w when prio w > p.Packet.fl.Packet.priority ->
         remove_entry w;
         incr dropped;
         insert p;
@@ -201,9 +203,7 @@ let pfabric ?(limit_bytes = default_limit_bytes) () =
             | None -> Some e
             | Some b ->
               if
-                e.p.Packet.priority < b.p.Packet.priority
-                || (e.p.Packet.priority = b.p.Packet.priority
-                    && e.arrival < b.arrival)
+                prio e < prio b || (prio e = prio b && e.arrival < b.arrival)
               then Some e
               else acc)
           None !entries

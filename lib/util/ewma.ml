@@ -16,32 +16,48 @@ let gain_value_exn f =
   | Some v -> v
   | None -> invalid_arg "Ewma.gain_value_exn: no samples yet"
 
-type timed = { tau : float; mutable tv : float option; mutable last : float }
+(* All-float, so the compiler stores the fields flat and an update
+   neither boxes a float nor builds a [Some]. [set] is 1. once a sample
+   has been blended in and 0. before (a float flag keeps the record
+   all-float). *)
+type timed = {
+  tau : float;
+  mutable tv : float;
+  mutable last : float;
+  mutable set : float;
+}
 
 let timed ~tau =
   if not (tau > 0.) then invalid_arg "Ewma.timed: tau must be positive";
-  { tau; tv = None; last = neg_infinity }
+  { tau; tv = 0.; last = neg_infinity; set = 0. }
 
-let timed_update f ~now sample =
-  match f.tv with
-  | None ->
-    f.tv <- Some sample;
-    f.last <- now
-  | Some v ->
-    let dt = Float.max 0. (now -. f.last) in
+let[@inline] timed_is_set f = f.set > 0.
+
+let[@inline] timed_update f ~now sample =
+  if not (timed_is_set f) then begin
+    f.tv <- sample;
+    f.last <- now;
+    f.set <- 1.
+  end
+  else begin
+    let dt = Fcmp.fmax 0. (now -. f.last) in
     let w = 1. -. exp (-.dt /. f.tau) in
-    f.tv <- Some (((1. -. w) *. v) +. (w *. sample));
-    f.last <- Float.max now f.last
+    f.tv <- ((1. -. w) *. f.tv) +. (w *. sample);
+    f.last <- Fcmp.fmax now f.last
+  end
 
-let timed_value f = f.tv
+let timed_value f = if timed_is_set f then Some f.tv else None
 
-let timed_value_exn f =
-  match f.tv with
-  | Some v -> v
-  | None -> invalid_arg "Ewma.timed_value_exn: no samples yet"
+let[@inline never] timed_unset () =
+  invalid_arg "Ewma.timed_value_exn: no samples yet"
+
+let[@inline] timed_value_exn f =
+  if not (timed_is_set f) then timed_unset ();
+  f.tv
 
 let timed_reset f =
-  f.tv <- None;
-  f.last <- neg_infinity
+  f.tv <- 0.;
+  f.last <- neg_infinity;
+  f.set <- 0.
 
 let rise_time_90 ~tau = log 10. *. tau

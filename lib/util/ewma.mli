@@ -34,6 +34,10 @@ val timed_update : timed -> now:float -> float -> unit
     [1 - exp (-(now - t_prev) / tau)]. Out-of-order samples ([now] earlier
     than the previous update) are treated as [dt = 0] (ignored). *)
 
+val timed_is_set : timed -> bool
+(** [true] once a sample has been blended in (and until {!timed_reset}):
+    the allocation-free guard for {!timed_value_exn}. *)
+
 val timed_value : timed -> float option
 
 val timed_value_exn : timed -> float

@@ -20,6 +20,16 @@ val within_fraction : frac:float -> actual:float -> target:float -> bool
     [frac] (e.g. [0.1] for 10%) of [target]. A [target] of exactly [0.] only
     matches an [actual] below [frac *. 1e-6]. *)
 
+val fmax : float -> float -> float
+(** Comparison-only [Float.max]: bit-identical to the stdlib on every
+    non-NaN input, ±0 included, and returns a NaN operand as it does, but
+    makes no [caml_signbit_float] C call. The audited per-packet and
+    solver kernels keep in-unit copies instead (a dev-profile build
+    compiles with -opaque, and a non-inlined float call boxes). *)
+
+val fmin : float -> float -> float
+(** Comparison-only [Float.min], the twin of {!fmax}. *)
+
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] limits [x] to the interval [\[lo, hi\]]. *)
 

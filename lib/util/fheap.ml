@@ -75,8 +75,12 @@ let[@nf.hot] [@inline] push h ~key ~aux v =
   auxs.(!i) <- aux;
   data.(!i) <- v
 
-let check_nonempty h op =
-  if h.size = 0 then invalid_arg (Printf.sprintf "Fheap.%s: empty heap" op)
+(* The error branch is an out-of-line cold function, so the inlined check
+   is one compare and the [sprintf] never lands on a caller's hot path. *)
+let[@inline never] empty_heap op =
+  invalid_arg (Printf.sprintf "Fheap.%s: empty heap" op)
+
+let[@inline] check_nonempty h op = if h.size = 0 then empty_heap op
 
 let[@nf.hot] [@inline] top_key h =
   check_nonempty h "top_key";

@@ -88,7 +88,11 @@ let counter_value c = !c
 
 let set_gauge g v = g := v
 
-let max_gauge g v = if v > !g then g := v
+(* Annotated, so the comparison is a float compare rather than the
+   polymorphic [caml_greaterthan]; [@inline], so a caller's float reaches
+   it unboxed and only a new high-water mark (rare by construction)
+   boxes. *)
+let[@inline] max_gauge (g : gauge) (v : float) = if v > !g then g := v
 
 let gauge_value g = !g
 

@@ -8,7 +8,7 @@ module Alloc_audit = Nf_experiments.Alloc_audit
 
 let test_audit_within_limits () =
   let results = Alloc_audit.run ~iters:2_000 () in
-  Alcotest.(check int) "five kernels audited" 5 (List.length results);
+  Alcotest.(check int) "seven kernels audited" 7 (List.length results);
   List.iter
     (fun r ->
       Alcotest.(check bool)

@@ -107,6 +107,10 @@ let test_typed_hot_minmax =
   check_typed "hot-alloc" ~bad:"tbad_hot_minmax.ml" ~good:"tgood_hot_minmax.ml"
     ~expect:3
 
+let test_typed_hot_store =
+  check_typed "hot-alloc" ~bad:"tbad_hot_store.ml" ~good:"tgood_hot_store.ml"
+    ~expect:2
+
 let test_domain_safety =
   check_typed "domain-safety" ~bad:"tbad_domain.ml" ~good:"tgood_domain.ml"
     ~expect:5
@@ -366,6 +370,8 @@ let () =
           Alcotest.test_case "hot-alloc" `Quick test_typed_hot_alloc;
           Alcotest.test_case "hot-alloc: Float.max/min" `Quick
             test_typed_hot_minmax;
+          Alcotest.test_case "hot-alloc: boxed float stores" `Quick
+            test_typed_hot_store;
           Alcotest.test_case "domain-safety" `Quick test_domain_safety;
           Alcotest.test_case "domain-safety waiver" `Quick test_domain_waiver;
           Alcotest.test_case "stale-generation" `Quick test_stale_generation;

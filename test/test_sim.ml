@@ -20,8 +20,8 @@ let check_rate what ~frac expected actual =
 
 let mk ?(flow = 0) ?(seq = 0) ?(size = 1500) ?(vpl = 1500.) ?(prio = infinity) () =
   let p = Packet.make_data ~flow ~seq ~size ~path:[| 0 |] ~now:0. in
-  p.Packet.virtual_packet_len <- vpl;
-  p.Packet.priority <- prio;
+  p.Packet.fl.Packet.virtual_packet_len <- vpl;
+  p.Packet.fl.Packet.priority <- prio;
   p
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +290,7 @@ let test_xwi_engine_stamps () =
     (* one update interval worth of bytes: 30us * 10G / 8 = 37500 B *)
     for _ = 1 to 25 do
       let p = mk () in
-      p.Packet.normalized_residual <- 1e-10;
+      p.Packet.fl.Packet.normalized_residual <- 1e-10;
       e.Price_engine.on_enqueue p;
       e.Price_engine.on_dequeue p
     done
@@ -301,7 +301,7 @@ let test_xwi_engine_stamps () =
   Alcotest.(check bool) "price rose" true (price1 > 0.);
   let p = mk () in
   e.Price_engine.on_dequeue p;
-  Alcotest.(check (float 1e-30)) "price stamped" price1 p.Packet.path_price;
+  Alcotest.(check (float 1e-30)) "price stamped" price1 p.Packet.fl.Packet.path_price;
   Alcotest.(check int) "path len incremented" 1 p.Packet.path_len;
   (* With no traffic the price decays. *)
   e.Price_engine.update ();
@@ -723,6 +723,85 @@ let test_every_protocol_completes () =
         >= 2. *. size))
     Nf_sim.Protocols.builtins
 
+(* Pinned seeded packet runs, one per registered protocol: a k=4 fat tree
+   carrying 14 finite flows (half of them an incast onto one server), with
+   sizes and start times drawn from a fixed seed. Each run pins the events
+   dispatched, the delivered / dropped / ECN-marked packet counters and an
+   MD5 of every flow's FCT and every link's delivered bytes printed at
+   %.17g, so any change to the packet path's arithmetic or event order
+   shows up as a moved pin. *)
+let pinned_protocol_runs =
+  [
+    ("dctcp", (37407, 3590, 0, 929, "d7d4d49b80fb5cebd9ca075e8577db46"));
+    ("dgd", (40457, 3590, 0, 0, "9f7d6bc987084350838479cef6ab3311"));
+    ("numfabric", (38072, 3590, 0, 0, "d414e13bd7f2552bc5e12a0a31fab703"));
+    ("numfabric-srpt", (38072, 3590, 0, 0, "d133dc6ec03d25061c77a013ac669253"));
+    ("pfabric", (38935, 3664, 227, 0, "7574c01f600a28135db320badc917bc2"));
+    ("rcp", (40462, 3590, 0, 0, "23f9a0740e2000bd012f00d879eb17a1"));
+  ]
+
+let pinned_run p =
+  let module Metrics = Nf_util.Metrics in
+  let counter name = Metrics.counter Metrics.global name in
+  let delivered = counter "nf_sim_packets_delivered_total"
+  and dropped = counter "nf_sim_packets_dropped_total"
+  and marked = counter "nf_sim_ecn_marks_total" in
+  let d0 = Metrics.counter_value delivered
+  and x0 = Metrics.counter_value dropped
+  and m0 = Metrics.counter_value marked in
+  let ft = Builders.fat_tree ~k:4 () in
+  let s = ft.Builders.ft_servers in
+  let net = Network.create ~topology:ft.Builders.ft_topo ~protocol:p () in
+  let rng = Nf_util.Rng.create ~seed:2016 in
+  let n_flows = 14 in
+  for id = 0 to n_flows - 1 do
+    let dst = if id mod 2 = 0 then s.(15) else s.(Nf_util.Rng.int rng 15) in
+    let src =
+      let rec pick () =
+        let c = s.(Nf_util.Rng.int rng 15) in
+        if c = dst then pick () else c
+      in
+      pick ()
+    in
+    let size = float_of_int ((20 + Nf_util.Rng.int rng 180) * Packet.data_size) in
+    let start = Nf_util.Rng.float rng 200e-6 in
+    let utility =
+      if Nf_sim.Protocol.needs_utility p then Some (Utility.proportional_fair ())
+      else None
+    in
+    Network.add_flow net (Network.flow ?utility ~size ~start ~id ~src ~dst ())
+  done;
+  Network.run net ~until:0.02;
+  let buf = Buffer.create 4096 in
+  for id = 0 to n_flows - 1 do
+    match Network.fct net id with
+    | Some f -> Printf.bprintf buf "fct %d %.17g\n" id f
+    | None -> Printf.bprintf buf "fct %d none\n" id
+  done;
+  let n_links = Nf_topo.Topology.n_links ft.Builders.ft_topo in
+  for l = 0 to n_links - 1 do
+    Printf.bprintf buf "link %d %.17g\n" l (Network.link_delivered_bytes net ~link:l)
+  done;
+  ( Nf_engine.Sim.events_processed (Network.sim net),
+    Metrics.counter_value delivered - d0,
+    Metrics.counter_value dropped - x0,
+    Metrics.counter_value marked - m0,
+    Digest.to_hex (Digest.string (Buffer.contents buf)) )
+
+let test_pinned_protocol_runs () =
+  let names = List.map fst pinned_protocol_runs in
+  Alcotest.(check (list string)) "every registered protocol is pinned"
+    (Nf_sim.Protocols.names ()) names;
+  List.iter
+    (fun (name, (events, delivered, dropped, marked, md5)) ->
+      let e, d, x, m, h = pinned_run (proto name) in
+      Alcotest.(check int) (name ^ ": events") events e;
+      Alcotest.(check int) (name ^ ": delivered") delivered d;
+      Alcotest.(check int) (name ^ ": dropped") dropped x;
+      Alcotest.(check int) (name ^ ": ecn marks") marked m;
+      Alcotest.(check string) (name ^ ": fct and link-bytes md5") md5 h)
+    pinned_protocol_runs
+
 let test_record_json_has_channels () =
   (* A monitored run's record must serialize every instrumentation
      channel: queue/price/drops (link monitor), rate (receiver sink) and
@@ -890,6 +969,7 @@ let () =
         [
           quick "lookup and duplicate guard" test_registry_lookup;
           quick "every protocol completes a 2-flow run" test_every_protocol_completes;
+          quick "pinned seeded run per protocol" test_pinned_protocol_runs;
           quick "record json has all channels" test_record_json_has_channels;
           quick "record csv header" test_record_csv_header;
           quick "record empty json shape" test_record_empty_json;

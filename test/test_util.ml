@@ -188,10 +188,18 @@ let test_ewma_timed_convergence () =
 
 let test_ewma_timed_out_of_order () =
   let f = Ewma.timed ~tau:1. in
+  Alcotest.(check bool) "unset before a sample" false (Ewma.timed_is_set f);
+  Alcotest.(check (option (float 0.))) "no value" None (Ewma.timed_value f);
   Ewma.timed_update f ~now:10. 5.;
+  Alcotest.(check bool) "set by the first sample" true (Ewma.timed_is_set f);
   Ewma.timed_update f ~now:3. 100.;
   (* dt clamped to 0 -> weight 0 -> unchanged *)
-  check_float "out of order ignored" 5. (Ewma.timed_value_exn f)
+  check_float "out of order ignored" 5. (Ewma.timed_value_exn f);
+  Ewma.timed_reset f;
+  Alcotest.(check bool) "unset by reset" false (Ewma.timed_is_set f);
+  Alcotest.check_raises "value_exn on an unset filter"
+    (Invalid_argument "Ewma.timed_value_exn: no samples yet") (fun () ->
+      ignore (Ewma.timed_value_exn f : float))
 
 let test_ewma_rise_time () =
   check_close "rise time formula" (log 10. *. 80e-6) (Ewma.rise_time_90 ~tau:80e-6);
@@ -543,7 +551,29 @@ let test_fcmp () =
   Alcotest.(check bool) "within_fraction no" false
     (Fcmp.within_fraction ~frac:0.1 ~actual:80. ~target:100.);
   check_float "clamp" 1. (Fcmp.clamp ~lo:0. ~hi:1. 3.);
-  Alcotest.(check bool) "is_finite nan" false (Fcmp.is_finite Float.nan)
+  Alcotest.(check bool) "is_finite nan" false (Fcmp.is_finite Float.nan);
+  (* The comparison-only pair is Float.max/Float.min bit for bit on every
+     pair of special values (signed zeros, infinities, subnormals), and
+     NaN wherever they are NaN. *)
+  let values =
+    [ 0.; -0.; 1.; -1.; infinity; neg_infinity; nan; -.nan; 4.9e-324;
+      -4.9e-324; Float.max_float; -.Float.max_float ]
+  in
+  let check_bits what expected actual =
+    if not (Float.is_nan expected && Float.is_nan actual) then
+      Alcotest.(check int64) what (Int64.bits_of_float expected)
+        (Int64.bits_of_float actual)
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          check_bits (Printf.sprintf "fmax %h %h" x y) (Float.max x y)
+            (Fcmp.fmax x y);
+          check_bits (Printf.sprintf "fmin %h %h" x y) (Float.min x y)
+            (Fcmp.fmin x y))
+        values)
+    values
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)

@@ -409,8 +409,72 @@ let check_domain_closure ctx ~what closure =
 (* Pass A: float-compare, hot-alloc, deprecated-copy, serve-blocking,
    domain-safety trigger detection. One traversal. *)
 
-let check_hot_node ctx e =
+let is_float_type (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> (
+    Path.same p Predef.path_float
+    ||
+    match path_name p with
+    | "Float.t" | "Stdlib.Float.t" -> true
+    | _ -> false)
+  | _ -> false
+
+let is_float_ref_type (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [ arg ], _) ->
+    (match path_name p with "ref" | "Stdlib.ref" -> true | _ -> false)
+    && is_float_type arg
+  | _ -> false
+
+(* Boxed float stores. A float field of a record that is not all-float
+   holds a pointer, so every store allocates a box and runs the write
+   barrier; an all-float record ([Record_float]) stores flat. [:=] on a
+   float ref boxes the same way, except for a ref bound by a [let] in the
+   hot body itself: the compiler turns such a ref into a register
+   variable ([hot_refs] holds those). *)
+let boxed_float_store ~hot_refs e =
+  match e.exp_desc with
+  | Texp_setfield (_, _, label, _)
+    when is_float_type label.Types.lbl_arg
+         && label.Types.lbl_repres <> Types.Record_float ->
+    Some
+      (Printf.sprintf
+         "store to float field %s of a record that is not all-float boxes \
+          the float inside a [@nf.hot] function; move the field into an \
+          all-float record"
+         label.Types.lbl_name)
+  | Texp_apply (f, args) -> (
+    match (head_ident f, first_positional args) with
+    | Some id, Some target
+      when path_is id ":=" && is_float_ref_type target.exp_type -> (
+      match target.exp_desc with
+      | Texp_ident (Path.Pident id, _, _) when Hashtbl.mem hot_refs id -> None
+      | _ ->
+        Some
+          ":= on a float ref not bound in this [@nf.hot] body boxes the \
+           float; keep it in an all-float record")
+    | _ -> None)
+  | _ -> None
+
+(* Remember [let r = ref ...] bindings made inside a hot body. *)
+let note_hot_refs ~hot_refs e =
+  match e.exp_desc with
+  | Texp_let (_, vbs, _) ->
+    List.iter
+      (fun vb ->
+        match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+        | Tpat_var (id, _), Texp_apply (f, _) -> (
+          match head_ident f with
+          | Some fid when path_is fid "ref" -> Hashtbl.replace hot_refs id ()
+          | _ -> ())
+        | _ -> ())
+      vbs
+  | _ -> ()
+
+let check_hot_node ctx ~hot_refs e =
   let bad msg = emit ctx ~loc:e.exp_loc "hot-alloc" msg in
+  note_hot_refs ~hot_refs e;
+  Option.iter bad (boxed_float_store ~hot_refs e);
   match e.exp_desc with
   | Texp_ident (p, _, _) when path_in (path_name p) signbit_minmax ->
     (* A bare mention, e.g. [Array.fold_left Float.max]; an applied one
@@ -465,9 +529,10 @@ let check_main ctx (str : structure) =
   let serve_loop = ctx.config.Config.serve_loop ctx.file in
   let copy_exempt = ctx.config.Config.copy_exempt ctx.file in
   let hot_depth = ref 0 in
+  let hot_refs = Hashtbl.create 16 in
   let rec expr self e =
     with_allows ~check_justification:true ctx e.exp_attributes @@ fun () ->
-    if !hot_depth > 0 then check_hot_node ctx e;
+    if !hot_depth > 0 then check_hot_node ctx ~hot_refs e;
     match e.exp_desc with
     | Texp_ident (p, _, _) ->
       (* A bare mention: a polymorphic comparator passed as a function
