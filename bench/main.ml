@@ -14,6 +14,7 @@
    EXPERIMENTS.md for the paper-vs-measured record. *)
 
 module E = Nf_experiments
+module Json = Nf_util.Json
 
 let quick = ref false
 
@@ -55,60 +56,35 @@ let git_rev () =
   | rev -> rev
   | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) -> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_report ~jobs_parallel ~total ~sweep_wall ~serial =
   let rev = Option.value (git_rev ()) ~default:"unknown" in
   let path = Printf.sprintf "BENCH_%s.json" rev in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"rev\": \"%s\",\n" (json_escape rev));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"quick\": %b,\n  \"jobs\": %d,\n  \"jobs_serial\": 1,\n\
-       \  \"jobs_parallel\": %d,\n  \"total_seconds\": %.3f,\n"
-       !quick jobs_parallel jobs_parallel total);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"sweep_wall_seconds\": %.3f,\n  \"serial_seconds\": %.3f,\n\
-       \  \"parallel_speedup\": %.3f,\n"
-       sweep_wall serial
-       (if sweep_wall > 0. then serial /. sweep_wall else 1.));
-  Buffer.add_string b "  \"experiments\": [\n";
-  let rows = List.rev !timings in
-  List.iteri
-    (fun i (name, dt, attempts) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"seconds\": %.3f, \"attempts\": %d}%s\n"
-           (json_escape name) dt attempts
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n  \"kernels\": {";
-  let kernels = List.rev !kernel_rates in
-  List.iteri
-    (fun i (name, per_sec) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s\"%s\": %.0f" (if i = 0 then "" else ", ")
-           (json_escape name) per_sec))
-    kernels;
-  Buffer.add_string b "},\n  \"metrics\": ";
-  Buffer.add_string b (Nf_util.Metrics.to_json Nf_util.Metrics.global);
-  Buffer.add_string b "\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc;
+  let int i = Json.Num (float_of_int i) in
+  let experiment (name, dt, attempts) =
+    Json.Obj
+      [ ("name", Json.Str name); ("seconds", Json.Num dt); ("attempts", int attempts) ]
+  in
+  let speedup = if sweep_wall > 0. then serial /. sweep_wall else 1. in
+  let report =
+    Json.Obj
+      [
+        ("rev", Json.Str rev);
+        ("quick", Json.Bool !quick);
+        ("jobs", int jobs_parallel);
+        ("jobs_serial", int 1);
+        ("jobs_parallel", int jobs_parallel);
+        ("total_seconds", Json.Num total);
+        ("sweep_wall_seconds", Json.Num sweep_wall);
+        ("serial_seconds", Json.Num serial);
+        ("parallel_speedup", Json.Num speedup);
+        ("experiments", Json.List (List.rev_map experiment !timings));
+        ("kernels", Json.Obj (List.rev_map (fun (k, rate) -> (k, Json.Num rate)) !kernel_rates));
+        ("metrics", Nf_util.Metrics.json Nf_util.Metrics.global);
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string report);
+      output_char oc '\n');
   Format.printf "(bench report written to %s)@." path
 
 (* ------------------------------------------------------------------ *)

@@ -43,9 +43,12 @@ val pp : Format.formatter -> t -> unit
 
 val to_text : t -> string
 
+val json : t -> Nf_util.Json.t
+(** [{"title":...,"columns":[...],"rows":[[...]],"notes":[...]}]. Float
+    cells keep full precision; non-finite ones print as [null]. *)
+
 val to_json : t -> string
-(** [{"title": ..., "columns": [...], "rows": [[...]], "notes": [...]}].
-    Non-finite floats become [null]. *)
+(** [Nf_util.Json.to_string (json t)]. *)
 
 val to_csv : t -> string
 (** RFC-4180-style: header line, one line per row; notes appended as

@@ -1,3 +1,4 @@
+module Json = Nf_util.Json
 module Problem = Nf_num.Problem
 module Xwi_core = Nf_num.Xwi_core
 module Scheme = Nf_fluid.Scheme
@@ -252,11 +253,8 @@ let keep_record ~label record =
 let records () = with_records (fun () -> List.rev !collected_records)
 
 let records_json () =
-  let runs =
-    List.map
-      (fun (label, record) ->
-        Printf.sprintf "{\"label\": %S, \"record\": %s}" label
-          (Nf_sim.Record.to_json record))
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) (records ()))
+  let run (label, record) =
+    Json.Obj [ ("label", Json.Str label); ("record", Nf_sim.Record.json record) ]
   in
-  Printf.sprintf "{\"runs\": [%s]}" (String.concat ", " runs)
+  let by_label = List.sort (fun (a, _) (b, _) -> String.compare a b) (records ()) in
+  Json.to_string (Json.Obj [ ("runs", Json.List (List.map run by_label)) ])

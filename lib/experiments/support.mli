@@ -127,5 +127,5 @@ val records : unit -> (string * Nf_sim.Record.t) list
     is scheduling-dependent under a parallel runner). *)
 
 val records_json : unit -> string
-(** [{"runs": [{"label": ..., "record": <Record.to_json>}, ...]}],
+(** [{"runs":[{"label":...,"record":<Record.json>},...]}],
     sorted by label. *)

@@ -1,3 +1,5 @@
+module Json = Nf_util.Json
+
 type t = { fd : Unix.file_descr; buf : Buffer.t }
 
 let connect fd = { fd; buf = Buffer.create 256 }
@@ -49,8 +51,8 @@ let read_line t =
   take ()
 
 let is_push line =
-  match Sjson.parse line with
-  | Ok v -> Option.is_some (Sjson.member "push" v)
+  match Json.parse line with
+  | Ok v -> Option.is_some (Json.member "push" v)
   | Error _ -> false
 
 let request t cmd =
@@ -103,7 +105,7 @@ let drive t ~rng ~scenario ~events ~target =
         | Ok fields -> (
           match List.assoc_opt "gid" fields with
           | Some g -> (
-            match Sjson.to_int g with
+            match Json.to_int g with
             | Some gid ->
               push gid;
               incr arrivals;

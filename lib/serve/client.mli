@@ -14,7 +14,7 @@ val connect_unix : string -> t
 
 val close : t -> unit
 
-val request : t -> Protocol.command -> ((string * Sjson.t) list, string) result
+val request : t -> Protocol.command -> ((string * Nf_util.Json.t) list, string) result
 (** Send one command, read one reply line. [Error] on an error reply,
     a decode failure, or EOF. Push lines (from a [subscribe] issued on
     {e this} connection) arriving before the reply are skipped. *)

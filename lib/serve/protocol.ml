@@ -1,3 +1,5 @@
+module Json = Nf_util.Json
+
 type utility_spec =
   | Pf of { weight : float }
   | Alpha of { weight : float; alpha : float }
@@ -30,28 +32,28 @@ let decode_utility v =
   match v with
   | None -> Ok (Pf { weight = 1. })  (* default *)
   | Some u -> (
-    let weight = Option.value (Sjson.obj_float "weight" u) ~default:1. in
-    match Sjson.obj_str "kind" u with
+    let weight = Option.value (Json.obj_float "weight" u) ~default:1. in
+    match Json.obj_str "kind" u with
     | Some "pf" | None -> Ok (Pf { weight })
     | Some "alpha" ->
-      let* alpha = require "utility.alpha" (Sjson.obj_float "alpha" u) in
+      let* alpha = require "utility.alpha" (Json.obj_float "alpha" u) in
       Ok (Alpha { weight; alpha })
     | Some "fct" ->
-      let* size = require "utility.size" (Sjson.obj_float "size" u) in
-      let eps = Option.value (Sjson.obj_float "eps" u) ~default:0.125 in
+      let* size = require "utility.size" (Json.obj_float "size" u) in
+      let eps = Option.value (Json.obj_float "eps" u) ~default:0.125 in
       Ok (Fct { size; eps })
     | Some k -> Error (Printf.sprintf "unknown utility kind %S" k))
 
 let decode_paths v =
-  let* paths = require "paths" (Sjson.to_list v) in
+  let* paths = require "paths" (Json.to_list v) in
   let rec loop acc = function
     | [] -> Ok (List.rev acc)
     | p :: rest ->
-      let* links = require "path" (Sjson.to_list p) in
+      let* links = require "path" (Json.to_list p) in
       let rec ids acc = function
         | [] -> Ok (List.rev acc)
         | l :: rest -> (
-          match Sjson.to_int l with
+          match Json.to_int l with
           | Some id -> ids (id :: acc) rest
           | None -> Error "path element is not a link id")
       in
@@ -62,26 +64,26 @@ let decode_paths v =
 
 let decode_command line =
   let* v =
-    match Sjson.parse line with Ok v -> Ok v | Error e -> Error ("bad JSON: " ^ e)
+    match Json.parse line with Ok v -> Ok v | Error e -> Error ("bad JSON: " ^ e)
   in
-  let* cmd = require "cmd" (Sjson.obj_str "cmd" v) in
+  let* cmd = require "cmd" (Json.obj_str "cmd" v) in
   match cmd with
   | "add" ->
-    let* utility = decode_utility (Sjson.member "utility" v) in
-    let* field = require "paths" (Sjson.member "paths" v) in
+    let* utility = decode_utility (Json.member "utility" v) in
+    let* field = require "paths" (Json.member "paths" v) in
     let* paths = decode_paths field in
     if List.is_empty paths then Error "paths is empty"
     else Ok (Add { utility; paths })
   | "remove" ->
-    let* gid = require "gid" (Sjson.obj_int "gid" v) in
+    let* gid = require "gid" (Json.obj_int "gid" v) in
     Ok (Remove { gid })
   | "set_cap" ->
-    let* link = require "link" (Sjson.obj_int "link" v) in
-    let* cap = require "cap" (Sjson.obj_float "cap" v) in
+    let* link = require "link" (Json.obj_int "link" v) in
+    let* cap = require "cap" (Json.obj_float "cap" v) in
     Ok (Set_cap { link; cap })
   | "solve" -> Ok Solve
   | "query" ->
-    let* gid = require "gid" (Sjson.obj_int "gid" v) in
+    let* gid = require "gid" (Json.obj_int "gid" v) in
     Ok (Query { gid })
   | "stats" -> Ok Stats
   | "subscribe" -> Ok Subscribe
@@ -94,64 +96,64 @@ let decode_command line =
 
 let encode_utility = function
   | Pf { weight } ->
-    Sjson.Obj [ ("kind", Sjson.Str "pf"); ("weight", Sjson.Num weight) ]
+    Json.Obj [ ("kind", Json.Str "pf"); ("weight", Json.Num weight) ]
   | Alpha { weight; alpha } ->
-    Sjson.Obj
+    Json.Obj
       [
-        ("kind", Sjson.Str "alpha");
-        ("weight", Sjson.Num weight);
-        ("alpha", Sjson.Num alpha);
+        ("kind", Json.Str "alpha");
+        ("weight", Json.Num weight);
+        ("alpha", Json.Num alpha);
       ]
   | Fct { size; eps } ->
-    Sjson.Obj
-      [ ("kind", Sjson.Str "fct"); ("size", Sjson.Num size); ("eps", Sjson.Num eps) ]
+    Json.Obj
+      [ ("kind", Json.Str "fct"); ("size", Json.Num size); ("eps", Json.Num eps) ]
 
 let encode_command c =
-  let obj fields = Sjson.to_string (Sjson.Obj fields) in
+  let obj fields = Json.to_string (Json.Obj fields) in
   match c with
   | Add { utility; paths } ->
     obj
       [
-        ("cmd", Sjson.Str "add");
+        ("cmd", Json.Str "add");
         ("utility", encode_utility utility);
         ( "paths",
-          Sjson.List
+          Json.List
             (List.map
                (fun p ->
-                 Sjson.List (Array.to_list (Array.map (fun l -> Sjson.Num (float_of_int l)) p)))
+                 Json.List (Array.to_list (Array.map (fun l -> Json.Num (float_of_int l)) p)))
                paths) );
       ]
   | Remove { gid } ->
-    obj [ ("cmd", Sjson.Str "remove"); ("gid", Sjson.Num (float_of_int gid)) ]
+    obj [ ("cmd", Json.Str "remove"); ("gid", Json.Num (float_of_int gid)) ]
   | Set_cap { link; cap } ->
     obj
       [
-        ("cmd", Sjson.Str "set_cap");
-        ("link", Sjson.Num (float_of_int link));
-        ("cap", Sjson.Num cap);
+        ("cmd", Json.Str "set_cap");
+        ("link", Json.Num (float_of_int link));
+        ("cap", Json.Num cap);
       ]
-  | Solve -> obj [ ("cmd", Sjson.Str "solve") ]
+  | Solve -> obj [ ("cmd", Json.Str "solve") ]
   | Query { gid } ->
-    obj [ ("cmd", Sjson.Str "query"); ("gid", Sjson.Num (float_of_int gid)) ]
-  | Stats -> obj [ ("cmd", Sjson.Str "stats") ]
-  | Subscribe -> obj [ ("cmd", Sjson.Str "subscribe") ]
-  | Ping -> obj [ ("cmd", Sjson.Str "ping") ]
-  | Shutdown -> obj [ ("cmd", Sjson.Str "shutdown") ]
+    obj [ ("cmd", Json.Str "query"); ("gid", Json.Num (float_of_int gid)) ]
+  | Stats -> obj [ ("cmd", Json.Str "stats") ]
+  | Subscribe -> obj [ ("cmd", Json.Str "subscribe") ]
+  | Ping -> obj [ ("cmd", Json.Str "ping") ]
+  | Shutdown -> obj [ ("cmd", Json.Str "shutdown") ]
 
-let ok fields = Sjson.to_string (Sjson.Obj (("ok", Sjson.Bool true) :: fields))
+let ok fields = Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
 
 let error reason =
-  Sjson.to_string
-    (Sjson.Obj [ ("ok", Sjson.Bool false); ("error", Sjson.Str reason) ])
+  Json.to_string
+    (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str reason) ])
 
 let decode_reply line =
   let* v =
-    match Sjson.parse line with Ok v -> Ok v | Error e -> Error ("bad JSON: " ^ e)
+    match Json.parse line with Ok v -> Ok v | Error e -> Error ("bad JSON: " ^ e)
   in
   match v with
-  | Sjson.Obj (("ok", Sjson.Bool true) :: fields) -> Ok fields
-  | Sjson.Obj fields -> (
+  | Json.Obj (("ok", Json.Bool true) :: fields) -> Ok fields
+  | Json.Obj fields -> (
     match List.assoc_opt "error" fields with
-    | Some (Sjson.Str reason) -> Error reason
+    | Some (Json.Str reason) -> Error reason
     | _ -> Error "reply is not ok and carries no error")
   | _ -> Error "reply is not an object"

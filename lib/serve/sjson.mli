@@ -1,47 +1,2 @@
-(** Minimal JSON for the serve wire protocol.
-
-    The repository's output layers (Trace, Metrics, Record, Report) only
-    ever {e print} JSON; the allocation service is the first component
-    that must also {e read} it, so this module carries a small
-    self-contained value type, a strict recursive-descent parser sized
-    for one-line protocol messages, and a printer that round-trips floats
-    ([%.17g], integers printed exactly — the same convention as
-    [Trace]/[Metrics]). No external dependency: the toolchain image has
-    no yojson. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list  (** insertion order preserved *)
-
-val parse : string -> (t, string) result
-(** Parse one complete JSON document; trailing garbage (other than
-    whitespace) is an error. Errors carry a byte offset. *)
-
-val to_string : t -> string
-
-(** {2 Accessors} — total, for protocol decoding. *)
-
-val member : string -> t -> t option
-(** Field of an [Obj] ([None] on absence or a non-object). *)
-
-val to_float : t -> float option
-
-val to_int : t -> int option
-(** [Num] with an integral value in [int] range. *)
-
-val to_str : t -> string option
-
-val to_list : t -> t list option
-
-val obj_int : string -> t -> int option
-(** [member] composed with [to_int]; same for the others. *)
-
-val obj_float : string -> t -> float option
-
-val obj_str : string -> t -> string option
-
-val obj_list : string -> t -> t list option
+(* An alias kept only for nfbench/, which still names Nf_serve.Sjson. *)
+include module type of struct include Nf_util.Json end

@@ -1,3 +1,4 @@
+module Json = Nf_util.Json
 module Timeseries = Nf_util.Timeseries
 
 type channel = Queue | Price | Rate | Drops | Fct | Metric
@@ -68,35 +69,26 @@ let snapshot_metrics t ~registry ~time =
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+let json t =
+  let channel c =
+    Json.List
+      (List.map
+         (fun subject ->
+           Json.Obj
+             [
+               ("subject", Json.Num (float_of_int subject));
+               ( "samples",
+                 Json.List
+                   (List.map
+                      (fun (time, v) -> Json.List [ Json.Num time; Json.Num v ])
+                      (Timeseries.to_list (series t c ~subject))) );
+             ])
+         (subjects t c))
+  in
+  let channels = List.map (fun c -> (channel_name c, channel c)) all_channels in
+  Json.Obj [ ("channels", Json.Obj channels) ]
 
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"channels\": {";
-  List.iteri
-    (fun ci channel ->
-      if ci > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "%S: [" (channel_name channel));
-      List.iteri
-        (fun si subject ->
-          if si > 0 then Buffer.add_string buf ", ";
-          let ts = series t channel ~subject in
-          Buffer.add_string buf (Printf.sprintf "{\"subject\": %d, \"samples\": [" subject);
-          List.iteri
-            (fun i (time, v) ->
-              if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf
-                (Printf.sprintf "[%s, %s]" (json_float time) (json_float v)))
-            (Timeseries.to_list ts);
-          Buffer.add_string buf "]}")
-        (subjects t channel);
-      Buffer.add_string buf "]")
-    all_channels;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+let to_json t = Json.to_string (json t)
 
 let to_csv t =
   let buf = Buffer.create 4096 in

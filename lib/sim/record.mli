@@ -60,9 +60,12 @@ val snapshot_metrics : t -> registry:Nf_util.Metrics.t -> time:float -> unit
 
 (** {2 Export} *)
 
+val json : t -> Nf_util.Json.t
+(** [{"channels":{"queue":[{"subject":3,"samples":[[t,v],...]},...],...}}]
+    — every channel appears, empty ones as [[]]. *)
+
 val to_json : t -> string
-(** [{"channels": {"queue": [{"subject": 3, "samples": [[t, v], ...]},
-    ...], ...}}] — every channel appears, empty ones as [[]]. *)
+(** [Nf_util.Json.to_string (json t)]. *)
 
 val to_csv : t -> string
 (** One row per sample: [channel,subject,time,value]. *)

@@ -3,10 +3,10 @@
     The allocation-free priority queue under the two hottest paths of the
     simulator: the discrete-event queue ([Nf_engine.Sim], keyed by event
     time) and the STFQ switch queues ([Nf_sim.Queue_disc], keyed by
-    virtual start tag). Compared with the generic {!Heap} it stores keys
-    in an unboxed [float array] (plus parallel [int]/payload arrays)
-    instead of boxed records, compares with raw [<] on floats instead of
-    a [cmp] closure, and exposes field readers ([top_key], [top], …) so
+    virtual start tag). Compared with a generic heap of boxed records
+    ordered by a [cmp] closure, it stores keys in an unboxed
+    [float array] (plus parallel [int]/payload arrays), compares with
+    raw [<] on floats, and exposes field readers ([top_key], [top], …) so
     steady-state push/peek/pop allocates nothing (no [Some], no record).
 
     Ties on the key break FIFO by an internal per-heap sequence number:

@@ -141,10 +141,10 @@ let num v =
   else Printf.sprintf "%.17g" v
 
 (* Bucket bounds use the same formatting as every other float sample
-   ([num]): [%g] would round non-representable bounds (0.1 ->
-   "0.1" vs the stored 0.10000000000000001), so the Prometheus [le]
-   labels and the JSON bucket bounds would not round-trip to the exact
-   bound the histogram cuts on. *)
+   ([num], the rule [Json] applies to finite numbers): [%g] would round
+   non-representable bounds (0.1 -> "0.1" vs the stored
+   0.10000000000000001), so the Prometheus [le] labels would not
+   round-trip to the exact bound the histogram cuts on. *)
 let bound_label = num
 
 let to_prometheus t =
@@ -195,31 +195,32 @@ let to_prometheus t =
     (in_order t);
   Buffer.contents buf
 
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"metrics\": [";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\": %S, \"type\": %S, " m.name
-           (kind_label m.value));
-      (match m.value with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "\"value\": %d" !c)
-      | Gauge g ->
-        Buffer.add_string buf (Printf.sprintf "\"value\": %s" (num !g))
-      | Histogram h ->
-        Buffer.add_string buf "\"buckets\": [";
-        Array.iteri
-          (fun i b ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf "[%s, %d]" (bound_label b) h.counts.(i)))
-          h.bounds;
-        Buffer.add_string buf
-          (Printf.sprintf "], \"inf\": %d, \"sum\": %s, \"count\": %d"
-             h.inf_count (num h.sum) (histogram_count h)));
-      Buffer.add_string buf "}")
-    (in_order t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let json t =
+  let int i = Json.Num (float_of_int i) in
+  let value m =
+    match m.value with
+    | Counter c -> [ ("value", int !c) ]
+    | Gauge g -> [ ("value", Json.Num !g) ]
+    | Histogram h ->
+      let bucket i b = Json.List [ Json.Num b; int h.counts.(i) ] in
+      [
+        ("buckets", Json.List (Array.to_list (Array.mapi bucket h.bounds)));
+        ("inf", int h.inf_count);
+        ("sum", Json.Num h.sum);
+        ("count", int (histogram_count h));
+      ]
+  in
+  Json.Obj
+    [
+      ( "metrics",
+        Json.List
+          (List.map
+             (fun m ->
+               Json.Obj
+                 (("name", Json.Str m.name)
+                 :: ("type", Json.Str (kind_label m.value))
+                 :: value m))
+             (in_order t)) );
+    ]
+
+let to_json t = Json.to_string (json t)

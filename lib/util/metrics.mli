@@ -4,7 +4,7 @@
     module-init time) and update them unconditionally — an update is an
     int/float store, cheap enough for packet-rate hot paths. A registry
     snapshots to a Prometheus-style text page ({!to_prometheus}), to JSON
-    ({!to_json}), or — via {!fold_values} — into an
+    ({!json}), or — via {!fold_values} — into an
     [Nf_sim.Record.t] time series for trajectory plots.
 
     Metric names follow Prometheus conventions:
@@ -68,6 +68,9 @@ val to_prometheus : t -> string
 (** Prometheus text exposition: [# HELP] / [# TYPE] lines, then samples
     (histograms as [_bucket{le=...}] / [_sum] / [_count]). *)
 
+val json : t -> Json.t
+(** [{"metrics":[{"name":...,"type":...,"value":...},...]}]; histograms
+    carry [buckets], [inf], [sum] and [count] instead of a value. *)
+
 val to_json : t -> string
-(** [{"metrics": [{"name": ..., "type": ..., "value": ...}, ...]}];
-    histograms carry [buckets], [sum] and [count]. *)
+(** [Json.to_string (json t)]. *)

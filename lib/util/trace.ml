@@ -113,19 +113,15 @@ let make ?(capacity = 65536) ?kinds ?subjects ?path () =
 
 let on t kind = t.mask land (1 lsl kind_index kind) <> 0
 
-let json_num v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
 let event_to_jsonl ev =
-  if Float.is_nan ev.aux then
-    Printf.sprintf "{\"time\":%s,\"kind\":%S,\"subject\":%d,\"value\":%s}"
-      (json_num ev.time) (kind_name ev.kind) ev.subject (json_num ev.value)
-  else
-    Printf.sprintf
-      "{\"time\":%s,\"kind\":%S,\"subject\":%d,\"value\":%s,\"aux\":%s}"
-      (json_num ev.time) (kind_name ev.kind) ev.subject (json_num ev.value)
-      (json_num ev.aux)
+  let aux = if Float.is_nan ev.aux then [] else [ ("aux", Json.Num ev.aux) ] in
+  Json.to_string
+    (Json.Obj
+       (("time", Json.Num ev.time)
+       :: ("kind", Json.Str (kind_name ev.kind))
+       :: ("subject", Json.Num (float_of_int ev.subject))
+       :: ("value", Json.Num ev.value)
+       :: aux))
 
 let flush t =
   match t.out with

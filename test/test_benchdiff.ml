@@ -1,7 +1,8 @@
-(* Tests for the bench regression gate: the hand-rolled JSON reader and
-   the report diff/verdict model behind tools/benchdiff. *)
+(* Tests for the bench regression gate: the JSON reader (Nf_util.Json)
+   as benchdiff uses it, and the report diff/verdict model behind
+   tools/benchdiff. *)
 
-module Json = Nf_benchdiff_lib.Json
+module Json = Nf_util.Json
 module Diff = Nf_benchdiff_lib.Diff
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -51,7 +52,7 @@ let test_json_nested () =
   | Some [ e1 ] ->
       Alcotest.(check (option (float 0.)))
         "nested seconds" (Some 0.125)
-        (Option.bind (Json.member "seconds" e1) Json.to_num)
+        (Option.bind (Json.member "seconds" e1) Json.to_float)
   | _ -> Alcotest.fail "expected one experiment"
 
 let test_json_errors () =
@@ -197,7 +198,7 @@ let test_diff_rendering () =
   | Ok doc ->
       Alcotest.(check (option (float 0.)))
         "regression count" (Some 1.)
-        (Option.bind (Json.member "regressions" doc) Json.to_num));
+        (Option.bind (Json.member "regressions" doc) Json.to_float));
   Sys.remove old_path;
   Sys.remove new_path
 

@@ -84,6 +84,10 @@ let test_exn_swallow =
   check_flags "exn-swallow" ~bad:"bad_exn_swallow.ml"
     ~good:"good_exn_swallow.ml" ~expect:3
 
+let test_json_by_hand =
+  check_flags "json-by-hand" ~bad:"bad_json_by_hand.ml"
+    ~good:"good_json_by_hand.ml" ~expect:3
+
 let test_mli_missing () =
   let missing =
     lint_rule "mli-missing" "bad_determinism.ml" |> rules_of
@@ -336,6 +340,7 @@ let test_catalog () =
       "determinism";
       "exn-swallow";
       "mli-missing";
+      "json-by-hand";
       "float-compare";
       "hot-alloc";
       "domain-safety";
@@ -362,6 +367,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "exn-swallow" `Quick test_exn_swallow;
           Alcotest.test_case "mli-missing" `Quick test_mli_missing;
+          Alcotest.test_case "json-by-hand" `Quick test_json_by_hand;
           Alcotest.test_case "catalog" `Quick test_catalog;
         ] );
       ( "typed",

@@ -60,7 +60,7 @@ let test_report_json () =
   Alcotest.(check bool) "non-finite floats become null" true
     (contains ~needle:"null" json);
   Alcotest.(check bool) "has columns key" true
-    (contains ~needle:"\"columns\": [\"x\"]" json)
+    (contains ~needle:"\"columns\":[\"x\"]" json)
 
 let test_report_csv () =
   let csv =

@@ -2,7 +2,7 @@
    allocation engine, the churn scenario, and a loopback socket session
    against a live server (driven from a second domain). *)
 
-module Sjson = Nf_serve.Sjson
+module Json = Nf_util.Json
 module Protocol = Nf_serve.Protocol
 module Engine = Nf_serve.Engine
 module Server = Nf_serve.Server
@@ -24,33 +24,35 @@ let contains ~needle haystack =
   n = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Sjson *)
+(* Json (the codec under the wire protocol) *)
 
 let test_sjson_parse_basics () =
-  let p s = Sjson.parse s in
-  Alcotest.(check bool) "null" true (p "null" = Ok Sjson.Null);
-  Alcotest.(check bool) "true" true (p "true" = Ok (Sjson.Bool true));
-  Alcotest.(check bool) "int" true (p "42" = Ok (Sjson.Num 42.));
+  let p s = Json.parse s in
+  Alcotest.(check bool) "null" true (p "null" = Ok Json.Null);
+  Alcotest.(check bool) "true" true (p "true" = Ok (Json.Bool true));
+  Alcotest.(check bool) "int" true (p "42" = Ok (Json.Num 42.));
   Alcotest.(check bool) "negative exponent" true
-    (p "-2.5e3" = Ok (Sjson.Num (-2500.)));
+    (p "-2.5e3" = Ok (Json.Num (-2500.)));
   Alcotest.(check bool) "string escapes" true
-    (p {|"a\"b\\c\n"|} = Ok (Sjson.Str "a\"b\\c\n"));
+    (p {|"a\"b\\c\n"|} = Ok (Json.Str "a\"b\\c\n"));
   Alcotest.(check bool) "unicode escape to UTF-8" true
-    (p {|"é"|} = Ok (Sjson.Str "\xc3\xa9"));
+    (p {|"é"|} = Ok (Json.Str "\xc3\xa9"));
   Alcotest.(check bool) "nested" true
     (p {|{"a":[1,2],"b":{"c":null}}|}
     = Ok
-        (Sjson.Obj
+        (Json.Obj
            [
-             ("a", Sjson.List [ Sjson.Num 1.; Sjson.Num 2. ]);
-             ("b", Sjson.Obj [ ("c", Sjson.Null) ]);
+             ("a", Json.List [ Json.Num 1.; Json.Num 2. ]);
+             ("b", Json.Obj [ ("c", Json.Null) ]);
            ]));
   Alcotest.(check bool) "whitespace tolerated" true
-    (p " { \"a\" : 1 } " = Ok (Sjson.Obj [ ("a", Sjson.Num 1.) ]))
+    (p " { \"a\" : 1 } " = Ok (Json.Obj [ ("a", Json.Num 1.) ]));
+  Alcotest.(check bool) "surrogate pair to one 4-byte scalar" true
+    (p {|"\ud83d\ude00"|} = Ok (Json.Str "\240\159\152\128"))
 
 let test_sjson_parse_errors () =
   let bad s =
-    match Sjson.parse s with Ok _ -> false | Error _ -> true
+    match Json.parse s with Ok _ -> false | Error _ -> true
   in
   Alcotest.(check bool) "empty" true (bad "");
   Alcotest.(check bool) "trailing garbage" true (bad "1 x");
@@ -58,39 +60,47 @@ let test_sjson_parse_errors () =
   Alcotest.(check bool) "unterminated string" true (bad {|"abc|});
   Alcotest.(check bool) "bare word" true (bad "flow");
   Alcotest.(check bool) "unclosed object" true (bad {|{"a":1|});
-  Alcotest.(check bool) "missing colon" true (bad {|{"a" 1}|})
+  Alcotest.(check bool) "missing colon" true (bad {|{"a" 1}|});
+  Alcotest.(check bool) "lone high surrogate" true (bad {|"\ud83d"|});
+  Alcotest.(check bool) "high surrogate then a non-surrogate" true
+    (bad {|"\ud83d\u0041"|});
+  Alcotest.(check bool) "lone low surrogate" true (bad {|"\ude00x"|})
 
 let test_sjson_print_roundtrip () =
   let docs =
     [
-      Sjson.Obj
+      Json.Obj
         [
-          ("ok", Sjson.Bool true);
-          ("gid", Sjson.Num 17.);
-          ("rate", Sjson.Num 3.0517578125e9);
-          ("name", Sjson.Str "serve \"smoke\"\n");
-          ("xs", Sjson.List [ Sjson.Null; Sjson.Num (-0.5) ]);
+          ("ok", Json.Bool true);
+          ("gid", Json.Num 17.);
+          ("rate", Json.Num 3.0517578125e9);
+          ("name", Json.Str "serve \"smoke\"\n");
+          ("xs", Json.List [ Json.Null; Json.Num (-0.5) ]);
         ];
-      Sjson.List [];
-      Sjson.Obj [];
+      Json.List [];
+      Json.Obj [];
     ]
   in
   List.iter
     (fun d ->
-      match Sjson.parse (Sjson.to_string d) with
+      match Json.parse (Json.to_string d) with
       | Ok d' -> Alcotest.(check bool) "print/parse round-trip" true (d = d')
       | Error e -> Alcotest.failf "re-parse failed: %s" e)
     docs;
-  (* NaN has no JSON representation; the printer degrades it to null. *)
-  Alcotest.(check string) "nan prints null" "null"
-    (Sjson.to_string (Sjson.Num Float.nan))
+  (* nan and ±inf have no JSON representation; the printer degrades
+     them to null. *)
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%g prints null" f) "null"
+        (Json.to_string (Json.Num f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let prop_sjson_float_roundtrip =
   QCheck.Test.make ~name:"floats survive print -> parse bit-exactly" ~count:300
     QCheck.(float_range (-1e15) 1e15)
     (fun f ->
-      match Sjson.parse (Sjson.to_string (Sjson.Num f)) with
-      | Ok (Sjson.Num f') ->
+      match Json.parse (Json.to_string (Json.Num f)) with
+      | Ok (Json.Num f') ->
         Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
       | Ok _ | Error _ -> false)
 
@@ -99,14 +109,14 @@ let prop_sjson_float_roundtrip =
    "the bits you printed are the bits you get back". *)
 let rec sjson_equal a b =
   match (a, b) with
-  | Sjson.Null, Sjson.Null -> true
-  | Sjson.Bool x, Sjson.Bool y -> Bool.equal x y
-  | Sjson.Num x, Sjson.Num y ->
+  | Json.Null, Json.Null -> true
+  | Json.Bool x, Json.Bool y -> Bool.equal x y
+  | Json.Num x, Json.Num y ->
     Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Sjson.Str x, Sjson.Str y -> String.equal x y
-  | Sjson.List xs, Sjson.List ys ->
+  | Json.Str x, Json.Str y -> String.equal x y
+  | Json.List xs, Json.List ys ->
     List.length xs = List.length ys && List.for_all2 sjson_equal xs ys
-  | Sjson.Obj xs, Sjson.Obj ys ->
+  | Json.Obj xs, Json.Obj ys ->
     List.length xs = List.length ys
     && List.for_all2
          (fun (k, v) (k', v') -> String.equal k k' && sjson_equal v v')
@@ -141,10 +151,10 @@ let gen_sjson_doc =
     let leaf =
       oneof
         [
-          return Sjson.Null;
-          map (fun b -> Sjson.Bool b) bool;
-          map (fun f -> Sjson.Num f) gen_sjson_num;
-          map (fun s -> Sjson.Str s) gen_sjson_string;
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun f -> Json.Num f) gen_sjson_num;
+          map (fun s -> Json.Str s) gen_sjson_string;
         ]
     in
     if n = 0 then leaf
@@ -153,19 +163,19 @@ let gen_sjson_doc =
         [
           leaf;
           map
-            (fun xs -> Sjson.List xs)
+            (fun xs -> Json.List xs)
             (list_size (int_range 0 4) (self (n - 1)));
           map
-            (fun kvs -> Sjson.Obj kvs)
+            (fun kvs -> Json.Obj kvs)
             (list_size (int_range 0 4) (pair gen_sjson_string (self (n - 1))));
         ])
 
-let arb_sjson_doc = QCheck.make ~print:Sjson.to_string gen_sjson_doc
+let arb_sjson_doc = QCheck.make ~print:Json.to_string gen_sjson_doc
 
 let prop_sjson_doc_roundtrip =
   QCheck.Test.make ~name:"random documents survive print -> parse" ~count:500
     arb_sjson_doc (fun d ->
-      match Sjson.parse (Sjson.to_string d) with
+      match Json.parse (Json.to_string d) with
       | Ok d' -> sjson_equal d d'
       | Error e -> QCheck.Test.fail_reportf "re-parse failed: %s" e)
 
@@ -177,12 +187,12 @@ let prop_sjson_parser_fails_cleanly =
     QCheck.(
       make
         ~print:(fun (d, pos, byte, mode) ->
-          Printf.sprintf "%s pos=%d byte=%d mode=%d" (Sjson.to_string d) pos
+          Printf.sprintf "%s pos=%d byte=%d mode=%d" (Json.to_string d) pos
             byte mode)
         Gen.(quad gen_sjson_doc (int_range 0 1000) (int_range 0 255)
                (int_range 0 2)))
     (fun (d, pos, byte, mode) ->
-      let s = Sjson.to_string d in
+      let s = Json.to_string d in
       let n = String.length s in
       let s =
         if n = 0 then s
@@ -196,7 +206,7 @@ let prop_sjson_parser_fails_cleanly =
             String.sub s 0 pos ^ String.make 1 (Char.chr byte)
             ^ String.sub s pos (n - pos)
       in
-      match Sjson.parse s with
+      match Json.parse s with
       | Ok _ -> true
       | Error e -> String.length e > 0)
 
@@ -211,7 +221,7 @@ let test_sjson_malformed_corpus () =
   in
   List.iter
     (fun s ->
-      match Sjson.parse s with
+      match Json.parse s with
       | Ok _ -> Alcotest.failf "parser accepted malformed input %S" s
       | Error e ->
         Alcotest.(check bool)
@@ -222,24 +232,24 @@ let test_sjson_malformed_corpus () =
 
 let test_sjson_accessors () =
   let doc =
-    Sjson.Obj
+    Json.Obj
       [
-        ("i", Sjson.Num 3.);
-        ("f", Sjson.Num 0.5);
-        ("s", Sjson.Str "x");
-        ("l", Sjson.List [ Sjson.Num 1. ]);
+        ("i", Json.Num 3.);
+        ("f", Json.Num 0.5);
+        ("s", Json.Str "x");
+        ("l", Json.List [ Json.Num 1. ]);
       ]
   in
-  Alcotest.(check (option int)) "obj_int" (Some 3) (Sjson.obj_int "i" doc);
+  Alcotest.(check (option int)) "obj_int" (Some 3) (Json.obj_int "i" doc);
   Alcotest.(check (option int)) "obj_int rejects fraction" None
-    (Sjson.obj_int "f" doc);
-  Alcotest.(check bool) "obj_float" true (Sjson.obj_float "f" doc = Some 0.5);
-  Alcotest.(check (option string)) "obj_str" (Some "x") (Sjson.obj_str "s" doc);
+    (Json.obj_int "f" doc);
+  Alcotest.(check bool) "obj_float" true (Json.obj_float "f" doc = Some 0.5);
+  Alcotest.(check (option string)) "obj_str" (Some "x") (Json.obj_str "s" doc);
   Alcotest.(check bool) "obj_list" true
-    (Sjson.obj_list "l" doc = Some [ Sjson.Num 1. ]);
-  Alcotest.(check (option int)) "missing member" None (Sjson.obj_int "zz" doc);
+    (Json.obj_list "l" doc = Some [ Json.Num 1. ]);
+  Alcotest.(check (option int)) "missing member" None (Json.obj_int "zz" doc);
   Alcotest.(check bool) "member on non-object" true
-    (Sjson.member "a" (Sjson.Num 1.) = None)
+    (Json.member "a" (Json.Num 1.) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol *)
@@ -288,10 +298,10 @@ let test_protocol_decode_errors () =
     (bad {|{"cmd":"set_cap","link":1.5,"cap":1e9}|})
 
 let test_protocol_replies () =
-  (match Protocol.decode_reply (Protocol.ok [ ("gid", Sjson.Num 4.) ]) with
+  (match Protocol.decode_reply (Protocol.ok [ ("gid", Json.Num 4.) ]) with
   | Ok fields ->
     Alcotest.(check (option int)) "field preserved" (Some 4)
-      (Sjson.obj_int "gid" (Sjson.Obj fields))
+      (Json.obj_int "gid" (Json.Obj fields))
   | Error e -> Alcotest.failf "ok reply decoded as error: %s" e);
   (match Protocol.decode_reply (Protocol.error "no such gid") with
   | Ok _ -> Alcotest.fail "error reply decoded as ok"
@@ -505,14 +515,14 @@ let test_socket_session () =
                     }))
           in
           let gid =
-            match Sjson.obj_int "gid" (Sjson.Obj fields) with
+            match Json.obj_int "gid" (Json.Obj fields) with
             | Some g -> g
             | None -> Alcotest.fail "add reply must carry a gid"
           in
           let fields =
             ok_or_fail "query" (Client.request c (Protocol.Query { gid }))
           in
-          (match Sjson.obj_float "rate" (Sjson.Obj fields) with
+          (match Json.obj_float "rate" (Json.Obj fields) with
           | Some r ->
             Alcotest.(check bool) "sole flow takes the link" true
               (Nf_util.Fcmp.rel_eq ~rel:1e-6 r 10.)
@@ -532,7 +542,7 @@ let test_socket_session () =
           let fields =
             ok_or_fail "stats" (Client.request c Protocol.Stats)
           in
-          (match Sjson.obj_int "epochs" (Sjson.Obj fields) with
+          (match Json.obj_int "epochs" (Json.Obj fields) with
           | Some n -> Alcotest.(check bool) "epochs counted" true (n >= 1)
           | None -> Alcotest.fail "stats reply must carry epochs")))
 
@@ -618,7 +628,7 @@ let test_drive_loopback () =
   Alcotest.(check int) "arrivals + departures = events" 60
     (report.Client.arrivals + report.Client.departures);
   let fields = ok_or_fail "stats" (Client.request c Protocol.Stats) in
-  (match Sjson.obj_int "events" (Sjson.Obj fields) with
+  (match Json.obj_int "events" (Json.Obj fields) with
   | Some n -> Alcotest.(check bool) "server saw the events" true (n >= 60)
   | None -> Alcotest.fail "stats must carry events");
   ignore (ok_or_fail "shutdown" (Client.request c Protocol.Shutdown));

@@ -916,8 +916,8 @@ let test_record_empty_json () =
      []. *)
   let json = Nf_sim.Record.to_json (Nf_sim.Record.create ()) in
   Alcotest.(check string) "empty record shape"
-    "{\"channels\": {\"queue\": [], \"price\": [], \"rate\": [], \"drops\": \
-     [], \"fct\": [], \"metric\": []}}"
+    "{\"channels\":{\"queue\":[],\"price\":[],\"rate\":[],\"drops\":\
+     [],\"fct\":[],\"metric\":[]}}"
     json
 
 let () =

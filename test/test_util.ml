@@ -1,7 +1,6 @@
-(* Tests for nf_util: heap, EWMA, RNG, stats, piecewise functions,
+(* Tests for nf_util: fheap, EWMA, RNG, stats, piecewise functions,
    time series. *)
 
-module Heap = Nf_util.Heap
 module Ewma = Nf_util.Ewma
 module Rng = Nf_util.Rng
 module Stats = Nf_util.Stats
@@ -18,75 +17,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-9) what expected actual =
   if not (Fcmp.rel_eq ~rel:eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" what expected actual
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop2" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "pop3" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h : int))
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Heap.push h 42;
-  Alcotest.(check (option int)) "usable after clear" (Some 42) (Heap.pop h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap sorts like List.sort" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap pop is monotone under interleaving" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let popped = ref [] in
-      List.iter
-        (fun (is_push, v) ->
-          if is_push then Heap.push h v
-          else match Heap.pop h with
-            | Some x -> popped := x :: !popped
-            | None -> ())
-        ops;
-      (* Drain the rest; within any run after pushes stop, pops are sorted. *)
-      let rec drain () =
-        match Heap.pop h with
-        | Some x ->
-          popped := x :: !popped;
-          drain ()
-        | None -> ()
-      in
-      let before_drain = List.length !popped in
-      drain ();
-      let drained = List.filteri (fun i _ -> i < List.length !popped - before_drain)
-          (List.rev !popped) in
-      ignore drained;
-      (* The final drain must come out sorted. *)
-      let tail =
-        List.filteri (fun i _ -> i >= before_drain) (List.rev !popped)
-      in
-      tail = List.sort compare tail)
 
 (* ------------------------------------------------------------------ *)
 (* Fheap (the SoA float-keyed heap under the event engine and STFQ) *)
@@ -135,34 +65,37 @@ let test_fheap_clear_and_growth () =
   Alcotest.(check int) "usable after clear" 9 (Fheap.pop h)
 
 (* The correctness contract of the event-engine swap: Fheap pops in
-   exactly the order of the reference heap ordered by (key, push seq) —
-   keys drawn from 8 values so every list has exact-tie groups. *)
+   exactly the order of the reference, the pushes sorted by (key, push
+   seq) — keys drawn from 8 values so every list has exact-tie groups. *)
 let prop_fheap_matches_reference =
   QCheck.Test.make ~name:"fheap pops in reference (key, seq) order" ~count:300
     QCheck.(list (int_bound 7))
     (fun keys ->
       let h = Fheap.create ~capacity:4 ~dummy:(-1) () in
-      let ref_heap =
-        Heap.create ~cmp:(fun (ka, sa) (kb, sb) ->
-            match compare (ka : float) kb with 0 -> compare sa sb | c -> c)
+      let pushed =
+        List.mapi
+          (fun i k ->
+            let key = float_of_int k /. 4. in
+            Fheap.push h ~key ~aux:k i;
+            (key, i))
+          keys
       in
-      List.iteri
-        (fun i k ->
-          let key = float_of_int k /. 4. in
-          Fheap.push h ~key ~aux:k i;
-          Heap.push ref_heap (key, i))
-        keys;
+      let reference =
+        List.sort
+          (fun (ka, sa) (kb, sb) ->
+            match Float.compare ka kb with 0 -> Int.compare sa sb | c -> c)
+          pushed
+      in
       let ok = ref true in
-      let rec drain () =
-        match Heap.pop ref_heap with
-        | None -> if not (Fheap.is_empty h) then ok := false
-        | Some (key, seq) ->
+      let rec drain = function
+        | [] -> if not (Fheap.is_empty h) then ok := false
+        | (key, seq) :: rest ->
           if Fheap.is_empty h then ok := false
           else if Fheap.top_key h <> key then ok := false
           else if Fheap.pop h <> seq then ok := false
-          else drain ()
+          else drain rest
       in
-      drain ();
+      drain reference;
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -738,8 +671,8 @@ let test_metrics_json_and_fold () =
   Metrics.set_gauge g 1.5;
   let json = Metrics.to_json r in
   Alcotest.(check string) "json"
-    "{\"metrics\": [{\"name\": \"a_total\", \"type\": \"counter\", \"value\": 2}, \
-     {\"name\": \"b_depth\", \"type\": \"gauge\", \"value\": 1.5}]}"
+    "{\"metrics\":[{\"name\":\"a_total\",\"type\":\"counter\",\"value\":2},\
+     {\"name\":\"b_depth\",\"type\":\"gauge\",\"value\":1.5}]}"
     json;
   let folded =
     Metrics.fold_values r ~init:[] ~f:(fun acc ~id ~name v ->
@@ -990,14 +923,6 @@ let qcheck = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "nf_util"
     [
-      ( "heap",
-        [
-          quick "basic order" test_heap_basic;
-          quick "pop_exn on empty" test_heap_pop_exn_empty;
-          quick "clear" test_heap_clear;
-          qcheck prop_heap_sorts;
-          qcheck prop_heap_interleaved;
-        ] );
       ( "fheap",
         [
           quick "basic order" test_fheap_basic;

@@ -23,10 +23,10 @@ val to_string : t -> string
     with no line/col so baselines survive unrelated edits. *)
 val baseline_key : t -> string
 
-(** JSON string escaping (used by the [--json] report writer). *)
-val json_escape : string -> string
-
 (** One machine-readable object per finding:
     [{"file":..,"line":..,"col":..,"rule":..,"msg":..,"baseline":..}],
     where [baseline_status] is ["fresh"] or ["baselined"]. *)
+val json : baseline_status:string -> t -> Nf_util.Json.t
+
+(** [Nf_util.Json.to_string (json ~baseline_status f)]. *)
 val to_json : baseline_status:string -> t -> string

@@ -39,6 +39,14 @@ let catalog =
       summary = "every module under lib/ ships a .mli interface";
     };
     {
+      id = "json-by-hand";
+      stage = Syntactic;
+      summary =
+        "no JSON built by a Printf/Format format string (one holding a \
+         \"key\": pair); build an Nf_util.Json.t and print it with \
+         Json.to_string";
+    };
+    {
       id = "float-compare";
       stage = Typed;
       summary =
@@ -219,6 +227,34 @@ let sort_idents =
   ]
 
 (* --------------------------------------------------------------- *)
+(* json-by-hand helpers. *)
+
+let format_modules = [ "Printf"; "Format"; "Stdlib.Printf"; "Stdlib.Format" ]
+
+let is_format_fn id =
+  match String.rindex_opt id '.' with
+  | Some i -> List.mem (String.sub id 0 i) format_modules
+  | None -> false
+
+(* A JSON key: a closing quote followed by a colon. *)
+let has_json_key s =
+  let n = String.length s in
+  let rec go i = i + 1 < n && ((s.[i] = '"' && s.[i + 1] = ':') || go (i + 1)) in
+  go 0
+
+let check_json_format ctx args =
+  List.iter
+    (fun (_, a) ->
+      match a.pexp_desc with
+      | Pexp_constant (Pconst_string (s, loc, _)) when has_json_key s ->
+        emit ctx ~loc "json-by-hand"
+          "format string builds JSON by hand; build an Nf_util.Json.t and \
+           print it with Json.to_string (one codec, one escaper, one number \
+           rule)"
+      | _ -> ())
+    args
+
+(* --------------------------------------------------------------- *)
 (* exn-swallow helpers. *)
 
 let reraiser_idents =
@@ -365,6 +401,9 @@ let make_iterator ctx =
         List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args
       in
       match ident_of_expr f with
+      | Some id when is_format_fn id ->
+        check_json_format ctx args;
+        super.expr self e
       | Some id when List.mem id sort_idents ->
         (* Unordered Hashtbl traversal feeding a sort is the sanctioned
            idiom: the sort re-establishes a canonical order. *)

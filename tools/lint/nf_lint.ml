@@ -9,6 +9,7 @@ module Driver = Nf_lint_rules.Driver
 module Finding = Nf_lint_rules.Finding
 module Rules = Nf_lint_rules.Rules
 module Cmts = Nf_lint_rules.Cmts
+module Json = Nf_util.Json
 
 let usage =
   "nf_lint [options] PATH...\n\
@@ -149,23 +150,20 @@ let () =
           exit 2
     in
     if !json <> "" then begin
-      let oc = open_out !json in
-      let objects =
-        List.map (Finding.to_json ~baseline_status:"fresh") result.fresh
-        @ List.map
-            (Finding.to_json ~baseline_status:"baselined")
-            result.baselined
+      let report =
+        Json.Obj
+          [
+            ("version", Json.Num 1.);
+            ( "findings",
+              Json.List
+                (List.map (Finding.json ~baseline_status:"fresh") result.fresh
+                @ List.map (Finding.json ~baseline_status:"baselined") result.baselined) );
+            ("stale_baseline", Json.List (List.map (fun e -> Json.Str e) result.stale));
+          ]
       in
-      output_string oc "{\"version\":1,\"findings\":[";
-      output_string oc (String.concat "," objects);
-      output_string oc "],\"stale_baseline\":[";
-      output_string oc
-        (String.concat ","
-           (List.map
-              (fun e -> Printf.sprintf "\"%s\"" (Finding.json_escape e))
-              result.stale));
-      output_string oc "]}\n";
-      close_out oc
+      Out_channel.with_open_text !json (fun oc ->
+          output_string oc (Json.to_string report);
+          output_char oc '\n')
     end;
     List.iter (fun f -> print_endline (Finding.to_string f)) result.fresh;
     List.iter
