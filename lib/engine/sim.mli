@@ -12,7 +12,7 @@
     release build a float time stays unboxed across the library
     boundary: scheduling a preallocated handler and dispatching it
     measures 0 bytes per event (the [sim_schedule_dispatch] kernel of
-    the allocation audit, [bench/main.exe --audit-alloc]), and {!run}
+    the allocation audit, [test/test_alloc.exe]), and {!run}
     itself allocates nothing. A dev build compiles with [-opaque], which
     disables that inlining, and boxes two floats per schedule/dispatch
     round trip. Handlers should be allocated once and rescheduled, not

@@ -129,8 +129,9 @@ let packet_hop_kernel () =
     Nf_sim.Network.transmit net pkt;
     Nf_engine.Sim.run sim
 
-(* The same k=4 fat-tree / ECMP / proportional-fair scenario as the
-   bench's xwi_iters_per_sec@small kernel, shrunk to 64 flows. *)
+(* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
+   same kind of instance as nfbench's solve_cold, at a fraction of its
+   size. *)
 let xwi_problem ~k ~n_flows =
   let ft = Nf_topo.Builders.fat_tree ~k () in
   let rng = Nf_util.Rng.create ~seed:7 in
@@ -241,13 +242,3 @@ let run ?iters () =
 
 let ok results =
   List.for_all (fun r -> r.bytes_per_iter <= r.limit) results
-
-let pp ppf results =
-  Format.fprintf ppf "@[<v>Steady-state allocation audit:@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-24s %10.3f B/iter  (limit %5.1f)  %s@," r.kernel
-        r.bytes_per_iter r.limit
-        (if r.bytes_per_iter <= r.limit then "ok" else "FAIL"))
-    results;
-  Format.fprintf ppf "@]"

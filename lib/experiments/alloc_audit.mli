@@ -22,7 +22,8 @@
     which runs the audit under [--profile release]) hold every kernel to
     {!budget}.
 
-    Driven by [bench/main.exe --audit-alloc] and the [test_alloc] suite.
+    Driven by the [test_alloc] suite ([dune exec --profile release
+    test/test_alloc.exe] for the strict budget).
     Run with the process-wide {!Nf_num.Diag} config cleared: an attached
     diag allocates one sample record per observed step by design (the
     xwi kernel detaches its own diag defensively). *)
@@ -47,5 +48,3 @@ val run : ?iters:int -> unit -> result list
 
 val ok : result list -> bool
 (** Every kernel within its [limit]. *)
-
-val pp : Format.formatter -> result list -> unit

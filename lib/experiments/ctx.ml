@@ -2,21 +2,16 @@ type t = {
   scale : float;
   seed : int;
   attempt : int;
-  trace : Nf_util.Trace.t;
-  metrics : Nf_util.Metrics.t;
 }
 
-let make ?(scale = 1.0) ?(seed = 0) ?(attempt = 0) ?(trace = Nf_util.Trace.null)
-    ?(metrics = Nf_util.Metrics.global) () =
+let make ?(scale = 1.0) ?(seed = 0) ?(attempt = 0) () =
   if scale <= 0. || not (Float.is_finite scale) then
     invalid_arg (Printf.sprintf "Ctx.make: scale %g not positive" scale);
-  { scale; seed; attempt; trace; metrics }
+  { scale; seed; attempt }
 
 let default = make ()
 
 let quick = make ~scale:0.2 ()
-
-let of_quick ~quick:q = if q then quick else default
 
 let is_quick t = t.scale < 1.
 

@@ -1,8 +1,8 @@
 (** Execution context for experiments.
 
     A context tells an experiment {e how} to run without touching {e
-    what} it computes: the scenario scale, the RNG seed base, the retry
-    attempt, and the trace/metrics sinks. It replaces the old boolean
+    what} it computes: the scenario scale, the RNG seed base and the
+    retry attempt. It replaces the old boolean
     [~quick] flag — quick mode is now just [scale = 0.2] — and is the
     unit of sharding for {!Runner}: every task gets its own context
     (seed offset by the task index, attempt set by the retry loop), so
@@ -19,29 +19,16 @@ type t = {
           [--quick] smoke scale *)
   seed : int;  (** RNG seed base; {!Runner} offsets it per task *)
   attempt : int;  (** 0 on the first try; bumped by {!Runner} retries *)
-  trace : Nf_util.Trace.t;
-  metrics : Nf_util.Metrics.t;
 }
 
-val make :
-  ?scale:float ->
-  ?seed:int ->
-  ?attempt:int ->
-  ?trace:Nf_util.Trace.t ->
-  ?metrics:Nf_util.Metrics.t ->
-  unit ->
-  t
-(** Defaults: [scale = 1.0], [seed = 0], [attempt = 0], [Trace.null],
-    [Metrics.global]. @raise Invalid_argument if [scale <= 0]. *)
+val make : ?scale:float -> ?seed:int -> ?attempt:int -> unit -> t
+(** Defaults: [scale = 1.0], [seed = 0], [attempt = 0].
+    @raise Invalid_argument if [scale <= 0]. *)
 
 val default : t
 
 val quick : t
 (** [make ~scale:0.2 ()] — the old [~quick:true]. *)
-
-val of_quick : quick:bool -> t
-(** Back-compat bridge for the deprecated boolean: [true] is {!quick},
-    [false] is {!default}. *)
 
 val is_quick : t -> bool
 (** [scale < 1] (any scaled-down run). *)

@@ -1,7 +1,7 @@
 (* Ablation: eta/beta parameter sweeps for the xWI price update.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Xwi = Nf_num.Xwi_core
 type variant = { label : string; median : float; unconverged : int; }

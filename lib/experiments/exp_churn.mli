@@ -2,8 +2,8 @@
    each single-flow arrival after a churn prelude, compares the iteration
    count of the warm re-solve (previous epoch's prices, via
    [Xwi_core.resize]) against a cold solve of the identical problem; the
-   mean warm/cold ratio is ISSUE 8's acceptance metric and the source of
-   the [warm_vs_cold_iters] bench kernel. Deterministic: no wall clock,
+   mean warm/cold ratio is the serve path's acceptance metric (at most
+   0.10). Deterministic: no wall clock,
    all randomness seeded. *)
 
 type event = {

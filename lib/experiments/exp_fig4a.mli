@@ -1,7 +1,7 @@
 (* Figure 4a: xWI convergence time vs DGD, fluid and packet-level.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 type result = { scheme : string; times : float array; unconverged : int; }
 type t = {

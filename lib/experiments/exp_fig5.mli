@@ -1,7 +1,7 @@
 (* Figure 5: FCT deviation from the exact NUM allocation, by flow-size bin.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Dynamic = Nf_fluid.Dynamic
 module Stats = Nf_util.Stats

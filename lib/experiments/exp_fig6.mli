@@ -1,7 +1,7 @@
 (* Figures 6a-6c: convergence sensitivity to update interval, dt and alpha.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 type point = { x : float; median : float; unconverged : int; }
 type fig6a = point list

@@ -1,7 +1,7 @@
 (* Figure 7: mean FCT vs load, NUMFabric vs pFabric-style SRPT.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Dynamic = Nf_fluid.Dynamic
 module Topology = Nf_topo.Topology

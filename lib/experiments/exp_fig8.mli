@@ -1,7 +1,7 @@
 (* Figure 8: multi-tenant fairness and resource pooling.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Problem = Nf_num.Problem
 module Topology = Nf_topo.Topology

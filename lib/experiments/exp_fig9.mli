@@ -1,7 +1,7 @@
 (* Figure 9: weighted allocations against the dual-oracle reference.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Bf = Nf_num.Bandwidth_function
 module Problem = Nf_num.Problem

@@ -1,7 +1,7 @@
 (* Queue-occupancy experiment: mean queue depth per scheme.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Network = Nf_sim.Network
 module Builders = Nf_topo.Builders

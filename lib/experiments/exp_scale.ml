@@ -5,9 +5,8 @@
    concurrent flows — and verify it still drives the KKT residual down.
    Flows are placed with the memoized ECMP router (exact [ecmp_path]
    semantics, no path enumeration), and the iteration runs a fixed
-   budget of sparse steps so the report stays deterministic: wall-clock
-   throughput of the same kernels is tracked separately by the bench
-   harness ([xwi_iters_per_sec@{small,paper,10x}]). *)
+   budget of sparse steps so the report stays deterministic: the
+   solver's throughput is measured separately, by nfbench's solve_cold. *)
 
 module Problem = Nf_num.Problem
 module Utility = Nf_num.Utility

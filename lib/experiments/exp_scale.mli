@@ -1,7 +1,7 @@
 (* Large-fabric convergence study: the sparse CSR core on a 1024-server
    leaf-spine and a k=16 fat tree with 100k+ ECMP-placed flows, checked
    by KKT residual after a fixed iteration budget. Deterministic report;
-   kernel throughput is measured by bench, not here. *)
+   solver throughput is measured by nfbench's solve_cold, not here. *)
 
 type row = {
   fabric : string;

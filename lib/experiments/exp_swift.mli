@@ -1,7 +1,7 @@
 (* Swift transport: achieved rates vs the NUM reference allocation.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Network = Nf_sim.Network
 module Topology = Nf_topo.Topology

@@ -1,7 +1,7 @@
 (* Table 1: the utility-function menu and resulting objectives.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 module Utility = Nf_num.Utility
 module Problem = Nf_num.Problem

@@ -1,7 +1,7 @@
 (* Table 2: default simulator/algorithm parameters as a data table.
    Experiment modules are data producers: [run] computes a typed result,
    [report] converts it to a Report.t table, [pp] renders it for humans.
-   Registered in Registry; enumerated by nf_run and bench. *)
+   Registered in Registry; enumerated by nf_run. *)
 
 type row = { scheme : string; parameters : string; }
 type t = row list

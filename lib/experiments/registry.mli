@@ -2,15 +2,15 @@
 
     The built-in experiments (the paper's tables/figures plus the
     validation and ablation extras) register themselves when this module
-    is linked; the CLI ([nf_run list] / [nf_run exp]) and the bench
-    harness both enumerate from here, so adding an experiment is one
-    {!register} call.
+    is linked; the CLI ([nf_run list] / [nf_run exp]) enumerates from
+    here, so adding an experiment is one {!register} call.
 
     An experiment is a {e pure data producer}: [run ctx] maps an
-    execution context (scale factor, seed base, sinks — see {!Ctx}) to a
-    structured {!Report.t}. It must not print, and equal contexts must
-    yield equal reports — that contract is what lets {!Runner} shard
-    experiments across domains with deterministic merged output.
+    execution context (scale factor, seed base, retry attempt — see
+    {!Ctx}) to a structured {!Report.t}. It must not print, and equal
+    contexts must yield equal reports — that contract is what lets
+    {!Runner} shard experiments across domains with deterministic
+    merged output.
     Formatting lives in {!Report}'s renderers; scheduling in {!Runner}. *)
 
 type entry = {

@@ -6,8 +6,8 @@
     list is in task order, each task's context depends only on its index
     and attempt (never on scheduling), and reports carry no wall-clock
     data — so the merged output is byte-identical whatever [jobs] is.
-    Timings are returned alongside, for diagnostics and the bench
-    report, but live outside the reports.
+    Timings are returned alongside, for diagnostics, but live outside
+    the reports.
 
     Fault containment: a task that raises is caught on its worker domain
     and recorded as a {!failure}; the pool keeps going. Transient
@@ -63,7 +63,9 @@ val run :
     1). Task [k] runs with [Ctx.for_task ctx ~index:k ~attempt]. *)
 
 val total_wall : result list -> float
-(** Sum of per-task walls — the serial cost, for speedup accounting. *)
+(** Sum of per-task walls: the task-seconds of a run. Each wall is taken
+    while the tasks share the machine, so this is not what a serial run
+    would take. *)
 
 val pp_summary : Format.formatter -> result list -> unit
 (** One diagnostic line per task (wall, attempts, outcome); intended for

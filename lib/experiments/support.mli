@@ -102,7 +102,7 @@ val dynamic_flows :
     Returns the flow list (exactly [n_flows] of them) and the link
     capacity vector of [topology]. *)
 
-(** Formatting helpers shared by the bench printers. *)
+(** Formatting helpers shared by the experiments. *)
 val pp_rate_gbps : Format.formatter -> float -> unit
 
 val pp_cdf_summary : Format.formatter -> float array -> unit

@@ -327,11 +327,6 @@ let group_rates_into t ~rates out =
     "Problem.group_rates_into: array length";
   Incidence.group_rates_into inc ~rates ~out
 
-let group_rates t ~rates =
-  let out = Array.make (n_groups t) 0. in
-  group_rates_into t ~rates out;
-  out
-
 let link_loads_into t ~rates loads =
   force t;
   let inc = t.incidence in
@@ -340,11 +335,6 @@ let link_loads_into t ~rates loads =
     && Array.length loads >= inc.Incidence.n_links)
     "Problem.link_loads_into: array length";
   Incidence.link_loads_into inc ~rates ~out:loads
-
-let link_loads t ~rates =
-  let loads = Array.make (n_links t) 0. in
-  link_loads_into t ~rates loads;
-  loads
 
 let path_price t ~prices i =
   force t;

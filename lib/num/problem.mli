@@ -148,19 +148,14 @@ val incidence : t -> Incidence.t
 val group_rate : t -> rates:float array -> int -> float
 (** [y_g = Σ_{i ∈ g} rates.(i)] ({!Incidence.group_rate}). *)
 
-val group_rates : t -> rates:float array -> float array
-  [@@deprecated "allocates a fresh array per call; use group_rates_into"]
-
 val group_rates_into : t -> rates:float array -> float array -> unit
-(** Like [group_rates] but writes into a caller-owned array of length
+(** Every group's [y_g], written into a caller-owned array of length
     [n_groups] (no allocation; {!Incidence.group_rates_into}). *)
 
-val link_loads : t -> rates:float array -> float array
-  [@@deprecated "allocates a fresh array per call; use link_loads_into"]
-
 val link_loads_into : t -> rates:float array -> float array -> unit
-(** Like [link_loads] but clears and fills a caller-owned array of
-    length [n_links] (no allocation; {!Incidence.link_loads_into}). *)
+(** Every link's load [Σ_{i ∋ l} rates.(i)]: clears and fills a
+    caller-owned array of length [n_links] (no allocation;
+    {!Incidence.link_loads_into}). *)
 
 val path_price : t -> prices:float array -> int -> float
 (** [Σ_{l ∈ L(i)} prices.(l)] for flow [i] ({!Incidence.path_price}). *)

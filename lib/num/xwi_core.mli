@@ -76,7 +76,7 @@ val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
     old state's converged per-link prices} — link ids are stable across
     flow churn, so near the old fixpoint the carried prices make
     re-convergence take a small fraction of a cold start's iterations
-    (the [churn] experiment and the [warm_vs_cold_iters] bench kernel
+    (the [churn] experiment and nfbench's [serve_churn] workload
     quantify this). Rates start at the allocation the carried prices
     induce. The pool defaults to the old state's; diagnostics re-attach
     per the process-wide config.

@@ -7,12 +7,11 @@
     {e warm-started} from the previous epoch's converged prices via
     [Xwi_core.resize] — near the old fixpoint this converges in a small
     fraction of a cold start's iterations, which is the entire point of
-    an always-on service (the [churn] experiment and the
-    [warm_vs_cold_iters] bench kernel quantify it).
+    an always-on service (the [churn] experiment and nfbench's
+    [serve_churn] workload quantify it).
 
     The engine is what the socket server drives, what the tests exercise
-    without any I/O, and what the [serve_epochs_per_sec] bench kernel
-    loops. Wall-clock time-to-new-allocation is recorded per epoch
+    without any I/O, and what nfbench's [serve_churn] workload times. Wall-clock time-to-new-allocation is recorded per epoch
     (ring of recent samples + [nf_serve_alloc_seconds] histogram);
     everything else about an epoch is deterministic. *)
 

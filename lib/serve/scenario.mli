@@ -3,8 +3,8 @@
 
     One definition serves four callers — the [nf_run serve] daemon (to
     size its problem), the [serve-drive] test client and the CI smoke
-    job (to generate the event trace), the [serve_epochs_per_sec] /
-    [warm_vs_cold_iters] bench kernels, and the [churn] experiment — so
+    job (to generate the event trace), nfbench's [serve_churn] workload,
+    and the [churn] experiment — so
     they all churn the {e same} workload and their numbers compare. *)
 
 type t = {

@@ -5,7 +5,7 @@
     A record is a set of {e channels}; each channel holds one time series
     per {e subject} (a link id or a flow id). The network layer writes
     into the record as the simulation runs; experiments, the CLI
-    ([nf_run exp NAME --record out.json]) and the bench harness read it
+    ([nf_run exp NAME --record out.json]) read it
     back uniformly, and it can be exported as JSON or CSV. *)
 
 type channel =

@@ -9,11 +9,11 @@
       bytes-by-category table next to Profile's time table.
     - {b Process-wide GC metrics.} {!publish} snapshots [Gc.quick_stat]
       into [nf_gc_*] counters/gauges on a {!Nf_util.Metrics} registry, so
-      GC behaviour lands in every metrics export and bench report.
+      GC behaviour lands in every metrics export.
     - {b Steady-state allocation audit.} {!bytes_per_iteration} measures
       the exact per-iteration allocation of a closed loop — the runtime
-      enforcement of the [nf_lint] hot-alloc rule used by
-      [bench --audit-alloc] (see [Nf_experiments.Alloc_audit]).
+      enforcement of the [nf_lint] hot-alloc rule used by the
+      allocation audit (see [Nf_experiments.Alloc_audit]).
 
     Categories are plain ints so this module has no [Profile] dependency
     (Profile hooks into Gcstats, not vice versa); in practice they are

@@ -319,8 +319,3 @@ let obj_float key v = bind (member key v) to_float
 let obj_str key v = bind (member key v) to_str
 
 let obj_list key v = bind (member key v) to_list
-
-let num_members = function
-  | Obj fields ->
-    List.filter_map (fun (k, v) -> match v with Num n -> Some (k, n) | _ -> None) fields
-  | _ -> []

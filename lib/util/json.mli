@@ -3,8 +3,9 @@
 
     Every JSON reader and writer goes through this module: the serve
     wire protocol, the run records, metric and trace exports, experiment
-    reports, the bench and benchdiff reports, and the lint report. No
-    external dependency: the toolchain image has no yojson.
+    reports, the benchmark's result lines, the benchdiff report, and the
+    lint report. No external dependency: the toolchain image has no
+    yojson.
 
     Numbers print round-trippably: an integral value below [1e15] as an
     integer ([%.0f]), any other finite value with [%.17g], so parsing
@@ -56,7 +57,3 @@ val obj_float : string -> t -> float option
 val obj_str : string -> t -> string option
 
 val obj_list : string -> t -> t list option
-
-val num_members : t -> (string * float) list
-(** All [Num]-valued bindings of an [Obj], in document order; [[]] on
-    other constructors. Non-numeric bindings are skipped. *)

@@ -137,18 +137,6 @@ let test_stale_generation =
   check_typed "stale-generation" ~bad:"tbad_stale.ml" ~good:"tgood_stale.ml"
     ~expect:2
 
-let test_deprecated_copy =
-  check_typed "deprecated-copy" ~bad:"tbad_copy.ml" ~good:"tgood_copy.ml"
-    ~expect:2
-
-let test_copy_exempt () =
-  (* The same bad fixture lints clean under a config that marks it
-     copy-exempt (how Nf_num.Reference keeps its copying accessors). *)
-  let exempt = { Config.strict with Config.copy_exempt = (fun _ -> true) } in
-  Alcotest.(check (list string))
-    "copy-exempt file may call the copying accessors" []
-    (rules_of (lint_typed ~config:exempt "deprecated-copy" "tbad_copy.ml"))
-
 let test_serve_blocking =
   check_typed "serve-blocking" ~bad:"serve_select_bad.ml"
     ~good:"serve_select_good.ml" ~expect:2
@@ -345,7 +333,6 @@ let test_catalog () =
       "hot-alloc";
       "domain-safety";
       "stale-generation";
-      "deprecated-copy";
       "serve-blocking";
     ]
     Rules.rule_ids;
@@ -381,8 +368,6 @@ let () =
           Alcotest.test_case "domain-safety" `Quick test_domain_safety;
           Alcotest.test_case "domain-safety waiver" `Quick test_domain_waiver;
           Alcotest.test_case "stale-generation" `Quick test_stale_generation;
-          Alcotest.test_case "deprecated-copy" `Quick test_deprecated_copy;
-          Alcotest.test_case "copy exemption" `Quick test_copy_exempt;
           Alcotest.test_case "serve-blocking" `Quick test_serve_blocking;
           Alcotest.test_case "cmt-missing" `Quick test_cmt_missing;
         ] );

@@ -99,12 +99,6 @@ let test_ctx_seeds () =
   Alcotest.(check bool) "retries perturb the seed" true
     (Ctx.rng_seed retry ~default:17 <> Ctx.rng_seed t3 ~default:17)
 
-let test_ctx_quick_bridge () =
-  Alcotest.(check bool) "of_quick true is quick" true
-    (Ctx.is_quick (Ctx.of_quick ~quick:true));
-  Alcotest.(check bool) "of_quick false is full scale" false
-    (Ctx.is_quick (Ctx.of_quick ~quick:false))
-
 (* ------------------------------------------------------------------ *)
 (* Runner *)
 
@@ -259,7 +253,6 @@ let () =
         [
           quick "scaled" test_ctx_scaled;
           quick "seeds" test_ctx_seeds;
-          quick "quick bridge" test_ctx_quick_bridge;
         ] );
       ( "runner",
         [

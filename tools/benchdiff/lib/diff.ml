@@ -1,350 +1,381 @@
 module Json = Nf_util.Json
 
-type report = {
-  path : string;
-  rev : string;
-  quick : bool;
-  jobs_parallel : int;
-  total_seconds : float option;
-  kernels : (string * float) list;
-  experiments : (string * float) list;
+type better = Lower | Higher
+type metric_spec = { name : string; better : better; bound : float option }
+
+type run = {
+  correct : bool;
+  attempted : int;
+  failed : int;
   metrics : (string * float) list;
 }
 
-let opt_or default = function Some v -> v | None -> default
+let ( let* ) = Result.bind
 
-let load path =
-  match Json.parse_file path with
-  | Error msg -> Error msg
-  | Ok doc -> (
-      match Json.member "kernels" doc with
-      | None -> Error (path ^ ": not a bench report (no \"kernels\" field)")
-      | Some kernels ->
-          let num key = Option.bind (Json.member key doc) Json.to_float in
-          let experiments =
-            Option.bind (Json.member "experiments" doc) Json.to_list
-            |> opt_or []
-            |> List.filter_map (fun e ->
-                   match
-                     ( Option.bind (Json.member "name" e) Json.to_str,
-                       Option.bind (Json.member "seconds" e) Json.to_float )
-                   with
-                   | Some name, Some seconds -> Some (name, seconds)
-                   | _ -> None)
-          in
-          let metrics =
-            (* The embedded dump is {"metrics": [{name; type; value; ...}]};
-               histograms carry buckets instead of a value and are skipped. *)
-            Option.bind (Json.member "metrics" doc) (Json.member "metrics")
-            |> Fun.flip Option.bind Json.to_list
-            |> opt_or []
-            |> List.filter_map (fun m ->
-                   match
-                     ( Option.bind (Json.member "name" m) Json.to_str,
-                       Option.bind (Json.member "value" m) Json.to_float )
-                   with
-                   | Some name, Some value -> Some (name, value)
-                   | _ -> None)
-          in
-          Ok
-            {
-              path;
-              rev =
-                opt_or "?" (Option.bind (Json.member "rev" doc) Json.to_str);
-              quick =
-                (match Json.member "quick" doc with
-                | Some (Json.Bool b) -> b
-                | _ -> false);
-              jobs_parallel =
-                (match (num "jobs_parallel", num "jobs") with
-                | Some j, _ | None, Some j -> int_of_float j
-                | None, None -> 1);
-              total_seconds = num "total_seconds";
-              kernels = Json.num_members kernels;
-              experiments;
-              metrics;
-            })
+(* Map [f] over [xs], stopping at the first error. *)
+let map_result f xs =
+  List.fold_right
+    (fun x acc ->
+      let* tl = acc in
+      let* y = f x in
+      Ok (y :: tl))
+    xs (Ok [])
 
-type section = Kernel | Experiment | Metric
-type verdict = Regression | Improvement | Stable | Added | Removed
+let field what key get doc =
+  match Option.bind (Json.member key doc) get with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or ill-typed %S" what key)
+
+let load_spec path =
+  let* doc = Json.parse_file path in
+  let entry ~gated e =
+    let* name = field path "name" Json.to_str e in
+    let* better =
+      match Json.obj_str "better" e with
+      | Some "lower" -> Ok Lower
+      | Some "higher" -> Ok Higher
+      | _ -> Error (Printf.sprintf "%s: metric %s has no lower/higher" path name)
+    in
+    let* bound =
+      if gated then Result.map Option.some (field path "bound" Json.to_float e)
+      else Ok None
+    in
+    Ok { name; better; bound }
+  in
+  let* e2e = field path "end_to_end" Json.to_list doc in
+  let* layer = field path "per_layer" Json.to_list doc in
+  let* e2e = map_result (entry ~gated:true) e2e in
+  let* layer = map_result (entry ~gated:false) layer in
+  Ok (e2e @ layer)
+
+let parse_run what line =
+  let* doc = Result.map_error (fun m -> what ^ ": " ^ m) (Json.parse line) in
+  let* correct =
+    match Json.member "correct" doc with
+    | Some (Json.Bool b) -> Ok b
+    | _ -> Error (what ^ ": missing or ill-typed \"correct\"")
+  in
+  let* attempted = field what "attempted" Json.to_int doc in
+  let* failed = field what "failed" Json.to_int doc in
+  let* metrics =
+    match Json.member "metrics" doc with
+    | Some (Json.Obj ms) ->
+        map_result
+          (fun (name, m) ->
+            let* v = field (what ^ ": metric " ^ name) "value" Json.to_float m in
+            Ok (name, v))
+          ms
+    | _ -> Error (what ^ ": missing or ill-typed \"metrics\"")
+  in
+  Ok { correct; attempted; failed; metrics }
+
+let load_file path =
+  match In_channel.with_open_bin path In_channel.input_lines with
+  | exception Sys_error msg -> Error msg
+  | lines ->
+      List.mapi (fun i l -> (i + 1, l)) lines
+      |> List.filter (fun (_, l) -> String.trim l <> "")
+      |> map_result (fun (i, l) ->
+             parse_run (Printf.sprintf "%s: line %d" path i) l)
+
+let load_dir dir =
+  match Sys.readdir dir with
+  | exception Sys_error msg -> Error msg
+  | entries ->
+      Array.to_list entries
+      |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+      |> List.sort String.compare
+      |> map_result (fun f ->
+             let* runs = load_file (Filename.concat dir f) in
+             Ok (Filename.chop_suffix f ".jsonl", runs))
+
+type verdict = Worse | Better | Within | Missing | Added
 
 type row = {
-  section : section;
-  name : string;
-  old_value : float option;
-  new_value : float option;
-  delta_pct : float option;
+  spec : metric_spec;
+  old_values : float list;
+  new_values : float list;
   verdict : verdict;
-  gated : bool;
 }
 
-type config = {
-  kernel_threshold : float;
-  time_threshold : float;
-  gate_time : bool;
+type workload = {
+  name : string;
+  old_runs : run list;
+  new_runs : run list;
+  rows : row list;
 }
 
-let default_config =
-  { kernel_threshold = 0.10; time_threshold = 0.25; gate_time = false }
+type failure =
+  | Regression of { workload : string; metric : string }
+  | Missing_workload of string
+  | Missing_metric of { workload : string; metric : string }
+  | Incorrect_run of { workload : string; line : int }
+  | Failed_share of { workload : string; old_share : float; new_share : float }
 
-(* higher_better: kernels are rates, experiments are durations. *)
-let classify ~higher_better ~threshold ~old_v ~new_v =
-  let delta_pct =
-    if old_v > 0. then Some ((new_v -. old_v) /. old_v *. 100.) else None
-  in
-  let verdict =
-    match delta_pct with
-    | None -> if new_v > old_v then Improvement else Stable
-    | Some _ ->
-        let worse =
-          if higher_better then new_v < old_v *. (1. -. threshold)
-          else new_v > old_v *. (1. +. threshold)
-        in
-        let better =
-          if higher_better then new_v > old_v *. (1. +. threshold)
-          else new_v < old_v *. (1. -. threshold)
-        in
-        if worse then Regression else if better then Improvement else Stable
-  in
-  (delta_pct, verdict)
+type t = {
+  old_label : string;
+  new_label : string;
+  workloads : workload list;
+  failures : failure list;
+}
 
-(* Pair up two (name, value) lists preserving old-report order, with
-   new-only entries appended in new-report order. *)
-let align old_entries new_entries =
-  let matched =
+let lowest = List.fold_left Float.min Float.infinity
+let highest = List.fold_left Float.max Float.neg_infinity
+
+(* Worse (Better) only when the two sets of runs are separated by more
+   than the bound: the best NEW run is worse than the worst OLD run
+   beyond it. Anything short of that is noise the bound admits. *)
+let separation spec ~old_values ~new_values =
+  let b = Option.value spec.bound ~default:0. in
+  let old_lo = lowest old_values and old_hi = highest old_values in
+  let new_lo = lowest new_values and new_hi = highest new_values in
+  (* [above x y]: x exceeds y by more than the bound; [below] likewise. *)
+  let above x y = x > y *. (1. +. b) and below x y = x < y *. (1. -. b) in
+  match spec.better with
+  | Lower ->
+      if above new_lo old_hi then Worse
+      else if below new_hi old_lo then Better
+      else Within
+  | Higher ->
+      if below new_hi old_lo then Worse
+      else if above new_lo old_hi then Better
+      else Within
+
+let values name runs = List.filter_map (fun r -> List.assoc_opt name r.metrics) runs
+
+let compare_metric ~old_runs ~new_runs (spec : metric_spec) =
+  match (values spec.name old_runs, values spec.name new_runs) with
+  | [], [] -> None
+  | old_values, [] -> Some { spec; old_values; new_values = []; verdict = Missing }
+  | [], new_values -> Some { spec; old_values = []; new_values; verdict = Added }
+  | old_values, new_values ->
+      Some
+        {
+          spec;
+          old_values;
+          new_values;
+          verdict = separation spec ~old_values ~new_values;
+        }
+
+(* Runs, failed ops, attempted ops, incorrect runs. *)
+let account runs =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+  ( List.length runs,
+    sum (fun r -> r.failed),
+    sum (fun r -> r.attempted),
+    List.length (List.filter (fun r -> not r.correct) runs) )
+
+let share runs =
+  let _, failed, attempted, _ = account runs in
+  if attempted = 0 then 0. else float_of_int failed /. float_of_int attempted
+
+let workload_failures w =
+  if w.old_runs <> [] && w.new_runs = [] then [ Missing_workload w.name ]
+  else
+    let metric r =
+      match (r.verdict, r.spec.bound) with
+      | Worse, Some _ -> Some (Regression { workload = w.name; metric = r.spec.name })
+      | Missing, Some _ ->
+          Some (Missing_metric { workload = w.name; metric = r.spec.name })
+      | _ -> None
+    in
+    let incorrect =
+      List.concat
+        (List.mapi
+           (fun i r ->
+             if r.correct then [] else [ Incorrect_run { workload = w.name; line = i + 1 } ])
+           w.new_runs)
+    in
+    let old_share = share w.old_runs and new_share = share w.new_runs in
+    List.filter_map metric w.rows
+    @ incorrect
+    @
+    if new_share > old_share then
+      [ Failed_share { workload = w.name; old_share; new_share } ]
+    else []
+
+let diff specs ~old_label ~new_label ~old ~new_ =
+  let names =
+    List.map fst old
+    @ List.filter (fun n -> not (List.mem_assoc n old)) (List.map fst new_)
+  in
+  let workloads =
     List.map
-      (fun (name, old_v) -> (name, Some old_v, List.assoc_opt name new_entries))
-      old_entries
+      (fun name ->
+        let runs side = Option.value (List.assoc_opt name side) ~default:[] in
+        let old_runs = runs old and new_runs = runs new_ in
+        {
+          name;
+          old_runs;
+          new_runs;
+          rows = List.filter_map (compare_metric ~old_runs ~new_runs) specs;
+        })
+      names
   in
-  let added =
-    List.filter_map
-      (fun (name, new_v) ->
-        if List.mem_assoc name old_entries then None
-        else Some (name, None, Some new_v))
-      new_entries
-  in
-  matched @ added
-
-let diff_section cfg section old_entries new_entries =
-  List.map
-    (fun (name, old_value, new_value) ->
-      match (old_value, new_value) with
-      | Some _, None ->
-          {
-            section;
-            name;
-            old_value;
-            new_value;
-            delta_pct = None;
-            verdict = Removed;
-            (* A benchmark that disappears is a gate failure for kernels:
-               that is how a regression hides from the diff. *)
-            gated = (section = Kernel);
-          }
-      | None, Some _ ->
-          {
-            section;
-            name;
-            old_value;
-            new_value;
-            delta_pct = None;
-            verdict = Added;
-            gated = false;
-          }
-      | Some old_v, Some new_v ->
-          let delta_pct, verdict =
-            match section with
-            | Kernel ->
-                classify ~higher_better:true ~threshold:cfg.kernel_threshold
-                  ~old_v ~new_v
-            | Experiment ->
-                classify ~higher_better:false ~threshold:cfg.time_threshold
-                  ~old_v ~new_v
-            | Metric ->
-                (* Workload descriptors: report the drift, never judge it. *)
-                ( (if old_v > 0. then
-                     Some ((new_v -. old_v) /. old_v *. 100.)
-                   else None),
-                  Stable )
-          in
-          let gated =
-            match section with
-            | Kernel -> true
-            | Experiment -> cfg.gate_time
-            | Metric -> false
-          in
-          { section; name; old_value; new_value; delta_pct; verdict; gated }
-      | None, None -> assert false)
-    (align old_entries new_entries)
-
-let diff cfg ~old_report ~new_report =
-  diff_section cfg Kernel old_report.kernels new_report.kernels
-  @ diff_section cfg Experiment old_report.experiments new_report.experiments
-  @ diff_section cfg Metric old_report.metrics new_report.metrics
-
-let row_fails r = r.gated && (r.verdict = Regression || r.verdict = Removed)
-let has_regressions rows = List.exists row_fails rows
+  {
+    old_label;
+    new_label;
+    workloads;
+    failures = List.concat_map workload_failures workloads;
+  }
 
 (* ---- rendering ---- *)
 
+let median = function
+  | [] -> Float.nan
+  | vs -> Nf_util.Stats.median (Array.of_list vs)
+
 let fmt_value v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
+  else Printf.sprintf "%.4g" v
 
-let fmt_opt = function Some v -> fmt_value v | None -> "—"
-let fmt_delta = function Some d -> Printf.sprintf "%+.1f%%" d | None -> "—"
+let fmt_delta r =
+  let o = median r.old_values and n = median r.new_values in
+  if r.old_values = [] || r.new_values = [] || Float.equal o 0. then "—"
+  else Printf.sprintf "%+.1f%%" ((n -. o) /. o *. 100.)
+
+let fmt_side = function
+  | [] -> "—"
+  | vs ->
+      Printf.sprintf "%s [%s, %s]" (fmt_value (median vs))
+        (fmt_value (lowest vs)) (fmt_value (highest vs))
+
+let better_name = function Lower -> "lower" | Higher -> "higher"
 
 let verdict_name = function
-  | Regression -> "regression"
-  | Improvement -> "improvement"
-  | Stable -> "stable"
+  | Worse -> "worse"
+  | Better -> "better"
+  | Within -> "within"
+  | Missing -> "missing"
   | Added -> "added"
-  | Removed -> "removed"
 
-let section_name = function
-  | Kernel -> "kernel"
-  | Experiment -> "experiment"
-  | Metric -> "metric"
+let failure_text = function
+  | Regression { workload; metric } ->
+      Printf.sprintf "%s %s: every new run is worse than every old run beyond the bound"
+        workload metric
+  | Missing_workload w -> Printf.sprintf "%s: no new runs" w
+  | Missing_metric { workload; metric } ->
+      Printf.sprintf "%s %s: no new run reports it" workload metric
+  | Incorrect_run { workload; line } ->
+      Printf.sprintf "%s: new run %d reports correct: false" workload line
+  | Failed_share { workload; old_share; new_share } ->
+      Printf.sprintf "%s: failed/attempted rose from %.4g to %.4g" workload
+        old_share new_share
 
-let verdict_md r =
-  match r.verdict with
-  | Regression when r.gated -> "**REGRESSION**"
-  | Removed when r.gated -> "**REMOVED**"
-  | Regression -> "regression (not gated)"
-  | Improvement -> "improvement"
-  | Stable -> "stable"
-  | Added -> "added"
-  | Removed -> "removed"
-
-let section_table buf title unit rows =
-  if rows <> [] then begin
-    Buffer.add_string buf (Printf.sprintf "## %s\n\n" title);
-    Buffer.add_string buf
-      (Printf.sprintf "| name | old (%s) | new (%s) | delta | verdict |\n" unit
-         unit);
-    Buffer.add_string buf "|---|---:|---:|---:|---|\n";
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "| `%s` | %s | %s | %s | %s |\n" r.name
-             (fmt_opt r.old_value) (fmt_opt r.new_value) (fmt_delta r.delta_pct)
-             (verdict_md r)))
-      rows;
-    Buffer.add_char buf '\n'
-  end
-
-let to_markdown cfg ~old_report ~new_report rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "# Bench diff: `%s` → `%s`\n\n" old_report.rev
-       new_report.rev);
-  if old_report.quick <> new_report.quick then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "> **Warning:** comparing a %s run against a %s run — workloads \
-          differ, treat deltas as indicative only.\n\n"
-         (if old_report.quick then "quick" else "full")
-         (if new_report.quick then "quick" else "full"));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "- old: `%s` (rev %s, %s, %d parallel jobs%s)\n- new: `%s` (rev %s, \
-        %s, %d parallel jobs%s)\n- gate: kernel drop > %.0f%%%s\n\n"
-       old_report.path old_report.rev
-       (if old_report.quick then "quick" else "full")
-       old_report.jobs_parallel
-       (match old_report.total_seconds with
-       | Some s -> Printf.sprintf ", %.1fs total" s
-       | None -> "")
-       new_report.path new_report.rev
-       (if new_report.quick then "quick" else "full")
-       new_report.jobs_parallel
-       (match new_report.total_seconds with
-       | Some s -> Printf.sprintf ", %.1fs total" s
-       | None -> "")
-       (cfg.kernel_threshold *. 100.)
-       (if cfg.gate_time then
-          Printf.sprintf ", experiment rise > %.0f%%" (cfg.time_threshold *. 100.)
-        else ""));
-  let of_section s = List.filter (fun r -> r.section = s) rows in
-  section_table buf "Kernels" "per sec" (of_section Kernel);
-  section_table buf "Experiments" "s" (of_section Experiment);
-  section_table buf "Metrics (informational)" "value" (of_section Metric);
-  let failures = List.filter row_fails rows in
-  (if failures = [] then
-     Buffer.add_string buf "**Verdict: PASS** — no gated regressions.\n"
-   else begin
-     Buffer.add_string buf
-       (Printf.sprintf "**Verdict: FAIL** — %d gated regression%s:\n\n"
-          (List.length failures)
-          (if List.length failures = 1 then "" else "s"));
-     List.iter
-       (fun r ->
-         Buffer.add_string buf
-           (Printf.sprintf "- `%s`: %s → %s (%s)\n" r.name
-              (fmt_opt r.old_value) (fmt_opt r.new_value)
-              (fmt_delta r.delta_pct)))
-       failures
-   end);
+let to_markdown t =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  add "# nfbench diff: `%s` → `%s`\n\n" t.old_label t.new_label;
+  add
+    "An end-to-end metric gates when every new run is worse than every old \
+     run by more than its `BENCHMARK.json` bound. Per-layer metrics are \
+     compared with no bound and never gate. Values: median [min, max] over \
+     the runs.\n\n";
+  let table title rows =
+    if rows <> [] then begin
+      add "%s\n\n| metric | better | bound | old | new | Δ median | verdict |\n" title;
+      add "|---|---|---:|---:|---:|---:|---|\n";
+      List.iter
+        (fun r ->
+          let verdict =
+            match (r.verdict, r.spec.bound) with
+            | Worse, Some _ -> "**REGRESSION**"
+            | Missing, Some _ -> "**MISSING**"
+            | v, _ -> verdict_name v
+          in
+          add "| `%s` | %s | %s | %s | %s | %s | %s |\n" r.spec.name
+            (better_name r.spec.better)
+            (match r.spec.bound with
+            | Some b -> Printf.sprintf "%.0f%%" (b *. 100.)
+            | None -> "—")
+            (fmt_side r.old_values) (fmt_side r.new_values) (fmt_delta r)
+            verdict)
+        rows;
+      add "\n"
+    end
+  in
+  List.iter
+    (fun w ->
+      add "## %s\n\n" w.name;
+      let side label runs =
+        let n, failed, attempted, incorrect = account runs in
+        add "- %s: %d run%s, %d/%d ops failed, %d incorrect\n" label n
+          (if n = 1 then "" else "s")
+          failed attempted incorrect
+      in
+      side "old" w.old_runs;
+      side "new" w.new_runs;
+      add "\n";
+      let e2e, layer = List.partition (fun r -> Option.is_some r.spec.bound) w.rows in
+      table "End-to-end:" e2e;
+      table "Per-layer (informational):" layer)
+    t.workloads;
+  (match t.failures with
+  | [] -> add "**Verdict: PASS**\n"
+  | fs ->
+      add "**Verdict: FAIL**\n\n";
+      List.iter (fun f -> add "- %s\n" (failure_text f)) fs);
   Buffer.contents buf
 
-let to_json cfg ~old_report ~new_report rows =
-  let opt = function Some v -> Json.Num v | None -> Json.Null in
+let to_json t =
+  let nums vs = Json.List (List.map (fun v -> Json.Num v) vs) in
   let int i = Json.Num (float_of_int i) in
-  let side r =
+  let side runs =
+    let n, failed, attempted, incorrect = account runs in
     Json.Obj
       [
-        ("path", Json.Str r.path);
-        ("rev", Json.Str r.rev);
-        ("quick", Json.Bool r.quick);
-        ("jobs_parallel", int r.jobs_parallel);
-        ("total_seconds", opt r.total_seconds);
+        ("runs", int n);
+        ("failed", int failed);
+        ("attempted", int attempted);
+        ("incorrect", int incorrect);
       ]
   in
   let row r =
     Json.Obj
       [
-        ("section", Json.Str (section_name r.section));
-        ("name", Json.Str r.name);
-        ("old", opt r.old_value);
-        ("new", opt r.new_value);
-        ("delta_pct", opt r.delta_pct);
+        ("name", Json.Str r.spec.name);
+        ("better", Json.Str (better_name r.spec.better));
+        ("bound", match r.spec.bound with Some b -> Json.Num b | None -> Json.Null);
+        ("old", nums r.old_values);
+        ("new", nums r.new_values);
         ("verdict", Json.Str (verdict_name r.verdict));
-        ("gated", Json.Bool r.gated);
+      ]
+  in
+  let workload w =
+    Json.Obj
+      [
+        ("name", Json.Str w.name);
+        ("old", side w.old_runs);
+        ("new", side w.new_runs);
+        ("metrics", Json.List (List.map row w.rows));
       ]
   in
   Json.to_string
     (Json.Obj
        [
-         ("old", side old_report);
-         ("new", side new_report);
-         ( "config",
-           Json.Obj
-             [
-               ("kernel_threshold", Json.Num cfg.kernel_threshold);
-               ("time_threshold", Json.Num cfg.time_threshold);
-               ("gate_time", Json.Bool cfg.gate_time);
-             ] );
-         ("rows", Json.List (List.map row rows));
-         ("regressions", int (List.length (List.filter row_fails rows)));
+         ("old", Json.Str t.old_label);
+         ("new", Json.Str t.new_label);
+         ("pass", Json.Bool (t.failures = []));
+         ("failures", Json.List (List.map (fun f -> Json.Str (failure_text f)) t.failures));
+         ("workloads", Json.List (List.map workload t.workloads));
        ])
   ^ "\n"
 
-let pp_summary ppf rows =
-  let count v = List.length (List.filter (fun r -> r.verdict = v) rows) in
-  Format.fprintf ppf
-    "@[<v>%d rows: %d regressions, %d improvements, %d stable, %d added, %d \
-     removed@,"
-    (List.length rows) (count Regression) (count Improvement) (count Stable)
-    (count Added) (count Removed);
-  let failures = List.filter row_fails rows in
-  if failures = [] then Format.fprintf ppf "PASS: no gated regressions@]"
-  else begin
-    Format.fprintf ppf "FAIL: %d gated regression(s):@," (List.length failures);
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "  %s %s: %s -> %s (%s)@,"
-          (section_name r.section) r.name (fmt_opt r.old_value)
-          (fmt_opt r.new_value) (fmt_delta r.delta_pct))
-      failures;
-    Format.fprintf ppf "@]"
-  end
+let pp_summary ppf t =
+  Format.fprintf ppf "@[<v>";
+  List.iter
+    (fun w ->
+      List.iter
+        (fun r ->
+          if Option.is_some r.spec.bound then
+            Format.fprintf ppf "%s %s: %s -> %s (%s) %s@," w.name r.spec.name
+              (fmt_side r.old_values) (fmt_side r.new_values) (fmt_delta r)
+              (verdict_name r.verdict))
+        w.rows)
+    t.workloads;
+  match t.failures with
+  | [] -> Format.fprintf ppf "PASS@]"
+  | fs ->
+      Format.fprintf ppf "FAIL:@,";
+      List.iter (fun f -> Format.fprintf ppf "  %s@," (failure_text f)) fs;
+      Format.fprintf ppf "@]"

@@ -1,81 +1,103 @@
-(** Cross-revision bench report comparison.
+(** Cross-revision diff of nfbench results.
 
-    Reads two [BENCH_<rev>.json] reports (as written by [bench/main.exe
-    --json]) and classifies every kernel, experiment, and exported metric
-    into a verdict. Kernels are throughputs — higher is better — and are
-    always gated: a drop beyond [kernel_threshold] fails the diff.
-    Experiment wall-clock seconds are lower-is-better and gated only when
-    the caller opts in ([gate_time]): wall time on shared CI runners is
-    noisy, whereas the kernel loops are pinned and repeatable. Metrics
-    (counters and gauges from the embedded [Nf_util.Metrics] dump) are
-    never gated — they are workload descriptors, not performance — but
-    their drift is reported because it explains kernel movement (e.g. a
-    converged-total drop alongside an iteration-rate gain).
+    A results directory holds one [<workload>.jsonl] per workload, one
+    result object per line: the last line that one
+    [bash nfbench/run.sh --workload W --seed N ...] printed, i.e.
+    [{"correct": _, "attempted": _, "failed": _, "metrics": {NAME:
+    {"value": _, "unit": _}, ...}}]. An untraced run carries the
+    end-to-end metrics, a traced one the per-layer metrics; a directory
+    may mix both.
 
-    A kernel present in the old report but missing from the new one also
-    fails the gate: silently dropping a benchmark is how regressions
-    hide. New kernels and experiments are reported as additions. *)
+    Each metric's direction, and each end-to-end metric's bound, come
+    from [BENCHMARK.json]. The diff fails when, and only when:
+    - for some workload and end-to-end metric, every NEW run is worse
+      than every OLD run by more than the metric's bound;
+    - OLD has a workload, or a workload's end-to-end metric, that NEW
+      lacks;
+    - a NEW run reports [correct: false];
+    - a workload's failed/attempted share in NEW exceeds OLD's.
 
-type report = {
-  path : string;
-  rev : string;
-  quick : bool;  (** Report from a [--quick] run; diffs against a full
-                     run compare different workloads, so this is surfaced
-                     prominently in the rendered output. *)
-  jobs_parallel : int;
-      (** [jobs_parallel] field, falling back to the pre-PR-7 [jobs]
-          field for older reports. *)
-  total_seconds : float option;
-  kernels : (string * float) list;  (** name, iterations (or events)/sec *)
-  experiments : (string * float) list;  (** name, wall seconds *)
-  metrics : (string * float) list;
-      (** counter/gauge name, value — histogram entries are skipped *)
+    Per-layer metrics are compared the same way (with no bound) and
+    reported, but never gate. *)
+
+type better = Lower | Higher
+
+type metric_spec = {
+  name : string;
+  better : better;
+  bound : float option;
+      (** [Some b] for an end-to-end metric (relative, e.g. 0.25), [None]
+          for a per-layer one *)
 }
 
-val load : string -> (report, string) result
+val load_spec : string -> (metric_spec list, string) result
+(** The [end_to_end] then the [per_layer] entries of a
+    [BENCHMARK.json], in file order. *)
 
-type section = Kernel | Experiment | Metric
+type run = {
+  correct : bool;
+  attempted : int;
+  failed : int;
+  metrics : (string * float) list;  (** name, value; units dropped *)
+}
+
+val load_dir : string -> ((string * run list) list, string) result
+(** Every [<workload>.jsonl] in the directory, sorted by workload name,
+    runs in line order; blank lines are skipped. *)
 
 type verdict =
-  | Regression
-  | Improvement
-  | Stable
-  | Added  (** only in the new report *)
-  | Removed  (** only in the old report *)
+  | Worse  (** every NEW run worse than every OLD run beyond the bound *)
+  | Better  (** every NEW run better than every OLD run beyond the bound *)
+  | Within  (** neither: the runs overlap or sit within the bound *)
+  | Missing  (** in OLD runs only *)
+  | Added  (** in NEW runs only *)
 
 type row = {
-  section : section;
-  name : string;
-  old_value : float option;
-  new_value : float option;
-  delta_pct : float option;  (** None when either side is missing or 0 *)
+  spec : metric_spec;
+  old_values : float list;
+  new_values : float list;
   verdict : verdict;
-  gated : bool;  (** a [Regression] or [Removed] verdict here fails the diff *)
 }
 
-type config = {
-  kernel_threshold : float;  (** relative drop that fails a kernel; 0.10 *)
-  time_threshold : float;
-      (** relative rise that flags an experiment's seconds; 0.25 *)
-  gate_time : bool;  (** when true, experiment regressions also gate *)
+type workload = {
+  name : string;
+  old_runs : run list;
+  new_runs : run list;  (** [[]] when NEW lacks the workload *)
+  rows : row list;
+      (** one per catalogued metric that either side reports, in spec
+          order *)
 }
 
-val default_config : config
+type failure =
+  | Regression of { workload : string; metric : string }
+  | Missing_workload of string
+  | Missing_metric of { workload : string; metric : string }
+  | Incorrect_run of { workload : string; line : int }
+      (** [line] counts the NEW file's runs from 1 *)
+  | Failed_share of { workload : string; old_share : float; new_share : float }
 
-val diff : config -> old_report:report -> new_report:report -> row list
-(** Rows in report order: kernels, then experiments, then metrics. *)
+type t = {
+  old_label : string;
+  new_label : string;
+  workloads : workload list;  (** OLD's, then NEW-only ones *)
+  failures : failure list;
+}
 
-val has_regressions : row list -> bool
-(** True iff some gated row carries [Regression] or [Removed]. *)
+val diff :
+  metric_spec list ->
+  old_label:string ->
+  new_label:string ->
+  old:(string * run list) list ->
+  new_:(string * run list) list ->
+  t
 
-val to_markdown :
-  config -> old_report:report -> new_report:report -> row list -> string
+val failure_text : failure -> string
 
-val to_json :
-  config -> old_report:report -> new_report:report -> row list -> string
-(** Machine-readable rendering of the same rows, one top-level object with
-    [old]/[new]/[rows]/[regressions] fields. *)
+val to_markdown : t -> string
 
-val pp_summary : Format.formatter -> row list -> unit
-(** One-paragraph console summary: counts by verdict plus every gated
-    failure spelled out. *)
+val to_json : t -> string
+(** The same content, one object: [old], [new], [pass], [failures] (one
+    string each) and [workloads] with every run's metric values. *)
+
+val pp_summary : Format.formatter -> t -> unit
+(** Each end-to-end metric's medians, then PASS or every failure. *)

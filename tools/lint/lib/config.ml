@@ -3,7 +3,6 @@ type t = {
   float_strict : string -> bool;
   hashtbl_ordered : string -> bool;
   require_mli : string -> bool;
-  copy_exempt : string -> bool;
   serve_loop : string -> bool;
 }
 
@@ -31,11 +30,8 @@ let has_suffix ~suffix s =
    CI do). *)
 let repo_default =
   {
-    (* Profile owns the wall clock; bench harnesses measure it. *)
-    wallclock_exempt =
-      (fun p ->
-        let p = normalize p in
-        has_prefix ~prefix:"bench/" p || has_suffix ~suffix:"/profile.ml" p);
+    (* Profile owns the wall clock. *)
+    wallclock_exempt = (fun p -> has_suffix ~suffix:"/profile.ml" (normalize p));
     (* The numeric kernels plus everything downstream of them that moves
        floats (the serve daemon's epochs, the event engine's timestamps):
        a polymorphic compare on floats here is either a nan-semantics bug
@@ -54,10 +50,6 @@ let repo_default =
        is sorted in place. *)
     hashtbl_ordered = (fun p -> has_prefix ~prefix:"lib/" (normalize p));
     require_mli = (fun p -> has_prefix ~prefix:"lib/" (normalize p));
-    (* The legacy oracle is the one module allowed to keep calling the
-       copying link_loads/group_rates accessors (it *is* the
-       allocation-happy reference implementation). *)
-    copy_exempt = (fun p -> has_suffix ~suffix:"lib/num/reference.ml" (normalize p));
     (* The single-threaded select dispatch: a blocking call here stalls
        every connected client. The blocking Client driver is exempt (it
        is the other side of the wire). *)
@@ -76,6 +68,5 @@ let strict =
     float_strict = (fun _ -> true);
     hashtbl_ordered = (fun _ -> true);
     require_mli = (fun _ -> true);
-    copy_exempt = (fun _ -> false);
     serve_loop = (fun _ -> true);
   }

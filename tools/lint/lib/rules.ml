@@ -23,7 +23,7 @@ let catalog =
       stage = Syntactic;
       summary =
         "no Random.self_init; no wall clock (Unix.gettimeofday, Sys.time) \
-         outside Profile/bench; no unordered Hashtbl.iter/fold/to_seq in \
+         outside Profile; no unordered Hashtbl.iter/fold/to_seq in \
          library modules unless the result is sorted";
     };
     {
@@ -85,14 +85,6 @@ let catalog =
         "an Xwi_core.state or Incidence.t obtained before \
          Problem.add_group/remove_group/set_cap may not be used after it \
          without an intervening Problem.commit or Xwi_core.resize";
-    };
-    {
-      id = "deprecated-copy";
-      stage = Typed;
-      summary =
-        "no calls to the copying accessors Problem.link_loads / \
-         Problem.group_rates outside Nf_num.Reference; use the _into \
-         variants with a caller-owned buffer";
     };
     {
       id = "serve-blocking";
@@ -382,7 +374,7 @@ let make_iterator ctx =
              && not (ctx.config.Config.wallclock_exempt ctx.file) ->
         emit ctx ~loc:e.pexp_loc "determinism"
           (Printf.sprintf
-             "%s reads the wall clock; outside Profile/bench use simulated \
+             "%s reads the wall clock; outside Profile use simulated \
               time (Sim.now) or suppress with [@nf.allow \"determinism\"] \
               if wall time is genuinely wanted"
              id)

@@ -16,7 +16,7 @@
      [Runner] tasks may not write captured mutable state unless the
      write is chunk-local (indexed by a binding of the task's own
      scope), mutex-guarded, or waived with a justification.
-   - [stale-generation] / [deprecated-copy] / [serve-blocking]:
+   - [stale-generation] / [serve-blocking]:
      cross-module API contracts of the delta [Problem] layer and the
      serve loop.
 
@@ -230,9 +230,6 @@ let generation_clearers = [ "Problem.commit"; "Xwi_core.resize" ]
 
 (* Bare names too: a module-internal call resolves to a plain ident
    with no [Problem.] prefix. *)
-let deprecated_copies =
-  [ "Problem.link_loads"; "Problem.group_rates"; "link_loads"; "group_rates" ]
-
 (* --------------------------------------------------------------- *)
 (* domain-safety: closure analysis. *)
 
@@ -406,7 +403,7 @@ let check_domain_closure ctx ~what closure =
   it.expr it closure
 
 (* --------------------------------------------------------------- *)
-(* Pass A: float-compare, hot-alloc, deprecated-copy, serve-blocking,
+(* Pass A: float-compare, hot-alloc, serve-blocking,
    domain-safety trigger detection. One traversal. *)
 
 let is_float_type (ty : Types.type_expr) =
@@ -527,7 +524,6 @@ let poly_compare_hint id =
 let check_main ctx (str : structure) =
   let float_strict = ctx.config.Config.float_strict ctx.file in
   let serve_loop = ctx.config.Config.serve_loop ctx.file in
-  let copy_exempt = ctx.config.Config.copy_exempt ctx.file in
   let hot_depth = ref 0 in
   let hot_refs = Hashtbl.create 16 in
   let rec expr self e =
@@ -570,13 +566,6 @@ let check_main ctx (str : structure) =
                "polymorphic %s on operands not provably float-free; use %s \
                 (nan-safe, monomorphic)"
                (unqualify id) (poly_compare_hint id))
-      | Some id when (not copy_exempt) && path_in id deprecated_copies ->
-        emit ctx ~loc:e.exp_loc "deprecated-copy"
-          (Printf.sprintf
-             "%s copies a fresh array per call; use %s_into with a \
-              caller-owned buffer (the copying accessors survive only in \
-              Nf_num.Reference)"
-             (unqualify id) (unqualify id))
       | Some id when serve_loop && path_in id blocking_calls ->
         emit ctx ~loc:e.exp_loc "serve-blocking"
           (Printf.sprintf

@@ -84,7 +84,7 @@ let () =
   end;
   let roots = List.rev !roots in
   if roots = [] then begin
-    prerr_endline "nf_lint: no paths given (try: nf_lint lib bin bench)";
+    prerr_endline "nf_lint: no paths given (try: nf_lint lib bin)";
     exit 2
   end;
   let enabled =
