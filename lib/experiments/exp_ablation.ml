@@ -131,22 +131,3 @@ let report t =
     @ rows "Swift initial burst (packet level)" t.burst_sweep
     @ rows "discrete weight classes (packet level, §8 WFQ approximation)"
         t.weight_quant)
-
-let pp_variants ppf title variants =
-  Format.fprintf ppf "  %s@," title;
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "    %-24s median %6.0f us, unconverged %d@," v.label
-        (v.median *. 1e6) v.unconverged)
-    variants
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>Ablations (semi-dynamic convergence)@,";
-  pp_variants ppf "price averaging beta (Eq. 11):" t.beta_sweep;
-  pp_variants ppf "utilization gain eta (Eq. 10):" t.eta_sweep;
-  pp_variants ppf "Eq. 9 residual aggregation:" t.residual_agg;
-  pp_variants ppf "Swift initial burst (packet level):" t.burst_sweep;
-  pp_variants ppf
-    "discrete weight classes (packet level; the paper's §8 WFQ approximation):"
-    t.weight_quant;
-  Format.fprintf ppf "@]"

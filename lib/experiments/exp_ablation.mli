@@ -1,6 +1,6 @@
 (* Ablation: eta/beta parameter sweeps for the xWI price update.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Xwi = Nf_num.Xwi_core
@@ -17,5 +17,3 @@ val fluid_variant :
   Nf_fluid.Convergence.criteria -> string -> Xwi.params -> variant
 val run : ?seed:int -> ?n_events:int -> unit -> t
 val report : t -> Report.t
-val pp_variants : Format.formatter -> string -> variant list -> unit
-val pp : Format.formatter -> t -> unit

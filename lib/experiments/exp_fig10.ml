@@ -107,34 +107,3 @@ let report t =
            Report.float (time *. 1e3); Report.float (g v1); Report.float (g v2);
          ])
        grid)
-
-let pp ppf t =
-  let g x = x /. 1e9 in
-  Format.fprintf ppf
-    "@[<v>Figure 10: bandwidth functions + resource pooling, middle link 5 \
-     -> 17 Gbps@,\
-     \  before switch: flow1 %.2f Gbps (expected %.2f), flow2 %.2f (expected \
-     %.2f)@,\
-     \  after switch:  flow1 %.2f Gbps (expected %.2f), flow2 %.2f (expected \
-     %.2f)@,  time series (ms: flow1 / flow2 Gbps):@,"
-    (g (fst t.achieved_before))
-    (g (fst t.expected_before))
-    (g (snd t.achieved_before))
-    (g (snd t.expected_before))
-    (g (fst t.achieved_after))
-    (g (fst t.expected_after))
-    (g (snd t.achieved_after))
-    (g (snd t.expected_after));
-  let grid =
-    Nf_util.Timeseries.resample t.series1 ~t0:0.5e-3 ~t1:10e-3 ~dt:0.5e-3
-  in
-  List.iter
-    (fun (time, v1) ->
-      let v2 =
-        match Nf_util.Timeseries.value_at t.series2 time with
-        | Some v -> v
-        | None -> Float.nan
-      in
-      Format.fprintf ppf "    %5.2f: %6.2f / %6.2f@," (time *. 1e3) (g v1) (g v2))
-    grid;
-  Format.fprintf ppf "@]"

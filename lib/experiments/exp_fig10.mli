@@ -1,6 +1,6 @@
 (* Figure 10: bandwidth functions under a changing allocation.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Bf = Nf_num.Bandwidth_function
@@ -18,4 +18,3 @@ type t = {
 }
 val run : ?alpha:float -> ?switch_at:float -> ?duration:float -> unit -> t
 val report : t -> Report.t
-val pp : Format.formatter -> t -> unit

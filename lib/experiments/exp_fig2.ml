@@ -61,19 +61,3 @@ let report t =
            Report.float (p.num.(1) /. 1e9);
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 2: bandwidth functions on one link (water-filling vs NUM \
-     with the derived utility)@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf
-        "  link %a: waterfill flow1 %a flow2 %a (fair share %.2f) | NUM flow1 \
-         %a flow2 %a@,"
-        Support.pp_rate_gbps p.capacity Support.pp_rate_gbps p.waterfill.(0)
-        Support.pp_rate_gbps p.waterfill.(1) p.fair_share Support.pp_rate_gbps
-        p.num.(0) Support.pp_rate_gbps p.num.(1))
-    t;
-  Format.fprintf ppf
-    "  [paper: at 10 Gbps flow1 takes all; at 25 Gbps flow1 = 15, flow2 = 10]@]"

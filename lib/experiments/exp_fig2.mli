@@ -1,6 +1,6 @@
 (* Figure 2: bandwidth functions on one link (water-filling vs NUM).
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Bf = Nf_num.Bandwidth_function
@@ -16,4 +16,3 @@ type point = {
 type t = point list
 val run : ?alpha:float -> unit -> point list
 val report : point list -> Report.t
-val pp : Format.formatter -> point list -> unit

@@ -193,57 +193,3 @@ let report_packet (t : packet_t) =
            measurement noise";
         ])
     (List.map cdf_row t)
-
-let pp_packet ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 4a (packet-level counterpart, reduced scale: 8 hosts, 12-20 active flows)@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-10s %a  unconverged=%d@," r.scheme
-        Support.pp_cdf_summary r.times r.unconverged)
-    t;
-  (match
-     ( List.find_opt (fun r -> r.scheme = "NUMFabric") t,
-       List.filter (fun r -> r.scheme <> "NUMFabric") t )
-   with
-  | Some nf, others when Array.length nf.times > 0 ->
-    let med r =
-      if Array.length r.times > 0 then Nf_util.Stats.median r.times else Float.nan
-    in
-    let best =
-      List.fold_left (fun acc r -> Float.min acc (med r)) infinity others
-    in
-    Format.fprintf ppf "  packet-level speedup (median): %.2fx@,"
-      (best /. med nf)
-  | _ -> ());
-  Format.fprintf ppf
-    "  [confirms the fluid-level conclusion with real packets, queues and measurement noise]@]"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 4a: convergence time after network events (semi-dynamic, \
-     proportional fairness)@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-10s %a  unconverged=%d@," r.scheme
-        Support.pp_cdf_summary r.times r.unconverged)
-    t.results;
-  Format.fprintf ppf
-    "  speedup of NUMFabric over best gradient scheme: %.2fx (median), %.2fx \
-     (p95)@,  [paper: ~2.3x median, ~2.7x p95; median ~335 us]@]"
-    t.speedup_median t.speedup_p95;
-  (* CDF curves, 10 points per scheme. *)
-  Format.fprintf ppf "@,@[<v>  CDF (time us -> fraction):@,";
-  List.iter
-    (fun r ->
-      if Array.length r.times > 0 then begin
-        Format.fprintf ppf "  %-10s " r.scheme;
-        List.iter
-          (fun q ->
-            Format.fprintf ppf "%g%%:%.0f " (q *. 100.)
-              (Nf_util.Stats.percentile r.times (q *. 100.) *. 1e6))
-          [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99 ];
-        Format.fprintf ppf "@,"
-      end)
-    t.results;
-  Format.fprintf ppf "@]"

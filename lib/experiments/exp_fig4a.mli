@@ -1,6 +1,6 @@
 (* Figure 4a: xWI convergence time vs DGD, fluid and packet-level.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 type result = { scheme : string; times : float array; unconverged : int; }
@@ -16,5 +16,3 @@ val cdf_columns : string list
 val cdf_row : result -> Report.cell list
 val report : t -> Report.t
 val report_packet : packet_t -> Report.t
-val pp_packet : Format.formatter -> result list -> unit
-val pp : Format.formatter -> t -> unit

@@ -151,34 +151,3 @@ let report t =
            Report.float e.within_fraction_numfabric;
          ])
        t.epochs)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figures 4b/4c: rate of a tracked flow through network events \
-     (packet level)@,\
-     \  epoch (ms)    expected   %%samples within 10%%: DCTCP   NUMFabric@,";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "  %4.0f-%-4.0f     %5.2f G        %5.1f%%        \
-                          %5.1f%%@,"
-        (e.from_t *. 1e3) (e.until_t *. 1e3) (e.expected /. 1e9)
-        (100. *. e.within_fraction_dctcp)
-        (100. *. e.within_fraction_numfabric))
-    t.epochs;
-  let mean sel =
-    let xs = List.map sel t.epochs in
-    List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-  in
-  Format.fprintf ppf
-    "  overall: DCTCP %.0f%%, NUMFabric %.0f%% of samples within 10%% of the \
-     expected rate@,"
-    (100. *. mean (fun e -> e.within_fraction_dctcp))
-    (100. *. mean (fun e -> e.within_fraction_numfabric));
-  Format.fprintf ppf "  tracked-flow rate (Gbps), 1 ms grid:@,    t(ms): ";
-  List.iter (fun (ms, _) -> Format.fprintf ppf "%5.0f " ms) t.series_numfabric;
-  Format.fprintf ppf "@,    DCTCP: ";
-  List.iter (fun (_, g) -> Format.fprintf ppf "%5.2f " g) t.series_dctcp;
-  Format.fprintf ppf "@,    NUMF:  ";
-  List.iter (fun (_, g) -> Format.fprintf ppf "%5.2f " g) t.series_numfabric;
-  Format.fprintf ppf
-    "@,  [paper: DCTCP essentially never stays within 10%%; NUMFabric does]@]"

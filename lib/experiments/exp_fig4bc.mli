@@ -1,6 +1,6 @@
 (* Figures 4b/4c: convergence epochs, NUMFabric vs DCTCP-style.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Network = Nf_sim.Network
@@ -22,4 +22,3 @@ val epoch_len : float
 val run_protocol : Nf_sim.Protocol.t -> Network.t
 val run : unit -> t
 val report : t -> Report.t
-val pp : Format.formatter -> t -> unit

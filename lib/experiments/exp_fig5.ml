@@ -134,29 +134,3 @@ let report t =
                s.per_bin)
            w.schemes)
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 5: normalized deviation from ideal (Oracle) rates by flow \
-     size (in BDP = 20 KB)@,";
-  List.iter
-    (fun w ->
-      Format.fprintf ppf "  workload: %s@," w.workload;
-      List.iter
-        (fun s ->
-          Format.fprintf ppf "    %-10s" s.scheme;
-          List.iter
-            (fun b ->
-              let lo, hi = b.bin in
-              match b.box with
-              | Some box ->
-                Format.fprintf ppf " | (%g-%g): med %+.2f [%+.2f,%+.2f] n=%d"
-                  lo hi box.Stats.p50 box.Stats.p25 box.Stats.p75 b.count
-              | None -> Format.fprintf ppf " | (%g-%g): n=%d" lo hi b.count)
-            s.per_bin;
-          Format.fprintf ppf "@,")
-        w.schemes)
-    t;
-  Format.fprintf ppf
-    "  [paper: NUMFabric's median deviation ~0 beyond ~5 BDP; DGD/RCP* \
-     negatively biased, worst for small flows]@]"

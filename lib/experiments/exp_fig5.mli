@@ -1,6 +1,6 @@
 (* Figure 5: FCT deviation from the exact NUM allocation, by flow-size bin.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Dynamic = Nf_fluid.Dynamic
@@ -29,4 +29,3 @@ val run :
   ?load:float ->
   ?n_leaves:int -> ?servers_per_leaf:int -> unit -> workload_result list
 val report : workload_result list -> Report.t
-val pp : Format.formatter -> workload_result list -> unit

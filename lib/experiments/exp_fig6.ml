@@ -62,19 +62,6 @@ let report_dt t =
       ]
     (point_rows ~x_scale:1e6 t)
 
-let pp_dt ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 6a: sensitivity to Swift's dt (packet level)@,\
-     \  dt (us)   median convergence (us)   unconverged events@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %5.0f     %8.0f                  %d@," (p.x *. 1e6)
-        (p.median *. 1e6) p.unconverged)
-    t;
-  Format.fprintf ppf
-    "  [paper: very small dt fails to converge; large dt slows convergence; \
-     sweet spot ~6 us]@]"
-
 (* ------------------------------------------------------------------ *)
 (* (b) price-update interval, fluid *)
 
@@ -119,18 +106,6 @@ let report_interval t =
     ~notes:
       [ "paper: median convergence time grows with the update interval" ]
     (point_rows ~x_scale:1e6 t)
-
-let pp_interval ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 6b: sensitivity to the price update interval (fluid)@,\
-     \  interval (us)   median convergence (us)   unconverged@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %7.0f         %8.0f                  %d@,"
-        (p.x *. 1e6) (p.median *. 1e6) p.unconverged)
-    t;
-  Format.fprintf ppf
-    "  [paper: median convergence time grows with the update interval]@]"
 
 (* ------------------------------------------------------------------ *)
 (* (c) alpha sensitivity, fluid, 1x and 2x slowdown *)
@@ -215,18 +190,3 @@ let report_alpha t =
            Report.int p.slow.unconverged;
          ])
        t)
-
-let pp_alpha ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 6c: sensitivity to alpha (fluid; 1x and 2x-slowed control \
-     loop)@,\
-     \  alpha   1x: median (us) / unconverged   2x: median (us) / unconverged@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %5.2f      %8.0f / %d                %8.0f / %d@,"
-        p.alpha (p.fast.median *. 1e6) p.fast.unconverged
-        (p.slow.median *. 1e6) p.slow.unconverged)
-    t;
-  Format.fprintf ppf
-    "  [paper: extreme alphas need the slowed loop; the slowdown costs a \
-     modest increase in median time]@]"

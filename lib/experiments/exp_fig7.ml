@@ -124,24 +124,3 @@ let report t =
            Report.float p.srpt_weights_large;
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 7: normalized FCT vs load, websearch workload (FCT / \
-     lowest-possible FCT)@,\
-     \  load | all flows: NUMFabric pFabric ratio | flows >= 5 BDP: NUMFabric \
-     pFabric ratio@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf
-        "  %.1f  |   %6.2f   %6.2f   %5.2f      |      %6.2f   %6.2f   %5.2f            (SRPT-weights: %5.2f)@,"
-        p.load p.numfabric_mean p.pfabric_mean
-        (p.numfabric_mean /. p.pfabric_mean)
-        p.numfabric_large p.pfabric_large
-        (p.numfabric_large /. p.pfabric_large)
-        p.srpt_weights_large)
-    t;
-  Format.fprintf ppf
-    "  [paper: NUMFabric within 4-20%% of pFabric across loads; in this fluid \
-     reproduction sub-BDP flows are quantized by the 60 us xWI round, which \
-     inflates the all-flows mean — see EXPERIMENTS.md]@]"

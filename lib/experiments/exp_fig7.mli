@@ -1,6 +1,6 @@
 (* Figure 7: mean FCT vs load, NUMFabric vs pFabric-style SRPT.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Dynamic = Nf_fluid.Dynamic
@@ -26,4 +26,3 @@ val run :
   ?loads:float list ->
   ?n_leaves:int -> ?servers_per_leaf:int -> unit -> point list
 val report : point list -> Report.t
-val pp : Format.formatter -> point list -> unit

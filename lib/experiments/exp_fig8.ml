@@ -157,41 +157,3 @@ let report t =
          almost perfectly fair across flows; no pooling much less so";
       ]
     (throughput_rows @ fairness_rows)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 8a: total throughput (%% of optimal) vs sub-flows per flow@,\
-     \  k     pooling   no-pooling@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %d     %5.1f%%    %5.1f%%@," p.n_subflows
-        (100. *. p.total_pooling)
-        (100. *. p.total_no_pooling))
-    t.series;
-  Format.fprintf ppf
-    "  [paper: pooling approaches ~100%% of optimal by 8 sub-flows]@,@,";
-  Format.fprintf ppf
-    "Figure 8b: per-flow throughput (%% of optimal), ranked@,\
-     \  rank   pooling(k=8)  no-pooling(k=8)  1 sub-flow@,";
-  let n = Array.length t.fairness_pooling in
-  List.iter
-    (fun rank ->
-      let idx = Stdlib.min (n - 1) rank in
-      Format.fprintf ppf "  %3d    %6.1f%%       %6.1f%%          %6.1f%%@," idx
-        (100. *. t.fairness_pooling.(idx))
-        (100. *. t.fairness_no_pooling.(idx))
-        (100. *. t.fairness_single.(idx)))
-    [ 0; 8; 16; 24; 32; 40; 48; 56; 63 ];
-  let spread a = (a.(0) -. a.(n - 1)) /. Float.max a.(0) 1e-9 in
-  Format.fprintf ppf
-    "  fairness spread (max-min)/max: pooling %.2f, no-pooling %.2f, single \
-     %.2f@,\
-     \  Jain's index: pooling %.3f, no-pooling %.3f, single %.3f@,\
-     \  [paper: pooling is almost perfectly fair across flows; no pooling \
-     much less so]@]"
-    (spread t.fairness_pooling)
-    (spread t.fairness_no_pooling)
-    (spread t.fairness_single)
-    (Nf_util.Stats.jain_index t.fairness_pooling)
-    (Nf_util.Stats.jain_index t.fairness_no_pooling)
-    (Nf_util.Stats.jain_index t.fairness_single)

@@ -1,6 +1,6 @@
 (* Figure 8: multi-tenant fairness and resource pooling.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Problem = Nf_num.Problem
@@ -26,4 +26,3 @@ val run_case :
   int array list array -> pooling:bool -> iters:int -> float array
 val run : ?seed:int -> ?iters:int -> ?max_subflows:int -> unit -> t
 val report : t -> Report.t
-val pp : Format.formatter -> t -> unit

@@ -77,20 +77,3 @@ let report t =
            Report.float (p.achieved.(1) /. 1e9);
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Figure 9: bandwidth-function allocation vs link capacity \
-     (expected | NUMFabric fluid)@,\
-     \  capacity    flow1 exp   flow1 got   flow2 exp   flow2 got@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %5.1f Gbps  %9.3f   %9.3f   %9.3f   %9.3f@,"
-        (p.capacity /. 1e9) (p.expected.(0) /. 1e9) (p.achieved.(0) /. 1e9)
-        (p.expected.(1) /. 1e9) (p.achieved.(1) /. 1e9))
-    t;
-  Format.fprintf ppf "  max relative error: %.2f%%@,"
-    (100. *. max_rel_error t);
-  Format.fprintf ppf
-    "  [paper: allocation almost identical to the expected one at all \
-     capacities]@]"

@@ -93,16 +93,3 @@ let report t =
            Report.float p.p95_pkts;
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Queue occupancy at the bottleneck after convergence (packets of \
-     1500 B)@,  case                            expected   mean    p95@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "  %-32s %6.1f   %6.1f  %6.1f@," p.label p.expected_pkts
-        p.mean_pkts p.p95_pkts)
-    t;
-  Format.fprintf ppf
-    "  [paper: NUMFabric equilibrium queues are a few packets, set by dt; \
-     dt = 6 us targets ~5 packets]@]"

@@ -1,6 +1,6 @@
 (* Queue-occupancy experiment: mean queue depth per scheme.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Network = Nf_sim.Network
@@ -19,4 +19,3 @@ val run_case :
   protocol:Nf_sim.Protocol.t -> config:Nf_sim.Config.t -> unit -> point
 val run : unit -> point list
 val report : point list -> Report.t
-val pp : Format.formatter -> point list -> unit

@@ -125,20 +125,3 @@ let report t =
            Report.int s.dual_checks;
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Randomized xWI validation (random topologies/flows/weights; KKT \
-     tolerance 1e-4)@,\
-     \  alpha   converged      iterations p50/p95   max rate error vs dual \
-     (checks)@,";
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  %5.2f   %3d/%-3d        %5.0f / %5.0f          \
-                          %.2e (%d)@,"
-        s.alpha s.converged s.instances s.iters_p50 s.iters_p95
-        s.max_rate_error_vs_dual s.dual_checks)
-    t;
-  Format.fprintf ppf
-    "  [paper / tech report: xWI converges to the NUM optimum across \
-     randomly generated instances]@]"

@@ -1,6 +1,6 @@
 (* Random-instance sweep: xWI vs dual oracle on random topologies.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Problem = Nf_num.Problem
@@ -24,4 +24,3 @@ val run :
   ?alphas:float list ->
   ?tol:float -> ?max_iters:int -> unit -> alpha_stats list
 val report : alpha_stats list -> Report.t
-val pp : Format.formatter -> alpha_stats list -> unit

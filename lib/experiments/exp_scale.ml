@@ -120,18 +120,3 @@ let report t =
            Report.int (if r.feasible then 1 else 0);
          ])
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Large-fabric xWI convergence (fixed iteration budget)@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "  %-16s %5d hosts %6d links %7d flows  %3d iters  KKT %.2e -> \
-         %.2e  %s@,"
-        r.fabric r.hosts r.links r.flows r.iterations r.kkt_initial
-        r.kkt_final
-        (if r.feasible then "feasible" else "INFEASIBLE"))
-    t;
-  Format.fprintf ppf
-    "  [sparse CSR core; flows placed by the memoized ECMP router]@]"

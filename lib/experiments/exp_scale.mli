@@ -25,5 +25,3 @@ val run :
   t
 
 val report : t -> Report.t
-
-val pp : Format.formatter -> t -> unit

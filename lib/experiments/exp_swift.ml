@@ -87,14 +87,3 @@ let report t =
            Report.float (f.measured /. 1e9);
          ])
        t.flows)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Swift validation: packet-level weighted max-min vs water-filling \
-     oracle@,  flow  weight   expected     measured@,";
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "  %3d   %5.2f   %a   %a@," f.flow f.weight
-        Support.pp_rate_gbps f.expected Support.pp_rate_gbps f.measured)
-    t.flows;
-  Format.fprintf ppf "  max relative error: %.2f%%@]" (100. *. t.max_rel_error)

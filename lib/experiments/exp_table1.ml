@@ -124,18 +124,3 @@ let report t =
              ])
            r.flows)
        t)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>Table 1: allocation objectives as utility functions (Oracle \
-     allocations)@,";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %s@,    " r.objective;
-      List.iteri
-        (fun i name ->
-          Format.fprintf ppf "%s: %a   " name Support.pp_rate_gbps r.rates.(i))
-        r.flows;
-      Format.fprintf ppf "@,")
-    t;
-  Format.fprintf ppf "@]"

@@ -1,6 +1,6 @@
 (* Table 1: the utility-function menu and resulting objectives.
    Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table, [pp] renders it for humans.
+   [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
 module Utility = Nf_num.Utility
@@ -15,4 +15,3 @@ val parking_caps : float array
 val solve : float array -> Problem.group_spec list -> float array
 val run : unit -> row list
 val report : row list -> Report.t
-val pp : Format.formatter -> row list -> unit

@@ -70,10 +70,3 @@ let report t =
   Report.make ~title:"Table 2: default parameter settings"
     ~columns:[ "scheme"; "parameters" ]
     (List.map (fun r -> [ Report.text r.scheme; Report.text r.parameters ]) t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>Table 2: default parameter settings@,";
-  List.iter
-    (fun r -> Format.fprintf ppf "  %-10s %s@," (r.scheme ^ ":") r.parameters)
-    t;
-  Format.fprintf ppf "@]"

@@ -213,17 +213,6 @@ let dynamic_flows ~seed ~topology ~hosts ~size_dist ~load ~n_flows ~utility_of =
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
   (flows, caps)
 
-let pp_rate_gbps ppf r = Format.fprintf ppf "%.3f Gbps" (r /. 1e9)
-
-let pp_cdf_summary ppf samples =
-  if Array.length samples = 0 then Format.fprintf ppf "(no samples)"
-  else begin
-    let p q = Nf_util.Stats.percentile samples q *. 1e6 in
-    Format.fprintf ppf
-      "min %.0f | p25 %.0f | median %.0f | p75 %.0f | p95 %.0f | max %.0f (us)"
-      (p 0.) (p 25.) (p 50.) (p 75.) (p 95.) (p 100.)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Run-record collection: experiments deposit the Record.t of each
    packet-level network they ran; the CLI exports the collection after

@@ -102,13 +102,6 @@ val dynamic_flows :
     Returns the flow list (exactly [n_flows] of them) and the link
     capacity vector of [topology]. *)
 
-(** Formatting helpers shared by the experiments. *)
-val pp_rate_gbps : Format.formatter -> float -> unit
-
-val pp_cdf_summary : Format.formatter -> float array -> unit
-(** Prints min / p25 / median / p75 / p95 / max of a sample set (in µs,
-    for convergence times). *)
-
 (** {2 Run records}
 
     Packet-level experiments deposit each network's {!Nf_sim.Record.t}

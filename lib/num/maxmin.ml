@@ -140,11 +140,21 @@ let solve ~caps ~paths ~weights =
      is full;
    - its trip level t_l = (c_l - F_l - 1e-9 c_l) / A_l, the level from
      which [solve]'s 1e-9 tolerance counts it as saturated.
-   Both change only when a flow crossing the link freezes. A round is
-   then one compare-only scan of the live links: the argmin is the
-   lowest id with the smallest s_l, the level rises to it, and the round
-   saturates the argmin plus every link with t_l <= level. Work is
-   O(rounds * n_links + nnz) instead of O(rounds * nnz).
+   Both change only when a flow crossing the link freezes.
+
+   The live links (those with active flows) sit unordered in a flat
+   slot array, with s_l and t_l in parallel slot-indexed arrays, and a
+   link that drains is swap-removed by moving the last slot into its
+   place. A round is one sequential pass over the slots that tests only
+   t_l <= thr, with thr = max(level, running min of s_l) (+inf until a
+   finite s_l is seen). As A_l > 0, t_l <= s_l, so a link that fails
+   the test can neither be the argmin nor saturate this round. The hits
+   update the argmin (the lowest id with the smallest s_l) and thr. The
+   level rises to max(level, min s_l), and the round saturates the
+   argmin plus every hit with t_l <= level, sorted ascending by id:
+   the saturated links, and so the freeze and retire order, are those
+   of an ascending scan of all links. Work is O(rounds * live links)
+   single compares plus O(nnz) updates, instead of O(rounds * nnz).
 
    A_l only loses weight once set up, by one subtraction per retired
    flow, and weights span the 1e-30 floor to 1e300: a heavy flow's
@@ -154,7 +164,8 @@ let solve ~caps ~paths ~weights =
    it from the link's unfrozen flows. Between recounts the subtractions
    err by at most ~2^-53 of that sum each, so A_l stays within about
    (flows on l) * 2^-41 relative, and a level never overshoots a link's
-   capacity by more than that.
+   capacity by more than that. The recount also keeps A_l > 0 on every
+   live link, which the one-compare scan relies on.
 
    In exact arithmetic the rounds, the tie-break and the tolerance are
    those of [solve]. In floating point the levels come from a different
@@ -167,12 +178,13 @@ type sparse_workspace = {
   s_active_weight : float array;  (* n_links; A_l *)
   s_exact_weight : float array;  (* n_links; A_l at its last exact sum *)
   s_active_count : int array;  (* n_links *)
-  s_sat_level : float array;  (* n_links; s_l *)
-  s_trip_level : float array;  (* n_links; t_l *)
+  s_live : int array;  (* slot -> link; slots [0, n_live) hold the live links *)
+  s_slot : int array;  (* n_links; link -> its slot while live *)
+  s_sat_level : float array;  (* by slot; s_l *)
+  s_trip_level : float array;  (* by slot; t_l *)
   s_saturated : int array;
-      (* n_links; this round's candidates, then its saturated links,
-         then its links to recount *)
-  s_live : int array;  (* n_links; compacting list of links with active flows *)
+      (* n_links; this round's hits (as slots), then its saturated
+         links, then its links to recount *)
   s_live0 : int array;  (* links some flow crosses, ascending (static per inc) *)
   s_round : int array;  (* n_flows; flows frozen in the current round *)
   s_count0 : int array;  (* n_links; initial active counts (static per inc) *)
@@ -211,10 +223,11 @@ let sparse_workspace (inc : Incidence.t) =
     s_active_weight = Array.make n_links 0.;
     s_exact_weight = Array.make n_links 0.;
     s_active_count = Array.make n_links 0;
+    s_live = Array.make n_links 0;
+    s_slot = Array.make n_links 0;
     s_sat_level = Array.make n_links 0.;
     s_trip_level = Array.make n_links 0.;
     s_saturated = Array.make n_links 0;
-    s_live = Array.make n_links 0;
     s_live0 = live0;
     s_round = Array.make n_flows 0;
     s_count0 = count0;
@@ -229,11 +242,12 @@ let sparse_saturated_links ws = ws.s_stat_saturated
 
 let sparse_level ws = ws.s_stat_level.(0)
 
-(* Link [l]'s saturation and trip levels, from its free capacity [f] and
-   active weight [a]. *)
+(* Live link [l]'s saturation and trip levels, from its free capacity
+   [f] and active weight [a], stored at its slot. *)
 let[@inline] set_levels ws (caps : float array) l f a =
-  Array.unsafe_set ws.s_sat_level l (f /. a);
-  Array.unsafe_set ws.s_trip_level l
+  let s = Array.unsafe_get ws.s_slot l in
+  Array.unsafe_set ws.s_sat_level s (f /. a);
+  Array.unsafe_set ws.s_trip_level s
     ((f -. (1e-9 *. Array.unsafe_get caps l)) /. a)
 
 let[@nf.hot] solve_sparse ws (inc : Incidence.t)
@@ -249,10 +263,11 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   and active_weight = ws.s_active_weight
   and exact_weight = ws.s_exact_weight
   and active_count = ws.s_active_count
+  and live = ws.s_live
+  and slot = ws.s_slot
   and sat_level = ws.s_sat_level
   and trip_level = ws.s_trip_level
   and saturated = ws.s_saturated
-  and live = ws.s_live
   and live0 = ws.s_live0 in
   Array.fill frozen 0 n_flows false;
   Array.fill active_weight 0 n_links 0.;
@@ -267,17 +282,14 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
       Array.unsafe_set active_weight l (Array.unsafe_get active_weight l +. w)
     done
   done;
-  (* Links with active flows, ascending; compacted in place as links
-     drain so later rounds only scan what is still constraining. Order
-     preservation keeps every scan (and hence the argmin tie-break and
-     the saturated-link freeze order) that of a full 0..n_links-1 scan
-     that skips empty links. The capacities are read here on every
-     solve, never cached: [caps] is [Problem.caps], which changes in
-     place. *)
+  (* Every link with active flows gets a slot, ascending at first. The
+     capacities are read here on every solve, never cached: [caps] is
+     [Problem.caps], which changes in place. *)
   let n_live0 = Array.length live0 in
-  Array.blit live0 0 live 0 n_live0;
   for s = 0 to n_live0 - 1 do
     let l = Array.unsafe_get live0 s in
+    Array.unsafe_set live s l;
+    Array.unsafe_set slot l s;
     let c = Array.unsafe_get caps l and a = Array.unsafe_get active_weight l in
     Array.unsafe_set free l c;
     Array.unsafe_set exact_weight l a;
@@ -289,34 +301,30 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   let n_live = ref n_live0 in
   let n_active = ref n_flows in
   while !n_active > 0 do
-    (* One scan: compact, find the argmin of s_l, and collect as
-       candidates each new running minimum and the links whose t_l is at
-       most the running minimum (or the current level). The minimum only
-       falls, so the argmin and every link with t_l <= max(level, min
-       s_l) are candidates; the filter below drops the rest. *)
+    (* One pass over the slots. A slot is a hit iff t_l <= thr; the
+       threshold only falls, and never below the final max(level,
+       min s_l), so the hits hold the argmin and every link the round
+       saturates. The argmin is the smallest s_l, ties to the lowest
+       id: [sl <= smin] after [sl < smin] failed is equality. *)
     let lvl = !level in
-    let smin = ref infinity and argmin = ref (-1) in
-    let kept = ref 0 and n_cand = ref 0 in
+    let thr = ref infinity and smin = ref infinity and argmin = ref (-1) in
+    let n_hit = ref 0 in
     for s = 0 to !n_live - 1 do
-      let l = Array.unsafe_get live s in
-      if Array.unsafe_get active_count l > 0 then begin
-        Array.unsafe_set live !kept l;
-        incr kept;
-        let sl = Array.unsafe_get sat_level l
-        and tl = Array.unsafe_get trip_level l in
+      if Array.unsafe_get trip_level s <= !thr then begin
+        Array.unsafe_set saturated !n_hit s;
+        incr n_hit;
+        let sl = Array.unsafe_get sat_level s in
         if sl < !smin then begin
           smin := sl;
-          argmin := l;
-          Array.unsafe_set saturated !n_cand l;
-          incr n_cand
+          argmin := Array.unsafe_get live s;
+          thr := if sl > lvl then sl else lvl
         end
-        else if tl <= !smin || tl <= lvl then begin
-          Array.unsafe_set saturated !n_cand l;
-          incr n_cand
+        else if sl <= !smin then begin
+          let l = Array.unsafe_get live s in
+          if l < !argmin then argmin := l
         end
       end
     done;
-    n_live := !kept;
     if !argmin < 0 then begin
       (* Defensive: no live link has a saturation level below +inf,
          which only non-finite weights can cause (every flow has a
@@ -333,17 +341,24 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
     else begin
       let lv = if !smin > lvl then !smin else lvl in
       level := lv;
-      (* This round's saturated links, ascending: the candidates whose
-         trip level the new level reaches, and the argmin, which
-         saturates by construction even if its trip level is above the
-         level (an active weight at <= 0, which the recount below
-         prevents, but progress must not depend on it). *)
+      (* This round's saturated links, insertion-sorted ascending by id
+         in place over the hits: the hits whose trip level the new level
+         reaches, and the argmin, which saturates by construction even if
+         its trip level is above the level (an active weight at <= 0,
+         which the recount below prevents, but progress must not depend
+         on it). *)
       let am = !argmin in
       let n_sat = ref 0 in
-      for k = 0 to !n_cand - 1 do
-        let l = Array.unsafe_get saturated k in
-        if Int.equal l am || Array.unsafe_get trip_level l <= lv then begin
-          Array.unsafe_set saturated !n_sat l;
+      for k = 0 to !n_hit - 1 do
+        let s = Array.unsafe_get saturated k in
+        let l = Array.unsafe_get live s in
+        if Int.equal l am || Array.unsafe_get trip_level s <= lv then begin
+          let j = ref !n_sat in
+          while !j > 0 && Array.unsafe_get saturated (!j - 1) > l do
+            Array.unsafe_set saturated !j (Array.unsafe_get saturated (!j - 1));
+            decr j
+          done;
+          Array.unsafe_set saturated !j l;
           incr n_sat
         end
       done;
@@ -391,7 +406,6 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
             Array.unsafe_set active_count l n;
             Array.unsafe_set active_weight l a;
             Array.unsafe_set free l f;
-            (* A drained link leaves the scan; its levels are dead. *)
             if n > 0 then begin
               set_levels ws caps l f a;
               if a < Array.unsafe_get exact_weight l *. 0x1p-12 then begin
@@ -400,29 +414,43 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
                 incr n_recount
               end
             end
+            else begin
+              (* Drained: the last slot moves into this one. *)
+              let s = Array.unsafe_get slot l and last = !n_live - 1 in
+              let m = Array.unsafe_get live last in
+              Array.unsafe_set live s m;
+              Array.unsafe_set slot m s;
+              Array.unsafe_set sat_level s (Array.unsafe_get sat_level last);
+              Array.unsafe_set trip_level s (Array.unsafe_get trip_level last);
+              n_live := last
+            end
           done
         done;
         (* Recount after the whole round has retired, so that no flow of
            it is subtracted from a fresh sum. A flow whose path repeats
-           the link counts once per repeat, as in the set-up sweep. *)
+           the link counts once per repeat, as in the set-up sweep. A
+           queued link that drained later in the round has no slot any
+           more (another link may hold its old one) and is skipped. *)
         for q = 0 to !n_recount - 1 do
           let l = Array.unsafe_get saturated q in
-          let a = ref 0. in
-          let cstop = Array.unsafe_get col_ptr (l + 1) in
-          for c = Array.unsafe_get col_ptr l to cstop - 1 do
-            let i = Array.unsafe_get col_rows c in
-            if not (Array.unsafe_get frozen i) then begin
-              let w = Array.unsafe_get weights i in
-              let stop = Array.unsafe_get row_ptr (i + 1) in
-              for k = Array.unsafe_get row_ptr i to stop - 1 do
-                if Int.equal (Array.unsafe_get row_cols k) l then a := !a +. w
-              done
-            end
-          done;
-          let a = !a in
-          Array.unsafe_set active_weight l a;
-          Array.unsafe_set exact_weight l a;
-          set_levels ws caps l (Array.unsafe_get free l) a
+          if Array.unsafe_get active_count l > 0 then begin
+            let a = ref 0. in
+            let cstop = Array.unsafe_get col_ptr (l + 1) in
+            for c = Array.unsafe_get col_ptr l to cstop - 1 do
+              let i = Array.unsafe_get col_rows c in
+              if not (Array.unsafe_get frozen i) then begin
+                let w = Array.unsafe_get weights i in
+                let stop = Array.unsafe_get row_ptr (i + 1) in
+                for k = Array.unsafe_get row_ptr i to stop - 1 do
+                  if Int.equal (Array.unsafe_get row_cols k) l then a := !a +. w
+                done
+              end
+            done;
+            let a = !a in
+            Array.unsafe_set active_weight l a;
+            Array.unsafe_set exact_weight l a;
+            set_levels ws caps l (Array.unsafe_get free l) a
+          end
         done
       end
     end

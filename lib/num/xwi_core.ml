@@ -395,8 +395,8 @@ let init_with_prices ?pool problem ~prices =
    carried prices put the first Eq. 7 weight computation, and hence the
    first max-min allocation, close to right, but re-convergence still
    takes hundreds of iterations: on nfbench's serve_churn stream (a
-   churning 100-flow leaf-spine, seed 1) about 309 per epoch on average
-   and about 4100 at the p99. *)
+   churning 100-flow leaf-spine, seed 1) about 274 per epoch on average
+   and about 4000 at the p99. *)
 let resize ?pool problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";

@@ -1400,6 +1400,105 @@ let test_maxmin_sparse_set_cap () =
   Alcotest.(check bool) "rates as a fresh workspace" true
     (bits_equal fresh reused)
 
+(* Bit-exact pins of [solve_sparse]: rounds, saturated links, final
+   level and rates, floats as [%h] hex. The saturated links of a round
+   freeze, and their flows retire, in ascending link order; any other
+   order changes the roundings, so the scan's storage order must never
+   leak into the output. *)
+let sparse_fingerprint inc weights =
+  let ws = Maxmin.sparse_workspace inc in
+  let rates = Incidence.vec inc.Incidence.n_flows in
+  Maxmin.solve_sparse ws inc ~weights ~rates;
+  Printf.sprintf "rounds %d" (Maxmin.sparse_rounds ws)
+  :: Printf.sprintf "saturated %d" (Maxmin.sparse_saturated_links ws)
+  :: Printf.sprintf "level %h" (Maxmin.sparse_level ws)
+  :: Array.to_list (Array.map (Printf.sprintf "%h") rates)
+
+let sparse_incidence ~caps paths =
+  let n = Array.length paths in
+  Incidence.create ~caps ~paths ~group_of_flow:(Array.init n Fun.id) ~n_groups:n
+
+(* Forty ECMP-routed flows on a k=4 fat tree (96 links), weights
+   10^U(-30, 300): heavy retirements cancel active-weight sums, so the
+   fill recounts links between rounds. *)
+let test_maxmin_sparse_pinned_fat_tree () =
+  let ft = Nf_topo.Builders.fat_tree ~k:4 () in
+  let topo = ft.Nf_topo.Builders.ft_topo
+  and servers = ft.Nf_topo.Builders.ft_servers in
+  let router = Nf_topo.Routing.router topo in
+  let caps =
+    Array.map (fun l -> l.Nf_topo.Topology.capacity) (Nf_topo.Topology.links topo)
+  in
+  let rng = Rng.create ~seed:21 in
+  let paths =
+    Array.init 40 (fun i ->
+        let src = Rng.pick rng servers in
+        let dst = ref (Rng.pick rng servers) in
+        while !dst = src do
+          dst := Rng.pick rng servers
+        done;
+        Array.of_list
+          (Nf_topo.Routing.ecmp_path_fast router ~src ~dst:!dst
+             ~hash:(i * 2654435761)))
+  in
+  let weights =
+    Array.init 40 (fun _ -> 10. ** Rng.uniform rng ~lo:(-30.) ~hi:300.)
+  in
+  Alcotest.(check (list string)) "fat tree, weights 1e-30..1e300"
+    [
+      "rounds 7"; "saturated 38"; "level 0x1.517992fd93915p-166";
+      "0x1.2a05f2p+33"; "0x1.08585577bdcf9p-205"; "0x1.b593f70e2c849p-845";
+      "0x1.2a05f1ffc2cadp+33"; "0x1.2a05f2p+33"; "0x1.1c65846c00fabp-845";
+      "0x1.2a05f2p+33"; "0x1.c3b2c5f45e0dap-548"; "0x1.8f68a4c9ffc0bp-874";
+      "0x1.6271431de5869p-889"; "0x1.1a143f33d4935p-507";
+      "0x1.8a20534beaf06p-416"; "0x1.2a05f1ffc2cadp+33";
+      "0x1.139164c761bcfp-771"; "0x1.6922c6992d798p-236";
+      "0x1.f70469996f119p-915"; "0x1.a7862b01e1a3ap-132";
+      "0x1.f64916dec8a36p-29"; "0x1.8fae319d949a4p-871";
+      "0x1.60f21143fc54ap-89"; "0x1.d45835df73851p-383";
+      "0x1.217af99479759p-576"; "0x1.0fd60c9e06f89p-548";
+      "0x1.6da3d7563acd4p-510"; "0x1.1498ccfd33121p-338";
+      "0x1.248ce9dacd0ap-523"; "0x1.1a1bc6fcc1f99p-649"; "0x1.2a05f2p+33";
+      "0x1.1a70e4cbf5629p-261"; "0x1.cd031b09aa043p-507";
+      "0x1.e9a97545f133ap-2"; "0x1.2a05f2p+33"; "0x1.428c452e8700cp-1018";
+      "0x1.9eec7a05b4a9ap-118"; "0x1.108487f5506c2p-264";
+      "0x1.85303e395765dp-48"; "0x1.90d63f2168834p-93";
+      "0x1.f59300a002e27p-237"; "0x1.9dda858b88726p-317";
+      "0x1.a69e6d8d592fbp-601"
+    ]
+    (sparse_fingerprint (sparse_incidence ~caps paths) weights)
+
+(* Links 1 and 3 tie at level 2 in round 2, and flow 4 crosses the
+   higher id first. Round 1 drains link 0, so a scan in storage order
+   could meet link 3 before link 1; freezing link 1's flows first is
+   what fixes the order in which flows 1 and 2 leave link 2, and so the
+   bits of flow 3's rate. *)
+let test_maxmin_sparse_pinned_tie () =
+  let wb = 0.1 and wc = 0.2 and wd = 0.7 and we = 0.1 in
+  let caps = [| 1.; 2. *. (wb +. we); 10.; 2. *. (wc +. we) |] in
+  let paths = [| [| 0 |]; [| 1; 2 |]; [| 3; 2 |]; [| 2 |]; [| 3; 1 |] |] in
+  Alcotest.(check (list string)) "tie at level 2"
+    [
+      "rounds 3"; "saturated 4"; "level 0x1.adb6db6db6db8p+3"; "0x1p+0";
+      "0x1.999999999999ap-3"; "0x1.999999999999ap-2"; "0x1.2cccccccccccdp+3";
+      "0x1.999999999999ap-3"
+    ]
+    (sparse_fingerprint (sparse_incidence ~caps paths) [| 1.; wb; wc; wd; we |])
+
+(* Round 1 saturates links 0 and 1. Retiring flow 0 cancels link 2's
+   active weight from 1e10+1 to 1, which queues it for a recount; then
+   retiring flow 1 drains it within the same round. The recount must
+   leave the drained link alone: links 3-5 still carry flows. *)
+let test_maxmin_sparse_pinned_drained_recount () =
+  let caps = [| 1e10; 1.; 1e12; 3.; 4.; 5. |] in
+  let paths = [| [| 0; 2 |]; [| 2; 1 |]; [| 3 |]; [| 4 |]; [| 5 |] |] in
+  Alcotest.(check (list string)) "queued link drains in its round"
+    [
+      "rounds 4"; "saturated 5"; "level 0x1.4p+2"; "0x1.2a05f2p+33";
+      "0x1p+0"; "0x1.8p+1"; "0x1p+2"; "0x1.4p+2"
+    ]
+    (sparse_fingerprint (sparse_incidence ~caps paths) [| 1e10; 1.; 1.; 1.; 1. |])
+
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -1630,6 +1729,11 @@ let () =
           quick "sparse maxmin stats" test_maxmin_sparse_stats;
           quick "sparse maxmin tolerance round" test_maxmin_sparse_tolerance_round;
           quick "sparse maxmin after set_cap" test_maxmin_sparse_set_cap;
+          quick "sparse maxmin pinned: fat tree"
+            test_maxmin_sparse_pinned_fat_tree;
+          quick "sparse maxmin pinned: tie" test_maxmin_sparse_pinned_tie;
+          quick "sparse maxmin pinned: drained recount"
+            test_maxmin_sparse_pinned_drained_recount;
           quick "observe and report" test_diag_observe_and_report;
           quick "postmortem on non-convergence"
             test_diag_postmortem_on_nonconvergence;
