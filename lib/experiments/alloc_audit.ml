@@ -10,12 +10,12 @@
    Build-profile caveat: dune's dev profile compiles with -opaque, which
    disables cross-unit inlining, so a float crossing a library boundary
    (Fheap's [~key] argument and [top_key] result, called from nf_sim /
-   nf_engine / this audit; [Sim.schedule_after_cat]'s [~delay], called
-   from nf_sim) is boxed no matter what the callee looks like. That is a
-   property of the build profile, not of the kernels — release builds
-   measure 0 — so [run] probes whether boundary floats box and grants
-   each kernel a fixed [boundary_limit] of the boxes it owes when they
-   do. The xWI step and max-min kernels keep their floats inside one
+   nf_engine / this audit; [Sim.schedule_after_cat]'s computed [~delay],
+   called from nf_sim) is boxed no matter what the callee looks like.
+   That is a property of the build profile, not of the kernels — release
+   builds measure 0 — so [run] probes whether boundary floats box and
+   grants each kernel a fixed [boundary_limit] of the boxes it owes when
+   they do. The xWI step and max-min kernels keep their floats inside one
    compilation unit by construction and must measure clean under every
    profile.
 
@@ -81,6 +81,27 @@ let sim_kernel () =
   let cat = Nf_engine.Sim.cat "audit" in
   let handler () = () in
   fun () ->
+    Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:1e-6 handler;
+    Nf_engine.Sim.run sim
+
+(* The calendar's other two scheduling paths: an event 1 ms ahead is past
+   the ~15 us window, so it goes through the overflow heap; two events at
+   the same time make the second one append behind the first in its
+   bucket. *)
+let sim_overflow_kernel () =
+  let sim = Nf_engine.Sim.create () in
+  let cat = Nf_engine.Sim.cat "audit" in
+  let handler () = () in
+  fun () ->
+    Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:1e-3 handler;
+    Nf_engine.Sim.run sim
+
+let sim_tie_kernel () =
+  let sim = Nf_engine.Sim.create () in
+  let cat = Nf_engine.Sim.cat "audit" in
+  let handler () = () in
+  fun () ->
+    Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:1e-6 handler;
     Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:1e-6 handler;
     Nf_engine.Sim.run sim
 
@@ -214,16 +235,20 @@ let maxmin_kernel () =
   fun () -> Nf_num.Maxmin.solve_sparse ws inc ~weights ~rates
 
 (* (kernel, thunk, raw floats it passes across a library boundary per
-   iteration: each one a box on -opaque builds). The hop's eight are
-   STFQ's Fheap key and [top_key], each [Sim.schedule_after_cat]'s
-   [delay] and the Fheap key it pushes (two schedules), and the two
-   dispatches' [top_key]. *)
+   iteration: each one a box on -opaque builds). The engine keeps event
+   times inside its compilation unit on the calendar wheel, and the
+   audit's constant delays are preallocated, so the engine kernels owe
+   nothing but [sim_overflow]'s Fheap key. The hop's four are STFQ's
+   Fheap key and [top_key] and the two computed
+   [Sim.schedule_after_cat] delays. *)
 let kernels () =
   [
     ("fheap_push_pop", fheap_kernel (), 2);
     ("stfq_enqueue_dequeue", stfq_kernel (), 2);
-    ("sim_schedule_dispatch", sim_kernel (), 2);
-    ("packet_hop", packet_hop_kernel (), 8);
+    ("sim_schedule_dispatch", sim_kernel (), 0);
+    ("sim_overflow", sim_overflow_kernel (), 1);
+    ("sim_same_time_tie", sim_tie_kernel (), 0);
+    ("packet_hop", packet_hop_kernel (), 4);
     ("xwi_step", xwi_kernel (), 0);
     ("kkt_witness_check", kkt_witness_kernel (), 1);
     ("maxmin_solve_sparse", maxmin_kernel (), 0);

@@ -1,9 +1,11 @@
 (** Steady-state allocation audit of the [\@nf.hot] kernels.
 
-    Seven kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
-    event scheduled ({!Nf_engine.Sim.schedule_after_cat}) and dispatched,
-    one packet hop through {!Nf_sim.Network} (STFQ and the xWI engine on
-    enqueue and dequeue, the link's transmit and arrival events), one
+    Nine kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
+    event scheduled ({!Nf_engine.Sim.schedule_after_cat}) and dispatched
+    on each of the engine's three scheduling paths (a calendar bucket,
+    the overflow heap, a same-time tie), one packet hop through
+    {!Nf_sim.Network} (STFQ and the xWI engine on enqueue and dequeue,
+    the link's transmit and arrival events), one
     {!Nf_num.Xwi_core.step} on a k=4 fat tree with 64 flows, the
     stopping test's one-flow witness check ({!Nf_num.Kkt.flow_residual})
     on the same problem, and one {!Nf_num.Maxmin.solve_sparse} — are
@@ -14,9 +16,9 @@
 
     Exception: dune's dev profile compiles with [-opaque], which
     disables cross-unit inlining, so the kernels that take a raw float
-    across a library boundary box it there: the Fheap, STFQ and
-    schedule/dispatch kernels two boxes per iteration, the packet hop
-    eight, and the witness check one (its result). {!run} probes for
+    across a library boundary box it there: the Fheap and STFQ kernels
+    two boxes per iteration, the packet hop four, the overflow schedule
+    and the witness check one (the pushed key, the result). {!run} probes for
     that build profile and grants each of those kernels
     {!boundary_limit} of its box count; release builds (and the CI gate,
     which runs the audit under [--profile release]) hold every kernel to

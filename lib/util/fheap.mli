@@ -1,9 +1,9 @@
 (** Specialized float-keyed min-heap in structure-of-arrays layout.
 
-    The allocation-free priority queue under the two hottest paths of the
-    simulator: the discrete-event queue ([Nf_engine.Sim], keyed by event
-    time) and the STFQ switch queues ([Nf_sim.Queue_disc], keyed by
-    virtual start tag). Compared with a generic heap of boxed records
+    The allocation-free priority queue under the simulator's STFQ switch
+    queues ([Nf_sim.Queue_disc], keyed by virtual start tag) and the
+    overflow of its calendar event queue ([Nf_engine.Sim], keyed by
+    event time: the events past the calendar's window). Compared with a generic heap of boxed records
     ordered by a [cmp] closure, it stores keys in an unboxed
     [float array] (plus parallel [int]/payload arrays), compares with
     raw [<] on floats, and exposes field readers ([top_key], [top], …) so

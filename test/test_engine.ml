@@ -50,6 +50,50 @@ let test_past_rejected () =
     (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
       Sim.schedule_after sim2 ~delay:(-1.) (fun () -> ()))
 
+let test_nan_rejected () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Sim.schedule: NaN time")
+    (fun () -> Sim.schedule sim ~at:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Sim.schedule_after: NaN delay") (fun () ->
+      Sim.schedule_after sim ~delay:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim);
+  (* A clock of +inf plus a delay of -inf is NaN too. *)
+  Sim.schedule sim ~at:infinity (fun () ->
+      Alcotest.check_raises "NaN computed time"
+        (Invalid_argument "Sim.schedule: NaN time") (fun () ->
+          Sim.schedule sim ~at:(Sim.now sim -. infinity) (fun () -> ())));
+  Sim.run sim;
+  Alcotest.(check int) "only the +inf event ran" 1 (Sim.events_processed sim)
+
+(* An event scheduled far ahead waits in the overflow; one scheduled
+   later for the same time lands in the wheel once the window has moved
+   up to it. Scheduling order still decides the tie. *)
+let test_overflow_wins_ties () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let at = 1e-3 in
+  Sim.schedule sim ~at (fun () -> log := "far" :: !log);
+  Sim.schedule sim ~at:(at -. 1e-6) (fun () ->
+      Sim.schedule sim ~at (fun () -> log := "near" :: !log);
+      Sim.schedule sim ~at:(at +. 1e-9) (fun () -> log := "after" :: !log));
+  Sim.run sim;
+  Alcotest.(check (list string)) "scheduling order on the tie"
+    [ "far"; "near"; "after" ] (List.rev !log)
+
+let test_until_in_past_keeps_clock () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.schedule sim ~at:3. (fun () -> ());
+  Sim.schedule sim ~at:5. (fun () -> log := 5. :: !log);
+  Sim.run ~until:4. sim;
+  Sim.run ~until:2. sim;
+  Alcotest.(check (float 0.)) "clock does not move back" 4. (Sim.now sim);
+  Sim.schedule sim ~at:4. (fun () -> log := 4. :: !log);
+  Sim.run sim;
+  Alcotest.(check (list (float 0.))) "order after resuming" [ 4.; 5. ]
+    (List.rev !log)
+
 (* Handlers are accounted under their scheduling category when profiling
    is on; unlabeled events fall into the "event" bucket. *)
 let test_profile_categories () =
@@ -144,6 +188,120 @@ let prop_events_fire_in_order =
       let fired = List.rev !fired in
       fired = List.stable_sort compare times)
 
+(* Differential property: random schedule scripts against a reference
+   model, a stable sort of the pending events by time (ties in
+   scheduling order). Offsets mix the engine's cases: 0, below one
+   2^-26 s bucket, exact ties (multiples of 2^-28 s), inside the
+   ~15.3 us calendar window, its end, beyond it, and +inf. Handlers
+   schedule children, and phases alternate between [run ~until] (which
+   may stop short, so the next phase schedules from the horizon) and
+   running dry. *)
+type node = { off : float; kids : node list }
+
+type phase = { evs : node list; horizon : float option }
+
+let gen_off =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0.);
+        (3, map (fun k -> float_of_int k *. 0x1p-28) (int_range 0 8));
+        (3, float_range 0. 0x1p-26);
+        (4, float_range 0. 15e-6);
+        (1, oneofl [ 0x1p-16; 0x1p-16 -. 0x1p-40; 15.3e-6 ]);
+        (2, float_range 15.3e-6 2e-3);
+        (1, oneofl [ 0.25; 1. ]);
+        (1, return infinity);
+      ])
+
+let gen_node =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let kids =
+          if depth = 0 then return []
+          else list_size (int_range 0 3) (self (depth - 1))
+        in
+        map2 (fun off kids -> { off; kids }) gen_off kids)
+      2)
+
+let gen_script =
+  QCheck.Gen.(
+    list_size (int_range 1 4)
+      (map2
+         (fun evs horizon -> { evs; horizon })
+         (list_size (int_range 1 20) gen_node)
+         (opt (float_range 0. 3e-5))))
+
+let print_script script =
+  let rec pn n =
+    Printf.sprintf "%h%s" n.off
+      (if n.kids = [] then ""
+       else "[" ^ String.concat " " (List.map pn n.kids) ^ "]")
+  in
+  String.concat " | "
+    (List.map
+       (fun ph ->
+         String.concat " " (List.map pn ph.evs)
+         ^
+         match ph.horizon with
+         | None -> " ; run"
+         | Some h -> Printf.sprintf " ; until +%h" h)
+       script)
+
+(* Runs [script] on the engine; returns (id, dispatch time) in order. *)
+let run_engine script =
+  let sim = Sim.create () in
+  let log = ref [] and next_id = ref 0 in
+  let rec add n =
+    let id = !next_id in
+    incr next_id;
+    Sim.schedule sim ~at:(Sim.now sim +. n.off) (fun () ->
+        log := (id, Sim.now sim) :: !log;
+        List.iter add n.kids)
+  in
+  List.iter
+    (fun ph ->
+      List.iter add ph.evs;
+      match ph.horizon with
+      | None -> Sim.run sim
+      | Some h -> Sim.run ~until:(Sim.now sim +. h) sim)
+    script;
+  List.rev !log
+
+let run_model script =
+  let now = ref 0. and pending = ref [] and log = ref [] in
+  let next_id = ref 0 in
+  let add n =
+    let id = !next_id in
+    incr next_id;
+    pending := !pending @ [ (!now +. n.off, id, n) ]
+  in
+  let rec run horizon =
+    let by_time (a, _, _) (b, _, _) = Float.compare a b in
+    match List.stable_sort by_time !pending with
+    | [] -> if Float.is_finite horizon then now := Float.max !now horizon
+    | (at, _, _) :: _ when at > horizon -> now := Float.max !now horizon
+    | (at, id, n) :: rest ->
+      pending := rest;
+      now := at;
+      log := (id, at) :: !log;
+      List.iter add n.kids;
+      run horizon
+  in
+  List.iter
+    (fun ph ->
+      List.iter add ph.evs;
+      run (match ph.horizon with None -> infinity | Some h -> !now +. h))
+    script;
+  List.rev !log
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"dispatch order matches the stable-sort model"
+    ~count:500
+    (QCheck.make ~print:print_script gen_script)
+    (fun script -> run_engine script = run_model script)
+
 let () =
   Alcotest.run "nf_engine"
     [
@@ -153,6 +311,10 @@ let () =
           quick "fifo tie-break" test_fifo_ties;
           quick "schedule from handler" test_schedule_from_handler;
           quick "past events rejected" test_past_rejected;
+          quick "NaN times rejected" test_nan_rejected;
+          quick "overflow wins key ties" test_overflow_wins_ties;
+          quick "until in the past keeps the clock"
+            test_until_in_past_keeps_clock;
           quick "profiling categories" test_profile_categories;
           quick "until horizon" test_until_horizon;
           quick "until is inclusive" test_until_inclusive;
@@ -161,5 +323,6 @@ let () =
           quick "periodic custom start" test_periodic_start;
           quick "empty run sets clock" test_empty_run_sets_clock;
           qcheck prop_events_fire_in_order;
+          qcheck prop_matches_reference;
         ] );
     ]

@@ -10,8 +10,9 @@
 # the compiler's numeric suffix dropped, so the output of two builds can
 # be diffed. The functions are the NUM core's hot loops
 # (Maxmin.solve_sparse, Incidence.*_into, Xwi_core.flow_weights,
-# residuals and price_links_range), the packet engine's event heap
-# (Fheap.push, Fheap.drop) and dispatch loop (Sim.run_loop), and the
+# residuals and price_links_range), STFQ's and the event overflow's heap
+# (Fheap.push, Fheap.drop), the event engine's dispatch loop and
+# out-of-line sorted insert (Sim.run_loop, Sim.insert_sorted), and the
 # packet path: Network.try_transmit, forward and arrive, STFQ's enqueue
 # and dequeue_exn closures (printed as Queue_disc.stfq.*), and
 # Host.handle_data and handle_ack. Two builds whose benchmark timings
@@ -25,7 +26,7 @@ print() {
     printf '%2d  0x%s  %s\n' $((16#$addr % 64)) "$addr" "$sym"
   done
 }
-pattern='__(Maxmin\.solve_sparse|Incidence\.[a-z_]+_into|Xwi_core\.(flow_weights|residuals|price_links_range)|Fheap\.(push|drop)|Sim\.run_loop|Network\.(try_transmit|forward|arrive)|Host\.(handle_data|handle_ack))_[0-9]+$'
+pattern='__(Maxmin\.solve_sparse|Incidence\.[a-z_]+_into|Xwi_core\.(flow_weights|residuals|price_links_range)|Fheap\.(push|drop)|Sim\.(run_loop|insert_sorted)|Network\.(try_transmit|forward|arrive)|Host\.(handle_data|handle_ack))_[0-9]+$'
 grep -E " [Tt] caml[A-Za-z_]*${pattern}" <<<"$syms" | sort -k3 |
   while read -r addr _ sym; do echo "$addr ${sym%_*}"; done | print
 # Queue_disc defines an enqueue/dequeue_exn closure per discipline; STFQ's
