@@ -1,3 +1,5 @@
+module Fcmp = Nf_util.Fcmp
+
 (* The [shape] field mirrors the closure fields for the built-in
    analytic utilities so hot solver loops can evaluate U' / U'^-1 with
    inline unboxed float arithmetic ([deriv_fast] / [rate_from_price_fast]
@@ -79,19 +81,22 @@ let rate_from_price u ?max_rate p =
   let rate = if Float.is_finite rate then Float.min rate max_rate_cap else max_rate_cap in
   match max_rate with None -> rate | Some m -> Float.min rate m
 
+(* The fast paths clamp with [Fcmp]'s comparison-only max/min, which
+   equal [Float.max]/[Float.min] on every input (NaN and signed zeros
+   included) without their sign-bit C calls. *)
 let[@inline] deriv_fast u x =
   match u.shape with
-  | Log { weight } -> weight /. Float.max x min_rate
-  | Power { walpha; alpha; _ } -> walpha *. ((Float.max x min_rate) ** -.alpha)
+  | Log { weight } -> weight /. Fcmp.fmax x min_rate
+  | Power { walpha; alpha; _ } -> walpha *. (Fcmp.fmax x min_rate ** -.alpha)
   | Opaque -> u.deriv x
 
 let[@inline] rate_from_price_fast u p =
   let rate =
     match u.shape with
-    | Log { weight } -> weight /. Float.max p min_price
-    | Power { weight; inv_alpha; _ } -> weight *. ((Float.max p min_price) ** inv_alpha)
-    | Opaque -> u.inv_deriv (Float.max p min_price)
+    | Log { weight } -> weight /. Fcmp.fmax p min_price
+    | Power { weight; inv_alpha; _ } -> weight *. (Fcmp.fmax p min_price ** inv_alpha)
+    | Opaque -> u.inv_deriv (Fcmp.fmax p min_price)
   in
-  if Float.is_finite rate then Float.min rate max_rate_cap else max_rate_cap
+  if Float.is_finite rate then Fcmp.fmin rate max_rate_cap else max_rate_cap
 
 let pp ppf u = Format.pp_print_string ppf u.name

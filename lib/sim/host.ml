@@ -26,14 +26,24 @@ type sender_floats = {
   mutable last_progress : float;
 }
 
+(* Per-seq state of a finite flow, one byte per seq holding two
+   independent bits. A seq is [in_flight] from its (re)send until its ACK
+   or an RTO requeues it; [acked] stays set once its first ACK arrived.
+   Both bits can be set at once: an RTO can requeue a seq whose ACK then
+   arrives before the resend goes out, and the resent copy is in flight
+   again while its acked mark keeps a second ACK from counting twice. *)
+let acked_bit = 1
+
+let in_flight_bit = 2
+
 type sender = {
   flow : int;
   path : int array;
   size : float;  (* bytes; infinity = persistent *)
   n_packets : int;  (* -1 for persistent *)
   mutable handle : Protocol.flow_handle;
-  acked : bool array;  (* empty for persistent flows *)
-  inflight_seqs : (int, unit) Hashtbl.t;
+  seq_state : Bytes.t;
+      (* per seq, [acked_bit] lor [in_flight_bit]; empty for persistent flows *)
   resend : int Queue.t;
   mutable next_unsent : int;
   mutable acked_count : int;
@@ -47,12 +57,10 @@ type sender = {
 
 let null_handle =
   {
-    Protocol.fh_discipline = Protocol.Windowed (fun () -> 0.);
+    Protocol.fh_discipline = Protocol.Windowed (Protocol.cell 0.);
     fh_on_send = ignore;
     fh_on_ack = ignore;
     fh_rto = 1.;
-    fh_window = (fun () -> None);
-    fh_rate_estimate = (fun () -> None);
   }
 
 let persistent s = s.n_packets < 0
@@ -82,8 +90,8 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
       size;
       n_packets;
       handle = null_handle;
-      acked = (if n_packets > 0 then Array.make n_packets false else [||]);
-      inflight_seqs = Hashtbl.create 64;
+      seq_state =
+        (if n_packets > 0 then Bytes.make n_packets '\000' else Bytes.empty);
       resend = Queue.create ();
       next_unsent = 0;
       acked_count = 0;
@@ -97,7 +105,7 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
   in
   let env =
     {
-      Protocol.env_now = (fun () -> Sim.now ctx.sim);
+      Protocol.env_sim = ctx.sim;
       env_after = ctx.after;
       env_cfg = ctx.cfg;
       env_flow = flow;
@@ -115,50 +123,58 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
 (* --------------------------------------------------------------------- *)
 (* Sending machinery *)
 
-let next_seq s =
-  match Queue.take_opt s.resend with
-  | Some seq -> Some seq
-  | None ->
-    if persistent s || s.next_unsent < s.n_packets then begin
-      let seq = s.next_unsent in
-      s.next_unsent <- seq + 1;
-      Some seq
-    end
-    else None
+let[@inline] seq_bits s seq = Char.code (Bytes.unsafe_get s.seq_state seq)
+
+let[@inline] set_seq_bits s seq bits =
+  Bytes.unsafe_set s.seq_state seq (Char.unsafe_chr bits)
+
+(* The next seq to send, resends first; -1 when there is none. *)
+let[@nf.hot] next_seq s =
+  if not (Queue.is_empty s.resend) then Queue.take s.resend
+  else if persistent s || s.next_unsent < s.n_packets then begin
+    let seq = s.next_unsent in
+    s.next_unsent <- seq + 1;
+    seq
+  end
+  else -1
 
 let has_next s =
   (not (Queue.is_empty s.resend)) || persistent s || s.next_unsent < s.n_packets
 
-let send_one ctx s seq =
+let[@nf.hot] send_one ctx s seq =
   let pkt =
     Packet.make_data ~flow:s.flow ~seq ~size:mss ~path:s.path
       ~now:(Sim.now ctx.sim)
   in
   s.handle.Protocol.fh_on_send pkt;
   s.sf.inflight <- s.sf.inflight +. mss_f;
-  if not (persistent s) then Hashtbl.replace s.inflight_seqs seq ();
+  if not (persistent s) then
+    set_seq_bits s seq (seq_bits s seq lor in_flight_bit);
   ctx.transmit pkt
 
-let rec try_send_window ctx s window =
-  if active s && s.sf.inflight < window () && has_next s then begin
-    match next_seq s with
-    | None -> ()
-    | Some seq ->
+let[@nf.hot] rec try_send_window ctx s (window : Protocol.cell) =
+  if active s && s.sf.inflight < window.Protocol.value && has_next s then begin
+    let seq = next_seq s in
+    if seq >= 0 then begin
       send_one ctx s seq;
       try_send_window ctx s window
+    end
   end
 
-let rec pace_loop ctx s ~rate ~cap =
+let rec pace_loop ctx s ~(rate : Protocol.cell) ~cap =
   if active s && s.sf.inflight < cap && has_next s then begin
-    match next_seq s with
-    | None -> s.pace_active <- false
-    | Some seq ->
+    let seq = next_seq s in
+    if seq < 0 then s.pace_active <- false
+    else begin
       send_one ctx s seq;
       (* Cap the inter-packet gap: a sender whose advertised rate has
          collapsed must keep probing, or it would never see the feedback
          that lets it recover (rate-based senders deadlock otherwise). *)
-      let gap = Fcmp.fmin (mss_f *. 8. /. Fcmp.fmax (rate ()) 1e3) 200e-6 in
+      let gap =
+        Fcmp.fmin (mss_f *. 8. /. Fcmp.fmax rate.Protocol.value 1e3) 200e-6
+      in
       ctx.after gap (fun () -> pace_loop ctx s ~rate ~cap)
+    end
   end
   else s.pace_active <- false
 
@@ -174,21 +190,22 @@ let wakeup ctx s =
     end
 
 (* Safety / pFabric retransmission timer: if no progress for [fh_rto],
-   every in-flight packet is assumed lost and queued for resend. *)
+   every in-flight packet is assumed lost and queued for resend, in
+   ascending seq order. Every seq ever sent is below [next_unsent]. *)
 let rec rto_check ctx s =
   if active s then begin
     let rto = s.handle.Protocol.fh_rto in
     if s.sf.inflight > 0. && Sim.now ctx.sim -. s.sf.last_progress >= rto
     then begin
-      if persistent s then s.sf.inflight <- 0.
-      else begin
-        let seqs =
-          List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) s.inflight_seqs [])
-        in
-        Hashtbl.reset s.inflight_seqs;
-        List.iter (fun seq -> Queue.add seq s.resend) seqs;
-        s.sf.inflight <- 0.
-      end;
+      if not (persistent s) then
+        for seq = 0 to s.next_unsent - 1 do
+          let bits = seq_bits s seq in
+          if bits land in_flight_bit <> 0 then begin
+            set_seq_bits s seq (bits land lnot in_flight_bit);
+            Queue.add seq s.resend
+          end
+        done;
+      s.sf.inflight <- 0.;
       s.sf.last_progress <- Sim.now ctx.sim;
       wakeup ctx s
     end;
@@ -214,12 +231,14 @@ let stopped s = s.stopped
 (* --------------------------------------------------------------------- *)
 (* ACK processing *)
 
-let register_ack ctx s seq =
+let[@nf.hot] register_ack ctx s seq =
   let fresh =
     if persistent s then true
-    else if seq < Array.length s.acked && not s.acked.(seq) then begin
-      s.acked.(seq) <- true;
-      Hashtbl.remove s.inflight_seqs seq;
+    else if seq < Bytes.length s.seq_state
+            && seq_bits s seq land acked_bit = 0
+    then begin
+      (* The first ACK of a seq: acked, and no longer in flight. *)
+      set_seq_bits s seq acked_bit;
       true
     end
     else false
@@ -236,7 +255,7 @@ let register_ack ctx s seq =
   end;
   fresh
 
-let handle_ack ctx s (pkt : Packet.t) =
+let[@nf.hot] handle_ack ctx s (pkt : Packet.t) =
   if not s.is_complete then begin
     ignore (register_ack ctx s pkt.Packet.seq);
     if not s.is_complete then begin
@@ -270,7 +289,7 @@ let make_receiver ctx ~flow:_ ~rpath ~sink =
     r_sink = sink;
   }
 
-let handle_data ctx r (pkt : Packet.t) =
+let[@nf.hot] handle_data ctx r (pkt : Packet.t) =
   let now = Sim.now ctx.sim in
   let rf = r.rf in
   rf.recv_bytes <- rf.recv_bytes +. float_of_int pkt.Packet.size;
@@ -292,10 +311,6 @@ let handle_data ctx r (pkt : Packet.t) =
 
 (* --------------------------------------------------------------------- *)
 (* Introspection *)
-
-let window s = s.handle.Protocol.fh_window ()
-
-let rate_estimate s = s.handle.Protocol.fh_rate_estimate ()
 
 let received_bytes r = r.rf.recv_bytes
 

@@ -72,12 +72,8 @@ val completed : sender -> bool
 val stopped : sender -> bool
 
 val acked_bytes : sender -> float
-
-val window : sender -> float option
-(** Current congestion window in bytes (window-clocked protocols only). *)
-
-val rate_estimate : sender -> float option
-(** The sender's own rate estimate, bps (protocols that keep one). *)
+(** One MSS per distinct seq acknowledged so far: a seq resent after an
+    RTO counts once, however many of its copies are ACKed. *)
 
 val received_bytes : receiver -> float
 

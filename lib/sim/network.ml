@@ -130,17 +130,23 @@ let[@nf.hot] wire_pop ls =
   ls.wire_len <- ls.wire_len - 1;
   pkt
 
+(* One flow's entry in the flow table. *)
+type flow_entry = {
+  sender : Host.sender;
+  receiver : Host.receiver;
+  path : int array;
+  d0 : float;
+  start : float;
+}
+
 type t = {
   sim : Sim.t;
   topo : Topology.t;
   protocol : Protocol.t;
   config : Config.t;
   links : link_state array;
-  senders : (int, Host.sender) Hashtbl.t;
-  receivers : (int, Host.receiver) Hashtbl.t;
-  paths : (int, int array) Hashtbl.t;
-  rtts : (int, float) Hashtbl.t;
-  starts : (int, float) Hashtbl.t;
+  mutable flows : flow_entry option array;
+      (* the flow table, indexed by flow id; grown to the largest id *)
   record : Record.t;
   trace : Trace.t;
   ctx : Host.ctx;
@@ -153,6 +159,21 @@ let protocol t = t.protocol
 let record t = t.record
 
 let trace t = t.trace
+
+(* ------------------------------------------------------------------ *)
+(* Flow table *)
+
+(* A flow id's entry, [None] for an id never added (negative ones
+   included). The [Some] was built once, by [add_flow]. *)
+let[@inline] find_flow t id =
+  let flows = t.flows in
+  if id >= 0 && id < Array.length flows then Array.unsafe_get flows id
+  else None
+
+let find_flow_exn t id what =
+  match find_flow t id with
+  | Some fe -> fe
+  | None -> invalid_arg ("Network." ^ what ^ ": unknown flow")
 
 (* ------------------------------------------------------------------ *)
 (* Link transmission machinery *)
@@ -215,15 +236,12 @@ and[@nf.hot] arrive t pkt =
     (* Reached the end host. *)
     Metrics.incr m_delivered;
     if Trace.on t.trace Trace.PktRecv then trace_host t Trace.PktRecv pkt;
-    match pkt.Packet.kind with
-    | Packet.Data -> (
-      match Hashtbl.find_opt t.receivers pkt.Packet.flow with
-      | Some r -> Host.handle_data t.ctx r pkt
-      | None -> ())
-    | Packet.Ack -> (
-      match Hashtbl.find_opt t.senders pkt.Packet.flow with
-      | Some s -> Host.handle_ack t.ctx s pkt
-      | None -> ())
+    match find_flow t pkt.Packet.flow with
+    | Some fe -> (
+      match pkt.Packet.kind with
+      | Packet.Data -> Host.handle_data t.ctx fe.receiver pkt
+      | Packet.Ack -> Host.handle_ack t.ctx fe.sender pkt)
+    | None -> ()
   end
 
 let transmit t pkt =
@@ -272,11 +290,7 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       protocol;
       config;
       links;
-      senders = Hashtbl.create 256;
-      receivers = Hashtbl.create 256;
-      paths = Hashtbl.create 256;
-      rtts = Hashtbl.create 256;
-      starts = Hashtbl.create 256;
+      flows = Array.make 256 None;
       record;
       trace;
       ctx =
@@ -288,8 +302,8 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
           complete =
             (fun flow_id ->
               let start =
-                match Hashtbl.find_opt t.starts flow_id with
-                | Some s -> s
+                match find_flow t flow_id with
+                | Some fe -> fe.start
                 | None -> 0.
               in
               let now = Sim.now sim in
@@ -355,7 +369,9 @@ let reverse_path t fwd =
   rev
 
 let add_flow t spec =
-  if Hashtbl.mem t.senders spec.fs_id then
+  let id = spec.fs_id in
+  if id < 0 then invalid_arg "Network.add_flow: negative flow id";
+  if Option.is_some (find_flow t id) then
     invalid_arg "Network.add_flow: duplicate flow id";
   (match
      ( (Topology.node t.topo spec.fs_src).Topology.kind,
@@ -394,11 +410,13 @@ let add_flow t spec =
     else None
   in
   let receiver = Host.make_receiver t.ctx ~flow:spec.fs_id ~rpath ~sink in
-  Hashtbl.replace t.senders spec.fs_id sender;
-  Hashtbl.replace t.receivers spec.fs_id receiver;
-  Hashtbl.replace t.paths spec.fs_id path;
-  Hashtbl.replace t.rtts spec.fs_id d0;
-  Hashtbl.replace t.starts spec.fs_id spec.fs_start;
+  let n = Array.length t.flows in
+  if id >= n then begin
+    let flows = Array.make (Stdlib.max (2 * n) (id + 1)) None in
+    Array.blit t.flows 0 flows 0 n;
+    t.flows <- flows
+  end;
+  t.flows.(id) <- Some { sender; receiver; path; d0; start = spec.fs_start };
   Sim.schedule_cat t.sim ~cat:cat_flow_start ~at:spec.fs_start (fun () ->
       Metrics.incr m_flows_started;
       if Trace.on t.trace Trace.FlowStart then
@@ -407,13 +425,11 @@ let add_flow t spec =
       Host.start t.ctx sender)
 
 let stop_flow_at t ~id at =
-  match Hashtbl.find_opt t.senders id with
-  | None -> invalid_arg "Network.stop_flow_at: unknown flow"
-  | Some s ->
-    Sim.schedule_cat t.sim ~cat:cat_flow_stop ~at (fun () ->
-        if not (Host.completed s || Host.stopped s) then
-          Metrics.incr m_flows_stopped;
-        Host.stop s)
+  let s = (find_flow_exn t id "stop_flow_at").sender in
+  Sim.schedule_cat t.sim ~cat:cat_flow_stop ~at (fun () ->
+      if not (Host.completed s || Host.stopped s) then
+        Metrics.incr m_flows_stopped;
+      Host.stop s)
 
 let run t ~until =
   let wall0 = Nf_util.Profile.now () in
@@ -428,16 +444,16 @@ let run t ~until =
 (* Measurement *)
 
 let measured_rate t id =
-  match Hashtbl.find_opt t.receivers id with
+  match find_flow t id with
   | None -> None
-  | Some r -> Host.measured_rate r
+  | Some fe -> Host.measured_rate fe.receiver
 
 let rate_series t id = Record.find t.record Record.Rate ~subject:id
 
 let received_bytes t id =
-  match Hashtbl.find_opt t.receivers id with
+  match find_flow t id with
   | None -> 0.
-  | Some r -> Host.received_bytes r
+  | Some fe -> Host.received_bytes fe.receiver
 
 let fct t id = Record.fct t.record id
 
@@ -447,8 +463,6 @@ let queue_bytes t ~link = t.links.(link).qdisc.Queue_disc.byte_length ()
 
 let total_drops t =
   Array.fold_left (fun acc ls -> acc + ls.qdisc.Queue_disc.drops ()) 0 t.links
-
-let link_price t ~link = t.links.(link).engine.Price_engine.value ()
 
 let link_delivered_bytes t ~link = float_of_int t.links.(link).delivered
 
@@ -471,20 +485,10 @@ let monitor_links t ~links ~every =
             (float_of_int (ls.qdisc.Queue_disc.drops ())))
         links)
 
-let monitor_metrics ?(registry = Metrics.global) t ~every =
-  Sim.periodic_cat t.sim ~cat:cat_monitor ~interval:every (fun () ->
-      Record.snapshot_metrics t.record ~registry ~time:(Sim.now t.sim))
-
 let queue_series t ~link = Record.find t.record Record.Queue ~subject:link
 
 let price_series t ~link = Record.find t.record Record.Price ~subject:link
 
-let flow_path t id =
-  match Hashtbl.find_opt t.paths id with
-  | Some p -> Array.copy p
-  | None -> invalid_arg "Network.flow_path: unknown flow"
+let flow_path t id = Array.copy (find_flow_exn t id "flow_path").path
 
-let baseline_rtt t id =
-  match Hashtbl.find_opt t.rtts id with
-  | Some d -> d
-  | None -> invalid_arg "Network.baseline_rtt: unknown flow"
+let baseline_rtt t id = (find_flow_exn t id "baseline_rtt").d0

@@ -74,9 +74,14 @@ val trace : t -> Nf_util.Trace.t
 val add_flow : t -> flow_spec -> unit
 (** Registers the flow and schedules its start. Must be called before the
     simulation clock passes [fs_start].
-    @raise Invalid_argument on duplicate ids, non-host endpoints, an
-    invalid pinned path, or a spec the protocol rejects (e.g. a missing
-    utility). *)
+
+    Flow ids are non-negative. The per-flow table is an array indexed
+    by id (the packet path looks flows up without hashing) and sized by
+    the largest id added, not by the number of flows, so ids should be
+    dense from 0.
+    @raise Invalid_argument on a negative or duplicate id, non-host
+    endpoints, an invalid pinned path, or a spec the protocol rejects
+    (e.g. a missing utility). *)
 
 val transmit : t -> Packet.t -> unit
 (** Hand a packet to the network at the first link of its path, as a
@@ -85,7 +90,8 @@ val transmit : t -> Packet.t -> unit
     dropped silently if the flow is unknown. *)
 
 val stop_flow_at : t -> id:int -> float -> unit
-(** Schedule a (persistent) flow to stop sending at the given time. *)
+(** Schedule a (persistent) flow to stop sending at the given time.
+    @raise Invalid_argument on an unknown flow id. *)
 
 val run : t -> until:float -> unit
 (** Advance the simulation (can be called repeatedly with increasing
@@ -94,12 +100,14 @@ val run : t -> until:float -> unit
 (** {2 Measurement} *)
 
 val measured_rate : t -> int -> float option
-(** Receiver-side EWMA rate of a flow, bps. *)
+(** Receiver-side EWMA rate of a flow, bps; [None] before its first
+    sample or for an unknown id. *)
 
 val rate_series : t -> int -> Nf_util.Timeseries.t option
 (** Present when [config.record_rates] was set. *)
 
 val received_bytes : t -> int -> float
+(** Data bytes a flow's receiver got so far; 0 for an unknown id. *)
 
 val fct : t -> int -> float option
 (** Completion time of a finite flow, if it has finished. *)
@@ -111,10 +119,6 @@ val queue_bytes : t -> link:int -> int
 
 val total_drops : t -> int
 
-val link_price : t -> link:int -> float
-(** Current xWI/DGD price (or RCP fair rate) of a link's engine; 0 when the
-    protocol has no engine. *)
-
 val link_delivered_bytes : t -> link:int -> float
 
 val monitor_links : t -> links:int list -> every:float -> unit
@@ -123,19 +127,16 @@ val monitor_links : t -> links:int list -> every:float -> unit
     [every] seconds into the record's Queue / Price / Drops channels;
     call before {!run}. Safe to call once per network. *)
 
-val monitor_metrics : ?registry:Nf_util.Metrics.t -> t -> every:float -> unit
-(** Periodically snapshot the metrics registry (default
-    {!Nf_util.Metrics.global}) into the record's Metric channel
-    ({!Record.snapshot_metrics}); call before {!run}. *)
-
 val queue_series : t -> link:int -> Nf_util.Timeseries.t option
 (** Samples recorded by {!monitor_links} ([None] if not monitored). *)
 
 val price_series : t -> link:int -> Nf_util.Timeseries.t option
 
 val flow_path : t -> int -> int array
-(** The forward path assigned to a flow. *)
+(** The forward path assigned to a flow.
+    @raise Invalid_argument on an unknown flow id. *)
 
 val baseline_rtt : t -> int -> float
 (** The d0 used for a flow (propagation + per-hop serialization, both
-    directions). *)
+    directions).
+    @raise Invalid_argument on an unknown flow id. *)

@@ -30,7 +30,7 @@ let data_size = 1500
 
 let ack_size = 40
 
-let make_data ~flow ~seq ~size ~path ~now =
+let[@inline] make_data ~flow ~seq ~size ~path ~now =
   {
     flow;
     seq;
@@ -56,7 +56,7 @@ let make_data ~flow ~seq ~size ~path ~now =
       };
   }
 
-let make_ack ~data ~path ~now =
+let[@inline] make_ack ~data ~path ~now =
   {
     flow = data.flow;
     seq = data.seq;

@@ -2,10 +2,14 @@
    senders that cut multiplicatively in proportion to the EWMA-filtered
    marked fraction. One of the fabric baselines in §6. *)
 
+module Sim = Nf_engine.Sim
+
 let mss_f = float_of_int Packet.data_size
 
+(* The window (bytes) lives in the discipline's cell, which [Host]
+   reads. *)
 type state = {
-  mutable cwnd : float;  (* bytes *)
+  cwnd : Protocol.cell;
   mutable alpha : float;  (* EWMA of marked fraction *)
   mutable marked : int;
   mutable total : int;
@@ -37,7 +41,7 @@ let protocol : Protocol.t =
       let g = dc.Config.dctcp_gain in
       let st =
         {
-          cwnd = 10. *. mss_f;
+          cwnd = Protocol.cell (10. *. mss_f);
           alpha = 0.;
           marked = 0;
           total = 0;
@@ -45,31 +49,32 @@ let protocol : Protocol.t =
           slow_start = true;
         }
       in
+      let sim = env.Protocol.env_sim and cwnd = st.cwnd in
       let on_ack (pkt : Packet.t) =
         st.total <- st.total + 1;
         if pkt.Packet.ack_ecn then st.marked <- st.marked + 1;
         if st.slow_start then begin
-          st.cwnd <- st.cwnd +. mss_f;
+          cwnd.Protocol.value <- cwnd.Protocol.value +. mss_f;
           if pkt.Packet.ack_ecn then st.slow_start <- false
         end;
         (* Window update once per baseline RTT, as in the DCTCP paper. *)
-        if env.Protocol.env_now () >= st.next_update && st.total > 0 then begin
+        if Sim.now sim >= st.next_update && st.total > 0 then begin
           let frac = float_of_int st.marked /. float_of_int st.total in
           st.alpha <- ((1. -. g) *. st.alpha) +. (g *. frac);
           if st.marked > 0 then
-            st.cwnd <- Float.max mss_f (st.cwnd *. (1. -. (st.alpha /. 2.)))
-          else if not st.slow_start then st.cwnd <- st.cwnd +. mss_f;
+            cwnd.Protocol.value <-
+              Float.max mss_f (cwnd.Protocol.value *. (1. -. (st.alpha /. 2.)))
+          else if not st.slow_start then
+            cwnd.Protocol.value <- cwnd.Protocol.value +. mss_f;
           st.marked <- 0;
           st.total <- 0;
-          st.next_update <- env.Protocol.env_now () +. env.Protocol.env_d0
+          st.next_update <- Sim.now sim +. env.Protocol.env_d0
         end
       in
       {
-        Protocol.fh_discipline = Protocol.Windowed (fun () -> st.cwnd);
+        Protocol.fh_discipline = Protocol.Windowed cwnd;
         fh_on_send = ignore;
         fh_on_ack = on_ack;
         fh_rto = Protocol.default_rto ~d0:env.Protocol.env_d0;
-        fh_window = (fun () -> Some st.cwnd);
-        fh_rate_estimate = (fun () -> None);
       }
   end)

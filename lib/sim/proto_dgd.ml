@@ -36,25 +36,22 @@ let protocol : Protocol.t =
         | Some u -> u
         | None -> invalid_arg "Protocol dgd: flow needs a utility"
       in
-      let rate = ref env.Protocol.env_line_rate in
+      let rate = Protocol.cell env.Protocol.env_line_rate in
       let cap = 2. *. env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8. in
       let on_ack (pkt : Packet.t) =
         if pkt.Packet.ack_path_len > 0 then begin
           let price =
             Fcmp.fmax pkt.Packet.fl.Packet.ack_path_price Utility.min_price
           in
-          rate :=
+          rate.Protocol.value <-
             Fcmp.clamp ~lo:1e3 ~hi:env.Protocol.env_line_rate
               (Utility.rate_from_price u price)
         end
       in
       {
-        Protocol.fh_discipline =
-          Protocol.Paced { rate = (fun () -> !rate); cap };
+        Protocol.fh_discipline = Protocol.Paced { rate; cap };
         fh_on_send = ignore;
         fh_on_ack = on_ack;
         fh_rto = Protocol.default_rto ~d0:env.Protocol.env_d0;
-        fh_window = (fun () -> None);
-        fh_rate_estimate = (fun () -> Some !rate);
       }
   end)

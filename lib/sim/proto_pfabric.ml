@@ -26,17 +26,16 @@ let protocol : Protocol.t =
 
     let make_flow (env : Protocol.flow_env) ~utility:_ =
       let window =
-        Float.max mss_f (env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8.)
+        Protocol.cell
+          (Float.max mss_f (env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8.))
       in
       let on_send (pkt : Packet.t) =
         pkt.Packet.fl.Packet.priority <- env.Protocol.env_remaining ()
       in
       {
-        Protocol.fh_discipline = Protocol.Windowed (fun () -> window);
+        Protocol.fh_discipline = Protocol.Windowed window;
         fh_on_send = on_send;
         fh_on_ack = ignore;
         fh_rto = env.Protocol.env_cfg.Config.pfabric.Config.pfabric_rto;
-        fh_window = (fun () -> Some window);
-        fh_rate_estimate = (fun () -> None);
       }
   end)

@@ -35,22 +35,19 @@ let protocol : Protocol.t =
       let alpha = env.Protocol.env_cfg.Config.rcp.Config.rcp_alpha in
       (* Start conservatively: RCP converges from below without the
          initial burst overshooting shared links. *)
-      let rate = ref (env.Protocol.env_line_rate /. 10.) in
+      let rate = Protocol.cell (env.Protocol.env_line_rate /. 10.) in
       let cap = 2. *. env.Protocol.env_line_rate *. env.Protocol.env_d0 /. 8. in
       let on_ack (pkt : Packet.t) =
         let sum = pkt.Packet.fl.Packet.ack_rcp_sum in
         if sum > 0. then
-          rate :=
+          rate.Protocol.value <-
             Fcmp.clamp ~lo:1e3 ~hi:env.Protocol.env_line_rate
               (sum ** (-1. /. alpha))
       in
       {
-        Protocol.fh_discipline =
-          Protocol.Paced { rate = (fun () -> !rate); cap };
+        Protocol.fh_discipline = Protocol.Paced { rate; cap };
         fh_on_send = ignore;
         fh_on_ack = on_ack;
         fh_rto = Protocol.default_rto ~d0:env.Protocol.env_d0;
-        fh_window = (fun () -> None);
-        fh_rate_estimate = (fun () -> Some !rate);
       }
   end)

@@ -7,14 +7,15 @@
 module Utility = Nf_num.Utility
 module Ewma = Nf_util.Ewma
 module Fcmp = Nf_util.Fcmp
+module Sim = Nf_engine.Sim
 
 let mss_f = float_of_int Packet.data_size
 
 (* Swift's float state, all-float so the per-packet and per-ACK stores
-   neither box nor go through the write barrier. *)
+   neither box nor go through the write barrier. The window lives in the
+   discipline's cell, which [Host] reads. *)
 type floats = {
   mutable weight : float;
-  mutable window : float;  (* bytes *)
   mutable price : float;
 }
 
@@ -86,25 +87,25 @@ let make ~srpt ~name ~description : Protocol.t =
                  line rate keeps virtual packet lengths commensurate with
                  later (rate-scaled) weights. *)
               weight = env.Protocol.env_line_rate;
-              window = float_of_int swc.Config.init_burst *. mss_f;
               price = 0.;
             };
         }
       in
       let sf = st.f in
-      let on_send (pkt : Packet.t) =
+      let window = Protocol.cell (float_of_int swc.Config.init_burst *. mss_f) in
+      let[@nf.hot] on_send (pkt : Packet.t) =
         let fl = pkt.Packet.fl in
         fl.Packet.virtual_packet_len <-
           mss_f /. Fcmp.fmax (quantize_weight swc sf.weight) 1e-30;
         if Ewma.timed_is_set st.rate && st.path_len > 0 then
           fl.Packet.normalized_residual <-
-            (st.utility.Utility.deriv
+            (Utility.deriv_fast st.utility
                (Fcmp.fmax (Ewma.timed_value_exn st.rate) 1.)
             -. sf.price)
             /. float_of_int st.path_len
         else fl.Packet.normalized_residual <- Float.nan
       in
-      let on_ack (pkt : Packet.t) =
+      let[@nf.hot] on_ack (pkt : Packet.t) =
         let fl = pkt.Packet.fl in
         if pkt.Packet.ack_path_len > 0 then begin
           sf.price <- fl.Packet.ack_path_price;
@@ -116,26 +117,24 @@ let make ~srpt ~name ~description : Protocol.t =
             Utility.fct_remaining ~remaining:(env.Protocol.env_remaining ()) ~eps
         | None -> ());
         sf.weight <-
-          Utility.rate_from_price st.utility
+          Utility.rate_from_price_fast st.utility
             (Fcmp.fmax sf.price Utility.min_price);
         let ipt = fl.Packet.ack_ipt in
         if Float.is_finite ipt && ipt > 0. then begin
           let sample = mss_f *. 8. /. ipt in
-          Ewma.timed_update st.rate ~now:(env.Protocol.env_now ()) sample;
+          Ewma.timed_update st.rate ~now:(Sim.now env.Protocol.env_sim) sample;
           let r = Ewma.timed_value_exn st.rate in
           let w =
             r *. (env.Protocol.env_d0 +. swc.Config.dt_slack) /. 8.
           in
-          sf.window <- Fcmp.fmax w mss_f
+          window.Protocol.value <- Fcmp.fmax w mss_f
         end
       in
       {
-        Protocol.fh_discipline = Protocol.Windowed (fun () -> sf.window);
+        Protocol.fh_discipline = Protocol.Windowed window;
         fh_on_send = on_send;
         fh_on_ack = on_ack;
         fh_rto = Protocol.default_rto ~d0:env.Protocol.env_d0;
-        fh_window = (fun () -> Some sf.window);
-        fh_rate_estimate = (fun () -> Ewma.timed_value st.rate);
       }
   end)
 

@@ -1,5 +1,5 @@
 type flow_env = {
-  env_now : unit -> float;
+  env_sim : Nf_engine.Sim.t;
   env_after : float -> (unit -> unit) -> unit;
   env_cfg : Config.t;
   env_flow : int;
@@ -10,17 +10,19 @@ type flow_env = {
   env_remaining : unit -> float;
 }
 
+type cell = { mutable value : float }
+
+let cell value = { value }
+
 type discipline =
-  | Windowed of (unit -> float)
-  | Paced of { rate : unit -> float; cap : float }
+  | Windowed of cell
+  | Paced of { rate : cell; cap : float }
 
 type flow_handle = {
   fh_discipline : discipline;
   fh_on_send : Packet.t -> unit;
   fh_on_ack : Packet.t -> unit;
   fh_rto : float;
-  fh_window : unit -> float option;
-  fh_rate_estimate : unit -> float option;
 }
 
 type link_handle = {

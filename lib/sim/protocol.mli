@@ -18,7 +18,8 @@
 
 (** What a protocol's flow can query from the generic sender machinery. *)
 type flow_env = {
-  env_now : unit -> float;
+  env_sim : Nf_engine.Sim.t;
+      (** the clock ({!Nf_engine.Sim.now}, read without boxing a float) *)
   env_after : float -> (unit -> unit) -> unit;
   env_cfg : Config.t;
   env_flow : int;  (** flow id *)
@@ -29,13 +30,26 @@ type flow_env = {
   env_remaining : unit -> float;  (** un-acked bytes (>= one MSS) *)
 }
 
+(** A float the protocol owns and writes, and the generic machinery
+    reads: the current window (bytes) of a {!Windowed} flow, or the
+    current rate (bps) of a {!Paced} one. A protocol keeps the cell it
+    put into its {!discipline} and stores into it whenever its control
+    law moves the value (Swift and DCTCP per ACK, DGD and RCP* per ACK
+    that carries feedback; pFabric never, its window is fixed). {!Host}
+    reads the field afresh on every send attempt, so a store takes
+    effect at the next send. The record is all-float, so a store is one
+    unboxed write and a read calls no closure. *)
+type cell = { mutable value : float }
+
+val cell : float -> cell
+
 (** How the generic machinery releases packets for this flow. *)
 type discipline =
-  | Windowed of (unit -> float)
-      (** send while in-flight bytes < the current window (bytes) *)
-  | Paced of { rate : unit -> float; cap : float }
-      (** pace packets at [rate] bps, never exceeding [cap] outstanding
-          bytes *)
+  | Windowed of cell
+      (** send while in-flight bytes < the cell's window (bytes) *)
+  | Paced of { rate : cell; cap : float }
+      (** pace packets at the cell's rate (bps), never exceeding [cap]
+          outstanding bytes *)
 
 (** Per-flow protocol hooks, closed over the protocol's own state. *)
 type flow_handle = {
@@ -46,9 +60,6 @@ type flow_handle = {
       (** digest feedback from an ACK; the generic layer then resumes
           sending per the discipline — do not send from here *)
   fh_rto : float;  (** retransmission / progress timeout, seconds *)
-  fh_window : unit -> float option;  (** introspection: current window *)
-  fh_rate_estimate : unit -> float option;
-      (** introspection: sender's own rate estimate, bps *)
 }
 
 (** One switch port's worth of protocol machinery. *)

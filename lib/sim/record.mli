@@ -54,9 +54,9 @@ val fct : t -> int -> float option
 val snapshot_metrics : t -> registry:Nf_util.Metrics.t -> time:float -> unit
 (** Append every metric's current primary value (counter count, gauge
     value, histogram observation count) to the {!Metric} channel, keyed by
-    the metric's registration id. Drive it periodically
-    ({!Network.monitor_metrics}) to get metric trajectories over simulated
-    time. *)
+    the metric's registration id. Call it periodically (e.g. from a
+    {!Nf_engine.Sim.periodic} event) to get metric trajectories over
+    simulated time. *)
 
 (** {2 Export} *)
 

@@ -13,7 +13,7 @@ type kind =
   | XwiResidual
   | XwiNonconverged
 
-let kind_index = function
+let[@inline] kind_index = function
   | Enqueue -> 0
   | Dequeue -> 1
   | Drop -> 2
@@ -111,7 +111,7 @@ let make ?(capacity = 65536) ?kinds ?subjects ?path () =
   { mask; subjects; buf = Array.make capacity dummy_event; head = 0; len = 0;
     total = 0; out }
 
-let on t kind = t.mask land (1 lsl kind_index kind) <> 0
+let[@inline] on t kind = t.mask land (1 lsl kind_index kind) <> 0
 
 let event_to_jsonl ev =
   let aux = if Float.is_nan ev.aux then [] else [ ("aux", Json.Num ev.aux) ] in

@@ -557,7 +557,13 @@ let test_add_flow_validation () =
       Network.add_flow net
         (Network.flow
            ~utility:(Utility.proportional_fair ())
-           ~id:1 ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()))
+           ~id:1 ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()));
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Network.add_flow: negative flow id") (fun () ->
+      Network.add_flow net
+        (Network.flow
+           ~utility:(Utility.proportional_fair ())
+           ~id:(-1) ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()))
 
 let test_numfabric_srpt_preempts () =
   (* Remaining-size weights approximate SRPT: a small flow arriving behind
@@ -683,6 +689,189 @@ let test_registry_lookup () =
   Alcotest.check_raises "duplicate registration rejected"
     (Invalid_argument "Protocol.register: duplicate protocol \"dctcp\"")
     (fun () -> Nf_sim.Protocol.register (proto "dctcp"))
+
+(* The flow table is indexed by id: a sparse id grows it, and unknown
+   ids keep their errors and defaults whether they fall inside the
+   table, past its end or below 0. *)
+let test_sparse_flow_id () =
+  let sb = Builders.single_bottleneck ~n_senders:2 () in
+  let net = Network.create ~topology:sb.Builders.sb_topo ~protocol:(proto "numfabric") () in
+  let size = 150_000. in
+  List.iteri
+    (fun i id ->
+      Network.add_flow net
+        (Network.flow
+           ~utility:(Utility.proportional_fair ())
+           ~size ~id ~src:sb.Builders.senders.(i) ~dst:sb.Builders.receiver ()))
+    [ 5000; 3 ];
+  Network.run net ~until:10e-3;
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "flow %d completes" id) true
+        (Option.is_some (Network.fct net id));
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "flow %d delivers exactly its size" id)
+        size (Network.received_bytes net id))
+    [ 5000; 3 ]
+
+let test_unknown_flow_ids () =
+  let sb = Builders.single_bottleneck ~n_senders:1 () in
+  let net = Network.create ~topology:sb.Builders.sb_topo ~protocol:(proto "numfabric") () in
+  Network.add_flow net
+    (Network.flow
+       ~utility:(Utility.proportional_fair ())
+       ~id:2 ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ());
+  List.iter
+    (fun id ->
+      let raises what f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s %d" what id)
+          (Invalid_argument (Printf.sprintf "Network.%s: unknown flow" what))
+          (fun () -> ignore (f ()))
+      in
+      raises "stop_flow_at" (fun () -> Network.stop_flow_at net ~id 1e-3);
+      raises "baseline_rtt" (fun () -> Network.baseline_rtt net id);
+      raises "flow_path" (fun () -> Network.flow_path net id);
+      Alcotest.(check bool) (Printf.sprintf "no rate for %d" id) true
+        (Option.is_none (Network.measured_rate net id));
+      Alcotest.(check (float 0.)) (Printf.sprintf "no bytes for %d" id) 0.
+        (Network.received_bytes net id))
+    [ 0; 1; 100_000; -1 ]
+
+(* A 4500-byte buffer drops Swift's initial bursts, so both flows lose
+   packets and recover through the RTO. Every resend made by one RTO
+   goes out at one instant, and those go out in ascending seq order; a
+   resent seq's ACKs do not count twice, so each flow delivers and
+   completes. *)
+let test_rto_resends_ascend () =
+  let module Trace = Nf_util.Trace in
+  let tr = Trace.make ~capacity:65536 ~kinds:[ Trace.PktSend ] () in
+  let sb = Builders.single_bottleneck ~n_senders:2 () in
+  let config = { Nf_sim.Config.default with Nf_sim.Config.buffer_bytes = 4_500 } in
+  let net =
+    Network.create ~config ~trace:tr ~topology:sb.Builders.sb_topo
+      ~protocol:(proto "numfabric") ()
+  in
+  let size = 200_000. in
+  Array.iteri
+    (fun i src ->
+      Network.add_flow net
+        (Network.flow
+           ~utility:(Utility.proportional_fair ())
+           ~size ~id:i ~src ~dst:sb.Builders.receiver ()))
+    sb.Builders.senders;
+  Network.run net ~until:0.25;
+  Alcotest.(check bool) "the buffer drops packets" true
+    (Network.total_drops net > 0);
+  let sends =
+    List.filter_map
+      (fun e ->
+        if e.Trace.kind = Trace.PktSend && e.Trace.aux = 1500. then
+          Some (e.Trace.subject, e.Trace.time, int_of_float e.Trace.value)
+        else None)
+      (Trace.events tr)
+  in
+  List.iter
+    (fun flow ->
+      (* (time, seq) of every resend: a send of a seq sent before. *)
+      let seen = Hashtbl.create 256 in
+      let resends =
+        List.filter_map
+          (fun (f, time, seq) ->
+            if f <> flow then None
+            else if Hashtbl.mem seen seq then Some (time, seq)
+            else begin
+              Hashtbl.replace seen seq ();
+              None
+            end)
+          sends
+      in
+      Alcotest.(check bool) (Printf.sprintf "flow %d resends" flow) true
+        (resends <> []);
+      let rec ascending = function
+        | (t1, s1) :: ((t2, s2) :: _ as rest) ->
+          (t1 <> t2 || s1 < s2) && ascending rest
+        | _ -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "flow %d: one RTO's resends ascend" flow)
+        true (ascending resends);
+      Alcotest.(check bool) (Printf.sprintf "flow %d completes" flow) true
+        (Option.is_some (Network.fct net flow));
+      Alcotest.(check bool)
+        (Printf.sprintf "flow %d delivers its size" flow)
+        true
+        (Network.received_bytes net flow >= size))
+    [ 0; 1 ]
+
+(* A DCTCP sender driven by hand, its packets captured instead of sent:
+   an RTO requeues the in-flight seqs in ascending order, a window
+   halved by an ECN-marked ACK lets only some of them out, and an ACK
+   for a seq still queued for resend counts once, even though the seq
+   is resent and ACKed again. *)
+let test_rto_ack_after_requeue_counts_once () =
+  let module Host = Nf_sim.Host in
+  let module Config = Nf_sim.Config in
+  let module Sim = Nf_engine.Sim in
+  let sim = Sim.create () in
+  let wire = Queue.create () and sent = ref [] in
+  let cfg =
+    let d = Config.default in
+    { d with Config.dctcp = { d.Config.dctcp with Config.dctcp_gain = 1. } }
+  in
+  let ctx =
+    {
+      Host.sim;
+      after = (fun delay f -> Sim.schedule_after sim ~delay f);
+      transmit =
+        (fun pkt ->
+          Queue.add pkt wire;
+          sent := pkt.Packet.seq :: !sent);
+      complete = ignore;
+      cfg;
+    }
+  in
+  let mss = float_of_int Packet.data_size in
+  let size = 12. *. mss in
+  let s =
+    Host.make_sender ctx ~flow:0 ~path:[| 0 |] ~size ~d0:1e-4 ~line_rate:1e10
+      ~protocol:(proto "dctcp") ~utility:None
+  in
+  let ack ?(ecn = false) (data : Packet.t) =
+    data.Packet.ecn <- ecn;
+    Host.handle_ack ctx s (Packet.make_ack ~data ~path:[| 0 |] ~now:(Sim.now sim))
+  in
+  (* The seqs sent since the last call, in send order. *)
+  let take_sent () =
+    let l = List.rev !sent in
+    sent := [];
+    l
+  in
+  let newest_copy seq =
+    Option.get
+      (Queue.fold (fun acc p -> if p.Packet.seq = seq then Some p else acc) None wire)
+  in
+  Host.start ctx s;
+  Alcotest.(check (list int)) "initial window" (List.init 10 Fun.id) (take_sent ());
+  (* A marked ACK halves the 11-packet window to 8250 bytes. *)
+  ack ~ecn:true (newest_copy 1);
+  Alcotest.(check (list int)) "no send past the halved window" [] (take_sent ());
+  let first_8 = newest_copy 8 in
+  Sim.run sim ~until:3.5e-3;
+  Alcotest.(check (list int)) "the RTO resends ascend and fill the window"
+    [ 0; 2; 3; 4; 5; 6 ] (take_sent ());
+  ack first_8;
+  Alcotest.(check (float 0.)) "the late ACK counts" (2. *. mss) (Host.acked_bytes s);
+  Alcotest.(check (list int)) "the queue drains in order, 8 included" [ 7; 8 ]
+    (take_sent ());
+  ack (newest_copy 8);
+  Alcotest.(check (float 0.)) "the resent copy's ACK does not count again"
+    (2. *. mss) (Host.acked_bytes s);
+  while not (Host.completed s || Queue.is_empty wire) do
+    ack (Queue.pop wire)
+  done;
+  Alcotest.(check bool) "the flow completes" true (Host.completed s);
+  Alcotest.(check (float 0.)) "acked bytes equal the size" size (Host.acked_bytes s)
 
 let test_every_protocol_completes () =
   (* Every registered transport must carry two finite flows across a
@@ -959,6 +1148,10 @@ let () =
           quick "pfabric preemption" test_pfabric_preemption;
           quick "conservation and paths" test_conservation_and_paths;
           quick "add_flow validation" test_add_flow_validation;
+          quick "sparse flow id" test_sparse_flow_id;
+          quick "unknown flow ids" test_unknown_flow_ids;
+          quick "rto resends ascend" test_rto_resends_ascend;
+          quick "ack after requeue counts once" test_rto_ack_after_requeue_counts_once;
           quick "numfabric on a fat tree" test_numfabric_on_fat_tree;
           quick "rate series recording" test_rate_series_recording;
           quick "srpt weights preempt" test_numfabric_srpt_preempts;

@@ -63,10 +63,11 @@ let catalog =
          boxed constructors, records, array literals, lazy blocks, stage \
          partial applications, or call allocating container constructors \
          (typed: partial application detected from omitted arguments); \
-         nor use Float.max/Float.min, whose sign-bit tests are C calls; \
-         nor store a float boxed: into a float field of a record that is \
-         not all-float, or with := into a float ref not bound in the \
-         body";
+         nor use Float.max/Float.min, whose sign-bit tests are C calls, \
+         or the stdlib Hashtbl's find/find_opt/mem/replace/add/remove, \
+         which hash through a C call; nor store a float boxed: into a \
+         float field of a record that is not all-float, or with := into a \
+         float ref not bound in the body";
     };
     {
       id = "domain-safety";

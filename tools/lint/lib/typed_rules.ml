@@ -194,6 +194,23 @@ let signbit_minmax_msg id =
      function; use the unit's comparison-only f%s"
     op op
 
+(* Generic-hashtable operations: each hashes its key through a C call
+   ([caml_hash]) and compares keys polymorphically, and [find_opt] also
+   builds a [Some]. Hot code indexes a flat array by id instead. *)
+let hashtbl_ops =
+  [
+    "Hashtbl.find"; "Hashtbl.find_opt"; "Hashtbl.mem"; "Hashtbl.replace";
+    "Hashtbl.add"; "Hashtbl.remove";
+  ]
+
+let hashtbl_op_msg id =
+  Printf.sprintf
+    "Hashtbl.%s hashes its key through a C call and compares it \
+     polymorphically%s inside a [@nf.hot] function; index a flat array \
+     by id instead"
+    (unqualify id)
+    (if unqualify id = "find_opt" then ", and allocates its Some," else "")
+
 let mutator_targets_ref = [ ":="; "incr"; "decr" ]
 
 let mutator_containers =
@@ -503,6 +520,7 @@ let check_hot_node ctx ~hot_refs e =
       match head_ident f with
       | Some id when path_in id signbit_minmax ->
         bad (signbit_minmax_msg id)
+      | Some id when path_in id hashtbl_ops -> bad (hashtbl_op_msg id)
       | Some id when path_in id allocating_calls ->
         bad
           (Printf.sprintf
