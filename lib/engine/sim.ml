@@ -33,13 +33,15 @@ type cat = Profile.cat
    largest seq so far, so it goes after every key <= its own: the seq is
    implied by list position and is not stored.
 
-   An event at or past the window's end (+inf included) goes to the
-   [overflow] Fheap, whose FIFO tie-break is scheduling order among its
-   own events. Pop takes the smaller of the first non-empty bucket's
-   head and the overflow's top, the overflow on a key tie: the window's
-   end never moves back, so an overflow event with key k was scheduled
-   when the end was <= k, before any wheel event with key k, which was
-   scheduled when the end was > k.
+   An event at or past the window's end (+inf included) takes a node
+   from the same pool, and the node's index goes to the [overflow]
+   Fheap, whose FIFO tie-break is scheduling order among its own
+   events; its [next] link is unused while it waits there. Pop takes
+   the smaller of the first non-empty bucket's head and the overflow's
+   top, the overflow on a key tie: the window's end never moves back,
+   so an overflow event with key k was scheduled when the end was <= k,
+   before any wheel event with key k, which was scheduled when the end
+   was > k.
 
    Invariant: every wheel key's bucket is in [cursor, cursor +
    n_buckets), and the cursor is at most the bucket of [now] (a pop
@@ -91,7 +93,7 @@ type t = {
   mutable free : int;  (* first free node, or -1 *)
   mutable cursor : int;  (* absolute bucket at the window's start *)
   mutable in_wheel : int;
-  overflow : (unit -> unit) Fheap.t;
+  overflow : Fheap.t;  (* node indices, keyed by event time *)
   mutable stopped : bool;
   mutable processed : int;
   mutable unsettled : int;  (* dispatched, not yet added to [processed] *)
@@ -134,7 +136,7 @@ let create () =
     free = -1;
     cursor = 0;
     in_wheel = 0;
-    overflow = Fheap.create ~capacity:16 ~dummy:noop ();
+    overflow = Fheap.create ~capacity:16 ();
     stopped = false;
     processed = 0;
     unsettled = 0;
@@ -211,7 +213,12 @@ let[@inline never] insert_sorted t b n =
 let[@inline never] push_overflow t ~cat action =
   let clock = t.clock in
   let key = clock.staged in
-  Fheap.push t.overflow ~key ~aux:cat action;
+  let n = if t.free >= 0 then t.free else grow_pool t in
+  t.free <- t.next.(n);
+  t.keys.(n) <- key;
+  t.cats.(n) <- cat;
+  t.acts.(n) <- action;
+  Fheap.push t.overflow ~key n;
   if key < clock.overflow_min then clock.overflow_min <- key
 
 let[@nf.hot] [@inline] schedule_cat t ~cat ~at action =
@@ -224,7 +231,10 @@ let[@nf.hot] [@inline] schedule_cat t ~cat ~at action =
     t.free <- next.(n);
     keys.(n) <- at;
     t.cats.(n) <- cat;
-    t.acts.(n) <- action;
+    (t.acts.(n) <- action)
+    [@nf.allow
+      "hot-barrier -- handlers are mostly preallocated, old closures; \
+       replacing the closure slot with an int handle measured no gain"];
     next.(n) <- -1;
     let b = int_of_float (at *. bucket_scale) land bucket_mask in
     let heads = t.heads and tails = t.tails in
@@ -277,10 +287,9 @@ let[@inline] set_cursor t c =
   t.cursor <- c;
   t.clock.window_end <- float_of_int (c + n_buckets) *. bucket_width
 
-(* Removes the overflow's top, whose key is [key]; returns its category
-   (the action is read by the caller before). With the wheel empty the
-   cursor jumps to [key]'s bucket; otherwise [key] is at most the wheel
-   head's key, so its bucket is in the window already. *)
+(* Removes the overflow's top, whose key is [key]. With the wheel empty
+   the cursor jumps to [key]'s bucket; otherwise [key] is at most the
+   wheel head's key, so its bucket is in the window already. *)
 let[@inline] drop_overflow t key =
   let ov = t.overflow and clock = t.clock in
   Fheap.drop ov;
@@ -340,24 +349,31 @@ let[@nf.hot] run_loop t horizon profiling gcing =
       clock.time <- Fcmp.fmax clock.time horizon;
       continue := false
     end
-    else if from_overflow then begin
-      let action = Fheap.top ov in
-      let c = Fheap.top_aux ov in
-      drop_overflow t key;
-      clock.time <- key;
-      t.unsettled <- t.unsettled + 1;
-      dispatch c action profiling gcing
-    end
     else begin
-      let n = !n and next = t.next and acts = t.acts in
-      heads.(!b land bucket_mask) <- next.(n);
-      next.(n) <- t.free;
-      t.free <- n;
+      let n =
+        if from_overflow then begin
+          let n = Fheap.top ov in
+          drop_overflow t key;
+          n
+        end
+        else begin
+          let n = !n in
+          heads.(!b land bucket_mask) <- t.next.(n);
+          t.in_wheel <- t.in_wheel - 1;
+          if !b <> t.cursor then set_cursor t !b;
+          n
+        end
+      in
+      let acts = t.acts in
       let action = acts.(n) in
-      acts.(n) <- noop;
+      (* Clearing the slot lets a fired one-shot closure be collected. *)
+      (acts.(n) <- noop)
+      [@nf.allow
+        "hot-barrier -- stores a static closure so the fired handler is \
+         not kept alive by a free node"];
+      t.next.(n) <- t.free;
+      t.free <- n;
       let c = t.cats.(n) in
-      t.in_wheel <- t.in_wheel - 1;
-      if !b <> t.cursor then set_cursor t !b;
       clock.time <- key;
       t.unsettled <- t.unsettled + 1;
       dispatch c action profiling gcing

@@ -36,19 +36,19 @@ let boundary_limit boxes = (16.0 *. float_of_int boxes) +. 8.0
    so anything measured here is the call-boundary box of a dev (-opaque)
    build. *)
 let boundary_boxing () =
-  let h = Nf_util.Fheap.create ~capacity:4 ~dummy:0 () in
-  Nf_util.Fheap.push h ~key:1.0 ~aux:0 0;
+  let h = Nf_util.Fheap.create ~capacity:4 () in
+  Nf_util.Fheap.push h ~key:1.0 0;
   let out = [| 0. |] in
   let probe () = out.(0) <- Nf_util.Fheap.top_key h in
   Nf_util.Gcstats.bytes_per_iteration ~warmup:64 ~iters:1_000 probe > budget
 
 let fheap_kernel () =
-  let h = Nf_util.Fheap.create ~capacity:64 ~dummy:0 () in
+  let h = Nf_util.Fheap.create ~capacity:64 () in
   let out = [| 0. |] in
   let i = ref 0 in
   fun () ->
     incr i;
-    Nf_util.Fheap.push h ~key:(float_of_int (!i mod 97)) ~aux:0 0;
+    Nf_util.Fheap.push h ~key:(float_of_int (!i mod 97)) !i;
     (* Stored, not [ignore]d: [ignore] takes ['a] and would box the float
        itself, charging the kernel for the harness's sin. *)
     out.(0) <- Nf_util.Fheap.top_key h;
@@ -56,12 +56,13 @@ let fheap_kernel () =
     Nf_util.Fheap.drop h
 
 let stfq_kernel () =
-  let q = Nf_sim.Queue_disc.stfq () in
+  let pool = Nf_sim.Packet.create_pool () in
+  let q = Nf_sim.Queue_disc.stfq ~pool () in
   let packets =
     Array.init 16 (fun fl ->
         let p =
-          Nf_sim.Packet.make_data ~flow:fl ~seq:fl ~size:1500 ~path:[| 0 |]
-            ~now:0.
+          Nf_sim.Packet.alloc_data pool ~flow:fl ~seq:fl ~size:1500
+            ~path:[| 0 |] ~now:0.
         in
         p.Nf_sim.Packet.fl.Nf_sim.Packet.virtual_packet_len <-
           1500. /. float_of_int (1 + (fl mod 7));
@@ -118,36 +119,63 @@ let hop_protocol : Nf_sim.Protocol.t =
 
     let update_interval (_ : Nf_sim.Config.t) = None
 
-    let make_link (cfg : Nf_sim.Config.t) ~capacity =
+    let make_link (cfg : Nf_sim.Config.t) ~pool ~capacity =
       {
         Nf_sim.Protocol.lh_qdisc =
-          Nf_sim.Queue_disc.stfq ~limit_bytes:cfg.Nf_sim.Config.buffer_bytes ();
+          Nf_sim.Queue_disc.stfq ~pool
+            ~limit_bytes:cfg.Nf_sim.Config.buffer_bytes ();
         lh_engine = Nf_sim.Price_engine.xwi ~capacity ();
       }
 
-    let make_flow (_ : Nf_sim.Protocol.flow_env) ~utility:_ =
-      invalid_arg "audit-hop: no flows"
+    (* NUMFabric's own Swift sender, for the round trip. *)
+    let make_flow =
+      let module P = (val Nf_sim.Protocols.get "numfabric") in
+      P.make_flow
   end)
 
-(* One packet hop through the network's real per-link path: STFQ enqueue
-   and the xWI engine's [on_enqueue] ([forward]), dequeue, [on_dequeue]
-   and the two schedules ([try_transmit]), then the dispatch of the
-   link's [tx_done] and [arrive_next] handlers. The packet is reused and
-   its flow has no receiver, so the end of the path delivers nothing. *)
+(* One packet hop through the network's real per-link path: a packet
+   from the network's pool, STFQ enqueue and the xWI engine's
+   [on_enqueue] ([forward]), dequeue, [on_dequeue] and the two schedules
+   ([try_transmit]), then the dispatch of the link's [tx_done] and
+   [arrive_next] handlers. Its flow has no receiver, so the end of the
+   path delivers nothing and returns the packet to the pool. *)
 let packet_hop_kernel () =
   let sb = Nf_topo.Builders.single_bottleneck ~n_senders:1 () in
   let net =
     Nf_sim.Network.create ~topology:sb.Nf_topo.Builders.sb_topo
       ~protocol:hop_protocol ()
   in
-  let sim = Nf_sim.Network.sim net in
-  let pkt =
-    Nf_sim.Packet.make_data ~flow:0 ~seq:0 ~size:1500
-      ~path:[| sb.Nf_topo.Builders.bottleneck |] ~now:0.
-  in
+  let sim = Nf_sim.Network.sim net and pool = Nf_sim.Network.pool net in
+  let path = [| sb.Nf_topo.Builders.bottleneck |] in
   fun () ->
-    pkt.Nf_sim.Packet.hop <- 0;
-    Nf_sim.Network.transmit net pkt;
+    Nf_sim.Network.transmit net
+      (Nf_sim.Packet.alloc_data pool ~flow:0 ~seq:0 ~size:1500 ~path ~now:0.);
+    Nf_engine.Sim.run sim
+
+(* A whole round trip of one flow: a data packet from the pool, its hops
+   to the receiver ([Host.handle_data]: rate filter, an ACK from the
+   pool), the ACK's hops back, the sender's ACK processing
+   ([Host.handle_ack]: Swift's [on_ack] and the window check), and the
+   release of both packets. The flow (NUMFabric's sender, persistent) is
+   stopped right after its start and the set-up run drains its first
+   burst and its timer, so an iteration sends nothing else. *)
+let packet_round_trip_kernel () =
+  let sb = Nf_topo.Builders.single_bottleneck ~n_senders:1 () in
+  let net =
+    Nf_sim.Network.create ~topology:sb.Nf_topo.Builders.sb_topo
+      ~protocol:hop_protocol ()
+  in
+  Nf_sim.Network.add_flow net
+    (Nf_sim.Network.flow ~utility:(Nf_num.Utility.proportional_fair ()) ~id:0
+       ~src:sb.Nf_topo.Builders.senders.(0) ~dst:sb.Nf_topo.Builders.receiver
+       ());
+  Nf_sim.Network.stop_flow_at net ~id:0 0.;
+  let sim = Nf_sim.Network.sim net and pool = Nf_sim.Network.pool net in
+  Nf_engine.Sim.run sim;
+  let path = Nf_sim.Network.flow_path net 0 in
+  fun () ->
+    Nf_sim.Network.transmit net
+      (Nf_sim.Packet.alloc_data pool ~flow:0 ~seq:0 ~size:1500 ~path ~now:0.);
     Nf_engine.Sim.run sim
 
 (* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
@@ -240,7 +268,10 @@ let maxmin_kernel () =
    audit's constant delays are preallocated, so the engine kernels owe
    nothing but [sim_overflow]'s Fheap key. The hop's four are STFQ's
    Fheap key and [top_key] and the two computed
-   [Sim.schedule_after_cat] delays. *)
+   [Sim.schedule_after_cat] delays. The round trip's thirty are four
+   such hops plus the end hosts' clock reads, rate filter and Swift's
+   utility evaluations, each a call into another library (counted on a
+   dev build: 480.5 B per iteration). *)
 let kernels () =
   [
     ("fheap_push_pop", fheap_kernel (), 2);
@@ -249,6 +280,7 @@ let kernels () =
     ("sim_overflow", sim_overflow_kernel (), 1);
     ("sim_same_time_tie", sim_tie_kernel (), 0);
     ("packet_hop", packet_hop_kernel (), 4);
+    ("packet_round_trip", packet_round_trip_kernel (), 30);
     ("xwi_step", xwi_kernel (), 0);
     ("kkt_witness_check", kkt_witness_kernel (), 1);
     ("maxmin_solve_sparse", maxmin_kernel (), 0);

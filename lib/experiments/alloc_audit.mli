@@ -1,11 +1,14 @@
 (** Steady-state allocation audit of the [\@nf.hot] kernels.
 
-    Nine kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
+    Ten kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
     event scheduled ({!Nf_engine.Sim.schedule_after_cat}) and dispatched
     on each of the engine's three scheduling paths (a calendar bucket,
     the overflow heap, a same-time tie), one packet hop through
-    {!Nf_sim.Network} (STFQ and the xWI engine on enqueue and dequeue,
-    the link's transmit and arrival events), one
+    {!Nf_sim.Network} (a packet from the network's {!Nf_sim.Packet.pool},
+    STFQ and the xWI engine on enqueue and dequeue, the link's transmit
+    and arrival events, the release), one packet round trip (the data
+    packet's hops, its delivery and ACK, the ACK's hops, the Swift
+    sender's ACK processing, both releases), one
     {!Nf_num.Xwi_core.step} on a k=4 fat tree with 64 flows, the
     stopping test's one-flow witness check ({!Nf_num.Kkt.flow_residual})
     on the same problem, and one {!Nf_num.Maxmin.solve_sparse} — are
@@ -17,7 +20,8 @@
     Exception: dune's dev profile compiles with [-opaque], which
     disables cross-unit inlining, so the kernels that take a raw float
     across a library boundary box it there: the Fheap and STFQ kernels
-    two boxes per iteration, the packet hop four, the overflow schedule
+    two boxes per iteration, the packet hop four, the round trip
+    thirty, the overflow schedule
     and the witness check one (the pushed key, the result). {!run} probes for
     that build profile and grants each of those kernels
     {!boundary_limit} of its box count; release builds (and the CI gate,

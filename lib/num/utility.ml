@@ -52,10 +52,12 @@ let alpha_fair ?(weight = 1.) ~alpha () =
 
 let proportional_fair ?(weight = 1.) () = alpha_fair ~weight ~alpha:1. ()
 
+let[@inline] fct_weight ~size ~eps = size ** (-1. /. eps)
+
 let fct ~size ~eps =
   if not (size > 0.) then invalid_arg "Utility.fct: size must be positive";
   if not (eps > 0. && eps < 1.) then invalid_arg "Utility.fct: eps must be in (0, 1)";
-  let u = alpha_fair ~weight:(size ** (-1. /. eps)) ~alpha:eps () in
+  let u = alpha_fair ~weight:(fct_weight ~size ~eps) ~alpha:eps () in
   { u with name = Printf.sprintf "fct(size=%g,eps=%g)" size eps }
 
 let deadline ~deadline ~eps =
@@ -83,20 +85,35 @@ let rate_from_price u ?max_rate p =
 
 (* The fast paths clamp with [Fcmp]'s comparison-only max/min, which
    equal [Float.max]/[Float.min] on every input (NaN and signed zeros
-   included) without their sign-bit C calls. *)
+   included) without their sign-bit C calls. The [alpha_fair_*]
+   evaluators are the one copy of the shapes' formulas: the [_fast]
+   paths apply them to a utility's shape, and a caller whose weight moves
+   per event (SRPT's remaining size) to its own parameters. *)
+let[@inline] alpha_fair_deriv ~log_shape ~weight ~walpha ~alpha x =
+  let x = Fcmp.fmax x min_rate in
+  if log_shape then weight /. x else walpha *. (x ** -.alpha)
+
+let[@inline] cap_rate rate =
+  if Float.is_finite rate then Fcmp.fmin rate max_rate_cap else max_rate_cap
+
+let[@inline] alpha_fair_rate ~log_shape ~weight ~inv_alpha p =
+  let p = Fcmp.fmax p min_price in
+  cap_rate (if log_shape then weight /. p else weight *. (p ** inv_alpha))
+
 let[@inline] deriv_fast u x =
   match u.shape with
-  | Log { weight } -> weight /. Fcmp.fmax x min_rate
-  | Power { walpha; alpha; _ } -> walpha *. (Fcmp.fmax x min_rate ** -.alpha)
+  | Log { weight } ->
+    alpha_fair_deriv ~log_shape:true ~weight ~walpha:weight ~alpha:1. x
+  | Power { weight; walpha; alpha; _ } ->
+    alpha_fair_deriv ~log_shape:false ~weight ~walpha ~alpha x
   | Opaque -> u.deriv x
 
 let[@inline] rate_from_price_fast u p =
-  let rate =
-    match u.shape with
-    | Log { weight } -> weight /. Fcmp.fmax p min_price
-    | Power { weight; inv_alpha; _ } -> weight *. (Fcmp.fmax p min_price ** inv_alpha)
-    | Opaque -> u.inv_deriv (Fcmp.fmax p min_price)
-  in
-  if Float.is_finite rate then Fcmp.fmin rate max_rate_cap else max_rate_cap
+  match u.shape with
+  | Log { weight } ->
+    alpha_fair_rate ~log_shape:true ~weight ~inv_alpha:(-1.) p
+  | Power { weight; inv_alpha; _ } ->
+    alpha_fair_rate ~log_shape:false ~weight ~inv_alpha p
+  | Opaque -> cap_rate (u.inv_deriv (Fcmp.fmax p min_price))
 
 let pp ppf u = Format.pp_print_string ppf u.name

@@ -61,6 +61,10 @@ val fct : size:float -> eps:float -> t
     utility with [α = ε] and weight [size^(-1/ε)]; the paper uses
     [ε = 0.125]. [size] must be positive, [eps] in (0, 1). *)
 
+val fct_weight : size:float -> eps:float -> float
+(** [size ** (-1/eps)], the weight {!fct} gives its α-fair utility
+    (α = [eps]). Unchecked: {!fct} validates [size] and [eps]. *)
+
 val deadline : deadline:float -> eps:float -> t
 (** Earliest-Deadline-First approximation (§2: "the weights can be chosen
     inversely proportional to ... flow deadlines to approximate ...
@@ -103,5 +107,27 @@ val rate_from_price_fast : t -> float -> float
 (** [rate_from_price u p] (no [max_rate] clamp) via the {!shape}
     dispatch: bit-identical to the closure path but allocation-free for
     the built-in utilities. *)
+
+(** {2 Shapes on explicit parameters}
+
+    The formulas behind {!deriv_fast} and {!rate_from_price_fast}, for a
+    caller whose α-fair weight moves per event and who keeps it (and
+    [weight ** alpha]) itself instead of building a utility each time:
+    SRPT senders re-derive an {!fct} weight from the remaining size per
+    ACK. [log_shape] selects the {!Log} formula ([alpha_fair] picks it
+    when [alpha] is within 1e-12 of 1), else the {!Power} one; the
+    results are bit-identical to the [_fast] evaluators on the
+    corresponding utility. *)
+
+val alpha_fair_deriv :
+  log_shape:bool -> weight:float -> walpha:float -> alpha:float -> float -> float
+(** [U'(x)] at [max x min_rate]: [weight / x] for the log shape, else
+    [walpha * x^(-alpha)]. *)
+
+val alpha_fair_rate :
+  log_shape:bool -> weight:float -> inv_alpha:float -> float -> float
+(** [U'^-1(p)] at [max p min_price], capped at {!max_rate_cap}:
+    [weight / p] for the log shape, else [weight * p^inv_alpha] with
+    [inv_alpha = -1/alpha]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,6 +5,7 @@ module Fcmp = Nf_util.Fcmp
 type ctx = {
   sim : Sim.t;
   after : float -> (unit -> unit) -> unit;
+  pool : Packet.pool;
   transmit : Packet.t -> unit;
   complete : int -> unit;
   cfg : Config.t;
@@ -106,9 +107,7 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
   let env =
     {
       Protocol.env_sim = ctx.sim;
-      env_after = ctx.after;
       env_cfg = ctx.cfg;
-      env_flow = flow;
       env_size = size;
       env_d0 = d0;
       env_line_rate = line_rate;
@@ -143,7 +142,7 @@ let has_next s =
 
 let[@nf.hot] send_one ctx s seq =
   let pkt =
-    Packet.make_data ~flow:s.flow ~seq ~size:mss ~path:s.path
+    Packet.alloc_data ctx.pool ~flow:s.flow ~seq ~size:mss ~path:s.path
       ~now:(Sim.now ctx.sim)
   in
   s.handle.Protocol.fh_on_send pkt;
@@ -305,7 +304,7 @@ let[@nf.hot] handle_data ctx r (pkt : Packet.t) =
     | Some sink -> sink ~time:now (Ewma.timed_value_exn r.r_filter)
     | None -> ()
   end;
-  let ack = Packet.make_ack ~data:pkt ~path:r.rpath ~now in
+  let ack = Packet.alloc_ack ctx.pool ~data:pkt ~path:r.rpath ~now in
   ack.Packet.fl.Packet.ack_ipt <- ipt;
   ctx.transmit ack
 

@@ -21,6 +21,9 @@
 type ctx = {
   sim : Nf_engine.Sim.t;  (** the clock is read from here ({!Nf_engine.Sim.now}) *)
   after : float -> (unit -> unit) -> unit;  (** schedule relative event *)
+  pool : Packet.pool;
+      (** where data packets and ACKs come from; the network releases
+          them *)
   transmit : Packet.t -> unit;  (** inject a packet at its first link *)
   complete : int -> unit;  (** called once when a finite flow finishes *)
   cfg : Config.t;
@@ -62,10 +65,13 @@ val stop : sender -> unit
 (** Stop a (typically persistent) flow: no further data is sent. *)
 
 val handle_ack : ctx -> sender -> Packet.t -> unit
+(** The ACK belongs to the caller, which releases it after this
+    returns. *)
 
 val handle_data : ctx -> receiver -> Packet.t -> unit
 (** Updates the receiver's inter-packet-time measurement and rate filter,
-    then reflects an ACK. *)
+    then reflects an ACK from [ctx.pool]. The data packet belongs to the
+    caller, which releases it after this returns. *)
 
 val completed : sender -> bool
 

@@ -80,12 +80,12 @@ let cat_flow_stop = Sim.cat "flow-stop"
 
 let cat_monitor = Sim.cat "monitor"
 
-(* A link's wire: the packets in flight on it (serialized, not yet
-   arrived), in a FIFO ring. A link serializes one packet at a time and
-   every packet on it shares the link's propagation delay, so its
-   arrivals are strictly increasing in time and in scheduling order: the
-   link's one preallocated [arrive_next] handler pops exactly the packet
-   a per-packet closure would have captured. *)
+(* A link's wire: the pool ids of the packets in flight on it
+   (serialized, not yet arrived), in an {!Nf_util.Int_ring}. A link serializes one
+   packet at a time and every packet on it shares the link's propagation
+   delay, so its arrivals are strictly increasing in time and in
+   scheduling order: the link's one preallocated [arrive_next] handler
+   pops exactly the packet a per-packet closure would have captured. *)
 type link_state = {
   link : Topology.link;
   qdisc : Queue_disc.t;
@@ -93,42 +93,13 @@ type link_state = {
   byte_time : float;  (* seconds to serialize one byte *)
   mutable busy : bool;
   mutable delivered : int;  (* bytes dequeued *)
-  mutable wire : Packet.t array;  (* ring; capacity a power of two *)
-  mutable wire_head : int;  (* index of the oldest packet in flight *)
-  mutable wire_len : int;
+  wire : Nf_util.Int_ring.t;
   mutable tx_done : unit -> unit;
       (* preallocated "transmission finished" handler, built once the
          network exists, so the per-packet path schedules it for free *)
   mutable arrive_next : unit -> unit;
       (* preallocated "oldest packet on the wire arrives" handler *)
 }
-
-let wire_dummy = Packet.make_data ~flow:(-1) ~seq:(-1) ~size:0 ~path:[||] ~now:0.
-
-let grow_wire ls =
-  let cap = Array.length ls.wire in
-  let wire = Array.make (2 * cap) wire_dummy in
-  for i = 0 to ls.wire_len - 1 do
-    wire.(i) <- ls.wire.((ls.wire_head + i) land (cap - 1))
-  done;
-  ls.wire <- wire;
-  ls.wire_head <- 0
-
-let[@nf.hot] wire_push ls pkt =
-  if ls.wire_len = Array.length ls.wire then grow_wire ls;
-  let wire = ls.wire in
-  wire.((ls.wire_head + ls.wire_len) land (Array.length wire - 1)) <- pkt;
-  ls.wire_len <- ls.wire_len + 1
-
-(* Only ever called by [arrive_next], which is scheduled once per push. *)
-let[@nf.hot] wire_pop ls =
-  let wire = ls.wire in
-  let h = ls.wire_head in
-  let pkt = wire.(h) in
-  wire.(h) <- wire_dummy;
-  ls.wire_head <- (h + 1) land (Array.length wire - 1);
-  ls.wire_len <- ls.wire_len - 1;
-  pkt
 
 (* One flow's entry in the flow table. *)
 type flow_entry = {
@@ -149,6 +120,7 @@ type t = {
       (* the flow table, indexed by flow id; grown to the largest id *)
   record : Record.t;
   trace : Trace.t;
+  pool : Packet.pool;  (* every packet of this network *)
   ctx : Host.ctx;
 }
 
@@ -159,6 +131,8 @@ let protocol t = t.protocol
 let record t = t.record
 
 let trace t = t.trace
+
+let pool t = t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
@@ -203,7 +177,7 @@ let[@nf.hot] rec try_transmit t ls =
       trace_link t Trace.Dequeue ls.link.Topology.link_id pkt;
     let tx = float_of_int pkt.Packet.size *. ls.byte_time in
     Sim.schedule_after_cat t.sim ~cat:cat_link_tx ~delay:tx ls.tx_done;
-    wire_push ls pkt;
+    Nf_util.Int_ring.push ls.wire pkt.Packet.id;
     Sim.schedule_after_cat t.sim ~cat:cat_pkt_arrive
       ~delay:(tx +. ls.link.Topology.delay) ls.arrive_next
   end
@@ -225,7 +199,8 @@ and[@nf.hot] forward t pkt link_id =
   end
   else begin
     Metrics.incr m_dropped;
-    if Trace.on t.trace Trace.Drop then trace_link t Trace.Drop link_id pkt
+    if Trace.on t.trace Trace.Drop then trace_link t Trace.Drop link_id pkt;
+    Packet.release t.pool pkt
   end
 
 and[@nf.hot] arrive t pkt =
@@ -236,12 +211,13 @@ and[@nf.hot] arrive t pkt =
     (* Reached the end host. *)
     Metrics.incr m_delivered;
     if Trace.on t.trace Trace.PktRecv then trace_host t Trace.PktRecv pkt;
-    match find_flow t pkt.Packet.flow with
+    (match find_flow t pkt.Packet.flow with
     | Some fe -> (
       match pkt.Packet.kind with
       | Packet.Data -> Host.handle_data t.ctx fe.receiver pkt
       | Packet.Ack -> Host.handle_ack t.ctx fe.sender pkt)
-    | None -> ()
+    | None -> ());
+    Packet.release t.pool pkt
   end
 
 let transmit t pkt =
@@ -264,10 +240,11 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
     | Some tr -> tr
     | None -> Trace.default ()
   in
+  let pool = Packet.create_pool () in
   let links =
     Array.map
       (fun link ->
-        let lh = P.make_link config ~capacity:link.Topology.capacity in
+        let lh = P.make_link config ~pool ~capacity:link.Topology.capacity in
         {
           link;
           qdisc = lh.Protocol.lh_qdisc;
@@ -275,9 +252,7 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
           byte_time = 8. /. link.Topology.capacity;
           busy = false;
           delivered = 0;
-          wire = Array.make 16 wire_dummy;
-          wire_head = 0;
-          wire_len = 0;
+          wire = Nf_util.Int_ring.create ();
           tx_done = (fun () -> ());
           arrive_next = (fun () -> ());
         })
@@ -293,11 +268,13 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       flows = Array.make 256 None;
       record;
       trace;
+      pool;
       ctx =
         {
           Host.sim;
           after =
             (fun delay f -> Sim.schedule_after_cat sim ~cat:cat_host ~delay f);
+          pool;
           transmit = (fun pkt -> transmit t pkt);
           complete =
             (fun flow_id ->
@@ -323,7 +300,9 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
         ls.busy <- false;
         try_transmit t ls
       in
-      let[@nf.hot] arrive_next () = arrive t (wire_pop ls) in
+      let[@nf.hot] arrive_next () =
+        arrive t (Packet.get pool (Nf_util.Int_ring.pop ls.wire))
+      in
       ls.tx_done <- tx_done;
       ls.arrive_next <- arrive_next)
     links;

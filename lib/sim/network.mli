@@ -83,11 +83,16 @@ val add_flow : t -> flow_spec -> unit
     endpoints, an invalid pinned path, or a spec the protocol rejects
     (e.g. a missing utility). *)
 
+val pool : t -> Packet.pool
+(** The pool every packet of this network comes from. *)
+
 val transmit : t -> Packet.t -> unit
-(** Hand a packet to the network at the first link of its path, as a
-    sending host does ([hop] must be 0). A packet that reaches the end of
-    its path is handed to its flow's receiver (data) or sender (ACK), and
-    dropped silently if the flow is unknown. *)
+(** Hand a live packet of {!pool} to the network at the first link of
+    its path, as a sending host does ([hop] must be 0). The network owns
+    it from then on: a packet that reaches the end of its path is handed
+    to its flow's receiver (data) or sender (ACK), or ignored if the flow
+    is unknown, and then released to the pool, as is a packet a full
+    queue drops. *)
 
 val stop_flow_at : t -> id:int -> float -> unit
 (** Schedule a (persistent) flow to stop sending at the given time.

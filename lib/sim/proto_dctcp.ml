@@ -27,11 +27,11 @@ let protocol : Protocol.t =
 
     let update_interval (_ : Config.t) = None
 
-    let make_link (cfg : Config.t) ~capacity:_ =
+    let make_link (cfg : Config.t) ~pool ~capacity:_ =
       let dc = cfg.Config.dctcp in
       {
         Protocol.lh_qdisc =
-          Queue_disc.ecn_fifo ~limit_bytes:cfg.Config.buffer_bytes
+          Queue_disc.ecn_fifo ~pool ~limit_bytes:cfg.Config.buffer_bytes
             ~mark_threshold_bytes:dc.Config.dctcp_mark_threshold ();
         lh_engine = Price_engine.none;
       }

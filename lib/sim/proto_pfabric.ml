@@ -16,11 +16,11 @@ let protocol : Protocol.t =
 
     let update_interval (_ : Config.t) = None
 
-    let make_link (cfg : Config.t) ~capacity:_ =
+    let make_link (cfg : Config.t) ~pool ~capacity:_ =
       let pf = cfg.Config.pfabric in
       {
         Protocol.lh_qdisc =
-          Queue_disc.pfabric ~limit_bytes:pf.Config.pfabric_buffer_bytes ();
+          Queue_disc.pfabric ~pool ~limit_bytes:pf.Config.pfabric_buffer_bytes ();
         lh_engine = Price_engine.none;
       }
 

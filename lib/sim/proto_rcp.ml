@@ -17,9 +17,9 @@ let protocol : Protocol.t =
     let update_interval (cfg : Config.t) =
       Some cfg.Config.rcp.Config.rcp_update_interval
 
-    let make_link (cfg : Config.t) ~capacity =
+    let make_link (cfg : Config.t) ~pool ~capacity =
       let rc = cfg.Config.rcp in
-      let qdisc = Queue_disc.fifo ~limit_bytes:cfg.Config.buffer_bytes () in
+      let qdisc = Queue_disc.fifo ~pool ~limit_bytes:cfg.Config.buffer_bytes () in
       {
         Protocol.lh_qdisc = qdisc;
         lh_engine =

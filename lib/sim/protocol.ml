@@ -1,8 +1,6 @@
 type flow_env = {
   env_sim : Nf_engine.Sim.t;
-  env_after : float -> (unit -> unit) -> unit;
   env_cfg : Config.t;
-  env_flow : int;
   env_size : float;
   env_d0 : float;
   env_line_rate : float;
@@ -39,7 +37,8 @@ module type PROTOCOL = sig
 
   val update_interval : Config.t -> float option
 
-  val make_link : Config.t -> capacity:float -> link_handle
+  val make_link :
+    Config.t -> pool:Packet.pool -> capacity:float -> link_handle
 
   val make_flow : flow_env -> utility:Nf_num.Utility.t option -> flow_handle
 end

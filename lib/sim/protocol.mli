@@ -20,9 +20,7 @@
 type flow_env = {
   env_sim : Nf_engine.Sim.t;
       (** the clock ({!Nf_engine.Sim.now}, read without boxing a float) *)
-  env_after : float -> (unit -> unit) -> unit;
   env_cfg : Config.t;
-  env_flow : int;  (** flow id *)
   env_size : float;  (** bytes; [infinity] = persistent *)
   env_d0 : float;  (** baseline RTT *)
   env_line_rate : float;  (** min capacity along the path, bps *)
@@ -81,7 +79,10 @@ module type PROTOCOL = sig
   (** Interval of the synchronized periodic engine update on every link
       (§5: PTP); [None] if the protocol has no feedback engine. *)
 
-  val make_link : Config.t -> capacity:float -> link_handle
+  val make_link :
+    Config.t -> pool:Packet.pool -> capacity:float -> link_handle
+  (** One port's queue and engine; the queue holds packets of the
+      network's [pool] (see {!Queue_disc}). *)
 
   val make_flow : flow_env -> utility:Nf_num.Utility.t option -> flow_handle
   (** @raise Invalid_argument if the flow spec does not satisfy the

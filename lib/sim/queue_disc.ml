@@ -11,64 +11,61 @@ let empty_queue () = invalid_arg "Queue_disc.dequeue_exn: empty queue"
 
 let default_limit_bytes = 1_000_000
 
-let fifo_generic ~limit_bytes ~on_enqueue =
-  let q : Packet.t Queue.t = Queue.create () in
+(* The FIFOs keep pooled packet ids in an {!Nf_util.Int_ring}: a packet
+   costs them no allocation and no pointer store. *)
+let fifo_generic ~pool ~limit_bytes ~on_enqueue =
+  let ring = Nf_util.Int_ring.create () in
   let bytes = ref 0 in
   let dropped = ref 0 in
-  let enqueue p =
+  let[@nf.hot] enqueue p =
     if !bytes + p.Packet.size > limit_bytes then begin
       incr dropped;
       false
     end
     else begin
       on_enqueue ~queue_bytes:!bytes p;
-      Queue.add p q;
+      Nf_util.Int_ring.push ring p.Packet.id;
       bytes := !bytes + p.Packet.size;
       true
     end
   in
-  let dequeue_exn () =
-    match Queue.take q with
-    | p ->
-      bytes := !bytes - p.Packet.size;
-      p
-    | exception Queue.Empty -> empty_queue ()
+  let[@nf.hot] dequeue_exn () =
+    if Nf_util.Int_ring.length ring = 0 then empty_queue ();
+    let p = Packet.get pool (Nf_util.Int_ring.pop ring) in
+    bytes := !bytes - p.Packet.size;
+    p
   in
   let dequeue () =
-    if Queue.is_empty q then None else Some (dequeue_exn ())
+    if Nf_util.Int_ring.length ring = 0 then None else Some (dequeue_exn ())
   in
   {
     enqueue;
     dequeue;
     dequeue_exn;
     byte_length = (fun () -> !bytes);
-    packet_count = (fun () -> Queue.length q);
+    packet_count = (fun () -> Nf_util.Int_ring.length ring);
     drops = (fun () -> !dropped);
   }
 
-let fifo ?(limit_bytes = default_limit_bytes) () =
-  fifo_generic ~limit_bytes ~on_enqueue:(fun ~queue_bytes:_ _ -> ())
+let fifo ~pool ?(limit_bytes = default_limit_bytes) () =
+  fifo_generic ~pool ~limit_bytes ~on_enqueue:(fun ~queue_bytes:_ _ -> ())
 
-let ecn_fifo ?(limit_bytes = default_limit_bytes) ~mark_threshold_bytes () =
+let ecn_fifo ~pool ?(limit_bytes = default_limit_bytes) ~mark_threshold_bytes
+    () =
   let mark ~queue_bytes p =
     if queue_bytes > mark_threshold_bytes then p.Packet.ecn <- true
   in
-  fifo_generic ~limit_bytes ~on_enqueue:mark
+  fifo_generic ~pool ~limit_bytes ~on_enqueue:mark
 
 (* ------------------------------------------------------------------ *)
 (* STFQ — packets ordered by virtual start tag. The heap is a
    monomorphic float-keyed SoA heap ({!Nf_util.Fheap}): pushing a packet
-   stores an unboxed tag plus the packet pointer, no per-entry record,
-   and the heap's internal sequence number provides the FIFO tie-break
-   the old [order] field implemented. *)
+   stores an unboxed tag plus the packet's pool id, no per-entry record
+   and no pointer, and the heap's internal sequence number provides the
+   FIFO tie-break the old [order] field implemented. *)
 
-let stfq_dummy =
-  Packet.make_data ~flow:(-1) ~seq:(-1) ~size:0 ~path:[||] ~now:0.
-
-let stfq ?(limit_bytes = default_limit_bytes) () =
-  let heap : Packet.t Nf_util.Fheap.t =
-    Nf_util.Fheap.create ~capacity:64 ~dummy:stfq_dummy ()
-  in
+let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
+  let heap = Nf_util.Fheap.create ~capacity:64 () in
   (* Finish tags live in a flat float array indexed by flow id (grown
      geometrically on demand): unlike a [(int, float) Hashtbl.t], reading
      and writing never boxes the float. The default 0. matches the old
@@ -115,7 +112,7 @@ let stfq ?(limit_bytes = default_limit_bytes) () =
       let tags = !finish_tags in
       let start_tag = fmax virtual_time.(0) tags.(fl) in
       tags.(fl) <- start_tag +. p.Packet.fl.Packet.virtual_packet_len;
-      Nf_util.Fheap.push heap ~key:start_tag ~aux:0 p;
+      Nf_util.Fheap.push heap ~key:start_tag p.Packet.id;
       bytes := !bytes + p.Packet.size;
       true
     end
@@ -123,7 +120,7 @@ let stfq ?(limit_bytes = default_limit_bytes) () =
   let[@nf.hot] dequeue_exn () =
     if Nf_util.Fheap.is_empty heap then empty_queue ();
     virtual_time.(0) <- Nf_util.Fheap.top_key heap;
-    let p = Nf_util.Fheap.top heap in
+    let p = Packet.get pool (Nf_util.Fheap.top heap) in
     Nf_util.Fheap.drop heap;
     bytes := !bytes - p.Packet.size;
     p
@@ -144,13 +141,14 @@ let stfq ?(limit_bytes = default_limit_bytes) () =
 (* pFabric: small queue, linear scans (the buffer holds tens of packets).
    Dequeue: earliest-queued packet of the flow owning the minimum-priority
    packet (keeps flows in order). Overflow: drop the maximum-priority
-   packet already queued if the arriving one beats it, else the arrival. *)
+   packet already queued if the arriving one beats it (the queue returns
+   the evicted packet to the pool), else the arrival. *)
 
 type pf_entry = { p : Packet.t; arrival : int }
 
 let prio e = e.p.Packet.fl.Packet.priority
 
-let pfabric ?(limit_bytes = default_limit_bytes) () =
+let pfabric ~pool ?(limit_bytes = default_limit_bytes) () =
   let entries : pf_entry list ref = ref [] in
   let bytes = ref 0 in
   let dropped = ref 0 in
@@ -183,6 +181,7 @@ let pfabric ?(limit_bytes = default_limit_bytes) () =
       match worst with
       | Some w when prio w > p.Packet.fl.Packet.priority ->
         remove_entry w;
+        Packet.release pool w.p;
         incr dropped;
         insert p;
         true

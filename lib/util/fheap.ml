@@ -1,28 +1,25 @@
 (* Structure-of-arrays 4-ary min-heap on float keys with FIFO tie-break.
-   [keys] is an unboxed float array; [seqs]/[auxs]/[data] are parallel.
-   Sift-up/down move a hole instead of swapping, so each level costs four
-   reads and four writes, and nothing is ever boxed. *)
+   [keys] is an unboxed float array; [seqs]/[handles] are parallel int
+   arrays, so no store runs the write barrier. Sift-up/down move a hole
+   instead of swapping, so each level costs three reads and three
+   writes, and nothing is ever boxed. *)
 
-type 'a t = {
+type t = {
   mutable keys : float array;
   mutable seqs : int array;
-  mutable auxs : int array;
-  mutable data : 'a array;
+  mutable handles : int array;
   mutable size : int;
   mutable next_seq : int;
-  dummy : 'a;
 }
 
-let create ?(capacity = 16) ~dummy () =
+let create ?(capacity = 16) () =
   let capacity = if capacity < 1 then 1 else capacity in
   {
     keys = Array.make capacity 0.;
     seqs = Array.make capacity 0;
-    auxs = Array.make capacity 0;
-    data = Array.make capacity dummy;
+    handles = Array.make capacity 0;
     size = 0;
     next_seq = 0;
-    dummy;
   }
 
 let length h = h.size
@@ -38,22 +35,19 @@ let grow h =
   let seqs = Array.make new_cap 0 in
   Array.blit h.seqs 0 seqs 0 h.size;
   h.seqs <- seqs;
-  let auxs = Array.make new_cap 0 in
-  Array.blit h.auxs 0 auxs 0 h.size;
-  h.auxs <- auxs;
-  let data = Array.make new_cap h.dummy in
-  Array.blit h.data 0 data 0 h.size;
-  h.data <- data
+  let handles = Array.make new_cap 0 in
+  Array.blit h.handles 0 handles 0 h.size;
+  h.handles <- handles
 
-(* [@inline] on [push]/[top_*]: without it, callers passing a computed
+(* [@inline] on [push]/[top_key]: without it, callers passing a computed
    float key (or consuming the float result) box it at the call boundary
    — the only allocation left on these paths. Inlining keeps the key in a
    register; the closure-converted body itself never allocates. *)
-let[@nf.hot] [@inline] push h ~key ~aux v =
+let[@nf.hot] [@inline] push h ~key v =
   if h.size = Array.length h.keys then grow h;
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
-  let keys = h.keys and seqs = h.seqs and auxs = h.auxs and data = h.data in
+  let keys = h.keys and seqs = h.seqs and handles = h.handles in
   (* Sift the hole up: the new element carries the largest seq, so on a
      key tie it stays below the parent (FIFO). *)
   let i = ref h.size in
@@ -64,16 +58,14 @@ let[@nf.hot] [@inline] push h ~key ~aux v =
     if key < keys.(p) then begin
       keys.(!i) <- keys.(p);
       seqs.(!i) <- seqs.(p);
-      auxs.(!i) <- auxs.(p);
-      data.(!i) <- data.(p);
+      handles.(!i) <- handles.(p);
       i := p
     end
     else continue := false
   done;
   keys.(!i) <- key;
   seqs.(!i) <- seq;
-  auxs.(!i) <- aux;
-  data.(!i) <- v
+  handles.(!i) <- v
 
 (* The error branch is an out-of-line cold function, so the inlined check
    is one compare and the [sprintf] never lands on a caller's hot path. *)
@@ -86,23 +78,17 @@ let[@nf.hot] [@inline] top_key h =
   check_nonempty h "top_key";
   h.keys.(0)
 
-let[@nf.hot] [@inline] top_aux h =
-  check_nonempty h "top_aux";
-  h.auxs.(0)
-
 let[@nf.hot] [@inline] top h =
   check_nonempty h "top";
-  h.data.(0)
+  h.handles.(0)
 
 let[@nf.hot] drop h =
   check_nonempty h "drop";
   let n = h.size - 1 in
   h.size <- n;
-  let keys = h.keys and seqs = h.seqs and auxs = h.auxs and data = h.data in
-  let key = keys.(n) and seq = seqs.(n) and aux = auxs.(n) in
-  let v = data.(n) in
-  data.(n) <- h.dummy;
+  let keys = h.keys and seqs = h.seqs and handles = h.handles in
   if n > 0 then begin
+    let key = keys.(n) and seq = seqs.(n) and v = handles.(n) in
     (* Sift the hole down from the root, pulling up the smallest of up to
        four children until the relocated last element fits. *)
     let i = ref 0 in
@@ -123,8 +109,7 @@ let[@nf.hot] drop h =
         if keys.(b) < key || (keys.(b) = key && seqs.(b) < seq) then begin
           keys.(!i) <- keys.(b);
           seqs.(!i) <- seqs.(b);
-          auxs.(!i) <- auxs.(b);
-          data.(!i) <- data.(b);
+          handles.(!i) <- handles.(b);
           i := b
         end
         else continue := false
@@ -132,8 +117,7 @@ let[@nf.hot] drop h =
     done;
     keys.(!i) <- key;
     seqs.(!i) <- seq;
-    auxs.(!i) <- aux;
-    data.(!i) <- v
+    handles.(!i) <- v
   end
 
 let[@nf.hot] pop h =
@@ -141,6 +125,4 @@ let[@nf.hot] pop h =
   drop h;
   v
 
-let clear h =
-  Array.fill h.data 0 h.size h.dummy;
-  h.size <- 0
+let clear h = h.size <- 0

@@ -1,13 +1,18 @@
-(** Specialized float-keyed min-heap in structure-of-arrays layout.
+(** Specialized float-keyed min-heap of int handles, in
+    structure-of-arrays layout.
 
     The allocation-free priority queue under the simulator's STFQ switch
-    queues ([Nf_sim.Queue_disc], keyed by virtual start tag) and the
-    overflow of its calendar event queue ([Nf_engine.Sim], keyed by
-    event time: the events past the calendar's window). Compared with a generic heap of boxed records
-    ordered by a [cmp] closure, it stores keys in an unboxed
-    [float array] (plus parallel [int]/payload arrays), compares with
-    raw [<] on floats, and exposes field readers ([top_key], [top], …) so
+    queues ([Nf_sim.Queue_disc], keyed by virtual start tag, holding
+    pooled packet ids) and the overflow of its calendar event queue
+    ([Nf_engine.Sim], keyed by event time, holding event-node indices:
+    the events past the calendar's window). Compared with a generic heap
+    of boxed records ordered by a [cmp] closure, it stores keys in an
+    unboxed [float array] and handles in an [int array], compares with
+    raw [<] on floats, and exposes field readers ([top_key], [top]) so
     steady-state push/peek/pop allocates nothing (no [Some], no record).
+    It holds no pointers at all, so no store into it runs the write
+    barrier: a caller with a payload keeps it in its own table and
+    pushes the index.
 
     Ties on the key break FIFO by an internal per-heap sequence number:
     elements with equal keys pop in push order. The heap is 4-ary — one
@@ -17,40 +22,32 @@
     Keys must not be NaN (comparisons would be vacuously false and the
     heap order meaningless); pushers enforce this upstream. *)
 
-type 'a t
+type t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [dummy] fills empty payload slots so popped elements are not retained
-    (and so the arrays can grow without [Obj] tricks). *)
+val create : ?capacity:int -> unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> key:float -> aux:int -> 'a -> unit
-(** Insert a payload under [key]. [aux] is an arbitrary integer carried
-    alongside (the engine stores the profiling-category handle there);
-    pass [0] if unused. *)
+val push : t -> key:float -> int -> unit
+(** Insert a handle under [key]. *)
 
-val top_key : 'a t -> float
+val top_key : t -> float
 (** Key of the minimum element.
     @raise Invalid_argument on an empty heap. *)
 
-val top_aux : 'a t -> int
-(** [aux] of the minimum element.
+val top : t -> int
+(** Handle of the minimum element, without removing it.
     @raise Invalid_argument on an empty heap. *)
 
-val top : 'a t -> 'a
-(** Payload of the minimum element, without removing it.
-    @raise Invalid_argument on an empty heap. *)
-
-val drop : 'a t -> unit
+val drop : t -> unit
 (** Remove the minimum element.
     @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> 'a
+val pop : t -> int
 (** [top] + [drop].
     @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-(** Empty the heap (payload slots are reset to [dummy]). *)
+val clear : t -> unit
+(** Empty the heap. *)

@@ -119,6 +119,10 @@ let test_typed_hot_hashtbl =
   check_typed "hot-alloc" ~bad:"tbad_hot_hashtbl.ml"
     ~good:"tgood_hot_hashtbl.ml" ~expect:6
 
+let test_typed_hot_barrier =
+  check_typed "hot-barrier" ~bad:"tbad_hot_barrier.ml"
+    ~good:"tgood_hot_barrier.ml" ~expect:6
+
 let test_domain_safety =
   check_typed "domain-safety" ~bad:"tbad_domain.ml" ~good:"tgood_domain.ml"
     ~expect:5
@@ -335,6 +339,7 @@ let test_catalog () =
       "json-by-hand";
       "float-compare";
       "hot-alloc";
+      "hot-barrier";
       "domain-safety";
       "stale-generation";
       "serve-blocking";
@@ -371,6 +376,7 @@ let () =
             test_typed_hot_store;
           Alcotest.test_case "hot-alloc: stdlib Hashtbl" `Quick
             test_typed_hot_hashtbl;
+          Alcotest.test_case "hot-barrier" `Quick test_typed_hot_barrier;
           Alcotest.test_case "domain-safety" `Quick test_domain_safety;
           Alcotest.test_case "domain-safety waiver" `Quick test_domain_waiver;
           Alcotest.test_case "stale-generation" `Quick test_stale_generation;

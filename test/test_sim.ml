@@ -18,8 +18,12 @@ let check_rate what ~frac expected actual =
     Alcotest.failf "%s: expected %.3g within %g%%, got %.3g" what expected
       (100. *. frac) actual
 
+(* The queue-discipline tests' packets, from one pool they never return
+   to: a queue holds packets of its pool by id. *)
+let pool = Packet.create_pool ()
+
 let mk ?(flow = 0) ?(seq = 0) ?(size = 1500) ?(vpl = 1500.) ?(prio = infinity) () =
-  let p = Packet.make_data ~flow ~seq ~size ~path:[| 0 |] ~now:0. in
+  let p = Packet.alloc_data pool ~flow ~seq ~size ~path:[| 0 |] ~now:0. in
   p.Packet.fl.Packet.virtual_packet_len <- vpl;
   p.Packet.fl.Packet.priority <- prio;
   p
@@ -28,7 +32,7 @@ let mk ?(flow = 0) ?(seq = 0) ?(size = 1500) ?(vpl = 1500.) ?(prio = infinity) (
 (* Queue disciplines *)
 
 let test_fifo_order_and_drop () =
-  let q = Queue_disc.fifo ~limit_bytes:4000 () in
+  let q = Queue_disc.fifo ~pool ~limit_bytes:4000 () in
   Alcotest.(check bool) "e1" true (q.Queue_disc.enqueue (mk ~seq:1 ()));
   Alcotest.(check bool) "e2" true (q.Queue_disc.enqueue (mk ~seq:2 ()));
   Alcotest.(check bool) "e3 dropped (over limit)" false
@@ -41,7 +45,7 @@ let test_fifo_order_and_drop () =
   Alcotest.(check int) "bytes after dequeue" 1500 (q.Queue_disc.byte_length ())
 
 let test_ecn_marking () =
-  let q = Queue_disc.ecn_fifo ~mark_threshold_bytes:2000 () in
+  let q = Queue_disc.ecn_fifo ~pool ~mark_threshold_bytes:2000 () in
   let p1 = mk ~seq:1 () and p2 = mk ~seq:2 () and p3 = mk ~seq:3 () in
   ignore (q.Queue_disc.enqueue p1);
   ignore (q.Queue_disc.enqueue p2);
@@ -51,7 +55,7 @@ let test_ecn_marking () =
   Alcotest.(check bool) "third marked (3000 > K)" true p3.Packet.ecn
 
 let test_stfq_weighted_service () =
-  let q = Queue_disc.stfq () in
+  let q = Queue_disc.stfq ~pool () in
   (* Flow 0 has weight 1 (vpl 1500), flow 1 weight 3 (vpl 500). *)
   for i = 0 to 11 do
     ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:i ~vpl:1500. ()));
@@ -68,13 +72,13 @@ let test_stfq_weighted_service () =
     (served.(1) >= 8 && served.(1) <= 10)
 
 let test_stfq_control_packets_jump () =
-  let q = Queue_disc.stfq () in
+  let q = Queue_disc.stfq ~pool () in
   for i = 0 to 5 do
     ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:i ~vpl:1500. ()))
   done;
   (* A control packet (vpl = 0) enqueued last should be served at the
      current virtual time, i.e. before most queued data. *)
-  let ack = Packet.make_ack ~data:(mk ~flow:7 ()) ~path:[| 0 |] ~now:0. in
+  let ack = Packet.alloc_ack pool ~data:(mk ~flow:7 ()) ~path:[| 0 |] ~now:0. in
   ignore (q.Queue_disc.enqueue ack);
   ignore (q.Queue_disc.dequeue ());
   (* after one data service, V > 0 *)
@@ -83,7 +87,7 @@ let test_stfq_control_packets_jump () =
   | None -> Alcotest.fail "empty"
 
 let test_stfq_per_flow_order () =
-  let q = Queue_disc.stfq () in
+  let q = Queue_disc.stfq ~pool () in
   for i = 0 to 9 do
     ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:i ~vpl:(1500. /. float_of_int (1 + i)) ()))
   done;
@@ -138,17 +142,17 @@ let test_dequeue_exn_matches_dequeue () =
         (Invalid_argument "Queue_disc.dequeue_exn: empty queue")
         (fun () -> ignore (q'.Queue_disc.dequeue_exn () : Packet.t)))
     [
-      ("fifo", fun () -> Queue_disc.fifo ~limit_bytes:100_000 ());
-      ("ecn_fifo", fun () -> Queue_disc.ecn_fifo ~mark_threshold_bytes:3000 ());
-      ("stfq", fun () -> Queue_disc.stfq ());
-      ("pfabric", fun () -> Queue_disc.pfabric ~limit_bytes:100_000 ());
+      ("fifo", fun () -> Queue_disc.fifo ~pool ~limit_bytes:100_000 ());
+      ("ecn_fifo", fun () -> Queue_disc.ecn_fifo ~pool ~mark_threshold_bytes:3000 ());
+      ("stfq", fun () -> Queue_disc.stfq ~pool ());
+      ("pfabric", fun () -> Queue_disc.pfabric ~pool ~limit_bytes:100_000 ());
     ]
 
 let test_stfq_flow_table_growth () =
   (* STFQ's finish tags live in a growable array indexed by flow id; a
      large id must grow the table, not crash, and ids never seen before
      start at finish tag 0 (served at the current virtual time). *)
-  let q = Queue_disc.stfq () in
+  let q = Queue_disc.stfq ~pool () in
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:0 ~vpl:1500. ()) : bool);
   ignore (q.Queue_disc.dequeue_exn () : Packet.t);
   (* Flow 0 now owes virtual time (finish tag 1500); a brand-new large id
@@ -164,7 +168,7 @@ let test_stfq_flow_table_growth () =
       ignore (q.Queue_disc.enqueue (mk ~flow:(-1) ()) : bool))
 
 let test_pfabric_priority () =
-  let q = Queue_disc.pfabric ~limit_bytes:6000 () in
+  let q = Queue_disc.pfabric ~pool ~limit_bytes:6000 () in
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:0 ~prio:9000. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:1 ~seq:0 ~prio:3000. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:2 ~seq:0 ~prio:6000. ()));
@@ -191,7 +195,7 @@ let test_pfabric_priority () =
   Alcotest.(check bool) "worst evicted" false (List.mem 0 !seen)
 
 let test_pfabric_same_flow_in_order () =
-  let q = Queue_disc.pfabric () in
+  let q = Queue_disc.pfabric ~pool () in
   (* Later packets of a flow carry smaller remaining size; dequeue must
      still deliver the earliest packet of that flow first. *)
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:0 ~prio:9000. ()));
@@ -209,7 +213,7 @@ let test_stfq_weight_change_ordering () =
        flow 1 (vpl 1500, 1500 then 500, 500): S = 0, 1500, 3000, 3500
      so flow 1's last packet must be served before flow 0's last, while
      each flow's packets still leave in sequence order. *)
-  let q = Queue_disc.stfq () in
+  let q = Queue_disc.stfq ~pool () in
   for i = 0 to 3 do
     ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:i ~vpl:1500. ()));
     let vpl = if i < 2 then 1500. else 500. in
@@ -260,14 +264,14 @@ let test_fifo_drop_accounting () =
       Alcotest.(check bool) (label ^ ": within limit") true
         (q.Queue_disc.byte_length () <= 6000))
     [
-      ("fifo", Queue_disc.fifo ~limit_bytes:6000 ());
-      ("ecn_fifo", Queue_disc.ecn_fifo ~limit_bytes:6000 ~mark_threshold_bytes:3000 ());
+      ("fifo", Queue_disc.fifo ~pool ~limit_bytes:6000 ());
+      ("ecn_fifo", Queue_disc.ecn_fifo ~pool ~limit_bytes:6000 ~mark_threshold_bytes:3000 ());
     ]
 
 let test_drops_counter_monotone () =
   (* The drops counter never decreases (dequeues must not "refund" drops)
      and ends exactly equal to the number of rejected enqueues. *)
-  let q = Queue_disc.fifo ~limit_bytes:3000 () in
+  let q = Queue_disc.fifo ~pool ~limit_bytes:3000 () in
   let rejected = ref 0 in
   let last = ref 0 in
   for i = 1 to 30 do
@@ -598,6 +602,165 @@ let test_numfabric_srpt_preempts () =
       Network.add_flow net2
         (Network.flow ~id:9 ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ()))
 
+(* numfabric-srpt's per-ACK update keeps only the remaining-size weight:
+   every weight (through the virtual packet length it stamps) and every
+   normalized residual must equal, bit for bit, what the utility
+   [Utility.fct_remaining] builds for the same remaining size gives. Two
+   eps values cover both alpha-fair shapes (Power, and Log for an eps
+   within 1e-12 of 1); the prices cover the floor, the cap and overflow. *)
+let test_srpt_weights_bitwise () =
+  let module Protocol = Nf_sim.Protocol in
+  let module Config = Nf_sim.Config in
+  let mss = float_of_int Packet.data_size in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun eps ->
+      let d = Config.default in
+      let cfg = { d with Config.swift = { d.Config.swift with Config.srpt_eps = eps } } in
+      let size = 3e6 in
+      let remaining = ref size in
+      let env =
+        {
+          Protocol.env_sim = Nf_engine.Sim.create ();
+          env_cfg = cfg;
+          env_size = size;
+          env_d0 = 1e-4;
+          env_line_rate = 1e10;
+          env_path_hops = 2;
+          env_remaining = (fun () -> !remaining);
+        }
+      in
+      let module P = (val proto "numfabric-srpt") in
+      let h = P.make_flow env ~utility:None in
+      let data =
+        Packet.alloc_data pool ~flow:0 ~seq:0 ~size:Packet.data_size ~path:[| 0 |] ~now:0.
+      in
+      (* The first ACK's inter-packet time sets the rate estimate, which
+         no later ACK (ipt unknown) moves. *)
+      let ipt = 1.2e-6 in
+      let rate = mss *. 8. /. ipt in
+      List.iteri
+        (fun k (r, price, hops) ->
+          remaining := r;
+          data.Packet.path_len <- hops;
+          data.Packet.fl.Packet.path_price <- price;
+          let ack = Packet.alloc_ack pool ~data ~path:[| 0 |] ~now:0. in
+          ack.Packet.fl.Packet.ack_ipt <- (if k = 0 then ipt else Float.nan);
+          h.Protocol.fh_on_ack ack;
+          h.Protocol.fh_on_send data;
+          let u = Utility.fct_remaining ~remaining:r ~eps in
+          let w = Utility.rate_from_price_fast u (Fcmp.fmax price Utility.min_price) in
+          let what = Printf.sprintf "eps %g ack %d" eps k in
+          Alcotest.(check int64) (what ^ ": weight") (bits (mss /. Fcmp.fmax w 1e-30))
+            (bits data.Packet.fl.Packet.virtual_packet_len);
+          let residual =
+            (Utility.deriv_fast u (Fcmp.fmax rate 1.) -. price) /. float_of_int hops
+          in
+          Alcotest.(check int64) (what ^ ": residual") (bits residual)
+            (bits data.Packet.fl.Packet.normalized_residual))
+        [
+          (3e6, 1e-9, 2);
+          (2_998_500., 0., 2);
+          (1e6, -1e-3, 3);
+          (mss, 1e-300, 1);
+          (0.5, 2e-7, 4);
+          (1e9, 1e3, 2);
+          (7e5, 1e300, 2);
+          (4.5e4, 3.7e-6, 5);
+        ])
+    [ 0.125; 0.5; 1. -. 1e-13 ]
+
+(* Packet ownership under loss: with buffers of three packets, STFQ
+   (numfabric), the ECN FIFO (dctcp) and pFabric's evicting queue all
+   drop. After the run drains, every packet the pool ever handed out is
+   back in it (a release of a packet twice, or of a packet the pool does
+   not own, raises and fails the run), and each flow's receiver saw
+   exactly its own seqs: all [size / mss] of them, none outside. A
+   packet reused while still queued or on a wire would deliver a seq to
+   the wrong flow or lose one. *)
+let test_pool_lifecycle_under_drops () =
+  let module Trace = Nf_util.Trace in
+  let mss = Packet.data_size in
+  let sizes = [| 60; 90; 120 |] in
+  List.iter
+    (fun name ->
+      let d = Nf_sim.Config.default in
+      let config =
+        {
+          d with
+          Nf_sim.Config.buffer_bytes = 3 * mss;
+          pfabric = { d.Nf_sim.Config.pfabric with Nf_sim.Config.pfabric_buffer_bytes = 3 * mss };
+        }
+      in
+      let tr = Trace.make ~capacity:(1 lsl 18) ~kinds:[ Trace.PktRecv ] () in
+      let sb = Builders.single_bottleneck ~n_senders:3 () in
+      let p = proto name in
+      let net = Network.create ~config ~trace:tr ~topology:sb.Builders.sb_topo ~protocol:p () in
+      Array.iteri
+        (fun i src ->
+          let utility =
+            if Nf_sim.Protocol.needs_utility p then Some (Utility.proportional_fair ())
+            else None
+          in
+          Network.add_flow net
+            (Network.flow ?utility ~size:(float_of_int (sizes.(i) * mss)) ~id:i ~src
+               ~dst:sb.Builders.receiver ()))
+        sb.Builders.senders;
+      Network.run net ~until:0.5;
+      let pool = Network.pool net in
+      Alcotest.(check bool) (name ^ ": queues dropped packets") true (Network.total_drops net > 0);
+      Alcotest.(check int) (name ^ ": every pool id is free") 0 (Packet.live pool);
+      Alcotest.(check bool) (name ^ ": the trace kept every delivery") true
+        (Trace.emitted tr < 1 lsl 18);
+      Array.iteri
+        (fun flow n ->
+          Alcotest.(check bool) (Printf.sprintf "%s: flow %d completed" name flow) true
+            (Option.is_some (Network.fct net flow));
+          let seen = Array.make n false in
+          List.iter
+            (fun e ->
+              if e.Trace.subject = flow && int_of_float e.Trace.aux = mss then begin
+                let seq = int_of_float e.Trace.value in
+                if seq < 0 || seq >= n then
+                  Alcotest.failf "%s: flow %d got seq %d of %d" name flow seq n;
+                seen.(seq) <- true
+              end)
+            (Trace.events tr);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: flow %d delivered its size" name flow)
+            (n * mss)
+            (mss * Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen))
+        sizes)
+    [ "numfabric"; "dctcp"; "pfabric" ]
+
+(* A released packet is poisoned and the pool refuses it: a second
+   release, or reading its id back, fails loudly. *)
+let test_released_packet_fails_loudly () =
+  let pool = Packet.create_pool () in
+  let p = Packet.alloc_data pool ~flow:3 ~seq:5 ~size:1500 ~path:[| 0; 1 |] ~now:0. in
+  let id = p.Packet.id in
+  Alcotest.(check bool) "get returns the live packet" true (Packet.get pool id == p);
+  Packet.release pool p;
+  Alcotest.(check int) "live after release" 0 (Packet.live pool);
+  Alcotest.(check (list int)) "flow, seq and size poisoned" [ -1; -1; -1 ]
+    [ p.Packet.flow; p.Packet.seq; p.Packet.size ];
+  Alcotest.(check bool) "hop is past any path" true (p.Packet.hop > 1 lsl 40);
+  let msg = Printf.sprintf "Packet.%s: packet %d is not live" in
+  Alcotest.check_raises "second release" (Invalid_argument (msg "release" id))
+    (fun () -> Packet.release pool p);
+  Alcotest.check_raises "get after release" (Invalid_argument (msg "get" id))
+    (fun () -> ignore (Packet.get pool id : Packet.t));
+  let q = Packet.alloc_data pool ~flow:4 ~seq:0 ~size:1500 ~path:[| 1 |] ~now:1. in
+  Alcotest.(check bool) "the record is reused, rewritten" true
+    (q == p && Packet.get pool id == q && q.Packet.flow = 4 && q.Packet.hop = 0);
+  (* Same id, live here, but another pool's record. *)
+  let other = Packet.alloc_data (Packet.create_pool ()) ~flow:0 ~seq:0 ~size:1 ~path:[||] ~now:0. in
+  Alcotest.(check int) "the other pool's id is live here" id other.Packet.id;
+  Alcotest.check_raises "a packet of another pool" (Invalid_argument (msg "release" id))
+    (fun () -> Packet.release pool other);
+  Alcotest.check_raises "get of an id never allocated" (Invalid_argument (msg "get" (-1)))
+    (fun () -> ignore (Packet.get pool (-1) : Packet.t))
+
 let test_link_monitoring () =
   let sb = Builders.single_bottleneck ~n_senders:2 () in
   let net = Network.create ~topology:sb.Builders.sb_topo ~protocol:(proto "numfabric") () in
@@ -823,6 +986,7 @@ let test_rto_ack_after_requeue_counts_once () =
     {
       Host.sim;
       after = (fun delay f -> Sim.schedule_after sim ~delay f);
+      pool = Packet.create_pool ();
       transmit =
         (fun pkt ->
           Queue.add pkt wire;
@@ -839,7 +1003,7 @@ let test_rto_ack_after_requeue_counts_once () =
   in
   let ack ?(ecn = false) (data : Packet.t) =
     data.Packet.ecn <- ecn;
-    Host.handle_ack ctx s (Packet.make_ack ~data ~path:[| 0 |] ~now:(Sim.now sim))
+    Host.handle_ack ctx s (Packet.alloc_ack ctx.Host.pool ~data ~path:[| 0 |] ~now:(Sim.now sim))
   in
   (* The seqs sent since the last call, in send order. *)
   let take_sent () =
@@ -1155,6 +1319,9 @@ let () =
           quick "numfabric on a fat tree" test_numfabric_on_fat_tree;
           quick "rate series recording" test_rate_series_recording;
           quick "srpt weights preempt" test_numfabric_srpt_preempts;
+          quick "srpt per-ACK weights bit-identical" test_srpt_weights_bitwise;
+          quick "pool lifecycle under drops" test_pool_lifecycle_under_drops;
+          quick "released packet fails loudly" test_released_packet_fails_loudly;
           quick "link monitoring" test_link_monitoring;
           quick "weight quantization" test_weight_quantization_still_shares;
         ] );

@@ -1,4 +1,4 @@
-(* Tests for nf_util: fheap, EWMA, RNG, stats, piecewise functions,
+(* Tests for nf_util: fheap, int ring, EWMA, RNG, stats, piecewise functions,
    time series. *)
 
 module Ewma = Nf_util.Ewma
@@ -24,14 +24,13 @@ let check_close ?(eps = 1e-9) what expected actual =
 module Fheap = Nf_util.Fheap
 
 let test_fheap_basic () =
-  let h = Fheap.create ~capacity:2 ~dummy:(-1) () in
+  let h = Fheap.create ~capacity:2 () in
   Alcotest.(check bool) "empty" true (Fheap.is_empty h);
-  Fheap.push h ~key:5. ~aux:50 500;
-  Fheap.push h ~key:1. ~aux:10 100;
-  Fheap.push h ~key:3. ~aux:30 300;
+  Fheap.push h ~key:5. 500;
+  Fheap.push h ~key:1. 100;
+  Fheap.push h ~key:3. 300;
   Alcotest.(check int) "length" 3 (Fheap.length h);
   check_float "top key" 1. (Fheap.top_key h);
-  Alcotest.(check int) "top aux" 10 (Fheap.top_aux h);
   Alcotest.(check int) "top" 100 (Fheap.top h);
   Alcotest.(check int) "pop1" 100 (Fheap.pop h);
   Alcotest.(check int) "pop2" 300 (Fheap.pop h);
@@ -41,27 +40,27 @@ let test_fheap_basic () =
     (fun () -> ignore (Fheap.pop h : int))
 
 let test_fheap_fifo_ties () =
-  let h = Fheap.create ~dummy:(-1) () in
+  let h = Fheap.create () in
   for i = 0 to 9 do
-    Fheap.push h ~key:1. ~aux:i i
+    Fheap.push h ~key:1. i
   done;
   for i = 0 to 9 do
     Alcotest.(check int) (Printf.sprintf "tie %d in FIFO order" i) i (Fheap.pop h)
   done
 
 let test_fheap_clear_and_growth () =
-  let h = Fheap.create ~capacity:1 ~dummy:0 () in
+  let h = Fheap.create ~capacity:1 () in
   for i = 99 downto 0 do
-    Fheap.push h ~key:(float_of_int i) ~aux:i i
+    Fheap.push h ~key:(float_of_int i) i
   done;
   Alcotest.(check int) "grown length" 100 (Fheap.length h);
   for i = 0 to 99 do
     Alcotest.(check int) (Printf.sprintf "pop %d" i) i (Fheap.pop h)
   done;
-  Fheap.push h ~key:1. ~aux:0 7;
+  Fheap.push h ~key:1. 7;
   Fheap.clear h;
   Alcotest.(check bool) "cleared" true (Fheap.is_empty h);
-  Fheap.push h ~key:2. ~aux:0 9;
+  Fheap.push h ~key:2. 9;
   Alcotest.(check int) "usable after clear" 9 (Fheap.pop h)
 
 (* The correctness contract of the event-engine swap: Fheap pops in
@@ -71,12 +70,12 @@ let prop_fheap_matches_reference =
   QCheck.Test.make ~name:"fheap pops in reference (key, seq) order" ~count:300
     QCheck.(list (int_bound 7))
     (fun keys ->
-      let h = Fheap.create ~capacity:4 ~dummy:(-1) () in
+      let h = Fheap.create ~capacity:4 () in
       let pushed =
         List.mapi
           (fun i k ->
             let key = float_of_int k /. 4. in
-            Fheap.push h ~key ~aux:k i;
+            Fheap.push h ~key i;
             (key, i))
           keys
       in
@@ -96,6 +95,44 @@ let prop_fheap_matches_reference =
           else drain rest
       in
       drain reference;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* Int_ring (the id FIFO under the simulator's wires and FIFO queues) *)
+
+module Int_ring = Nf_util.Int_ring
+
+let test_int_ring_empty () =
+  let r = Int_ring.create () in
+  Alcotest.(check int) "empty" 0 (Int_ring.length r);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Int_ring.pop: empty ring")
+    (fun () -> ignore (Int_ring.pop r : int));
+  Int_ring.push r 7;
+  Alcotest.(check int) "pop" 7 (Int_ring.pop r);
+  Alcotest.check_raises "pop on emptied" (Invalid_argument "Int_ring.pop: empty ring")
+    (fun () -> ignore (Int_ring.pop r : int))
+
+(* Any interleaving of pushes and pops returns what [Stdlib.Queue] does:
+   runs of up to 40 pushes grow the ring past its initial 16 slots while
+   the head has wrapped. *)
+let prop_int_ring_matches_queue =
+  QCheck.Test.make ~name:"int ring pops in Queue order" ~count:300
+    QCheck.(list (pair (int_bound 40) (int_bound 40)))
+    (fun steps ->
+      let r = Int_ring.create () and q = Queue.create () in
+      let next = ref 0 and ok = ref true in
+      List.iter
+        (fun (pushes, pops) ->
+          for _ = 1 to pushes do
+            Int_ring.push r !next;
+            Queue.add !next q;
+            incr next
+          done;
+          for _ = 1 to Int.min pops (Queue.length q) do
+            if Int_ring.pop r <> Queue.pop q then ok := false
+          done;
+          if Int_ring.length r <> Queue.length q then ok := false)
+        steps;
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -929,6 +966,11 @@ let () =
           quick "FIFO on equal keys" test_fheap_fifo_ties;
           quick "clear and growth" test_fheap_clear_and_growth;
           qcheck prop_fheap_matches_reference;
+        ] );
+      ( "int_ring",
+        [
+          quick "empty ring" test_int_ring_empty;
+          qcheck prop_int_ring_matches_queue;
         ] );
       ( "ewma",
         [

@@ -70,6 +70,18 @@ let catalog =
          float ref not bound in the body";
     };
     {
+      id = "hot-barrier";
+      stage = Typed;
+      summary =
+        "functions marked [@nf.hot] may not store a pointer into an array \
+         element, a record field or a ref bound outside the body: the \
+         store runs the write barrier (caml_modify, caml_darken while the \
+         major GC marks). Immediates (int, char, bool, unit, constant \
+         constructors of all-constant variants) and floats into flat \
+         float arrays or all-float records are free; a waiver must carry \
+         a justification";
+    };
+    {
       id = "domain-safety";
       stage = Typed;
       summary =

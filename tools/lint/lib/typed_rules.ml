@@ -3,7 +3,7 @@
    artifacts ([Cmts]).
 
    Three rule families live here:
-   - [float-compare] and [hot-alloc], re-implemented on typed
+   - [float-compare], [hot-alloc] and [hot-barrier], re-implemented on typed
      information. The parsetree versions (PR 5) had to guess: a
      polymorphic [=] was flagged unless an operand was *syntactically*
      non-float, and allocation was judged from expression shapes. Here
@@ -11,7 +11,9 @@
      vs a local [compare]) and typed every operand, so [x = y] on two
      ints is clean, [compare a b] on a float-carrying type is a finding,
      and partial applications are exact ([Texp_apply] with an omitted
-     argument) rather than a nested-apply heuristic.
+     argument) rather than a nested-apply heuristic. [hot-barrier] reads
+     the stored value's type to tell a pointer store (which runs
+     [caml_modify]) from an immediate one.
    - [domain-safety]: closures handed to [Shard.run], [Domain.spawn] or
      [Runner] tasks may not write captured mutable state unless the
      write is chunk-local (indexed by a binding of the task's own
@@ -22,7 +24,7 @@
 
    Suppression follows the syntactic stage: [@nf.allow "rule"] scopes,
    with the extended payload grammar ["rules -- justification"]. A
-   [domain-safety] waiver must carry a justification. *)
+   [domain-safety] or [hot-barrier] waiver must carry a justification. *)
 
 open Typedtree
 
@@ -111,21 +113,32 @@ let tracked_type_kind (ty : Types.type_expr) =
 (* --------------------------------------------------------------- *)
 (* Allow-scope handling (shared grammar with the syntactic stage). *)
 
+(* Rules whose waivers must say why, with the hint their finding gives. *)
+let justified_rules =
+  [
+    ("domain-safety", "why this shared write is safe");
+    ("hot-barrier", "why this pointer store stays");
+  ]
+
 let with_allows ?(check_justification = false) ctx (attrs : attributes) k =
   let entries = List.filter_map Rules.allow_of_attr attrs in
   if check_justification then
     List.iter
       (fun (a : Rules.allow) ->
-        if
-          List.mem "domain-safety" a.rules
-          && (match a.justification with
-             | None -> true
-             | Some j -> String.trim j = "")
-        then
-          emit ~force:true ctx ~loc:a.loc "domain-safety"
-            "domain-safety waiver carries no justification; write \
-             [@nf.allow \"domain-safety -- why this shared write is \
-             safe\"]")
+        let unjustified =
+          match a.justification with
+          | None -> true
+          | Some j -> String.trim j = ""
+        in
+        List.iter
+          (fun (rule, why) ->
+            if unjustified && List.mem rule a.rules then
+              emit ~force:true ctx ~loc:a.loc rule
+                (Printf.sprintf
+                   "%s waiver carries no justification; write [@nf.allow \
+                    \"%s -- %s\"]"
+                   rule rule why))
+          justified_rules)
       entries;
   match List.concat_map (fun (a : Rules.allow) -> a.rules) entries with
   | [] -> k ()
@@ -530,6 +543,70 @@ let check_hot_node ctx ~hot_refs e =
       | Some _ | None -> ())
   | _ -> ()
 
+(* hot-barrier. A store runs the write barrier ([caml_modify], which
+   also darkens the overwritten value while the major GC marks) unless
+   the compiler knows the stored value is immediate, or the target is a
+   flat float array or an all-float record. That is decided on the
+   stored value's type, so a constant constructor of a type with
+   non-constant ones still pays it. The cmt environments are summaries,
+   so types are judged by name: the predefined immediates, a constant
+   constructor of an all-constant variant, and floats (a float stored
+   boxed is [hot-alloc]'s finding, not this one). *)
+let immediate_type (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> (
+    match path_name p with
+    | "int" | "char" | "bool" | "unit" | "Stdlib.Int.t" | "Int.t"
+    | "Stdlib.Bool.t" | "Bool.t" | "Stdlib.Char.t" | "Char.t" ->
+      true
+    | _ -> false)
+  | _ -> false
+
+let barrier_free_value v =
+  immediate_type v.exp_type || is_float_type v.exp_type
+  ||
+  match v.exp_desc with
+  | Texp_construct (_, cstr, []) -> cstr.Types.cstr_nonconsts = 0
+  | _ -> false
+
+let array_element (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [ elt ], _) when path_name p = "array" -> Some elt
+  | _ -> None
+
+let barrier_msg what =
+  Printf.sprintf
+    "%s inside a [@nf.hot] function stores a pointer, which runs the \
+     write barrier (caml_modify, and caml_darken while the major GC \
+     marks); store an int handle instead, or waive with [@nf.allow \
+     \"hot-barrier -- why\"]"
+    what
+
+let check_barrier_node ctx ~hot_refs e =
+  let bad what = emit ctx ~loc:e.exp_loc "hot-barrier" (barrier_msg what) in
+  match e.exp_desc with
+  | Texp_setfield (_, _, label, value)
+    when label.Types.lbl_repres <> Types.Record_float
+         && not (barrier_free_value value) ->
+    bad (Printf.sprintf "store to field %s" label.Types.lbl_name)
+  | Texp_apply (f, args) -> (
+    match (head_ident f, first_positional args, nth_positional 2 args) with
+    | Some id, Some target, Some value
+      when path_in id [ "Array.set"; "Array.unsafe_set" ] ->
+      let flat =
+        match array_element target.exp_type with
+        | Some elt -> immediate_type elt || is_float_type elt
+        | None -> false
+      in
+      if not (flat || barrier_free_value value) then bad "array store"
+    | Some id, Some target, _ when path_is id ":=" -> (
+      match (target.exp_desc, nth_positional 1 args) with
+      | Texp_ident (Path.Pident rid, _, _), _ when Hashtbl.mem hot_refs rid -> ()
+      | _, Some value when not (barrier_free_value value) -> bad ":="
+      | _ -> ())
+    | _ -> ())
+  | _ -> ()
+
 let is_hot_attr (attr : Parsetree.attribute) = attr.attr_name.txt = "nf.hot"
 
 let poly_compare_hint id =
@@ -546,7 +623,10 @@ let check_main ctx (str : structure) =
   let hot_refs = Hashtbl.create 16 in
   let rec expr self e =
     with_allows ~check_justification:true ctx e.exp_attributes @@ fun () ->
-    if !hot_depth > 0 then check_hot_node ctx ~hot_refs e;
+    if !hot_depth > 0 then begin
+      check_hot_node ctx ~hot_refs e;
+      check_barrier_node ctx ~hot_refs e
+    end;
     match e.exp_desc with
     | Texp_ident (p, _, _) ->
       (* A bare mention: a polymorphic comparator passed as a function
