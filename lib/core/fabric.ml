@@ -72,8 +72,6 @@ let plan ~topology ~objective ~demands =
   let prob = Problem.create ~caps ~groups in
   { topology; objective; demand_list = demands; resolved; prob }
 
-let problem t = t.prob
-
 let demands t = t.demand_list
 
 let paths_of t ~key =

@@ -37,8 +37,6 @@ val plan :
     @raise Invalid_argument on duplicate keys, unreachable pairs, or
     non-host endpoints. *)
 
-val problem : t -> Nf_num.Problem.t
-
 val demands : t -> demand list
 
 val paths_of : t -> key:int -> int array list

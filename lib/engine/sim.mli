@@ -51,9 +51,6 @@ type cat = Nf_util.Profile.cat
 val cat : string -> cat
 (** [cat name] interns [name] (idempotent; do it once at module init). *)
 
-val default_cat : cat
-(** The ["event"] category. *)
-
 val create : unit -> t
 
 val now : t -> float

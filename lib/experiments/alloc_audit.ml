@@ -178,6 +178,48 @@ let packet_round_trip_kernel () =
       (Nf_sim.Packet.alloc_data pool ~flow:0 ~seq:0 ~size:1500 ~path ~now:0.);
     Nf_engine.Sim.run sim
 
+(* The paced-sender path DGD and RCP* run: a persistent flow paced at a
+   fixed rate through the hop protocol's ports. An iteration runs the
+   simulation for one pacing gap: one tick of the flow's pacing chain (a
+   packet from the pool, onto the wire), the hops and ACKs in flight
+   meanwhile, and the flow's RTO timer every [rto] (no progress is ever
+   lost, so it only re-arms). *)
+let paced_protocol : Nf_sim.Protocol.t =
+  (module struct
+    include (val hop_protocol)
+
+    let name = "audit-paced"
+
+    let description = "hop ports, a fixed-rate paced sender"
+
+    let make_flow (_ : Nf_sim.Protocol.flow_env) ~utility:_ =
+      {
+        Nf_sim.Protocol.fh_discipline =
+          Nf_sim.Protocol.Paced
+            { rate = Nf_sim.Protocol.cell 5e9; cap = infinity };
+        fh_on_send = ignore;
+        fh_on_ack = ignore;
+        fh_rto = 20e-6;
+      }
+  end)
+
+let paced_send_kernel () =
+  let sb = Nf_topo.Builders.single_bottleneck ~n_senders:1 () in
+  let net =
+    Nf_sim.Network.create ~topology:sb.Nf_topo.Builders.sb_topo
+      ~protocol:paced_protocol ()
+  in
+  Nf_sim.Network.add_flow net
+    (Nf_sim.Network.flow ~id:0 ~src:sb.Nf_topo.Builders.senders.(0)
+       ~dst:sb.Nf_topo.Builders.receiver ());
+  let sim = Nf_sim.Network.sim net in
+  let cat = Nf_engine.Sim.cat "audit" in
+  let gap = float_of_int (8 * Nf_sim.Packet.data_size) /. 5e9 in
+  let stop () = Nf_engine.Sim.stop sim in
+  fun () ->
+    Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:gap stop;
+    Nf_engine.Sim.run sim
+
 (* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
    same kind of instance as nfbench's solve_cold, at a fraction of its
    size. *)
@@ -271,7 +313,9 @@ let maxmin_kernel () =
    [Sim.schedule_after_cat] delays. The round trip's thirty are four
    such hops plus the end hosts' clock reads, rate filter and Swift's
    utility evaluations, each a call into another library (counted on a
-   dev build: 480.5 B per iteration). *)
+   dev build: 480.5 B per iteration). The paced send owes 25.3 on average
+   (404.5 B on a dev build), not a whole number: the ACKs in flight and
+   the RTO timer do not land in every gap. *)
 let kernels () =
   [
     ("fheap_push_pop", fheap_kernel (), 2);
@@ -281,6 +325,7 @@ let kernels () =
     ("sim_same_time_tie", sim_tie_kernel (), 0);
     ("packet_hop", packet_hop_kernel (), 4);
     ("packet_round_trip", packet_round_trip_kernel (), 30);
+    ("paced_send", paced_send_kernel (), 26);
     ("xwi_step", xwi_kernel (), 0);
     ("kkt_witness_check", kkt_witness_kernel (), 1);
     ("maxmin_solve_sparse", maxmin_kernel (), 0);

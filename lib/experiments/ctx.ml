@@ -13,8 +13,6 @@ let default = make ()
 
 let quick = make ~scale:0.2 ()
 
-let is_quick t = t.scale < 1.
-
 let scaled ?(floor = 1) t n =
   Stdlib.max floor (int_of_float (Float.ceil (float_of_int n *. t.scale)))
 

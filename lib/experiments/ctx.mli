@@ -30,9 +30,6 @@ val default : t
 val quick : t
 (** [make ~scale:0.2 ()] — the old [~quick:true]. *)
 
-val is_quick : t -> bool
-(** [scale < 1] (any scaled-down run). *)
-
 val scaled : ?floor:int -> t -> int -> int
 (** [scaled ctx n] is [ceil (n * ctx.scale)], at least [floor] (default
     1): the full-scale knob [n] shrunk to this context's scale. *)

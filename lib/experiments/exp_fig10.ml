@@ -36,8 +36,8 @@ let run ?(alpha = 5.) ?(switch_at = 5e-3) ?(duration = 10e-3) () =
         ]
   in
   let scheme = Nf_fluid.Fluid_xwi.make problem in
-  let series1 = Nf_util.Timeseries.create ~name:"flow1" () in
-  let series2 = Nf_util.Timeseries.create ~name:"flow2" () in
+  let series1 = Nf_util.Timeseries.create () in
+  let series2 = Nf_util.Timeseries.create () in
   let interval = scheme.Nf_fluid.Scheme.interval in
   let n_iters = int_of_float (ceil (duration /. interval)) in
   let switch_iter = int_of_float (ceil (switch_at /. interval)) in

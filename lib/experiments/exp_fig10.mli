@@ -3,11 +3,6 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Bf = Nf_num.Bandwidth_function
-module Problem = Nf_num.Problem
-module Topology = Nf_topo.Topology
-module Builders = Nf_topo.Builders
-val gbps : float -> float
 type t = {
   series1 : Nf_util.Timeseries.t;
   series2 : Nf_util.Timeseries.t;

@@ -3,10 +3,6 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Bf = Nf_num.Bandwidth_function
-module Problem = Nf_num.Problem
-module Oracle = Nf_num.Oracle
-val gbps : float -> float
 type point = {
   capacity : float;
   waterfill : float array;

@@ -12,7 +12,5 @@ type t = {
 val run : ?seed:int -> ?n_events:int -> ?scale:float -> unit -> t
 type packet_t = result list
 val run_packet : ?seed:int -> ?n_events:int -> unit -> result list
-val cdf_columns : string list
-val cdf_row : result -> Report.cell list
 val report : t -> Report.t
 val report_packet : packet_t -> Report.t

@@ -3,10 +3,7 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Dynamic = Nf_fluid.Dynamic
 module Stats = Nf_util.Stats
-val bdp_bytes : float
-val bins : (float * float) list
 type bin_stats = {
   bin : float * float;
   count : int;
@@ -15,14 +12,6 @@ type bin_stats = {
 type scheme_result = { scheme : string; per_bin : bin_stats list; }
 type workload_result = { workload : string; schemes : scheme_result list; }
 type t = workload_result list
-val deviations :
-  'a -> Dynamic.result -> (int, float) Hashtbl.t -> (float * float) list
-val bin_up : (float * float) list -> bin_stats list
-val run_workload :
-  seed:int ->
-  topology:Nf_topo.Topology.t ->
-  hosts:int array ->
-  n_flows:int -> load:float -> Nf_workload.Size_dist.t -> workload_result
 val run :
   ?seed:int ->
   ?n_flows:int ->

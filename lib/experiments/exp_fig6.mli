@@ -7,11 +7,8 @@ type point = { x : float; median : float; unconverged : int; }
 type fig6a = point list
 val run_dt :
   ?seed:int -> ?n_events:int -> ?dts:float list -> unit -> point list
-val point_rows : x_scale:float -> point list -> Report.cell list list
 val report_dt : point list -> Report.t
 type fig6b = point list
-val sweep_topology : unit -> Nf_topo.Builders.leaf_spine
-val sweep_setup : seed:int -> n_events:int -> Support.semidyn_setup
 val run_interval :
   ?seed:int -> ?n_events:int -> ?intervals:float list -> unit -> point list
 val report_interval : point list -> Report.t

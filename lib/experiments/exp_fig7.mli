@@ -3,8 +3,6 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Dynamic = Nf_fluid.Dynamic
-module Topology = Nf_topo.Topology
 type point = {
   load : float;
   numfabric_mean : float;
@@ -14,12 +12,6 @@ type point = {
   srpt_weights_large : float;
 }
 type t = point list
-val bdp_bytes : float
-val ideal_fct : Topology.t -> int array -> float -> float
-val normalized_fcts :
-  Topology.t ->
-  Dynamic.flow_spec list -> Dynamic.result -> (float * float) list
-val mean_of : ('a -> float option) -> 'a list -> float
 val run :
   ?seed:int ->
   ?n_flows:int ->

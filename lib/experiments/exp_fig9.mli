@@ -3,9 +3,6 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Bf = Nf_num.Bandwidth_function
-module Problem = Nf_num.Problem
-val gbps : float -> float
 type point = {
   capacity : float;
   expected : float array;

@@ -3,10 +3,6 @@
    [report] converts it to a Report.t table.
    Registered in Registry; enumerated by nf_run. *)
 
-module Problem = Nf_num.Problem
-module Utility = Nf_num.Utility
-module Xwi = Nf_num.Xwi_core
-module Rng = Nf_util.Rng
 type alpha_stats = {
   alpha : float;
   instances : int;
@@ -17,7 +13,6 @@ type alpha_stats = {
   dual_checks : int;
 }
 type t = alpha_stats list
-val random_instance : Rng.t -> alpha:float -> multipath:bool -> Problem.t
 val run :
   ?seed:int ->
   ?instances_per_alpha:int ->

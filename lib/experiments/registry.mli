@@ -22,9 +22,6 @@ type entry = {
           derived with {!Ctx.scaled} and RNG seeds with {!Ctx.rng_seed}. *)
 }
 
-val register : name:string -> description:string -> (Ctx.t -> Report.t) -> unit
-(** @raise Invalid_argument on a duplicate name. *)
-
 val find : string -> entry option
 
 val all : unit -> entry list

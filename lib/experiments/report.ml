@@ -26,8 +26,6 @@ let int i = Int i
 
 let float f = Float f
 
-let float_us s = Float (s *. 1e6)
-
 let cell_equal a b =
   match (a, b) with
   | Text a, Text b -> String.equal a b

@@ -30,10 +30,6 @@ val int : int -> cell
 
 val float : float -> cell
 
-val float_us : float -> cell
-(** Seconds rendered as microseconds (the convention for convergence
-    times throughout the paper): [float_us 3.35e-4 = Float 335.]. *)
-
 val equal : t -> t -> bool
 (** Structural equality; NaN cells compare equal to themselves (so two
     runs of the same seeded experiment compare equal). *)

@@ -40,10 +40,6 @@ type result = {
   attempts : int;  (** total attempts made (1 = no retry needed) *)
 }
 
-val transient : exn -> bool
-(** The default retry predicate: true for
-    [Nf_num.Oracle.Did_not_converge]. *)
-
 val run :
   ?jobs:int ->
   ?timeout:float ->

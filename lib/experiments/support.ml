@@ -170,10 +170,6 @@ let semidyn_run ~scenario ~criteria ~scheme =
   done;
   { times = Array.of_list (List.rev !times); unconverged = !unconverged }
 
-let semidyn_convergence ~setup ~topology ~hosts ~scheme () =
-  let scenario = semidyn_prepare ~setup ~topology ~hosts () in
-  semidyn_run ~scenario ~criteria:setup.criteria ~scheme
-
 let dynamic_flows ~seed ~topology ~hosts ~size_dist ~load ~n_flows ~utility_of =
   let rng = Nf_util.Rng.create ~seed in
   (* Host line rate: capacity of the first link leaving the first host. *)

@@ -19,8 +19,6 @@ val rcp_default : alpha:float -> scheme_kind
 
 val scheme_name : scheme_kind -> string
 
-val make_scheme : scheme_kind -> Nf_num.Problem.t -> Nf_fluid.Scheme.t
-
 (** A reusable warm-started exact solver: keeps link prices across calls so
     that successive, similar problems solve in few iterations. *)
 module Warm_oracle : sig
@@ -79,15 +77,6 @@ val semidyn_run :
 (** Replays the event sequence for one scheme: the scheme's link state
     persists across events exactly as switch state would. *)
 
-val semidyn_convergence :
-  setup:semidyn_setup ->
-  topology:Nf_topo.Topology.t ->
-  hosts:int array ->
-  scheme:scheme_kind ->
-  unit ->
-  semidyn_result
-(** [semidyn_prepare] + [semidyn_run] for a single scheme. *)
-
 val dynamic_flows :
   seed:int ->
   topology:Nf_topo.Topology.t ->
@@ -114,10 +103,6 @@ val dynamic_flows :
 val reset_records : unit -> unit
 
 val keep_record : label:string -> Nf_sim.Record.t -> unit
-
-val records : unit -> (string * Nf_sim.Record.t) list
-(** Records kept since the last reset, in deposit order (deposit order
-    is scheduling-dependent under a parallel runner). *)
 
 val records_json : unit -> string
 (** [{"runs":[{"label":...,"record":<Record.json>},...]}],

@@ -22,8 +22,7 @@ let fraction_within ~target ~within rates =
 
 type outcome = { time : float option; iterations_run : int }
 
-let measure_generic ?(criteria = paper_criteria) (scheme : Scheme.t) ~target
-    ~observed =
+let measure ?(criteria = paper_criteria) (scheme : Scheme.t) ~target =
   let max_iters =
     int_of_float (ceil (criteria.max_time /. scheme.Scheme.interval))
   in
@@ -33,8 +32,11 @@ let measure_generic ?(criteria = paper_criteria) (scheme : Scheme.t) ~target
   (* entered = iteration index at which the current in-tolerance stretch
      started, or -1 when currently out of tolerance. *)
   let rec loop iter entered =
+    (* Observation is per-iteration and read-only: the live view avoids one
+       rate-array copy per iteration (the fig4a sweep runs millions). *)
     let inside =
-      fraction_within ~target ~within:criteria.within (observed ())
+      fraction_within ~target ~within:criteria.within
+        (scheme.Scheme.rates_view ())
       >= criteria.fraction
     in
     let entered = if inside then (if entered < 0 then iter else entered) else -1 in
@@ -50,19 +52,3 @@ let measure_generic ?(criteria = paper_criteria) (scheme : Scheme.t) ~target
     end
   in
   loop 0 (-1)
-
-let measure ?criteria scheme ~target =
-  (* Observation is per-iteration and read-only: the live view avoids one
-     rate-array copy per iteration (the fig4a sweep runs millions). *)
-  measure_generic ?criteria scheme ~target ~observed:scheme.Scheme.rates_view
-
-let group_targets (_ : Nf_num.Problem.t) target = Array.copy target
-
-let measure_groups ?criteria scheme ~problem ~target =
-  let observed () =
-    let p = problem () in
-    let gr = Array.make (Nf_num.Problem.n_groups p) 0. in
-    Nf_num.Problem.group_rates_into p ~rates:(scheme.Scheme.rates_view ()) gr;
-    gr
-  in
-  measure_generic ?criteria scheme ~target ~observed

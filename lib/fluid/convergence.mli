@@ -15,10 +15,6 @@ type criteria = {
   max_time : float;  (** give up after this much simulated time *)
 }
 
-val paper_criteria : criteria
-(** [within = 0.1], [fraction = 0.95], [sustain = 5 ms],
-    [max_time = 50 ms]. *)
-
 val fraction_within :
   target:float array -> within:float -> float array -> float
 (** Fraction of flows whose rate is within the relative tolerance of the
@@ -37,18 +33,3 @@ val measure :
     [max_time]. The scheme is advanced in place. The reported time is the
     instant the condition {e first} became true of the eventually-sustained
     stretch (i.e. time-to-convergence, not time-plus-sustain). *)
-
-val group_targets : Nf_num.Problem.t -> float array -> float array
-(** Helper: expand per-group target rates to per-group comparison given
-    group rates; identity (copies) — provided for symmetry with
-    {!measure_groups}. *)
-
-val measure_groups :
-  ?criteria:criteria ->
-  Scheme.t ->
-  problem:(unit -> Nf_num.Problem.t) ->
-  target:float array ->
-  outcome
-(** Like {!measure} but compares {e group} (aggregate multipath) rates to
-    per-group targets; [problem] is consulted each iteration to map
-    sub-flow rates to group rates. *)

@@ -34,8 +34,8 @@ let compute_rates problem ~prices =
         ~max_rate:(path_line_rate problem i)
         (Problem.path_price problem ~prices i))
 
-let make_with_prices ?(params = default_params) ?(interval = default_interval)
-    ?trace problem =
+let make ?(params = default_params) ?(interval = default_interval) ?trace
+    problem =
   if not (Problem.is_single_path problem) then
     invalid_arg "Fluid_dgd.make: multipath problems are not supported";
   let module Trace = Nf_util.Trace in
@@ -83,18 +83,12 @@ let make_with_prices ?(params = default_params) ?(interval = default_interval)
     problem := p;
     rates := compute_rates p ~prices
   in
-  let scheme =
-    {
-      Scheme.name = "DGD";
-      interval;
-      step;
-      rates = (fun () -> Array.copy !rates);
-      rates_view = (fun () -> !rates);
-      rebind;
-      observe_remaining = Scheme.nop_observe;
-    }
-  in
-  (scheme, fun () -> Array.copy prices)
-
-let make ?params ?interval ?trace problem =
-  fst (make_with_prices ?params ?interval ?trace problem)
+  {
+    Scheme.name = "DGD";
+    interval;
+    step;
+    rates = (fun () -> Array.copy !rates);
+    rates_view = (fun () -> !rates);
+    rebind;
+    observe_remaining = Scheme.nop_observe;
+  }

@@ -34,10 +34,3 @@ val make :
     interval) to [trace] (default: the process {!Nf_util.Trace.default}).
     @raise Invalid_argument on multipath problems (the paper's DGD is a
     single-path algorithm). *)
-
-val make_with_prices :
-  ?params:params ->
-  ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
-  Nf_num.Problem.t ->
-  Scheme.t * (unit -> float array)

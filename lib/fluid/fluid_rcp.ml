@@ -22,8 +22,8 @@ let compute_rates problem ~alpha ~fair_rates =
       let x = !acc ** (-1. /. alpha) in
       Float.min x (path_line_rate problem i))
 
-let make_with_fair_rates ?(params = default_params)
-    ?(interval = default_interval) ?trace ~alpha problem =
+let make ?(params = default_params) ?(interval = default_interval) ?trace
+    ~alpha problem =
   if not (alpha > 0.) then invalid_arg "Fluid_rcp.make: alpha must be positive";
   if not (Problem.is_single_path problem) then
     invalid_arg "Fluid_rcp.make: multipath problems are not supported";
@@ -86,18 +86,12 @@ let make_with_fair_rates ?(params = default_params)
     problem := p;
     rates := compute_rates p ~alpha ~fair_rates
   in
-  let scheme =
-    {
-      Scheme.name = "RCP*";
-      interval;
-      step;
-      rates = (fun () -> Array.copy !rates);
-      rates_view = (fun () -> !rates);
-      rebind;
-      observe_remaining = Scheme.nop_observe;
-    }
-  in
-  (scheme, fun () -> Array.copy fair_rates)
-
-let make ?params ?interval ?trace ~alpha problem =
-  fst (make_with_fair_rates ?params ?interval ?trace ~alpha problem)
+  {
+    Scheme.name = "RCP*";
+    interval;
+    step;
+    rates = (fun () -> Array.copy !rates);
+    rates_view = (fun () -> !rates);
+    rebind;
+    observe_remaining = Scheme.nop_observe;
+  }

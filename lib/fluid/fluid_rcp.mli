@@ -34,11 +34,3 @@ val make :
     fair rates; time = round × interval) to [trace] (default: the process
     {!Nf_util.Trace.default}).
     @raise Invalid_argument on multipath problems. *)
-
-val make_with_fair_rates :
-  ?params:params ->
-  ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
-  alpha:float ->
-  Nf_num.Problem.t ->
-  Scheme.t * (unit -> float array)

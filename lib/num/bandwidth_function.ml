@@ -51,8 +51,6 @@ let fair_share t x =
   if x < 0. then invalid_arg "Bandwidth_function.fair_share: negative bandwidth";
   if Float.equal x 0. then 0. else Piecewise.inverse t.b x
 
-let curve t = t.b
-
 let utility t ~alpha =
   if not (alpha > 0.) then
     invalid_arg "Bandwidth_function.utility: alpha must be positive";

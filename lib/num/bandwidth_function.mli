@@ -30,8 +30,6 @@ val bandwidth : t -> float -> float
 val fair_share : t -> float -> float
 (** [F(x) = B^-1(x)] for [x >= 0]. *)
 
-val curve : t -> Nf_util.Piecewise.t
-
 val utility : t -> alpha:float -> Utility.t
 (** The Table 1 (last row) utility for this bandwidth function:
     [U'(x) = F(x)^-α], [U'^-1(p) = B(p^(-1/α))]. The reported

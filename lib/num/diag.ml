@@ -211,17 +211,6 @@ let report_json r =
 
 let report_to_json r = Json.to_string (report_json r)
 
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>xWI diagnostics: %d iterations, final residual %g@,"
-    r.r_iterations r.r_final_residual;
-  Array.iter
-    (fun (eps, it) ->
-      if it >= 0 then
-        Format.fprintf ppf "  residual <= %.0e after %d iterations@," eps it
-      else Format.fprintf ppf "  residual <= %.0e never reached@," eps)
-    r.r_to_eps;
-  Format.fprintf ppf "@]"
-
 (* --- postmortem dump ------------------------------------------------ *)
 
 let sample_json s =
@@ -241,6 +230,9 @@ let sample_json s =
       ("shard_mean", Json.Num s.s_shard_mean);
     ]
 
+(* The postmortem as JSONL: a [meta] line ([final_residual], e.g. the
+   KKT residual, overrides the report's), one [iter] line per ring sample
+   (oldest first), a [worst_links] line and a [to_eps] line. *)
 let dump ?final_residual t ~converged ~path =
   let r = report t in
   let final =

@@ -98,15 +98,6 @@ val report : t -> report
 
 val report_to_json : report -> string
 
-val pp_report : Format.formatter -> report -> unit
-
-val dump : ?final_residual:float -> t -> converged:bool -> path:string -> unit
-(** Write the postmortem as JSONL to [path]: a [meta] line (with
-    [final_residual] overriding the report's residual if given — e.g. the
-    KKT residual from {!Xwi_core.run_until_kkt}), one [iter] line per
-    ring sample (oldest first), a [worst_links] line naming the links
-    with the largest final price residuals, and a [to_eps] line. *)
-
 (** {2 Process-wide configuration}
 
     The [--diag] CLI switch installs a config; solver states created
@@ -125,8 +116,6 @@ val default_config : dir:string -> config
 val configure : config option -> unit
 (** Install ([Some]) or clear ([None]) the process-wide config; resets
     the {!postmortems_written} counter. *)
-
-val configured : unit -> config option
 
 val attach : n_links:int -> n_flows:int -> t option
 (** A fresh instance per the process-wide config, or [None] when

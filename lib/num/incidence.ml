@@ -123,12 +123,10 @@ let create ~caps ~paths ~group_of_flow ~n_groups =
     caps;
   }
 
-let path_len t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
-
 let link_degree t l = t.col_ptr.(l + 1) - t.col_ptr.(l)
 
 (* Tight CSR/CSC sweeps shared by every kernel, and the only loop bodies
-   for path prices, link loads and group rates outside [Reference]. All
+   for path prices, link loads and group rates outside the test oracle [Reference]. All
    [@nf.hot]: no allocation; indices come straight off the flat index
    arrays. The single-row bodies are [@inline] so the whole-vector sweeps
    built on them stay allocation-free (a float returned by a call that is

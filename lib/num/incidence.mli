@@ -47,8 +47,6 @@ val create :
     first, then group 1's, ...) as {!Problem.create} guarantees.
     @raise Invalid_argument on out-of-range ids. *)
 
-val path_len : t -> int -> int
-
 val link_degree : t -> int -> int
 (** Number of distinct flows crossing the link. *)
 

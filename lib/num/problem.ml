@@ -349,14 +349,6 @@ let is_single_path t =
   force t;
   Array.for_all (fun m -> Array.length m = 1) t.members
 
-let total_utility t ~rates =
-  force t;
-  let total = ref 0. in
-  for g = 0 to Array.length t.members - 1 do
-    total := !total +. t.utilities.(g).Utility.value (group_rate t ~rates g)
-  done;
-  !total
-
 let feasible ?(tol = 1e-6) t ~rates =
   force t;
   Array.for_all (fun x -> x >= 0.) rates

@@ -136,7 +136,7 @@ val link_flows : t -> int -> int array
 val paths : t -> int array array
 (** The live flow→path incidence array ([paths.(flow)] = link ids).
     Shared, not copied: callers must treat it as read-only. The dense
-    reference solvers ({!Reference}, [Maxmin.solve]) read paths in this
+    reference solvers (the test oracle [Reference], [Maxmin.solve]) read paths in this
     form; the sparse kernels use {!incidence}. *)
 
 val incidence : t -> Incidence.t
@@ -162,8 +162,6 @@ val path_price : t -> prices:float array -> int -> float
 
 val is_single_path : t -> bool
 (** All groups are singletons. *)
-
-val total_utility : t -> rates:float array -> float
 
 val feasible : ?tol:float -> t -> rates:float array -> bool
 (** No link loaded beyond [cap * (1 + tol)] (default [tol = 1e-6]) and all

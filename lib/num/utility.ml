@@ -115,5 +115,3 @@ let[@inline] rate_from_price_fast u p =
   | Power { weight; inv_alpha; _ } ->
     alpha_fair_rate ~log_shape:false ~weight ~inv_alpha p
   | Opaque -> cap_rate (u.inv_deriv (Fcmp.fmax p min_price))
-
-let pp ppf u = Format.pp_print_string ppf u.name

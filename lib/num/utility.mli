@@ -129,5 +129,3 @@ val alpha_fair_rate :
 (** [U'^-1(p)] at [max p min_price], capped at {!max_rate_cap}:
     [weight / p] for the log shape, else [weight * p^inv_alpha] with
     [inv_alpha = -1/alpha]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -403,8 +403,6 @@ let resize ?pool problem state =
   let pool = match pool with Some _ as p -> p | None -> state.pool in
   init_with_prices ?pool problem ~prices:state.prices
 
-let set_pool state pool = state.pool <- pool
-
 let set_diag state diag = state.diag <- diag
 
 let diag state = state.diag

@@ -82,11 +82,6 @@ val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
     per the process-wide config.
     @raise Invalid_argument if the link count changed. *)
 
-val set_pool : state -> Nf_util.Shard.t option -> unit
-(** Attach or detach a domain pool for the sharded price update. The pool
-    is borrowed: the caller owns its lifetime and must not {!Nf_util.Shard.stop}
-    it while the state is stepping. *)
-
 val set_diag : state -> Diag.t option -> unit
 (** Attach or detach per-iteration diagnostics. The instance must be
     sized for the state's problem ([n_links]/[n_flows]). *)

@@ -96,6 +96,3 @@ type stats = {
 val stats : t -> stats
 (** Latency percentiles are over the most recent {!latency_window}
     epochs. *)
-
-val latency_window : int
-(** Ring capacity of the latency sample buffer (8192). *)

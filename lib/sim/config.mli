@@ -74,9 +74,3 @@ val default : t
 val default_swift : swift
 
 val default_dgd : dgd
-
-val default_rcp : rcp
-
-val default_dctcp : dctcp
-
-val default_pfabric : pfabric

@@ -4,7 +4,7 @@ module Fcmp = Nf_util.Fcmp
 
 type ctx = {
   sim : Sim.t;
-  after : float -> (unit -> unit) -> unit;
+  cat : Sim.cat;
   pool : Packet.pool;
   transmit : Packet.t -> unit;
   complete : int -> unit;
@@ -54,6 +54,8 @@ type sender = {
   mutable is_complete : bool;
   mutable rto_running : bool;
   mutable pace_active : bool;  (* pacing chain scheduled *)
+  mutable pace_tick : unit -> unit;  (* the pacing chain's event, from [start] *)
+  mutable rto_tick : unit -> unit;  (* the RTO timer's event, from [start] *)
 }
 
 let null_handle =
@@ -102,6 +104,8 @@ let make_sender ctx ~flow ~path ~size ~d0 ~line_rate ~protocol ~utility =
       is_complete = false;
       rto_running = false;
       pace_active = false;
+      pace_tick = ignore;
+      rto_tick = ignore;
     }
   in
   let env =
@@ -160,7 +164,10 @@ let[@nf.hot] rec try_send_window ctx s (window : Protocol.cell) =
     end
   end
 
-let rec pace_loop ctx s ~(rate : Protocol.cell) ~cap =
+let[@inline] after ctx delay tick =
+  Sim.schedule_after_cat ctx.sim ~cat:ctx.cat ~delay tick
+
+let[@nf.hot] pace_loop ctx s ~(rate : Protocol.cell) ~cap =
   if active s && s.sf.inflight < cap && has_next s then begin
     let seq = next_seq s in
     if seq < 0 then s.pace_active <- false
@@ -172,7 +179,7 @@ let rec pace_loop ctx s ~(rate : Protocol.cell) ~cap =
       let gap =
         Fcmp.fmin (mss_f *. 8. /. Fcmp.fmax rate.Protocol.value 1e3) 200e-6
       in
-      ctx.after gap (fun () -> pace_loop ctx s ~rate ~cap)
+      after ctx gap s.pace_tick
     end
   end
   else s.pace_active <- false
@@ -191,7 +198,7 @@ let wakeup ctx s =
 (* Safety / pFabric retransmission timer: if no progress for [fh_rto],
    every in-flight packet is assumed lost and queued for resend, in
    ascending seq order. Every seq ever sent is below [next_unsent]. *)
-let rec rto_check ctx s =
+let rto_check ctx s =
   if active s then begin
     let rto = s.handle.Protocol.fh_rto in
     if s.sf.inflight > 0. && Sim.now ctx.sim -. s.sf.last_progress >= rto
@@ -208,18 +215,25 @@ let rec rto_check ctx s =
       s.sf.last_progress <- Sim.now ctx.sim;
       wakeup ctx s
     end;
-    ctx.after rto (fun () -> rto_check ctx s)
+    after ctx rto s.rto_tick
   end
   else s.rto_running <- false
 
+(* The pacing and RTO events are built here, once per flow, so neither
+   a paced packet nor an RTO period allocates a closure. *)
 let start ctx s =
   if not s.started then begin
     s.started <- true;
+    (match s.handle.Protocol.fh_discipline with
+    | Protocol.Paced { rate; cap } ->
+      s.pace_tick <- (fun () -> pace_loop ctx s ~rate ~cap)
+    | Protocol.Windowed _ -> ());
+    s.rto_tick <- (fun () -> rto_check ctx s);
     s.sf.last_progress <- Sim.now ctx.sim;
     wakeup ctx s;
     if not s.rto_running then begin
       s.rto_running <- true;
-      ctx.after s.handle.Protocol.fh_rto (fun () -> rto_check ctx s)
+      after ctx s.handle.Protocol.fh_rto s.rto_tick
     end
   end
 

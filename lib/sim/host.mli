@@ -20,7 +20,7 @@
 
 type ctx = {
   sim : Nf_engine.Sim.t;  (** the clock is read from here ({!Nf_engine.Sim.now}) *)
-  after : float -> (unit -> unit) -> unit;  (** schedule relative event *)
+  cat : Nf_engine.Sim.cat;  (** the category host timers are scheduled under *)
   pool : Packet.pool;
       (** where data packets and ACKs come from; the network releases
           them *)

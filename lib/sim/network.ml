@@ -126,11 +126,7 @@ type t = {
 
 let sim t = t.sim
 
-let protocol t = t.protocol
-
 let record t = t.record
-
-let trace t = t.trace
 
 let pool t = t.pool
 
@@ -272,8 +268,7 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
       ctx =
         {
           Host.sim;
-          after =
-            (fun delay f -> Sim.schedule_after_cat sim ~cat:cat_host ~delay f);
+          cat = cat_host;
           pool;
           transmit = (fun pkt -> transmit t pkt);
           complete =

@@ -65,11 +65,7 @@ val create :
 
 val sim : t -> Nf_engine.Sim.t
 
-val protocol : t -> Protocol.t
-
 val record : t -> Record.t
-
-val trace : t -> Nf_util.Trace.t
 
 val add_flow : t -> flow_spec -> unit
 (** Registers the flow and schedules its start. Must be called before the

@@ -7,6 +7,3 @@ val numfabric : Protocol.t
 val numfabric_srpt : Protocol.t
 (** Remaining-size (SRPT-approximating, §2) weights with
     [config.swift.srpt_eps]; every flow must have a finite size. *)
-
-val make : srpt:bool -> name:string -> description:string -> Protocol.t
-(** Build a Swift/xWI protocol variant under a custom registry name. *)

@@ -35,9 +35,6 @@ type t = {
   drops : unit -> int;  (** cumulative *)
 }
 
-val default_limit_bytes : int
-(** 1_000_000 (1 MB per port, §6). *)
-
 val fifo : pool:Packet.pool -> ?limit_bytes:int -> unit -> t
 
 val ecn_fifo :

@@ -1,7 +1,7 @@
 module Json = Nf_util.Json
 module Timeseries = Nf_util.Timeseries
 
-type channel = Queue | Price | Rate | Drops | Fct | Metric
+type channel = Queue | Price | Rate | Drops | Fct
 
 let channel_name = function
   | Queue -> "queue"
@@ -9,9 +9,8 @@ let channel_name = function
   | Rate -> "rate"
   | Drops -> "drops"
   | Fct -> "fct"
-  | Metric -> "metric"
 
-let all_channels = [ Queue; Price; Rate; Drops; Fct; Metric ]
+let all_channels = [ Queue; Price; Rate; Drops; Fct ]
 
 type t = {
   tables : (channel, (int, Timeseries.t) Hashtbl.t) Hashtbl.t;
@@ -33,11 +32,7 @@ let series t channel ~subject =
   match Hashtbl.find_opt tbl subject with
   | Some ts -> ts
   | None ->
-    let ts =
-      Timeseries.create
-        ~name:(Printf.sprintf "%s-%d" (channel_name channel) subject)
-        ()
-    in
+    let ts = Timeseries.create () in
     Hashtbl.replace tbl subject ts;
     ts
 
@@ -61,10 +56,6 @@ let complete t ~flow ~at ~fct =
 let completions t = List.rev t.done_flows
 
 let fct t flow = List.assoc_opt flow t.done_flows
-
-let snapshot_metrics t ~registry ~time =
-  Nf_util.Metrics.fold_values registry ~init:() ~f:(fun () ~id ~name:_ v ->
-      add t Metric ~subject:id ~time v)
 
 (* ------------------------------------------------------------------ *)
 (* Export *)
@@ -115,5 +106,3 @@ let write_file ~path contents =
     (fun () -> output_string oc contents)
 
 let write_json t ~path = write_file ~path (to_json t)
-
-let write_csv t ~path = write_file ~path (to_csv t)

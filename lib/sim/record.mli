@@ -14,30 +14,15 @@ type channel =
   | Rate  (** per-flow receiver-measured rate, bps *)
   | Drops  (** per-link cumulative drop counter *)
   | Fct  (** flow completions; one sample (completion time, fct) per flow *)
-  | Metric
-      (** periodic snapshots of an {!Nf_util.Metrics} registry; the
-          subject is the metric's registration id
-          ({!Nf_util.Metrics.fold_values}) *)
-
-val channel_name : channel -> string
-(** "queue", "price", "rate", "drops", "fct", "metric". *)
-
-val all_channels : channel list
 
 type t
 
 val create : unit -> t
 
-val series : t -> channel -> subject:int -> Nf_util.Timeseries.t
-(** The series of [subject] on [channel], created empty on first use. *)
-
 val find : t -> channel -> subject:int -> Nf_util.Timeseries.t option
 (** [None] if nothing was ever recorded for that (channel, subject). *)
 
 val add : t -> channel -> subject:int -> time:float -> float -> unit
-
-val subjects : t -> channel -> int list
-(** Subjects with a series on the channel, ascending. *)
 
 (** {2 Flow completions}
 
@@ -50,13 +35,6 @@ val completions : t -> (int * float) list
 (** All (flow id, fct) pairs so far, completion order. *)
 
 val fct : t -> int -> float option
-
-val snapshot_metrics : t -> registry:Nf_util.Metrics.t -> time:float -> unit
-(** Append every metric's current primary value (counter count, gauge
-    value, histogram observation count) to the {!Metric} channel, keyed by
-    the metric's registration id. Call it periodically (e.g. from a
-    {!Nf_engine.Sim.periodic} event) to get metric trajectories over
-    simulated time. *)
 
 (** {2 Export} *)
 
@@ -71,5 +49,3 @@ val to_csv : t -> string
 (** One row per sample: [channel,subject,time,value]. *)
 
 val write_json : t -> path:string -> unit
-
-val write_csv : t -> path:string -> unit

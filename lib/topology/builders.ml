@@ -131,37 +131,6 @@ let single_bottleneck ?access_capacity ?(capacity = gbps 10.)
   let bottleneck, _ = Topology.Builder.add_duplex b sw receiver ~capacity ~delay in
   { sb_topo = Topology.Builder.finish b; senders; receiver; bottleneck }
 
-type dumbbell = {
-  db_topo : Topology.t;
-  left : int array;
-  right : int array;
-  db_bottleneck : int;
-}
-
-let dumbbell ?access_capacity ?(capacity = gbps 10.) ?(delay = usec 2.)
-    ~n_pairs () =
-  if n_pairs <= 0 then invalid_arg "Builders.dumbbell: need at least one pair";
-  let access = match access_capacity with Some c -> c | None -> 4. *. capacity in
-  let b = Topology.Builder.create () in
-  let sw_l = Topology.Builder.add_switch b ~label:"swL" () in
-  let sw_r = Topology.Builder.add_switch b ~label:"swR" () in
-  let left =
-    Array.init n_pairs (fun i ->
-        Topology.Builder.add_host b ~label:(Printf.sprintf "l%d" i) ())
-  in
-  let right =
-    Array.init n_pairs (fun i ->
-        Topology.Builder.add_host b ~label:(Printf.sprintf "r%d" i) ())
-  in
-  Array.iter
-    (fun h -> ignore (Topology.Builder.add_duplex b h sw_l ~capacity:access ~delay))
-    left;
-  Array.iter
-    (fun h -> ignore (Topology.Builder.add_duplex b h sw_r ~capacity:access ~delay))
-    right;
-  let db_bottleneck, _ = Topology.Builder.add_duplex b sw_l sw_r ~capacity ~delay in
-  { db_topo = Topology.Builder.finish b; left; right; db_bottleneck }
-
 type parking_lot = {
   pl_topo : Topology.t;
   pl_hosts : int array;

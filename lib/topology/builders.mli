@@ -72,23 +72,6 @@ val single_bottleneck :
     link (capacity [capacity], default 10 Gbps) is the only bottleneck:
     sender access links default to 4x that capacity. *)
 
-type dumbbell = {
-  db_topo : Topology.t;
-  left : int array;
-  right : int array;
-  db_bottleneck : int;  (** left switch -> right switch link id *)
-}
-
-val dumbbell :
-  ?access_capacity:float ->
-  ?capacity:float ->
-  ?delay:float ->
-  n_pairs:int ->
-  unit ->
-  dumbbell
-(** [n_pairs] hosts on each side of two switches joined by one bottleneck
-    link; flow i is left.(i) -> right.(i). *)
-
 type parking_lot = {
   pl_topo : Topology.t;
   pl_hosts : int array;  (** n_links + 1 hosts; host i attaches switch i *)

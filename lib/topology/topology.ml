@@ -73,8 +73,6 @@ let node t id = t.node_arr.(id)
 
 let link t id = t.link_arr.(id)
 
-let nodes t = t.node_arr
-
 let links t = t.link_arr
 
 let ids_of_kind t kind =
@@ -114,13 +112,3 @@ let path_min_capacity t path =
   match path with
   | [] -> invalid_arg "Topology.path_min_capacity: empty path"
   | _ -> List.fold_left (fun acc lid -> Float.min acc (link t lid).capacity) infinity path
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>topology: %d nodes, %d links@," (n_nodes t) (n_links t);
-  Array.iter
-    (fun l ->
-      Format.fprintf ppf "  link %d: %s -> %s  %a, %a@," l.link_id
-        (node t l.src).label (node t l.dst).label Nf_util.Units.pp_rate l.capacity
-        Nf_util.Units.pp_time l.delay)
-    t.link_arr;
-  Format.fprintf ppf "@]"

@@ -52,8 +52,6 @@ val node : t -> int -> node
 
 val link : t -> int -> link
 
-val nodes : t -> node array
-
 val links : t -> link array
 
 val hosts : t -> int array
@@ -76,5 +74,3 @@ val path_delay : t -> int list -> float
 val path_min_capacity : t -> int list -> float
 (** Minimum capacity along a (non-empty) path.
     @raise Invalid_argument on an empty path. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,21 +1,3 @@
-type gain = { g : float; mutable gv : float option }
-
-let gain ~g =
-  if not (g > 0. && g <= 1.) then invalid_arg "Ewma.gain: g must be in (0, 1]";
-  { g; gv = None }
-
-let gain_update f sample =
-  match f.gv with
-  | None -> f.gv <- Some sample
-  | Some v -> f.gv <- Some (((1. -. f.g) *. v) +. (f.g *. sample))
-
-let gain_value f = f.gv
-
-let gain_value_exn f =
-  match f.gv with
-  | Some v -> v
-  | None -> invalid_arg "Ewma.gain_value_exn: no samples yet"
-
 (* All-float, so the compiler stores the fields flat and an update
    neither boxes a float nor builds a [Some]. [set] is 1. once a sample
    has been blended in and 0. before (a float flag keeps the record

@@ -1,28 +1,11 @@
 (** Exponentially-weighted moving average filters.
 
-    Two flavours are used throughout the system:
-
-    - {!gain}: the classical fixed-gain filter
-      [v <- (1-g)*v + g*sample], used e.g. by DCTCP's ECN-fraction
-      estimator;
-    - {!timed}: a continuous-time filter with time constant [tau]: a sample
-      observed [dt] after the previous one is blended with weight
-      [1 - exp (-dt / tau)]. This matches the paper's use of an "EWMA
-      filter with a time constant" for Swift's rate estimator (ewmaTime)
-      and for the 80 µs convergence-measurement filter of §6.1, whose rise
-      time to 90% is [ln 10 * tau]. *)
-
-type gain
-
-val gain : g:float -> gain
-(** [gain ~g] with [0 < g <= 1]. The filter starts unset: the first sample
-    initializes it. *)
-
-val gain_update : gain -> float -> unit
-
-val gain_value : gain -> float option
-
-val gain_value_exn : gain -> float
+    {!timed} is a continuous-time filter with time constant [tau]: a
+    sample observed [dt] after the previous one is blended with weight
+    [1 - exp (-dt / tau)]. This matches the paper's use of an "EWMA
+    filter with a time constant" for Swift's rate estimator (ewmaTime)
+    and for the 80 µs convergence-measurement filter of §6.1, whose rise
+    time to 90% is [ln 10 * tau]. *)
 
 type timed
 

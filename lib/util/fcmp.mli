@@ -5,9 +5,6 @@
     All tolerances are expressed either absolutely ([eps]) or relatively
     ([rel]). *)
 
-val default_eps : float
-(** Absolute tolerance used when none is given (1e-9). *)
-
 val approx_eq : ?eps:float -> float -> float -> bool
 (** [approx_eq a b] is [true] iff [|a - b| <= eps]. *)
 

@@ -3,9 +3,8 @@
     Modules register their metrics once (usually against {!global} at
     module-init time) and update them unconditionally — an update is an
     int/float store, cheap enough for packet-rate hot paths. A registry
-    snapshots to a Prometheus-style text page ({!to_prometheus}), to JSON
-    ({!json}), or — via {!fold_values} — into an
-    [Nf_sim.Record.t] time series for trajectory plots.
+    snapshots to a Prometheus-style text page ({!to_prometheus}) or to
+    JSON ({!to_json}); {!fold_values} walks the primary values.
 
     Metric names follow Prometheus conventions:
     [nf_<layer>_<what>{_total,_seconds,...}], e.g.
@@ -68,9 +67,5 @@ val to_prometheus : t -> string
 (** Prometheus text exposition: [# HELP] / [# TYPE] lines, then samples
     (histograms as [_bucket{le=...}] / [_sum] / [_count]). *)
 
-val json : t -> Json.t
-(** [{"metrics":[{"name":...,"type":...,"value":...},...]}]; histograms
-    carry [buckets], [inf], [sum] and [count] instead of a value. *)
-
 val to_json : t -> string
-(** [Json.to_string (json t)]. *)
+(** [{"metrics":[...]}], one object per metric. *)

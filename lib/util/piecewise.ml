@@ -78,10 +78,6 @@ let inverse f y =
     end
   end
 
-let scale_y f k =
-  if k < 0. then invalid_arg "Piecewise.scale_y: negative factor";
-  { xs = Array.copy f.xs; ys = Array.map (fun y -> y *. k) f.ys }
-
 (* Closed-form ∫ (a + b u)^(-alpha) du over [0, d]. *)
 let segment_integral ~alpha ~a ~b d =
   if a <= 0. || a +. (b *. d) <= 0. then

@@ -29,13 +29,8 @@ val inverse : t -> float -> float
 
 val strictly_increasing : t -> bool
 
-val min_x : t -> float
-
 val max_x : t -> float
 (** The last breakpoint's x; {!eval} still extends beyond it. *)
-
-val scale_y : t -> float -> t
-(** [scale_y f k] multiplies all values by [k >= 0]. *)
 
 val integral_pow : t -> alpha:float -> float -> float
 (** [integral_pow f ~alpha x] is [∫_{x0}^{x} (eval f τ)^(-alpha) dτ] where

@@ -1,14 +1,10 @@
 type t = {
-  series_name : string;
   mutable times : float array;
   mutable values : float array;
   mutable size : int;
 }
 
-let create ?(name = "") () =
-  { series_name = name; times = [||]; values = [||]; size = 0 }
-
-let name t = t.series_name
+let create () = { times = [||]; values = [||]; size = 0 }
 
 let grow t =
   let cap = Array.length t.times in
@@ -59,15 +55,6 @@ let index_at t time =
 let value_at t time =
   let i = index_at t time in
   if i < 0 then None else Some t.values.(i)
-
-let smooth t ~tau =
-  let out = create ~name:t.series_name () in
-  let filter = Ewma.timed ~tau in
-  for i = 0 to t.size - 1 do
-    Ewma.timed_update filter ~now:t.times.(i) t.values.(i);
-    add out ~time:t.times.(i) (Ewma.timed_value_exn filter)
-  done;
-  out
 
 let mean_over t ~t0 ~t1 =
   if t1 <= t0 then invalid_arg "Timeseries.mean_over: t1 must exceed t0";

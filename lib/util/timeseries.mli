@@ -6,9 +6,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-
-val name : t -> string
+val create : unit -> t
 
 val add : t -> time:float -> float -> unit
 (** @raise Invalid_argument if [time] precedes the last sample. *)
@@ -24,10 +22,6 @@ val to_list : t -> (float * float) list
 val value_at : t -> float -> float option
 (** Sample-and-hold interpolation: the value of the most recent sample at
     or before the given time; [None] before the first sample. *)
-
-val smooth : t -> tau:float -> t
-(** A new series obtained by running a timed EWMA filter (time constant
-    [tau]) over the samples — the measurement filter of §6.1. *)
 
 val mean_over : t -> t0:float -> t1:float -> float option
 (** Time-weighted mean of the sample-and-hold signal over [\[t0, t1\]];

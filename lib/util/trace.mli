@@ -83,9 +83,6 @@ val events : t -> event list
 (** The buffered events, oldest first. For a file-backed sink this is only
     the not-yet-flushed tail. *)
 
-val flush : t -> unit
-(** Write buffered events to the backing file, if any. *)
-
 val close : t -> unit
 (** {!flush} and close the backing file. The sink stays usable as an
     in-memory ring afterwards. *)

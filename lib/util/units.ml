@@ -4,26 +4,11 @@ let mbps m = m *. 1e6
 
 let usec u = u *. 1e-6
 
-let msec m = m *. 1e-3
-
 let kb k = k *. 1e3
-
-let mb m = m *. 1e6
-
-let bytes_to_bits b = b *. 8.
-
-let bits_to_bytes b = b /. 8.
 
 let transmission_time ~bytes ~rate_bps =
   if rate_bps <= 0. then invalid_arg "Units.transmission_time: rate must be positive";
-  bytes_to_bits bytes /. rate_bps
-
-let pp_rate ppf r =
-  let a = Float.abs r in
-  if a >= 1e9 then Format.fprintf ppf "%.3g Gbps" (r /. 1e9)
-  else if a >= 1e6 then Format.fprintf ppf "%.3g Mbps" (r /. 1e6)
-  else if a >= 1e3 then Format.fprintf ppf "%.3g Kbps" (r /. 1e3)
-  else Format.fprintf ppf "%.3g bps" r
+  bytes *. 8. /. rate_bps
 
 let pp_time ppf t =
   let a = Float.abs t in

@@ -13,23 +13,11 @@ val mbps : float -> float
 val usec : float -> float
 (** [usec 16.] = 1.6e-5 seconds. *)
 
-val msec : float -> float
-
 val kb : float -> float
 (** Kilobytes to bytes (factor 1e3, as in the paper's flow sizes). *)
 
-val mb : float -> float
-(** Megabytes to bytes (factor 1e6). *)
-
-val bytes_to_bits : float -> float
-
-val bits_to_bytes : float -> float
-
 val transmission_time : bytes:float -> rate_bps:float -> float
 (** Serialization delay of [bytes] at [rate_bps], in seconds. *)
-
-val pp_rate : Format.formatter -> float -> unit
-(** Pretty-print a rate in bps with an adaptive unit (Kbps/Mbps/Gbps). *)
 
 val pp_time : Format.formatter -> float -> unit
 (** Pretty-print a duration in seconds with an adaptive unit (ns/µs/ms/s). *)

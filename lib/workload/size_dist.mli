@@ -41,5 +41,3 @@ val mean : t -> float
 val cdf_at : t -> float -> float
 
 val name : t -> string
-
-val with_name : string -> t -> t

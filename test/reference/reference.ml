@@ -6,6 +6,8 @@
    hot path and everything may allocate; clarity and faithfulness to the
    original code win over speed. *)
 
+open Nf_num
+
 let path_price problem ~prices i =
   Array.fold_left
     (fun acc lid -> acc +. prices.(lid))

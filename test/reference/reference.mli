@@ -7,25 +7,15 @@
     called from production paths — qcheck properties compare the sparse
     results against them (see test/test_num.ml). They read only the
     problem's flow paths and group members (building the link → flows
-    map S(l) themselves), never its {!Incidence.t}. *)
+    map S(l) themselves), never its {!Nf_num.Incidence.t}. *)
 
-val path_price : Problem.t -> prices:float array -> int -> float
-
-val group_rate : Problem.t -> rates:float array -> int -> float
+open Nf_num
 
 val link_loads : Problem.t -> rates:float array -> float array
 
 val link_flows : Problem.t -> int array array
 (** [S(l)] for every link: the flows crossing it, ascending, each once
     even if its path repeats the link. *)
-
-val flow_weights :
-  Problem.t -> prices:float array -> prev_rates:float array -> float array
-
-val price_update :
-  Problem.t -> Xwi_core.params -> prices:float array -> rates:float array ->
-  float array
-(** One synchronized Eqs. 9–11 update; returns the new prices. *)
 
 val maxmin : Problem.t -> weights:float array -> Maxmin.result
 (** The array-API water-filling (itself the legacy flow-major scan). *)

@@ -8,7 +8,7 @@ module Alloc_audit = Nf_experiments.Alloc_audit
 
 let test_audit_within_limits () =
   let results = Alloc_audit.run ~iters:2_000 () in
-  Alcotest.(check int) "ten kernels audited" 10 (List.length results);
+  Alcotest.(check int) "eleven kernels audited" 11 (List.length results);
   List.iter
     (fun r ->
       Alcotest.(check bool)

@@ -169,6 +169,89 @@ let test_cmt_missing () =
   Alcotest.(check (list string)) "cmt-missing under require_cmt"
     [ "cmt-missing" ] (rules_of strict)
 
+(* ---------------- unused-export ---------------- *)
+
+(* The fixture pool lives under test/, so the repo's own predicate would
+   call every fixture test code; here only ttest_* files are. *)
+let fixture_test_code path =
+  String.starts_with ~prefix:"ttest_" (Filename.basename path)
+
+let lint_exports files =
+  Driver.run
+    ~enabled:(String.equal "unused-export")
+    ~config:Config.strict ~cmts:(Lazy.force typed_cmts)
+    ~test_code:fixture_test_code
+    (List.map typed_fixture files)
+
+(* A finding's baseline key with its file checked and stripped. *)
+let keyed_in file (f : Finding.t) =
+  Alcotest.(check string) "finding's file" (typed_fixture file) f.file;
+  Printf.sprintf "[%s] %s" f.rule f.msg
+
+let test_unused_export () =
+  let r =
+    lint_exports
+      [ "texports.ml"; "texports_packed.ml"; "texports_included.ml" ]
+  in
+  (* [direct] (named directly), [via_alias] (named through [module E =
+     Texports]), [waived] (justified waiver) and the packed and included
+     modules' values are clean. *)
+  Alcotest.(check (list string))
+    "unused and the bare waiver are the only findings"
+    [
+      "[unused-export] Texports.unused is exported but no other unit uses \
+       it; delete it, or drop it from the interface if its own unit does";
+      "[unused-export] unused-export waiver carries no justification; write \
+       [@nf.allow \"unused-export -- why this export stays\"]";
+    ]
+    (List.map (keyed_in "texports.mli") r.Driver.findings);
+  Alcotest.(check (list string))
+    "a test-only export is informational"
+    [
+      "[unused-export] Texports.only_tests is used only by tests \
+       (test/lint_fixtures_typed/ttest_exports.ml)";
+    ]
+    (List.map (keyed_in "texports.mli") r.Driver.test_only)
+
+(* Under the default predicate every fixture user is test code (they all
+   live under test/): the packed module's exports are informational
+   only, so nothing reaches the findings nf_lint's exit code is computed
+   from. *)
+let test_unused_export_test_only () =
+  let r =
+    Driver.run
+      ~enabled:(String.equal "unused-export")
+      ~config:Config.strict ~cmts:(Lazy.force typed_cmts)
+      [ typed_fixture "texports_packed.ml" ]
+  in
+  Alcotest.(check (list string)) "no findings" []
+    (List.map Finding.to_string r.Driver.findings);
+  Alcotest.(check (list string))
+    "both values informational"
+    [
+      "[unused-export] Texports_packed.a is used only by tests \
+       (test/lint_fixtures_typed/texports_user.ml)";
+      "[unused-export] Texports_packed.b is used only by tests \
+       (test/lint_fixtures_typed/texports_user.ml)";
+    ]
+    (List.map (keyed_in "texports_packed.mli") r.Driver.test_only)
+
+let test_unreadable_cmt () =
+  let dir = Filename.temp_file "nf_lint_cmts" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let bad = Filename.concat dir "broken.cmt" in
+  Out_channel.with_open_bin bad (fun oc -> output_string oc "not a cmt");
+  let idx = Cmts.index ~roots:[ dir ] in
+  let r = Driver.run ~config:Config.strict ~cmts:idx [ fixture "allow_ok.ml" ] in
+  Sys.remove bad;
+  Sys.rmdir dir;
+  Alcotest.(check int) "kept as unreadable" 1 (List.length (Cmts.unreadable idx));
+  Alcotest.(check bool) "reported as a finding" true
+    (List.exists
+       (fun f -> f.Finding.rule = "cmt-missing" && contains f.Finding.file "broken.cmt")
+       r.Driver.findings)
+
 (* ---------------- suppression ---------------- *)
 
 let test_allow_suppresses () =
@@ -223,7 +306,7 @@ let test_output_deterministic () =
       ~cmts:(Lazy.force typed_cmts)
       [ fixture_dir; typed_dir ]
   in
-  let a = run () and b = run () in
+  let a = (run ()).Driver.findings and b = (run ()).Driver.findings in
   Alcotest.(check (list string))
     "repeat runs are byte-identical"
     (List.map Finding.to_string a)
@@ -343,6 +426,7 @@ let test_catalog () =
       "domain-safety";
       "stale-generation";
       "serve-blocking";
+      "unused-export";
     ]
     Rules.rule_ids;
   let stage_of id =
@@ -382,6 +466,10 @@ let () =
           Alcotest.test_case "stale-generation" `Quick test_stale_generation;
           Alcotest.test_case "serve-blocking" `Quick test_serve_blocking;
           Alcotest.test_case "cmt-missing" `Quick test_cmt_missing;
+          Alcotest.test_case "unreadable cmt" `Quick test_unreadable_cmt;
+          Alcotest.test_case "unused-export" `Quick test_unused_export;
+          Alcotest.test_case "unused-export: test-only is informational"
+            `Quick test_unused_export_test_only;
         ] );
       ( "suppression",
         [

@@ -799,7 +799,7 @@ let test_problem_structure () =
   Alcotest.(check (array int)) "link 2 flows" [| 1; 2; 3 |] (Problem.link_flows p 2);
   Alcotest.(check (array int))
     "reference S(2)" [| 1; 2; 3 |]
-    (Nf_num.Reference.link_flows p).(2);
+    (Nf_reference.Reference.link_flows p).(2);
   let rates = [| 1.; 2.; 4.; 8. |] in
   check_close "group rate" 3. (Problem.group_rate p ~rates 0);
   let loads = Array.make (Problem.n_links p) 0. in
@@ -809,7 +809,7 @@ let test_problem_structure () =
   (* ... but its rate loads link 2 once per traversal. *)
   check_close "load l2" 22. loads.(2);
   Alcotest.(check (array (float 0.)))
-    "loads match the reference" (Nf_num.Reference.link_loads p ~rates) loads;
+    "loads match the reference" (Nf_reference.Reference.link_loads p ~rates) loads;
   check_close "path price" 5. (Problem.path_price p ~prices:[| 1.; 2.; 4. |] 2);
   check_close "looping path price" 10.
     (Problem.path_price p ~prices:[| 1.; 2.; 4. |] 3);
@@ -862,7 +862,7 @@ let test_problem_validation () =
 (* Sparse CSR/CSC core vs the legacy reference kernels *)
 
 module Incidence = Nf_num.Incidence
-module Reference = Nf_num.Reference
+module Reference = Nf_reference.Reference
 module Shard = Nf_util.Shard
 
 let test_incidence_structure () =

@@ -985,7 +985,7 @@ let test_rto_ack_after_requeue_counts_once () =
   let ctx =
     {
       Host.sim;
-      after = (fun delay f -> Sim.schedule_after sim ~delay f);
+      cat = Sim.cat "event";
       pool = Packet.create_pool ();
       transmit =
         (fun pkt ->
@@ -1157,8 +1157,8 @@ let test_pinned_protocol_runs () =
 
 let test_record_json_has_channels () =
   (* A monitored run's record must serialize every instrumentation
-     channel: queue/price/drops (link monitor), rate (receiver sink) and
-     fct (completion). *)
+     channel, and only those five: queue/price/drops (link monitor), rate
+     (receiver sink) and fct (completion). *)
   let sb = Builders.single_bottleneck ~n_senders:1 () in
   let config = { Nf_sim.Config.default with Nf_sim.Config.record_rates = true } in
   let net =
@@ -1181,7 +1181,8 @@ let test_record_json_has_channels () =
   List.iter
     (fun key ->
       Alcotest.(check bool) ("json has " ^ key) true (contains ("\"" ^ key ^ "\"")))
-    [ "queue"; "price"; "rate"; "drops"; "fct"; "channels" ]
+    [ "queue"; "price"; "rate"; "drops"; "fct"; "channels" ];
+  Alcotest.(check bool) "no metric channel" false (contains "\"metric\"")
 
 let test_trace_flow_lifecycle () =
   (* A deterministic two-flow run against a kinds-filtered sink: the
@@ -1270,7 +1271,7 @@ let test_record_empty_json () =
   let json = Nf_sim.Record.to_json (Nf_sim.Record.create ()) in
   Alcotest.(check string) "empty record shape"
     "{\"channels\":{\"queue\":[],\"price\":[],\"rate\":[],\"drops\":\
-     [],\"fct\":[],\"metric\":[]}}"
+     [],\"fct\":[]}}"
     json
 
 let () =

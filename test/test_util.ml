@@ -138,14 +138,6 @@ let prop_int_ring_matches_queue =
 (* ------------------------------------------------------------------ *)
 (* EWMA *)
 
-let test_ewma_gain () =
-  let f = Ewma.gain ~g:0.5 in
-  Alcotest.(check (option (float 0.))) "unset" None (Ewma.gain_value f);
-  Ewma.gain_update f 10.;
-  check_float "first sample initializes" 10. (Ewma.gain_value_exn f);
-  Ewma.gain_update f 20.;
-  check_float "blend" 15. (Ewma.gain_value_exn f)
-
 let test_ewma_timed_convergence () =
   let f = Ewma.timed ~tau:1. in
   Ewma.timed_update f ~now:0. 0.;
@@ -447,7 +439,7 @@ let prop_piecewise_integral_additive =
 (* Timeseries *)
 
 let test_timeseries_basics () =
-  let ts = Timeseries.create ~name:"x" () in
+  let ts = Timeseries.create () in
   Alcotest.(check bool) "empty" true (Timeseries.is_empty ts);
   Timeseries.add ts ~time:0. 1.;
   Timeseries.add ts ~time:1. 2.;
@@ -493,16 +485,6 @@ let test_timeseries_resample () =
     check_float "g2" 6. v2;
     check_float "g3" 6. v3
   | _ -> Alcotest.fail "unexpected grid shape"
-
-let test_timeseries_smooth () =
-  let ts = Timeseries.create () in
-  for i = 0 to 100 do
-    Timeseries.add ts ~time:(float_of_int i *. 0.1) 10.
-  done;
-  let sm = Timeseries.smooth ts ~tau:0.2 in
-  match Timeseries.last sm with
-  | Some (_, v) -> check_float "smoothing a constant is identity" 10. v
-  | None -> Alcotest.fail "no samples"
 
 (* ------------------------------------------------------------------ *)
 (* Units & Fcmp *)
@@ -974,7 +956,6 @@ let () =
         ] );
       ( "ewma",
         [
-          quick "fixed gain" test_ewma_gain;
           quick "timed converges to step" test_ewma_timed_convergence;
           quick "out-of-order samples ignored" test_ewma_timed_out_of_order;
           quick "90% rise time" test_ewma_rise_time;
@@ -1020,7 +1001,6 @@ let () =
           quick "ordering enforced" test_timeseries_out_of_order;
           quick "time-weighted mean" test_timeseries_mean_over;
           quick "resample" test_timeseries_resample;
-          quick "smooth constant" test_timeseries_smooth;
         ] );
       ("units", [ quick "conversions" test_units; quick "fcmp" test_fcmp ]);
       ( "trace",

@@ -94,12 +94,37 @@ let lint_file ?enabled ?cmts ?(require_cmt = false) ~config path =
   in
   syntactic @ typed
 
-let run ?enabled ?(config = Config.repo_default) ?cmts ?require_cmt roots =
+type report = { findings : Finding.t list; test_only : Finding.t list }
+
+(* The per-file stages, then the whole-program [unused-export] pass over
+   every artifact in the index. An artifact the index could not read
+   would leave its references out of that pass, so it is a finding. *)
+let run ?enabled ?(config = Config.repo_default) ?cmts ?require_cmt ?test_code
+    roots =
   let files = collect_files roots in
-  List.concat_map
-    (fun f -> lint_file ?enabled ?cmts ?require_cmt ~config f)
-    files
-  |> List.sort Finding.compare
+  let per_file =
+    List.concat_map
+      (fun f -> lint_file ?enabled ?cmts ?require_cmt ~config f)
+      files
+  in
+  match cmts with
+  | None -> { findings = List.sort Finding.compare per_file; test_only = [] }
+  | Some idx ->
+    let exports = Typed_rules.check_exports ?enabled ?test_code ~config idx files in
+    let unreadable =
+      List.map
+        (fun (path, msg) ->
+          Finding.v ~file:(Config.normalize path) ~line:1 ~col:0
+            ~rule:"cmt-missing"
+            ("unreadable artifact, its references are missing from the \
+              unused-export index: " ^ msg))
+        (Cmts.unreadable idx)
+    in
+    {
+      findings =
+        List.sort Finding.compare (per_file @ exports.unused @ unreadable);
+      test_only = exports.test_only;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: one [Finding.baseline_key] per line; '#' comments and blank

@@ -23,15 +23,24 @@ val lint_file :
   string ->
   Finding.t list
 
-(** Lint every [.ml] under the roots; findings come back sorted with
-    {!Finding.compare}. [config] defaults to {!Config.repo_default}. *)
+type report = {
+  findings : Finding.t list;  (** sorted with {!Finding.compare} *)
+  test_only : Finding.t list;
+      (** exports only test code uses: informational, never gating *)
+}
+
+(** Lint every [.ml] under the roots, then run the whole-program
+    [unused-export] pass ({!Typed_rules.check_exports}) over every
+    artifact in [cmts]. An unreadable artifact in [cmts] is a
+    [cmt-missing] finding. [config] defaults to {!Config.repo_default}. *)
 val run :
   ?enabled:(string -> bool) ->
   ?config:Config.t ->
   ?cmts:Cmts.t ->
   ?require_cmt:bool ->
+  ?test_code:(string -> bool) ->
   string list ->
-  Finding.t list
+  report
 
 type baseline_result = {
   fresh : Finding.t list;  (** findings not covered by the baseline *)

@@ -106,6 +106,16 @@ let catalog =
         "no blocking calls (Unix.sleep/sleepf/system/wait, Thread.delay) \
          inside the single-threaded serve dispatch loop";
     };
+    {
+      id = "unused-export";
+      stage = Typed;
+      summary =
+        "every val of a lib/ .mli is named by another unit somewhere under \
+         the cmt roots (through module aliases, or by a whole-module use: \
+         include, (module M), a functor argument, module type of); one \
+         only test code names is reported as informational, not a \
+         finding";
+    };
   ]
 
 let rule_ids = List.map (fun m -> m.id) catalog

@@ -118,6 +118,7 @@ let justified_rules =
   [
     ("domain-safety", "why this shared write is safe");
     ("hot-barrier", "why this pointer store stays");
+    ("unused-export", "why this export stays");
   ]
 
 let with_allows ?(check_justification = false) ctx (attrs : attributes) k =
@@ -863,3 +864,237 @@ let check_stale ctx (str : structure) =
 let check_structure ctx (str : structure) =
   check_main ctx str;
   if ctx.enabled "stale-generation" then check_stale ctx str
+
+(* --------------------------------------------------------------- *)
+(* unused-export: a whole-program pass. Every artifact under the cmt
+   roots is walked once for value references and whole-module uses;
+   every [val] of a checked interface that no other unit references is
+   a finding, and one referenced only from test code is reported
+   separately as informational.
+
+   Paths are recorded raw (as written, local aliases substituted) and
+   resolved afterwards against the table of every [module X = P] alias
+   seen in any unit, so [Bf.solve] behind [module Bf =
+   Nf_num.Bandwidth_function] and the library's own
+   [Nf_num.Bandwidth_function] alias both land on
+   [Nf_num__Bandwidth_function.solve]. *)
+
+(* The module expression [module X = P] or [module X : S = P] binds X
+   as an alias of P. *)
+let alias_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) -> Some p
+  | _ -> None
+
+(* One artifact's raw value paths ("M.v") and raw module paths used as a
+   whole; its structure-level aliases go into [aliases]. *)
+let scan_unit ~aliases (infos : Cmt_format.cmt_infos) =
+  let locals : (Ident.t, string) Hashtbl.t = Hashtbl.create 16 in
+  let values = ref [] and wholes = ref [] in
+  let prefix = ref infos.cmt_modname in
+  let rec raw (p : Path.t) =
+    match p with
+    | Pident id -> (
+      match Hashtbl.find_opt locals id with
+      | Some r -> Some r
+      | None -> if Ident.persistent id then Some (Ident.name id) else None)
+    | Pdot (q, s) -> Option.map (fun r -> r ^ "." ^ s) (raw q)
+    | Papply _ | Pextra_ty _ -> None
+  in
+  (* Only a binding at structure or signature level is reachable by path
+     from other units ([global]). *)
+  let bind ~global id name target =
+    match (id, raw target) with
+    | Some id, Some r ->
+      Hashtbl.replace locals id r;
+      if global then
+        Option.iter (fun n -> Hashtbl.replace aliases (!prefix ^ "." ^ n) r) name
+    | _ -> ()
+  in
+  let nested id name k =
+    match name with
+    | Some n ->
+      let saved = !prefix in
+      prefix := saved ^ "." ^ n;
+      Option.iter (fun id -> Hashtbl.replace locals id !prefix) id;
+      Fun.protect ~finally:(fun () -> prefix := saved) k
+    | None -> k ()
+  in
+  let default = Tast_iterator.default_iterator in
+  let expr self e =
+    match e.exp_desc with
+    | Texp_ident (Pdot (q, v), _, _) ->
+      Option.iter (fun r -> values := (r ^ "." ^ v) :: !values) (raw q)
+    | Texp_letmodule (id, _, _, me, body) when alias_target me <> None ->
+      Option.iter (bind ~global:false id None) (alias_target me);
+      self.Tast_iterator.expr self body
+    | _ -> default.expr self e
+  in
+  let module_expr self me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Option.iter (fun r -> wholes := r :: !wholes) (raw p)
+    | _ -> default.module_expr self me
+  in
+  let module_binding self mb =
+    match alias_target mb.mb_expr with
+    | Some p -> bind ~global:true mb.mb_id mb.mb_name.txt p
+    | None ->
+      nested mb.mb_id mb.mb_name.txt (fun () -> default.module_binding self mb)
+  in
+  let module_declaration self md =
+    match md.md_type.mty_desc with
+    | Tmty_alias (p, _) -> bind ~global:true md.md_id md.md_name.txt p
+    | _ ->
+      nested md.md_id md.md_name.txt (fun () ->
+          default.module_declaration self md)
+  in
+  (* [open M] uses nothing itself: the uses after it are recorded. *)
+  let open_declaration self (od : open_declaration) =
+    match od.open_expr.mod_desc with
+    | Tmod_ident _ -> ()
+    | _ -> default.open_declaration self od
+  in
+  let it =
+    {
+      default with
+      expr;
+      module_expr;
+      module_binding;
+      module_declaration;
+      open_declaration;
+    }
+  in
+  (match infos.cmt_annots with
+  | Implementation str -> it.structure it str
+  | Interface sg -> it.signature it sg
+  | _ -> ());
+  (!values, !wholes)
+
+(* Rewrite every alias prefix of a raw path to its target, to a fixed
+   point ([fuel] bounds a cyclic table). *)
+let resolve aliases raw =
+  let rec go fuel raw =
+    match String.split_on_char '.' raw with
+    | [] -> raw
+    | first :: rest ->
+      List.fold_left
+        (fun acc c ->
+          let acc = acc ^ "." ^ c in
+          match Hashtbl.find_opt aliases acc with
+          | Some target when fuel > 0 -> go (fuel - 1) target
+          | _ -> acc)
+        first rest
+  in
+  go 32 raw
+
+let unit_of path =
+  match String.index_opt path '.' with
+  | Some i -> String.sub path 0 i
+  | None -> path
+
+(* Test code: a unit under a [test] directory. *)
+let repo_test_code path =
+  List.mem "test" (List.tl (List.rev (String.split_on_char '/' path)))
+
+type exports = { unused : Finding.t list; test_only : Finding.t list }
+
+(* The [val]s a signature declares, with their module path; nested
+   [module M : sig ... end] declarations included. Values an [include]
+   brings in are the included module's, not this interface's. *)
+let rec declared_values path (sg : signature) =
+  List.concat_map
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd -> [ (path, vd) ]
+      | Tsig_module { md_name = { txt = Some n; _ }; md_type; _ } -> (
+        match md_type.mty_desc with
+        | Tmty_signature sub -> declared_values (path ^ "." ^ n) sub
+        | _ -> [])
+      | _ -> [])
+    sg.sig_items
+
+let check_exports ?(enabled = fun _ -> true) ?(test_code = repo_test_code)
+    ~config cmts files =
+  let aliases = Hashtbl.create 256 in
+  let units =
+    if not (enabled "unused-export") then []
+    else
+      List.filter_map
+        (fun path ->
+          match Cmts.read path with
+          | Ok infos ->
+            let src = Option.fold ~none:"" ~some:Config.normalize infos.cmt_sourcefile in
+            Some (infos.cmt_modname, src, scan_unit ~aliases infos)
+          | Error _ -> None)
+        (Cmts.artifacts cmts)
+  in
+  (* resolved value path, or module path used as a whole -> (source,
+     is test code) of every other unit naming it *)
+  let uses = Hashtbl.create 4096 in
+  List.iter
+    (fun (modname, src, (values, wholes)) ->
+      List.iter
+        (fun raw ->
+          let key = resolve aliases raw in
+          if unit_of key <> modname then
+            Hashtbl.add uses key (src, test_code src))
+        (values @ wholes))
+    units;
+  (* A value's users: those naming it, or its module or an enclosing one
+     as a whole. *)
+  let rec users_of path =
+    Hashtbl.find_all uses path
+    @
+    match String.rindex_opt path '.' with
+    | Some i -> users_of (String.sub path 0 i)
+    | None -> []
+  in
+  let unused = ref [] and test_only = ref [] in
+  if units <> [] then
+    List.iter
+      (fun ml ->
+        let mli = Config.normalize ml ^ "i" in
+        match Cmts.find_interface cmts mli with
+        | Some cmti when config.Config.require_mli ml -> (
+          match Cmts.read cmti with
+          | Ok { Cmt_format.cmt_annots = Interface sg; cmt_modname; _ } ->
+            let ctx = make_ctx ~enabled ~config mli in
+            (* "Nf_num__Problem.v" is spelled "Problem.v" in source *)
+            let shown = String.capitalize_ascii Filename.(remove_extension (basename mli)) in
+            List.iter
+              (fun (path, vd) ->
+                let v = vd.val_name.txt in
+                let name =
+                  shown
+                  ^ String.sub path (String.length cmt_modname)
+                      (String.length path - String.length cmt_modname)
+                  ^ "." ^ v
+                in
+                with_allows ~check_justification:true ctx vd.val_attributes
+                @@ fun () ->
+                match users_of (path ^ "." ^ v) with
+                | [] ->
+                  emit ctx ~loc:vd.val_loc "unused-export"
+                    (Printf.sprintf
+                       "%s is exported but no other unit uses it; delete it, \
+                        or drop it from the interface if its own unit does"
+                       name)
+                | users when List.for_all snd users ->
+                  test_only :=
+                    Finding.v ~file:ctx.file ~line:vd.val_loc.loc_start.pos_lnum
+                      ~col:0 ~rule:"unused-export"
+                      (Printf.sprintf "%s is used only by tests (%s)" name
+                         (String.concat ", "
+                            (List.sort_uniq String.compare (List.map fst users))))
+                    :: !test_only
+                | _ -> ())
+              (declared_values cmt_modname sg);
+            unused := findings ctx @ !unused
+          | Ok _ | Error _ -> ())
+        | _ -> ())
+      files;
+  {
+    unused = List.sort Finding.compare !unused;
+    test_only = List.sort Finding.compare !test_only;
+  }

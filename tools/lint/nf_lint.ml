@@ -84,7 +84,7 @@ let () =
   end;
   let roots = List.rev !roots in
   if roots = [] then begin
-    prerr_endline "nf_lint: no paths given (try: nf_lint lib bin)";
+    prerr_endline "nf_lint: no paths given (try: nf_lint lib bin tools examples)";
     exit 2
   end;
   let enabled =
@@ -127,7 +127,7 @@ let () =
   | exception Sys_error msg ->
     Printf.eprintf "nf_lint: %s\n" msg;
     exit 2
-  | findings ->
+  | { Driver.findings; test_only } ->
     if !update_baseline then begin
       if !baseline = "" then begin
         prerr_endline "nf_lint: --update-baseline requires --baseline FILE";
@@ -159,6 +159,9 @@ let () =
                 (List.map (Finding.json ~baseline_status:"fresh") result.fresh
                 @ List.map (Finding.json ~baseline_status:"baselined") result.baselined) );
             ("stale_baseline", Json.List (List.map (fun e -> Json.Str e) result.stale));
+            ( "test_only",
+              Json.List
+                (List.map (Finding.json ~baseline_status:"informational") test_only) );
           ]
       in
       Out_channel.with_open_text !json (fun oc ->
@@ -170,7 +173,7 @@ let () =
       (fun e -> Printf.eprintf "nf_lint: stale baseline entry: %s\n" e)
       result.stale;
     if not !quiet then
-      Printf.eprintf "nf_lint: %d finding(s)%s%s\n"
+      Printf.eprintf "nf_lint: %d finding(s)%s%s%s\n"
         (List.length result.fresh)
         (if result.baselined <> [] then
            Printf.sprintf " (%d baselined)" (List.length result.baselined)
@@ -179,6 +182,10 @@ let () =
            Printf.sprintf " (%d stale baseline entr%s)"
              (List.length result.stale)
              (if List.length result.stale = 1 then "y" else "ies")
+         else "")
+        (if test_only <> [] then
+           Printf.sprintf "; %d export(s) used only by tests (informational)"
+             (List.length test_only)
          else "");
     let fail =
       result.fresh <> [] || (!baseline_strict && result.stale <> [])
