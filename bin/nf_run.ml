@@ -691,7 +691,16 @@ let serve_drive_cmd =
             "nf_run serve-drive: scrape has no nf_serve_epochs_total@.";
           exit 1
         end;
-        Format.printf "(metrics scrape ok: %d bytes)@." (String.length body)
+        Format.printf "(metrics scrape ok: %d bytes)@." (String.length body);
+        (* The warm-start counters' sample lines, verbatim: CI requires a
+           nonzero polished-start count. *)
+        List.iter
+          (fun line ->
+            if
+              String.starts_with ~prefix:"nf_xwi_polished_starts_total " line
+              || String.starts_with ~prefix:"nf_xwi_carried_starts_total " line
+            then Format.printf "%s@." line)
+          (String.split_on_char '\n' body)
       | Error reason ->
         Format.eprintf "nf_run serve-drive: scrape failed: %s@." reason;
         exit 1

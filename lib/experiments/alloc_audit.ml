@@ -220,6 +220,35 @@ let paced_send_kernel () =
     Nf_engine.Sim.schedule_after_cat sim ~cat ~delay:gap stop;
     Nf_engine.Sim.run sim
 
+(* The switches' periodic price updates: one [update] of each of the
+   xWI, DGD and RCP* engines the transports use, on a 10 Gb/s port whose
+   counters the iteration refills first (a few packets' bytes, through
+   [on_dequeue]; an xWI residual, through [on_enqueue]), so every
+   update takes its busy-link branch. *)
+let price_update_kernel () =
+  let module Pe = Nf_sim.Price_engine in
+  let pool = Nf_sim.Packet.create_pool () in
+  let p =
+    Nf_sim.Packet.alloc_data pool ~flow:0 ~seq:0 ~size:1500 ~path:[| 0 |]
+      ~now:0.
+  in
+  p.Nf_sim.Packet.fl.Nf_sim.Packet.normalized_residual <- 1e-9;
+  let capacity = 10e9 and queue_bytes () = 3000 in
+  let engines =
+    [|
+      Pe.xwi ~capacity ();
+      Pe.dgd ~capacity ~queue_bytes ~price_scale:1e-9 ();
+      Pe.rcp ~alpha:1. ~capacity ~queue_bytes ~initial_fair_rate:1e9 ();
+    |]
+  in
+  fun () ->
+    for k = 0 to Array.length engines - 1 do
+      let e = engines.(k) in
+      e.Pe.on_enqueue p;
+      e.Pe.on_dequeue p;
+      e.Pe.update ()
+    done
+
 (* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
    same kind of instance as nfbench's solve_cold, at a fraction of its
    size. *)
@@ -326,6 +355,7 @@ let kernels () =
     ("packet_hop", packet_hop_kernel (), 4);
     ("packet_round_trip", packet_round_trip_kernel (), 30);
     ("paced_send", paced_send_kernel (), 26);
+    ("price_update", price_update_kernel (), 0);
     ("xwi_step", xwi_kernel (), 0);
     ("kkt_witness_check", kkt_witness_kernel (), 1);
     ("maxmin_solve_sparse", maxmin_kernel (), 0);

@@ -1,16 +1,19 @@
 (* Churn: warm-started re-solves on a standing leaf-spine problem.
 
-   The always-on service's core claim (ISSUE 8, ROADMAP "always-on
-   allocation service"): after a flow arrival/departure, restarting xWI
-   from the previous epoch's converged prices re-converges in a small
-   fraction of a cold start's iterations. This experiment measures it
-   deterministically: churn the paper's 128-server leaf-spine to a
-   standing population (the §6.2 semi-dynamic workload's ~100 active
-   flows), then for each of a series of single-flow arrivals run the
-   warm re-solve *and* a from-scratch cold solve of the identical
-   problem and compare iteration counts. The KKT residual of every warm
-   solution is checked against the cold one's tolerance, so the speedup
-   is never bought with a worse allocation. *)
+   The always-on service's core claim (ROADMAP "always-on allocation
+   service"): after a flow arrival/departure, the warm path re-converges
+   in a small fraction of a cold start's iterations. The warm path is
+   [Xwi_core.resize] — the previous epoch's converged prices, replaced by
+   their Newton polish when that start has the smaller KKT residual
+   (DESIGN.md "Warm restart") — then xWI until the KKT certificate. This
+   experiment measures it deterministically: churn the paper's
+   128-server leaf-spine to a standing population (the §6.2
+   semi-dynamic workload's ~100 active flows), then for each of a series
+   of single-flow arrivals run the warm re-solve *and* a from-scratch
+   cold solve of the identical problem and compare iteration counts.
+   The [start] column says which start the warm re-solve got. The KKT
+   residual of every warm solution is checked against the cold one's
+   tolerance, so the speedup is never bought with a worse allocation. *)
 
 module Problem = Nf_num.Problem
 module Xwi = Nf_num.Xwi_core
@@ -23,6 +26,7 @@ type event = {
   cold_iters : int;
   ratio : float;  (** warm / cold, lower is better *)
   warm_kkt : float;  (** worst KKT residual of the warm solution *)
+  polished : bool;  (** the warm re-solve started from the polished prices *)
   n_flows : int;
 }
 
@@ -105,6 +109,7 @@ let run ?(seed = 42) ?(prelude = 300) ?(arrivals = 10) ?(target = 100) () =
         cold_iters = cold.Xwi.iterations;
         ratio = float_of_int warm.Xwi.iterations /. float_of_int cold.Xwi.iterations;
         warm_kkt;
+        polished = Xwi.polished !state;
         n_flows = Problem.n_flows problem;
       }
       :: !events
@@ -131,7 +136,8 @@ let report t =
     ~title:
       "Churn: warm-started re-solve vs cold start, single flow arrivals on \
        the standing leaf-spine"
-    ~columns:[ "event"; "flows"; "warm_iters"; "cold_iters"; "ratio"; "warm_kkt" ]
+    ~columns:
+      [ "event"; "flows"; "start"; "warm_iters"; "cold_iters"; "ratio"; "warm_kkt" ]
     ~notes:
       [
         Printf.sprintf
@@ -152,6 +158,7 @@ let report t =
          [
            Report.int e.ev_index;
            Report.int e.n_flows;
+           Report.text (if e.polished then "polished" else "carried");
            Report.int e.warm_iters;
            Report.int e.cold_iters;
            Report.float e.ratio;

@@ -1,7 +1,8 @@
 (* Churn: warm-started re-solves on a standing leaf-spine problem. For
    each single-flow arrival after a churn prelude, compares the iteration
-   count of the warm re-solve (previous epoch's prices, via
-   [Xwi_core.resize]) against a cold solve of the identical problem; the
+   count of the warm re-solve ([Xwi_core.resize]: the previous epoch's
+   prices or their Newton polish, then xWI) against a cold solve of the
+   identical problem; the
    mean warm/cold ratio is the serve path's acceptance metric (at most
    0.10). Deterministic: no wall clock,
    all randomness seeded. *)
@@ -12,6 +13,9 @@ type event = {
   cold_iters : int;
   ratio : float;  (** warm / cold, lower is better *)
   warm_kkt : float;  (** worst KKT residual of the warm solution *)
+  polished : bool;
+      (** {!Nf_num.Xwi_core.polished}: the warm re-solve started from the
+          Newton-polished prices, not the carried ones *)
   n_flows : int;
 }
 

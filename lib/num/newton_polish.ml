@@ -1,0 +1,491 @@
+(* Active-set Newton polish of a carried price vector (DESIGN.md "Warm
+   restart"). Given the prices an xWI state carries across a flow-churn
+   delta and the rates they induce (the carried start), guess the set A
+   of links that are full at the new optimum, then solve for prices on A
+   alone that fill every link of A exactly:
+
+     F_l(p) = Σ_{i ∋ l} x_i(P_i) - c_l = 0   for l ∈ A,
+     P_i = Σ_{l ∈ L(i) ∩ A} p_l,  x_i(P) = U_i'^-1(P).
+
+   The Jacobian is -R_A D R_Aᵀ with D_i = -dx_i/dP_i > 0, so a Newton
+   step solves the positive semi-definite system M Δ = F, M = R_A D R_Aᵀ,
+   by a Cholesky over |A| (dense storage, sparse work). Every buffer
+   lives in the workspace and grows on demand only, so a polish
+   allocates nothing once the workspace has seen a problem of its size:
+   floats go through float arrays, never through refs, records or
+   results that would box them. *)
+
+type t = {
+  mutable mark : int array;  (* n_links; -1 outside A, else a tag/position *)
+  mutable start : float array;  (* n_links; per-link starting price *)
+  mutable loads : float array;  (* n_links; loads of the carried rates *)
+  mutable active : int array;  (* |A| link ids *)
+  mutable p : float array;  (* |A| prices *)
+  mutable trial : float array;  (* |A| line-search prices *)
+  mutable f : float array;  (* |A| residuals F *)
+  mutable dir : float array;  (* |A| Newton direction *)
+  mutable m : float array;  (* |A|²; M, then its Cholesky factor *)
+  mutable col : float array;  (* |A|; one column of the factor *)
+  mutable deg : int array;  (* n_links; M's row counts *)
+  mutable head : int array;  (* n_flows; collapse chains' heads *)
+  mutable chain : int array;  (* n_links; collapse chains, then stamps *)
+  mutable rep : int array;  (* n_links; a collapse class's kept link *)
+  mutable lptr : int array;  (* |A| + 1; the factor's columns (CSC) *)
+  mutable lrows : int array;  (* their nonzero rows below the diagonal *)
+  mutable fptr : int array;  (* n_flows + 1; flow -> A positions (CSR) *)
+  mutable fpos : int array;  (* nnz *)
+  mutable x : float array;  (* n_flows; rates at the current P *)
+  mutable d : float array;  (* n_flows; -dx/dP at the current P *)
+  norms : float array;
+      (* [evaluate]'s results, merit and max |F_l| / c_l: stored in a
+         float array, they are not boxed *)
+}
+
+let create () =
+  {
+    mark = [||];
+    start = [||];
+    loads = [||];
+    active = [||];
+    p = [||];
+    trial = [||];
+    f = [||];
+    dir = [||];
+    m = [||];
+    col = [||];
+    deg = [||];
+    head = [||];
+    chain = [||];
+    rep = [||];
+    lptr = [||];
+    lrows = [||];
+    fptr = [||];
+    fpos = [||];
+    x = [||];
+    d = [||];
+    norms = [| 0.; 0. |];
+  }
+
+(* The rules and bounds of DESIGN.md "Warm restart". *)
+let price_floor = 1e-3  (* A holds the links priced above this × p_max *)
+
+let saturation_tol = 1e-9  (* the water-fill's own saturation tolerance *)
+
+let ridge = 1e-8  (* relative, on M's diagonal *)
+
+let tol = 1e-12  (* max |F_l| / c_l at which a solve has converged *)
+
+let max_newton = 20
+
+let max_halvings = 40
+
+let max_rounds = 4  (* drop-and-re-solve rounds *)
+
+(* Dense Cholesky is O(|A|³): past this the polish costs more than the
+   xWI iterations it saves, so larger active sets keep the carried
+   start. *)
+let max_active = 256
+
+let floats a n = if Array.length a >= n then a else Array.make n 0.
+
+let ints a n = if Array.length a >= n then a else Array.make n 0
+
+let eligible problem =
+  let inc = Problem.incidence problem in
+  inc.Incidence.singleton
+  && Array.for_all
+       (fun u ->
+         match u.Utility.shape with
+         | Utility.Log _ | Utility.Power _ -> true
+         | Utility.Opaque -> false)
+       (Problem.utilities problem)
+
+(* Whether links [a] and [b] carry the same flows (the same CSC column). *)
+let same_column (inc : Incidence.t) a b =
+  let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
+  let sa = col_ptr.(a) and sb = col_ptr.(b) in
+  let n = col_ptr.(a + 1) - sa in
+  Int.equal n (col_ptr.(b + 1) - sb)
+  &&
+  let k = ref 0 in
+  while !k < n && Int.equal col_rows.(sa + !k) col_rows.(sb + !k) do
+    incr k
+  done;
+  Int.equal !k n
+
+(* Elimination order: the links still in A ([mark >= 0]) by the number
+   of nonzeros in their row of M (the other links of A their flows
+   cross), fewest first, then by id. A static minimum-degree order: the
+   host links, whose rows are short, go before the densely coupled
+   fabric links, so the factorization's fill stays in the last block. *)
+let order ws (inc : Incidence.t) =
+  let n_links = inc.Incidence.n_links in
+  let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
+  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
+  (* [chain] is free once the collapse is done: it holds the stamps. *)
+  let stamp = ws.chain and deg = ws.deg and n = ref 0 in
+  Array.fill stamp 0 n_links (-1);
+  for l = 0 to n_links - 1 do
+    if ws.mark.(l) >= 0 then begin
+      ws.active.(!n) <- l;
+      incr n;
+      let count = ref 0 in
+      for q = col_ptr.(l) to col_ptr.(l + 1) - 1 do
+        let i = col_rows.(q) in
+        for j = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          let l' = row_cols.(j) in
+          if ws.mark.(l') >= 0 && stamp.(l') <> l then begin
+            stamp.(l') <- l;
+            incr count
+          end
+        done
+      done;
+      deg.(l) <- !count
+    end
+  done;
+  let n = !n and a = ws.active in
+  for k = 1 to n - 1 do
+    let v = a.(k) in
+    let j = ref k in
+    while
+      !j > 0
+      &&
+      let u = a.(!j - 1) in
+      deg.(u) > deg.(v) || (Int.equal deg.(u) deg.(v) && u > v)
+    do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- v
+  done;
+  n
+
+(* Number the links still in A 0 .. m-1 in {!order}, load their
+   starting prices into [p], and build the flow -> A position rows (a
+   link the path repeats appears once per traversal). Returns m, or -1
+   if some flow crosses no link of A (its rate would be unbounded). *)
+let index ws (inc : Incidence.t) =
+  let n_flows = inc.Incidence.n_flows in
+  let m = order ws inc in
+  for k = 0 to m - 1 do
+    let l = ws.active.(k) in
+    ws.mark.(l) <- k;
+    ws.p.(k) <- ws.start.(l)
+  done;
+  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
+  let nnz = ref 0 and covered = ref true in
+  for i = 0 to n_flows - 1 do
+    ws.fptr.(i) <- !nnz;
+    for j = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let k = ws.mark.(row_cols.(j)) in
+      if k >= 0 then begin
+        ws.fpos.(!nnz) <- k;
+        incr nnz
+      end
+    done;
+    if Int.equal !nnz ws.fptr.(i) then covered := false
+  done;
+  ws.fptr.(n_flows) <- !nnz;
+  if !covered then m else -1
+
+(* Path prices, rates, D and F at prices [p]. Sets [norms] to the merit
+   Σ (F_l / c_l)² and max |F_l| / c_l, both infinity if a path price is
+   not positive and finite (the rates are then undefined). *)
+let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
+  let n_flows = inc.Incidence.n_flows and caps = inc.Incidence.caps in
+  let ok = ref true in
+  Array.fill ws.f 0 m 0.;
+  for i = 0 to n_flows - 1 do
+    let lo = ws.fptr.(i) and hi = ws.fptr.(i + 1) in
+    let pp = ref 0. in
+    for j = lo to hi - 1 do
+      pp := !pp +. p.(ws.fpos.(j))
+    done;
+    let pp = !pp in
+    if pp > 0. && pp < infinity then begin
+      (match utils.(i).Utility.shape with
+      | Utility.Log { weight } ->
+        let x = weight /. pp in
+        ws.x.(i) <- x;
+        ws.d.(i) <- x /. pp
+      | Utility.Power { weight; alpha; inv_alpha; _ } ->
+        let x = weight *. (pp ** inv_alpha) in
+        ws.x.(i) <- x;
+        ws.d.(i) <- x /. (alpha *. pp)
+      | Utility.Opaque -> ok := false);
+      let x = ws.x.(i) in
+      for j = lo to hi - 1 do
+        let k = ws.fpos.(j) in
+        ws.f.(k) <- ws.f.(k) +. x
+      done
+    end
+    else ok := false
+  done;
+  let merit = ref 0. and worst = ref 0. in
+  for k = 0 to m - 1 do
+    let c = caps.(ws.active.(k)) in
+    let fk = ws.f.(k) -. c in
+    ws.f.(k) <- fk;
+    let r = Float.abs fk /. c in
+    merit := !merit +. (r *. r);
+    if r > !worst || Float.is_nan r then worst := r
+  done;
+  if !ok && Float.is_finite !merit then begin
+    ws.norms.(0) <- !merit;
+    ws.norms.(1) <- !worst
+  end
+  else begin
+    ws.norms.(0) <- infinity;
+    ws.norms.(1) <- infinity
+  end
+
+(* M = R_A D R_Aᵀ (lower triangle, ridged), factored in place as L Lᵀ
+   (right-looking: each column of L updates the trailing block through
+   its nonzero rows only, so the work follows the fill, not |A|³);
+   false on a pivot that is not positive and finite. *)
+let factor ws (inc : Incidence.t) m =
+  let a = ws.m and col = ws.col in
+  Array.fill a 0 (m * m) 0.;
+  for i = 0 to inc.Incidence.n_flows - 1 do
+    let lo = ws.fptr.(i) and hi = ws.fptr.(i + 1) and di = ws.d.(i) in
+    for u = lo to hi - 1 do
+      let r = ws.fpos.(u) in
+      for v = lo to hi - 1 do
+        let c = ws.fpos.(v) in
+        if c <= r then a.((r * m) + c) <- a.((r * m) + c) +. di
+      done
+    done
+  done;
+  for k = 0 to m - 1 do
+    a.((k * m) + k) <- a.((k * m) + k) *. (1. +. ridge)
+  done;
+  let ok = ref true and j = ref 0 and q = ref 0 in
+  let lptr = ws.lptr and lrows = ws.lrows in
+  while !ok && !j < m do
+    let jj = !j in
+    let d = a.((jj * m) + jj) in
+    lptr.(jj) <- !q;
+    if d > 0. && d < infinity then begin
+      let pivot = sqrt d in
+      a.((jj * m) + jj) <- pivot;
+      let lo = !q in
+      for r = jj + 1 to m - 1 do
+        let v = a.((r * m) + jj) in
+        if v > 0. || v < 0. then begin
+          let v = v /. pivot in
+          a.((r * m) + jj) <- v;
+          col.(r) <- v;
+          lrows.(!q) <- r;
+          incr q
+        end
+      done;
+      for u = lo to !q - 1 do
+        let r = Array.unsafe_get lrows u in
+        let lr = Array.unsafe_get col r and rr = r * m in
+        for w = lo to u do
+          let c = Array.unsafe_get lrows w in
+          Array.unsafe_set a (rr + c)
+            (Array.unsafe_get a (rr + c) -. (lr *. Array.unsafe_get col c))
+        done
+      done
+    end
+    else ok := false;
+    incr j
+  done;
+  lptr.(m) <- !q;
+  !ok
+
+(* [dir] := M⁻¹ F by the two triangular solves on the factor, over its
+   nonzeros only. *)
+let solve_factored ws m =
+  let a = ws.m and y = ws.dir and lptr = ws.lptr and lrows = ws.lrows in
+  Array.blit ws.f 0 y 0 m;
+  for j = 0 to m - 1 do
+    let yj = y.(j) /. a.((j * m) + j) in
+    y.(j) <- yj;
+    for u = lptr.(j) to lptr.(j + 1) - 1 do
+      let r = Array.unsafe_get lrows u in
+      Array.unsafe_set y r
+        (Array.unsafe_get y r -. (Array.unsafe_get a ((r * m) + j) *. yj))
+    done
+  done;
+  for j = m - 1 downto 0 do
+    let s = ref y.(j) in
+    for u = lptr.(j) to lptr.(j + 1) - 1 do
+      let r = Array.unsafe_get lrows u in
+      s := !s -. (Array.unsafe_get a ((r * m) + j) *. Array.unsafe_get y r)
+    done;
+    y.(j) <- !s /. a.((j * m) + j)
+  done
+
+(* Damped Newton on [ws.p]; true once max |F_l| / c_l <= [tol]. The
+   step -J⁻¹F is a descent direction of the merit Σ (F_l / c_l)², so
+   halving it until the merit falls (Armijo, 1e-4) terminates short of
+   the noise floor. *)
+let newton ws inc utils m =
+  evaluate ws inc utils m ws.p;
+  let merit = ref ws.norms.(0) and rmax = ref ws.norms.(1) in
+  let it = ref 0 and live = ref (!merit < infinity) in
+  while !live && !rmax > tol && !it < max_newton do
+    incr it;
+    if not (factor ws inc m) then live := false
+    else begin
+      solve_factored ws m;
+      let t = ref 1. and accepted = ref false and halvings = ref 0 in
+      while (not !accepted) && !halvings <= max_halvings do
+        for k = 0 to m - 1 do
+          ws.trial.(k) <- ws.p.(k) +. (!t *. ws.dir.(k))
+        done;
+        evaluate ws inc utils m ws.trial;
+        if ws.norms.(0) <= (1. -. (2e-4 *. !t)) *. !merit then accepted := true
+        else begin
+          t := !t *. 0.5;
+          incr halvings
+        end
+      done;
+      if !accepted then begin
+        (* [evaluate] left F, x and D at the accepted trial. *)
+        Array.blit ws.trial 0 ws.p 0 m;
+        merit := ws.norms.(0);
+        rmax := ws.norms.(1)
+      end
+      else live := false
+    end
+  done;
+  !rmax <= tol
+
+(* Newton on the active set numbered by [index] (size [m]), then drop
+   the links that end negatively priced and re-solve the rest from their
+   prices, for at most [max_rounds] rounds in all. *)
+let rec rounds ws inc utils m round =
+  if m <= 0 || not (newton ws inc utils m) then false
+  else begin
+    let negative = ref false in
+    for k = 0 to m - 1 do
+      if ws.p.(k) < 0. then begin
+        negative := true;
+        ws.mark.(ws.active.(k)) <- -1
+      end
+      else ws.start.(ws.active.(k)) <- ws.p.(k)
+    done;
+    if not !negative then true
+    else if round >= max_rounds then false
+    else rounds ws inc utils (index ws inc) (round + 1)
+  end
+
+let solve ws problem ~prices ~rates ~out =
+  let inc = Problem.incidence problem in
+  let n_links = inc.Incidence.n_links and n_flows = inc.Incidence.n_flows in
+  if Array.length prices <> n_links || Array.length out <> n_links then
+    invalid_arg "Newton_polish.solve: prices length";
+  if Array.length rates <> n_flows then
+    invalid_arg "Newton_polish.solve: rates length";
+  let utils = Problem.utilities problem in
+  ws.mark <- ints ws.mark n_links;
+  ws.start <- floats ws.start n_links;
+  ws.loads <- floats ws.loads n_links;
+  ws.active <- ints ws.active n_links;
+  ws.deg <- ints ws.deg n_links;
+  ws.head <- ints ws.head n_flows;
+  ws.chain <- ints ws.chain n_links;
+  ws.rep <- ints ws.rep n_links;
+  ws.col <- floats ws.col n_links;
+  ws.fptr <- ints ws.fptr (n_flows + 1);
+  ws.fpos <- ints ws.fpos inc.Incidence.nnz;
+  ws.x <- floats ws.x n_flows;
+  ws.d <- floats ws.d n_flows;
+  let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
+  let caps = inc.Incidence.caps in
+  let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
+  (* A: the links priced above [price_floor] × p_max (tag 0)... *)
+  let p_max = ref 0. in
+  for l = 0 to n_links - 1 do
+    if prices.(l) > !p_max then p_max := prices.(l)
+  done;
+  let p_max = !p_max in
+  for l = 0 to n_links - 1 do
+    let busy = col_ptr.(l + 1) > col_ptr.(l) in
+    ws.mark.(l) <- (if busy && prices.(l) > price_floor *. p_max then 0 else -1);
+    ws.start.(l) <- prices.(l)
+  done;
+  Incidence.link_loads_into inc ~rates ~out:ws.loads;
+  (* ... plus, for each flow crossing none of them, its lowest-id link
+     that the carried water-fill saturated (tag 1), started at no less
+     than the flow's marginal utility at its carried rate. *)
+  let ok = ref true in
+  for i = 0 to n_flows - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    let covered = ref false in
+    for j = lo to hi - 1 do
+      if Int.equal ws.mark.(row_cols.(j)) 0 then covered := true
+    done;
+    if not !covered then begin
+      let best = ref (-1) in
+      for j = lo to hi - 1 do
+        let l = row_cols.(j) in
+        if ws.loads.(l) >= caps.(l) -. (saturation_tol *. caps.(l))
+           && (!best < 0 || l < !best)
+        then best := l
+      done;
+      if !best < 0 then ok := false
+      else begin
+        let l = !best in
+        if ws.mark.(l) < 0 then ws.mark.(l) <- 1;
+        let marginal = Utility.deriv_fast utils.(i) rates.(i) in
+        if marginal > ws.start.(l) then ws.start.(l) <- marginal
+      end
+    end
+  done;
+  (* Collapse links whose columns are identical: only the smallest
+     capacity of such a class can be full, and their rows of M are equal.
+     Identical columns start with the same flow, so the classes are
+     found along per-flow chains of each class's first (lowest-id) link,
+     [head] and [chain]; [rep] holds the link a class keeps so far, which
+     starts at the class's summed price, so no flow's path price moves. *)
+  let head = ws.head and chain = ws.chain and rep = ws.rep in
+  Array.fill head 0 n_flows (-1);
+  let n = ref 0 in
+  for l = 0 to n_links - 1 do
+    if ws.mark.(l) >= 0 then begin
+      let h = col_rows.(col_ptr.(l)) in
+      let first = ref head.(h) in
+      while !first >= 0 && not (same_column inc !first l) do
+        first := chain.(!first)
+      done;
+      if !first < 0 then begin
+        chain.(l) <- head.(h);
+        head.(h) <- l;
+        rep.(l) <- l;
+        incr n
+      end
+      else begin
+        let kept = rep.(!first) in
+        (* Ascending ids: on equal capacities the kept link stays. *)
+        let keep = if caps.(l) < caps.(kept) then l else kept in
+        let drop = if Int.equal keep l then kept else l in
+        ws.start.(keep) <- ws.start.(keep) +. ws.start.(drop);
+        ws.mark.(drop) <- -1;
+        rep.(!first) <- keep
+      end
+    end
+  done;
+  let n = if !ok then !n else 0 in
+  ws.p <- floats ws.p n;
+  ws.trial <- floats ws.trial n;
+  ws.f <- floats ws.f n;
+  ws.dir <- floats ws.dir n;
+  let m = if n > 0 then index ws inc else -1 in
+  if m <= 0 || m > max_active then false
+  else begin
+    ws.m <- floats ws.m (m * m);
+    ws.lptr <- ints ws.lptr (m + 1);
+    ws.lrows <- ints ws.lrows (m * m);
+    let solved = rounds ws inc utils m 1 in
+    if solved then begin
+      Array.fill out 0 n_links 0.;
+      for l = 0 to n_links - 1 do
+        if ws.mark.(l) >= 0 then out.(l) <- ws.p.(ws.mark.(l))
+      done
+    end;
+    solved
+  end

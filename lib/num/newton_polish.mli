@@ -1,0 +1,49 @@
+(** Active-set Newton polish of a carried price vector: the math behind
+    {!Xwi_core.resize}'s polished warm start (DESIGN.md "Warm restart").
+
+    From the prices an xWI state carries across a flow-churn delta and
+    the rates they induce, it guesses the set A of links that are full at
+    the new optimum and solves, by damped Newton, for prices on A alone
+    at which every link of A is exactly full with
+    [x_i = U_i'^-1(Σ_{l ∈ L(i) ∩ A} p_l)]:
+    - A is the links priced above 1e-3·p_max, plus, for each flow that
+      crosses none of them, its lowest-id link saturated by the carried
+      rates;
+    - links whose flow sets are identical collapse onto the one with the
+      smallest capacity (lowest id on ties);
+    - the system matrix is [R_A D R_Aᵀ] with [D_i = -dx_i/dP_i], with a
+      1e-8 relative ridge, factored by a Cholesky (dense storage, work
+      over the nonzeros, links in a static minimum-degree order);
+    - a backtracking line search keeps every path price positive, and a
+      solve stops at [max_l |F_l| / c_l <= 1e-12] within 20 steps;
+    - links that end negatively priced are dropped and the rest
+      re-solved, for at most 4 rounds.
+
+    Deterministic: every choice is by link or flow id. *)
+
+type t
+(** Scratch sized on demand: once the workspace has served a problem of
+    the same size, a polish allocates nothing (in release builds; dev
+    builds box the floats of a cross-unit {!Utility.deriv_fast} call).
+    Not for concurrent use from several domains. *)
+
+val create : unit -> t
+(** An empty workspace (no buffers until the first {!solve}). *)
+
+val eligible : Problem.t -> bool
+(** Every group is a single flow and every utility is [Log] or [Power]
+    (its {!Utility.shape}); otherwise there is no closed-form [U'^-1] to
+    differentiate or no single path price per group, and the polish does
+    not apply. *)
+
+val solve :
+  t -> Problem.t -> prices:float array -> rates:float array -> out:float array -> bool
+(** [solve ws problem ~prices ~rates ~out] polishes the carried [prices]
+    (length [n_links]) given [rates] (length [n_flows]), the allocation
+    those prices induce. On success it writes the polished prices into
+    [out] (zero off the final active set) and returns [true]. It returns
+    [false], leaving [out] unspecified, when the problem is not
+    {!eligible}-shaped, some flow crosses no link of the active set, the
+    active set has more than 256 links, a factorization fails, or a
+    solve does not converge.
+    @raise Invalid_argument on a length that does not match the problem. *)

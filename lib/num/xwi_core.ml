@@ -37,6 +37,16 @@ let m_kkt_witness_checks =
     ~help:"One-flow witness residuals run by run_until_kkt's stopping test"
     "nf_xwi_kkt_witness_checks_total"
 
+let m_polished_starts =
+  Metrics.counter Metrics.global
+    ~help:"Warm restarts (resize) that start from the Newton-polished prices"
+    "nf_xwi_polished_starts_total"
+
+let m_carried_starts =
+  Metrics.counter Metrics.global
+    ~help:"Warm restarts (resize) that keep the carried prices"
+    "nf_xwi_carried_starts_total"
+
 let trace_iter tr iter =
   if Trace.on tr Trace.XwiIter then
     Trace.emit tr Trace.XwiIter ~subject:0 ~time:(float_of_int iter)
@@ -110,6 +120,8 @@ type buffers = {
   b_inv_len : float array;  (* n_flows; 1 / |L(i)|, fixed per problem *)
   b_utils : Utility.t array;  (* n_groups; the snapshot's, shared *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
+  b_polish : Newton_polish.t;  (* [resize]'s scratch, handed down by it *)
+  mutable b_polished : bool;  (* [resize] kept the polished start *)
 }
 
 type state = {
@@ -125,7 +137,7 @@ type state = {
          corrupt memory through the unsafe sweeps). *)
 }
 
-let make_buffers problem =
+let make_buffers ~polish problem =
   let n_links = Problem.n_links problem
   and n_flows = Problem.n_flows problem
   and n_groups = Problem.n_groups problem in
@@ -141,6 +153,8 @@ let make_buffers problem =
       Array.init n_flows (fun i -> 1. /. float_of_int (Problem.path_len problem i));
     b_utils = Problem.utilities problem;
     b_maxmin_sparse = Maxmin.sparse_workspace (Problem.incidence problem);
+    b_polish = polish;
+    b_polished = false;
   }
 
 let equal_weight_rates problem =
@@ -357,51 +371,101 @@ let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
     ~n_flows:(Problem.n_flows problem)
 
-let make_state ?pool problem ~prices ~rates =
+let make_state ?pool ~polish problem ~prices ~rates =
   {
     prices;
     rates;
     weights = Array.make (Problem.n_flows problem) 1.;
     pool;
     diag = attach_diag problem;
-    buffers = make_buffers problem;
+    buffers = make_buffers ~polish problem;
     problem_gen = Problem.generation problem;
   }
 
 let init ?pool problem =
   let rates, prices = seed problem in
-  make_state ?pool problem ~prices ~rates
+  make_state ?pool ~polish:(Newton_polish.create ()) problem ~prices ~rates
 
 (* Weights from the given prices at the equal-weight allocation, then the
    allocation those weights induce. Only multipath groups read the
    allocation (their §6.3 split); when every group is a singleton the
    water-fill overwrites the rates unread, so the equal-weight solve and
    its throwaway workspace are skipped. *)
-let init_with_prices ?pool problem ~prices =
-  if Array.length prices <> Problem.n_links problem then
-    invalid_arg "Xwi_core.init_with_prices: prices length";
+let start_with_prices ?pool ~polish problem ~prices =
   let inc = Problem.incidence problem in
   let rates =
     if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
     else equal_weight_rates problem
   in
-  let state = make_state ?pool problem ~prices:(Array.copy prices) ~rates in
+  let state = make_state ?pool ~polish problem ~prices:(Array.copy prices) ~rates in
   allocate inc state;
   state
 
+let init_with_prices ?pool problem ~prices =
+  if Array.length prices <> Problem.n_links problem then
+    invalid_arg "Xwi_core.init_with_prices: prices length";
+  start_with_prices ?pool ~polish:(Newton_polish.create ()) problem ~prices
+
+(* Swap the carried start for the Newton-polished one when that one's KKT
+   residual is smaller (DESIGN.md "Warm restart"). The state's own
+   scratch holds what a swap needs: [b_old_prices] the polished prices
+   (then the carried ones), [b_old_rates] and [b_residual] the carried
+   rates and weights, [b_loads] the checks' loads. [step] rewrites all
+   four before reading them. A rejected polish restores the carried
+   start bit for bit. *)
+let polish_start problem state =
+  let bufs = state.buffers in
+  let polished = bufs.b_old_prices in
+  if
+    Newton_polish.eligible problem
+    && Newton_polish.solve bufs.b_polish problem ~prices:state.prices
+         ~rates:state.rates ~out:polished
+  then begin
+    let loads = bufs.b_loads in
+    let worst () =
+      Kkt.worst
+        (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
+    in
+    let carried = worst () in
+    let n_links = Array.length state.prices
+    and n_flows = Array.length state.rates in
+    Array.blit state.rates 0 bufs.b_old_rates 0 n_flows;
+    Array.blit state.weights 0 bufs.b_residual 0 n_flows;
+    for l = 0 to n_links - 1 do
+      let p = polished.(l) in
+      polished.(l) <- state.prices.(l);
+      state.prices.(l) <- p
+    done;
+    allocate (Problem.incidence problem) state;
+    if worst () < carried then bufs.b_polished <- true
+    else begin
+      Array.blit polished 0 state.prices 0 n_links;
+      Array.blit bufs.b_old_rates 0 state.rates 0 n_flows;
+      Array.blit bufs.b_residual 0 state.weights 0 n_flows
+    end
+  end
+
 (* Warm restart across a problem delta: keep the converged per-link price
    vector (links are stable across flow churn), rebuild everything sized
-   per-flow/per-group for the new snapshot. Near the old fixpoint the
-   carried prices put the first Eq. 7 weight computation, and hence the
-   first max-min allocation, close to right, but re-convergence still
-   takes hundreds of iterations: on nfbench's serve_churn stream (a
-   churning 100-flow leaf-spine, seed 1) about 274 per epoch on average
-   and about 4000 at the p99. *)
+   per-flow/per-group for the new snapshot, then try the Newton polish
+   of the carried prices. On nfbench's serve_churn stream (a churning
+   100-flow leaf-spine) the carried start alone needs a median of about
+   105 xWI iterations to re-certify an epoch, and the polished start
+   certifies about two thirds of all epochs at iteration 0. *)
 let resize ?pool problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";
   let pool = match pool with Some _ as p -> p | None -> state.pool in
-  init_with_prices ?pool problem ~prices:state.prices
+  let state =
+    start_with_prices ?pool ~polish:state.buffers.b_polish problem
+      ~prices:state.prices
+  in
+  polish_start problem state;
+  Metrics.incr
+    (if state.buffers.b_polished then m_polished_starts else m_carried_starts);
+  state
+
+let polished state = state.buffers.b_polished
 
 let set_diag state diag = state.diag <- diag
 

@@ -72,15 +72,36 @@ val init_with_prices : ?pool:Nf_util.Shard.t -> Problem.t -> prices:float array 
 
 val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
 (** Warm restart after a {!Problem} delta (flow arrivals/departures):
-    a fresh state for the problem's current snapshot that {e keeps the
-    old state's converged per-link prices} — link ids are stable across
-    flow churn, so near the old fixpoint the carried prices make
-    re-convergence take a small fraction of a cold start's iterations
-    (the [churn] experiment and nfbench's [serve_churn] workload
-    quantify this). Rates start at the allocation the carried prices
-    induce. The pool defaults to the old state's; diagnostics re-attach
-    per the process-wide config.
+    a fresh state for the problem's current snapshot that starts from
+    the old state's converged per-link prices — link ids are stable
+    across flow churn — or from their Newton polish.
+
+    The {e carried start} is {!init_with_prices} at the old prices.
+    When every group is a single flow with a [Log] or [Power] utility,
+    {!Newton_polish.solve} then solves for the prices at which a guessed
+    active set of links is exactly full; if that succeeds and the
+    allocation those prices induce has a smaller {!Kkt.worst} than the
+    carried start's, the state starts there instead (the {e polished
+    start}; DESIGN.md "Warm restart"). Otherwise — [Opaque] utilities,
+    §6.3 multipath groups, a failed or worse polish — the state is the
+    carried start bit for bit. On nfbench's [serve_churn] stream the
+    polished start is already certified (0 xWI iterations at tolerance
+    1e-6) in about two thirds of all epochs, against a median of about
+    105 iterations from the carried start.
+
+    Each call increments [nf_xwi_polished_starts_total] or
+    [nf_xwi_carried_starts_total]; {!polished} tells which start a state
+    got. The polish workspace is handed from the old state to the new
+    one, so a steady churn stream reuses it. The pool defaults to the
+    old state's; diagnostics re-attach per the process-wide config.
+    Deterministic: the same problem and state give a bit-identical
+    result.
     @raise Invalid_argument if the link count changed. *)
+
+val polished : state -> bool
+(** Whether {!resize} started this state from the Newton-polished prices
+    ([false] for the carried start and for states from {!init} or
+    {!init_with_prices}). *)
 
 val set_diag : state -> Diag.t option -> unit
 (** Attach or detach per-iteration diagnostics. The instance must be

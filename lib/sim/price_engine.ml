@@ -1,5 +1,3 @@
-module Fcmp = Nf_util.Fcmp
-
 type t = {
   on_enqueue : Packet.t -> unit;
   on_dequeue : Packet.t -> unit;
@@ -17,12 +15,23 @@ let none =
     value = (fun () -> 0.);
   }
 
-(* Comparison-only [Float.min], the NUM core's [fmin] (see
-   [Nf_num.Xwi_core.fmin]): bit-identical to the stdlib on every non-NaN
+(* Comparison-only [Float.max] / [Float.min], the NUM core's pair (see
+   [Nf_num.Xwi_core.fmax]): bit-identical to the stdlib on every non-NaN
    input, ±0 included, NaN-propagating like it, and free of its
    [caml_signbit_float] C calls. In-unit, so the per-packet [on_enqueue]
-   keeps its floats unboxed under every build profile; the per-interval
-   updates use [Fcmp.fmax]. *)
+   and the per-interval updates keep their floats unboxed under every
+   build profile. [clamp] is [Nf_util.Fcmp.clamp] spelled with them:
+   that one is a cross-library call through the stdlib pair, which boxed
+   its argument and results on every update (80 B per update of the
+   three engines in a release build). *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x then y
+  else if x > y then x
+  else if Float.is_nan x then x
+  else if Float.is_nan y then y
+  else if Float.equal x 0. then x +. y
+  else x
+
 let[@inline] fmin (x : float) (y : float) =
   if y < x then y
   else if x < y then x
@@ -30,6 +39,8 @@ let[@inline] fmin (x : float) (y : float) =
   else if Float.is_nan y then y
   else if Float.equal x 0. then -.(-.x -. y)
   else x
+
+let[@inline] clamp ~lo ~hi x = fmin hi (fmax lo x)
 
 (* Engine state lives in all-float records: the compiler stores their
    fields flat, so the per-packet and per-interval updates neither box
@@ -54,12 +65,12 @@ let xwi ?(eta = 5.) ?(beta = 0.5) ?(interval = 30e-6) ~capacity () =
   in
   let update () =
     let u =
-      Fcmp.clamp ~lo:0. ~hi:1.
+      clamp ~lo:0. ~hi:1.
         (float_of_int !bytes_serviced *. 8. /. (interval *. capacity))
     in
     let residual = if Float.is_finite st.min_res then st.min_res else 0. in
     let new_price =
-      Fcmp.fmax 0. (st.price +. residual -. (eta *. (1. -. u) *. st.price))
+      fmax 0. (st.price +. residual -. (eta *. (1. -. u) *. st.price))
     in
     st.price <- (beta *. st.price) +. ((1. -. beta) *. new_price);
     bytes_serviced := 0;
@@ -86,9 +97,9 @@ let dgd ?(gain_util = 0.3) ?(gain_queue = 0.15) ?(interval = 16e-6) ~capacity
     let q = float_of_int (queue_bytes ()) in
     let bdp_bytes = capacity *. interval /. 8. in
     let a = gain_util *. price_scale /. capacity in
-    let b = gain_queue *. price_scale /. Fcmp.fmax bdp_bytes 1. in
+    let b = gain_queue *. price_scale /. fmax bdp_bytes 1. in
     st.dgd_price <-
-      Fcmp.fmax 0. (st.dgd_price +. (a *. (y -. capacity)) +. (b *. q));
+      fmax 0. (st.dgd_price +. (a *. (y -. capacity)) +. (b *. q));
     bytes_serviced := 0
   in
   { on_enqueue; on_dequeue; update; interval; value = (fun () -> st.dgd_price) }
@@ -101,7 +112,7 @@ let rcp ?(gain_spare = 0.4) ?(gain_queue = 0.2) ?(interval = 16e-6)
   let st =
     {
       fair_rate =
-        Fcmp.clamp ~lo:(capacity *. 1e-6) ~hi:capacity initial_fair_rate;
+        clamp ~lo:(capacity *. 1e-6) ~hi:capacity initial_fair_rate;
     }
   in
   let bytes_serviced = ref 0 in
@@ -125,11 +136,11 @@ let rcp ?(gain_spare = 0.4) ?(gain_queue = 0.2) ?(interval = 16e-6)
        by at most 10% per update — an idle link that inflated its rate
        instantly would invite a line-rate blast from every sender the
        moment flows return, then crash to the floor and limit-cycle. *)
-    let factor = Fcmp.clamp ~lo:0.5 ~hi:1.1 (1. +. change) in
+    let factor = clamp ~lo:0.5 ~hi:1.1 (1. +. change) in
     (* Idle links advertise above capacity so their R^-alpha term fades
        from Eq. 16 at the fixed point. *)
     st.fair_rate <-
-      Fcmp.clamp ~lo:(capacity *. 1e-4) ~hi:(capacity *. 100.)
+      clamp ~lo:(capacity *. 1e-4) ~hi:(capacity *. 100.)
         (st.fair_rate *. factor);
     bytes_serviced := 0
   in

@@ -72,19 +72,20 @@ let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
      missing-key semantics. [virtual_time] is a 1-element array for the
      same reason — [float ref] assignment allocates a box per store. *)
   let finish_tags = ref (Array.make 64 0.) in
-  let ensure_flow fl =
+  (* The cold path of [enqueue]'s flow-id check: a negative id, or one
+     past the table, which doubles until it fits. Out of line, so the
+     hot path is the one compare below. *)
+  let[@inline never] grow_tags fl =
     if fl < 0 then invalid_arg "Queue_disc.stfq: negative flow id";
     let tags = !finish_tags in
     let n = Array.length tags in
-    if fl >= n then begin
-      let n' = ref (2 * n) in
-      while fl >= !n' do
-        n' := 2 * !n'
-      done;
-      let grown = Array.make !n' 0. in
-      Array.blit tags 0 grown 0 n;
-      finish_tags := grown
-    end
+    let n' = ref (2 * n) in
+    while fl >= !n' do
+      n' := 2 * !n'
+    done;
+    let grown = Array.make !n' 0. in
+    Array.blit tags 0 grown 0 n;
+    finish_tags := grown
   in
   let virtual_time = [| 0. |] in
   (* Comparison-only [Float.max], the NUM core's [fmax] (see
@@ -108,7 +109,8 @@ let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
     end
     else begin
       let fl = p.Packet.flow in
-      ensure_flow fl;
+      (* [fl lor (n - 1 - fl)] is negative iff [fl < 0] or [fl >= n]. *)
+      if fl lor (Array.length !finish_tags - 1 - fl) < 0 then grow_tags fl;
       let tags = !finish_tags in
       let start_tag = fmax virtual_time.(0) tags.(fl) in
       tags.(fl) <- start_tag +. p.Packet.fl.Packet.virtual_packet_len;

@@ -1262,6 +1262,164 @@ let prop_kkt_after_random_churn =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Warm restart: the Newton-polished start of [Xwi_core.resize] *)
+
+let random_alpha_fair rng =
+  let alpha = [| 0.5; 1.; 2. |].(Rng.int rng 3) in
+  Utility.alpha_fair ~weight:(Rng.uniform rng ~lo:0.2 ~hi:5.) ~alpha ()
+
+(* [random_problem] with one path per group, so the polish applies. *)
+let random_single_path_problem rng =
+  let n_links = 2 + Rng.int rng 5 in
+  let caps = Array.init n_links (fun _ -> Rng.uniform rng ~lo:1. ~hi:10.) in
+  Problem.create ~caps
+    ~groups:
+      (List.init
+         (2 + Rng.int rng 5)
+         (fun _ ->
+           Problem.single_path (random_alpha_fair rng) (random_path rng ~n_links)))
+
+let worst_of p (st : Xwi.state) =
+  Kkt.worst (Kkt.check p ~rates:st.Xwi.rates ~prices:st.Xwi.prices)
+
+let prop_polished_start_no_worse =
+  QCheck.Test.make
+    ~name:"resize's start is no worse (KKT) than the carried start under churn"
+    ~count:30 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 7000) in
+      let p = random_single_path_problem rng in
+      let n_links = Problem.n_links p in
+      let live = ref (List.init (Problem.n_groups p) Fun.id) in
+      let state = ref (Xwi.init p) in
+      ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params !state);
+      let ok = ref true in
+      for _ = 1 to 6 do
+        (if List.length !live <= 1 || Rng.int rng 2 = 0 then
+           live :=
+             Problem.add_group p
+               (Problem.single_path (random_alpha_fair rng) (random_path rng ~n_links))
+             :: !live
+         else begin
+           let victim = List.nth !live (Rng.int rng (List.length !live)) in
+           Problem.remove_group p victim;
+           live := List.filter (fun g -> g <> victim) !live
+         end);
+        Problem.commit p;
+        let carried = Xwi.init_with_prices p ~prices:!state.Xwi.prices in
+        state := Xwi.resize p !state;
+        ok := !ok && worst_of p !state <= worst_of p carried;
+        ignore
+          (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params !state)
+      done;
+      !ok)
+
+let check_same_state what (a : Xwi.state) (b : Xwi.state) =
+  let same name x y =
+    Alcotest.(check int) (what ^ " " ^ name ^ " length") (Array.length x) (Array.length y);
+    Array.iteri (fun i v -> check_bits (Printf.sprintf "%s %s.(%d)" what name i) v y.(i)) x
+  in
+  same "prices" a.Xwi.prices b.Xwi.prices;
+  same "rates" a.Xwi.rates b.Xwi.rates;
+  same "weights" a.Xwi.weights b.Xwi.weights
+
+(* Converge [p], add one flow on [path] with [utility], and return the
+   converged state's resize against the carried start. *)
+let resize_after_arrival p ~utility ~paths =
+  let state = Xwi.init p in
+  ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
+  ignore (Problem.add_group p { Problem.utility; paths });
+  Problem.commit p;
+  let carried = Xwi.init_with_prices p ~prices:state.Xwi.prices in
+  (Xwi.resize p state, carried)
+
+let test_polish_fallback_bit_identical () =
+  let caps = [| 10.; 4.; 6. |] in
+  let pf = Utility.proportional_fair () in
+  (* An [Opaque] utility: the log utility's closures without its shape. *)
+  let opaque =
+    Utility.make ~name:"opaque-log" ~value:log
+      ~deriv:(fun x -> 1. /. Float.max x Utility.min_rate)
+      ~inv_deriv:(fun p -> 1. /. p)
+  in
+  let single =
+    Problem.create ~caps
+      ~groups:
+        [
+          Problem.single_path pf [| 0; 1 |];
+          Problem.single_path opaque [| 0; 2 |];
+          Problem.single_path pf [| 2 |];
+        ]
+  in
+  let resized, carried =
+    resize_after_arrival single ~utility:pf ~paths:[ [| 1; 2 |] ]
+  in
+  Alcotest.(check bool) "opaque: carried start" false (Xwi.polished resized);
+  check_same_state "opaque" carried resized;
+  let multipath =
+    Problem.create ~caps
+      ~groups:
+        [
+          Problem.single_path pf [| 0; 1 |];
+          { Problem.utility = pf; paths = [ [| 0 |]; [| 2 |] ] };
+        ]
+  in
+  let resized, carried =
+    resize_after_arrival multipath ~utility:pf ~paths:[ [| 1; 2 |] ]
+  in
+  Alcotest.(check bool) "multipath: carried start" false (Xwi.polished resized);
+  check_same_state "multipath" carried resized
+
+(* A churned leaf-spine, the serve workload's fabric at a fifth of its
+   population: the polish runs on a realistic active set. *)
+let test_polish_deterministic () =
+  let ls = Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 () in
+  let topo = ls.Nf_topo.Builders.topo in
+  let router = Nf_topo.Routing.router topo in
+  let rng = Rng.create ~seed:11 in
+  let servers = ls.Nf_topo.Builders.servers in
+  let path k =
+    let n = Array.length servers in
+    let src = servers.(Rng.int rng n) in
+    let rec dst () =
+      let d = servers.(Rng.int rng n) in
+      if d = src then dst () else d
+    in
+    Array.of_list
+      (Nf_topo.Routing.ecmp_path_fast router ~src ~dst:(dst ()) ~hash:(k * 2654435761))
+  in
+  let caps =
+    Array.map (fun l -> l.Nf_topo.Topology.capacity) (Nf_topo.Topology.links topo)
+  in
+  let pf = Utility.proportional_fair () in
+  let p =
+    Problem.create ~caps ~groups:(List.init 20 (fun k -> Problem.single_path pf (path k)))
+  in
+  let state = Xwi.init p in
+  ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
+  ignore (Problem.add_group p (Problem.single_path pf (path 20)));
+  Problem.commit p;
+  let a = Xwi.resize p state in
+  let b = Xwi.resize p state in
+  Alcotest.(check bool) "polished" true (Xwi.polished a);
+  Alcotest.(check bool) "same start" (Xwi.polished a) (Xwi.polished b);
+  check_same_state "resize twice" a b
+
+(* [exp churn]'s default scenario (100 standing flows on the paper's
+   leaf-spine): most single arrivals are certified by the polished start
+   alone. *)
+let test_churn_polished_epochs () =
+  let t = Nf_experiments.Exp_churn.run () in
+  let zero =
+    List.length
+      (List.filter (fun e -> e.Nf_experiments.Exp_churn.warm_iters = 0) t.events)
+  in
+  Alcotest.(check int) "ten arrivals" 10 (List.length t.events);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 10 epochs take 0 iterations (at least 5)" zero)
+    true (zero >= 5)
+
+(* ------------------------------------------------------------------ *)
 (* Utility fast paths, sparse solve statistics, and solver diagnostics *)
 
 module Diag = Nf_num.Diag
@@ -1713,6 +1871,15 @@ let () =
           quick "capacity change mid-run (Fig. 10 path)" test_delta_caps_midrun;
           qcheck prop_warm_churn_matches_cold;
           qcheck prop_kkt_after_random_churn;
+        ] );
+      ( "warm-restart",
+        [
+          qcheck prop_polished_start_no_worse;
+          quick "opaque and multipath keep the carried start bit for bit"
+            test_polish_fallback_bit_identical;
+          quick "resize is deterministic" test_polish_deterministic;
+          quick "exp churn: half the arrivals certified at iteration 0"
+            test_churn_polished_epochs;
         ] );
       ( "sparse",
         [
