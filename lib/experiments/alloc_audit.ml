@@ -312,6 +312,54 @@ let kkt_witness_kernel () =
     if Nf_num.Kkt.flow_residual ~used_threshold problem ~rates ~prices !i <= 1e-6
     then incr cleared
 
+(* Steady churn at a constant size on the same 64-flow fat tree: the
+   problem, and a thunk that removes its oldest group, adds the group's
+   path back as a new group and commits. *)
+let churn_problem () =
+  let problem = xwi_problem ~k:4 ~n_flows:64 in
+  let n = Nf_num.Problem.n_groups problem in
+  let utility = Nf_num.Problem.group_utility problem 0 in
+  let paths = Array.init n (Nf_num.Problem.flow_path problem) in
+  (* Initial groups get gids [0 .. n-1]. *)
+  let gids = Array.init n Fun.id and next = ref 0 in
+  let churn () =
+    let k = !next in
+    next := (k + 1) mod n;
+    Nf_num.Problem.remove_group problem gids.(k);
+    gids.(k) <-
+      Nf_num.Problem.add_group problem (Nf_num.Problem.single_path utility paths.(k));
+    Nf_num.Problem.commit problem
+  in
+  (problem, churn)
+
+(* The serve loop's warm restart: the churn above, then
+   [Xwi_core.resize] of the last state (polished starts included: the
+   utilities are [Log]). [Problem.commit] allocates the new snapshot by
+   design, so [run] charges this kernel only its bytes beyond those of
+   the same churn on an identical problem without the resize. Returns
+   the thunk and the bytes a resize owes on 64-bit: the new state, that
+   is its record (seven fields) and its three public arrays (prices per
+   link, rates and weights per flow), each with its header, plus the two
+   four-float KKT reports that decide between the polished and the
+   carried start. *)
+let xwi_resize_kernel () =
+  let problem, churn = churn_problem () in
+  let state = ref (Nf_num.Xwi_core.init problem) in
+  Nf_num.Xwi_core.set_diag !state None;
+  ignore
+    (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
+      : Nf_num.Xwi_core.run);
+  let words =
+    8
+    + (Nf_num.Problem.n_links problem + 1)
+    + (2 * (Nf_num.Problem.n_flows problem + 1))
+    + (2 * 5)
+  in
+  ( (fun () ->
+      churn ();
+      state := Nf_num.Xwi_core.resize problem !state),
+    float_of_int (8 * words) )
+
 let maxmin_kernel () =
   let n_links = 32 in
   let n_flows = 64 in
@@ -333,8 +381,10 @@ let maxmin_kernel () =
   let ws = Nf_num.Maxmin.sparse_workspace inc in
   fun () -> Nf_num.Maxmin.solve_sparse ws inc ~weights ~rates
 
-(* (kernel, thunk, raw floats it passes across a library boundary per
-   iteration: each one a box on -opaque builds). The engine keeps event
+(* (kernel, thunk, baseline, bytes it owes by design, raw floats it
+   passes across a library boundary per iteration: each one a box on
+   -opaque builds). A kernel with a baseline is charged its bytes per
+   iteration less the baseline's. The engine keeps event
    times inside its compilation unit on the calendar wheel, and the
    audit's constant delays are preallocated, so the engine kernels owe
    nothing but [sim_overflow]'s Fheap key. The hop's four are STFQ's
@@ -346,29 +396,34 @@ let maxmin_kernel () =
    (404.5 B on a dev build), not a whole number: the ACKs in flight and
    the RTO timer do not land in every gap. *)
 let kernels () =
+  let plain name f boxes = (name, f, None, 0., boxes) in
   [
-    ("fheap_push_pop", fheap_kernel (), 2);
-    ("stfq_enqueue_dequeue", stfq_kernel (), 2);
-    ("sim_schedule_dispatch", sim_kernel (), 0);
-    ("sim_overflow", sim_overflow_kernel (), 1);
-    ("sim_same_time_tie", sim_tie_kernel (), 0);
-    ("packet_hop", packet_hop_kernel (), 4);
-    ("packet_round_trip", packet_round_trip_kernel (), 30);
-    ("paced_send", paced_send_kernel (), 26);
-    ("price_update", price_update_kernel (), 0);
-    ("xwi_step", xwi_kernel (), 0);
-    ("kkt_witness_check", kkt_witness_kernel (), 1);
-    ("maxmin_solve_sparse", maxmin_kernel (), 0);
+    plain "fheap_push_pop" (fheap_kernel ()) 2;
+    plain "stfq_enqueue_dequeue" (stfq_kernel ()) 2;
+    plain "sim_schedule_dispatch" (sim_kernel ()) 0;
+    plain "sim_overflow" (sim_overflow_kernel ()) 1;
+    plain "sim_same_time_tie" (sim_tie_kernel ()) 0;
+    plain "packet_hop" (packet_hop_kernel ()) 4;
+    plain "packet_round_trip" (packet_round_trip_kernel ()) 30;
+    plain "paced_send" (paced_send_kernel ()) 26;
+    plain "price_update" (price_update_kernel ()) 0;
+    plain "xwi_step" (xwi_kernel ()) 0;
+    plain "kkt_witness_check" (kkt_witness_kernel ()) 1;
+    plain "maxmin_solve_sparse" (maxmin_kernel ()) 0;
+    (let resize, owed = xwi_resize_kernel () in
+     ("xwi_resize", resize, Some (snd (churn_problem ())), owed, 0));
   ]
 
 let run ?iters () =
   let relaxed = boundary_boxing () in
+  let measure f = Nf_util.Gcstats.bytes_per_iteration ?iters f in
   List.map
-    (fun (kernel, f, boxes) ->
+    (fun (kernel, f, baseline, owed, boxes) ->
+      let base = match baseline with None -> 0. | Some b -> measure b in
       {
         kernel;
-        bytes_per_iter = Nf_util.Gcstats.bytes_per_iteration ?iters f;
-        limit = (if relaxed && boxes > 0 then boundary_limit boxes else budget);
+        bytes_per_iter = measure f -. base;
+        limit = (owed +. if relaxed && boxes > 0 then boundary_limit boxes else budget);
       })
     (kernels ())
 

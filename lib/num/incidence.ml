@@ -53,41 +53,50 @@ let create ~caps ~paths ~group_of_flow ~n_groups =
     done
   done;
   (* CSC: per link, the flows crossing it in ascending flow id, each flow
-     once even if its path repeats the link (the incidence is a set). Two
-     counting passes over the CSR arrays; [seen] de-duplicates within a
-     row without a per-flow hash table. *)
-  let seen = Array.make n_links (-1) in
-  let col_count = Array.make n_links 0 in
+     once even if its path repeats the link (the incidence is a set).
+     Two counting passes over the CSR arrays and no link-sized scratch:
+     a traversal is a repeat iff the link occurs earlier in the same row
+     (paths are short, so the scan is a few compares), the counts
+     accumulate in [col_ptr] itself, and the fill pass uses [col_ptr.(l)]
+     as link [l]'s cursor, which leaves it at the next column's start,
+     so one shift restores the column starts. *)
+  let[@inline] repeat i k =
+    let l = row_cols.(k) and j = ref row_ptr.(i) in
+    while !j < k && not (Int.equal row_cols.(!j) l) do
+      incr j
+    done;
+    !j < k
+  in
+  let col_ptr = Array.make (n_links + 1) 0 in
   for i = 0 to n_flows - 1 do
     for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let l = row_cols.(k) in
-      if not (Int.equal seen.(l) i) then begin
-        seen.(l) <- i;
-        col_count.(l) <- col_count.(l) + 1
+      if not (repeat i k) then begin
+        let l = row_cols.(k) in
+        col_ptr.(l + 1) <- col_ptr.(l + 1) + 1
       end
     done
   done;
-  let col_ptr = Array.make (n_links + 1) 0 in
   for l = 0 to n_links - 1 do
-    col_ptr.(l + 1) <- col_ptr.(l) + col_count.(l)
+    col_ptr.(l + 1) <- col_ptr.(l + 1) + col_ptr.(l)
   done;
   let col_rows = Array.make (Stdlib.max col_ptr.(n_links) 1) 0 in
-  Array.fill seen 0 n_links (-1);
-  let cursor = Array.make n_links 0 in
-  Array.blit col_ptr 0 cursor 0 n_links;
   for i = 0 to n_flows - 1 do
     for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let l = row_cols.(k) in
-      if not (Int.equal seen.(l) i) then begin
-        seen.(l) <- i;
-        col_rows.(cursor.(l)) <- i;
-        cursor.(l) <- cursor.(l) + 1
+      if not (repeat i k) then begin
+        let l = row_cols.(k) in
+        col_rows.(col_ptr.(l)) <- i;
+        col_ptr.(l) <- col_ptr.(l) + 1
       end
     done
   done;
+  for l = n_links downto 1 do
+    col_ptr.(l) <- col_ptr.(l - 1)
+  done;
+  col_ptr.(0) <- 0;
   (* Group CSR: flows of each group contiguous, in member order. Flow ids
      are assigned group-major by [Problem.create], so a counting pass over
-     [group_of_flow] reproduces the member arrays exactly. *)
+     [group_of_flow] reproduces the member arrays exactly; [grp_ptr] is
+     its own cursor, as [col_ptr] is above. *)
   let grp_ptr = Array.make (n_groups + 1) 0 in
   Array.iter
     (fun g ->
@@ -99,13 +108,15 @@ let create ~caps ~paths ~group_of_flow ~n_groups =
     grp_ptr.(g + 1) <- grp_ptr.(g + 1) + grp_ptr.(g)
   done;
   let grp_flows = Array.make (Stdlib.max n_flows 1) 0 in
-  let gcursor = Array.make (Stdlib.max n_groups 1) 0 in
-  Array.blit grp_ptr 0 gcursor 0 n_groups;
   Array.iteri
     (fun i g ->
-      grp_flows.(gcursor.(g)) <- i;
-      gcursor.(g) <- gcursor.(g) + 1)
+      grp_flows.(grp_ptr.(g)) <- i;
+      grp_ptr.(g) <- grp_ptr.(g) + 1)
     group_of_flow;
+  for g = n_groups downto 1 do
+    grp_ptr.(g) <- grp_ptr.(g - 1)
+  done;
+  grp_ptr.(0) <- 0;
   let singleton = Int.equal n_groups n_flows in
   {
     n_links;
@@ -118,7 +129,7 @@ let create ~caps ~paths ~group_of_flow ~n_groups =
     col_rows;
     grp_ptr;
     grp_flows;
-    group_of_flow = Array.copy group_of_flow;
+    group_of_flow;
     singleton;
     caps;
   }

@@ -42,9 +42,12 @@ val create :
   group_of_flow:int array ->
   n_groups:int ->
   t
-(** Build the index arrays; [caps] is kept as {!field-caps} without a
-    copy. Flows must be numbered group-major (all of group 0's flows
-    first, then group 1's, ...) as {!Problem.create} guarantees.
+(** Build the index arrays; [caps] and [group_of_flow] are kept as
+    {!field-caps} and {!field-group_of_flow} without a copy, so the
+    caller hands [group_of_flow] over and must not write it afterwards.
+    Flows must be numbered group-major (all of group 0's flows first,
+    then group 1's, ...) as {!Problem.create} guarantees. Allocates the
+    index arrays and no scratch.
     @raise Invalid_argument on out-of-range ids. *)
 
 val link_degree : t -> int -> int

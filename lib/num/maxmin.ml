@@ -173,7 +173,7 @@ let solve ~caps ~paths ~weights =
    [solve] above stays the reference. *)
 
 type sparse_workspace = {
-  s_frozen : bool array;  (* n_flows *)
+  mutable s_frozen : bool array;  (* >= n_flows *)
   s_free : float array;  (* n_links; c_l - F_l *)
   s_active_weight : float array;  (* n_links; A_l *)
   s_exact_weight : float array;  (* n_links; A_l at its last exact sum *)
@@ -185,8 +185,11 @@ type sparse_workspace = {
   s_saturated : int array;
       (* n_links; this round's hits (as slots), then its saturated
          links, then its links to recount *)
-  s_live0 : int array;  (* links some flow crosses, ascending (static per inc) *)
-  s_round : int array;  (* n_flows; flows frozen in the current round *)
+  s_live0 : int array;
+      (* n_links; its first [s_n_live0] are the links some flow crosses,
+         ascending (static per inc) *)
+  mutable s_n_live0 : int;
+  mutable s_round : int array;  (* >= n_flows; flows frozen in the current round *)
   s_count0 : int array;  (* n_links; initial active counts (static per inc) *)
   (* Diagnostics of the last solve, read by [Nf_num.Diag]. Ints are
      immediate; the final fill level lives in a 1-element float array
@@ -197,44 +200,63 @@ type sparse_workspace = {
   s_stat_level : float array;  (* length 1 *)
 }
 
-let sparse_workspace (inc : Incidence.t) =
-  let n_links = inc.Incidence.n_links and n_flows = inc.Incidence.n_flows in
-  (* Initial per-link active counts are static for a given incidence
-     ([row_cols] is padded to length >= 1, so count within nnz only). *)
-  let count0 = Array.make n_links 0 in
+(* The per-incidence part of a workspace: initial per-link active counts
+   ([row_cols] is padded to length >= 1, so count within nnz only) and
+   the links they make live, in place. *)
+let load_incidence ws (inc : Incidence.t) =
+  let count0 = ws.s_count0 and live0 = ws.s_live0 in
+  Array.fill count0 0 inc.Incidence.n_links 0;
   for k = 0 to inc.Incidence.nnz - 1 do
     let l = inc.Incidence.row_cols.(k) in
     count0.(l) <- count0.(l) + 1
   done;
-  let n_live0 = ref 0 in
-  for l = 0 to n_links - 1 do
-    if count0.(l) > 0 then incr n_live0
-  done;
-  let live0 = Array.make !n_live0 0 and j = ref 0 in
-  for l = 0 to n_links - 1 do
+  let j = ref 0 in
+  for l = 0 to inc.Incidence.n_links - 1 do
     if count0.(l) > 0 then begin
       live0.(!j) <- l;
       incr j
     end
   done;
-  {
-    s_frozen = Array.make n_flows false;
-    s_free = Array.make n_links 0.;
-    s_active_weight = Array.make n_links 0.;
-    s_exact_weight = Array.make n_links 0.;
-    s_active_count = Array.make n_links 0;
-    s_live = Array.make n_links 0;
-    s_slot = Array.make n_links 0;
-    s_sat_level = Array.make n_links 0.;
-    s_trip_level = Array.make n_links 0.;
-    s_saturated = Array.make n_links 0;
-    s_live0 = live0;
-    s_round = Array.make n_flows 0;
-    s_count0 = count0;
-    s_stat_rounds = 0;
-    s_stat_saturated = 0;
-    s_stat_level = Array.make 1 0.;
-  }
+  ws.s_n_live0 <- !j
+
+let sparse_workspace (inc : Incidence.t) =
+  let n_links = inc.Incidence.n_links and n_flows = inc.Incidence.n_flows in
+  let ws =
+    {
+      s_frozen = Array.make n_flows false;
+      s_free = Array.make n_links 0.;
+      s_active_weight = Array.make n_links 0.;
+      s_exact_weight = Array.make n_links 0.;
+      s_active_count = Array.make n_links 0;
+      s_live = Array.make n_links 0;
+      s_slot = Array.make n_links 0;
+      s_sat_level = Array.make n_links 0.;
+      s_trip_level = Array.make n_links 0.;
+      s_saturated = Array.make n_links 0;
+      s_live0 = Array.make n_links 0;
+      s_n_live0 = 0;
+      s_round = Array.make n_flows 0;
+      s_count0 = Array.make n_links 0;
+      s_stat_rounds = 0;
+      s_stat_saturated = 0;
+      s_stat_level = Array.make 1 0.;
+    }
+  in
+  load_incidence ws inc;
+  ws
+
+let sparse_refresh ws (inc : Incidence.t) =
+  if inc.Incidence.n_links <> Array.length ws.s_count0 then
+    invalid_arg "Maxmin.sparse_refresh: link count changed";
+  let n_flows = inc.Incidence.n_flows in
+  if Array.length ws.s_frozen < n_flows then begin
+    (* Headroom, so a population that creeps up one flow at a time
+       regrows the per-flow arrays only now and then. *)
+    let n = n_flows + (n_flows / 2) in
+    ws.s_frozen <- Array.make n false;
+    ws.s_round <- Array.make n 0
+  end;
+  load_incidence ws inc
 
 let sparse_rounds ws = ws.s_stat_rounds
 
@@ -285,7 +307,7 @@ let[@nf.hot] solve_sparse ws (inc : Incidence.t)
   (* Every link with active flows gets a slot, ascending at first. The
      capacities are read here on every solve, never cached: [caps] is
      [Problem.caps], which changes in place. *)
-  let n_live0 = Array.length live0 in
+  let n_live0 = ws.s_n_live0 in
   for s = 0 to n_live0 - 1 do
     let l = Array.unsafe_get live0 s in
     Array.unsafe_set live s l;

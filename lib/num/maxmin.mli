@@ -26,6 +26,15 @@ type sparse_workspace
 
 val sparse_workspace : Incidence.t -> sparse_workspace
 
+val sparse_refresh : sparse_workspace -> Incidence.t -> unit
+(** [sparse_refresh ws inc] re-sizes [ws] in place for [inc], an
+    incidence over the same links (another snapshot of the same
+    {!Problem} after flow churn): the per-incidence counts are rebuilt
+    and the per-flow arrays grow, with headroom, only when [inc] has
+    more flows than they hold. A later {!solve_sparse} on [inc] is the
+    one a fresh {!sparse_workspace} would run, bit for bit.
+    @raise Invalid_argument if the link count differs. *)
+
 val solve_sparse :
   sparse_workspace ->
   Incidence.t ->

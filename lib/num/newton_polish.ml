@@ -9,7 +9,10 @@
 
    The Jacobian is -R_A D R_Aᵀ with D_i = -dx_i/dP_i > 0, so a Newton
    step solves the positive semi-definite system M Δ = F, M = R_A D R_Aᵀ,
-   by a Cholesky over |A| (dense storage, sparse work). Every buffer
+   by a Cholesky over |A| (dense storage, sparse work). A and its
+   elimination order are fixed for a whole Newton solve, so the factor's
+   nonzero pattern is computed once per solve ([symbolic]) and every
+   factorization clears, assembles and updates only that pattern. Every buffer
    lives in the workspace and grows on demand only, so a polish
    allocates nothing once the workspace has seen a problem of its size:
    floats go through float arrays, never through refs, records or
@@ -30,10 +33,16 @@ type t = {
   mutable head : int array;  (* n_flows; collapse chains' heads *)
   mutable chain : int array;  (* n_links; collapse chains, then stamps *)
   mutable rep : int array;  (* n_links; a collapse class's kept link *)
+  mutable sptr : int array;  (* |A| + 1; the factor's pattern (CSC) *)
+  mutable srows : int array;  (* its rows below the diagonal, ascending *)
   mutable lptr : int array;  (* |A| + 1; the factor's columns (CSC) *)
   mutable lrows : int array;  (* their nonzero rows below the diagonal *)
   mutable fptr : int array;  (* n_flows + 1; flow -> A positions (CSR) *)
   mutable fpos : int array;  (* nnz *)
+  mutable tptr : int array;  (* |A| + 1; A position -> flows (CSC) *)
+  mutable tflows : int array;  (* nnz *)
+  mutable kids : int array;  (* |A|; first elimination-tree child *)
+  mutable sibling : int array;  (* |A|; next child of the same parent *)
   mutable x : float array;  (* n_flows; rates at the current P *)
   mutable d : float array;  (* n_flows; -dx/dP at the current P *)
   norms : float array;
@@ -57,10 +66,16 @@ let create () =
     head = [||];
     chain = [||];
     rep = [||];
+    sptr = [||];
+    srows = [||];
     lptr = [||];
     lrows = [||];
     fptr = [||];
     fpos = [||];
+    tptr = [||];
+    tflows = [||];
+    kids = [||];
+    sibling = [||];
     x = [||];
     d = [||];
     norms = [| 0.; 0. |];
@@ -90,15 +105,18 @@ let floats a n = if Array.length a >= n then a else Array.make n 0.
 
 let ints a n = if Array.length a >= n then a else Array.make n 0
 
+(* A loop rather than [Array.for_all]: [resize] asks on every warm
+   restart, and the closure would be allocated on each call. *)
 let eligible problem =
-  let inc = Problem.incidence problem in
-  inc.Incidence.singleton
-  && Array.for_all
-       (fun u ->
-         match u.Utility.shape with
-         | Utility.Log _ | Utility.Power _ -> true
-         | Utility.Opaque -> false)
-       (Problem.utilities problem)
+  let inc = Problem.incidence problem and utils = Problem.utilities problem in
+  let ok = ref inc.Incidence.singleton and g = ref 0 in
+  while !ok && !g < Array.length utils do
+    (match utils.(!g).Utility.shape with
+    | Utility.Log _ | Utility.Power _ -> ()
+    | Utility.Opaque -> ok := false);
+    incr g
+  done;
+  !ok
 
 (* Whether links [a] and [b] carry the same flows (the same CSC column). *)
 let same_column (inc : Incidence.t) a b =
@@ -239,13 +257,104 @@ let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
     ws.norms.(1) <- infinity
   end
 
+(* The nonzero pattern of M's Cholesky factor for the active set
+   numbered by [index] (size [m]): column j's rows below the diagonal,
+   ascending, in [srows.(sptr.(j) .. sptr.(j+1) - 1)]. Column j holds
+   the rows of M's column j (the positions that share a flow with j) and
+   those of its elimination-tree children's columns, less j itself; a
+   column's parent is its first row. One pass in column order builds it,
+   with [chain] (free once the collapse is done) as the stamps. *)
+let symbolic ws (inc : Incidence.t) m =
+  let n_flows = inc.Incidence.n_flows in
+  let fptr = ws.fptr and fpos = ws.fpos in
+  let tptr = ws.tptr and tflows = ws.tflows in
+  (* The transpose of [fptr]/[fpos], by counting; [tptr.(k)] is position
+     k's cursor in the fill, then shifted back to the column starts. *)
+  Array.fill tptr 0 (m + 1) 0;
+  for u = 0 to fptr.(n_flows) - 1 do
+    let k = fpos.(u) in
+    tptr.(k + 1) <- tptr.(k + 1) + 1
+  done;
+  for k = 0 to m - 1 do
+    tptr.(k + 1) <- tptr.(k + 1) + tptr.(k)
+  done;
+  for i = 0 to n_flows - 1 do
+    for u = fptr.(i) to fptr.(i + 1) - 1 do
+      let k = fpos.(u) in
+      tflows.(tptr.(k)) <- i;
+      tptr.(k) <- tptr.(k) + 1
+    done
+  done;
+  for k = m downto 1 do
+    tptr.(k) <- tptr.(k - 1)
+  done;
+  tptr.(0) <- 0;
+  let stamp = ws.chain and kids = ws.kids and sibling = ws.sibling in
+  let sptr = ws.sptr and srows = ws.srows and q = ref 0 in
+  Array.fill stamp 0 m (-1);
+  Array.fill kids 0 m (-1);
+  for j = 0 to m - 1 do
+    let lo = !q in
+    sptr.(j) <- lo;
+    stamp.(j) <- j;
+    for t = tptr.(j) to tptr.(j + 1) - 1 do
+      let i = tflows.(t) in
+      for u = fptr.(i) to fptr.(i + 1) - 1 do
+        let r = fpos.(u) in
+        if r > j && stamp.(r) <> j then begin
+          stamp.(r) <- j;
+          srows.(!q) <- r;
+          incr q
+        end
+      done
+    done;
+    (* A child's rows are all above j but for j itself, stamped above. *)
+    let c = ref kids.(j) in
+    while !c >= 0 do
+      for u = sptr.(!c) to sptr.(!c + 1) - 1 do
+        let r = srows.(u) in
+        if stamp.(r) <> j then begin
+          stamp.(r) <- j;
+          srows.(!q) <- r;
+          incr q
+        end
+      done;
+      c := sibling.(!c)
+    done;
+    for u = lo + 1 to !q - 1 do
+      let r = srows.(u) in
+      let v = ref u in
+      while !v > lo && srows.(!v - 1) > r do
+        srows.(!v) <- srows.(!v - 1);
+        decr v
+      done;
+      srows.(!v) <- r
+    done;
+    if !q > lo then begin
+      let parent = srows.(lo) in
+      sibling.(j) <- kids.(parent);
+      kids.(parent) <- j
+    end
+  done;
+  sptr.(m) <- !q
+
 (* M = R_A D R_Aᵀ (lower triangle, ridged), factored in place as L Lᵀ
    (right-looking: each column of L updates the trailing block through
    its nonzero rows only, so the work follows the fill, not |A|³);
-   false on a pivot that is not positive and finite. *)
+   false on a pivot that is not positive and finite. Only the
+   [symbolic] pattern is cleared and read: nothing outside it is ever
+   written, so the dense storage elsewhere may hold any stale value. A
+   pattern entry that cancels to exactly zero is left out of [lrows],
+   as a dense scan of the column would leave it out, so the arithmetic
+   is that of the dense factorization, operation for operation. *)
 let factor ws (inc : Incidence.t) m =
-  let a = ws.m and col = ws.col in
-  Array.fill a 0 (m * m) 0.;
+  let a = ws.m and col = ws.col and sptr = ws.sptr and srows = ws.srows in
+  for j = 0 to m - 1 do
+    a.((j * m) + j) <- 0.;
+    for u = sptr.(j) to sptr.(j + 1) - 1 do
+      a.((srows.(u) * m) + j) <- 0.
+    done
+  done;
   for i = 0 to inc.Incidence.n_flows - 1 do
     let lo = ws.fptr.(i) and hi = ws.fptr.(i + 1) and di = ws.d.(i) in
     for u = lo to hi - 1 do
@@ -269,7 +378,8 @@ let factor ws (inc : Incidence.t) m =
       let pivot = sqrt d in
       a.((jj * m) + jj) <- pivot;
       let lo = !q in
-      for r = jj + 1 to m - 1 do
+      for s = sptr.(jj) to sptr.(jj + 1) - 1 do
+        let r = srows.(s) in
         let v = a.((r * m) + jj) in
         if v > 0. || v < 0. then begin
           let v = v /. pivot in
@@ -326,6 +436,7 @@ let newton ws inc utils m =
   evaluate ws inc utils m ws.p;
   let merit = ref ws.norms.(0) and rmax = ref ws.norms.(1) in
   let it = ref 0 and live = ref (!merit < infinity) in
+  if !live && !rmax > tol then symbolic ws inc m;
   while !live && !rmax > tol && !it < max_newton do
     incr it;
     if not (factor ws inc m) then live := false
@@ -392,6 +503,7 @@ let solve ws problem ~prices ~rates ~out =
   ws.col <- floats ws.col n_links;
   ws.fptr <- ints ws.fptr (n_flows + 1);
   ws.fpos <- ints ws.fpos inc.Incidence.nnz;
+  ws.tflows <- ints ws.tflows inc.Incidence.nnz;
   ws.x <- floats ws.x n_flows;
   ws.d <- floats ws.d n_flows;
   let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
@@ -478,6 +590,11 @@ let solve ws problem ~prices ~rates ~out =
   if m <= 0 || m > max_active then false
   else begin
     ws.m <- floats ws.m (m * m);
+    ws.sptr <- ints ws.sptr (m + 1);
+    ws.srows <- ints ws.srows (m * m);
+    ws.tptr <- ints ws.tptr (m + 1);
+    ws.kids <- ints ws.kids m;
+    ws.sibling <- ints ws.sibling m;
     ws.lptr <- ints ws.lptr (m + 1);
     ws.lrows <- ints ws.lrows (m * m);
     let solved = rounds ws inc utils m 1 in

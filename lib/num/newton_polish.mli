@@ -12,8 +12,10 @@
     - links whose flow sets are identical collapse onto the one with the
       smallest capacity (lowest id on ties);
     - the system matrix is [R_A D R_Aᵀ] with [D_i = -dx_i/dP_i], with a
-      1e-8 relative ridge, factored by a Cholesky (dense storage, work
-      over the nonzeros, links in a static minimum-degree order);
+      1e-8 relative ridge, factored by a Cholesky (dense storage, links
+      in a static minimum-degree order); the factor's nonzero pattern is
+      computed once per active set, and each factorization clears and
+      updates only that pattern;
     - a backtracking line search keeps every path price positive, and a
       solve stops at [max_l |F_l| / c_l <= 1e-12] within 20 steps;
     - links that end negatively priced are dropped and the rest

@@ -14,22 +14,24 @@ let single_path utility path = { utility; paths = [ path ] }
 (* One ledger row per group ever added. [epaths] is validated and copied
    at entry creation and never mutated afterwards, so compiled snapshots
    can share the arrays. A removed group is tombstoned ([alive = false])
-   and physically dropped at the next commit (compaction). *)
+   and physically dropped at the next commit (compaction). [slot] is the
+   entry's index in [entries], which a compaction rewrites in place: the
+   dense group id once the ledger is clean. *)
 type entry = {
   gid : int;  (* stable handle, monotonically assigned *)
   utility : Utility.t;
   epaths : int array array;
   mutable alive : bool;
+  mutable slot : int;
 }
 
 type t = {
   capacities : float array;
       (* live; fixed length for the problem's life; shared with every
          compiled incidence *)
-  (* compiled snapshot: exactly the dense structure solvers iterate over *)
+  (* compiled snapshot: exactly the dense structure solvers iterate over;
+     the group <-> flow maps are the incidence's *)
   mutable flow_paths : int array array;  (* flow -> link ids *)
-  mutable groups_of_flow : int array;
-  mutable members : int array array;  (* group -> flow ids *)
   mutable utilities : Utility.t array;  (* group -> utility *)
   mutable incidence : Incidence.t;
   mutable topo_gen : int;  (* bumped on every commit that recompiled *)
@@ -38,7 +40,10 @@ type t = {
   mutable entries : entry array;  (* slots 0..n_entries-1; insertion order *)
   mutable n_entries : int;
   mutable next_gid : int;
-  slots : (int, int) Hashtbl.t;  (* gid -> slot (dense group id once clean) *)
+  by_gid : (int, entry) Hashtbl.t;
+      (* gid -> entry, for every entry in [entries]: a commit removes
+         only the dropped gids, and the survivors' slots change in their
+         entries, not here *)
   filler : entry;  (* dummy for the growable array's tail *)
 }
 
@@ -60,14 +65,18 @@ let entry_of_spec ~ctx ~n_links ~gid spec =
            Array.copy path)
          spec.paths)
   in
-  { gid; utility = spec.utility; epaths; alive = true }
+  { gid; utility = spec.utility; epaths; alive = true; slot = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* Compile: rebuild the dense snapshot (and the sparse incidence) from
    the live ledger entries. Flows are numbered group-major in ledger
-   order, exactly the layout [Incidence.create] requires. O(flows +
-   nnz + links) — shared by [create] and the delta path, so batch
-   construction and churn maintenance exercise one code route. *)
+   order, exactly the layout [Incidence.create] requires. The snapshot
+   is the flow paths, the utilities and the incidence: the incidence's
+   [grp_ptr]/[grp_flows]/[group_of_flow] are the only group <-> flow
+   maps ([group_of_flow] is built here and handed over, not copied),
+   and the build needs no link-sized scratch. O(flows + nnz + links) —
+   shared by [create] and the delta path, so batch construction and
+   churn maintenance exercise one code route. *)
 
 let compile t =
   let n_groups = t.n_entries in
@@ -77,45 +86,39 @@ let compile t =
   done;
   let n_flows = !total in
   let flow_paths = Array.make n_flows [||] in
-  let groups_of_flow = Array.make n_flows 0 in
+  let group_of_flow = Array.make n_flows 0 in
   let utilities = Array.init n_groups (fun g -> t.entries.(g).utility) in
-  let members = Array.make n_groups [||] in
   let idx = ref 0 in
   for g = 0 to n_groups - 1 do
     let e = t.entries.(g) in
-    let m = Array.make (Array.length e.epaths) 0 in
     for k = 0 to Array.length e.epaths - 1 do
-      let id = !idx in
-      incr idx;
-      m.(k) <- id;
-      flow_paths.(id) <- e.epaths.(k);
-      groups_of_flow.(id) <- g
-    done;
-    members.(g) <- m
+      flow_paths.(!idx) <- e.epaths.(k);
+      group_of_flow.(!idx) <- g;
+      incr idx
+    done
   done;
   t.flow_paths <- flow_paths;
-  t.groups_of_flow <- groups_of_flow;
-  t.members <- members;
   t.utilities <- utilities;
   t.incidence <-
-    Incidence.create ~caps:t.capacities ~paths:flow_paths
-      ~group_of_flow:groups_of_flow ~n_groups;
+    Incidence.create ~caps:t.capacities ~paths:flow_paths ~group_of_flow ~n_groups;
   t.topo_gen <- t.topo_gen + 1;
   t.dirty <- false
 
 let commit t =
   if t.dirty then begin
     (* Compaction: drop tombstoned entries, preserving insertion order,
-       so slot index = dense group id for the compiled snapshot. *)
+       so slot index = dense group id for the compiled snapshot. A
+       survivor's new slot is an int store in its entry; only the
+       dropped gids leave the table. *)
     let kept = ref 0 in
     for s = 0 to t.n_entries - 1 do
       let e = t.entries.(s) in
       if e.alive then begin
         t.entries.(!kept) <- e;
-        Hashtbl.replace t.slots e.gid !kept;
+        e.slot <- !kept;
         incr kept
       end
-      else Hashtbl.remove t.slots e.gid
+      else Hashtbl.remove t.by_gid e.gid
     done;
     (* Unpin the dropped entries' memory. *)
     for s = !kept to t.n_entries - 1 do
@@ -149,23 +152,28 @@ let create_groups ~caps ~groups =
   let n_links = Array.length capacities in
   let n = Array.length groups in
   let filler =
-    { gid = -1; utility = Utility.proportional_fair (); epaths = [||]; alive = false }
+    {
+      gid = -1;
+      utility = Utility.proportional_fair ();
+      epaths = [||];
+      alive = false;
+      slot = -1;
+    }
   in
   let entries =
     Array.init (Stdlib.max n 1) (fun g ->
         if g < n then entry_of_spec ~ctx:"Problem.create" ~n_links ~gid:g groups.(g)
         else filler)
   in
-  let slots = Hashtbl.create (Stdlib.max n 16) in
+  let by_gid = Hashtbl.create (Stdlib.max n 16) in
   for g = 0 to n - 1 do
-    Hashtbl.replace slots entries.(g).gid g
+    entries.(g).slot <- g;
+    Hashtbl.replace by_gid entries.(g).gid entries.(g)
   done;
   let t =
     {
       capacities;
       flow_paths = [||];
-      groups_of_flow = [||];
-      members = [||];
       utilities = [||];
       incidence =
         Incidence.create ~caps:capacities ~paths:[||] ~group_of_flow:[||]
@@ -175,7 +183,7 @@ let create_groups ~caps ~groups =
       entries;
       n_entries = n;
       next_gid = n;
-      slots;
+      by_gid;
       filler;
     }
   in
@@ -201,16 +209,16 @@ let add_group t spec =
     t.entries <- grown
   end;
   t.entries.(t.n_entries) <- e;
-  Hashtbl.replace t.slots e.gid t.n_entries;
+  e.slot <- t.n_entries;
+  Hashtbl.replace t.by_gid e.gid e;
   t.n_entries <- t.n_entries + 1;
   t.dirty <- true;
   e.gid
 
 let remove_group t gid =
-  match Hashtbl.find_opt t.slots gid with
+  match Hashtbl.find_opt t.by_gid gid with
   | None -> invalid_arg (Printf.sprintf "Problem.remove_group: unknown gid %d" gid)
-  | Some slot ->
-    let e = t.entries.(slot) in
+  | Some e ->
     if not e.alive then
       invalid_arg (Printf.sprintf "Problem.remove_group: gid %d already removed" gid)
     else begin
@@ -219,13 +227,11 @@ let remove_group t gid =
     end
 
 let mem_group t gid =
-  match Hashtbl.find_opt t.slots gid with
-  | None -> false
-  | Some slot -> t.entries.(slot).alive
+  match Hashtbl.find_opt t.by_gid gid with None -> false | Some e -> e.alive
 
 let group_index t gid =
   force t;
-  Hashtbl.find_opt t.slots gid
+  match Hashtbl.find_opt t.by_gid gid with None -> None | Some e -> Some e.slot
 
 let group_gid t g =
   force t;
@@ -258,11 +264,11 @@ let n_links t = Array.length t.capacities
 
 let n_flows t =
   force t;
-  Array.length t.flow_paths
+  t.incidence.Incidence.n_flows
 
 let n_groups t =
   force t;
-  Array.length t.members
+  t.incidence.Incidence.n_groups
 
 let flow_path t i =
   force t;
@@ -270,7 +276,7 @@ let flow_path t i =
 
 let flow_group t i =
   force t;
-  t.groups_of_flow.(i)
+  t.incidence.Incidence.group_of_flow.(i)
 
 let path_len t i =
   force t;
@@ -278,7 +284,9 @@ let path_len t i =
 
 let group_members t g =
   force t;
-  t.members.(g)
+  let inc = t.incidence in
+  let start = inc.Incidence.grp_ptr.(g) in
+  Array.sub inc.Incidence.grp_flows start (inc.Incidence.grp_ptr.(g + 1) - start)
 
 let group_utility t g =
   force t;
@@ -347,7 +355,7 @@ let path_price t ~prices i =
 
 let is_single_path t =
   force t;
-  Array.for_all (fun m -> Array.length m = 1) t.members
+  t.incidence.Incidence.singleton
 
 let feasible ?(tol = 1e-6) t ~rates =
   force t;

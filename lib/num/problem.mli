@@ -77,7 +77,9 @@ val group_gid : t -> int -> int
 val commit : t -> unit
 (** Force the lazy recompile now (compaction + dense rebuild + fresh
     {!Incidence.t}). No-op when nothing changed. Reads commit implicitly;
-    call this to control when the O(flows + nnz) rebuild happens. *)
+    call this to control when the O(flows + nnz) rebuild happens. The
+    compaction rewrites each surviving group's dense id in place and
+    touches the gid table only for the dropped gids. *)
 
 val dirty : t -> bool
 (** Uncommitted ledger changes pending. *)
@@ -120,6 +122,8 @@ val path_len : t -> int -> int
 (** [|L(i)|] of the paper: number of links on flow [i]'s path. *)
 
 val group_members : t -> int -> int array
+(** The flow ids of dense group [g], in member order: a fresh copy of the
+    incidence's group row. *)
 
 val group_utility : t -> int -> Utility.t
 

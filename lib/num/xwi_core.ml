@@ -108,20 +108,26 @@ let[@inline] urate_fast u p =
 (* Per-state scratch: one allocation at [init], zero per [step]. The
    state's own [prices], [rates] and [weights] are the rest of the sparse
    step's working set (see DESIGN.md "Sparse NUM core"). Abstract in the
-   interface so states can only come from the init functions. *)
+   interface so states can only come from the init functions. [resize]
+   hands the whole record down to the state it builds: the link-sized
+   arrays carry over as they are, the per-flow and per-group ones hold at
+   least the problem's counts (every sweep is bounded by the incidence's
+   counts, never by these lengths) and grow with headroom, and
+   [b_prices] names the owner, the state whose [prices] array it is. *)
 type buffers = {
   b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
-  b_old_rates : float array;  (* n_flows; fixpoint-loop snapshot *)
-  b_path_price : float array;  (* n_flows; computed once per step *)
+  mutable b_old_rates : float array;  (* >= n_flows; fixpoint-loop snapshot *)
+  mutable b_path_price : float array;  (* >= n_flows; computed once per step *)
   b_loads : float array;  (* n_links *)
-  b_residual : float array;  (* n_flows *)
-  b_group_rates : float array;  (* n_groups *)
-  b_group_marginal : float array;  (* n_groups *)
-  b_inv_len : float array;  (* n_flows; 1 / |L(i)|, fixed per problem *)
-  b_utils : Utility.t array;  (* n_groups; the snapshot's, shared *)
+  mutable b_residual : float array;  (* >= n_flows *)
+  mutable b_group_rates : float array;  (* >= n_groups *)
+  mutable b_group_marginal : float array;  (* >= n_groups *)
+  mutable b_inv_len : float array;  (* >= n_flows; 1 / |L(i)|, fixed per problem *)
+  mutable b_utils : Utility.t array;  (* n_groups; the snapshot's, shared *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
-  b_polish : Newton_polish.t;  (* [resize]'s scratch, handed down by it *)
+  b_polish : Newton_polish.t;  (* [resize]'s scratch *)
   mutable b_polished : bool;  (* [resize] kept the polished start *)
+  mutable b_prices : float array;  (* the owning state's [prices] *)
 }
 
 type state = {
@@ -137,10 +143,20 @@ type state = {
          corrupt memory through the unsafe sweeps). *)
 }
 
-let make_buffers ~polish problem =
+(* 1 / |L(i)| for every flow of [inc], into [out]. *)
+let fill_inv_len (inc : Incidence.t) out =
+  let row_ptr = inc.Incidence.row_ptr in
+  for i = 0 to inc.Incidence.n_flows - 1 do
+    out.(i) <- 1. /. float_of_int (row_ptr.(i + 1) - row_ptr.(i))
+  done
+
+let make_buffers problem =
   let n_links = Problem.n_links problem
   and n_flows = Problem.n_flows problem
   and n_groups = Problem.n_groups problem in
+  let inc = Problem.incidence problem in
+  let inv_len = Array.make n_flows 0. in
+  fill_inv_len inc inv_len;
   {
     b_old_prices = Array.make n_links 0.;
     b_old_rates = Array.make n_flows 0.;
@@ -149,20 +165,40 @@ let make_buffers ~polish problem =
     b_residual = Array.make n_flows 0.;
     b_group_rates = Array.make n_groups 0.;
     b_group_marginal = Array.make n_groups 0.;
-    b_inv_len =
-      Array.init n_flows (fun i -> 1. /. float_of_int (Problem.path_len problem i));
+    b_inv_len = inv_len;
     b_utils = Problem.utilities problem;
-    b_maxmin_sparse = Maxmin.sparse_workspace (Problem.incidence problem);
-    b_polish = polish;
+    b_maxmin_sparse = Maxmin.sparse_workspace inc;
+    b_polish = Newton_polish.create ();
     b_polished = false;
+    b_prices = [||];
   }
 
-let equal_weight_rates problem =
+(* [a] if it holds [n] floats, else a zeroed array with headroom. *)
+let reserve a n = if Array.length a >= n then a else Array.make (n + (n / 2)) 0.
+
+(* Re-size [bufs] in place for the problem's current snapshot (same link
+   count): [resize]'s half of the handoff. *)
+let refresh_buffers bufs problem =
+  let inc = Problem.incidence problem in
+  let n_flows = inc.Incidence.n_flows and n_groups = inc.Incidence.n_groups in
+  bufs.b_old_rates <- reserve bufs.b_old_rates n_flows;
+  bufs.b_path_price <- reserve bufs.b_path_price n_flows;
+  bufs.b_residual <- reserve bufs.b_residual n_flows;
+  bufs.b_inv_len <- reserve bufs.b_inv_len n_flows;
+  bufs.b_group_rates <- reserve bufs.b_group_rates n_groups;
+  bufs.b_group_marginal <- reserve bufs.b_group_marginal n_groups;
+  fill_inv_len inc bufs.b_inv_len;
+  bufs.b_utils <- Problem.utilities problem;
+  Maxmin.sparse_refresh bufs.b_maxmin_sparse inc;
+  bufs.b_polished <- false
+
+(* A water-fill leaves nothing in its workspace that the next one reads,
+   so [ws] may be any workspace sized for the problem. *)
+let equal_weight_rates ws problem =
   let inc = Problem.incidence problem in
   let n_flows = Problem.n_flows problem in
   let rates = Incidence.vec n_flows in
-  Maxmin.solve_sparse (Maxmin.sparse_workspace inc) inc
-    ~weights:(Array.make n_flows 1.) ~rates;
+  Maxmin.solve_sparse ws inc ~weights:(Array.make n_flows 1.) ~rates;
   rates
 
 (* The xWI seed, shared by every solver that starts from it ([init],
@@ -171,7 +207,9 @@ let equal_weight_rates problem =
    p_l = max over flows on l of U'_g(y_g) / |L(i)|, the price each link
    would carry if it were the only bottleneck of its steepest flow. *)
 let seed problem =
-  let rates = equal_weight_rates problem in
+  let rates =
+    equal_weight_rates (Maxmin.sparse_workspace (Problem.incidence problem)) problem
+  in
   let n_flows = Problem.n_flows problem in
   let prices = Array.make (Problem.n_links problem) 0. in
   for i = 0 to n_flows - 1 do
@@ -371,40 +409,48 @@ let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
     ~n_flows:(Problem.n_flows problem)
 
-let make_state ?pool ~polish problem ~prices ~rates =
+(* A state that owns [buffers] from now on. *)
+let make_state ?pool ~buffers problem ~prices ~rates =
+  buffers.b_prices <- prices;
   {
     prices;
     rates;
     weights = Array.make (Problem.n_flows problem) 1.;
     pool;
     diag = attach_diag problem;
-    buffers = make_buffers ~polish problem;
+    buffers;
     problem_gen = Problem.generation problem;
   }
 
 let init ?pool problem =
   let rates, prices = seed problem in
-  make_state ?pool ~polish:(Newton_polish.create ()) problem ~prices ~rates
+  make_state ?pool ~buffers:(make_buffers problem) problem ~prices ~rates
 
 (* Weights from the given prices at the equal-weight allocation, then the
    allocation those weights induce. Only multipath groups read the
    allocation (their §6.3 split); when every group is a singleton the
-   water-fill overwrites the rates unread, so the equal-weight solve and
-   its throwaway workspace are skipped. *)
-let start_with_prices ?pool ~polish problem ~prices =
+   water-fill overwrites the rates unread, so the equal-weight solve is
+   skipped. *)
+let start_with_prices ?pool ~buffers problem ~prices =
   let inc = Problem.incidence problem in
   let rates =
     if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
-    else equal_weight_rates problem
+    else equal_weight_rates buffers.b_maxmin_sparse problem
   in
-  let state = make_state ?pool ~polish problem ~prices:(Array.copy prices) ~rates in
+  let state = make_state ?pool ~buffers problem ~prices:(Array.copy prices) ~rates in
   allocate inc state;
   state
 
 let init_with_prices ?pool problem ~prices =
   if Array.length prices <> Problem.n_links problem then
     invalid_arg "Xwi_core.init_with_prices: prices length";
-  start_with_prices ?pool ~polish:(Newton_polish.create ()) problem ~prices
+  start_with_prices ?pool ~buffers:(make_buffers problem) problem ~prices
+
+(* [Kkt.worst], in-unit for the -opaque reason given at [fmax]: a
+   cross-unit call would box its float result on every resize. *)
+let[@inline] kkt_worst (r : Kkt.report) =
+  fmax r.Kkt.stationarity
+    (fmax r.Kkt.unused_direction (fmax r.Kkt.feasibility r.Kkt.slackness))
 
 (* Swap the carried start for the Newton-polished one when that one's KKT
    residual is smaller (DESIGN.md "Warm restart"). The state's own
@@ -422,11 +468,9 @@ let polish_start problem state =
          ~rates:state.rates ~out:polished
   then begin
     let loads = bufs.b_loads in
-    let worst () =
-      Kkt.worst
-        (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
+    let carried =
+      kkt_worst (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
     in
-    let carried = worst () in
     let n_links = Array.length state.prices
     and n_flows = Array.length state.rates in
     Array.blit state.rates 0 bufs.b_old_rates 0 n_flows;
@@ -437,7 +481,10 @@ let polish_start problem state =
       state.prices.(l) <- p
     done;
     allocate (Problem.incidence problem) state;
-    if worst () < carried then bufs.b_polished <- true
+    if
+      kkt_worst (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
+      < carried
+    then bufs.b_polished <- true
     else begin
       Array.blit polished 0 state.prices 0 n_links;
       Array.blit bufs.b_old_rates 0 state.rates 0 n_flows;
@@ -445,21 +492,25 @@ let polish_start problem state =
     end
   end
 
+let consumed state = state.buffers.b_prices != state.prices
+
 (* Warm restart across a problem delta: keep the converged per-link price
-   vector (links are stable across flow churn), rebuild everything sized
-   per-flow/per-group for the new snapshot, then try the Newton polish
-   of the carried prices. On nfbench's serve_churn stream (a churning
-   100-flow leaf-spine) the carried start alone needs a median of about
-   105 xWI iterations to re-certify an epoch, and the polished start
-   certifies about two thirds of all epochs at iteration 0. *)
+   vector (links are stable across flow churn), re-size the old state's
+   scratch in place for the new snapshot and hand it down, then try the
+   Newton polish of the carried prices. On nfbench's serve_churn stream
+   (a churning 100-flow leaf-spine) the carried start alone needs a
+   median of about 105 xWI iterations to re-certify an epoch, and the
+   polished start certifies about two thirds of all epochs at iteration
+   0. *)
 let resize ?pool problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";
+  if consumed state then
+    invalid_arg "Xwi_core.resize: state already consumed by a resize";
   let pool = match pool with Some _ as p -> p | None -> state.pool in
-  let state =
-    start_with_prices ?pool ~polish:state.buffers.b_polish problem
-      ~prices:state.prices
-  in
+  let buffers = state.buffers in
+  refresh_buffers buffers problem;
+  let state = start_with_prices ?pool ~buffers problem ~prices:state.prices in
   polish_start problem state;
   Metrics.incr
     (if state.buffers.b_polished then m_polished_starts else m_carried_starts);
@@ -476,6 +527,8 @@ let diag state = state.diag
    rates, the (possibly domain-sharded) price update. Steady-state
    stepping allocates nothing beyond the sharding dispatch closure. *)
 let step problem params state =
+  if consumed state then
+    invalid_arg "Xwi_core.step: state consumed by Xwi_core.resize";
   if not (Int.equal (Problem.generation problem) state.problem_gen) then
     invalid_arg
       "Xwi_core.step: problem topology changed since init; call Xwi_core.resize";

@@ -30,7 +30,9 @@ val default_params : params
 
 type buffers
 (** Preallocated per-state scratch arrays (sized for the state's problem):
-    {!step} allocates nothing. Only the init functions build these. *)
+    {!step} allocates nothing. Only the init functions build these;
+    {!resize} re-sizes them in place and hands them to the state it
+    returns. *)
 
 type state = {
   prices : float array;  (** per link *)
@@ -91,12 +93,21 @@ val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
 
     Each call increments [nf_xwi_polished_starts_total] or
     [nf_xwi_carried_starts_total]; {!polished} tells which start a state
-    got. The polish workspace is handed from the old state to the new
-    one, so a steady churn stream reuses it. The pool defaults to the
-    old state's; diagnostics re-attach per the process-wide config.
-    Deterministic: the same problem and state give a bit-identical
-    result.
-    @raise Invalid_argument if the link count changed. *)
+    got. The pool defaults to the old state's; diagnostics re-attach per
+    the process-wide config.
+
+    [resize] {e consumes} the old state: its scratch (the link-sized
+    arrays, the water-fill workspace, the polish workspace, and the
+    per-flow arrays, grown with headroom when the population grows) is
+    re-sized in place and handed to the new state, so a warm restart
+    allocates only the new state's [prices], [rates] and [weights]. The
+    old state's own [prices], [rates] and [weights] stay as they were and
+    stay readable, but {!step} (so also the run functions) and [resize]
+    raise on it. Deterministic: the result depends only on the problem
+    and the old state's prices and pool, bit for bit, not on what its
+    scratch served before.
+    @raise Invalid_argument if the link count changed, or if the state
+    was already consumed by a [resize]. *)
 
 val polished : state -> bool
 (** Whether {!resize} started this state from the Newton-polished prices
@@ -116,7 +127,9 @@ val step : Problem.t -> params -> state -> unit
     kernels run directly on the state's [prices], [rates] and [weights],
     in place — steady-state stepping performs no heap allocation beyond
     the sharding dispatch. The capacities are {!Problem.caps} itself, so
-    a capacity change between steps is seen by the next one. *)
+    a capacity change between steps is seen by the next one.
+    @raise Invalid_argument if {!resize} consumed the state, or the
+    problem's {!Problem.generation} moved on since the state was built. *)
 
 type run = { iterations : int; converged : bool }
 

@@ -79,37 +79,3 @@ let jain_index xs =
   let s = Array.fold_left ( +. ) 0. xs in
   let s2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
   if s2 = 0. then 1. else s *. s /. (float_of_int (Array.length xs) *. s2)
-
-module Online = struct
-  type t = {
-    mutable n : int;
-    mutable m : float;
-    mutable s : float;
-    mutable mn : float;
-    mutable mx : float;
-  }
-
-  let create () = { n = 0; m = 0.; s = 0.; mn = infinity; mx = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.m in
-    t.m <- t.m +. (delta /. float_of_int t.n);
-    t.s <- t.s +. (delta *. (x -. t.m));
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x
-
-  let count t = t.n
-
-  let mean t = t.m
-
-  let variance t = if t.n < 2 then 0. else t.s /. float_of_int t.n
-
-  let min t =
-    if t.n = 0 then invalid_arg "Stats.Online.min: empty accumulator";
-    t.mn
-
-  let max t =
-    if t.n = 0 then invalid_arg "Stats.Online.max: empty accumulator";
-    t.mx
-end

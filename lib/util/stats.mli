@@ -1,5 +1,5 @@
 (** Descriptive statistics over float samples: percentiles, CDFs, box-plot
-    summaries, and a small online accumulator.
+    summaries and Jain's fairness index.
 
     These back every "CDF of ..." and "box shows the 25th and 75th
     percentiles" figure of the paper. *)
@@ -41,26 +41,3 @@ val jain_index : float array -> float
 (** Jain's fairness index [(Σx)^2 / (n Σx^2)]: 1 for a perfectly even
     allocation, 1/n when one member takes everything.
     @raise Invalid_argument on an empty array. *)
-
-(** Online mean/variance/min/max accumulator (Welford). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val variance : t -> float
-  (** Population variance; 0 when fewer than 2 samples. *)
-
-  val min : t -> float
-  (** @raise Invalid_argument when empty. *)
-
-  val max : t -> float
-  (** @raise Invalid_argument when empty. *)
-end

@@ -1395,15 +1395,121 @@ let test_polish_deterministic () =
   let p =
     Problem.create ~caps ~groups:(List.init 20 (fun k -> Problem.single_path pf (path k)))
   in
-  let state = Xwi.init p in
-  ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
+  (* A resize consumes its state, so the two resizes take two old states
+     converged the same way, each with its own buffers. *)
+  let converged () =
+    let state = Xwi.init p in
+    ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
+    state
+  in
+  let state_a = converged () and state_b = converged () in
   ignore (Problem.add_group p (Problem.single_path pf (path 20)));
   Problem.commit p;
-  let a = Xwi.resize p state in
-  let b = Xwi.resize p state in
+  let a = Xwi.resize p state_a in
+  let b = Xwi.resize p state_b in
   Alcotest.(check bool) "polished" true (Xwi.polished a);
   Alcotest.(check bool) "same start" (Xwi.polished a) (Xwi.polished b);
-  check_same_state "resize twice" a b
+  check_same_state "two identical old states" a b
+
+(* An active set whose Cholesky factor has fill: host link 0 couples
+   links 1 and 2, which share no flow, and is eliminated first (links 1
+   and 2 also couple to two links each), so the factor gains the entry
+   (2, 1) through the elimination tree. The polished prices are pinned
+   bit for bit to those a dense factorization (every entry of M cleared
+   and scanned) gives: a pattern that missed fill would still converge,
+   but to other bits. *)
+let test_polish_fill_pinned () =
+  let pf = Utility.proportional_fair () in
+  let paths =
+    [ [| 0; 1 |]; [| 0; 2 |]; [| 1; 3 |]; [| 1; 4 |]; [| 2; 5 |]; [| 2; 6 |];
+      [| 3 |]; [| 4 |]; [| 5 |]; [| 6 |] ]
+  in
+  let p =
+    Problem.create ~caps:(Array.make 7 1.) ~groups:(List.map (Problem.single_path pf) paths)
+  in
+  let state = Xwi.init p in
+  ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
+  ignore (Problem.add_group p (Problem.single_path pf [| 0 |]));
+  Problem.commit p;
+  let st = Xwi.resize p state in
+  Alcotest.(check bool) "polished" true (Xwi.polished st);
+  let pinned =
+    [| 0x40026e056f9ab9f9L; 0x3ff3af825195a034L; 0x3ff3af825195a034L;
+       0x3ff8f13c1f67d2eaL; 0x3ff8f13c1f67d2eaL; 0x3ff8f13c1f67d2eaL;
+       0x3ff8f13c1f67d2eaL |]
+  in
+  Array.iteri
+    (fun l bits ->
+      check_bits (Printf.sprintf "prices.(%d)" l) (Int64.float_of_bits bits)
+        st.Xwi.prices.(l))
+    pinned
+
+(* [resize] hands the old state's buffers to the new one: the old state
+   can no longer step, nor be resized again. Its public arrays stay. *)
+let test_resize_consumes () =
+  let u = Utility.proportional_fair () in
+  let p = single_link_problem ~cap:10. [ u; u ] in
+  let old = Xwi.init p in
+  ignore (Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params old);
+  let prices = Array.copy old.Xwi.prices in
+  ignore (Problem.add_group p (Problem.single_path u [| 0 |]));
+  Problem.commit p;
+  let fresh = Xwi.resize p old in
+  Alcotest.check_raises "step on a consumed state"
+    (Invalid_argument "Xwi_core.step: state consumed by Xwi_core.resize")
+    (fun () -> Xwi.step p Xwi.default_params old);
+  Alcotest.check_raises "resize of a consumed state"
+    (Invalid_argument "Xwi_core.resize: state already consumed by a resize")
+    (fun () -> ignore (Xwi.resize p old));
+  Array.iteri (fun l v -> check_bits (Printf.sprintf "old prices.(%d)" l) v prices.(l))
+    old.Xwi.prices;
+  Xwi.step p Xwi.default_params fresh;
+  Alcotest.(check int) "the new state steps" 3 (Array.length fresh.Xwi.rates)
+
+let prop_handed_down_resize_bit_identical =
+  QCheck.Test.make
+    ~name:"resize through handed-down buffers equals resize of a fresh state"
+    ~count:30 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 8000) in
+      let p = random_single_path_problem rng in
+      let n_links = Problem.n_links p in
+      let live = ref (List.init (Problem.n_groups p) Fun.id) in
+      let state = ref (Xwi.init p) in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        (if List.length !live <= 1 || Rng.int rng 3 > 0 then
+           live :=
+             Problem.add_group p
+               (Problem.single_path (random_alpha_fair rng) (random_path rng ~n_links))
+             :: !live
+         else begin
+           let victim = List.nth !live (Rng.int rng (List.length !live)) in
+           Problem.remove_group p victim;
+           live := List.filter (fun g -> g <> victim) !live
+         end);
+        Problem.commit p;
+        (* The same prices in a state with buffers of its own. *)
+        let fresh = Xwi.resize p (Xwi.init_with_prices p ~prices:!state.Xwi.prices) in
+        state := Xwi.resize p !state;
+        let same a b =
+          Array.length a = Array.length b
+          && Array.for_all2
+               (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+               a b
+        in
+        ok :=
+          !ok
+          && Bool.equal (Xwi.polished fresh) (Xwi.polished !state)
+          && same fresh.Xwi.prices !state.Xwi.prices
+          && same fresh.Xwi.rates !state.Xwi.rates
+          && same fresh.Xwi.weights !state.Xwi.weights;
+        (* Move the prices on, so the next polish sees another active set. *)
+        ignore
+          (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 ~max_iters:(Rng.int rng 200) p
+             Xwi.default_params !state)
+      done;
+      !ok)
 
 (* [exp churn]'s default scenario (100 standing flows on the paper's
    leaf-spine): most single arrivals are certified by the polished start
@@ -1878,6 +1984,9 @@ let () =
           quick "opaque and multipath keep the carried start bit for bit"
             test_polish_fallback_bit_identical;
           quick "resize is deterministic" test_polish_deterministic;
+          quick "polish with elimination fill, pinned" test_polish_fill_pinned;
+          quick "resize consumes the old state" test_resize_consumes;
+          qcheck prop_handed_down_resize_bit_identical;
           quick "exp churn: half the arrivals certified at iteration 0"
             test_churn_polished_epochs;
         ] );

@@ -304,15 +304,6 @@ let test_stats_jain () =
     (let j = Stats.jain_index [| 1.; 2.; 3. |] in
      j > 0.85 && j < 0.86)
 
-let test_stats_online () =
-  let o = Stats.Online.create () in
-  List.iter (Stats.Online.add o) [ 1.; 2.; 3.; 4. ];
-  Alcotest.(check int) "count" 4 (Stats.Online.count o);
-  check_float "mean" 2.5 (Stats.Online.mean o);
-  check_float "min" 1. (Stats.Online.min o);
-  check_float "max" 4. (Stats.Online.max o);
-  check_float "variance" 1.25 (Stats.Online.variance o)
-
 let prop_stats_percentile_bounds =
   QCheck.Test.make ~name:"percentile stays within sample range" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.))
@@ -323,14 +314,6 @@ let prop_stats_percentile_bounds =
       let lo = Array.fold_left Float.min infinity arr in
       let hi = Array.fold_left Float.max neg_infinity arr in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
-
-let prop_online_matches_batch =
-  QCheck.Test.make ~name:"online mean matches batch mean" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 60) (float_bound_exclusive 100.))
-    (fun xs ->
-      let o = Stats.Online.create () in
-      List.iter (Stats.Online.add o) xs;
-      Fcmp.rel_eq ~rel:1e-9 (Stats.Online.mean o) (Stats.mean (Array.of_list xs)))
 
 (* ------------------------------------------------------------------ *)
 (* Piecewise *)
@@ -980,9 +963,7 @@ let () =
           quick "boxplot" test_stats_boxplot;
           quick "cdf" test_stats_cdf;
           quick "jain index" test_stats_jain;
-          quick "online accumulator" test_stats_online;
           qcheck prop_stats_percentile_bounds;
-          qcheck prop_online_matches_batch;
         ] );
       ( "piecewise",
         [
