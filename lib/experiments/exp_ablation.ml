@@ -18,16 +18,12 @@ type t = {
     (* §8: WFQ with a small set of discrete weight classes *)
 }
 
-let fluid_variant scenario criteria label params =
+let variant label r =
+  { label; median = Support.median_time r.Support.times; unconverged = r.Support.unconverged }
+
+let fluid_variant scenario label params =
   let scheme = Support.Scheme_numfabric { params; interval = 30e-6 } in
-  let r = Support.semidyn_run ~scenario ~criteria ~scheme in
-  {
-    label;
-    median =
-      (if Array.length r.Support.times > 0 then Nf_util.Stats.median r.Support.times
-       else Float.nan);
-    unconverged = r.Support.unconverged;
-  }
+  variant label (Support.semidyn_run ~scenario ~scheme)
 
 let run ?(seed = 4) ?(n_events = 25) () =
   let ls = Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 () in
@@ -39,8 +35,7 @@ let run ?(seed = 4) ?(n_events = 25) () =
     Support.semidyn_prepare ~setup ~topology:ls.Nf_topo.Builders.topo
       ~hosts:ls.Nf_topo.Builders.servers ()
   in
-  let criteria = setup.Support.criteria in
-  let v = fluid_variant scenario criteria in
+  let v = fluid_variant scenario in
   let beta_sweep =
     List.map
       (fun beta ->
@@ -60,23 +55,12 @@ let run ?(seed = 4) ?(n_events = 25) () =
   in
   (* Packet-level burst-size sweep. *)
   let pls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
-  let psetup = Psupport.default_setup ~seed ~n_events:4 () in
-  let packet_variant label config =
-    let r =
-      Psupport.semidyn ~config ~setup:psetup ~topology:pls.Nf_topo.Builders.topo
-        ~hosts:pls.Nf_topo.Builders.servers
-        ~utility_of:(fun _ -> Nf_num.Utility.proportional_fair ())
-        ()
-    in
-    {
-      label;
-      median =
-        (if Array.length r.Psupport.times > 0 then
-           Nf_util.Stats.median r.Psupport.times
-         else Float.nan);
-      unconverged = r.Psupport.unconverged;
-    }
+  let pscenario =
+    Support.semidyn_prepare
+      ~setup:(Psupport.default_setup ~seed ~n_events:4 ())
+      ~topology:pls.Nf_topo.Builders.topo ~hosts:pls.Nf_topo.Builders.servers ()
   in
+  let packet_variant label config = variant label (Psupport.semidyn ~config pscenario) in
   let weight_quant =
     List.map
       (fun base ->

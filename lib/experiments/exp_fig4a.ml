@@ -48,7 +48,7 @@ let run ?(seed = 1) ?(n_events = 100) ?(scale = 1.0) () =
   let results =
     List.map
       (fun scheme ->
-        let r = Support.semidyn_run ~scenario ~criteria:setup.Support.criteria ~scheme in
+        let r = Support.semidyn_run ~scenario ~scheme in
         {
           scheme = Support.scheme_name scheme;
           times = r.Support.times;
@@ -56,15 +56,15 @@ let run ?(seed = 1) ?(n_events = 100) ?(scale = 1.0) () =
         })
       schemes
   in
-  let median name =
+  let times name =
     match List.find_opt (fun r -> r.scheme = name) results with
-    | Some r when Array.length r.times > 0 -> Nf_util.Stats.median r.times
-    | Some _ | None -> Float.nan
+    | Some r -> r.times
+    | None -> [||]
   in
+  let median name = Support.median_time (times name) in
   let p95 name =
-    match List.find_opt (fun r -> r.scheme = name) results with
-    | Some r when Array.length r.times > 0 -> Nf_util.Stats.percentile r.times 95.
-    | Some _ | None -> Float.nan
+    let t = times name in
+    if Array.length t > 0 then Nf_util.Stats.percentile t 95. else Float.nan
   in
   let best f = Float.min (f "DGD") (f "RCP*") in
   {
@@ -85,15 +85,16 @@ let run_packet ?(seed = 11) ?(n_events = 5) () =
   let base = Psupport.default_setup ~seed ~n_events () in
   (* RCP* ramps its advertised rates down from the line rate over several
      milliseconds; give every scheme the same 10 ms epochs. *)
-  let setup = { base with Psupport.event_spacing = 10e-3 } in
+  let setup =
+    { base with Support.criteria = { base.Support.criteria with max_time = 10e-3 } }
+  in
+  let scenario =
+    Support.semidyn_prepare ~setup ~topology:ls.Nf_topo.Builders.topo
+      ~hosts:ls.Nf_topo.Builders.servers ()
+  in
   let case name protocol config =
-    let r =
-      Psupport.semidyn ~config ~protocol ~setup ~topology:ls.Nf_topo.Builders.topo
-        ~hosts:ls.Nf_topo.Builders.servers
-        ~utility_of:(fun _ -> Nf_num.Utility.proportional_fair ())
-        ()
-    in
-    { scheme = name; times = r.Psupport.times; unconverged = r.Psupport.unconverged }
+    let r = Psupport.semidyn ~config ~protocol scenario in
+    { scheme = name; times = r.Support.times; unconverged = r.Support.unconverged }
   in
   (* DGD's 16 us update interval leaves its rate measurements so quantized
      (a handful of packets per interval) that prices wander ~20%; 48 us is
@@ -164,9 +165,7 @@ let report t =
     (List.map cdf_row t.results)
 
 let report_packet (t : packet_t) =
-  let med r =
-    if Array.length r.times > 0 then Nf_util.Stats.median r.times else Float.nan
-  in
+  let med r = Support.median_time r.times in
   let speedup_note =
     match
       ( List.find_opt (fun r -> r.scheme = "NUMFabric") t,

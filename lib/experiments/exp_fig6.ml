@@ -8,6 +8,9 @@
 
 type point = { x : float; median : float; unconverged : int }
 
+let point x r =
+  { x; median = Support.median_time r.Support.times; unconverged = r.Support.unconverged }
+
 (* ------------------------------------------------------------------ *)
 (* (a) dt sensitivity, packet level *)
 
@@ -16,7 +19,11 @@ type fig6a = point list
 let run_dt ?(seed = 11) ?(n_events = 5)
     ?(dts = [ 3e-6; 6e-6; 12e-6; 18e-6; 24e-6 ]) () =
   let ls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
-  let setup = Psupport.default_setup ~seed ~n_events () in
+  let scenario =
+    Support.semidyn_prepare
+      ~setup:(Psupport.default_setup ~seed ~n_events ())
+      ~topology:ls.Nf_topo.Builders.topo ~hosts:ls.Nf_topo.Builders.servers ()
+  in
   List.map
     (fun dt ->
       let config =
@@ -26,20 +33,7 @@ let run_dt ?(seed = 11) ?(n_events = 5)
             { Nf_sim.Config.default_swift with Nf_sim.Config.dt_slack = dt };
         }
       in
-      let r =
-        Psupport.semidyn ~config ~setup ~topology:ls.Nf_topo.Builders.topo
-          ~hosts:ls.Nf_topo.Builders.servers
-          ~utility_of:(fun _ -> Nf_num.Utility.proportional_fair ())
-          ()
-      in
-      {
-        x = dt;
-        median =
-          (if Array.length r.Psupport.times > 0 then
-             Nf_util.Stats.median r.Psupport.times
-           else Float.nan);
-        unconverged = r.Psupport.unconverged;
-      })
+      point dt (Psupport.semidyn ~config scenario))
     dts
 
 let point_rows ~x_scale t =
@@ -88,15 +82,7 @@ let run_interval ?(seed = 2) ?(n_events = 25)
         Support.Scheme_numfabric
           { params = Nf_num.Xwi_core.default_params; interval }
       in
-      let r = Support.semidyn_run ~scenario ~criteria:setup.Support.criteria ~scheme in
-      {
-        x = interval;
-        median =
-          (if Array.length r.Support.times > 0 then
-             Nf_util.Stats.median r.Support.times
-           else Float.nan);
-        unconverged = r.Support.unconverged;
-      })
+      point interval (Support.semidyn_run ~scenario ~scheme))
     intervals
 
 let report_interval t =
@@ -130,19 +116,7 @@ let run_alpha ?(seed = 2) ?(n_events = 25)
         Support.semidyn_prepare ~setup ~topology:ls.Nf_topo.Builders.topo
           ~hosts:ls.Nf_topo.Builders.servers ()
       in
-      let point scheme =
-        let r =
-          Support.semidyn_run ~scenario ~criteria:setup.Support.criteria ~scheme
-        in
-        {
-          x = alpha;
-          median =
-            (if Array.length r.Support.times > 0 then
-               Nf_util.Stats.median r.Support.times
-             else Float.nan);
-          unconverged = r.Support.unconverged;
-        }
-      in
+      let point scheme = point alpha (Support.semidyn_run ~scenario ~scheme) in
       let fast =
         point
           (Support.Scheme_numfabric

@@ -1,51 +1,31 @@
-(** Packet-level experiment machinery: the semi-dynamic scenario of §6.1
-    driven through the full [nf_sim] packet simulator, with receiver-side
-    EWMA rate measurement (80 µs time constant) and the paper's
-    convergence criterion (95% of flows within 10% of the Oracle rates,
-    sustained), correcting for the measurement filter's rise time as in
-    §6.1.
+(** The packet substrate of the semi-dynamic harness ({!Support}): a
+    {!Support.semidyn_scenario} replayed through the full [nf_sim] packet
+    simulator, with receiver-side EWMA rate measurement (80 µs time
+    constant) judged against the scenario's Oracle targets by the fluid
+    runs' rule, {!Nf_fluid.Convergence.sustained}.
 
-    Determinism: everything random here derives from [setup.seed] through
-    an explicit [Nf_util.Rng.t] — there is no process-global random
-    state — and the simulated network is built afresh per call, so
-    [semidyn] is safe to run on {!Runner} worker domains and its result
-    depends only on its arguments (callers derive [seed] from
-    {!Ctx.rng_seed}). *)
+    Determinism: the simulated network is built afresh per call and
+    everything random lives in the scenario (derived from its
+    [setup.seed]), so [semidyn] is safe to run on {!Runner} worker
+    domains and its result depends only on its arguments (callers
+    derive [seed] from {!Ctx.rng_seed}). *)
 
-type setup = {
-  seed : int;
-  n_paths : int;
-  flows_per_event : int;
-  active_min : int;
-  active_max : int;
-  n_events : int;
-  event_spacing : float;  (** seconds between events *)
-  sample_every : float;  (** rate sampling period *)
-  sustain : float;  (** how long the criterion must hold *)
-  within : float;
-  fraction : float;
-}
-
-val default_setup : ?seed:int -> ?n_events:int -> unit -> setup
+val default_setup : ?seed:int -> ?n_events:int -> unit -> Support.semidyn_setup
 (** A scaled-down instance sized for packet-level simulation: 40 paths,
-    6 flows/event, 12–20 active, 4 ms between events. *)
-
-type result = {
-  times : float array;  (** per-event convergence times (rise-time corrected) *)
-  unconverged : int;
-  drops : int;  (** total packet drops over the run *)
-}
+    6 flows/event, 12–20 active, proportional fairness, 95% of flows
+    within 10%, held for 0.5 ms, 4 ms between events ([max_time]). *)
 
 val semidyn :
   ?config:Nf_sim.Config.t ->
   ?protocol:Nf_sim.Protocol.t ->
-  setup:setup ->
-  topology:Nf_topo.Topology.t ->
-  hosts:int array ->
-  utility_of:(int -> Nf_num.Utility.t) ->
-  unit ->
-  result
-(** Runs the given protocol (default NUMFabric) through the event
-    sequence at packet level. The Oracle targets are the NUM optima for
-    [utility_of], so schemes that do not solve NUM (DCTCP, pFabric) will
-    simply report how far they end up from it. *)
+  Support.semidyn_scenario ->
+  Support.semidyn_result
+(** Runs the given protocol (default NUMFabric) through the scenario's
+    event sequence. Event [k] happens at [k * max_time], and each path's
+    activation is one flow, with ids in activation order. The first
+    epoch lets the initial population settle; in each event epoch the
+    receivers' rates are sampled every 20 µs, and a converged event
+    reports the entry sample's time since the event minus the EWMA
+    filter's 90% rise time (§6.1), floored at 0. The targets are the NUM
+    optima for [setup.utility_of], so schemes that do not solve NUM
+    (DCTCP, pFabric) simply report how far they end up from it. *)

@@ -47,43 +47,6 @@ let make_scheme kind problem =
   | Scheme_rcp { params; interval; alpha } ->
     Nf_fluid.Fluid_rcp.make ~params ~interval ~alpha problem
 
-module Warm_oracle = struct
-  type t = { mutable prices : float array option; n_links : int }
-
-  let create ~n_links = { prices = None; n_links }
-
-  let solve ?(tol = 1e-5) t problem =
-    if Problem.n_links problem <> t.n_links then
-      invalid_arg "Warm_oracle.solve: link count mismatch";
-    let params = Xwi_core.default_params in
-    let state =
-      match t.prices with
-      | Some prices -> Xwi_core.init_with_prices problem ~prices
-      | None -> Xwi_core.init problem
-    in
-    let run = Xwi_core.run_until_kkt ~tol ~max_iters:3_000 problem params state in
-    let state =
-      if run.Xwi_core.converged then state
-      else begin
-        (* Cold restart with extra damping. *)
-        let state = Xwi_core.init problem in
-        let params = { params with Xwi_core.beta = 0.8 } in
-        ignore (Xwi_core.run_until_kkt ~tol ~max_iters:20_000 problem params state);
-        state
-      end
-    in
-    let report =
-      Nf_num.Kkt.check problem ~rates:state.Xwi_core.rates
-        ~prices:state.Xwi_core.prices
-    in
-    if Nf_num.Kkt.worst report > tol then
-      raise
-        (Nf_num.Oracle.Did_not_converge
-           (Format.asprintf "Warm_oracle.solve: %a" Nf_num.Kkt.pp report));
-    t.prices <- Some (Array.copy state.Xwi_core.prices);
-    Array.copy state.Xwi_core.rates
-end
-
 type semidyn_setup = {
   seed : int;
   n_paths : int;
@@ -115,14 +78,21 @@ let default_semidyn ?(seed = 1) ?(n_events = 100) () =
 
 type semidyn_result = { times : float array; unconverged : int }
 
+let median_time times =
+  if Array.length times > 0 then Nf_util.Stats.median times else Float.nan
+
 type semidyn_scenario = {
+  setup : semidyn_setup;
+  topology : Topology.t;
+  workload : Nf_workload.Semidynamic.t;
+  paths : int array array;
   problems : Problem.t array;
   targets : float array array;
 }
 
 let semidyn_prepare ~setup ~topology ~hosts () =
   let rng = Nf_util.Rng.create ~seed:setup.seed in
-  let scenario =
+  let workload =
     Nf_workload.Semidynamic.generate rng ~hosts ~n_paths:setup.n_paths
       ~flows_per_event:setup.flows_per_event ~active_min:setup.active_min
       ~active_max:setup.active_max ~n_events:setup.n_events ()
@@ -132,7 +102,7 @@ let semidyn_prepare ~setup ~topology ~hosts () =
     Array.mapi
       (fun i { Nf_workload.Traffic.src; dst } ->
         Array.of_list (Routing.ecmp_path topology ~src ~dst ~hash:(i * 2654435761)))
-      scenario.Nf_workload.Semidynamic.pairs
+      workload.Nf_workload.Semidynamic.pairs
   in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
   let problem_of active =
@@ -141,21 +111,22 @@ let semidyn_prepare ~setup ~topology ~hosts () =
     in
     Problem.create ~caps ~groups
   in
-  let oracle = Warm_oracle.create ~n_links:(Array.length caps) in
+  let oracle = Nf_fluid.Warm_oracle.create ~n_links:(Array.length caps) in
   let problems =
     Array.init (setup.n_events + 1) (fun k ->
-        problem_of (Nf_workload.Semidynamic.active_after scenario k))
+        problem_of (Nf_workload.Semidynamic.active_after workload k))
   in
   let targets =
     Nf_util.Profile.time "oracle-targets" @@ fun () ->
-    Array.map (Warm_oracle.solve oracle) problems
+    Array.map (Nf_fluid.Warm_oracle.solve oracle) problems
   in
-  { problems; targets }
+  { setup; topology; workload; paths; problems; targets }
 
-let semidyn_run ~scenario ~criteria ~scheme =
+let semidyn_run ~scenario ~scheme =
   (* Accounted per scheme so a profiled fig4a/fig6 run shows how the wall
      time splits between the schemes under comparison. *)
   Nf_util.Profile.time ("fluid-" ^ scheme_name scheme) @@ fun () ->
+  let criteria = scenario.setup.criteria in
   let s = make_scheme scheme scenario.problems.(0) in
   (* Let the initial population settle before the first event. *)
   ignore (Convergence.measure ~criteria s ~target:scenario.targets.(0));
@@ -163,8 +134,7 @@ let semidyn_run ~scenario ~criteria ~scheme =
   let unconverged = ref 0 in
   for k = 1 to Array.length scenario.problems - 1 do
     s.Scheme.rebind scenario.problems.(k);
-    let outcome = Convergence.measure ~criteria s ~target:scenario.targets.(k) in
-    match outcome.Convergence.time with
+    match Convergence.measure ~criteria s ~target:scenario.targets.(k) with
     | Some t -> times := t :: !times
     | None -> incr unconverged
   done;

@@ -4,7 +4,12 @@
     flows on random leaf–spine paths, network events that start/stop 100
     flows at a time, and per-event measurement of the time for 95% of
     flows to come within 10% of the Oracle allocation. It is reused by
-    Figure 4a, the sensitivity sweeps of Figure 6, and the ablations. *)
+    Figure 4a, the sensitivity sweeps of Figure 6, and the ablations.
+
+    One {!semidyn_prepare} builds a scenario (events, paths, per-event
+    problems and their Oracle targets); {!semidyn_run} replays it on a
+    fluid scheme and {!Psupport.semidyn} on the packet simulator. Both
+    judge each event with {!Nf_fluid.Convergence.sustained}. *)
 
 type scheme_kind =
   | Scheme_numfabric of { params : Nf_num.Xwi_core.params; interval : float }
@@ -19,18 +24,6 @@ val rcp_default : alpha:float -> scheme_kind
 
 val scheme_name : scheme_kind -> string
 
-(** A reusable warm-started exact solver: keeps link prices across calls so
-    that successive, similar problems solve in few iterations. *)
-module Warm_oracle : sig
-  type t
-
-  val create : n_links:int -> t
-
-  val solve : ?tol:float -> t -> Nf_num.Problem.t -> float array
-  (** Optimal per-flow rates; raises {!Nf_num.Oracle.Did_not_converge} if
-      even a cold restart cannot reach the KKT tolerance (default 1e-5). *)
-end
-
 type semidyn_setup = {
   seed : int;
   n_paths : int;
@@ -38,8 +31,10 @@ type semidyn_setup = {
   active_min : int;
   active_max : int;
   n_events : int;
-  utility_of : int -> Nf_num.Utility.t;  (** keyed by flow index *)
+  utility_of : int -> Nf_num.Utility.t;  (** keyed by path index *)
   criteria : Nf_fluid.Convergence.criteria;
+    (** the packet driver also takes [max_time] as its epoch length:
+        events are [max_time] apart *)
 }
 
 val default_semidyn : ?seed:int -> ?n_events:int -> unit -> semidyn_setup
@@ -53,10 +48,18 @@ type semidyn_result = {
   unconverged : int;  (** events that never met the criteria *)
 }
 
+val median_time : float array -> float
+(** The median of convergence times, NaN when there are none. *)
+
 type semidyn_scenario = {
+  setup : semidyn_setup;
+  topology : Nf_topo.Topology.t;
+  workload : Nf_workload.Semidynamic.t;
+  paths : int array array;  (** ECMP path of each of [workload.pairs] *)
   problems : Nf_num.Problem.t array;
     (** [problems.(0)] is the initial population; [problems.(k)] the
-        population after event [k] *)
+        population after event [k], its flows in the order of
+        [Semidynamic.active_after workload k] *)
   targets : float array array;  (** Oracle rates for each problem *)
 }
 
@@ -66,16 +69,15 @@ val semidyn_prepare :
   hosts:int array ->
   unit ->
   semidyn_scenario
-(** Generates the event sequence and solves the Oracle target for every
-    population once (the expensive part, shared by all schemes). *)
+(** Generates the event sequence, routes every path once and solves the
+    Oracle target for every population with one {!Nf_fluid.Warm_oracle}
+    (the expensive part, shared by all schemes of either substrate). *)
 
-val semidyn_run :
-  scenario:semidyn_scenario ->
-  criteria:Nf_fluid.Convergence.criteria ->
-  scheme:scheme_kind ->
-  semidyn_result
-(** Replays the event sequence for one scheme: the scheme's link state
-    persists across events exactly as switch state would. *)
+val semidyn_run : scenario:semidyn_scenario -> scheme:scheme_kind -> semidyn_result
+(** Replays the event sequence for one fluid scheme under
+    [scenario.setup.criteria]: the scheme's link state persists across
+    events exactly as switch state would. {!Psupport.semidyn} is the
+    packet substrate's counterpart. *)
 
 val dynamic_flows :
   seed:int ->

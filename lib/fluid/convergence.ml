@@ -20,35 +20,35 @@ let fraction_within ~target ~within rates =
     float_of_int !inside /. float_of_int n
   end
 
-type outcome = { time : float option; iterations_run : int }
+let periods x ~period = int_of_float (ceil (x /. period))
 
-let measure ?(criteria = paper_criteria) (scheme : Scheme.t) ~target =
-  let max_iters =
-    int_of_float (ceil (criteria.max_time /. scheme.Scheme.interval))
-  in
-  let sustain_iters =
-    int_of_float (ceil (criteria.sustain /. scheme.Scheme.interval))
-  in
-  (* entered = iteration index at which the current in-tolerance stretch
-     started, or -1 when currently out of tolerance. *)
-  let rec loop iter entered =
-    (* Observation is per-iteration and read-only: the live view avoids one
-       rate-array copy per iteration (the fig4a sweep runs millions). *)
-    let inside =
-      fraction_within ~target ~within:criteria.within
-        (scheme.Scheme.rates_view ())
-      >= criteria.fraction
-    in
-    let entered = if inside then (if entered < 0 then iter else entered) else -1 in
-    if entered >= 0 && iter - entered >= sustain_iters then
-      {
-        time = Some (float_of_int entered *. scheme.Scheme.interval);
-        iterations_run = iter;
-      }
-    else if iter >= max_iters then { time = None; iterations_run = iter }
+let sustained criteria ~period ~last ~target sample =
+  let sustain = periods criteria.sustain ~period in
+  (* entered = index at which the current inside stretch started, or -1
+     when the last sample was outside. *)
+  let rec loop i entered =
+    if i > last then None
     else begin
-      scheme.Scheme.step ();
-      loop (iter + 1) entered
+      let inside =
+        fraction_within ~target ~within:criteria.within (sample i)
+        >= criteria.fraction
+      in
+      let entered = if inside then (if entered < 0 then i else entered) else -1 in
+      if entered >= 0 && i - entered >= sustain then Some entered
+      else loop (i + 1) entered
     end
   in
   loop 0 (-1)
+
+let measure ?(criteria = paper_criteria) (scheme : Scheme.t) ~target =
+  let interval = scheme.Scheme.interval in
+  (* Observation is per-iteration and read-only: the live view avoids one
+     rate-array copy per iteration (the fig4a sweep runs millions). *)
+  let sample i =
+    if i > 0 then scheme.Scheme.step ();
+    scheme.Scheme.rates_view ()
+  in
+  sustained criteria ~period:interval
+    ~last:(periods criteria.max_time ~period:interval)
+    ~target sample
+  |> Option.map (fun entered -> float_of_int entered *. interval)

@@ -43,6 +43,19 @@ let build_problem ~caps actives =
 
 let safety_cap = 100.
 
+(* Moves every pending flow that has arrived by [now] to the end of
+   [actives] (so problem flow order is arrival order); true if any did. *)
+let admit ~now pending actives =
+  let rec take changed =
+    match !pending with
+    | f :: rest when f.arrival <= now +. 1e-15 ->
+      pending := rest;
+      actives := !actives @ [ { spec = f; remaining = f.size } ];
+      take true
+    | _ -> changed
+  in
+  take false
+
 let run ~caps ~make_scheme ~flows ?reutility ?until () =
   let horizon = match until with Some u -> u | None -> safety_cap in
   let pending = ref (sort_flows flows) in
@@ -72,23 +85,9 @@ let run ~caps ~make_scheme ~flows ?reutility ?until () =
       | None -> scheme := Some (make_scheme p)
       | Some s -> s.Scheme.rebind p)
   in
-  let admit_arrivals () =
-    let changed = ref false in
-    let rec take () =
-      match !pending with
-      | f :: rest when f.arrival <= !now +. 1e-15 ->
-        pending := rest;
-        actives := !actives @ [ { spec = f; remaining = f.size } ];
-        changed := true;
-        take ()
-      | _ -> ()
-    in
-    take ();
-    if !changed then rebuild ()
-  in
   let finished = ref false in
   while not !finished do
-    admit_arrivals ();
+    if admit ~now:!now pending actives then rebuild ();
     (match (!actives, !pending) with
     | [], [] -> finished := true
     | [], next :: _ ->
@@ -145,8 +144,8 @@ let run ~caps ~make_scheme ~flows ?reutility ?until () =
 
 (* --------------------------------------------------------------------- *)
 (* Ideal (instantaneous Oracle) driver: event-driven, rates are the exact
-   NUM allocation between consecutive events. Warm-starts the xWI fixed
-   point from the previous event's prices for speed. *)
+   NUM allocation between consecutive events, each solved by the
+   warm-started, certified Warm_oracle. *)
 
 (* A flow counts as finished when less than one byte remains: finishing the
    last byte takes microseconds at any realistic rate, and a strictly
@@ -161,33 +160,11 @@ let run_ideal ?(tol = 1e-5) ~caps ~flows () =
   let now = ref 0. in
   let max_events = 1000 * (1 + List.length flows) in
   let n_events = ref 0 in
-  let n_links = Array.length caps in
-  let prices = ref (Array.make n_links 0.) in
+  let oracle = Warm_oracle.create ~n_links:(Array.length caps) in
   let solve () =
     match !actives with
     | [] -> [||]
-    | _ :: _ ->
-      let p = build_problem ~caps !actives in
-      let params = Nf_num.Xwi_core.default_params in
-      let state =
-        if Array.for_all (fun x -> Float.equal x 0.) !prices then
-          Nf_num.Xwi_core.init p
-        else Nf_num.Xwi_core.init_with_prices p ~prices:!prices
-      in
-      let run = Nf_num.Xwi_core.run_until_kkt ~tol ~max_iters:3_000 p params state in
-      let state =
-        if run.Nf_num.Xwi_core.converged then state
-        else begin
-          (* Cold restart with more damping if the warm start stalled. *)
-          let state = Nf_num.Xwi_core.init p in
-          let params = { Nf_num.Xwi_core.default_params with Nf_num.Xwi_core.beta = 0.8 } in
-          ignore
-            (Nf_num.Xwi_core.run_until_kkt ~tol ~max_iters:20_000 p params state);
-          state
-        end
-      in
-      prices := Array.copy state.Nf_num.Xwi_core.prices;
-      Array.copy state.Nf_num.Xwi_core.rates
+    | _ :: _ -> Warm_oracle.solve ~tol oracle (build_problem ~caps !actives)
   in
   let rates = ref [||] in
   let finished = ref false in
@@ -195,19 +172,7 @@ let run_ideal ?(tol = 1e-5) ~caps ~flows () =
     incr n_events;
     if !n_events > max_events then
       invalid_arg "Dynamic.run_ideal: event budget exceeded (internal)";
-    (* Admit all arrivals at the current instant. *)
-    let changed = ref false in
-    let rec take () =
-      match !pending with
-      | f :: rest when f.arrival <= !now +. 1e-15 ->
-        pending := rest;
-        actives := !actives @ [ { spec = f; remaining = f.size } ];
-        changed := true;
-        take ()
-      | _ -> ()
-    in
-    take ();
-    if !changed then rates := solve ();
+    if admit ~now:!now pending actives then rates := solve ();
     match (!actives, !pending) with
     | [], [] -> finished := true
     | [], next :: _ -> now := next.arrival

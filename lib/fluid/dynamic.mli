@@ -61,6 +61,7 @@ val run :
 
 val run_ideal : ?tol:float -> caps:float array -> flows:flow_spec list -> unit -> result
 (** Event-driven Oracle run: rates are the exact NUM allocation,
-    recomputed (warm-started) at every arrival and departure; between
-    events every flow drains at its optimal rate. [tol] is the KKT
-    residual target of the per-event solve (default 1e-5). *)
+    recomputed by one {!Warm_oracle} at every arrival and departure;
+    between events every flow drains at its optimal rate. [tol] is the
+    KKT residual every per-event solve certifies (default 1e-5).
+    @raise Nf_num.Oracle.Did_not_converge if a solve does not certify. *)

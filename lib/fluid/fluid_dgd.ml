@@ -21,17 +21,11 @@ let price_scale problem ~rates =
   done;
   Float.max (!acc /. float_of_int (Stdlib.max n 1)) 1e-30
 
-let path_line_rate problem i =
-  let caps = Problem.caps problem in
-  Array.fold_left
-    (fun acc l -> Float.min acc caps.(l))
-    infinity (Problem.flow_path problem i)
-
 let compute_rates problem ~prices =
   Array.init (Problem.n_flows problem) (fun i ->
       let u = Problem.group_utility problem (Problem.flow_group problem i) in
       Utility.rate_from_price u
-        ~max_rate:(path_line_rate problem i)
+        ~max_rate:(Scheme.path_line_rate problem i)
         (Problem.path_price problem ~prices i))
 
 let make ?(params = default_params) ?(interval = default_interval) ?trace

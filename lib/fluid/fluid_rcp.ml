@@ -6,12 +6,6 @@ let default_params = { gain_spare = 0.4; gain_queue = 0.2; mean_rtt = 16e-6 }
 
 let default_interval = 16e-6
 
-let path_line_rate problem i =
-  let caps = Problem.caps problem in
-  Array.fold_left
-    (fun acc l -> Float.min acc caps.(l))
-    infinity (Problem.flow_path problem i)
-
 (* Eq. 16: x_i = (sum_l R_l^-alpha)^(-1/alpha), capped at the line rate. *)
 let compute_rates problem ~alpha ~fair_rates =
   Array.init (Problem.n_flows problem) (fun i ->
@@ -20,7 +14,7 @@ let compute_rates problem ~alpha ~fair_rates =
         (fun l -> acc := !acc +. (Float.max fair_rates.(l) 1e-3 ** -.alpha))
         (Problem.flow_path problem i);
       let x = !acc ** (-1. /. alpha) in
-      Float.min x (path_line_rate problem i))
+      Float.min x (Scheme.path_line_rate problem i))
 
 let make ?(params = default_params) ?(interval = default_interval) ?trace
     ~alpha problem =

@@ -9,3 +9,9 @@ type t = {
 }
 
 let nop_observe (_ : float array) = ()
+
+let path_line_rate problem i =
+  let caps = Nf_num.Problem.caps problem in
+  Array.fold_left
+    (fun acc l -> Float.min acc caps.(l))
+    infinity (Nf_num.Problem.flow_path problem i)

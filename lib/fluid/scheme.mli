@@ -34,3 +34,8 @@ type t = {
 }
 
 val nop_observe : float array -> unit
+
+val path_line_rate : Nf_num.Problem.t -> int -> float
+(** The smallest capacity on flow [i]'s path: the rate cap of the
+    rate-based schemes, DGD and RCP*, whose senders cannot exceed their
+    slowest link. *)

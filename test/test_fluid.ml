@@ -193,9 +193,8 @@ let test_convergence_measures_entry_time () =
   let criteria =
     { Convergence.within = 0.1; fraction = 1.; sustain = 3e-3; max_time = 1. }
   in
-  let outcome = Convergence.measure ~criteria s ~target:[| 1. |] in
   (* 1 - 0.5^k <= 0.9 until k = 4 (0.9375): entry at iteration 4 = 4 ms. *)
-  match outcome.Convergence.time with
+  match Convergence.measure ~criteria s ~target:[| 1. |] with
   | Some t -> check_close ~rel:1e-9 "entry time" 4e-3 t
   | None -> Alcotest.fail "did not converge"
 
@@ -205,13 +204,110 @@ let test_convergence_timeout () =
   let criteria =
     { Convergence.within = 0.1; fraction = 1.; sustain = 1e-3; max_time = 20e-3 }
   in
-  let outcome = Convergence.measure ~criteria s ~target:[| 1. |] in
-  Alcotest.(check bool) "timed out" true (outcome.Convergence.time = None)
+  Alcotest.(check bool) "timed out" true
+    (Convergence.measure ~criteria s ~target:[| 1. |] = None)
 
 let test_fraction_within () =
   let target = [| 10.; 10.; 10.; 0. |] in
   let rates = [| 10.5; 8.; 10.; 0. |] in
   check_close "fraction" 0.75 (Convergence.fraction_within ~target ~within:0.1 rates)
+
+(* One table for the rule both substrates share: each sample is a
+   population's rates ('#' on target, '.' 50% off, 'n' no rate yet);
+   sustain = ceil (2 / 1) = 2 periods. *)
+let test_sustained_rule () =
+  let criteria =
+    { Convergence.within = 0.1; fraction = 1.; sustain = 2.; max_time = 0. }
+  in
+  let rates_of = function
+    | '#' -> [| 1. |]
+    | 'n' -> [| Float.nan |]
+    | _ -> [| 0.5 |]
+  in
+  let one = [| 1. |] in
+  List.iter
+    (fun (name, target, samples, expected, taken) ->
+      let calls = ref 0 in
+      let sample i =
+        Alcotest.(check int) (name ^ ": sampled in order") !calls i;
+        incr calls;
+        rates_of samples.[i]
+      in
+      let entry =
+        Convergence.sustained criteria ~period:1.
+          ~last:(String.length samples - 1)
+          ~target sample
+      in
+      Alcotest.(check (option int)) name expected entry;
+      Alcotest.(check int) (name ^ ": samples taken") taken !calls)
+    [
+      ("entry index", one, "...#####", Some 3, 6);
+      ("a stretch of exactly sustain", one, "..###...", Some 2, 5);
+      ("a break one sample short", one, ".##.###.", Some 4, 7);
+      ("the give-up point", one, "....##", None, 6);
+      ("no samples", one, "", None, 0);
+      ("an empty population", [||], "....", Some 0, 3);
+      ("a missing rate is outside", one, "nnnnn", None, 5);
+    ];
+  (* The fluid give-up point keeps ceil's rounded quotient:
+     50 ms / 16 us = 3125.0000000000005, so 3126 steps. *)
+  let steps = ref 0 in
+  let stuck =
+    {
+      Scheme.name = "stuck";
+      interval = 16e-6;
+      step = (fun () -> incr steps);
+      rates = (fun () -> [| 0. |]);
+      rates_view = (fun () -> [| 0. |]);
+      rebind = (fun _ -> ());
+      observe_remaining = Scheme.nop_observe;
+    }
+  in
+  let criteria = { criteria with sustain = 1e-3; max_time = 50e-3 } in
+  Alcotest.(check bool) "never converges" true
+    (Convergence.measure ~criteria stuck ~target:[| 1. |] = None);
+  Alcotest.(check int) "steps to give up" 3126 !steps
+
+(* ------------------------------------------------------------------ *)
+(* The warm oracle *)
+
+(* Ten events over one link set, each starting or stopping three flows
+   from a fixed pool of random paths; one oracle carries its prices
+   through all eleven populations. [Warm_oracle.solve] raises unless its
+   KKT residual certifies at 1e-5. *)
+let test_warm_oracle_carried () =
+  let caps = [| 10e9; 10e9; 40e9; 40e9; 10e9; 25e9 |] in
+  let rng = Nf_util.Rng.create ~seed:5 in
+  let pool =
+    Array.init 24 (fun _ ->
+        let links = Nf_util.Rng.permutation rng (Array.length caps) in
+        Array.sub links 0 (1 + Nf_util.Rng.int rng 3))
+  in
+  let active = Array.init (Array.length pool) (fun i -> i < 12) in
+  let oracle = Nf_fluid.Warm_oracle.create ~n_links:(Array.length caps) in
+  for event = 0 to 10 do
+    if event > 0 then begin
+      let start = Nf_util.Rng.bool rng in
+      let candidates =
+        List.filter (fun i -> active.(i) <> start) (List.init (Array.length pool) Fun.id)
+      in
+      let picked = Array.of_list candidates in
+      Nf_util.Rng.shuffle rng picked;
+      Array.iter (fun i -> active.(i) <- start) (Array.sub picked 0 3)
+    end;
+    let groups =
+      List.filter_map
+        (fun i -> if active.(i) then Some (Problem.single_path (pf ()) pool.(i)) else None)
+        (List.init (Array.length pool) Fun.id)
+    in
+    let problem = Problem.create ~caps ~groups in
+    let warm = Nf_fluid.Warm_oracle.solve oracle problem in
+    let exact = (Nf_num.Oracle.solve problem).Nf_num.Oracle.rates in
+    Array.iteri
+      (fun i x ->
+        check_close ~rel:1e-4 (Printf.sprintf "event %d flow %d" event i) exact.(i) x)
+      warm
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic drivers *)
@@ -325,7 +421,9 @@ let () =
           quick "entry time" test_convergence_measures_entry_time;
           quick "timeout" test_convergence_timeout;
           quick "fraction within" test_fraction_within;
+          quick "sustained rule" test_sustained_rule;
         ] );
+      ("warm oracle", [ quick "carried across ten events" test_warm_oracle_carried ]);
       ( "dynamic",
         [
           quick "single flow fct" test_dynamic_single_flow_fct;
