@@ -693,7 +693,8 @@ let serve_drive_cmd =
         end;
         Format.printf "(metrics scrape ok: %d bytes)@." (String.length body);
         (* The warm-start counters' sample lines, verbatim: CI requires a
-           nonzero polished-start count. *)
+           nonzero polished-start count and bounds the carried-start
+           count. *)
         List.iter
           (fun line ->
             if

@@ -249,10 +249,10 @@ let price_update_kernel () =
       e.Pe.update ()
     done
 
-(* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
-   same kind of instance as nfbench's solve_cold, at a fraction of its
-   size. *)
-let xwi_problem ~k ~n_flows =
+(* [n_flows] random server pairs on a k-ary fat tree, each on its ECMP
+   path: the links' capacities and the paths. The pairs are drawn one
+   at a time from one seed, so a longer draw extends a shorter one. *)
+let fat_tree_paths ~k ~n_flows =
   let ft = Nf_topo.Builders.fat_tree ~k () in
   let rng = Nf_util.Rng.create ~seed:7 in
   let pairs =
@@ -273,12 +273,22 @@ let xwi_problem ~k ~n_flows =
       (fun l -> l.Nf_topo.Topology.capacity)
       (Nf_topo.Topology.links ft.Nf_topo.Builders.ft_topo)
   in
+  (caps, paths)
+
+let pf_problem ~caps paths =
   Nf_num.Problem.create ~caps
     ~groups:
       (Array.to_list
          (Array.map
             (Nf_num.Problem.single_path (Nf_num.Utility.proportional_fair ()))
             paths))
+
+(* A k=4 fat-tree / ECMP / proportional-fair scenario of 64 flows: the
+   same kind of instance as nfbench's solve_cold, at a fraction of its
+   size. *)
+let xwi_problem ~k ~n_flows =
+  let caps, paths = fat_tree_paths ~k ~n_flows in
+  pf_problem ~caps paths
 
 let xwi_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
@@ -313,30 +323,37 @@ let kkt_witness_kernel () =
     then incr cleared
 
 (* Steady churn at a constant size on the same 64-flow fat tree: the
-   problem, and a thunk that removes its oldest group, adds the group's
-   path back as a new group and commits. *)
+   problem, and a thunk that removes its oldest group, adds a group in
+   its place and commits. Each place alternates between its own path and
+   a spare one (a second draw of 64 pairs), so every churn moves the
+   population on, and some arrivals overload a link that no flow
+   bottlenecked before. *)
 let churn_problem () =
-  let problem = xwi_problem ~k:4 ~n_flows:64 in
-  let n = Nf_num.Problem.n_groups problem in
+  let n = 64 in
+  let caps, paths = fat_tree_paths ~k:4 ~n_flows:(2 * n) in
+  let problem = pf_problem ~caps (Array.sub paths 0 n) in
   let utility = Nf_num.Problem.group_utility problem 0 in
-  let paths = Array.init n (Nf_num.Problem.flow_path problem) in
   (* Initial groups get gids [0 .. n-1]. *)
-  let gids = Array.init n Fun.id and next = ref 0 in
+  let gids = Array.init n Fun.id and spare = Array.make n false and next = ref 0 in
   let churn () =
     let k = !next in
     next := (k + 1) mod n;
     Nf_num.Problem.remove_group problem gids.(k);
+    spare.(k) <- not spare.(k);
     gids.(k) <-
-      Nf_num.Problem.add_group problem (Nf_num.Problem.single_path utility paths.(k));
+      Nf_num.Problem.add_group problem
+        (Nf_num.Problem.single_path utility paths.(if spare.(k) then k + n else k));
     Nf_num.Problem.commit problem
   in
   (problem, churn)
 
 (* The serve loop's warm restart: the churn above, then
    [Xwi_core.resize] of the last state (polished starts included: the
-   utilities are [Log]). [Problem.commit] allocates the new snapshot by
-   design, so [run] charges this kernel only its bytes beyond those of
-   the same churn on an identical problem without the resize. Returns
+   utilities are [Log], and the churn makes many polishes add links to
+   their active set over several rounds). [Problem.commit] allocates
+   the new snapshot by design, so [run] charges this kernel only its
+   bytes beyond those of the same churn on an identical problem without
+   the resize. Returns
    the thunk and the bytes a resize owes on 64-bit: the new state, that
    is its record (seven fields) and its three public arrays (prices per
    link, rates and weights per flow), each with its header, plus the two

@@ -15,7 +15,8 @@
     stopping test's one-flow witness check ({!Nf_num.Kkt.flow_residual})
     on the same problem, one {!Nf_num.Maxmin.solve_sparse}, and one warm
     restart ({!Nf_num.Xwi_core.resize} after a one-flow churn and its
-    commit, on the same fat tree) — are prebuilt, warmed past lazy
+    commit, on the same fat tree; the churn swaps each flow between two
+    paths, so many polishes grow their active set over several rounds) — are prebuilt, warmed past lazy
     workspace growth, and measured with
     {!Nf_util.Gcstats.bytes_per_iteration}. Each must allocate 0 bytes
     per steady-state iteration; {!budget} (1 byte/iter) absorbs only

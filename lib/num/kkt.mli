@@ -21,7 +21,13 @@ type report = {
     (** max over unused sub-flows of
         [(U'_g(y_g) - path_price)+ / max(U'_g(y_g), tiny)]: positive when
         an idle sub-flow sees a path cheaper than the group's marginal
-        utility. 0 for single-path problems. *)
+        utility. A sub-flow is unused when its rate is at most
+        [used_threshold · max(y_g, 1e-30)] (see {!check_into}). A
+        single-path flow is its own group, so it is unused only when its
+        rate is at most [used_threshold · 1e-30] (1e-36 by default): a
+        zero rate, or the ~1e-280 rates a carried warm start can give
+        new flows through xWI's 1e-30 weight floor. So this term is not
+        always 0 for single-path problems. *)
   feasibility : float;  (** max over links of [(load - cap)+ / cap] *)
   slackness : float;
     (** max over links of [p_l * (cap - load)+ / (p_ref * cap)], where

@@ -12,16 +12,24 @@
    by a Cholesky over |A| (dense storage, sparse work). A and its
    elimination order are fixed for a whole Newton solve, so the factor's
    nonzero pattern is computed once per solve ([symbolic]) and every
-   factorization clears, assembles and updates only that pattern. Every buffer
+   factorization clears, assembles and updates only that pattern.
+
+   A is then corrected by a primal-dual active-set loop ([rounds]): a
+   solve that ends with negative prices, converged or not, drops those
+   links and re-solves; a converged solve whose rates x(P_A) overload a
+   link outside A adds that link at price 0 and re-solves. Every buffer
    lives in the workspace and grows on demand only, so a polish
-   allocates nothing once the workspace has seen a problem of its size:
-   floats go through float arrays, never through refs, records or
-   results that would box them. *)
+   allocates nothing once the workspace has seen a problem and an active
+   set of its size: floats go through float arrays, never through refs,
+   records or results that would box them. *)
+
+module Metrics = Nf_util.Metrics
 
 type t = {
+  mutable capacity : int;  (* the |A| the |A|-sized buffers hold *)
   mutable mark : int array;  (* n_links; -1 outside A, else a tag/position *)
   mutable start : float array;  (* n_links; per-link starting price *)
-  mutable loads : float array;  (* n_links; loads of the carried rates *)
+  mutable loads : float array;  (* n_links; loads of the carried rates, of x(P_A) *)
   mutable active : int array;  (* |A| link ids *)
   mutable p : float array;  (* |A| prices *)
   mutable trial : float array;  (* |A| line-search prices *)
@@ -52,6 +60,7 @@ type t = {
 
 let create () =
   {
+    capacity = 0;
     mark = [||];
     start = [||];
     loads = [||];
@@ -94,16 +103,47 @@ let max_newton = 20
 
 let max_halvings = 40
 
-let max_rounds = 4  (* drop-and-re-solve rounds *)
+let max_rounds = 8  (* Newton solves in all, over every add and drop *)
 
 (* Dense Cholesky is O(|A|³): past this the polish costs more than the
    xWI iterations it saves, so larger active sets keep the carried
    start. *)
 let max_active = 256
 
+let m_added =
+  Metrics.counter Metrics.global
+    ~help:"Links the warm-start polish added to its active set (overloaded by x(P_A))"
+    "nf_xwi_polish_added_links_total"
+
+let m_retries =
+  Metrics.counter Metrics.global
+    ~help:"Failed warm-start Newton solves retried without their negatively priced links"
+    "nf_xwi_polish_retries_total"
+
 let floats a n = if Array.length a >= n then a else Array.make n 0.
 
 let ints a n = if Array.length a >= n then a else Array.make n 0
+
+(* Grow the |A|-sized buffers to hold an active set of [n] links, by at
+   least half their size, so an active set that grows by a link or two
+   at a time reallocates rarely. *)
+let reserve ws n =
+  if n > ws.capacity then begin
+    let c = max n (ws.capacity + (ws.capacity / 2)) in
+    ws.capacity <- c;
+    ws.p <- Array.make c 0.;
+    ws.trial <- Array.make c 0.;
+    ws.f <- Array.make c 0.;
+    ws.dir <- Array.make c 0.;
+    ws.m <- Array.make (c * c) 0.;
+    ws.sptr <- Array.make (c + 1) 0;
+    ws.srows <- Array.make (c * c) 0;
+    ws.tptr <- Array.make (c + 1) 0;
+    ws.kids <- Array.make c 0;
+    ws.sibling <- Array.make c 0;
+    ws.lptr <- Array.make (c + 1) 0;
+    ws.lrows <- Array.make (c * c) 0
+  end
 
 (* A loop rather than [Array.for_all]: [resize] asks on every warm
    restart, and the closure would be allocated on each call. *)
@@ -117,6 +157,16 @@ let eligible problem =
     incr g
   done;
   !ok
+
+(* In-unit {!Utility.deriv_fast}, the same expressions and so the same
+   bits on every input: a cross-unit call would box its float result on
+   dev (-opaque) builds. *)
+let[@inline] marginal (u : Utility.t) x =
+  let clamped = if x < Utility.min_rate then Utility.min_rate else x in
+  match u.Utility.shape with
+  | Utility.Log { weight } -> weight /. clamped
+  | Utility.Power { walpha; alpha; _ } -> walpha *. (clamped ** -.alpha)
+  | Utility.Opaque -> u.Utility.deriv x
 
 (* Whether links [a] and [b] carry the same flows (the same CSC column). *)
 let same_column (inc : Incidence.t) a b =
@@ -465,24 +515,106 @@ let newton ws inc utils m =
   done;
   !rmax <= tol
 
-(* Newton on the active set numbered by [index] (size [m]), then drop
-   the links that end negatively priced and re-solve the rest from their
-   prices, for at most [max_rounds] rounds in all. *)
-let rec rounds ws inc utils m round =
-  if m <= 0 || not (newton ws inc utils m) then false
-  else begin
-    let negative = ref false in
-    for k = 0 to m - 1 do
-      if ws.p.(k) < 0. then begin
-        negative := true;
-        ws.mark.(ws.active.(k)) <- -1
+(* Collapse the links of A whose columns are identical: only the
+   smallest capacity of such a class can be full, and their rows of M are
+   equal. Identical columns start with the same flow, so the classes are
+   found along per-flow chains of each class's first (lowest-id) link,
+   [head] and [chain]; [rep] holds the link a class keeps so far, which
+   starts at the class's summed price, so no flow's path price moves.
+   Returns |A|. *)
+let collapse ws (inc : Incidence.t) =
+  let n_links = inc.Incidence.n_links and caps = inc.Incidence.caps in
+  let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
+  let head = ws.head and chain = ws.chain and rep = ws.rep in
+  Array.fill head 0 inc.Incidence.n_flows (-1);
+  let n = ref 0 in
+  for l = 0 to n_links - 1 do
+    if ws.mark.(l) >= 0 then begin
+      let h = col_rows.(col_ptr.(l)) in
+      let first = ref head.(h) in
+      while !first >= 0 && not (same_column inc !first l) do
+        first := chain.(!first)
+      done;
+      if !first < 0 then begin
+        chain.(l) <- head.(h);
+        head.(h) <- l;
+        rep.(l) <- l;
+        incr n
       end
-      else ws.start.(ws.active.(k)) <- ws.p.(k)
-    done;
-    if not !negative then true
-    else if round >= max_rounds then false
-    else rounds ws inc utils (index ws inc) (round + 1)
+      else begin
+        let kept = rep.(!first) in
+        (* Ascending ids: on equal capacities the kept link stays. *)
+        let keep = if caps.(l) < caps.(kept) then l else kept in
+        let drop = if Int.equal keep l then kept else l in
+        ws.start.(keep) <- ws.start.(keep) +. ws.start.(drop);
+        ws.mark.(drop) <- -1;
+        rep.(!first) <- keep
+      end
+    end
+  done;
+  !n
+
+(* Drop the links of A that the last solve left negatively priced, and
+   keep the others' prices as the next solve's start. Returns how many
+   were dropped. *)
+let drop_negative ws m =
+  let dropped = ref 0 in
+  for k = 0 to m - 1 do
+    if ws.p.(k) < 0. then begin
+      incr dropped;
+      ws.mark.(ws.active.(k)) <- -1
+    end
+    else ws.start.(ws.active.(k)) <- ws.p.(k)
+  done;
+  !dropped
+
+(* Add to A, at price 0, every busy link outside it that the rates
+   x(P_A) of the last, converged solve load above its capacity by more
+   than [saturation_tol]. O(nnz). Returns how many were added. *)
+let add_overloaded ws (inc : Incidence.t) =
+  let caps = inc.Incidence.caps and col_ptr = inc.Incidence.col_ptr in
+  let loads = ws.loads in
+  Incidence.link_loads_into inc ~rates:ws.x ~out:loads;
+  let added = ref 0 in
+  for l = 0 to inc.Incidence.n_links - 1 do
+    if ws.mark.(l) < 0
+       && col_ptr.(l + 1) > col_ptr.(l)
+       && loads.(l) > caps.(l) +. (saturation_tol *. caps.(l))
+    then begin
+      incr added;
+      ws.mark.(l) <- 0;
+      ws.start.(l) <- 0.
+    end
+  done;
+  !added
+
+(* The primal-dual active-set loop over the [n] links marked in A, at
+   most [max_rounds] Newton solves in all: number A, solve; drop the
+   links the solve left negatively priced, whether or not it converged,
+   and re-solve; after a converged solve with none negative, add the
+   links x(P_A) overloads (collapsed onto A as above) and re-solve, or
+   succeed if there are none. A failed solve with no negative price
+   fails the polish, as does an A that leaves a flow uncovered or
+   outgrows [max_active]. *)
+let rec rounds ws inc utils n round =
+  let m = if n > 0 && n <= max_active then (reserve ws n; index ws inc) else -1 in
+  m > 0
+  &&
+  let converged = newton ws inc utils m in
+  let dropped = drop_negative ws m in
+  if dropped > 0 then begin
+    if not converged then Metrics.incr m_retries;
+    round < max_rounds && rounds ws inc utils (m - dropped) (round + 1)
   end
+  else
+    converged
+    &&
+    let added = add_overloaded ws inc in
+    Int.equal added 0
+    || begin
+         Metrics.add m_added added;
+         round < max_rounds && rounds ws inc utils (collapse ws inc) (round + 1)
+       end
 
 let solve ws problem ~prices ~rates ~out =
   let inc = Problem.incidence problem in
@@ -506,8 +638,7 @@ let solve ws problem ~prices ~rates ~out =
   ws.tflows <- ints ws.tflows inc.Incidence.nnz;
   ws.x <- floats ws.x n_flows;
   ws.d <- floats ws.d n_flows;
-  let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
-  let caps = inc.Incidence.caps in
+  let col_ptr = inc.Incidence.col_ptr and caps = inc.Incidence.caps in
   let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
   (* A: the links priced above [price_floor] × p_max (tag 0)... *)
   let p_max = ref 0. in
@@ -543,66 +674,17 @@ let solve ws problem ~prices ~rates ~out =
       else begin
         let l = !best in
         if ws.mark.(l) < 0 then ws.mark.(l) <- 1;
-        let marginal = Utility.deriv_fast utils.(i) rates.(i) in
+        let marginal = marginal utils.(i) rates.(i) in
         if marginal > ws.start.(l) then ws.start.(l) <- marginal
       end
     end
   done;
-  (* Collapse links whose columns are identical: only the smallest
-     capacity of such a class can be full, and their rows of M are equal.
-     Identical columns start with the same flow, so the classes are
-     found along per-flow chains of each class's first (lowest-id) link,
-     [head] and [chain]; [rep] holds the link a class keeps so far, which
-     starts at the class's summed price, so no flow's path price moves. *)
-  let head = ws.head and chain = ws.chain and rep = ws.rep in
-  Array.fill head 0 n_flows (-1);
-  let n = ref 0 in
-  for l = 0 to n_links - 1 do
-    if ws.mark.(l) >= 0 then begin
-      let h = col_rows.(col_ptr.(l)) in
-      let first = ref head.(h) in
-      while !first >= 0 && not (same_column inc !first l) do
-        first := chain.(!first)
-      done;
-      if !first < 0 then begin
-        chain.(l) <- head.(h);
-        head.(h) <- l;
-        rep.(l) <- l;
-        incr n
-      end
-      else begin
-        let kept = rep.(!first) in
-        (* Ascending ids: on equal capacities the kept link stays. *)
-        let keep = if caps.(l) < caps.(kept) then l else kept in
-        let drop = if Int.equal keep l then kept else l in
-        ws.start.(keep) <- ws.start.(keep) +. ws.start.(drop);
-        ws.mark.(drop) <- -1;
-        rep.(!first) <- keep
-      end
-    end
-  done;
-  let n = if !ok then !n else 0 in
-  ws.p <- floats ws.p n;
-  ws.trial <- floats ws.trial n;
-  ws.f <- floats ws.f n;
-  ws.dir <- floats ws.dir n;
-  let m = if n > 0 then index ws inc else -1 in
-  if m <= 0 || m > max_active then false
-  else begin
-    ws.m <- floats ws.m (m * m);
-    ws.sptr <- ints ws.sptr (m + 1);
-    ws.srows <- ints ws.srows (m * m);
-    ws.tptr <- ints ws.tptr (m + 1);
-    ws.kids <- ints ws.kids m;
-    ws.sibling <- ints ws.sibling m;
-    ws.lptr <- ints ws.lptr (m + 1);
-    ws.lrows <- ints ws.lrows (m * m);
-    let solved = rounds ws inc utils m 1 in
-    if solved then begin
-      Array.fill out 0 n_links 0.;
-      for l = 0 to n_links - 1 do
-        if ws.mark.(l) >= 0 then out.(l) <- ws.p.(ws.mark.(l))
-      done
-    end;
-    solved
-  end
+  let n = collapse ws inc in
+  let solved = !ok && rounds ws inc utils n 1 in
+  if solved then begin
+    Array.fill out 0 n_links 0.;
+    for l = 0 to n_links - 1 do
+      if ws.mark.(l) >= 0 then out.(l) <- ws.p.(ws.mark.(l))
+    done
+  end;
+  solved

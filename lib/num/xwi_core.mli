@@ -80,16 +80,18 @@ val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
 
     The {e carried start} is {!init_with_prices} at the old prices.
     When every group is a single flow with a [Log] or [Power] utility,
-    {!Newton_polish.solve} then solves for the prices at which a guessed
-    active set of links is exactly full; if that succeeds and the
-    allocation those prices induce has a smaller {!Kkt.worst} than the
-    carried start's, the state starts there instead (the {e polished
-    start}; DESIGN.md "Warm restart"). Otherwise — [Opaque] utilities,
-    §6.3 multipath groups, a failed or worse polish — the state is the
-    carried start bit for bit. On nfbench's [serve_churn] stream the
-    polished start is already certified (0 xWI iterations at tolerance
-    1e-6) in about two thirds of all epochs, against a median of about
-    105 iterations from the carried start.
+    {!Newton_polish.solve} then solves for the prices at which an active
+    set of links is exactly full, adding the links those prices overload
+    and dropping the ones they price below zero until neither is left;
+    if that succeeds and the allocation those prices induce has a
+    smaller {!Kkt.worst} than the carried start's, the state starts
+    there instead (the {e polished start}; DESIGN.md "Warm restart").
+    Otherwise — [Opaque] utilities, §6.3 multipath groups, a failed or
+    worse polish — the state is the carried start bit for bit. On
+    nfbench's [serve_churn] stream the polished start is already
+    certified (0 xWI iterations at tolerance 1e-6) in 29,998 of 30,000
+    epochs (seeds 1–10), against a median of about 105 iterations from
+    the carried start.
 
     Each call increments [nf_xwi_polished_starts_total] or
     [nf_xwi_carried_starts_total]; {!polished} tells which start a state

@@ -7,7 +7,16 @@
 module Alloc_audit = Nf_experiments.Alloc_audit
 
 let test_audit_within_limits () =
+  let added =
+    Nf_util.Metrics.counter Nf_util.Metrics.global "nf_xwi_polish_added_links_total"
+  in
+  let before = Nf_util.Metrics.counter_value added in
   let results = Alloc_audit.run ~iters:2_000 () in
+  (* Only the xwi_resize kernel polishes: its churn must have made the
+     polish grow its active set, so the bytes it measured include
+     multi-round polishes. *)
+  Alcotest.(check bool) "xwi_resize drove polishes that added links" true
+    (Nf_util.Metrics.counter_value added > before);
   Alcotest.(check int) "thirteen kernels audited" 13 (List.length results);
   List.iter
     (fun r ->

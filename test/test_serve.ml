@@ -388,11 +388,15 @@ let test_engine_emptied_restarts_cold () =
    iteration counts and the bits of the final rates are pinned: the
    stopping test decides how many xWI steps each epoch takes, so any
    drift in the KKT check or in the kernels it stops shows up here as a
-   changed count or a changed bit. The zeros are epochs whose
-   Newton-polished warm start ([Xwi_core.resize]) is already certified. *)
+   changed count or a changed bit. The 55s are cold epochs (the first,
+   and the first after the fabric empties); every warm epoch is
+   certified by its Newton-polished start ([Xwi_core.resize]) and takes
+   0 iterations. The final rates are whole shares of 10 G links, which
+   the water-fill sets exactly, so their bits do not depend on the start
+   the last epoch took. *)
 let pinned_churn_iters =
   [ 55; 0; 55; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 127; 0; 0; 129 ]
+    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]
 
 let pinned_churn_rates_md5 = "d63d9452e66b6c98ce37e6b33013b88a"
 
