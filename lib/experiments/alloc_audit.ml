@@ -347,19 +347,19 @@ let churn_problem () =
   in
   (problem, churn)
 
-(* The serve loop's warm restart: the churn above, then
-   [Xwi_core.resize] of the last state (polished starts included: the
-   utilities are [Log], and the churn makes many polishes add links to
-   their active set over several rounds). [Problem.commit] allocates
-   the new snapshot by design, so [run] charges this kernel only its
-   bytes beyond those of the same churn on an identical problem without
-   the resize. Returns
-   the thunk and the bytes a resize owes on 64-bit: the new state, that
-   is its record (seven fields) and its three public arrays (prices per
-   link, rates and weights per flow), each with its header, plus the two
-   four-float KKT reports that decide between the polished and the
-   carried start. *)
-let xwi_resize_kernel () =
+(* A warm restart: the churn above, then [Xwi_core.resize] of the last
+   state. [Problem.commit] allocates the new snapshot by design, so [run]
+   charges these kernels only their bytes beyond those of the same churn
+   on an identical problem without the resize. Returns the thunk and the
+   bytes a resize owes on 64-bit: the new state, that is its record
+   (seven fields) and its three public arrays (prices per link, rates and
+   weights per flow), each with its header, plus, when it polishes, the
+   two four-float KKT reports that decide between the polished and the
+   carried start. The serve loop's restart polishes (polished starts
+   included: the utilities are [Log], and the churn makes many polishes
+   add links to their active set over several rounds); the fluid xWI
+   scheme's rebind does not. *)
+let resize_kernel ~polish =
   let problem, churn = churn_problem () in
   let state = ref (Nf_num.Xwi_core.init problem) in
   Nf_num.Xwi_core.set_diag !state None;
@@ -370,11 +370,14 @@ let xwi_resize_kernel () =
     8
     + (Nf_num.Problem.n_links problem + 1)
     + (2 * (Nf_num.Problem.n_flows problem + 1))
-    + (2 * 5)
+    + if polish then 2 * 5 else 0
   in
   ( (fun () ->
       churn ();
-      state := Nf_num.Xwi_core.resize problem !state),
+      (* Constant arguments: a variable [~polish] would box its option. *)
+      state :=
+        if polish then Nf_num.Xwi_core.resize problem !state
+        else Nf_num.Xwi_core.resize ~polish:false problem !state),
     float_of_int (8 * words) )
 
 let maxmin_kernel () =
@@ -427,8 +430,10 @@ let kernels () =
     plain "xwi_step" (xwi_kernel ()) 0;
     plain "kkt_witness_check" (kkt_witness_kernel ()) 1;
     plain "maxmin_solve_sparse" (maxmin_kernel ()) 0;
-    (let resize, owed = xwi_resize_kernel () in
+    (let resize, owed = resize_kernel ~polish:true in
      ("xwi_resize", resize, Some (snd (churn_problem ())), owed, 0));
+    (let carry, owed = resize_kernel ~polish:false in
+     ("xwi_carry", carry, Some (snd (churn_problem ())), owed, 0));
   ]
 
 let run ?iters () =

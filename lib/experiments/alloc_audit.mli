@@ -1,6 +1,6 @@
 (** Steady-state allocation audit of the [\@nf.hot] kernels.
 
-    Thirteen kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
+    Fourteen kernels — Fheap push/top/drop, STFQ enqueue/[dequeue_exn], one
     event scheduled ({!Nf_engine.Sim.schedule_after_cat}) and dispatched
     on each of the engine's three scheduling paths (a calendar bucket,
     the overflow heap, a same-time tie), one packet hop through
@@ -13,18 +13,21 @@
     hops and ACK, the RTO timer), one
     {!Nf_num.Xwi_core.step} on a k=4 fat tree with 64 flows, the
     stopping test's one-flow witness check ({!Nf_num.Kkt.flow_residual})
-    on the same problem, one {!Nf_num.Maxmin.solve_sparse}, and one warm
-    restart ({!Nf_num.Xwi_core.resize} after a one-flow churn and its
-    commit, on the same fat tree; the churn swaps each flow between two
-    paths, so many polishes grow their active set over several rounds) — are prebuilt, warmed past lazy
-    workspace growth, and measured with
+    on the same problem, one {!Nf_num.Maxmin.solve_sparse}, and two warm
+    restarts ({!Nf_num.Xwi_core.resize} after a one-flow churn and its
+    commit, on the same fat tree): [xwi_resize] polishes, as serve does
+    (the churn swaps each flow between two paths, so many polishes grow
+    their active set over several rounds), and [xwi_carry] passes
+    [~polish:false], as the fluid xWI scheme's rebind does — are
+    prebuilt, warmed past lazy workspace growth, and measured with
     {!Nf_util.Gcstats.bytes_per_iteration}. Each must allocate 0 bytes
     per steady-state iteration; {!budget} (1 byte/iter) absorbs only
     measurement noise — a single boxed float already costs 16 bytes.
-    The warm restart is the exception by design: it is charged its bytes
-    less those of the same churn and commit without the resize, and may
-    allocate the new state (its record and its three public arrays) and
-    the two KKT reports that pick its start, on top of the budget.
+    The warm restarts are the exception by design: each is charged its
+    bytes less those of the same churn and commit without the resize,
+    and may allocate the new state (its record and its three public
+    arrays), plus, for [xwi_resize], the two KKT reports that pick its
+    start, on top of the budget.
 
     Exception: dune's dev profile compiles with [-opaque], which
     disables cross-unit inlining, so the kernels that take a raw float

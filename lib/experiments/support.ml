@@ -1,6 +1,7 @@
 module Json = Nf_util.Json
 module Problem = Nf_num.Problem
 module Xwi_core = Nf_num.Xwi_core
+module Oracle = Nf_num.Oracle
 module Scheme = Nf_fluid.Scheme
 module Convergence = Nf_fluid.Convergence
 module Routing = Nf_topo.Routing
@@ -111,14 +112,14 @@ let semidyn_prepare ~setup ~topology ~hosts () =
     in
     Problem.create ~caps ~groups
   in
-  let oracle = Nf_fluid.Warm_oracle.create ~n_links:(Array.length caps) in
+  let carry = Oracle.carry () in
   let problems =
     Array.init (setup.n_events + 1) (fun k ->
         problem_of (Nf_workload.Semidynamic.active_after workload k))
   in
   let targets =
     Nf_util.Profile.time "oracle-targets" @@ fun () ->
-    Array.map (Nf_fluid.Warm_oracle.solve oracle) problems
+    Array.map (fun p -> (Oracle.solve ~tol:1e-5 ~carry p).Oracle.rates) problems
   in
   { setup; topology; workload; paths; problems; targets }
 

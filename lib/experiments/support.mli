@@ -70,8 +70,10 @@ val semidyn_prepare :
   unit ->
   semidyn_scenario
 (** Generates the event sequence, routes every path once and solves the
-    Oracle target for every population with one {!Nf_fluid.Warm_oracle}
-    (the expensive part, shared by all schemes of either substrate). *)
+    Oracle target for every population, each certified at a KKT residual
+    of 1e-5 by {!Nf_num.Oracle.solve} with one carry, so each event's
+    solve starts from the previous one's state (the expensive part,
+    shared by all schemes of either substrate). *)
 
 val semidyn_run : scenario:semidyn_scenario -> scheme:scheme_kind -> semidyn_result
 (** Replays the event sequence for one fluid scheme under

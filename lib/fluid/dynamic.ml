@@ -144,8 +144,8 @@ let run ~caps ~make_scheme ~flows ?reutility ?until () =
 
 (* --------------------------------------------------------------------- *)
 (* Ideal (instantaneous Oracle) driver: event-driven, rates are the exact
-   NUM allocation between consecutive events, each solved by the
-   warm-started, certified Warm_oracle. *)
+   NUM allocation between consecutive events, each certified by
+   Oracle.solve from the previous event's state. *)
 
 (* A flow counts as finished when less than one byte remains: finishing the
    last byte takes microseconds at any realistic rate, and a strictly
@@ -160,11 +160,11 @@ let run_ideal ?(tol = 1e-5) ~caps ~flows () =
   let now = ref 0. in
   let max_events = 1000 * (1 + List.length flows) in
   let n_events = ref 0 in
-  let oracle = Warm_oracle.create ~n_links:(Array.length caps) in
+  let carry = Nf_num.Oracle.carry () in
   let solve () =
     match !actives with
     | [] -> [||]
-    | _ :: _ -> Warm_oracle.solve ~tol oracle (build_problem ~caps !actives)
+    | _ :: _ -> (Nf_num.Oracle.solve ~tol ~carry (build_problem ~caps !actives)).rates
   in
   let rates = ref [||] in
   let finished = ref false in

@@ -22,7 +22,6 @@ let make_with_prices ?(params = Xwi_core.default_params)
       then Xwi_core.set_diag !state diag
   in
   apply_diag ();
-  let n_links = Problem.n_links !problem in
   let iter = ref 0 in
   let step () =
     Xwi_core.step !problem params !state;
@@ -36,11 +35,10 @@ let make_with_prices ?(params = Xwi_core.default_params)
   let rates () = Array.copy !state.Xwi_core.rates in
   let rates_view () = !state.Xwi_core.rates in
   let rebind p =
-    if Problem.n_links p <> n_links then
-      invalid_arg "Fluid_xwi.rebind: link count changed";
-    let prices = !state.Xwi_core.prices in
+    (* The carried start, never the polish: the scheme's own iterations
+       from the old prices are what the experiments measure. *)
+    state := Xwi_core.resize ?pool ~polish:false p !state;
     problem := p;
-    state := Xwi_core.init_with_prices ?pool p ~prices;
     apply_diag ()
   in
   let scheme =

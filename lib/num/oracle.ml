@@ -8,16 +8,10 @@ type solution = {
 
 exception Did_not_converge of string
 
-let make_solution problem ~rates ~prices ~iterations =
+let make_solution problem ~rates ~prices ~iterations ~kkt =
   let group_rates = Array.make (Problem.n_groups problem) 0. in
   Problem.group_rates_into problem ~rates group_rates;
-  {
-    rates;
-    group_rates;
-    prices;
-    iterations;
-    kkt = Kkt.check problem ~rates ~prices;
-  }
+  { rates; group_rates; prices; iterations; kkt }
 
 (* Rates induced by prices for a single-path problem (Eq. 3). *)
 let rates_of_prices problem ~prices =
@@ -96,7 +90,10 @@ let solve_dual ?(tol = 1e-8) ?(max_iters = 300_000) problem =
     end
   done;
   let rates = rates_of_prices problem ~prices in
-  let sol = make_solution problem ~rates ~prices ~iterations:!iterations in
+  let sol =
+    make_solution problem ~rates ~prices ~iterations:!iterations
+      ~kkt:(Kkt.check problem ~rates ~prices)
+  in
   if Kkt.worst sol.kkt > tol then
     raise
       (Did_not_converge
@@ -104,20 +101,31 @@ let solve_dual ?(tol = 1e-8) ?(max_iters = 300_000) problem =
             !iterations Kkt.pp sol.kkt));
   sol
 
-let solve ?(tol = 1e-6) ?(max_iters = 60_000) problem =
-  let params = Xwi_core.default_params in
-  let state = Xwi_core.init problem in
-  let run = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
+type carry = { mutable last : Xwi_core.state option }
+
+let carry () = { last = None }
+
+let solve ?(tol = 1e-6) ?(max_iters = 60_000) ?carry problem =
+  let state =
+    match carry with
+    | Some { last = Some old } -> Xwi_core.resize problem old
+    | Some { last = None } | None -> Xwi_core.init problem
+  in
+  (* [resize] consumed the carried state: until this solve certifies, the
+     carry holds nothing. *)
+  Option.iter (fun c -> c.last <- None) carry;
   let check () =
     Kkt.check problem ~rates:state.Xwi_core.rates ~prices:state.Xwi_core.prices
   in
+  let run params = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
+  let first = run Xwi_core.default_params in
   let report = ref (check ()) in
-  let iterations = ref run.Xwi_core.iterations in
+  let iterations = ref first.Xwi_core.iterations in
   if Kkt.worst !report > tol then begin
-    (* Retry with heavier damping; helps borderline multipath instances. *)
-    let params = { Xwi_core.default_params with Xwi_core.beta = 0.9 } in
-    let run2 = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
-    iterations := !iterations + run2.Xwi_core.iterations;
+    (* Retry from where the first run stopped with heavier damping; helps
+       borderline multipath instances. *)
+    let retry = run { Xwi_core.default_params with Xwi_core.beta = 0.9 } in
+    iterations := !iterations + retry.Xwi_core.iterations;
     report := check ()
   end;
   if Kkt.worst !report > tol then
@@ -125,5 +133,6 @@ let solve ?(tol = 1e-6) ?(max_iters = 60_000) problem =
       (Did_not_converge
          (Format.asprintf "Oracle.solve: after %d iterations, %a" !iterations
             Kkt.pp !report));
+  Option.iter (fun c -> c.last <- Some state) carry;
   make_solution problem ~rates:(Array.copy state.Xwi_core.rates)
-    ~prices:(Array.copy state.Xwi_core.prices) ~iterations:!iterations
+    ~prices:(Array.copy state.Xwi_core.prices) ~iterations:!iterations ~kkt:!report

@@ -8,7 +8,9 @@
       single-path problems (the multipath dual is non-smooth);
     - {!solve}: damped xWI fixed-point iteration run to a tight tolerance —
       handles multipath groups; its output is certified by the returned
-      KKT residuals, which are checked against an explicit tolerance.
+      KKT residuals, which are checked against an explicit tolerance. A
+      {!carry} restarts it from the previous solve's certified state, so
+      a sequence of similar problems is solved warm.
 
     Both return the KKT report so callers never have to trust the solver
     blindly. *)
@@ -29,7 +31,30 @@ val solve_dual : ?tol:float -> ?max_iters:int -> Problem.t -> solution
     @raise Invalid_argument on multipath problems.
     @raise Did_not_converge if the residual target is not met. *)
 
-val solve : ?tol:float -> ?max_iters:int -> Problem.t -> solution
+type carry
+(** The last certified xWI state of a sequence of solves over one link
+    set, or nothing. *)
+
+val carry : unit -> carry
+(** An empty carry: the first {!solve} given it starts cold. *)
+
+val solve : ?tol:float -> ?max_iters:int -> ?carry:carry -> Problem.t -> solution
 (** xWI fixed point run to stationarity; [tol] (default 1e-6) bounds the
     worst KKT residual.
+
+    Without a carry, or with an empty one, xWI starts at {!Xwi_core.init}.
+    With a carried state it starts at {!Xwi_core.resize} of that state:
+    its prices, or their Newton polish when that one's KKT residual is
+    smaller.
+    Successive populations over the same links share most flows, so such
+    a start needs few iterations, often none; the semi-dynamic harness
+    and [Dynamic.run_ideal] solve their per-event targets this way.
+
+    xWI runs for up to [max_iters] (default 60,000) iterations; if that
+    does not certify, it runs on from where it stopped with heavier price
+    averaging ([beta = 0.9]) for up to [max_iters] more. On success the
+    final state goes into the carry; on failure the carry is emptied, so
+    the next solve starts cold.
+    @raise Invalid_argument if the carried state's link count differs
+    from the problem's (the carry is left as it was).
     @raise Did_not_converge if the residual target is not met. *)

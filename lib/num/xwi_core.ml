@@ -39,12 +39,12 @@ let m_kkt_witness_checks =
 
 let m_polished_starts =
   Metrics.counter Metrics.global
-    ~help:"Warm restarts (resize) that start from the Newton-polished prices"
+    ~help:"Warm restarts that asked for a polish and start from the polished prices"
     "nf_xwi_polished_starts_total"
 
 let m_carried_starts =
   Metrics.counter Metrics.global
-    ~help:"Warm restarts (resize) that keep the carried prices"
+    ~help:"Warm restarts that asked for a polish and keep the carried prices"
     "nf_xwi_carried_starts_total"
 
 let trace_iter tr iter =
@@ -108,7 +108,7 @@ let[@inline] urate_fast u p =
 (* Per-state scratch: one allocation at [init], zero per [step]. The
    state's own [prices], [rates] and [weights] are the rest of the sparse
    step's working set (see DESIGN.md "Sparse NUM core"). Abstract in the
-   interface so states can only come from the init functions. [resize]
+   interface so states can only come from [init] and [resize]. [resize]
    hands the whole record down to the state it builds: the link-sized
    arrays carry over as they are, the per-flow and per-group ones hold at
    least the problem's counts (every sweep is bounded by the incidence's
@@ -441,11 +441,6 @@ let start_with_prices ?pool ~buffers problem ~prices =
   allocate inc state;
   state
 
-let init_with_prices ?pool problem ~prices =
-  if Array.length prices <> Problem.n_links problem then
-    invalid_arg "Xwi_core.init_with_prices: prices length";
-  start_with_prices ?pool ~buffers:(make_buffers problem) problem ~prices
-
 (* [Kkt.worst], in-unit for the -opaque reason given at [fmax]: a
    cross-unit call would box its float result on every resize. *)
 let[@inline] kkt_worst (r : Kkt.report) =
@@ -497,12 +492,12 @@ let consumed state = state.buffers.b_prices != state.prices
 (* Warm restart across a problem delta: keep the converged per-link price
    vector (links are stable across flow churn), re-size the old state's
    scratch in place for the new snapshot and hand it down, then try the
-   Newton polish of the carried prices. On nfbench's serve_churn stream
-   (a churning 100-flow leaf-spine) the carried start alone needs a
-   median of about 105 xWI iterations to re-certify an epoch, and the
-   polished start certifies all but about 1 in 15,000 epochs at
-   iteration 0. *)
-let resize ?pool problem state =
+   Newton polish of the carried prices unless the caller asked for the
+   carried start. On nfbench's serve_churn stream (a churning 100-flow
+   leaf-spine) the carried start alone needs a median of about 105 xWI
+   iterations to re-certify an epoch, and the polished start certifies
+   all but about 1 in 15,000 epochs at iteration 0. *)
+let resize ?pool ?(polish = true) problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";
   if consumed state then
@@ -511,9 +506,11 @@ let resize ?pool problem state =
   let buffers = state.buffers in
   refresh_buffers buffers problem;
   let state = start_with_prices ?pool ~buffers problem ~prices:state.prices in
-  polish_start problem state;
-  Metrics.incr
-    (if state.buffers.b_polished then m_polished_starts else m_carried_starts);
+  if polish then begin
+    polish_start problem state;
+    Metrics.incr
+      (if state.buffers.b_polished then m_polished_starts else m_carried_starts)
+  end;
   state
 
 let polished state = state.buffers.b_polished

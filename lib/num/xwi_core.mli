@@ -30,7 +30,7 @@ val default_params : params
 
 type buffers
 (** Preallocated per-state scratch arrays (sized for the state's problem):
-    {!step} allocates nothing. Only the init functions build these;
+    {!step} allocates nothing. Only {!init} builds these;
     {!resize} re-sizes them in place and hands them to the state it
     returns. *)
 
@@ -64,39 +64,40 @@ val init : ?pool:Nf_util.Shard.t -> Problem.t -> state
     When a process-wide {!Diag.configure}d config is active (the CLI's
     [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
 
-val init_with_prices : ?pool:Nf_util.Shard.t -> Problem.t -> prices:float array -> state
-(** Start from given prices (e.g. carried over across a flow-arrival event
-    in dynamic scenarios); rates start at the allocation they induce
-    (Eq. 7 weights at the equal-weight allocation, then the water-fill;
-    when every group is a single flow the weights do not read the rates,
-    and the equal-weight water-fill is skipped).
-    Auto-attaches a {!Diag.t} like {!init}. *)
+val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> state
+(** Warm restart after a {!Problem} delta (flow arrivals/departures), or
+    on any problem over the same links: a fresh state for the problem's
+    current snapshot that starts from the old state's per-link prices —
+    link ids are stable across flow churn — or from their Newton polish.
+    This is the one way to restart xWI at given prices.
 
-val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
-(** Warm restart after a {!Problem} delta (flow arrivals/departures):
-    a fresh state for the problem's current snapshot that starts from
-    the old state's converged per-link prices — link ids are stable
-    across flow churn — or from their Newton polish.
+    The {e carried start} sets the old prices, weights from them (Eq. 7)
+    at the equal-weight allocation, and rates at the water-fill those
+    weights induce; when every group is a single flow the weights do not
+    read the rates, and the equal-weight water-fill is skipped. With
+    [polish] (default [true]), when every group is a single flow with a
+    [Log] or [Power] utility, {!Newton_polish.solve} then solves for the
+    prices at which an active set of links is exactly full, adding the
+    links those prices overload and dropping the ones they price below
+    zero until neither is left; if that succeeds and the allocation those
+    prices induce has a smaller {!Kkt.worst} than the carried start's,
+    the state starts there instead (the {e polished start}; DESIGN.md
+    "Warm restart"). Otherwise — [~polish:false], [Opaque] utilities,
+    §6.3 multipath groups, a failed or worse polish — the state is the
+    carried start bit for bit. On nfbench's [serve_churn] stream the
+    polished start is already certified (0 xWI iterations at tolerance
+    1e-6) in 29,998 of 30,000 epochs (seeds 1–10), against a median of
+    about 105 iterations from the carried start.
 
-    The {e carried start} is {!init_with_prices} at the old prices.
-    When every group is a single flow with a [Log] or [Power] utility,
-    {!Newton_polish.solve} then solves for the prices at which an active
-    set of links is exactly full, adding the links those prices overload
-    and dropping the ones they price below zero until neither is left;
-    if that succeeds and the allocation those prices induce has a
-    smaller {!Kkt.worst} than the carried start's, the state starts
-    there instead (the {e polished start}; DESIGN.md "Warm restart").
-    Otherwise — [Opaque] utilities, §6.3 multipath groups, a failed or
-    worse polish — the state is the carried start bit for bit. On
-    nfbench's [serve_churn] stream the polished start is already
-    certified (0 xWI iterations at tolerance 1e-6) in 29,998 of 30,000
-    epochs (seeds 1–10), against a median of about 105 iterations from
-    the carried start.
+    Serve and [Oracle.solve]'s carry polish; the fluid xWI scheme
+    ([Fluid_xwi]) passes [~polish:false], since its iterations from the
+    carried start are what the experiments measure.
 
-    Each call increments [nf_xwi_polished_starts_total] or
-    [nf_xwi_carried_starts_total]; {!polished} tells which start a state
-    got. The pool defaults to the old state's; diagnostics re-attach per
-    the process-wide config.
+    Each call that asks for a polish increments
+    [nf_xwi_polished_starts_total] or [nf_xwi_carried_starts_total]; a
+    [~polish:false] call increments neither. {!polished} tells which
+    start a state got. The pool defaults to the old state's; diagnostics
+    re-attach per the process-wide config.
 
     [resize] {e consumes} the old state: its scratch (the link-sized
     arrays, the water-fill workspace, the polish workspace, and the
@@ -113,8 +114,8 @@ val resize : ?pool:Nf_util.Shard.t -> Problem.t -> state -> state
 
 val polished : state -> bool
 (** Whether {!resize} started this state from the Newton-polished prices
-    ([false] for the carried start and for states from {!init} or
-    {!init_with_prices}). *)
+    ([false] for the carried start, for a [~polish:false] restart and for
+    states from {!init}). *)
 
 val set_diag : state -> Diag.t option -> unit
 (** Attach or detach per-iteration diagnostics. The instance must be

@@ -272,10 +272,10 @@ let test_sustained_rule () =
 (* The warm oracle *)
 
 (* Ten events over one link set, each starting or stopping three flows
-   from a fixed pool of random paths; one oracle carries its prices
-   through all eleven populations. [Warm_oracle.solve] raises unless its
-   KKT residual certifies at 1e-5. *)
-let test_warm_oracle_carried () =
+   from a fixed pool of random paths; one carry takes the oracle's
+   certified state through all eleven populations. [Oracle.solve] raises
+   unless its KKT residual certifies at 1e-5. *)
+let test_oracle_carried_ten_events () =
   let caps = [| 10e9; 10e9; 40e9; 40e9; 10e9; 25e9 |] in
   let rng = Nf_util.Rng.create ~seed:5 in
   let pool =
@@ -284,7 +284,7 @@ let test_warm_oracle_carried () =
         Array.sub links 0 (1 + Nf_util.Rng.int rng 3))
   in
   let active = Array.init (Array.length pool) (fun i -> i < 12) in
-  let oracle = Nf_fluid.Warm_oracle.create ~n_links:(Array.length caps) in
+  let carry = Nf_num.Oracle.carry () in
   for event = 0 to 10 do
     if event > 0 then begin
       let start = Nf_util.Rng.bool rng in
@@ -301,7 +301,7 @@ let test_warm_oracle_carried () =
         (List.init (Array.length pool) Fun.id)
     in
     let problem = Problem.create ~caps ~groups in
-    let warm = Nf_fluid.Warm_oracle.solve oracle problem in
+    let warm = (Nf_num.Oracle.solve ~tol:1e-5 ~carry problem).Nf_num.Oracle.rates in
     let exact = (Nf_num.Oracle.solve problem).Nf_num.Oracle.rates in
     Array.iteri
       (fun i x ->
@@ -423,7 +423,7 @@ let () =
           quick "fraction within" test_fraction_within;
           quick "sustained rule" test_sustained_rule;
         ] );
-      ("warm oracle", [ quick "carried across ten events" test_warm_oracle_carried ]);
+      ("warm oracle", [ quick "carried across ten events" test_oracle_carried_ten_events ]);
       ( "dynamic",
         [
           quick "single flow fct" test_dynamic_single_flow_fct;

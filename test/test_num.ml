@@ -38,6 +38,13 @@ let check_bits what expected actual =
       (Int64.bits_of_float expected)
       (Int64.bits_of_float actual)
 
+(* The carried start at [prices]: a state holding them, restarted by
+   [resize] without the polish. *)
+let start_at p ~prices =
+  let st = Xwi.init p in
+  Array.blit prices 0 st.Xwi.prices 0 (Array.length st.Xwi.prices);
+  Xwi.resize ~polish:false p st
+
 (* ------------------------------------------------------------------ *)
 (* Utility functions *)
 
@@ -350,6 +357,52 @@ let test_oracle_dual_kkt_certified () =
   Alcotest.(check bool) "kkt residual small" true (Kkt.worst sol.Oracle.kkt < 1e-8)
 
 (* ------------------------------------------------------------------ *)
+(* Oracle (xWI) with a carry *)
+
+let test_oracle_carry_rejects_other_links () =
+  let u = Utility.proportional_fair () in
+  let carry = Oracle.carry () in
+  let cold = Oracle.solve (parking_lot_problem ~alpha:1. ~cap:9.) in
+  ignore (Oracle.solve ~carry (parking_lot_problem ~alpha:1. ~cap:9.));
+  Alcotest.check_raises "three links against a carry over two"
+    (Invalid_argument "Xwi_core.resize: link count changed")
+    (fun () ->
+      ignore
+        (Oracle.solve ~carry
+           (Problem.create ~caps:[| 9.; 9.; 9. |]
+              ~groups:[ Problem.single_path u [| 0; 1; 2 |] ])));
+  (* The carry is left as it was: the same problem again starts from its
+     certified state, so it needs no iteration. *)
+  let warm = Oracle.solve ~carry (parking_lot_problem ~alpha:1. ~cap:9.) in
+  Alcotest.(check bool) "the cold solve iterates" true (cold.Oracle.iterations > 0);
+  Alcotest.(check int) "the carried solve certifies at once" 0 warm.Oracle.iterations;
+  check_rates ~rel:1e-5 "carried against cold" cold.Oracle.rates warm.Oracle.rates
+
+(* A multipath group, so the carried start is never polished: one flow
+   pooled over both links, one competitor on link 0. *)
+let pooled_problem ~cap0 =
+  let pf = Utility.proportional_fair () in
+  Problem.create ~caps:[| cap0; 6. |]
+    ~groups:
+      [ { Problem.utility = pf; paths = [ [| 0 |]; [| 1 |] ] }; Problem.single_path pf [| 0 |] ]
+
+let test_oracle_carry_emptied_on_failure () =
+  let carry = Oracle.carry () in
+  ignore (Oracle.solve ~carry (pooled_problem ~cap0:4.));
+  (match Oracle.solve ~max_iters:1 ~carry (pooled_problem ~cap0:40.) with
+  | _ -> Alcotest.fail "two iterations certified a moved optimum"
+  | exception Oracle.Did_not_converge _ -> ());
+  (* The failed solve consumed the carried state and left nothing, so the
+     next solve is a cold one, bit for bit, and certifies. *)
+  let cold = Oracle.solve (pooled_problem ~cap0:4.) in
+  let next = Oracle.solve ~carry (pooled_problem ~cap0:4.) in
+  Alcotest.(check int) "cold iterations" cold.Oracle.iterations next.Oracle.iterations;
+  Array.iteri
+    (fun i x -> check_bits (Printf.sprintf "rate %d" i) x next.Oracle.rates.(i))
+    cold.Oracle.rates;
+  Alcotest.(check bool) "certified" true (Kkt.worst next.Oracle.kkt <= 1e-6)
+
+(* ------------------------------------------------------------------ *)
 (* xWI fixed point *)
 
 let test_xwi_single_link_proportional () =
@@ -444,7 +497,7 @@ let prop_xwi_fixed_point_unique =
       in
       let p = Problem.create ~caps ~groups in
       let solve_from prices =
-        let state = Xwi.init_with_prices p ~prices in
+        let state = start_at p ~prices in
         ignore (Xwi.run_until_kkt ~tol:1e-8 ~max_iters:20_000 p Xwi.default_params state);
         state.Xwi.rates
       in
@@ -1306,7 +1359,7 @@ let prop_polished_start_no_worse =
            live := List.filter (fun g -> g <> victim) !live
          end);
         Problem.commit p;
-        let carried = Xwi.init_with_prices p ~prices:!state.Xwi.prices in
+        let carried = start_at p ~prices:!state.Xwi.prices in
         state := Xwi.resize p !state;
         ok := !ok && worst_of p !state <= worst_of p carried;
         ignore
@@ -1330,7 +1383,7 @@ let resize_after_arrival p ~utility ~paths =
   ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
   ignore (Problem.add_group p { Problem.utility; paths });
   Problem.commit p;
-  let carried = Xwi.init_with_prices p ~prices:state.Xwi.prices in
+  let carried = start_at p ~prices:state.Xwi.prices in
   (Xwi.resize p state, carried)
 
 let test_polish_fallback_bit_identical () =
@@ -1481,7 +1534,7 @@ let prop_polish_prices_feasible =
            live := List.filter (fun g -> g <> victim) !live
          end);
         Problem.commit p;
-        let carried = Xwi.init_with_prices p ~prices:!state.Xwi.prices in
+        let carried = start_at p ~prices:!state.Xwi.prices in
         let out = Array.make n_links nan in
         if
           Polish.solve ws p ~prices:carried.Xwi.prices ~rates:carried.Xwi.rates ~out
@@ -1597,7 +1650,7 @@ let prop_handed_down_resize_bit_identical =
          end);
         Problem.commit p;
         (* The same prices in a state with buffers of its own. *)
-        let fresh = Xwi.resize p (Xwi.init_with_prices p ~prices:!state.Xwi.prices) in
+        let fresh = Xwi.resize p (start_at p ~prices:!state.Xwi.prices) in
         state := Xwi.resize p !state;
         let same a b =
           Array.length a = Array.length b
@@ -2040,6 +2093,8 @@ let () =
           quick "parking lot alpha=2" test_oracle_dual_parking_lot_alpha2;
           quick "multipath rejected" test_oracle_dual_rejects_multipath;
           quick "kkt certified" test_oracle_dual_kkt_certified;
+          quick "carry rejects another link count" test_oracle_carry_rejects_other_links;
+          quick "carry emptied by a failed solve" test_oracle_carry_emptied_on_failure;
         ] );
       ( "xwi",
         [

@@ -393,12 +393,16 @@ let test_engine_emptied_restarts_cold () =
    certified by its Newton-polished start ([Xwi_core.resize]) and takes
    0 iterations. The final rates are whole shares of 10 G links, which
    the water-fill sets exactly, so their bits do not depend on the start
-   the last epoch took. *)
+   the last epoch took; the final prices' bits are pinned beside them,
+   and those do: a drift in the warm start or in the last epoch's solve
+   changes them. *)
 let pinned_churn_iters =
   [ 55; 0; 55; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
     0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]
 
 let pinned_churn_rates_md5 = "d63d9452e66b6c98ce37e6b33013b88a"
+
+let pinned_churn_prices_md5 = "175a85381a3a36c9d81b49aee6eb1667"
 
 let test_engine_pinned_churn () =
   let sc = Scenario.leaf_spine ~seed:1 () in
@@ -419,16 +423,18 @@ let test_engine_pinned_churn () =
           live := List.filter (fun g -> not (Int.equal g gid)) !live);
         (Engine.solve_epoch e).Engine.iterations)
   in
-  let bits =
-    String.concat ","
-      (Array.to_list
-         (Array.map
-            (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r))
-            (Engine.rates e)))
+  let md5_of_bits a =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ","
+            (Array.to_list
+               (Array.map (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r)) a))))
   in
   Alcotest.(check (list int)) "iterations per epoch" pinned_churn_iters iters;
   Alcotest.(check string) "final rate bits" pinned_churn_rates_md5
-    (Digest.to_hex (Digest.string bits))
+    (md5_of_bits (Engine.rates e));
+  Alcotest.(check string) "final price bits" pinned_churn_prices_md5
+    (md5_of_bits (Engine.prices e))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario *)
