@@ -124,7 +124,7 @@ let hop_protocol : Nf_sim.Protocol.t =
         Nf_sim.Protocol.lh_qdisc =
           Nf_sim.Queue_disc.stfq ~pool
             ~limit_bytes:cfg.Nf_sim.Config.buffer_bytes ();
-        lh_engine = Nf_sim.Price_engine.xwi ~capacity ();
+        lh_engine = Nf_sim.Price_engine.xwi cfg.Nf_sim.Config.swift ~capacity;
       }
 
     (* NUMFabric's own Swift sender, for the round trip. *)
@@ -236,9 +236,11 @@ let price_update_kernel () =
   let capacity = 10e9 and queue_bytes () = 3000 in
   let engines =
     [|
-      Pe.xwi ~capacity ();
-      Pe.dgd ~capacity ~queue_bytes ~price_scale:1e-9 ();
-      Pe.rcp ~alpha:1. ~capacity ~queue_bytes ~initial_fair_rate:1e9 ();
+      Pe.xwi Nf_sim.Config.default_swift ~capacity;
+      Pe.dgd
+        { Nf_num.Price_law.dgd_table2 with Nf_num.Price_law.dgd_price_scale = 1e-9 }
+        ~capacity ~queue_bytes;
+      Pe.rcp Nf_num.Price_law.rcp_table2 ~capacity ~queue_bytes ~initial_fair_rate:1e9;
     |]
   in
   fun () ->

@@ -22,7 +22,9 @@ let variant label r =
   { label; median = Support.median_time r.Support.times; unconverged = r.Support.unconverged }
 
 let fluid_variant scenario label params =
-  let scheme = Support.Scheme_numfabric { params; interval = 30e-6 } in
+  let scheme =
+    Support.Scheme_numfabric { params; interval = Nf_num.Price_law.xwi_interval }
+  in
   variant label (Support.semidyn_run ~scenario ~scheme)
 
 let run ?(seed = 4) ?(n_events = 25) () =

@@ -42,7 +42,7 @@ let run ?(seed = 1) ?(n_events = 100) ?(scale = 1.0) () =
   let hosts = ls.Nf_topo.Builders.servers in
   let topology = ls.Nf_topo.Builders.topo in
   let schemes =
-    [ Support.numfabric_default; Support.dgd_default; Support.rcp_default ~alpha:1. ]
+    [ Support.numfabric_default; Support.Scheme_dgd; Support.Scheme_rcp { alpha = 1. } ]
   in
   let scenario = Support.semidyn_prepare ~setup ~topology ~hosts () in
   let results =
@@ -104,7 +104,7 @@ let run_packet ?(seed = 11) ?(n_events = 5) () =
     {
       Nf_sim.Config.default with
       Nf_sim.Config.dgd =
-        { Nf_sim.Config.default_dgd with Nf_sim.Config.dgd_update_interval = 48e-6 };
+        { Nf_num.Price_law.dgd_table2 with Nf_num.Price_law.dgd_update_interval = 48e-6 };
     }
   in
   [

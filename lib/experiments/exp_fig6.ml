@@ -120,7 +120,10 @@ let run_alpha ?(seed = 2) ?(n_events = 25)
       let fast =
         point
           (Support.Scheme_numfabric
-             { params = Nf_num.Xwi_core.default_params; interval = 30e-6 })
+             {
+               params = Nf_num.Xwi_core.default_params;
+               interval = Nf_num.Price_law.xwi_interval;
+             })
       in
       (* The paper's 2x slowdown doubles the price-update interval and the
          measurement smoothing; in the fluid model the analogue is the

@@ -28,19 +28,19 @@ let run () =
         Printf.sprintf
           "priceUpdateInterval = %g us, relative gains a = %g, b = %g (scaled \
            by price magnitude %g)"
-          (us c.Nf_sim.Config.dgd.Nf_sim.Config.dgd_update_interval)
-          c.Nf_sim.Config.dgd.Nf_sim.Config.dgd_gain_util
-          c.Nf_sim.Config.dgd.Nf_sim.Config.dgd_gain_queue
-          c.Nf_sim.Config.dgd.Nf_sim.Config.dgd_price_scale;
+          (us c.Nf_sim.Config.dgd.Nf_num.Price_law.dgd_update_interval)
+          c.Nf_sim.Config.dgd.Nf_num.Price_law.dgd_gain_util
+          c.Nf_sim.Config.dgd.Nf_num.Price_law.dgd_gain_queue
+          c.Nf_sim.Config.dgd.Nf_num.Price_law.dgd_price_scale;
     };
     {
       scheme = "RCP*";
       parameters =
         Printf.sprintf "rateUpdateInterval = %g us, a = %g, b = %g, d = %g us"
-          (us c.Nf_sim.Config.rcp.Nf_sim.Config.rcp_update_interval)
-          c.Nf_sim.Config.rcp.Nf_sim.Config.rcp_gain_spare
-          c.Nf_sim.Config.rcp.Nf_sim.Config.rcp_gain_queue
-          (us c.Nf_sim.Config.rcp.Nf_sim.Config.rcp_mean_rtt);
+          (us c.Nf_sim.Config.rcp.Nf_num.Price_law.rcp_update_interval)
+          c.Nf_sim.Config.rcp.Nf_num.Price_law.rcp_gain_spare
+          c.Nf_sim.Config.rcp.Nf_num.Price_law.rcp_gain_queue
+          (us c.Nf_sim.Config.rcp.Nf_num.Price_law.rcp_mean_rtt);
     };
     {
       scheme = "DCTCP";

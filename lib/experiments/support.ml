@@ -9,44 +9,24 @@ module Topology = Nf_topo.Topology
 
 type scheme_kind =
   | Scheme_numfabric of { params : Xwi_core.params; interval : float }
-  | Scheme_dgd of { params : Nf_fluid.Fluid_dgd.params; interval : float }
-  | Scheme_rcp of {
-      params : Nf_fluid.Fluid_rcp.params;
-      interval : float;
-      alpha : float;
-    }
+  | Scheme_dgd
+  | Scheme_rcp of { alpha : float }
 
 let numfabric_default =
   Scheme_numfabric
-    { params = Xwi_core.default_params; interval = Nf_fluid.Fluid_xwi.default_interval }
-
-let dgd_default =
-  Scheme_dgd
-    {
-      params = Nf_fluid.Fluid_dgd.default_params;
-      interval = Nf_fluid.Fluid_dgd.default_interval;
-    }
-
-let rcp_default ~alpha =
-  Scheme_rcp
-    {
-      params = Nf_fluid.Fluid_rcp.default_params;
-      interval = Nf_fluid.Fluid_rcp.default_interval;
-      alpha;
-    }
+    { params = Xwi_core.default_params; interval = Nf_num.Price_law.xwi_interval }
 
 let scheme_name = function
   | Scheme_numfabric _ -> "NUMFabric"
-  | Scheme_dgd _ -> "DGD"
+  | Scheme_dgd -> "DGD"
   | Scheme_rcp _ -> "RCP*"
 
 let make_scheme kind problem =
   match kind with
   | Scheme_numfabric { params; interval } ->
     Nf_fluid.Fluid_xwi.make ~params ~interval problem
-  | Scheme_dgd { params; interval } -> Nf_fluid.Fluid_dgd.make ~params ~interval problem
-  | Scheme_rcp { params; interval; alpha } ->
-    Nf_fluid.Fluid_rcp.make ~params ~interval ~alpha problem
+  | Scheme_dgd -> Nf_fluid.Fluid_dgd.make problem
+  | Scheme_rcp { alpha } -> Nf_fluid.Fluid_rcp.make ~alpha problem
 
 type semidyn_setup = {
   seed : int;

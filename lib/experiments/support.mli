@@ -13,14 +13,12 @@
 
 type scheme_kind =
   | Scheme_numfabric of { params : Nf_num.Xwi_core.params; interval : float }
-  | Scheme_dgd of { params : Nf_fluid.Fluid_dgd.params; interval : float }
-  | Scheme_rcp of { params : Nf_fluid.Fluid_rcp.params; interval : float; alpha : float }
+  | Scheme_dgd  (** Table 2's DGD ({!Nf_fluid.Fluid_dgd}) *)
+  | Scheme_rcp of { alpha : float }  (** Table 2's RCP* ({!Nf_fluid.Fluid_rcp}) *)
 
 val numfabric_default : scheme_kind
-
-val dgd_default : scheme_kind
-
-val rcp_default : alpha:float -> scheme_kind
+(** Table 2's xWI: {!Nf_num.Xwi_core.default_params} every
+    {!Nf_num.Price_law.xwi_interval}. *)
 
 val scheme_name : scheme_kind -> string
 

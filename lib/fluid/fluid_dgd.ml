@@ -1,11 +1,6 @@
 module Problem = Nf_num.Problem
 module Utility = Nf_num.Utility
-
-type params = { gain_util : float; gain_queue : float }
-
-let default_params = { gain_util = 0.3; gain_queue = 0.15 }
-
-let default_interval = 16e-6
+module Price_law = Nf_num.Price_law
 
 (* Price magnitude the gains are normalized by: the mean marginal utility
    per hop at the equal-weight max-min allocation [rates]. *)
@@ -28,61 +23,23 @@ let compute_rates problem ~prices =
         ~max_rate:(Scheme.path_line_rate problem i)
         (Problem.path_price problem ~prices i))
 
-let make ?(params = default_params) ?(interval = default_interval) ?trace
-    problem =
-  if not (Problem.is_single_path problem) then
-    invalid_arg "Fluid_dgd.make: multipath problems are not supported";
-  let module Trace = Nf_util.Trace in
-  let iter = ref 0 in
-  let problem = ref problem in
-  let n_links = Problem.n_links !problem in
+let make ?trace problem =
   (* Start from the seed prices xWI also uses so that the comparison is
      about dynamics, not initialization. *)
-  let seed_rates, prices = Nf_num.Xwi_core.seed !problem in
-  let scale = price_scale !problem ~rates:seed_rates in
-  let queues = Array.make n_links 0. in
-  (* bytes *)
-  let loads = Array.make n_links 0. in
-  let rates = ref (compute_rates !problem ~prices) in
-  let step () =
-    let p = !problem in
-    let caps = Problem.caps p in
-    let x = compute_rates p ~prices in
-    rates := x;
-    Problem.link_loads_into p ~rates:x loads;
-    for l = 0 to n_links - 1 do
-      let excess = loads.(l) -. caps.(l) in
-      queues.(l) <- Float.max 0. (queues.(l) +. (excess *. interval /. 8.));
-      let bdp_bytes = caps.(l) *. interval /. 8. in
-      let a = params.gain_util *. scale /. caps.(l) in
-      let b = params.gain_queue *. scale /. Float.max bdp_bytes 1. in
-      prices.(l) <- Float.max 0. (prices.(l) +. (a *. excess) +. (b *. queues.(l)))
-    done;
-    incr iter;
-    let tr =
-      match trace with Some tr -> tr | None -> Nf_util.Trace.default ()
-    in
-    if Trace.on tr Trace.PriceUpdate then begin
-      let time = float_of_int !iter *. interval in
-      Array.iteri
-        (fun l p -> Trace.emit tr Trace.PriceUpdate ~subject:l ~time p)
-        prices
-    end
+  let seed_rates, prices = Nf_num.Xwi_core.seed problem in
+  let law =
+    {
+      Price_law.dgd_table2 with
+      Price_law.dgd_price_scale = price_scale problem ~rates:seed_rates;
+    }
   in
-  let rebind p =
-    if Problem.n_links p <> n_links then
-      invalid_arg "Fluid_dgd.rebind: link count changed";
-    if not (Problem.is_single_path p) then
-      invalid_arg "Fluid_dgd.rebind: multipath problems are not supported";
-    problem := p;
-    rates := compute_rates p ~prices
-  in
-  {
-    Scheme.name = "DGD";
-    interval;
-    step;
-    rates = (fun () -> Array.copy !rates);
-    rates_view = (fun () -> !rates);
-    rebind;
-    observe_remaining = Scheme.nop_observe;
-  }
+  Scheme.baseline ~name:"DGD" ~unit_name:"Fluid_dgd"
+    ~interval:law.Price_law.dgd_update_interval ?trace
+    ~rates_of:(fun p prices -> compute_rates p ~prices)
+    ~update:(fun ~caps ~loads ~queues ->
+      for l = 0 to Array.length prices - 1 do
+        prices.(l) <-
+          Price_law.dgd law ~cap:caps.(l) ~price:prices.(l) ~rate:loads.(l)
+            ~queue:queues.(l)
+      done)
+    prices problem

@@ -9,28 +9,15 @@
     The gains [a] and [b] are notoriously workload-dependent (the paper
     sweeps them and picks the fastest stable setting); here they are
     expressed as dimensionless relative gains, internally scaled by the
-    initial price magnitude and the link capacity, which corresponds to
-    the per-experiment tuning the paper performs. *)
+    initial price magnitude (the mean marginal utility per hop at the
+    equal-weight max-min allocation) and the link capacity, which
+    corresponds to the per-experiment tuning the paper performs. *)
 
-type params = {
-  gain_util : float;
-    (** relative gain of the rate-capacity mismatch term ([a]); default 0.3 *)
-  gain_queue : float;
-    (** relative gain of the queue term ([b]); default 0.15 *)
-}
-
-val default_params : params
-
-val default_interval : float
-(** 16 µs (Table 2: DGD priceUpdateInterval). *)
-
-val make :
-  ?params:params ->
-  ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
-  Nf_num.Problem.t ->
-  Scheme.t
-(** Each round emits per-link [PriceUpdate] trace events (time = round ×
-    interval) to [trace] (default: the process {!Nf_util.Trace.default}).
+val make : ?trace:Nf_util.Trace.t -> Nf_num.Problem.t -> Scheme.t
+(** Runs {!Nf_num.Price_law.dgd} with Table 2's gains and interval
+    ({!Nf_num.Price_law.dgd_table2}), the price scale set from the
+    problem. Each round emits per-link [PriceUpdate] trace events (time =
+    round × interval) to [trace] (default: the process
+    {!Nf_util.Trace.default}).
     @raise Invalid_argument on multipath problems (the paper's DGD is a
     single-path algorithm). *)

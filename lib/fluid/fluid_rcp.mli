@@ -12,25 +12,10 @@
     reads the utility functions — RCP* has no notion of generic utilities,
     which is exactly the flexibility gap the paper exploits). *)
 
-type params = {
-  gain_spare : float;  (** [a]; default 0.4 *)
-  gain_queue : float;  (** [b]; default 0.2 *)
-  mean_rtt : float;  (** [d], seconds; default 16 µs *)
-}
-
-val default_params : params
-
-val default_interval : float
-(** 16 µs (Table 2: RCP* rateUpdateInterval). *)
-
-val make :
-  ?params:params ->
-  ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
-  alpha:float ->
-  Nf_num.Problem.t ->
-  Scheme.t
-(** Each round emits per-link [PriceUpdate] trace events (the advertised
-    fair rates; time = round × interval) to [trace] (default: the process
-    {!Nf_util.Trace.default}).
+val make : ?trace:Nf_util.Trace.t -> alpha:float -> Nf_num.Problem.t -> Scheme.t
+(** Runs {!Nf_num.Price_law.rcp} with Table 2's settings
+    ({!Nf_num.Price_law.rcp_table2}) and the fluid bounds
+    {!Nf_num.Price_law.rcp_fluid}. Each round emits per-link
+    [PriceUpdate] trace events (the advertised fair rates; time = round ×
+    interval) to [trace] (default: the process {!Nf_util.Trace.default}).
     @raise Invalid_argument on multipath problems. *)

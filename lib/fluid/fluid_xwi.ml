@@ -2,10 +2,8 @@ module Problem = Nf_num.Problem
 module Xwi_core = Nf_num.Xwi_core
 module Trace = Nf_util.Trace
 
-let default_interval = 30e-6
-
 let make_with_prices ?(params = Xwi_core.default_params)
-    ?(interval = default_interval) ?trace ?pool ?diag problem =
+    ?(interval = Nf_num.Price_law.xwi_interval) ?trace ?pool ?diag problem =
   let problem = ref problem in
   let state = ref (Xwi_core.init ?pool !problem) in
   (* An explicit diag wins over whatever [init] auto-attached — but only

@@ -1,16 +1,13 @@
 (** Fluid NUMFabric: the xWI iteration of {!Nf_num.Xwi_core} packaged as a
     {!Scheme.t}.
 
-    One round = one synchronized price update (Table 2:
-    priceUpdateInterval = 30 µs by default). Rebinding preserves link
-    prices across flow arrivals/departures, exactly as real switches
-    would: it restarts through {!Nf_num.Xwi_core.resize} with
-    [~polish:false], whose handed-down scratch also spares the rebind
-    the state's buffers. A rebind to a problem over a different number
+    One round = one synchronized price update ([interval] defaults to
+    Table 2's priceUpdateInterval, {!Nf_num.Price_law.xwi_interval}).
+    Rebinding preserves link prices across flow arrivals/departures,
+    exactly as real switches would: it restarts through
+    {!Nf_num.Xwi_core.resize} with [~polish:false], whose handed-down
+    scratch also spares the rebind the state's buffers. A rebind to a problem over a different number
     of links raises [Invalid_argument]. *)
-
-val default_interval : float
-(** 30 µs (Table 2). *)
 
 val make :
   ?params:Nf_num.Xwi_core.params ->

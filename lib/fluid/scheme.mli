@@ -39,3 +39,26 @@ val path_line_rate : Nf_num.Problem.t -> int -> float
 (** The smallest capacity on flow [i]'s path: the rate cap of the
     rate-based schemes, DGD and RCP*, whose senders cannot exceed their
     slowest link. *)
+
+val baseline :
+  name:string ->
+  unit_name:string ->
+  interval:float ->
+  ?trace:Nf_util.Trace.t ->
+  rates_of:(Nf_num.Problem.t -> float array -> float array) ->
+  update:(caps:float array -> loads:float array -> queues:float array -> unit) ->
+  float array ->
+  Nf_num.Problem.t ->
+  t
+(** The fluid realization of a rate-based baseline, DGD or RCP*, over the
+    per-link values [links] (prices or fair rates), which it owns from
+    then on. Each round sets the rates [rates_of problem links], the
+    link loads they induce, and each link's queue (bytes, integrating
+    load minus capacity over the interval, floored at 0), then calls
+    [update], which applies the scheme's link law to [links]. Each round
+    emits the per-link values as [PriceUpdate] trace events (time =
+    round × interval) to [trace] (default: the process
+    {!Nf_util.Trace.default}).
+    @raise Invalid_argument naming [unit_name] on a multipath problem,
+    at creation or {!field-rebind}, and on a rebind to another link
+    count. *)

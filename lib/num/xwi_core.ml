@@ -5,7 +5,8 @@ type residual_agg = Agg_min | Agg_mean
 
 type params = { eta : float; beta : float; residual_agg : residual_agg }
 
-let default_params = { eta = 5.; beta = 0.5; residual_agg = Agg_min }
+let default_params =
+  { eta = Price_law.eta; beta = Price_law.beta; residual_agg = Agg_min }
 
 (* Observability: solver runs report their iteration counts (the paper's
    key convergence statistic) and every iteration can be traced. *)
@@ -58,9 +59,10 @@ let trace_iter tr iter =
    equal the stdlib pair bit for bit on every non-NaN input, ±0 included
    ([0. +. -0.] is [0.], [-.(-.0. -. -0.)] is [-0.]), and return a NaN
    operand as the stdlib pair does. Defined in each hot unit (here,
-   [Maxmin], [Kkt], [Queue_disc]) rather than shared: dev-profile builds compile with
-   -opaque, which disables cross-unit inlining, and a non-inlined
-   float -> float call boxes its arguments and result. *)
+   [Maxmin], [Kkt], [Queue_disc], [Price_law]) rather than shared:
+   dev-profile builds compile with -opaque, which disables cross-unit
+   inlining, and a non-inlined float -> float call boxes its arguments
+   and result. *)
 
 let[@inline] fmax (x : float) (y : float) =
   if y > x then y
@@ -307,6 +309,36 @@ let[@nf.hot] residuals (inc : Incidence.t) state =
       *. Array.unsafe_get inv_len i)
   done
 
+(* Eqs. 10-11 for one link: the price step from the smallest residual
+   [min_res] (none when it is not finite: the utilization term alone
+   then drives the price to zero) and the load-to-capacity ratio, then
+   the beta-average with the old price. The ratio is clamped to [0, 1]
+   in-unit, as [Fcmp.clamp ~lo:0. ~hi:1.] would on the reachable domain
+   (never NaN); the cross-library call would box. *)
+let[@inline] link_price params ~p_old ~min_res ~utilization =
+  let utilization =
+    if utilization > 0. then if utilization <= 1. then utilization else 1.
+    else 0.
+  in
+  let p_new =
+    if Float.is_finite min_res then
+      fmax 0.
+        (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
+    else fmax 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
+  in
+  (params.beta *. p_old) +. ((1. -. params.beta) *. p_new)
+
+type port = {
+  mutable price : float;
+  mutable min_residual : float;
+  mutable utilization : float;
+}
+
+let port_update params p =
+  p.price <-
+    link_price params ~p_old:p.price ~min_res:p.min_residual
+      ~utilization:p.utilization
+
 (* Eqs. 9-11 for links [lo, hi): the per-link work reads only flow-level
    inputs (rates, residuals, loads) and its own old price, and writes only
    [prices.(l)], so updating in place is the synchronized update and the
@@ -352,26 +384,9 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
         done;
         if !count = 0 then infinity else !sum /. float_of_int !count
     in
-    let p_old = Array.unsafe_get prices l in
-    (* [Fcmp.clamp ~lo:0. ~hi:1.] spelled in-unit: the cross-library
-       call boxes its float argument and result — one box per link per
-       step under -opaque builds. Identical on the reachable domain
-       ([load >= 0], [caps > 0], so [r] is never NaN). *)
-    let utilization =
-      let r = load /. Array.unsafe_get caps l in
-      if r > 0. then if r <= 1. then r else 1. else 0.
-    in
-    let p_new =
-      if Float.is_finite min_res then
-        fmax 0.
-          (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
-      else
-        (* No (significant) traffic: drive the price to zero via the
-           utilization term alone. *)
-        fmax 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
-    in
     Array.unsafe_set prices l
-      ((params.beta *. p_old) +. ((1. -. params.beta) *. p_new))
+      (link_price params ~p_old:(Array.unsafe_get prices l) ~min_res
+         ~utilization:(load /. Array.unsafe_get caps l))
   done
 
 (* The first half of an iteration: Eq. 7 weights at the state's prices

@@ -26,7 +26,8 @@ type params = {
 }
 
 val default_params : params
-(** [{ eta = 5.; beta = 0.5; residual_agg = Agg_min }] — Table 2. *)
+(** Table 2's [eta] and [beta] ({!Price_law.eta}, {!Price_law.beta}),
+    [residual_agg = Agg_min]. *)
 
 type buffers
 (** Preallocated per-state scratch arrays (sized for the state's problem):
@@ -133,6 +134,19 @@ val step : Problem.t -> params -> state -> unit
     a capacity change between steps is seen by the next one.
     @raise Invalid_argument if {!resize} consumed the state, or the
     problem's {!Problem.generation} moved on since the state was built. *)
+
+(** A packet switch port's xWI state (Fig. 3), all-float, so that
+    {!port_update} passes no float across the library boundary. *)
+type port = {
+  mutable price : float;
+  mutable min_residual : float;  (** the interval's smallest residual *)
+  mutable utilization : float;  (** served bits over capacity, unclamped *)
+}
+
+val port_update : params -> port -> unit
+(** Eqs. 10–11, the law {!step} applies to each link: with [u] clamped to
+    [\[0, 1\]], [p' = \[p + r - eta (1 - u) p\]+] ([r] dropped when not
+    finite), then [price <- beta p + (1 - beta) p']. *)
 
 type run = { iterations : int; converged : bool }
 

@@ -9,20 +9,9 @@ type swift = {
   srpt_eps : float;
 }
 
-type dgd = {
-  dgd_update_interval : float;
-  dgd_gain_util : float;
-  dgd_gain_queue : float;
-  dgd_price_scale : float;
-}
+type dgd = Nf_num.Price_law.dgd
 
-type rcp = {
-  rcp_update_interval : float;
-  rcp_gain_spare : float;
-  rcp_gain_queue : float;
-  rcp_mean_rtt : float;
-  rcp_alpha : float;
-}
+type rcp = Nf_num.Price_law.rcp
 
 type dctcp = {
   dctcp_mark_threshold : int;
@@ -50,28 +39,11 @@ let default_swift =
     ewma_time = 20e-6;
     dt_slack = 6e-6;
     init_burst = 3;
-    price_update_interval = 30e-6;
-    eta = 5.;
-    beta = 0.5;
+    price_update_interval = Nf_num.Price_law.xwi_interval;
+    eta = Nf_num.Price_law.eta;
+    beta = Nf_num.Price_law.beta;
     weight_quant_base = None;
     srpt_eps = 0.125;
-  }
-
-let default_dgd =
-  {
-    dgd_update_interval = 16e-6;
-    dgd_gain_util = 0.3;
-    dgd_gain_queue = 0.15;
-    dgd_price_scale = 4e-10;
-  }
-
-let default_rcp =
-  {
-    rcp_update_interval = 16e-6;
-    rcp_gain_spare = 0.4;
-    rcp_gain_queue = 0.2;
-    rcp_mean_rtt = 16e-6;
-    rcp_alpha = 1.;
   }
 
 let default_dctcp = { dctcp_mark_threshold = 30_000; dctcp_gain = 1. /. 16. }
@@ -84,8 +56,8 @@ let default =
     rate_measure_tau = 80e-6;
     record_rates = false;
     swift = default_swift;
-    dgd = default_dgd;
-    rcp = default_rcp;
+    dgd = Nf_num.Price_law.dgd_table2;
+    rcp = Nf_num.Price_law.rcp_table2;
     dctcp = default_dctcp;
     pfabric = default_pfabric;
   }

@@ -11,9 +11,9 @@ type swift = {
   ewma_time : float;  (** rate-estimator EWMA time constant; 20 µs *)
   dt_slack : float;  (** window slack over the BDP; 6 µs *)
   init_burst : int;  (** packets sent at flow start; 3 *)
-  price_update_interval : float;  (** xWI; 30 µs *)
-  eta : float;  (** 5 *)
-  beta : float;  (** 0.5 *)
+  price_update_interval : float;  (** xWI; {!Nf_num.Price_law.xwi_interval} *)
+  eta : float;  (** {!Nf_num.Price_law.eta} *)
+  beta : float;  (** {!Nf_num.Price_law.beta} *)
   weight_quant_base : float option;
       (** §8's "small set of queues with different weights": when set,
           Swift weights are rounded to the nearest power of this base
@@ -24,24 +24,11 @@ type swift = {
           [numfabric-srpt] protocol variant (§2) *)
 }
 
-(** DGD (§6, Eq. 14). *)
-type dgd = {
-  dgd_update_interval : float;  (** 16 µs *)
-  dgd_gain_util : float;
-  dgd_gain_queue : float;
-  dgd_price_scale : float;
-      (** normalization of the dimensionless gains; should be of the order
-          of the marginal utility at the expected operating point *)
-}
+type dgd = Nf_num.Price_law.dgd
+(** DGD (§6, Eq. 14); defaults {!Nf_num.Price_law.dgd_table2}. *)
 
-(** RCP* (§6, Eqs. 15–16). *)
-type rcp = {
-  rcp_update_interval : float;  (** 16 µs *)
-  rcp_gain_spare : float;
-  rcp_gain_queue : float;
-  rcp_mean_rtt : float;
-  rcp_alpha : float;  (** fairness exponent α of Eq. 16 *)
-}
+type rcp = Nf_num.Price_law.rcp
+(** RCP* (§6, Eqs. 15–16); defaults {!Nf_num.Price_law.rcp_table2}. *)
 
 type dctcp = {
   dctcp_mark_threshold : int;  (** bytes; K *)
@@ -67,10 +54,8 @@ type t = {
 }
 
 val default : t
-(** Table 2 values; DCTCP marking threshold 30 KB, pFabric buffer 36 KB
-    with RTO 3 * 16 µs, [dgd_price_scale] 4e-10 (the marginal utility of a
-    proportional-fairness flow at 2.5 Gbps). *)
+(** Table 2 values ({!Nf_num.Price_law}); DCTCP marking threshold 30 KB,
+    pFabric buffer 36 KB with RTO 3 * 16 µs. *)
 
 val default_swift : swift
 
-val default_dgd : dgd

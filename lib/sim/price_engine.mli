@@ -25,35 +25,19 @@ type t = {
 val none : t
 (** No-op engine (interval 1 s; [update] does nothing). *)
 
-val xwi :
-  ?eta:float ->
-  ?beta:float ->
-  ?interval:float ->
-  capacity:float ->
-  unit ->
-  t
-(** Defaults per Table 2: eta 5, beta 0.5, interval 30 µs. *)
+val xwi : Config.swift -> capacity:float -> t
+(** Updates every [price_update_interval] by {!Nf_num.Xwi_core.port_update}
+    with the config's [eta] and [beta]. *)
 
-val dgd :
-  ?gain_util:float ->
-  ?gain_queue:float ->
-  ?interval:float ->
-  capacity:float ->
-  queue_bytes:(unit -> int) ->
-  price_scale:float ->
-  unit ->
-  t
-(** [price_scale] normalizes the dimensionless gains (see
-    {!Nf_fluid.Fluid_dgd}); interval defaults to 16 µs. *)
+val dgd : Config.dgd -> capacity:float -> queue_bytes:(unit -> int) -> t
+(** Updates every [dgd_update_interval] by {!Nf_num.Price_law.dgd_port}. *)
 
 val rcp :
-  ?gain_spare:float ->
-  ?gain_queue:float ->
-  ?interval:float ->
-  ?mean_rtt:float ->
-  alpha:float ->
+  Config.rcp ->
   capacity:float ->
   queue_bytes:(unit -> int) ->
   initial_fair_rate:float ->
-  unit ->
   t
+(** Updates every [rcp_update_interval] by {!Nf_num.Price_law.rcp_port}
+    with the packet bounds {!Nf_num.Price_law.rcp_packet}; starts from
+    [initial_fair_rate] clamped to [\[1e-6, 1\]]·[capacity]. *)

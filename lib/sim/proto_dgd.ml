@@ -15,19 +15,15 @@ let protocol : Protocol.t =
     let needs_utility = true
 
     let update_interval (cfg : Config.t) =
-      Some cfg.Config.dgd.Config.dgd_update_interval
+      Some cfg.Config.dgd.Nf_num.Price_law.dgd_update_interval
 
     let make_link (cfg : Config.t) ~pool ~capacity =
-      let dgc = cfg.Config.dgd in
       let qdisc = Queue_disc.fifo ~pool ~limit_bytes:cfg.Config.buffer_bytes () in
       {
         Protocol.lh_qdisc = qdisc;
         lh_engine =
-          Price_engine.dgd ~gain_util:dgc.Config.dgd_gain_util
-            ~gain_queue:dgc.Config.dgd_gain_queue
-            ~interval:dgc.Config.dgd_update_interval ~capacity
-            ~queue_bytes:qdisc.Queue_disc.byte_length
-            ~price_scale:dgc.Config.dgd_price_scale ();
+          Price_engine.dgd cfg.Config.dgd ~capacity
+            ~queue_bytes:qdisc.Queue_disc.byte_length;
       }
 
     let make_flow (env : Protocol.flow_env) ~utility =

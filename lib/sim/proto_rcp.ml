@@ -15,24 +15,19 @@ let protocol : Protocol.t =
     let needs_utility = false
 
     let update_interval (cfg : Config.t) =
-      Some cfg.Config.rcp.Config.rcp_update_interval
+      Some cfg.Config.rcp.Nf_num.Price_law.rcp_update_interval
 
     let make_link (cfg : Config.t) ~pool ~capacity =
-      let rc = cfg.Config.rcp in
       let qdisc = Queue_disc.fifo ~pool ~limit_bytes:cfg.Config.buffer_bytes () in
       {
         Protocol.lh_qdisc = qdisc;
         lh_engine =
-          Price_engine.rcp ~gain_spare:rc.Config.rcp_gain_spare
-            ~gain_queue:rc.Config.rcp_gain_queue
-            ~interval:rc.Config.rcp_update_interval
-            ~mean_rtt:rc.Config.rcp_mean_rtt ~alpha:rc.Config.rcp_alpha
-            ~capacity ~queue_bytes:qdisc.Queue_disc.byte_length
-            ~initial_fair_rate:capacity ();
+          Price_engine.rcp cfg.Config.rcp ~capacity
+            ~queue_bytes:qdisc.Queue_disc.byte_length ~initial_fair_rate:capacity;
       }
 
     let make_flow (env : Protocol.flow_env) ~utility:_ =
-      let alpha = env.Protocol.env_cfg.Config.rcp.Config.rcp_alpha in
+      let alpha = env.Protocol.env_cfg.Config.rcp.Nf_num.Price_law.rcp_alpha in
       (* Start conservatively: RCP converges from below without the
          initial burst overshooting shared links. *)
       let rate = Protocol.cell (env.Protocol.env_line_rate /. 10.) in

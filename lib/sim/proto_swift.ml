@@ -80,13 +80,10 @@ let make ~srpt ~name ~description : Protocol.t =
       Some cfg.Config.swift.Config.price_update_interval
 
     let make_link (cfg : Config.t) ~pool ~capacity =
-      let swc = cfg.Config.swift in
       {
         Protocol.lh_qdisc =
           Queue_disc.stfq ~pool ~limit_bytes:cfg.Config.buffer_bytes ();
-        lh_engine =
-          Price_engine.xwi ~eta:swc.Config.eta ~beta:swc.Config.beta
-            ~interval:swc.Config.price_update_interval ~capacity ();
+        lh_engine = Price_engine.xwi cfg.Config.swift ~capacity;
       }
 
     let make_flow (env : Protocol.flow_env) ~utility =

@@ -81,7 +81,7 @@ let inverse f y =
 (* Closed-form ∫ (a + b u)^(-alpha) du over [0, d]. *)
 let segment_integral ~alpha ~a ~b d =
   if a <= 0. || a +. (b *. d) <= 0. then
-    invalid_arg "Piecewise.integral_pow: function must stay positive";
+    invalid_arg "Piecewise.integral_pow_between: function must stay positive";
   if b = 0. then (a ** -.alpha) *. d
   else if Float.abs (alpha -. 1.) < 1e-12 then log ((a +. (b *. d)) /. a) /. b
   else
@@ -108,5 +108,3 @@ let integral_pow_between f ~alpha ~lo ~hi =
     if upto < hi then incr i
   done;
   !total
-
-let integral_pow f ~alpha x = integral_pow_between f ~alpha ~lo:(min_x f) ~hi:x

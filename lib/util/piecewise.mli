@@ -32,15 +32,8 @@ val strictly_increasing : t -> bool
 val max_x : t -> float
 (** The last breakpoint's x; {!eval} still extends beyond it. *)
 
-val integral_pow : t -> alpha:float -> float -> float
-(** [integral_pow f ~alpha x] is [∫_{x0}^{x} (eval f τ)^(-alpha) dτ] where
-    [x0 = min_x f], computed in closed form on each linear segment. This is
-    the bandwidth-function utility of Table 1 (up to the constant lower
-    limit). Requires [eval f] to be strictly positive on the integration
-    range.
-    @raise Invalid_argument if [x < min_x f] or the function touches 0. *)
-
 val integral_pow_between : t -> alpha:float -> lo:float -> hi:float -> float
-(** [∫_{lo}^{hi} (eval f τ)^(-alpha) dτ], requiring [eval f] strictly
-    positive on [\[lo, hi\]] only (unlike {!integral_pow}, the function may
-    touch 0 below [lo]). [lo <= hi] and [lo >= min_x f] required. *)
+(** [∫_{lo}^{hi} (eval f τ)^(-alpha) dτ], computed in closed form on each
+    linear segment, requiring [eval f] strictly positive on [\[lo, hi\]]
+    only (the function may touch 0 below [lo]). [lo <= hi] and
+    [lo >= min_x f] required. *)

@@ -83,13 +83,3 @@ let permutation t n =
   let a = Array.init n (fun i -> i) in
   shuffle t a;
   a
-
-let derangement_pairing t n =
-  if n < 2 then invalid_arg "Rng.derangement_pairing: n must be >= 2";
-  let rec try_once () =
-    let p = permutation t n in
-    let fixed = ref false in
-    Array.iteri (fun i v -> if i = v then fixed := true) p;
-    if !fixed then try_once () else p
-  in
-  try_once ()

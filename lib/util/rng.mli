@@ -40,8 +40,3 @@ val shuffle : t -> 'a array -> unit
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0..n-1]. *)
-
-val derangement_pairing : t -> int -> int array
-(** [derangement_pairing t n] is a random permutation [p] of [0..n-1] with
-    [p.(i) <> i] for all [i] — sender/receiver pairing where nobody sends
-    to itself. [n >= 2]. *)

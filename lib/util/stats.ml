@@ -49,31 +49,6 @@ let boxplot xs =
     xs;
   { p25; p50; p75; whisker_lo = !whisker_lo; whisker_hi = !whisker_hi }
 
-let cdf xs =
-  ensure_nonempty "Stats.cdf" xs;
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let n = float_of_int (Array.length sorted) in
-  let rec build i acc =
-    if i < 0 then acc
-    else begin
-      (* Keep only the last occurrence of each distinct value so the CDF is
-         right-continuous: P(X <= v). *)
-      let v = sorted.(i) in
-      match acc with
-      | (v', _) :: _ when v' = v -> build (i - 1) acc
-      | _ -> build (i - 1) ((v, float_of_int (i + 1) /. n) :: acc)
-    end
-  in
-  build (Array.length sorted - 1) []
-
-let cdf_at curve x =
-  let rec last_le acc = function
-    | [] -> acc
-    | (v, p) :: rest -> if v <= x then last_le p rest else acc
-  in
-  last_le 0. curve
-
 let jain_index xs =
   ensure_nonempty "Stats.jain_index" xs;
   let s = Array.fold_left ( +. ) 0. xs in

@@ -29,14 +29,6 @@ val boxplot : float array -> boxplot
 (** The box-and-whisker summary used by Figure 5 of the paper.
     @raise Invalid_argument on an empty array. *)
 
-val cdf : float array -> (float * float) list
-(** [cdf xs] is the empirical CDF as [(value, P(X <= value))] pairs sorted
-    by value, one pair per distinct sample. *)
-
-val cdf_at : (float * float) list -> float -> float
-(** Evaluate an empirical CDF (as returned by {!cdf}) at a point; 0 before
-    the first sample, 1 after the last. *)
-
 val jain_index : float array -> float
 (** Jain's fairness index [(Σx)^2 / (n Σx^2)]: 1 for a perfectly even
     allocation, 1/n when one member takes everything.

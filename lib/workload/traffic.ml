@@ -12,12 +12,6 @@ let random_pairs rng ~hosts ~n =
       in
       { src; dst = pick_dst () })
 
-let permutation_pairs rng ~hosts =
-  let n = Array.length hosts in
-  if n < 2 then invalid_arg "Traffic.permutation_pairs: need >= 2 hosts";
-  let p = Rng.derangement_pairing rng n in
-  Array.init n (fun i -> { src = hosts.(i); dst = hosts.(p.(i)) })
-
 let half_permutation rng ~hosts =
   let n = Array.length hosts in
   if n < 2 || n mod 2 <> 0 then

@@ -9,11 +9,6 @@ type pair = { src : int; dst : int }
 val random_pairs : Nf_util.Rng.t -> hosts:int array -> n:int -> pair array
 (** [n] source/destination pairs drawn uniformly with [src <> dst]. *)
 
-val permutation_pairs : Nf_util.Rng.t -> hosts:int array -> pair array
-(** A random permutation pairing: every host sends to exactly one other
-    host and receives from exactly one (the MPTCP paper's traffic pattern
-    used for Figure 8). *)
-
 val half_permutation : Nf_util.Rng.t -> hosts:int array -> pair array
 (** Servers in the first half each send to a distinct server of the second
     half (the paper's §6.3 resource-pooling setup: 1–64 send to 65–128).

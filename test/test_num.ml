@@ -2047,6 +2047,82 @@ let test_diag_postmortem_on_nonconvergence () =
   Alcotest.(check int) "configure resets counter" 0
     (Diag.postmortems_written ())
 
+(* ------------------------------------------------------------------ *)
+(* The link price laws at each clamp edge, bit for bit *)
+
+module Law = Nf_num.Price_law
+
+(* Eqs. 10-11 through the packet port, the entry the engines use; the
+   solver's step runs the same inline law. Table 2: eta 5, beta 0.5. *)
+let test_xwi_law_edges () =
+  let law ~price ~min_residual ~utilization =
+    let port = { Xwi.price; min_residual; utilization } in
+    Xwi.port_update Xwi.default_params port;
+    port.Xwi.price
+  in
+  List.iter
+    (fun (what, expected, price, min_residual, utilization) ->
+      check_bits what expected (law ~price ~min_residual ~utilization))
+    [
+      (* p' = [1e-9 - 5 (1 - 0) 1e-9]+ = 0, averaged with 1e-9. *)
+      ("idle, residual +inf", 5e-10, 1e-9, infinity, 0.);
+      ("idle, residual nan", 5e-10, 1e-9, Float.nan, 0.);
+      ("idle, residual -inf", 5e-10, 1e-9, neg_infinity, 0.);
+      (* u = 3 counts as 1: p' = 1 + 0.5, averaged with 1. *)
+      ("utilization above 1", 1.25, 1., 0.5, 3.);
+      ("utilization at 1", 1.25, 1., 0.5, 1.);
+      (* u < 0 counts as 0: p' = [1 + 0.5 - 5]+ = 0. *)
+      ("utilization below 0", 0.5, 1., 0.5, -2.);
+      (* p' = [1 - 2 - 2.5]+ = 0, averaged with 1. *)
+      ("projection at 0", 0.5, 1., -2., 0.5);
+      (* A zero price pushed down stays +0, not -0. *)
+      ("projection keeps +0", 0., 0., -1., 1.);
+    ]
+
+(* Eq. 14 on exact binary fractions: interval 1/1024 s, price scale 1. *)
+let test_dgd_law_edges () =
+  let c =
+    {
+      Law.dgd_update_interval = 1. /. 1024.;
+      dgd_gain_util = 0.5;
+      dgd_gain_queue = 0.25;
+      dgd_price_scale = 1.;
+    }
+  in
+  List.iter
+    (fun (what, expected, cap, price, rate, queue) ->
+      check_bits what expected (Law.dgd c ~cap ~price ~rate ~queue))
+    [
+      (* a = 0.5 / 64: p + a (0 - 64) = 1 - 0.5 = 0.5. *)
+      ("idle link, above 0", 0.5, 64., 1., 0., 0.);
+      ("projection at 0", 0., 64., 0.25, 0., 0.);
+      (* BDP = 64 / 1024 / 8 B < 1 B, so b = 0.25 / 1: p = 0.25 * 4. *)
+      ("BDP under 1 byte", 1., 64., 0., 64., 4.);
+      (* BDP = 2^16 / 1024 / 8 = 8 B, so b = 0.25 / 8: p = 4 / 32. *)
+      ("BDP over 1 byte", 0.125, 65536., 0., 65536., 4.);
+    ]
+
+(* Eq. 15 under both substrates' bounds. T = d, a = 2, b = 0.2. *)
+let test_rcp_law_edges () =
+  let c = { Law.rcp_table2 with Law.rcp_gain_spare = 2. } in
+  List.iter
+    (fun (what, bounds, expected, cap, fair_rate, rate, queue) ->
+      check_bits what expected (Law.rcp bounds c ~cap ~fair_rate ~rate ~queue))
+    [
+      (* Idle: 1 + 2 (C - 0) / C = 3, clamped to the factor's top. *)
+      ("packet factor top", Law.rcp_packet, 1.1, 1024., 1., 0., 0.);
+      ("fluid factor top", Law.rcp_fluid, 2., 1024., 1., 0., 0.);
+      (* Heavy overload: the factor's bottom, 0.5, for both. *)
+      ("packet factor bottom", Law.rcp_packet, 256., 1024., 512., 1e9, 0.);
+      ("fluid factor bottom", Law.rcp_fluid, 256., 1024., 512., 1e9, 0.);
+      (* A halved rate below the floor: 1e-4 C (packet), 1e-6 C (fluid). *)
+      ("packet rate floor", Law.rcp_packet, 1e10 *. 1e-4, 1e10, 1e5, 1e12, 0.);
+      ("fluid rate floor", Law.rcp_fluid, 1e10 *. 1e-6, 1e10, 1e3, 1e12, 0.);
+      (* A grown rate above the ceiling, 100 C, for both. *)
+      ("packet rate ceiling", Law.rcp_packet, 102400., 1024., 102000., 0., 0.);
+      ("fluid rate ceiling", Law.rcp_fluid, 102400., 1024., 102000., 0., 0.);
+    ]
+
 let () =
   Alcotest.run "nf_num"
     [
@@ -2111,6 +2187,12 @@ let () =
                 Alcotest.fail "random xWI/dual mismatch");
           qcheck prop_xwi_fixed_point_unique;
           qcheck prop_multipath_oracle_kkt;
+        ] );
+      ( "price laws",
+        [
+          quick "xwi link law at its edges" test_xwi_law_edges;
+          quick "dgd law at its edges" test_dgd_law_edges;
+          quick "rcp law at its edges" test_rcp_law_edges;
         ] );
       ( "kkt",
         [

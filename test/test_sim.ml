@@ -4,6 +4,7 @@
 module Packet = Nf_sim.Packet
 module Queue_disc = Nf_sim.Queue_disc
 module Price_engine = Nf_sim.Price_engine
+module Config = Nf_sim.Config
 module Network = Nf_sim.Network
 module Builders = Nf_topo.Builders
 module Utility = Nf_num.Utility
@@ -288,7 +289,7 @@ let test_drops_counter_monotone () =
 (* Price engines *)
 
 let test_xwi_engine_stamps () =
-  let e = Price_engine.xwi ~capacity:1e10 () in
+  let e = Price_engine.xwi Config.default_swift ~capacity:1e10 in
   (* Push the price up via a positive residual at full utilization. *)
   let fill () =
     (* one update interval worth of bytes: 30us * 10G / 8 = 37500 B *)
@@ -315,8 +316,9 @@ let test_xwi_engine_stamps () =
 let test_dgd_engine_overload () =
   let queue = ref 0 in
   let e =
-    Price_engine.dgd ~capacity:1e10 ~queue_bytes:(fun () -> !queue)
-      ~price_scale:1e-10 ()
+    Price_engine.dgd
+      { Nf_num.Price_law.dgd_table2 with Nf_num.Price_law.dgd_price_scale = 1e-10 }
+      ~capacity:1e10 ~queue_bytes:(fun () -> !queue)
   in
   (* Overload: more than 16us * 10G / 8 = 20000 bytes serviced. *)
   for _ = 1 to 20 do
@@ -329,8 +331,8 @@ let test_dgd_engine_overload () =
 let test_rcp_engine () =
   let queue = ref 0 in
   let e =
-    Price_engine.rcp ~alpha:1. ~capacity:1e10 ~queue_bytes:(fun () -> !queue)
-      ~initial_fair_rate:5e9 ()
+    Price_engine.rcp Config.default.Config.rcp ~capacity:1e10
+      ~queue_bytes:(fun () -> !queue) ~initial_fair_rate:5e9
   in
   (* Idle: fair rate should grow. *)
   e.Price_engine.update ();
@@ -499,7 +501,7 @@ let test_dgd_converges_roughly () =
     {
       Nf_sim.Config.default with
       Nf_sim.Config.dgd =
-        { Nf_sim.Config.default_dgd with Nf_sim.Config.dgd_price_scale = 2e-10 };
+        { Nf_num.Price_law.dgd_table2 with Nf_num.Price_law.dgd_price_scale = 2e-10 };
     }
   in
   let net = Network.create ~config ~topology:sb.Builders.sb_topo ~protocol:(proto "dgd") () in
@@ -610,7 +612,6 @@ let test_numfabric_srpt_preempts () =
    within 1e-12 of 1); the prices cover the floor, the cap and overflow. *)
 let test_srpt_weights_bitwise () =
   let module Protocol = Nf_sim.Protocol in
-  let module Config = Nf_sim.Config in
   let mss = float_of_int Packet.data_size in
   let bits = Int64.bits_of_float in
   List.iter
@@ -974,7 +975,6 @@ let test_rto_resends_ascend () =
    is resent and ACKed again. *)
 let test_rto_ack_after_requeue_counts_once () =
   let module Host = Nf_sim.Host in
-  let module Config = Nf_sim.Config in
   let module Sim = Nf_engine.Sim in
   let sim = Sim.create () in
   let wire = Queue.create () and sent = ref [] in

@@ -245,15 +245,6 @@ let test_rng_permutation () =
   Alcotest.(check bool) "is a permutation" true
     (Array.to_list sorted = List.init 100 (fun i -> i))
 
-let test_rng_derangement () =
-  let r = Rng.create ~seed:13 in
-  for _ = 1 to 50 do
-    let p = Rng.derangement_pairing r 8 in
-    Array.iteri
-      (fun i v -> if i = v then Alcotest.fail "fixed point in derangement")
-      p
-  done
-
 let prop_rng_copy_replays =
   QCheck.Test.make ~name:"rng copy replays the stream" ~count:50
     QCheck.small_int
@@ -286,15 +277,6 @@ let test_stats_boxplot () =
   check_float "p75" 75. b.Stats.p75;
   check_float "whisker lo" 0. b.Stats.whisker_lo;
   check_float "whisker hi" 100. b.Stats.whisker_hi
-
-let test_stats_cdf () =
-  let xs = [| 1.; 1.; 2.; 3. |] in
-  let c = Stats.cdf xs in
-  Alcotest.(check int) "distinct points" 3 (List.length c);
-  check_float "P(X<=1)" 0.5 (Stats.cdf_at c 1.);
-  check_float "P(X<=2.5)" 0.75 (Stats.cdf_at c 2.5);
-  check_float "P(X<=0)" 0. (Stats.cdf_at c 0.);
-  check_float "P(X<=99)" 1. (Stats.cdf_at c 99.)
 
 let test_stats_jain () =
   check_float "even allocation" 1. (Stats.jain_index [| 3.; 3.; 3. |]);
@@ -343,7 +325,8 @@ let test_piecewise_invalid () =
 let test_piecewise_integral_constant () =
   (* f(x) = 2 on [0, 4]: integral of 2^-1 over [0, 3] = 1.5 *)
   let f = Piecewise.of_points [ (0., 2.); (4., 2.) ] in
-  check_close "constant alpha=1" 1.5 (Piecewise.integral_pow f ~alpha:1. 3.)
+  check_close "constant alpha=1" 1.5
+    (Piecewise.integral_pow_between f ~alpha:1. ~lo:0. ~hi:3.)
 
 let test_piecewise_integral_linear () =
   (* f(x) = x on [0,10]; integral x^-0.5 dx over [1, 4] = 2(2 - 1) = 2 *)
@@ -953,7 +936,6 @@ let () =
           quick "exponential mean" test_rng_exponential_mean;
           quick "split independence" test_rng_split_independent;
           quick "permutation" test_rng_permutation;
-          quick "derangement" test_rng_derangement;
           qcheck prop_rng_copy_replays;
         ] );
       ( "stats",
@@ -961,7 +943,6 @@ let () =
           quick "percentiles" test_stats_percentile;
           quick "mean/stddev" test_stats_mean_stddev;
           quick "boxplot" test_stats_boxplot;
-          quick "cdf" test_stats_cdf;
           quick "jain index" test_stats_jain;
           qcheck prop_stats_percentile_bounds;
         ] );

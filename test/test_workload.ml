@@ -107,23 +107,6 @@ let test_random_pairs () =
         Alcotest.fail "unknown host")
     pairs
 
-let test_permutation_pairs () =
-  let rng = Rng.create ~seed:5 in
-  let hosts = Array.init 16 (fun i -> 100 + i) in
-  let pairs = Traffic.permutation_pairs rng ~hosts in
-  Alcotest.(check int) "one pair per host" 16 (Array.length pairs);
-  let dsts = Array.map (fun p -> p.Traffic.dst) pairs in
-  let srcs = Array.map (fun p -> p.Traffic.src) pairs in
-  Array.sort compare dsts;
-  Array.sort compare srcs;
-  let sorted_hosts = Array.copy hosts in
-  Array.sort compare sorted_hosts;
-  Alcotest.(check bool) "destinations are a permutation of hosts" true
-    (dsts = sorted_hosts && srcs = sorted_hosts);
-  Array.iter
-    (fun p -> if p.Traffic.src = p.Traffic.dst then Alcotest.fail "self pair")
-    pairs
-
 let test_half_permutation () =
   let rng = Rng.create ~seed:5 in
   let hosts = Array.init 8 (fun i -> i) in
@@ -230,7 +213,6 @@ let () =
       ( "traffic",
         [
           quick "random pairs" test_random_pairs;
-          quick "permutation pairs" test_permutation_pairs;
           quick "half permutation" test_half_permutation;
           quick "poisson arrivals" test_poisson_arrivals;
           quick "load-to-rate formula" test_load_to_rate;

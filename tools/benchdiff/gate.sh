@@ -11,7 +11,10 @@
 # seeds 1 and 2 (the end-to-end metrics), then traced once on each side
 # (the per-layer metrics, reported but never gated). The result lines go
 # to .benchgate/old/<workload>.jsonl and .benchgate/new/<workload>.jsonl,
-# the diff to .benchgate/benchdiff.md and .benchgate/benchdiff.json. The
+# the diff to .benchgate/benchdiff.md and .benchgate/benchdiff.json. Each
+# run's fingerprint line goes to <workload>.fingerprints beside its
+# result line, and .benchgate/fingerprints.md compares base and head per
+# workload and seed; that comparison is a report and never gates. The
 # exit status is nf_benchdiff's: 0 pass, 1 fail, 2 could not run.
 set -euo pipefail
 base_rev=${1:?usage: bash tools/benchdiff/gate.sh BASE_REV}
@@ -32,12 +35,19 @@ trap 'git worktree remove --force "$out/base"' EXIT
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 
 # bench TREE DIR WORKLOAD SEED TRACE: append the run's result line (the
-# last line of its stdout) to DIR/WORKLOAD.jsonl. A run whose correctness
-# check fails exits 1 but still prints its line, for nf_benchdiff to
-# judge; a run that prints nothing leaves its workload a line short.
+# last line of its stdout) to DIR/WORKLOAD.jsonl, and its fingerprint
+# line (the one before), prefixed with the seed and trace level, to
+# DIR/WORKLOAD.fingerprints. A run whose correctness check fails exits 1
+# but still prints its lines, for nf_benchdiff to judge; a run that
+# prints nothing leaves its workload a line short.
 bench() {
-  (cd "$1" && { bash nfbench/run.sh --workload "$3" --seed "$4" \
-      --seconds "$seconds" --trace "$5" || true; }) | tail -n 1 >> "$2/$3.jsonl"
+  local last
+  last=$( (cd "$1" && { bash nfbench/run.sh --workload "$3" --seed "$4" \
+      --seconds "$seconds" --trace "$5" || true; }) | tail -n 2)
+  [ -n "$last" ] || return 0
+  printf '%s\n' "$last" | tail -n 1 >> "$2/$3.jsonl"
+  printf '%s\n' "$last" | sed -n "s/^fingerprint /seed=$4 trace=$5 /p" \
+    >> "$2/$3.fingerprints"
 }
 
 for w in $workloads; do
@@ -54,6 +64,34 @@ for w in $workloads; do
     exit 2
   fi
 done
+
+# Base against head, per workload and seed: the distinct fingerprints
+# each side printed over its untraced and traced runs.
+python3 - "$out" $workloads <<'EOF'
+import sys
+out, workloads = sys.argv[1], sys.argv[2:]
+def read(side, w):
+    runs = {}
+    try:
+        lines = open("%s/%s/%s.fingerprints" % (out, side, w)).read().splitlines()
+    except FileNotFoundError:
+        lines = []
+    for line in lines:
+        seed, _trace, fp = line.split(" ", 2)
+        runs.setdefault(seed.split("=")[1], set()).add(fp)
+    return runs
+rows = ["# nfbench fingerprints, base against head", "",
+        "| workload | seed | verdict | base | head |", "|---|---|---|---|---|"]
+for w in workloads:
+    old, new = read("old", w), read("new", w)
+    for seed in sorted(set(old) | set(new), key=int):
+        o, n = sorted(old.get(seed, ())), sorted(new.get(seed, ()))
+        verdict = ("equal" if o == n and len(o) == 1
+                   else "missing" if not o or not n else "differs")
+        rows.append("| %s | %s | %s | %s | %s |"
+                    % (w, seed, verdict, "<br>".join(o), "<br>".join(n)))
+open("%s/fingerprints.md" % out, "w").write("\n".join(rows) + "\n")
+EOF
 
 dune build ./tools/benchdiff/nf_benchdiff.exe >&2
 ./_build/default/tools/benchdiff/nf_benchdiff.exe \
