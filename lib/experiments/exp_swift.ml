@@ -2,7 +2,7 @@
    transport (STFQ switches + packet-pair/EWMA window control) must
    achieve the network-wide weighted max-min allocation. We pin random
    weights on random leaf-spine paths and compare measured receiver rates
-   against the water-filling oracle.
+   against the sparse water-fill ([Maxmin.solve_sparse]).
 
    (Weights are pinned with a "static weight" pseudo-utility whose inverse
    marginal utility is the constant w: the xWI machinery keeps running but
@@ -43,7 +43,13 @@ let run ?(seed = 21) ?(n_flows = 12) ?(duration = 8e-3) () =
       pairs
   in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
-  let expected = (Nf_num.Maxmin.solve ~caps ~paths ~weights).Nf_num.Maxmin.rates in
+  let inc =
+    Nf_num.Incidence.create ~caps ~paths
+      ~group_of_flow:(Array.init n_flows Fun.id) ~n_groups:n_flows
+  in
+  let expected = Array.make n_flows 0. in
+  Nf_num.Maxmin.solve_sparse (Nf_num.Maxmin.sparse_workspace inc) inc ~weights
+    ~rates:expected;
   let net =
     Network.create ~topology ~protocol:(Nf_sim.Protocols.get "numfabric") ()
   in

@@ -153,7 +153,7 @@ let run ~caps ~make_scheme ~flows ?reutility ?until () =
    floating-point leftovers. *)
 let done_threshold_bytes = 1.
 
-let run_ideal ?(tol = 1e-5) ~caps ~flows () =
+let run_ideal ~caps ~flows () =
   let pending = ref (sort_flows flows) in
   let actives = ref [] in
   let completions = ref [] in
@@ -164,7 +164,8 @@ let run_ideal ?(tol = 1e-5) ~caps ~flows () =
   let solve () =
     match !actives with
     | [] -> [||]
-    | _ :: _ -> (Nf_num.Oracle.solve ~tol ~carry (build_problem ~caps !actives)).rates
+    | _ :: _ ->
+      (Nf_num.Oracle.solve ~tol:1e-5 ~carry (build_problem ~caps !actives)).rates
   in
   let rates = ref [||] in
   let finished = ref false in

@@ -59,10 +59,10 @@ val run :
     the scheme rebound every round) — this is how remaining-size (SRPT) or
     deadline-slack objectives are driven at the fluid level (§2). *)
 
-val run_ideal : ?tol:float -> caps:float array -> flows:flow_spec list -> unit -> result
+val run_ideal : caps:float array -> flows:flow_spec list -> unit -> result
 (** Event-driven Oracle run: rates are the exact NUM allocation,
     recomputed at every arrival and departure by {!Nf_num.Oracle.solve}
     with one carry, so each solve starts from the previous one's state;
-    between events every flow drains at its optimal rate. [tol] is the
-    KKT residual every per-event solve certifies (default 1e-5).
+    between events every flow drains at its optimal rate. Every
+    per-event solve certifies a KKT residual of 1e-5.
     @raise Nf_num.Oracle.Did_not_converge if a solve does not certify. *)

@@ -23,7 +23,7 @@ let compute_rates problem ~prices =
         ~max_rate:(Scheme.path_line_rate problem i)
         (Problem.path_price problem ~prices i))
 
-let make ?trace problem =
+let make problem =
   (* Start from the seed prices xWI also uses so that the comparison is
      about dynamics, not initialization. *)
   let seed_rates, prices = Nf_num.Xwi_core.seed problem in
@@ -34,7 +34,7 @@ let make ?trace problem =
     }
   in
   Scheme.baseline ~name:"DGD" ~unit_name:"Fluid_dgd"
-    ~interval:law.Price_law.dgd_update_interval ?trace
+    ~interval:law.Price_law.dgd_update_interval
     ~rates_of:(fun p prices -> compute_rates p ~prices)
     ~update:(fun ~caps ~loads ~queues ->
       for l = 0 to Array.length prices - 1 do

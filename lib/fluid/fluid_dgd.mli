@@ -13,11 +13,10 @@
     equal-weight max-min allocation) and the link capacity, which
     corresponds to the per-experiment tuning the paper performs. *)
 
-val make : ?trace:Nf_util.Trace.t -> Nf_num.Problem.t -> Scheme.t
+val make : Nf_num.Problem.t -> Scheme.t
 (** Runs {!Nf_num.Price_law.dgd} with Table 2's gains and interval
     ({!Nf_num.Price_law.dgd_table2}), the price scale set from the
     problem. Each round emits per-link [PriceUpdate] trace events (time =
-    round × interval) to [trace] (default: the process
-    {!Nf_util.Trace.default}).
+    round × interval) to {!Nf_util.Trace.default}.
     @raise Invalid_argument on multipath problems (the paper's DGD is a
     single-path algorithm). *)

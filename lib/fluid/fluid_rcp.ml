@@ -11,7 +11,7 @@ let compute_rates problem ~alpha ~fair_rates =
       let x = !acc ** (-1. /. alpha) in
       Float.min x (Scheme.path_line_rate problem i))
 
-let make ?trace ~alpha problem =
+let make ~alpha problem =
   if not (alpha > 0.) then invalid_arg "Fluid_rcp.make: alpha must be positive";
   let law = Price_law.rcp_table2 in
   (* Advertise the per-link equal share initially. *)
@@ -22,7 +22,7 @@ let make ?trace ~alpha problem =
       (Problem.caps problem)
   in
   Scheme.baseline ~name:"RCP*" ~unit_name:"Fluid_rcp"
-    ~interval:law.Price_law.rcp_update_interval ?trace
+    ~interval:law.Price_law.rcp_update_interval
     ~rates_of:(fun p fair_rates -> compute_rates p ~alpha ~fair_rates)
     ~update:(fun ~caps ~loads ~queues ->
       for l = 0 to Array.length fair_rates - 1 do

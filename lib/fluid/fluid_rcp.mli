@@ -12,10 +12,10 @@
     reads the utility functions — RCP* has no notion of generic utilities,
     which is exactly the flexibility gap the paper exploits). *)
 
-val make : ?trace:Nf_util.Trace.t -> alpha:float -> Nf_num.Problem.t -> Scheme.t
+val make : alpha:float -> Nf_num.Problem.t -> Scheme.t
 (** Runs {!Nf_num.Price_law.rcp} with Table 2's settings
     ({!Nf_num.Price_law.rcp_table2}) and the fluid bounds
     {!Nf_num.Price_law.rcp_fluid}. Each round emits per-link
     [PriceUpdate] trace events (the advertised fair rates; time = round ×
-    interval) to [trace] (default: the process {!Nf_util.Trace.default}).
+    interval) to {!Nf_util.Trace.default}.
     @raise Invalid_argument on multipath problems. *)

@@ -12,27 +12,21 @@
 val make :
   ?params:Nf_num.Xwi_core.params ->
   ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
   ?pool:Nf_util.Shard.t ->
-  ?diag:Nf_num.Diag.t ->
   Nf_num.Problem.t ->
   Scheme.t
 (** Each round emits an [XwiIter] trace event (time = round × interval)
-    to [trace] (default: the process {!Nf_util.Trace.default}, resolved
-    at emission time). [pool] shards the per-link price update across
-    the pool's domains (borrowed, caller-owned; results byte-identical
-    for every job count) and is carried across {!Scheme.t} rebinds.
-    [diag] attaches per-iteration solver diagnostics (overriding any
-    auto-attached instance; re-attached across rebinds while the
-    problem's dimensions still match it — under a process-wide
-    {!Nf_num.Diag.configure}, states auto-attach without it). *)
+    to {!Nf_util.Trace.default} (resolved at emission time). [pool]
+    shards the per-link price update across the pool's domains
+    (borrowed, caller-owned; results byte-identical for every job count)
+    and is carried across {!Scheme.t} rebinds. Per-iteration solver
+    diagnostics attach through the process-wide
+    {!Nf_num.Diag.configure}. *)
 
 val make_with_prices :
   ?params:Nf_num.Xwi_core.params ->
   ?interval:float ->
-  ?trace:Nf_util.Trace.t ->
   ?pool:Nf_util.Shard.t ->
-  ?diag:Nf_num.Diag.t ->
   Nf_num.Problem.t ->
   Scheme.t * (unit -> float array)
 (** Like {!make} but also returns an accessor for a snapshot of the

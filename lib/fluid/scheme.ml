@@ -16,7 +16,7 @@ let path_line_rate problem i =
     (fun acc l -> Float.min acc caps.(l))
     infinity (Nf_num.Problem.flow_path problem i)
 
-let baseline ~name ~unit_name ~interval ?trace ~rates_of ~update links problem =
+let baseline ~name ~unit_name ~interval ~rates_of ~update links problem =
   let single_path fn p =
     if not (Nf_num.Problem.is_single_path p) then
       invalid_arg (unit_name ^ "." ^ fn ^ ": multipath problems are not supported")
@@ -39,7 +39,7 @@ let baseline ~name ~unit_name ~interval ?trace ~rates_of ~update links problem =
     done;
     update ~caps ~loads ~queues;
     incr iter;
-    let tr = match trace with Some tr -> tr | None -> Trace.default () in
+    let tr = Trace.default () in
     if Trace.on tr Trace.PriceUpdate then begin
       let time = float_of_int !iter *. interval in
       Array.iteri (fun l v -> Trace.emit tr Trace.PriceUpdate ~subject:l ~time v) links

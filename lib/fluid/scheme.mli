@@ -44,7 +44,6 @@ val baseline :
   name:string ->
   unit_name:string ->
   interval:float ->
-  ?trace:Nf_util.Trace.t ->
   rates_of:(Nf_num.Problem.t -> float array -> float array) ->
   update:(caps:float array -> loads:float array -> queues:float array -> unit) ->
   float array ->
@@ -57,8 +56,7 @@ val baseline :
     load minus capacity over the interval, floored at 0), then calls
     [update], which applies the scheme's link law to [links]. Each round
     emits the per-link values as [PriceUpdate] trace events (time =
-    round × interval) to [trace] (default: the process
-    {!Nf_util.Trace.default}).
+    round × interval) to {!Nf_util.Trace.default}.
     @raise Invalid_argument naming [unit_name] on a multipath problem,
     at creation or {!field-rebind}, and on a rebind to another link
     count. *)

@@ -93,89 +93,6 @@ let single_link_allocation ~bfs ~capacity =
     (Array.map (fun bf -> bandwidth bf !lo) bfs, !lo)
   end
 
-let waterfill ~caps ~paths ~bfs =
-  let n_flows = Array.length bfs and n_links = Array.length caps in
-  if Array.length paths <> n_flows then
-    invalid_arg "Bandwidth_function.waterfill: paths/bfs length mismatch";
-  Array.iter
-    (fun path ->
-      if Array.length path = 0 then invalid_arg "Bandwidth_function.waterfill: empty path";
-      Array.iter
-        (fun l ->
-          if l < 0 || l >= n_links then
-            invalid_arg "Bandwidth_function.waterfill: bad link id")
-        path)
-    paths;
-  let frozen = Array.make n_flows false in
-  let frozen_rate = Array.make n_flows 0. in
-  (* Load of link l when all active flows sit at fair share f. *)
-  let load l f =
-    let acc = ref 0. in
-    Array.iteri
-      (fun i path ->
-        if Array.exists (fun lid -> Int.equal lid l) path then
-          acc := !acc +. (if frozen.(i) then frozen_rate.(i) else bandwidth bfs.(i) f))
-      paths;
-    !acc
-  in
-  let some_link_saturated f =
-    let hit = ref false in
-    for l = 0 to n_links - 1 do
-      (* Only links carrying an active flow can newly saturate. *)
-      let has_active =
-        Array.exists
-          (fun i -> not frozen.(i) && Array.exists (fun lid -> Int.equal lid l) paths.(i))
-          (Array.init n_flows (fun i -> i))
-      in
-      if has_active && load l f >= caps.(l) *. (1. -. 1e-12) then hit := true
-    done;
-    !hit
-  in
-  let level = ref 0. in
-  let n_active = ref n_flows in
-  while !n_active > 0 && !level < max_fair_share do
-    if not (some_link_saturated max_fair_share) then begin
-      (* Remaining flows are unconstrained up to the search bound. *)
-      for i = 0 to n_flows - 1 do
-        if not frozen.(i) then begin
-          frozen.(i) <- true;
-          frozen_rate.(i) <- bandwidth bfs.(i) max_fair_share;
-          decr n_active
-        end
-      done;
-      level := max_fair_share
-    end
-    else begin
-      (* Binary search the smallest f >= level where a link saturates. *)
-      let lo = ref !level and hi = ref (Float.max (2. *. Float.max !level 1.) 1.) in
-      while (not (some_link_saturated !hi)) && !hi < max_fair_share do
-        hi := !hi *. 2.
-      done;
-      hi := Float.min !hi max_fair_share;
-      for _ = 1 to 100 do
-        let mid = 0.5 *. (!lo +. !hi) in
-        if some_link_saturated mid then hi := mid else lo := mid
-      done;
-      let f_star = !hi in
-      level := f_star;
-      (* Freeze active flows crossing a saturated link at f_star. *)
-      for l = 0 to n_links - 1 do
-        if load l f_star >= caps.(l) *. (1. -. 1e-9) then
-          Array.iteri
-            (fun i path ->
-              if (not frozen.(i)) && Array.exists (fun lid -> Int.equal lid l) path then begin
-                frozen.(i) <- true;
-                frozen_rate.(i) <- bandwidth bfs.(i) f_star;
-                decr n_active
-              end)
-            paths
-      done
-    end
-  done;
-  Array.mapi
-    (fun i bf -> if frozen.(i) then frozen_rate.(i) else bandwidth bf !level)
-    bfs
-
 let gbps = Nf_util.Units.gbps
 
 let fig2_flow1 () =

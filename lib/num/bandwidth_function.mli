@@ -2,8 +2,9 @@
 
     A bandwidth function [B(f)] maps a dimensionless {e fair share} [f] to
     the bandwidth a flow should receive; the allocation for flows sharing
-    links is max-min in the fair shares, computed by water-filling. The
-    paper shows (Eq. 2) that the utility [U(x) = ∫ F(τ)^-α dτ] with
+    links is max-min in the fair shares (water-filling), which
+    {!single_link_allocation} computes for flows on one link. The paper
+    shows (Eq. 2) that the utility [U(x) = ∫ F(τ)^-α dτ] with
     [F = B^-1] makes the NUM solution approach that allocation as [α]
     grows; [α ≈ 5] suffices in practice (§6.3). *)
 
@@ -41,12 +42,6 @@ val single_link_allocation : bfs:t array -> capacity:float -> float array * floa
 (** The water-filling allocation of §2: the largest common fair share [f*]
     with [Σ B_i(f_star) <= capacity], returned with the per-flow bandwidths
     [B_i(f_star)]. Figure 2's example. *)
-
-val waterfill : caps:float array -> paths:int array array -> bfs:t array -> float array
-(** Multi-link generalization ([35], §2): max-min over fair shares. All
-    flows raise a common fair share; flows freeze when a link on their path
-    saturates. Returns per-flow bandwidths. Used as the ground truth for
-    Figures 9 and 10. *)
 
 val fig2_flow1 : unit -> t
 (** Figure 2's blue flow: strict priority for the first 10 Gbps

@@ -11,7 +11,7 @@ module Trace = Nf_util.Trace
 
 type sample = {
   s_iter : int;  (* 1-based iteration index within this state's life *)
-  s_residual : float;  (* max relative price/rate change (fixpoint metric) *)
+  s_residual : float;  (* max relative price/rate change over the step *)
   s_price_delta : float;  (* max |Δ price| *)
   s_price_l2 : float;  (* l2 norm of the price delta vector *)
   s_worst_link : int;  (* link with the largest |Δ price| *)
@@ -80,8 +80,6 @@ let create ?(capacity = 64) ?(eps = default_eps) ?trace ~n_links ~n_flows () =
   }
 
 let shard_timings t = t.shard_times
-
-let dims t = (t.n_links, t.n_flows)
 
 let iterations t = t.iters
 

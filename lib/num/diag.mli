@@ -7,8 +7,8 @@
     then:
 
     - snapshots prices/rates before the step ({!begin_iter}),
-    - derives residual norms (max relative price/rate change — the
-      fixpoint convergence metric — plus the l∞/l2 price deltas and the
+    - derives residual norms (max relative price/rate change per step,
+      plus the l∞/l2 price deltas and the
       worst-residual link), active-link counts, the water-fill round
       count / fill level / saturated-link count from
       {!Maxmin.sparse_workspace}, and per-shard chunk timings from
@@ -25,8 +25,7 @@
 type sample = {
   s_iter : int;  (** 1-based iteration index within this state's life *)
   s_residual : float;
-      (** max relative price/rate change — the {!Xwi_core.run_to_fixpoint}
-          convergence metric *)
+      (** max relative price/rate change over this step *)
   s_price_delta : float;  (** max |Δ price| (l∞) *)
   s_price_l2 : float;  (** l2 norm of the price-delta vector *)
   s_worst_link : int;  (** link with the largest |Δ price|; -1 if none *)
@@ -73,9 +72,6 @@ val observe :
 
 val shard_timings : t -> float array
 (** The scratch array to pass as {!Nf_util.Shard.run}'s [?timings]. *)
-
-val dims : t -> int * int
-(** [(n_links, n_flows)] the instance was created for. *)
 
 val iterations : t -> int
 (** Iterations observed over the instance's lifetime. *)

@@ -4,21 +4,9 @@
     (§4.1): every flow [i] gets rate [w_i * f_i] where [f_i] is the largest
     fair share such that no link is over-subscribed and every flow is
     bottlenecked at some saturated link. The fluid xWI iteration calls
-    {!solve_sparse} once per iteration (Eq. 8 of the paper); the dense
-    {!solve} is the reference it is checked against. *)
-
-type result = {
-  rates : float array;
-  bottleneck : int array;
-    (** [bottleneck.(i)] is the link at which flow [i] froze. *)
-  fair_share : float array;  (** [f_i = rates.(i) / w_i] *)
-}
-
-val solve : caps:float array -> paths:int array array -> weights:float array -> result
-(** [solve ~caps ~paths ~weights] computes the weighted max-min allocation.
-    Requirements: every path non-empty with valid link ids, every weight
-    strictly positive, every capacity strictly positive.
-    @raise Invalid_argument if the requirements are violated. *)
+    {!solve_sparse} once per iteration (Eq. 8 of the paper). The test
+    suite checks it against a dense flow-major reference water-fill and
+    against the max-min conditions themselves. *)
 
 type sparse_workspace
 (** Scratch state for {!solve_sparse}, sized for one {!Incidence.t}.
@@ -42,21 +30,23 @@ val solve_sparse :
   rates:Incidence.vec ->
   unit
 (** CSR/CSC-driven water-filling into the caller's [rates] (length
-    [n_flows]): same semantics as {!solve}, but each live link carries
-    the fill level at which it saturates, updated only when one of its
-    flows freezes. The live links sit in a flat slot array (a drained
-    link is swap-removed), so a round is one pass over the live slots
-    with a single compare per link, then a link-major freeze over the
-    CSC columns of the links it saturates, in ascending link order.
+    [n_flows]): progressive filling, where each round raises the common
+    fill level until a link saturates and freezes the flows crossing it
+    (a link within 1e-9 of its capacity counts as saturated). Each live
+    link carries the fill level at which it saturates, updated only when
+    one of its flows freezes. The live links sit in a flat slot array (a
+    drained link is swap-removed), so a round is one pass over the live
+    slots with a single compare per link, then a link-major freeze over
+    the CSC columns of the links it saturates, in ascending link order.
     Work is O(rounds · live links) compares plus O(nnz) updates instead
-    of O(rounds · nnz), and nothing is allocated. Rates agree with {!solve}
-    to floating-point rounding, not bitwise. An active-weight sum that
-    cancels (weights 1e-30 to 1e300 on one link) is recounted, so the
-    rates stay feasible where {!solve}'s may not. Capacities are read
-    from [Incidence.caps] on every call; for a {!Problem.incidence} that
-    is {!Problem.caps} itself, so capacity changes need no refresh.
-    Inputs are assumed validated (strictly positive weights and
-    capacities). *)
+    of O(rounds · nnz), and nothing is allocated. Rates agree with the
+    test suite's dense reference water-fill to floating-point rounding,
+    not bitwise. An active-weight sum that cancels (weights 1e-30 to
+    1e300 on one link) is recounted, so the rates stay feasible where the
+    reference's may not. Capacities are read from [Incidence.caps] on
+    every call; for a {!Problem.incidence} that is {!Problem.caps}
+    itself, so capacity changes need no refresh. Inputs are assumed
+    validated (strictly positive weights and capacities). *)
 
 val sparse_rounds : sparse_workspace -> int
 (** Water-fill rounds of the last {!solve_sparse} on this workspace (each
@@ -73,10 +63,3 @@ val sparse_saturated_links : sparse_workspace -> int
 
 val sparse_level : sparse_workspace -> float
 (** Final fair-share fill level of the last {!solve_sparse}. *)
-
-val is_maxmin : ?tol:float -> caps:float array -> paths:int array array ->
-  weights:float array -> float array -> bool
-(** Check (up to relative tolerance [tol], default 1e-6) that an allocation
-    is the weighted max-min one: it is feasible and every flow crosses a
-    saturated link on which its normalized share [x_i / w_i] is maximal.
-    Used by tests and to validate packet-level Swift. *)

@@ -357,7 +357,7 @@ let is_single_path t =
   force t;
   t.incidence.Incidence.singleton
 
-let feasible ?(tol = 1e-6) t ~rates =
+let feasible t ~rates =
   force t;
   Array.for_all (fun x -> x >= 0.) rates
   &&
@@ -365,6 +365,6 @@ let feasible ?(tol = 1e-6) t ~rates =
   link_loads_into t ~rates loads;
   let ok = ref true in
   Array.iteri
-    (fun l load -> if load > t.capacities.(l) *. (1. +. tol) then ok := false)
+    (fun l load -> if load > t.capacities.(l) *. (1. +. 1e-6) then ok := false)
     loads;
   !ok

@@ -139,9 +139,9 @@ val link_flows : t -> int -> int array
 
 val paths : t -> int array array
 (** The live flow→path incidence array ([paths.(flow)] = link ids).
-    Shared, not copied: callers must treat it as read-only. The dense
-    reference solvers (the test oracle [Reference], [Maxmin.solve]) read paths in this
-    form; the sparse kernels use {!incidence}. *)
+    Shared, not copied: callers must treat it as read-only. The test
+    oracle's dense solvers read paths in this form; the sparse kernels
+    use {!incidence}. *)
 
 val incidence : t -> Incidence.t
 (** The sparse CSR/CSC index structure of the current snapshot. Shared,
@@ -167,6 +167,6 @@ val path_price : t -> prices:float array -> int -> float
 val is_single_path : t -> bool
 (** All groups are singletons. *)
 
-val feasible : ?tol:float -> t -> rates:float array -> bool
-(** No link loaded beyond [cap * (1 + tol)] (default [tol = 1e-6]) and all
-    rates non-negative. *)
+val feasible : t -> rates:float array -> bool
+(** No link loaded beyond [cap * (1 + 1e-6)] and all rates
+    non-negative. *)

@@ -117,8 +117,8 @@ let[@inline] urate_fast u p =
    counts, never by these lengths) and grow with headroom, and
    [b_prices] names the owner, the state whose [prices] array it is. *)
 type buffers = {
-  b_old_prices : float array;  (* n_links; fixpoint-loop snapshot *)
-  mutable b_old_rates : float array;  (* >= n_flows; fixpoint-loop snapshot *)
+  b_old_prices : float array;  (* n_links; [polish_start]'s swap scratch *)
+  mutable b_old_rates : float array;  (* >= n_flows; [polish_start]'s swap scratch *)
   mutable b_path_price : float array;  (* >= n_flows; computed once per step *)
   b_loads : float array;  (* n_links *)
   mutable b_residual : float array;  (* >= n_flows *)
@@ -567,11 +567,10 @@ let step problem params state =
 
 type run = { iterations : int; converged : bool }
 
-(* [residual] is the run's final convergence metric (relative fixpoint
-   delta or KKT residual, per the entry point): it rides on the
-   [XwiNonconverged] trace event and overrides the postmortem's meta
-   residual, so a capped run's forensics carry the number the caller was
-   actually iterating on. *)
+(* [residual] is the run's final convergence metric (the worst KKT
+   residual of its last check): it rides on the [XwiNonconverged] trace
+   event and overrides the postmortem's meta residual, so a capped run's
+   forensics carry the number the caller was actually iterating on. *)
 let finish_run state ~residual run =
   Metrics.incr m_runs;
   if run.converged then Metrics.incr m_converged
@@ -589,43 +588,6 @@ let finish_run state ~residual run =
   end;
   Metrics.observe m_iterations (float_of_int run.iterations);
   run
-
-let run_to_fixpoint ?(tol = 1e-10) ?(max_iters = 50_000) problem params state =
-  Nf_util.Profile.time "xwi-solve" @@ fun () ->
-  let n_links = Problem.n_links problem and n_flows = Problem.n_flows problem in
-  let tr = Trace.default () in
-  let old_prices = state.buffers.b_old_prices
-  and old_rates = state.buffers.b_old_rates in
-  (* Residual of the most recent iteration, for [finish_run] forensics at
-     the cap (where the in-loop [delta] of the capped iteration is out of
-     scope). *)
-  let last_delta = ref infinity in
-  let rec loop iter =
-    if iter >= max_iters then
-      finish_run state ~residual:!last_delta
-        { iterations = iter; converged = false }
-    else begin
-      Array.blit state.prices 0 old_prices 0 n_links;
-      Array.blit state.rates 0 old_rates 0 n_flows;
-      step problem params state;
-      trace_iter tr (iter + 1);
-      let delta = ref 0. in
-      for l = 0 to n_links - 1 do
-        let scale = fmax (Float.abs old_prices.(l)) 1e-30 in
-        delta := fmax !delta (Float.abs (state.prices.(l) -. old_prices.(l)) /. scale)
-      done;
-      for i = 0 to n_flows - 1 do
-        let scale = fmax (Float.abs old_rates.(i)) 1e-30 in
-        delta := fmax !delta (Float.abs (state.rates.(i) -. old_rates.(i)) /. scale)
-      done;
-      last_delta := !delta;
-      if !delta < tol then
-        finish_run state ~residual:!delta
-          { iterations = iter + 1; converged = true }
-      else loop (iter + 1)
-    end
-  in
-  loop 0
 
 let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) problem
     params state =

@@ -150,19 +150,6 @@ val port_update : params -> port -> unit
 
 type run = { iterations : int; converged : bool }
 
-val run_to_fixpoint :
-  ?tol:float -> ?max_iters:int -> Problem.t -> params -> state -> run
-(** Iterate until the largest relative change of any price and rate falls
-    below [tol] (default 1e-10) or [max_iters] (default 50_000) is hit.
-
-    Every run increments [nf_xwi_runs_total] and observes
-    [nf_xwi_iterations]; a converged run increments
-    [nf_xwi_converged_total]. A capped run increments
-    [nf_xwi_nonconverged_total], emits an [XwiNonconverged] trace event
-    carrying the final residual and iteration count, and — if the state
-    carries a {!Diag.t} — dumps a JSONL postmortem via
-    {!Diag.dump_auto}. *)
-
 val run_until_kkt :
   ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> params -> state -> run
 (** Iterate until the worst KKT residual of the current (rates, prices)

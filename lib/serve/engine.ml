@@ -57,7 +57,6 @@ type stats = {
 
 type t = {
   problem : Problem.t;
-  params : Xwi_core.params;
   tol : float;
   max_iters : int;
   mutable state : Xwi_core.state option;
@@ -74,11 +73,9 @@ type t = {
   mutable lat_n : int;  (* samples ever recorded *)
 }
 
-let create ?(params = Xwi_core.default_params) ?(tol = 1e-6) ?(max_iters = 50_000)
-    ~caps () =
+let create ?(tol = 1e-6) ?(max_iters = 50_000) ~caps () =
   {
     problem = Problem.create_groups ~caps ~groups:[||];
-    params;
     tol;
     max_iters;
     state = None;
@@ -153,7 +150,7 @@ let solve_epoch t =
            witness flow is recomputed, and the full sweep runs about
            once in 75 (1.35% on the nfbench serve_churn stream). *)
         Xwi_core.run_until_kkt ~tol:t.tol ~check_every:1 ~max_iters:t.max_iters
-          t.problem t.params state
+          t.problem Xwi_core.default_params state
       in
       (run.Xwi_core.iterations, run.Xwi_core.converged, warm)
     end

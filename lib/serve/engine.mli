@@ -18,7 +18,6 @@
 type t
 
 val create :
-  ?params:Nf_num.Xwi_core.params ->
   ?tol:float ->
   ?max_iters:int ->
   caps:float array ->
@@ -27,7 +26,8 @@ val create :
 (** An idle engine over the given link capacities. [tol] (default 1e-6)
     and [max_iters] (default 50_000) bound each epoch's
     [Xwi_core.run_until_kkt] (KKT-residual stopping — per-iteration
-    deltas stall at numerical noise near a warm fixpoint). *)
+    deltas stall at numerical noise near a warm fixpoint), which runs
+    with [Xwi_core.default_params]. *)
 
 val problem : t -> Nf_num.Problem.t
 

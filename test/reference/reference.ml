@@ -1,6 +1,7 @@
 (* The pre-sparse (list/array-walking) xWI kernels, retained verbatim as
    the differential-testing oracle for the CSR/CSC implementations in
-   [Xwi_core], [Maxmin.solve_sparse] and the [Incidence] sweeps. They read
+   [Xwi_core], [Maxmin.solve_sparse] and the [Incidence] sweeps, plus a
+   checker of the max-min conditions themselves. They read
    only [Problem]'s flow paths and group members, never its incidence, so
    they share no structure with the code they check. Nothing here is on a
    hot path and everything may allocate; clarity and faithfulness to the
@@ -126,14 +127,183 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
   done;
   out
 
+type allocation = {
+  rates : float array;
+  bottleneck : int array;
+  fair_share : float array;
+}
+
+let validate ~caps ~paths ~weights =
+  let n_links = Array.length caps in
+  if Array.length paths <> Array.length weights then
+    invalid_arg "Reference.water_fill: paths/weights length mismatch";
+  Array.iter
+    (fun c -> if not (c > 0.) then invalid_arg "Reference.water_fill: non-positive capacity")
+    caps;
+  Array.iter
+    (fun w -> if not (w > 0.) then invalid_arg "Reference.water_fill: non-positive weight")
+    weights;
+  Array.iter
+    (fun path ->
+      if Array.length path = 0 then invalid_arg "Reference.water_fill: empty path";
+      Array.iter
+        (fun l ->
+          if l < 0 || l >= n_links then invalid_arg "Reference.water_fill: bad link id")
+        path)
+    paths
+
+(* Progressive filling: raise the fair-share level of all unfrozen flows
+   simultaneously; at each round find the link that saturates first, freeze
+   the flows crossing it, and continue. Integer per-link active-flow counts
+   (not float weight sums) decide which links still constrain the fill, so
+   rounding noise can never leave a phantom constraint that would stall the
+   loop. O(rounds * total path length), rounds <= number of links.
+
+   This flow-major scan is the reference [Maxmin.solve_sparse] is checked
+   against; it allocates freely. *)
+let water_fill ~caps ~paths ~weights =
+  validate ~caps ~paths ~weights;
+  let n_flows = Array.length paths and n_links = Array.length caps in
+  let frozen = Array.make n_flows false
+  and rem_cap = Array.copy caps
+  and active_weight = Array.make n_links 0.
+  and active_count = Array.make n_links 0
+  and saturated = Array.make n_links false
+  and bottleneck = Array.make n_flows (-1)
+  and fair_share = Array.make n_flows 0.
+  and rates = Array.make n_flows 0. in
+  for i = 0 to n_flows - 1 do
+    let path = paths.(i) in
+    let w = weights.(i) in
+    for k = 0 to Array.length path - 1 do
+      let l = path.(k) in
+      active_weight.(l) <- active_weight.(l) +. w;
+      active_count.(l) <- active_count.(l) + 1
+    done
+  done;
+  let level = ref 0. in
+  let n_active = ref n_flows in
+  while !n_active > 0 do
+    (* Smallest additional fair share that saturates some constraining link. *)
+    let delta = ref infinity and argmin = ref (-1) in
+    for l = 0 to n_links - 1 do
+      if active_count.(l) > 0 then begin
+        let d = Float.max 0. (rem_cap.(l) /. active_weight.(l)) in
+        if d < !delta then begin
+          delta := d;
+          argmin := l
+        end
+      end
+    done;
+    if !argmin < 0 then begin
+      (* No active flow crosses any link: impossible since every flow has a
+         non-empty path, but keep a defensive exit. *)
+      for i = 0 to n_flows - 1 do
+        if not frozen.(i) then begin
+          frozen.(i) <- true;
+          fair_share.(i) <- !level;
+          rates.(i) <- weights.(i) *. !level
+        end
+      done;
+      n_active := 0
+    end
+    else begin
+      let d = !delta in
+      level := !level +. d;
+      for l = 0 to n_links - 1 do
+        if active_count.(l) > 0 then begin
+          rem_cap.(l) <- rem_cap.(l) -. (active_weight.(l) *. d);
+          if rem_cap.(l) < 0. then rem_cap.(l) <- 0.
+        end
+      done;
+      (* Links saturated at the new level; the argmin link is saturated by
+         construction even if rounding left it epsilon above zero. *)
+      Array.fill saturated 0 n_links false;
+      saturated.(!argmin) <- true;
+      for l = 0 to n_links - 1 do
+        if active_count.(l) > 0 && rem_cap.(l) <= 1e-9 *. caps.(l) then
+          saturated.(l) <- true
+      done;
+      let froze_any = ref false in
+      for i = 0 to n_flows - 1 do
+        if not frozen.(i) then begin
+          let path = paths.(i) in
+          let hit = ref (-1) in
+          for k = 0 to Array.length path - 1 do
+            let l = path.(k) in
+            if saturated.(l) && !hit = -1 then hit := l
+          done;
+          if !hit >= 0 then begin
+            frozen.(i) <- true;
+            froze_any := true;
+            bottleneck.(i) <- !hit;
+            fair_share.(i) <- !level;
+            rates.(i) <- weights.(i) *. !level;
+            let w = weights.(i) in
+            for k = 0 to Array.length path - 1 do
+              let l = path.(k) in
+              active_weight.(l) <- active_weight.(l) -. w;
+              active_count.(l) <- active_count.(l) - 1
+            done;
+            decr n_active
+          end
+        end
+      done;
+      (* The argmin link has at least one unfrozen flow crossing it, so a
+         freeze must have happened; assert the loop variant. *)
+      assert !froze_any
+    end
+  done;
+  { rates; bottleneck; fair_share }
+
 let maxmin problem ~weights =
-  Maxmin.solve ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
+  water_fill ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
     ~weights
+
+let is_maxmin ~caps ~paths ~weights rates =
+  let tol = 1e-6 in
+  validate ~caps ~paths ~weights;
+  let n_links = Array.length caps in
+  let loads = Array.make n_links 0. in
+  Array.iteri
+    (fun i path -> Array.iter (fun l -> loads.(l) <- loads.(l) +. rates.(i)) path)
+    paths;
+  let feasible =
+    Array.for_all (fun x -> x >= -1e-9) rates
+    &&
+    let ok = ref true in
+    for l = 0 to n_links - 1 do
+      if loads.(l) > caps.(l) *. (1. +. tol) then ok := false
+    done;
+    !ok
+  in
+  (* Max share of any flow on link l, normalized by weight. *)
+  let max_share = Array.make n_links 0. in
+  Array.iteri
+    (fun i path ->
+      let share = rates.(i) /. weights.(i) in
+      Array.iter
+        (fun l -> if share > max_share.(l) then max_share.(l) <- share)
+        path)
+    paths;
+  let has_bottleneck i =
+    let share = rates.(i) /. weights.(i) in
+    Array.exists
+      (fun l ->
+        loads.(l) >= caps.(l) *. (1. -. tol)
+        && share >= max_share.(l) *. (1. -. tol))
+      paths.(i)
+  in
+  feasible
+  &&
+  let ok = ref true in
+  Array.iteri (fun i _ -> if not (has_bottleneck i) then ok := false) paths;
+  !ok
 
 let step problem params ~prices ~rates ~weights =
   let w = flow_weights problem ~prices ~prev_rates:rates in
   Array.blit w 0 weights 0 (Array.length w);
-  let x = (maxmin problem ~weights).Maxmin.rates in
+  let x = (maxmin problem ~weights).rates in
   Array.blit x 0 rates 0 (Array.length x);
   let p = price_update problem params ~prices ~rates in
   Array.blit p 0 prices 0 (Array.length p)

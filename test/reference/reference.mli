@@ -2,8 +2,8 @@
 
     These are the original list/array-walking implementations of the
     quantities the sparse CSR/CSC kernels now compute: path prices, link
-    loads, Eq. 7 weights, the Eqs. 9–11 price update, and the full xWI
-    step. They are intentionally slow, allocate freely, and must not be
+    loads, Eq. 7 weights, the weighted max-min water-fill (Eq. 8), the
+    Eqs. 9–11 price update, and the full xWI step. They are intentionally slow, allocate freely, and must not be
     called from production paths — qcheck properties compare the sparse
     results against them (see test/test_num.ml). They read only the
     problem's flow paths and group members (building the link → flows
@@ -17,8 +17,33 @@ val link_flows : Problem.t -> int array array
 (** [S(l)] for every link: the flows crossing it, ascending, each once
     even if its path repeats the link. *)
 
-val maxmin : Problem.t -> weights:float array -> Maxmin.result
-(** The array-API water-filling (itself the legacy flow-major scan). *)
+type allocation = {
+  rates : float array;
+  bottleneck : int array;
+    (** [bottleneck.(i)] is the link at which flow [i] froze. *)
+  fair_share : float array;  (** [f_i = rates.(i) / w_i] *)
+}
+
+val water_fill :
+  caps:float array -> paths:int array array -> weights:float array -> allocation
+(** The weighted max-min allocation by the dense flow-major water-fill
+    (progressive filling: every round scans all links for the first to
+    saturate, then all flows for those crossing a saturated link), the
+    oracle {!Nf_num.Maxmin.solve_sparse} is checked against.
+    Requirements: every path non-empty with valid link ids, every weight
+    strictly positive, every capacity strictly positive.
+    @raise Invalid_argument if the requirements are violated. *)
+
+val maxmin : Problem.t -> weights:float array -> allocation
+(** {!water_fill} over the problem's capacities and flow paths. *)
+
+val is_maxmin :
+  caps:float array -> paths:int array array -> weights:float array ->
+  float array -> bool
+(** Check (up to relative tolerance 1e-6) that an allocation is the
+    weighted max-min one: it is feasible and every flow crosses a
+    saturated link on which its normalized share [x_i / w_i] is maximal.
+    Validates its inputs as {!water_fill} does. *)
 
 val step :
   Problem.t ->

@@ -4,6 +4,8 @@
 module Utility = Nf_num.Utility
 module Problem = Nf_num.Problem
 module Maxmin = Nf_num.Maxmin
+module Incidence = Nf_num.Incidence
+module Reference = Nf_reference.Reference
 module Bf = Nf_num.Bandwidth_function
 module Kkt = Nf_num.Kkt
 module Xwi = Nf_num.Xwi_core
@@ -137,46 +139,69 @@ let prop_value_increasing =
 
 let single_link_paths n = Array.make n [| 0 |]
 
+(* [Maxmin.solve_sparse] over raw capacities and paths, one flow per
+   group. *)
+let sparse_fill ~caps ~paths ~weights =
+  let n = Array.length paths in
+  let inc =
+    Incidence.create ~caps ~paths ~group_of_flow:(Array.init n Fun.id) ~n_groups:n
+  in
+  let rates = Incidence.vec n in
+  Maxmin.solve_sparse (Maxmin.sparse_workspace inc) inc ~weights ~rates;
+  rates
+
+(* Both water-fills on one hand-computed case: the rates of each are
+   checked against [expected], and the reference's allocation is
+   returned for the bottleneck and fair-share checks. *)
+let check_fills what expected ~caps ~paths ~weights =
+  let r = Reference.water_fill ~caps ~paths ~weights in
+  check_rates what expected r.Reference.rates;
+  check_rates (what ^ " (sparse)") expected (sparse_fill ~caps ~paths ~weights);
+  r
+
 let test_maxmin_single_link_equal () =
   let r =
-    Maxmin.solve ~caps:[| 10. |] ~paths:(single_link_paths 4)
-      ~weights:[| 1.; 1.; 1.; 1. |]
+    check_fills "equal split" [| 2.5; 2.5; 2.5; 2.5 |] ~caps:[| 10. |]
+      ~paths:(single_link_paths 4) ~weights:[| 1.; 1.; 1.; 1. |]
   in
-  check_rates "equal split" [| 2.5; 2.5; 2.5; 2.5 |] r.Maxmin.rates;
-  Array.iter (fun b -> Alcotest.(check int) "bottleneck" 0 b) r.Maxmin.bottleneck
+  Array.iter (fun b -> Alcotest.(check int) "bottleneck" 0 b) r.Reference.bottleneck
 
 let test_maxmin_single_link_weighted () =
   let r =
-    Maxmin.solve ~caps:[| 10. |] ~paths:(single_link_paths 2) ~weights:[| 1.; 3. |]
+    check_fills "weighted split" [| 2.5; 7.5 |] ~caps:[| 10. |]
+      ~paths:(single_link_paths 2) ~weights:[| 1.; 3. |]
   in
-  check_rates "weighted split" [| 2.5; 7.5 |] r.Maxmin.rates;
-  check_close "fair share" 2.5 r.Maxmin.fair_share.(0);
-  check_close "fair share equal across flows" r.Maxmin.fair_share.(0)
-    r.Maxmin.fair_share.(1)
+  check_close "fair share" 2.5 r.Reference.fair_share.(0);
+  check_close "fair share equal across flows" r.Reference.fair_share.(0)
+    r.Reference.fair_share.(1)
 
 let test_maxmin_two_bottlenecks () =
   (* l0: cap 10 (flows A, B); l1: cap 4 (flows A, C); equal weights.
      A and C freeze at 2 on l1; B then takes 8 on l0. *)
   let paths = [| [| 0; 1 |]; [| 0 |]; [| 1 |] |] in
-  let r = Maxmin.solve ~caps:[| 10.; 4. |] ~paths ~weights:[| 1.; 1.; 1. |] in
-  check_rates "multi-bottleneck" [| 2.; 8.; 2. |] r.Maxmin.rates;
-  Alcotest.(check int) "A bottleneck is l1" 1 r.Maxmin.bottleneck.(0);
-  Alcotest.(check int) "B bottleneck is l0" 0 r.Maxmin.bottleneck.(1)
+  let r =
+    check_fills "multi-bottleneck" [| 2.; 8.; 2. |] ~caps:[| 10.; 4. |] ~paths
+      ~weights:[| 1.; 1.; 1. |]
+  in
+  Alcotest.(check int) "A bottleneck is l1" 1 r.Reference.bottleneck.(0);
+  Alcotest.(check int) "B bottleneck is l0" 0 r.Reference.bottleneck.(1)
 
 let test_maxmin_parking_lot () =
   (* 3 chain links cap 9; long flow over all, one local flow per link. *)
   let paths = [| [| 0; 1; 2 |]; [| 0 |]; [| 1 |]; [| 2 |] |] in
-  let r =
-    Maxmin.solve ~caps:[| 9.; 9.; 9. |] ~paths ~weights:[| 1.; 1.; 1.; 1. |]
-  in
-  check_rates "parking lot" [| 4.5; 4.5; 4.5; 4.5 |] r.Maxmin.rates
+  ignore
+    (check_fills "parking lot" [| 4.5; 4.5; 4.5; 4.5 |] ~caps:[| 9.; 9.; 9. |]
+       ~paths ~weights:[| 1.; 1.; 1.; 1. |])
 
 let test_maxmin_validation () =
   Alcotest.check_raises "zero weight"
-    (Invalid_argument "Maxmin.solve: non-positive weight") (fun () ->
-      ignore (Maxmin.solve ~caps:[| 1. |] ~paths:(single_link_paths 1) ~weights:[| 0. |]));
-  Alcotest.check_raises "empty path" (Invalid_argument "Maxmin.solve: empty path")
-    (fun () -> ignore (Maxmin.solve ~caps:[| 1. |] ~paths:[| [||] |] ~weights:[| 1. |]))
+    (Invalid_argument "Reference.water_fill: non-positive weight") (fun () ->
+      ignore
+        (Reference.water_fill ~caps:[| 1. |] ~paths:(single_link_paths 1)
+           ~weights:[| 0. |]));
+  Alcotest.check_raises "empty path"
+    (Invalid_argument "Reference.water_fill: empty path") (fun () ->
+      ignore (Reference.water_fill ~caps:[| 1. |] ~paths:[| [||] |] ~weights:[| 1. |]))
 
 let random_single_path_instance rng =
   let n_links = 2 + Rng.int rng 4 in
@@ -197,8 +222,10 @@ let prop_maxmin_is_maxmin =
     (fun seed ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r = Maxmin.solve ~caps ~paths ~weights in
-      Maxmin.is_maxmin ~caps ~paths ~weights r.Maxmin.rates)
+      let r = Reference.water_fill ~caps ~paths ~weights in
+      Reference.is_maxmin ~caps ~paths ~weights r.Reference.rates
+      && Reference.is_maxmin ~caps ~paths ~weights
+           (sparse_fill ~caps ~paths ~weights))
 
 let prop_maxmin_feasible_and_positive =
   QCheck.Test.make ~name:"water-filling is feasible with positive rates"
@@ -206,12 +233,12 @@ let prop_maxmin_feasible_and_positive =
     (fun seed ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r = Maxmin.solve ~caps ~paths ~weights in
+      let r = Reference.water_fill ~caps ~paths ~weights in
       let loads = Array.make (Array.length caps) 0. in
       Array.iteri
-        (fun i p -> Array.iter (fun l -> loads.(l) <- loads.(l) +. r.Maxmin.rates.(i)) p)
+        (fun i p -> Array.iter (fun l -> loads.(l) <- loads.(l) +. r.Reference.rates.(i)) p)
         paths;
-      Array.for_all (fun x -> x > 0.) r.Maxmin.rates
+      Array.for_all (fun x -> x > 0.) r.Reference.rates
       && Array.for_all2 (fun load cap -> load <= cap *. (1. +. 1e-9)) loads caps)
 
 let prop_maxmin_scale_invariant =
@@ -220,9 +247,11 @@ let prop_maxmin_scale_invariant =
     (fun (seed, k) ->
       let rng = Rng.create ~seed in
       let caps, paths, weights = random_single_path_instance rng in
-      let r1 = Maxmin.solve ~caps ~paths ~weights in
-      let r2 = Maxmin.solve ~caps ~paths ~weights:(Array.map (fun w -> w *. k) weights) in
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-6) r1.Maxmin.rates r2.Maxmin.rates)
+      let r1 = Reference.water_fill ~caps ~paths ~weights in
+      let r2 =
+        Reference.water_fill ~caps ~paths ~weights:(Array.map (fun w -> w *. k) weights)
+      in
+      Array.for_all2 (Fcmp.rel_eq ~rel:1e-6) r1.Reference.rates r2.Reference.rates)
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth functions *)
@@ -268,29 +297,6 @@ let test_bf_utility_consistency () =
     (fun x ->
       check_close ~rel:1e-6 "U'^-1(U'(x)) = x" x (u.Utility.inv_deriv (u.Utility.deriv x)))
     [ Units.gbps 2.; Units.gbps 10.; Units.gbps 14. ]
-
-let test_bf_waterfill_matches_single_link () =
-  let bfs = [| Bf.fig2_flow1 (); Bf.fig2_flow2 () |] in
-  let cap = Units.gbps 25. in
-  let expected, _ = Bf.single_link_allocation ~bfs ~capacity:cap in
-  let got = Bf.waterfill ~caps:[| cap |] ~paths:[| [| 0 |]; [| 0 |] |] ~bfs in
-  check_rates ~rel:1e-3 "waterfill single link" expected got
-
-let test_bf_waterfill_two_links () =
-  (* Flow 1 on link 0 only (cap 10G), flow 2 on both links (link 1 cap 4G),
-     both with the identity bandwidth function B(f) = f Gbps:
-     flow 2 freezes at 4G on link 1; flow 1 continues to 6G... but link 0
-     has 10G so flow 1 freezes at 6G only if link 0 saturates: 4 + 6 = 10. *)
-  let identity =
-    Bf.create (Piecewise.of_points [ (0., 0.); (100., Units.gbps 100.) ])
-  in
-  let got =
-    Bf.waterfill
-      ~caps:[| Units.gbps 10.; Units.gbps 4. |]
-      ~paths:[| [| 0 |]; [| 0; 1 |] |]
-      ~bfs:[| identity; identity |]
-  in
-  check_rates ~rel:1e-3 "two-link waterfill" [| Units.gbps 6.; Units.gbps 4. |] got
 
 (* ------------------------------------------------------------------ *)
 (* Oracle (dual) against closed forms *)
@@ -409,7 +415,7 @@ let test_xwi_single_link_proportional () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u ] in
   let state = Xwi.init p in
-  let run = Xwi.run_to_fixpoint ~tol:1e-12 p Xwi.default_params state in
+  let run = Xwi.run_until_kkt ~tol:1e-12 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares" [| 5.; 5. |] state.Xwi.rates
 
@@ -429,7 +435,11 @@ let test_xwi_prices_drive_weights () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u; u; u ] in
   let state = Xwi.init p in
-  ignore (Xwi.run_to_fixpoint ~tol:1e-13 p Xwi.default_params state);
+  ignore (Xwi.run_until_kkt ~tol:1e-13 p Xwi.default_params state);
+  (* The equal-share seed is already certified here, so the run may take
+     no step and leave the seed's weights; one step at the certified
+     prices computes the fixed point's weights. *)
+  Xwi.step p Xwi.default_params state;
   Array.iteri
     (fun i w -> check_close ~rel:1e-5 (Printf.sprintf "w%d = x%d" i i) state.Xwi.rates.(i) w)
     state.Xwi.weights
@@ -914,8 +924,6 @@ let test_problem_validation () =
 (* ------------------------------------------------------------------ *)
 (* Sparse CSR/CSC core vs the legacy reference kernels *)
 
-module Incidence = Nf_num.Incidence
-module Reference = Nf_reference.Reference
 module Shard = Nf_util.Shard
 
 let test_incidence_structure () =
@@ -1028,7 +1036,7 @@ let prop_sparse_maxmin_matches_reference =
       && Problem.feasible p ~rates
       && (kind = 1
          || Array.for_all2 (Fcmp.rel_eq ~rel:1e-9)
-              (Reference.maxmin p ~weights).Maxmin.rates rates))
+              (Reference.maxmin p ~weights).Reference.rates rates))
 
 let prop_sparse_step_matches_reference =
   QCheck.Test.make ~name:"sparse xWI step matches the legacy step within 1e-9"
@@ -1950,7 +1958,7 @@ let test_diag_observe_and_report () =
   let state = Xwi.init p in
   let d = Diag.create ~capacity:8 ~n_links:2 ~n_flows:3 () in
   Xwi.set_diag state (Some d);
-  let run = Xwi.run_to_fixpoint ~tol:1e-10 p Xwi.default_params state in
+  let run = Xwi.run_until_kkt ~tol:1e-10 ~check_every:1 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   Alcotest.(check int) "every iteration observed" run.Xwi.iterations
     (Diag.iterations d);
@@ -2022,7 +2030,7 @@ let test_diag_postmortem_on_nonconvergence () =
       let state = Xwi.init p in
       Alcotest.(check bool) "diag auto-attached under config" true
         (match Xwi.diag state with Some _ -> true | None -> false);
-      let run = Xwi.run_to_fixpoint ~max_iters:3 p Xwi.default_params state in
+      let run = Xwi.run_until_kkt ~max_iters:3 p Xwi.default_params state in
       Alcotest.(check bool) "capped run did not converge" false
         run.Xwi.converged;
       Alcotest.(check int) "nonconverged counter incremented" (before + 1)
@@ -2158,8 +2166,6 @@ let () =
           quick "fair-share roundtrip" test_bf_fair_share_roundtrip;
           quick "origin required" test_bf_create_requires_origin;
           quick "utility consistency" test_bf_utility_consistency;
-          quick "waterfill matches single link" test_bf_waterfill_matches_single_link;
-          quick "waterfill two links" test_bf_waterfill_two_links;
         ] );
       ( "oracle",
         [
