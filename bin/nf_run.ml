@@ -32,7 +32,7 @@ let list_cmd =
       let exps =
         List.map
           (fun e -> entry e.E.Registry.name e.E.Registry.description)
-          (E.Registry.all ())
+          E.Registry.all
       in
       let protos =
         List.map
@@ -48,7 +48,7 @@ let list_cmd =
       List.iter
         (fun e ->
           Format.printf "  %-12s %s@." e.E.Registry.name e.E.Registry.description)
-        (E.Registry.all ());
+        E.Registry.all;
       Format.printf "@.Transport protocols (nf_run proto NAME):@.";
       List.iter
         (fun name ->
@@ -281,7 +281,7 @@ let write_output ~out data =
 let run_experiments name all jobs timeout retries quick scale seed json csv out
     record trace metrics profile diag =
   let tasks =
-    if all then List.map E.Runner.of_entry (E.Registry.all ())
+    if all then E.Registry.all
     else
       match name with
       | None ->
@@ -289,7 +289,7 @@ let run_experiments name all jobs timeout retries quick scale seed json csv out
         exit 2
       | Some n -> (
         match E.Registry.find n with
-        | Some e -> [ E.Runner.of_entry e ]
+        | Some e -> [ e ]
         | None ->
           Format.eprintf "unknown experiment %S; try `nf_run list'@." n;
           exit 2)
@@ -302,7 +302,7 @@ let run_experiments name all jobs timeout retries quick scale seed json csv out
     match scale with Some s -> s | None -> if quick then 0.2 else 1.0
   in
   let ctx =
-    match E.Ctx.make ~scale ~seed () with
+    match E.Ctx.make ~scale ~seed with
     | ctx -> ctx
     | exception Invalid_argument msg ->
       Format.eprintf "%s@." msg;

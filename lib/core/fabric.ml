@@ -74,27 +74,18 @@ let plan ~topology ~objective ~demands =
 
 let demands t = t.demand_list
 
-let paths_of t ~key =
-  match Hashtbl.find_opt t.resolved key with
-  | Some p -> p
-  | None -> invalid_arg "Fabric.paths_of: unknown key"
-
-let optimal_rates ?tol t = (Nf_num.Oracle.solve ?tol t.prob).Nf_num.Oracle.rates
-
-let optimal ?tol t =
-  let sol = Nf_num.Oracle.solve ?tol t.prob in
+let optimal t =
+  let sol = Nf_num.Oracle.solve t.prob in
   List.mapi (fun g d -> (d.key, sol.Nf_num.Oracle.group_rates.(g))) t.demand_list
 
-let fluid ?params ?interval t = Nf_fluid.Fluid_xwi.make ?params ?interval t.prob
-
-let simulate ?config ~until t =
+let simulate ~until t =
   List.iter
     (fun d ->
       if d.subflows > 1 then
         invalid_arg "Fabric.simulate: multipath demands not supported at packet level")
     t.demand_list;
   let net =
-    Nf_sim.Network.create ?config ~topology:t.topology
+    Nf_sim.Network.create ~topology:t.topology
       ~protocol:(Nf_sim.Protocols.get "numfabric") ()
   in
   List.iter

@@ -1,9 +1,10 @@
 (** High-level entry point: demands on a topology + an objective, turned
-    into (a) the NUM problem, (b) its optimal allocation, (c) a fluid
-    NUMFabric run, or (d) a packet-level NUMFabric simulation.
+    into (a) the NUM problem, (b) its optimal allocation, or (c) a
+    packet-level NUMFabric simulation.
 
-    This is the API the examples and most experiments use; everything it
-    does is also available à la carte from the lower layers. *)
+    This is the API of the examples and [nf_run solve]; the experiments
+    use the lower layers directly, and everything it does is available
+    there à la carte. *)
 
 type demand = {
   key : int;  (** caller's flow identifier (unique) *)
@@ -39,21 +40,11 @@ val plan :
 
 val demands : t -> demand list
 
-val paths_of : t -> key:int -> int array list
-(** The resolved sub-flow paths of a demand. *)
-
-val optimal : ?tol:float -> t -> (int * float) list
+val optimal : t -> (int * float) list
 (** [(key, aggregate optimal rate)] from the Oracle (sum over sub-flows for
     multipath demands). *)
 
-val optimal_rates : ?tol:float -> t -> float array
-(** Per-sub-flow Oracle rates, in problem flow order. *)
-
-val fluid : ?params:Nf_num.Xwi_core.params -> ?interval:float -> t -> Nf_fluid.Scheme.t
-(** A fluid NUMFabric scheme bound to this plan's problem. *)
-
-val simulate :
-  ?config:Nf_sim.Config.t -> until:float -> t -> Nf_sim.Network.t
+val simulate : until:float -> t -> Nf_sim.Network.t
 (** Run the packet-level NUMFabric simulation of this plan (persistent or
     finite flows per the demands; all flows start at t = 0). Multipath
     demands are simulated as independent sub-flows whose weights are

@@ -4,16 +4,12 @@ type t = {
   attempt : int;
 }
 
-let make ?(scale = 1.0) ?(seed = 0) ?(attempt = 0) () =
+let make ~scale ~seed =
   if scale <= 0. || not (Float.is_finite scale) then
     invalid_arg (Printf.sprintf "Ctx.make: scale %g not positive" scale);
-  { scale; seed; attempt }
+  { scale; seed; attempt = 0 }
 
-let default = make ()
-
-let quick = make ~scale:0.2 ()
-
-let scaled ?(floor = 1) t n =
+let scaled ~floor t n =
   Stdlib.max floor (int_of_float (Float.ceil (float_of_int n *. t.scale)))
 
 (* A large odd stride keeps retry seeds far from every task's seed+index

@@ -27,11 +27,11 @@ let fluid_variant scenario label params =
   in
   variant label (Support.semidyn_run ~scenario ~scheme)
 
-let run ?(seed = 4) ?(n_events = 25) () =
-  let ls = Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 () in
-  let base = Support.default_semidyn ~seed ~n_events () in
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:4 in
+  let ls = Support.sweep_leaf_spine () in
   let setup =
-    { base with Support.n_paths = 250; flows_per_event = 25; active_min = 75; active_max = 125 }
+    Support.sweep_semidyn ~seed ~n_events:(Ctx.scaled ctx ~floor:5 25)
   in
   let scenario =
     Support.semidyn_prepare ~setup ~topology:ls.Nf_topo.Builders.topo
@@ -56,10 +56,10 @@ let run ?(seed = 4) ?(n_events = 25) () =
     ]
   in
   (* Packet-level burst-size sweep. *)
-  let pls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
+  let pls = Psupport.leaf_spine () in
   let pscenario =
     Support.semidyn_prepare
-      ~setup:(Psupport.default_setup ~seed ~n_events:4 ())
+      ~setup:(Psupport.default_setup ~seed ~n_events:4)
       ~topology:pls.Nf_topo.Builders.topo ~hosts:pls.Nf_topo.Builders.servers ()
   in
   let packet_variant label config = variant label (Psupport.semidyn ~config pscenario) in

@@ -1,7 +1,4 @@
-(* Ablation: eta/beta parameter sweeps for the xWI price update.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Ablation: eta/beta parameter sweeps for the xWI price update. *)
 
 type variant = { label : string; median : float; unconverged : int; }
 type t = {
@@ -11,5 +8,5 @@ type t = {
   burst_sweep : variant list;
   weight_quant : variant list;
 }
-val run : ?seed:int -> ?n_events:int -> unit -> t
+val run : Ctx.t -> t
 val report : t -> Report.t

@@ -42,7 +42,13 @@ type t = {
 
 let kkt_tol = 1e-6
 
-let run ?(seed = 42) ?(prelude = 300) ?(arrivals = 10) ?(target = 100) () =
+(* The standing population the churn prelude holds. *)
+let target = 100
+
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:42 in
+  let prelude = Ctx.scaled ctx ~floor:60 300 in
+  let arrivals = Ctx.scaled ctx ~floor:3 10 in
   let sc = Scenario.leaf_spine ~seed () in
   let problem = Problem.create_groups ~caps:sc.Scenario.caps ~groups:[||] in
   let utility () = Nf_num.Utility.proportional_fair () in

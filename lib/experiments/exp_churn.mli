@@ -29,9 +29,8 @@ type t = {
   tol : float;
 }
 
-val run :
-  ?seed:int -> ?prelude:int -> ?arrivals:int -> ?target:int -> unit -> t
-(** Defaults: the paper leaf-spine scenario seed 42, 300 prelude churn
+val run : Ctx.t -> t
+(** At full scale: the paper leaf-spine scenario, 300 prelude churn
     events around a standing population of 100 flows, then 10 measured
     single-flow arrivals. *)
 

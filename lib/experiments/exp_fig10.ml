@@ -20,7 +20,13 @@ type t = {
   achieved_after : float * float;  (* at the end of the run *)
 }
 
-let run ?(alpha = 5.) ?(switch_at = 5e-3) ?(duration = 10e-3) () =
+(* The capacity changes at [switch_at] seconds; the run ends at [duration]. *)
+let switch_at = 5e-3
+
+let duration = 10e-3
+
+let run () =
+  let alpha = 5. in
   let tl = Builders.three_link_pooling ~middle_capacity:(gbps 5.) () in
   let topo = tl.Builders.tl_topo in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topo) in
@@ -72,7 +78,7 @@ let run ?(alpha = 5.) ?(switch_at = 5e-3) ?(duration = 10e-3) () =
 let report t =
   let g x = x /. 1e9 in
   let grid =
-    Nf_util.Timeseries.resample t.series1 ~t0:0.5e-3 ~t1:10e-3 ~dt:0.5e-3
+    Nf_util.Timeseries.resample t.series1 ~t0:0.5e-3 ~t1:duration ~dt:0.5e-3
   in
   Report.make
     ~title:

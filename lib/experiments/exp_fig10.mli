@@ -1,7 +1,4 @@
-(* Figure 10: bandwidth functions under a changing allocation.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figure 10: bandwidth functions under a changing allocation. *)
 
 type t = {
   series1 : Nf_util.Timeseries.t;
@@ -11,5 +8,5 @@ type t = {
   achieved_before : float * float;
   achieved_after : float * float;
 }
-val run : ?alpha:float -> ?switch_at:float -> ?duration:float -> unit -> t
+val run : unit -> t
 val report : t -> Report.t

@@ -18,7 +18,8 @@ type point = {
 
 type t = point list
 
-let run ?(alpha = 5.) () =
+let run () =
+  let alpha = 5. in
   let bfs = [| Bf.fig2_flow1 (); Bf.fig2_flow2 () |] in
   let point capacity =
     let waterfill, fair_share = Bf.single_link_allocation ~bfs ~capacity in

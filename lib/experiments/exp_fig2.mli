@@ -1,7 +1,4 @@
-(* Figure 2: bandwidth functions on one link (water-filling vs NUM).
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figure 2: bandwidth functions on one link (water-filling vs NUM). *)
 
 type point = {
   capacity : float;
@@ -10,5 +7,5 @@ type point = {
   fair_share : float;
 }
 type t = point list
-val run : ?alpha:float -> unit -> point list
+val run : unit -> point list
 val report : point list -> Report.t

@@ -16,28 +16,12 @@ type t = {
   speedup_p95 : float;
 }
 
-let run ?(seed = 1) ?(n_events = 100) ?(scale = 1.0) () =
-  (* [scale] < 1 shrinks the scenario (hosts and flow counts) for quick
-     smoke runs; 1.0 is the paper's setup. *)
-  let ls =
-    if scale >= 0.99 then Nf_topo.Builders.paper_leaf_spine ()
-    else
-      Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2
-        ~servers_per_leaf:(Stdlib.max 2 (int_of_float (16. *. scale)))
-        ()
-  in
-  let shrink x = Stdlib.max 8 (int_of_float (float_of_int x *. scale)) in
-  let base = Support.default_semidyn ~seed ~n_events () in
+let run ctx =
+  let ls = Nf_topo.Builders.paper_leaf_spine () in
   let setup =
-    if scale >= 0.99 then base
-    else
-      {
-        base with
-        Support.n_paths = shrink 1000;
-        flows_per_event = shrink 100;
-        active_min = shrink 300;
-        active_max = shrink 500;
-      }
+    Support.default_semidyn
+      ~seed:(Ctx.rng_seed ctx ~default:1)
+      ~n_events:(Ctx.scaled ctx ~floor:8 100)
   in
   let hosts = ls.Nf_topo.Builders.servers in
   let topology = ls.Nf_topo.Builders.topo in
@@ -80,9 +64,13 @@ let run ?(seed = 1) ?(n_events = 100) ?(scale = 1.0) () =
 
 type packet_t = result list
 
-let run_packet ?(seed = 11) ?(n_events = 5) () =
-  let ls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
-  let base = Psupport.default_setup ~seed ~n_events () in
+let run_packet ctx =
+  let ls = Psupport.leaf_spine () in
+  let base =
+    Psupport.default_setup
+      ~seed:(Ctx.rng_seed ctx ~default:11)
+      ~n_events:(Ctx.scaled ctx ~floor:3 5)
+  in
   (* RCP* ramps its advertised rates down from the line rate over several
      milliseconds; give every scheme the same 10 ms epochs. *)
   let setup =

@@ -1,7 +1,4 @@
-(* Figures 4b/4c: convergence epochs, NUMFabric vs DCTCP-style.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figures 4b/4c: convergence epochs, NUMFabric vs DCTCP-style. *)
 
 type epoch = {
   from_t : float;

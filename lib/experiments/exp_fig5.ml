@@ -86,15 +86,16 @@ let run_workload ~seed ~topology ~hosts ~n_flows ~load dist =
         schemes;
   }
 
-let run ?(seed = 3) ?(n_flows = 1200) ?(load = 0.5) ?(n_leaves = 4)
-    ?(servers_per_leaf = 8) () =
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:3 in
+  let n_flows = Ctx.scaled ctx ~floor:250 1500 in
   let ls =
-    Nf_topo.Builders.leaf_spine ~n_leaves ~n_spines:2 ~servers_per_leaf ()
+    Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 ()
   in
   List.map
     (fun dist ->
       run_workload ~seed ~topology:ls.Nf_topo.Builders.topo
-        ~hosts:ls.Nf_topo.Builders.servers ~n_flows ~load dist)
+        ~hosts:ls.Nf_topo.Builders.servers ~n_flows ~load:0.5 dist)
     [ Nf_workload.Size_dist.websearch; Nf_workload.Size_dist.enterprise ]
 
 let report t =

@@ -16,12 +16,14 @@ let point x r =
 
 type fig6a = point list
 
-let run_dt ?(seed = 11) ?(n_events = 5)
-    ?(dts = [ 3e-6; 6e-6; 12e-6; 18e-6; 24e-6 ]) () =
-  let ls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
+let run_dt ctx =
+  let ls = Psupport.leaf_spine () in
   let scenario =
     Support.semidyn_prepare
-      ~setup:(Psupport.default_setup ~seed ~n_events ())
+      ~setup:
+        (Psupport.default_setup
+           ~seed:(Ctx.rng_seed ctx ~default:11)
+           ~n_events:(Ctx.scaled ctx ~floor:3 6))
       ~topology:ls.Nf_topo.Builders.topo ~hosts:ls.Nf_topo.Builders.servers ()
   in
   List.map
@@ -34,7 +36,7 @@ let run_dt ?(seed = 11) ?(n_events = 5)
         }
       in
       point dt (Psupport.semidyn ~config scenario))
-    dts
+    [ 3e-6; 6e-6; 12e-6; 18e-6; 24e-6 ]
 
 let point_rows ~x_scale t =
   List.map
@@ -61,17 +63,15 @@ let report_dt t =
 
 type fig6b = point list
 
-let sweep_topology () =
-  Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 ()
+(* Figures 6b and 6c share the seed and the event count. *)
+let sweep_setup ctx =
+  Support.sweep_semidyn
+    ~seed:(Ctx.rng_seed ctx ~default:2)
+    ~n_events:(Ctx.scaled ctx ~floor:6 30)
 
-let sweep_setup ~seed ~n_events =
-  let base = Support.default_semidyn ~seed ~n_events () in
-  { base with Support.n_paths = 250; flows_per_event = 25; active_min = 75; active_max = 125 }
-
-let run_interval ?(seed = 2) ?(n_events = 25)
-    ?(intervals = [ 30e-6; 48e-6; 64e-6; 96e-6; 128e-6 ]) () =
-  let ls = sweep_topology () in
-  let setup = sweep_setup ~seed ~n_events in
+let run_interval ctx =
+  let ls = Support.sweep_leaf_spine () in
+  let setup = sweep_setup ctx in
   let scenario =
     Support.semidyn_prepare ~setup ~topology:ls.Nf_topo.Builders.topo
       ~hosts:ls.Nf_topo.Builders.servers ()
@@ -83,7 +83,7 @@ let run_interval ?(seed = 2) ?(n_events = 25)
           { params = Nf_num.Xwi_core.default_params; interval }
       in
       point interval (Support.semidyn_run ~scenario ~scheme))
-    intervals
+    [ 30e-6; 48e-6; 64e-6; 96e-6; 128e-6 ]
 
 let report_interval t =
   Report.make
@@ -100,12 +100,11 @@ type fig6c_point = { alpha : float; fast : point; slow : point }
 
 type fig6c = fig6c_point list
 
-let run_alpha ?(seed = 2) ?(n_events = 25)
-    ?(alphas = [ 0.25; 0.5; 1.; 2.; 4. ]) () =
-  let ls = sweep_topology () in
+let run_alpha ctx =
+  let ls = Support.sweep_leaf_spine () in
   List.map
     (fun alpha ->
-      let base = sweep_setup ~seed ~n_events in
+      let base = sweep_setup ctx in
       let setup =
         {
           base with
@@ -138,7 +137,7 @@ let run_alpha ?(seed = 2) ?(n_events = 25)
              })
       in
       { alpha; fast; slow })
-    alphas
+    [ 0.25; 0.5; 1.; 2.; 4. ]
 
 let report_alpha t =
   Report.make

@@ -43,10 +43,12 @@ let mean_of sel fcts =
   let xs = Array.of_list (List.filter_map sel fcts) in
   if Array.length xs = 0 then Float.nan else Nf_util.Stats.mean xs
 
-let run ?(seed = 5) ?(n_flows = 800)
-    ?(loads = [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ])
-    ?(n_leaves = 4) ?(servers_per_leaf = 8) () =
-  let ls = Nf_topo.Builders.leaf_spine ~n_leaves ~n_spines:2 ~servers_per_leaf () in
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:5 in
+  let n_flows = Ctx.scaled ctx ~floor:300 1000 in
+  let ls =
+    Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 ()
+  in
   let topology = ls.Nf_topo.Builders.topo in
   let hosts = ls.Nf_topo.Builders.servers in
   List.map
@@ -87,7 +89,7 @@ let run ?(seed = 5) ?(n_flows = 800)
         pfabric_large = mean_of large pf_fcts;
         srpt_weights_large = mean_of large srpt_fcts;
       })
-    loads
+    [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]
 
 let report t =
   Report.make

@@ -1,7 +1,4 @@
-(* Figure 7: mean FCT vs load, NUMFabric vs pFabric-style SRPT.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figure 7: mean FCT vs load, NUMFabric vs pFabric-style SRPT. *)
 
 type point = {
   load : float;
@@ -12,9 +9,5 @@ type point = {
   srpt_weights_large : float;
 }
 type t = point list
-val run :
-  ?seed:int ->
-  ?n_flows:int ->
-  ?loads:float list ->
-  ?n_leaves:int -> ?servers_per_leaf:int -> unit -> point list
+val run : Ctx.t -> point list
 val report : point list -> Report.t

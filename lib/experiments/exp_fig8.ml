@@ -36,7 +36,12 @@ let build_flows rng topology servers k =
           Array.of_list (List.nth all (Nf_util.Rng.int rng n))))
     pairs
 
-let run_case topology paths ~pooling ~iters =
+(* xWI rounds per case, and the sweep's largest sub-flow count. *)
+let iters = 250
+
+let max_subflows = 8
+
+let run_case topology paths ~pooling =
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
   let groups =
     if pooling then
@@ -70,7 +75,8 @@ let run_case topology paths ~pooling ~iters =
     paths;
   flow_totals
 
-let run ?(seed = 7) ?(iters = 250) ?(max_subflows = 8) () =
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:7 in
   let ls =
     Builders.leaf_spine ~n_leaves:8 ~n_spines:16 ~servers_per_leaf:16
       ~fabric_capacity:(Nf_util.Units.gbps 10.) ()
@@ -83,7 +89,7 @@ let run ?(seed = 7) ?(iters = 250) ?(max_subflows = 8) () =
     let rng = Nf_util.Rng.create ~seed in
     (* Same seed: pooling and no-pooling see the same sub-flow placement. *)
     let paths = build_flows rng topology servers k in
-    run_case topology paths ~pooling ~iters
+    run_case topology paths ~pooling
   in
   let series =
     List.init max_subflows (fun i ->

@@ -1,7 +1,4 @@
-(* Figure 8: multi-tenant fairness and resource pooling.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figure 8: multi-tenant fairness and resource pooling. *)
 
 type series_point = {
   n_subflows : int;
@@ -14,5 +11,5 @@ type t = {
   fairness_no_pooling : float array;
   fairness_single : float array;
 }
-val run : ?seed:int -> ?iters:int -> ?max_subflows:int -> unit -> t
+val run : Ctx.t -> t
 val report : t -> Report.t

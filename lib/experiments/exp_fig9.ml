@@ -16,7 +16,8 @@ type point = {
 
 type t = point list
 
-let run ?(alpha = 5.) ?(capacities = [ 5.; 10.; 15.; 17.5; 20.; 25.; 30.; 35. ]) () =
+let run () =
+  let alpha = 5. in
   let bfs = [| Bf.fig2_flow1 (); Bf.fig2_flow2 () |] in
   List.map
     (fun cap_gbps ->
@@ -35,7 +36,7 @@ let run ?(alpha = 5.) ?(capacities = [ 5.; 10.; 15.; 17.5; 20.; 25.; 30.; 35. ])
         scheme.Nf_fluid.Scheme.step ()
       done;
       { capacity; expected; achieved = scheme.Nf_fluid.Scheme.rates () })
-    capacities
+    [ 5.; 10.; 15.; 17.5; 20.; 25.; 30.; 35. ]
 
 let max_rel_error t =
   List.fold_left

@@ -1,7 +1,4 @@
-(* Figure 9: weighted allocations against the dual-oracle reference.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Figure 9: weighted allocations against the dual-oracle reference. *)
 
 type point = {
   capacity : float;
@@ -9,6 +6,6 @@ type point = {
   achieved : float array;
 }
 type t = point list
-val run : ?alpha:float -> ?capacities:float list -> unit -> point list
+val run : unit -> point list
 val max_rel_error : point list -> float
 val report : point list -> Report.t

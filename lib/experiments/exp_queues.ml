@@ -18,8 +18,8 @@ type point = {
 
 type t = point list
 
-let run_case ?(n_flows = 4) ~label ~expected_pkts ~protocol ~config () =
-  let sb = Builders.single_bottleneck ~n_senders:n_flows () in
+let run_case ~label ~expected_pkts ~protocol ~config =
+  let sb = Builders.single_bottleneck ~n_senders:4 () in
   let net = Network.create ~config ~topology:sb.Builders.sb_topo ~protocol () in
   let utility =
     if Nf_sim.Protocol.needs_utility protocol then
@@ -63,7 +63,6 @@ let run () =
           Nf_sim.Config.swift =
             { Nf_sim.Config.default_swift with Nf_sim.Config.dt_slack = dt };
         }
-      ()
   in
   [
     dt_case 3e-6;
@@ -71,7 +70,7 @@ let run () =
     dt_case 12e-6;
     dt_case 24e-6;
     run_case ~label:"DCTCP (threshold 30 KB = 20 pkts)" ~expected_pkts:20.
-      ~protocol:(Nf_sim.Protocols.get "dctcp") ~config:Nf_sim.Config.default ();
+      ~protocol:(Nf_sim.Protocols.get "dctcp") ~config:Nf_sim.Config.default;
   ]
 
 let report t =

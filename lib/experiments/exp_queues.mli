@@ -1,7 +1,4 @@
-(* Queue-occupancy experiment: mean queue depth per scheme.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Queue-occupancy experiment: mean queue depth per scheme. *)
 
 type point = {
   label : string;

@@ -45,8 +45,9 @@ let random_instance rng ~alpha ~multipath =
   in
   Problem.create ~caps ~groups
 
-let run ?(seed = 17) ?(instances_per_alpha = 40)
-    ?(alphas = [ 0.25; 0.5; 1.; 2.; 4. ]) ?(tol = 1e-4) ?(max_iters = 3000) () =
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:17 in
+  let instances_per_alpha = Ctx.scaled ctx ~floor:8 40 in
   List.map
     (fun alpha ->
       let rng = Rng.create ~seed:(seed + int_of_float (alpha *. 100.)) in
@@ -58,7 +59,10 @@ let run ?(seed = 17) ?(instances_per_alpha = 40)
         let multipath = k mod 3 = 0 in
         let problem = random_instance rng ~alpha ~multipath in
         let state = Xwi.init problem in
-        let run = Xwi.run_until_kkt ~tol ~max_iters problem Xwi.default_params state in
+        let run =
+          Xwi.run_until_kkt ~tol:1e-4 ~max_iters:3000 problem Xwi.default_params
+            state
+        in
         if run.Xwi.converged then begin
           incr converged;
           iters := float_of_int run.Xwi.iterations :: !iters;
@@ -91,7 +95,7 @@ let run ?(seed = 17) ?(instances_per_alpha = 40)
         max_rate_error_vs_dual = !max_err;
         dual_checks = !dual_checks;
       })
-    alphas
+    [ 0.25; 0.5; 1.; 2.; 4. ]
 
 let report t =
   Report.make

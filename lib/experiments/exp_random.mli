@@ -1,7 +1,4 @@
-(* Random-instance sweep: xWI vs dual oracle on random topologies.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Random-instance sweep: xWI vs dual oracle on random topologies. *)
 
 type alpha_stats = {
   alpha : float;
@@ -13,9 +10,5 @@ type alpha_stats = {
   dual_checks : int;
 }
 type t = alpha_stats list
-val run :
-  ?seed:int ->
-  ?instances_per_alpha:int ->
-  ?alphas:float list ->
-  ?tol:float -> ?max_iters:int -> unit -> alpha_stats list
+val run : Ctx.t -> alpha_stats list
 val report : alpha_stats list -> Report.t

@@ -71,19 +71,22 @@ let run_fabric ~name ~topo ~hosts ~n_flows ~iterations ~seed =
     feasible = Problem.feasible problem ~rates:state.Xwi.rates;
   }
 
-let run ?(seed = 29) ?(flows_leaf_spine = 20_000) ?(flows_fat_tree = 100_000)
-    ?(iterations = 40) () =
+let run ctx =
+  let seed = Ctx.rng_seed ctx ~default:29 in
+  let iterations = Ctx.scaled ctx ~floor:15 40 in
   let ls = Nf_topo.Builders.leaf_spine_large () in
   let ft = Nf_topo.Builders.fat_tree_k16 () in
   [
     run_fabric ~name:"leaf_spine_1024"
       ~topo:ls.Nf_topo.Builders.topo
-      ~hosts:ls.Nf_topo.Builders.servers ~n_flows:flows_leaf_spine ~iterations
-      ~seed;
+      ~hosts:ls.Nf_topo.Builders.servers
+      ~n_flows:(Ctx.scaled ctx ~floor:1_000 20_000)
+      ~iterations ~seed;
     run_fabric ~name:"fat_tree_k16"
       ~topo:ft.Nf_topo.Builders.ft_topo
-      ~hosts:ft.Nf_topo.Builders.ft_servers ~n_flows:flows_fat_tree ~iterations
-      ~seed:(seed + 1);
+      ~hosts:ft.Nf_topo.Builders.ft_servers
+      ~n_flows:(Ctx.scaled ctx ~floor:2_000 100_000)
+      ~iterations ~seed:(seed + 1);
   ]
 
 let report t =

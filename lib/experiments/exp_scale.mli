@@ -16,12 +16,6 @@ type row = {
 
 type t = row list
 
-val run :
-  ?seed:int ->
-  ?flows_leaf_spine:int ->
-  ?flows_fat_tree:int ->
-  ?iterations:int ->
-  unit ->
-  t
+val run : Ctx.t -> t
 
 val report : t -> Report.t

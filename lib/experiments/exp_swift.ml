@@ -29,11 +29,13 @@ let static_weight w =
     ~deriv:(fun _ -> 1.)
     ~inv_deriv:(fun _ -> w)
 
-let run ?(seed = 21) ?(n_flows = 12) ?(duration = 8e-3) () =
+let n_flows = 12
+
+let run ctx =
   let ls = Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 () in
   let topology = ls.Nf_topo.Builders.topo in
   let hosts = ls.Nf_topo.Builders.servers in
-  let rng = Nf_util.Rng.create ~seed in
+  let rng = Nf_util.Rng.create ~seed:(Ctx.rng_seed ctx ~default:21) in
   let pairs = Nf_workload.Traffic.random_pairs rng ~hosts ~n:n_flows in
   let weights = Array.init n_flows (fun _ -> Nf_util.Rng.uniform rng ~lo:0.5 ~hi:4.) in
   let paths =
@@ -59,7 +61,7 @@ let run ?(seed = 21) ?(n_flows = 12) ?(duration = 8e-3) () =
         (Network.flow ~path:paths.(i) ~utility:(static_weight weights.(i))
            ~id:i ~src ~dst ()))
     pairs;
-  Network.run net ~until:duration;
+  Network.run net ~until:8e-3;
   let flows =
     List.init n_flows (fun i ->
         {

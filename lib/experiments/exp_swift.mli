@@ -1,7 +1,4 @@
-(* Swift transport: achieved rates vs the NUM reference allocation.
-   Experiment modules are data producers: [run] computes a typed result,
-   [report] converts it to a Report.t table.
-   Registered in Registry; enumerated by nf_run. *)
+(* Swift transport: achieved rates vs the NUM reference allocation. *)
 
 type flow_report = {
   flow : int;
@@ -10,5 +7,5 @@ type flow_report = {
   measured : float;
 }
 type t = { flows : flow_report list; max_rel_error : float; }
-val run : ?seed:int -> ?n_flows:int -> ?duration:float -> unit -> t
+val run : Ctx.t -> t
 val report : t -> Report.t

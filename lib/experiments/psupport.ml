@@ -1,8 +1,11 @@
 module Network = Nf_sim.Network
 module Semidynamic = Nf_workload.Semidynamic
 
-let default_setup ?(seed = 11) ?(n_events = 6) () =
-  let base = Support.default_semidyn ~seed ~n_events () in
+let leaf_spine () =
+  Nf_topo.Builders.leaf_spine ~n_leaves:2 ~n_spines:2 ~servers_per_leaf:4 ()
+
+let default_setup ~seed ~n_events =
+  let base = Support.default_semidyn ~seed ~n_events in
   {
     base with
     Support.n_paths = 40;
@@ -61,7 +64,7 @@ let sample_instants ~t_start ~t_end =
   in
   from (t_start +. sample_every) []
 
-let semidyn ?(config = Nf_sim.Config.default)
+let semidyn ~config
     ?(protocol = Nf_sim.Protocols.get "numfabric")
     (scenario : Support.semidyn_scenario) =
   let setup = scenario.Support.setup in

@@ -10,13 +10,17 @@
     domains and its result depends only on its arguments (callers
     derive [seed] from {!Ctx.rng_seed}). *)
 
-val default_setup : ?seed:int -> ?n_events:int -> unit -> Support.semidyn_setup
+val leaf_spine : unit -> Nf_topo.Builders.leaf_spine
+(** The fabric {!default_setup} is sized for: 2 leaves of 4 servers, 2
+    spines. *)
+
+val default_setup : seed:int -> n_events:int -> Support.semidyn_setup
 (** A scaled-down instance sized for packet-level simulation: 40 paths,
     6 flows/event, 12–20 active, proportional fairness, 95% of flows
     within 10%, held for 0.5 ms, 4 ms between events ([max_time]). *)
 
 val semidyn :
-  ?config:Nf_sim.Config.t ->
+  config:Nf_sim.Config.t ->
   ?protocol:Nf_sim.Protocol.t ->
   Support.semidyn_scenario ->
   Support.semidyn_result

@@ -4,145 +4,70 @@ type entry = {
   run : Ctx.t -> Report.t;
 }
 
-let entries : (string, entry) Hashtbl.t = Hashtbl.create 32
+(* Each experiment owns its sizes and seeds (derived from the context);
+   an entry only names it and renders its result. *)
+let all =
+  [
+    { name = "table1";
+      description = "utility-function menu (Table 1)";
+      run = (fun _ -> Exp_table1.(report (run ()))) };
+    { name = "table2";
+      description = "default parameters (Table 2)";
+      run = (fun _ -> Exp_table2.(report (run ()))) };
+    { name = "fig2";
+      description = "bandwidth-function water-filling example (Figure 2)";
+      run = (fun _ -> Exp_fig2.(report (run ()))) };
+    { name = "fig4a";
+      description = "convergence-time CDF, NUMFabric vs DGD vs RCP* (Figure 4a)";
+      run = (fun ctx -> Exp_fig4a.(report (run ctx))) };
+    { name = "fig4a-packet";
+      description = "Figure 4a's comparison at packet level (reduced scale)";
+      run = (fun ctx -> Exp_fig4a.(report_packet (run_packet ctx))) };
+    { name = "fig4bc";
+      description = "packet-level rate stability, DCTCP vs NUMFabric (Figures 4b/4c)";
+      run = (fun _ -> Exp_fig4bc.(report (run ()))) };
+    { name = "fig5";
+      description = "deviation from ideal rates, dynamic workloads (Figure 5)";
+      run = (fun ctx -> Exp_fig5.(report (run ctx))) };
+    { name = "fig6a";
+      description = "sensitivity to Swift's dt, packet level (Figure 6a)";
+      run = (fun ctx -> Exp_fig6.(report_dt (run_dt ctx))) };
+    { name = "fig6b";
+      description = "sensitivity to the price-update interval (Figure 6b)";
+      run = (fun ctx -> Exp_fig6.(report_interval (run_interval ctx))) };
+    { name = "fig6c";
+      description = "sensitivity to alpha, 1x and 2x-slowed loops (Figure 6c)";
+      run = (fun ctx -> Exp_fig6.(report_alpha (run_alpha ctx))) };
+    { name = "fig7";
+      description = "FCT vs load, NUMFabric vs pFabric (Figure 7)";
+      run = (fun ctx -> Exp_fig7.(report (run ctx))) };
+    { name = "fig8";
+      description = "multipath resource pooling (Figure 8)";
+      run = (fun ctx -> Exp_fig8.(report (run ctx))) };
+    { name = "fig9";
+      description = "bandwidth functions vs link capacity (Figure 9)";
+      run = (fun _ -> Exp_fig9.(report (run ()))) };
+    { name = "fig10";
+      description = "bandwidth functions + pooling, capacity change (Figure 10)";
+      run = (fun _ -> Exp_fig10.(report (run ()))) };
+    { name = "swift";
+      description = "packet-level Swift vs weighted max-min oracle";
+      run = (fun ctx -> Exp_swift.(report (run ctx))) };
+    { name = "queues";
+      description = "equilibrium queue occupancy vs dt (packet level)";
+      run = (fun _ -> Exp_queues.(report (run ()))) };
+    { name = "random";
+      description = "randomized xWI validation (tech-report style)";
+      run = (fun ctx -> Exp_random.(report (run ctx))) };
+    { name = "ablation";
+      description = "design-choice ablations (beta, eta, residual aggregation, burst)";
+      run = (fun ctx -> Exp_ablation.(report (run ctx))) };
+    { name = "churn";
+      description = "warm-started re-solves under flow churn (serve path)";
+      run = (fun ctx -> Exp_churn.(report (run ctx))) };
+    { name = "scale";
+      description = "large-fabric convergence: k=16 fat tree, 100k+ ECMP flows";
+      run = (fun ctx -> Exp_scale.(report (run ctx))) };
+  ]
 
-let order : string list ref = ref []  (* registration order, for listings *)
-
-let register ~name ~description run =
-  if Hashtbl.mem entries name then
-    invalid_arg (Printf.sprintf "Registry.register: duplicate experiment %S" name);
-  Hashtbl.replace entries name { name; description; run };
-  order := name :: !order
-
-let find name = Hashtbl.find_opt entries name
-
-let all () = List.rev_map (fun n -> Hashtbl.find entries n) !order
-
-let names () = List.rev !order
-
-(* ------------------------------------------------------------------ *)
-(* The built-in experiments (the paper's tables and figures plus the
-   validation/ablation extras). Each adapter maps the context onto the
-   experiment's scenario knobs: sizes shrink with [Ctx.scaled] (so the
-   old --quick run is scale = 0.2) and seeds derive from [Ctx.rng_seed]
-   over the experiment's historical default (so the default context
-   reproduces the records in EXPERIMENTS.md). *)
-
-let () =
-  register ~name:"table1" ~description:"utility-function menu (Table 1)"
-    (fun _ctx -> Exp_table1.report (Exp_table1.run ()));
-  register ~name:"table2" ~description:"default parameters (Table 2)"
-    (fun _ctx -> Exp_table2.report (Exp_table2.run ()));
-  register ~name:"fig2"
-    ~description:"bandwidth-function water-filling example (Figure 2)"
-    (fun _ctx -> Exp_fig2.report (Exp_fig2.run ()));
-  register ~name:"fig4a"
-    ~description:"convergence-time CDF, NUMFabric vs DGD vs RCP* (Figure 4a)"
-    (fun ctx ->
-      Exp_fig4a.report
-        (Exp_fig4a.run
-           ~seed:(Ctx.rng_seed ctx ~default:1)
-           ~n_events:(Ctx.scaled ctx ~floor:8 100)
-           ()));
-  register ~name:"fig4a-packet"
-    ~description:"Figure 4a's comparison at packet level (reduced scale)"
-    (fun ctx ->
-      Exp_fig4a.report_packet
-        (Exp_fig4a.run_packet
-           ~seed:(Ctx.rng_seed ctx ~default:11)
-           ~n_events:(Ctx.scaled ctx ~floor:3 5)
-           ()));
-  register ~name:"fig4bc"
-    ~description:"packet-level rate stability, DCTCP vs NUMFabric (Figures 4b/4c)"
-    (fun _ctx -> Exp_fig4bc.report (Exp_fig4bc.run ()));
-  register ~name:"fig5"
-    ~description:"deviation from ideal rates, dynamic workloads (Figure 5)"
-    (fun ctx ->
-      Exp_fig5.report
-        (Exp_fig5.run
-           ~seed:(Ctx.rng_seed ctx ~default:3)
-           ~n_flows:(Ctx.scaled ctx ~floor:250 1500)
-           ()));
-  register ~name:"fig6a"
-    ~description:"sensitivity to Swift's dt, packet level (Figure 6a)"
-    (fun ctx ->
-      Exp_fig6.report_dt
-        (Exp_fig6.run_dt
-           ~seed:(Ctx.rng_seed ctx ~default:11)
-           ~n_events:(Ctx.scaled ctx ~floor:3 6)
-           ()));
-  register ~name:"fig6b"
-    ~description:"sensitivity to the price-update interval (Figure 6b)"
-    (fun ctx ->
-      Exp_fig6.report_interval
-        (Exp_fig6.run_interval
-           ~seed:(Ctx.rng_seed ctx ~default:2)
-           ~n_events:(Ctx.scaled ctx ~floor:6 30)
-           ()));
-  register ~name:"fig6c"
-    ~description:"sensitivity to alpha, 1x and 2x-slowed loops (Figure 6c)"
-    (fun ctx ->
-      Exp_fig6.report_alpha
-        (Exp_fig6.run_alpha
-           ~seed:(Ctx.rng_seed ctx ~default:2)
-           ~n_events:(Ctx.scaled ctx ~floor:6 30)
-           ()));
-  register ~name:"fig7"
-    ~description:"FCT vs load, NUMFabric vs pFabric (Figure 7)"
-    (fun ctx ->
-      Exp_fig7.report
-        (Exp_fig7.run
-           ~seed:(Ctx.rng_seed ctx ~default:5)
-           ~n_flows:(Ctx.scaled ctx ~floor:300 1000)
-           ()));
-  register ~name:"fig8" ~description:"multipath resource pooling (Figure 8)"
-    (fun ctx ->
-      Exp_fig8.report (Exp_fig8.run ~seed:(Ctx.rng_seed ctx ~default:7) ()));
-  register ~name:"fig9"
-    ~description:"bandwidth functions vs link capacity (Figure 9)"
-    (fun _ctx -> Exp_fig9.report (Exp_fig9.run ()));
-  register ~name:"fig10"
-    ~description:"bandwidth functions + pooling, capacity change (Figure 10)"
-    (fun _ctx -> Exp_fig10.report (Exp_fig10.run ()));
-  register ~name:"swift"
-    ~description:"packet-level Swift vs weighted max-min oracle"
-    (fun ctx ->
-      Exp_swift.report (Exp_swift.run ~seed:(Ctx.rng_seed ctx ~default:21) ()));
-  register ~name:"queues"
-    ~description:"equilibrium queue occupancy vs dt (packet level)"
-    (fun _ctx -> Exp_queues.report (Exp_queues.run ()));
-  register ~name:"random"
-    ~description:"randomized xWI validation (tech-report style)"
-    (fun ctx ->
-      Exp_random.report
-        (Exp_random.run
-           ~seed:(Ctx.rng_seed ctx ~default:17)
-           ~instances_per_alpha:(Ctx.scaled ctx ~floor:8 40)
-           ()));
-  register ~name:"ablation"
-    ~description:"design-choice ablations (beta, eta, residual aggregation, burst)"
-    (fun ctx ->
-      Exp_ablation.report
-        (Exp_ablation.run
-           ~seed:(Ctx.rng_seed ctx ~default:4)
-           ~n_events:(Ctx.scaled ctx ~floor:5 25)
-           ()));
-  register ~name:"churn"
-    ~description:"warm-started re-solves under flow churn (serve path)"
-    (fun ctx ->
-      Exp_churn.report
-        (Exp_churn.run
-           ~seed:(Ctx.rng_seed ctx ~default:42)
-           ~prelude:(Ctx.scaled ctx ~floor:60 300)
-           ~arrivals:(Ctx.scaled ctx ~floor:3 10)
-           ()));
-  register ~name:"scale"
-    ~description:"large-fabric convergence: k=16 fat tree, 100k+ ECMP flows"
-    (fun ctx ->
-      Exp_scale.report
-        (Exp_scale.run
-           ~seed:(Ctx.rng_seed ctx ~default:29)
-           ~flows_leaf_spine:(Ctx.scaled ctx ~floor:1_000 20_000)
-           ~flows_fat_tree:(Ctx.scaled ctx ~floor:2_000 100_000)
-           ~iterations:(Ctx.scaled ctx ~floor:15 40)
-           ()))
+let find name = List.find_opt (fun e -> e.name = name) all

@@ -1,9 +1,7 @@
-(** Name-keyed registry of runnable experiments.
-
-    The built-in experiments (the paper's tables/figures plus the
-    validation and ablation extras) register themselves when this module
-    is linked; the CLI ([nf_run list] / [nf_run exp]) enumerates from
-    here, so adding an experiment is one {!register} call.
+(** The runnable experiments: the paper's tables and figures plus the
+    validation and ablation extras, in paper order. The CLI ([nf_run
+    list] / [nf_run exp]) enumerates from here, so adding an experiment
+    is one more {!entry} in {!all}.
 
     An experiment is a {e pure data producer}: [run ctx] maps an
     execution context (scale factor, seed base, retry attempt — see
@@ -17,14 +15,9 @@ type entry = {
   name : string;
   description : string;
   run : Ctx.t -> Report.t;
-      (** [ctx.scale] subsumes the deprecated [~quick] boolean
-          (quick = 0.2, full = 1.0); per-experiment scenario knobs are
-          derived with {!Ctx.scaled} and RNG seeds with {!Ctx.rng_seed}. *)
 }
 
+val all : entry list
+(** Paper order; names are unique. *)
+
 val find : string -> entry option
-
-val all : unit -> entry list
-(** Registration order (built-ins: paper order). *)
-
-val names : unit -> string list

@@ -1,9 +1,3 @@
-type task = { name : string; run : Ctx.t -> Report.t }
-
-let task ~name run = { name; run }
-
-let of_entry (e : Registry.entry) = { name = e.Registry.name; run = e.Registry.run }
-
 type failure = Timed_out of float | Failed of string
 
 type result = {
@@ -13,7 +7,7 @@ type result = {
   attempts : int;
 }
 
-let transient = function Nf_num.Oracle.Did_not_converge _ -> true | _ -> false
+let is_transient = function Nf_num.Oracle.Did_not_converge _ -> true | _ -> false
 
 (* One attempt of one task, running on its own domain. [cell] is the
    rendezvous: the domain stores its outcome there; the scheduler polls
@@ -31,13 +25,13 @@ type attempt = {
    real elapsed time; nothing derived from it enters a Report. *)
 let[@nf.allow "determinism"] now () = Unix.gettimeofday ()
 
-let spawn ~ctx ~idx ~attempt_no t =
+let spawn ~ctx ~idx ~attempt_no (e : Registry.entry) =
   let cell = Atomic.make None in
   let task_ctx = Ctx.for_task ctx ~index:idx ~attempt:attempt_no in
   let domain =
     Domain.spawn (fun () ->
         let outcome =
-          match t.run task_ctx with
+          match e.run task_ctx with
           | report -> Ok report
           | exception e -> Error e
         in
@@ -45,13 +39,8 @@ let spawn ~ctx ~idx ~attempt_no t =
   in
   { idx; attempt_no; started = now (); cell; domain }
 
-let run ?jobs ?timeout ?(retries = 1) ?(is_transient = transient)
-    ?(ctx = Ctx.default) tasks =
-  let jobs =
-    match jobs with
-    | Some j -> Stdlib.max 1 j
-    | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
-  in
+let run ~jobs ?timeout ~retries ~ctx tasks =
+  let jobs = Stdlib.max 1 jobs in
   if retries < 0 then invalid_arg "Runner.run: negative retries";
   (match timeout with
   | Some t when t <= 0. -> invalid_arg "Runner.run: non-positive timeout"
@@ -67,7 +56,7 @@ let run ?jobs ?timeout ?(retries = 1) ?(is_transient = transient)
   let done_count = ref 0 in
   let finish idx ~attempts ~wall outcome =
     results.(idx) <-
-      Some { task_name = tasks.(idx).name; outcome; wall; attempts };
+      Some { task_name = tasks.(idx).Registry.name; outcome; wall; attempts };
     incr done_count
   in
   while !done_count < n do

@@ -1,7 +1,7 @@
 (** Multicore sharded experiment executor.
 
-    A {!task} is a named pure function from a {!Ctx.t} to a
-    {!Report.t}; {!run} shards a task list across a pool of OCaml 5
+    {!run} shards a list of {!Registry.entry}s (each a named pure
+    function from a {!Ctx.t} to a {!Report.t}) across a pool of OCaml 5
     domains and merges the results {e deterministically}: the result
     list is in task order, each task's context depends only on its index
     and attempt (never on scheduling), and reports carry no wall-clock
@@ -20,15 +20,6 @@
     timeouts safe for the occasional stuck solver, not for routinely
     over-budget tasks. *)
 
-type task = {
-  name : string;  (** unique within a run; used in results and listings *)
-  run : Ctx.t -> Report.t;
-}
-
-val task : name:string -> (Ctx.t -> Report.t) -> task
-
-val of_entry : Registry.entry -> task
-
 type failure =
   | Timed_out of float  (** no attempt finished within [timeout] seconds *)
   | Failed of string  (** last attempt raised; the [Printexc.to_string] *)
@@ -41,22 +32,21 @@ type result = {
 }
 
 val run :
-  ?jobs:int ->
+  jobs:int ->
   ?timeout:float ->
-  ?retries:int ->
-  ?is_transient:(exn -> bool) ->
-  ?ctx:Ctx.t ->
-  task list ->
+  retries:int ->
+  ctx:Ctx.t ->
+  Registry.entry list ->
   result list
-(** Executes every task and returns results {e in task order}.
+(** Executes every entry (a {e task}) and returns results {e in task
+    order}; [task_name] is the entry's name.
 
-    [jobs] is the worker-pool width (default
-    [Domain.recommended_domain_count ()], clamped to at least 1); with
+    [jobs] is the worker-pool width (clamped to at least 1); with
     [jobs = 1] tasks still run on a worker domain, one at a time, so
     timeout/crash behavior is identical to the parallel case.
     [timeout] bounds each attempt's wall-clock seconds (default: none).
-    [retries] bounds extra attempts after a transient failure (default
-    1). Task [k] runs with [Ctx.for_task ctx ~index:k ~attempt]. *)
+    [retries] bounds extra attempts after a transient failure. Task [k]
+    runs with [Ctx.for_task ctx ~index:k ~attempt]. *)
 
 val total_wall : result list -> float
 (** Sum of per-task walls: the task-seconds of a run. Each wall is taken

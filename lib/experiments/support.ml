@@ -39,7 +39,7 @@ type semidyn_setup = {
   criteria : Convergence.criteria;
 }
 
-let default_semidyn ?(seed = 1) ?(n_events = 100) () =
+let default_semidyn ~seed ~n_events =
   {
     seed;
     n_paths = 1000;
@@ -56,6 +56,18 @@ let default_semidyn ?(seed = 1) ?(n_events = 100) () =
         max_time = 50e-3;
       };
   }
+
+let sweep_semidyn ~seed ~n_events =
+  {
+    (default_semidyn ~seed ~n_events) with
+    n_paths = 250;
+    flows_per_event = 25;
+    active_min = 75;
+    active_max = 125;
+  }
+
+let sweep_leaf_spine () =
+  Nf_topo.Builders.leaf_spine ~n_leaves:4 ~n_spines:2 ~servers_per_leaf:8 ()
 
 type semidyn_result = { times : float array; unconverged : int }
 

@@ -35,11 +35,19 @@ type semidyn_setup = {
         events are [max_time] apart *)
 }
 
-val default_semidyn : ?seed:int -> ?n_events:int -> unit -> semidyn_setup
+val default_semidyn : seed:int -> n_events:int -> semidyn_setup
 (** The paper's §6.1 scenario: 1000 paths, 100 flows/event, 300–500
     active, proportional fairness, 10%/95% criteria. The sustain window is
     1 ms (the paper uses 5 ms to reject measurement noise; fluid rates are
     exact, and the reported time is the entry instant either way). *)
+
+val sweep_semidyn : seed:int -> n_events:int -> semidyn_setup
+(** The parameter sweeps' scenario (Figures 6b/6c and the ablations):
+    {!default_semidyn} at a quarter of its flows — 250 paths, 25
+    flows/event, 75–125 active — on {!sweep_leaf_spine}. *)
+
+val sweep_leaf_spine : unit -> Nf_topo.Builders.leaf_spine
+(** 4 leaves of 8 servers, 2 spines. *)
 
 type semidyn_result = {
   times : float array;  (** per-event convergence times, seconds *)

@@ -4,6 +4,10 @@
 
 module E = Nf_experiments
 
+(* Small enough that every [Ctx.scaled] returns its floor: each experiment
+   runs at its smallest size, with its own default seeds. *)
+let ctx = E.Ctx.make ~scale:1e-3 ~seed:0
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let slow name f = Alcotest.test_case name `Slow f
@@ -31,8 +35,8 @@ let test_fig2_matches_paper () =
   | _ -> Alcotest.fail "expected two capacities"
 
 let test_fig4a_speedup () =
-  (* Tiny instance: the ordering (NUMFabric fastest) must still hold. *)
-  let r = E.Exp_fig4a.run ~n_events:8 ~scale:0.25 () in
+  (* Few events: the ordering (NUMFabric fastest) must still hold. *)
+  let r = E.Exp_fig4a.run ctx in
   Alcotest.(check bool) "NUMFabric faster than best gradient scheme" true
     (r.E.Exp_fig4a.speedup_median > 1.);
   List.iter
@@ -44,7 +48,7 @@ let test_fig4a_speedup () =
     r.E.Exp_fig4a.results
 
 let test_fig4a_packet_ordering () =
-  let r = E.Exp_fig4a.run_packet ~n_events:3 () in
+  let r = E.Exp_fig4a.run_packet ctx in
   let med name =
     match List.find_opt (fun x -> x.E.Exp_fig4a.scheme = name) r with
     | Some x when Array.length x.E.Exp_fig4a.times > 0 ->
@@ -68,7 +72,7 @@ let test_fig4bc_contrast () =
   Alcotest.(check bool) "DCTCP noisy (clearly worse)" true (dctcp < nf -. 0.2)
 
 let test_fig5_shape () =
-  let r = E.Exp_fig5.run ~n_flows:250 () in
+  let r = E.Exp_fig5.run ctx in
   Alcotest.(check int) "two workloads" 2 (List.length r);
   List.iter
     (fun w ->
@@ -92,7 +96,7 @@ let test_fig5_shape () =
     nf.E.Exp_fig5.per_bin
 
 let test_fig6b_monotone () =
-  let pts = E.Exp_fig6.run_interval ~n_events:6 () in
+  let pts = E.Exp_fig6.run_interval ctx in
   let medians = List.map (fun p -> p.E.Exp_fig6.median) pts in
   let rec increasing = function
     | a :: (b :: _ as rest) -> a <= b +. 1e-9 && increasing rest
@@ -101,7 +105,7 @@ let test_fig6b_monotone () =
   Alcotest.(check bool) "median grows with the interval" true (increasing medians)
 
 let test_fig6c_all_converge () =
-  let pts = E.Exp_fig6.run_alpha ~n_events:6 ~alphas:[ 0.5; 1.; 2. ] () in
+  let pts = E.Exp_fig6.run_alpha ctx in
   List.iter
     (fun p ->
       Alcotest.(check int) "1x converges" 0 p.E.Exp_fig6.fast.E.Exp_fig6.unconverged;
@@ -111,7 +115,7 @@ let test_fig6c_all_converge () =
     pts
 
 let test_fig7_band () =
-  let pts = E.Exp_fig7.run ~n_flows:300 ~loads:[ 0.3; 0.6 ] () in
+  let pts = E.Exp_fig7.run ctx in
   List.iter
     (fun p ->
       let ratio = p.E.Exp_fig7.numfabric_large /. p.E.Exp_fig7.pfabric_large in
@@ -124,24 +128,24 @@ let test_fig7_band () =
     pts
 
 let test_fig8_pooling_wins () =
-  let r = E.Exp_fig8.run ~iters:150 ~max_subflows:4 () in
-  let last = List.nth r.E.Exp_fig8.series 3 in
+  let r = E.Exp_fig8.run ctx in
+  let four = List.nth r.E.Exp_fig8.series 3 in
   let first = List.hd r.E.Exp_fig8.series in
   Alcotest.(check bool) "single path leaves capacity unused" true
     (first.E.Exp_fig8.total_pooling < 0.8);
   Alcotest.(check bool) "4 sub-flows with pooling > 90%" true
-    (last.E.Exp_fig8.total_pooling > 0.9);
+    (four.E.Exp_fig8.total_pooling > 0.9);
   Alcotest.(check bool) "pooling beats no pooling" true
-    (last.E.Exp_fig8.total_pooling >= last.E.Exp_fig8.total_no_pooling -. 1e-6);
-  (* Pooling is much fairer than single-path placement (perfectly fair by
-     k = 8; at the reduced k = 4 of this smoke test a small spread remains). *)
+    (four.E.Exp_fig8.total_pooling >= four.E.Exp_fig8.total_no_pooling -. 1e-6);
+  (* Pooling is much fairer than single-path placement (at k = 8 sub-flows,
+     the fairness curves' sub-flow count). *)
   let spread a = a.(0) -. a.(Array.length a - 1) in
   let fp = spread r.E.Exp_fig8.fairness_pooling in
   let fs = spread r.E.Exp_fig8.fairness_single in
   Alcotest.(check bool) "pooled fairness" true (fp < 0.3 && fp < fs /. 2.)
 
 let test_fig9_tracks_expected () =
-  let r = E.Exp_fig9.run ~capacities:[ 5.; 20.; 35. ] () in
+  let r = E.Exp_fig9.run () in
   Alcotest.(check bool) "max error below 1%" true (E.Exp_fig9.max_rel_error r < 0.01)
 
 let test_fig10_reconverges () =
@@ -156,12 +160,12 @@ let test_fig10_reconverges () =
     (close r.E.Exp_fig10.achieved_after r.E.Exp_fig10.expected_after)
 
 let test_swift_validation () =
-  let r = E.Exp_swift.run ~n_flows:8 ~duration:6e-3 () in
+  let r = E.Exp_swift.run ctx in
   Alcotest.(check bool) "within 6% of weighted max-min" true
     (r.E.Exp_swift.max_rel_error < 0.06)
 
 let test_ablation_runs () =
-  let r = E.Exp_ablation.run ~n_events:5 () in
+  let r = E.Exp_ablation.run ctx in
   Alcotest.(check int) "beta variants" 5 (List.length r.E.Exp_ablation.beta_sweep);
   List.iter
     (fun v ->
@@ -170,7 +174,7 @@ let test_ablation_runs () =
     r.E.Exp_ablation.eta_sweep
 
 let test_random_validation () =
-  let stats = E.Exp_random.run ~instances_per_alpha:8 ~alphas:[ 0.5; 1.; 2. ] () in
+  let stats = E.Exp_random.run ctx in
   List.iter
     (fun s ->
       Alcotest.(check bool)
@@ -192,14 +196,15 @@ let test_queues_track_dt () =
   | _ -> Alcotest.fail "expected dt points"
 
 let test_fig6a_dt_extremes () =
-  let pts = E.Exp_fig6.run_dt ~n_events:3 ~dts:[ 6e-6; 24e-6 ] () in
-  match pts with
-  | [ at6; at24 ] ->
+  let pts = E.Exp_fig6.run_dt ctx in
+  let at dt = List.find_opt (fun p -> Float.equal p.E.Exp_fig6.x dt) pts in
+  match (at 6e-6, at 24e-6) with
+  | Some at6, Some at24 ->
     Alcotest.(check bool) "dt=6us converges everywhere" true
       (at6.E.Exp_fig6.unconverged = 0);
     Alcotest.(check bool) "dt=24us slower than dt=6us" true
       (at24.E.Exp_fig6.median >= at6.E.Exp_fig6.median)
-  | _ -> Alcotest.fail "expected two points"
+  | _ -> Alcotest.fail "expected the 6 and 24 us points"
 
 let () =
   Alcotest.run "nf_experiments"

@@ -44,6 +44,21 @@ let test_xwi_scheme_converges () =
   check_close ~rel:1e-4 "long" (10e9 /. 3.) rates.(0);
   check_close ~rel:1e-4 "local" (2. *. 10e9 /. 3.) rates.(1)
 
+(* Three alpha = 2 flows through 40G access links into one 10G
+   bottleneck (link 0): 150 fluid rounds reach the Oracle's optimum. *)
+let test_xwi_matches_oracle () =
+  let p =
+    Problem.create ~caps:[| 10e9; 40e9; 40e9; 40e9 |]
+      ~groups:
+        (List.init 3 (fun i ->
+             Problem.single_path (Utility.alpha_fair ~alpha:2. ()) [| i + 1; 0 |]))
+  in
+  let rates = settle (Nf_fluid.Fluid_xwi.make p) 150 in
+  Array.iteri
+    (fun i expected ->
+      check_close ~rel:1e-3 (Printf.sprintf "flow %d" i) expected rates.(i))
+    (Nf_num.Oracle.solve p).Nf_num.Oracle.rates
+
 let test_xwi_rebind_preserves_prices () =
   let p = parking_lot_problem () in
   let s, prices = Nf_fluid.Fluid_xwi.make_with_prices p in
@@ -402,6 +417,7 @@ let () =
       ( "schemes",
         [
           quick "xwi converges to NUM optimum" test_xwi_scheme_converges;
+          quick "xwi matches oracle" test_xwi_matches_oracle;
           quick "xwi rebind preserves prices" test_xwi_rebind_preserves_prices;
           quick "xwi pooled bit-identical" test_xwi_scheme_pooled_identical;
           quick "dgd converges" test_dgd_scheme_converges;

@@ -419,6 +419,37 @@ let test_xwi_single_link_proportional () =
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares" [| 5.; 5. |] state.Xwi.rates
 
+(* A seed that is not optimal: on a parking lot of 10 and 20 the
+   equal-weight seed gives the long flow 5, while proportional fairness
+   gives it x0 = 10 - sqrt 1200 / 6 (the root of 3 x0^2 - 60 x0 + 200 = 0),
+   so the run must step. Its rates match that closed form and the legacy
+   [Reference] kernels stepped as many times from the same seed. *)
+let test_xwi_parking_lot_leaves_seed () =
+  let u = Utility.proportional_fair () in
+  let p =
+    Problem.create ~caps:[| 10.; 20. |]
+      ~groups:
+        [
+          Problem.single_path u [| 0; 1 |];
+          Problem.single_path u [| 0 |];
+          Problem.single_path u [| 1 |];
+        ]
+  in
+  let state = Xwi.init p in
+  let prices = Array.copy state.Xwi.prices in
+  let rates = Array.copy state.Xwi.rates in
+  let weights = Array.copy state.Xwi.weights in
+  let run = Xwi.run_until_kkt ~tol:1e-10 p Xwi.default_params state in
+  Alcotest.(check bool) "converged" true run.Xwi.converged;
+  Alcotest.(check bool) "took iterations" true (run.Xwi.iterations > 0);
+  for _ = 1 to run.Xwi.iterations do
+    Reference.step p Xwi.default_params ~prices ~rates ~weights
+  done;
+  check_rates ~rel:1e-9 "legacy kernels" rates state.Xwi.rates;
+  let x0 = 10. -. (sqrt 1200. /. 6.) in
+  check_rates ~rel:1e-6 "closed form" [| x0; 10. -. x0; 20. -. x0 |]
+    state.Xwi.rates
+
 let test_xwi_matches_dual_on_parking_lot () =
   List.iter
     (fun alpha ->
@@ -1679,11 +1710,13 @@ let prop_handed_down_resize_bit_identical =
       done;
       !ok)
 
-(* [exp churn]'s default scenario (100 standing flows on the paper's
+(* [exp churn]'s full-scale scenario (100 standing flows on the paper's
    leaf-spine): every single arrival is certified by the polished start
    alone. *)
 let test_churn_polished_epochs () =
-  let t = Nf_experiments.Exp_churn.run () in
+  let t =
+    Nf_experiments.(Exp_churn.run (Ctx.make ~scale:1. ~seed:0))
+  in
   let zero =
     List.length
       (List.filter (fun e -> e.Nf_experiments.Exp_churn.warm_iters = 0) t.events)
@@ -2181,6 +2214,7 @@ let () =
       ( "xwi",
         [
           quick "single link proportional" test_xwi_single_link_proportional;
+          quick "parking lot leaves its seed" test_xwi_parking_lot_leaves_seed;
           quick "matches dual on parking lot" test_xwi_matches_dual_on_parking_lot;
           quick "fixed-point weights equal rates" test_xwi_prices_drive_weights;
           quick "multipath pooling" test_xwi_multipath_pooling;

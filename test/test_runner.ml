@@ -77,25 +77,29 @@ let test_report_csv () =
 (* ------------------------------------------------------------------ *)
 (* Ctx *)
 
+let full_ctx = Ctx.make ~scale:1. ~seed:0
+
+let quick_ctx = Ctx.make ~scale:0.2 ~seed:0
+
 let test_ctx_scaled () =
   Alcotest.(check int) "full scale is identity" 100
-    (Ctx.scaled Ctx.default 100);
-  Alcotest.(check int) "quick is 0.2" 20 (Ctx.scaled Ctx.quick 100);
-  Alcotest.(check int) "ceil, not floor" 1 (Ctx.scaled Ctx.quick 3);
-  Alcotest.(check int) "floor clamps" 8 (Ctx.scaled ~floor:8 Ctx.quick 10);
+    (Ctx.scaled ~floor:1 full_ctx 100);
+  Alcotest.(check int) "quick is 0.2" 20 (Ctx.scaled ~floor:1 quick_ctx 100);
+  Alcotest.(check int) "ceil, not floor" 1 (Ctx.scaled ~floor:0 quick_ctx 3);
+  Alcotest.(check int) "floor clamps" 8 (Ctx.scaled ~floor:8 quick_ctx 10);
   Alcotest.check_raises "scale must be positive"
     (Invalid_argument "Ctx.make: scale 0 not positive") (fun () ->
-      ignore (Ctx.make ~scale:0. ()))
+      ignore (Ctx.make ~scale:0. ~seed:0))
 
 let test_ctx_seeds () =
-  Alcotest.(check int) "default ctx preserves historical seeds" 17
-    (Ctx.rng_seed Ctx.default ~default:17);
-  let shifted = Ctx.make ~seed:5 () in
+  Alcotest.(check int) "seed base 0 preserves historical seeds" 17
+    (Ctx.rng_seed full_ctx ~default:17);
+  let shifted = Ctx.make ~scale:1. ~seed:5 in
   Alcotest.(check int) "seed base adds" 22 (Ctx.rng_seed shifted ~default:17);
-  let t3 = Ctx.for_task Ctx.default ~index:3 ~attempt:0 in
+  let t3 = Ctx.for_task full_ctx ~index:3 ~attempt:0 in
   Alcotest.(check int) "task index offsets the seed" 20
     (Ctx.rng_seed t3 ~default:17);
-  let retry = Ctx.for_task Ctx.default ~index:3 ~attempt:2 in
+  let retry = Ctx.for_task full_ctx ~index:3 ~attempt:2 in
   Alcotest.(check bool) "retries perturb the seed" true
     (Ctx.rng_seed retry ~default:17 <> Ctx.rng_seed t3 ~default:17)
 
@@ -116,19 +120,17 @@ let outcome_report (r : Runner.result) =
     Alcotest.failf "%s failed: %s" r.Runner.task_name msg
 
 (* The acceptance check in miniature: sharding the cheap experiments over
-   4 domains must merge to exactly the sequential reports. *)
+   4 domains must merge to exactly the sequential reports. swift and churn
+   derive their seeds from the per-task context. *)
 let test_parallel_equals_sequential () =
   let tasks =
-    List.map
-      (fun n -> Runner.of_entry (find_entry n))
-      [ "table1"; "table2"; "fig2"; "fig9" ]
+    List.map find_entry [ "table1"; "table2"; "fig2"; "fig9"; "swift"; "churn" ]
   in
-  let ctx = Ctx.quick in
-  let seq = Runner.run ~jobs:1 ~ctx tasks in
-  let par = Runner.run ~jobs:4 ~ctx tasks in
+  let seq = Runner.run ~jobs:1 ~retries:1 ~ctx:quick_ctx tasks in
+  let par = Runner.run ~jobs:4 ~retries:1 ~ctx:quick_ctx tasks in
   Alcotest.(check (list string))
     "task order preserved"
-    (List.map (fun (t : Runner.task) -> t.Runner.name) tasks)
+    (List.map (fun (t : E.Registry.entry) -> t.name) tasks)
     (List.map (fun (r : Runner.result) -> r.Runner.task_name) par);
   List.iter2
     (fun a b ->
@@ -144,16 +146,18 @@ let test_parallel_equals_sequential () =
 let trivial_report name =
   Report.make ~title:name ~columns:[ "x" ] [ [ Report.int 1 ] ]
 
+let task name run = { E.Registry.name; description = ""; run }
+
 let test_failing_task_isolates () =
   let boom = Failure "synthetic crash" in
   let tasks =
     [
-      Runner.task ~name:"ok-before" (fun _ -> trivial_report "ok-before");
-      Runner.task ~name:"crashes" (fun _ -> raise boom);
-      Runner.task ~name:"ok-after" (fun _ -> trivial_report "ok-after");
+      task "ok-before" (fun _ -> trivial_report "ok-before");
+      task "crashes" (fun _ -> raise boom);
+      task "ok-after" (fun _ -> trivial_report "ok-after");
     ]
   in
-  match Runner.run ~jobs:2 ~retries:2 tasks with
+  match Runner.run ~jobs:2 ~retries:2 ~ctx:full_ctx tasks with
   | [ before; crashed; after ] ->
     Alcotest.check report_t "neighbor before survives" (trivial_report "ok-before")
       (outcome_report before);
@@ -174,12 +178,12 @@ let test_transient_retry () =
      in the task's Ctx is the only state, so the behavior is exactly the
      [Did_not_converge]-then-recover path. *)
   let t =
-    Runner.task ~name:"flaky" (fun ctx ->
+    task "flaky" (fun ctx ->
         if ctx.Ctx.attempt = 0 then
           raise (Nf_num.Oracle.Did_not_converge "synthetic divergence")
         else trivial_report "flaky")
   in
-  match Runner.run ~jobs:1 ~retries:1 [ t ] with
+  match Runner.run ~jobs:1 ~retries:1 ~ctx:full_ctx [ t ] with
   | [ r ] ->
     Alcotest.check report_t "recovered on retry" (trivial_report "flaky")
       (outcome_report r);
@@ -188,10 +192,10 @@ let test_transient_retry () =
 
 let test_transient_exhausted () =
   let t =
-    Runner.task ~name:"hopeless" (fun _ ->
+    task "hopeless" (fun _ ->
         raise (Nf_num.Oracle.Did_not_converge "always"))
   in
-  match Runner.run ~jobs:1 ~retries:2 [ t ] with
+  match Runner.run ~jobs:1 ~retries:2 ~ctx:full_ctx [ t ] with
   | [ r ] -> (
     match r.Runner.outcome with
     | Error (Runner.Failed _) ->
@@ -204,11 +208,11 @@ let test_timeout_triggers_retry () =
   (* Attempt 0 overruns the budget and is abandoned; attempt 1 returns
      immediately. *)
   let t =
-    Runner.task ~name:"slow-once" (fun ctx ->
+    task "slow-once" (fun ctx ->
         if ctx.Ctx.attempt = 0 then Unix.sleepf 0.5;
         trivial_report "slow-once")
   in
-  match Runner.run ~jobs:1 ~timeout:0.1 ~retries:1 [ t ] with
+  match Runner.run ~jobs:1 ~timeout:0.1 ~retries:1 ~ctx:full_ctx [ t ] with
   | [ r ] ->
     Alcotest.check report_t "retry beat the budget" (trivial_report "slow-once")
       (outcome_report r);
@@ -217,11 +221,11 @@ let test_timeout_triggers_retry () =
 
 let test_timeout_exhausted () =
   let t =
-    Runner.task ~name:"sleeper" (fun _ ->
+    task "sleeper" (fun _ ->
         Unix.sleepf 0.4;
         trivial_report "sleeper")
   in
-  match Runner.run ~jobs:1 ~timeout:0.05 ~retries:0 [ t ] with
+  match Runner.run ~jobs:1 ~timeout:0.05 ~retries:0 ~ctx:full_ctx [ t ] with
   | [ r ] -> (
     match r.Runner.outcome with
     | Error (Runner.Timed_out budget) ->
@@ -231,12 +235,19 @@ let test_timeout_exhausted () =
       Alcotest.fail "over-budget task should report Timed_out")
   | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
 
+(* The static list is the registry: every id once, in paper order. *)
 let test_registry_covers_paper () =
-  let names = E.Registry.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) ("registry has " ^ n) true (List.mem n names))
-    [ "table1"; "fig4a"; "fig7"; "random"; "ablation" ]
+  let names = List.map (fun (e : E.Registry.entry) -> e.name) E.Registry.all in
+  Alcotest.(check (list string))
+    "the paper's ids, in order"
+    [
+      "table1"; "table2"; "fig2"; "fig4a"; "fig4a-packet"; "fig4bc"; "fig5";
+      "fig6a"; "fig6b"; "fig6c"; "fig7"; "fig8"; "fig9"; "fig10"; "swift";
+      "queues"; "random"; "ablation"; "churn"; "scale";
+    ]
+    names;
+  Alcotest.(check int) "ids are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
 
 let () =
   Alcotest.run "runner"

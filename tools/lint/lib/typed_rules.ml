@@ -683,17 +683,6 @@ let check_main ctx (str : structure) =
                 | _ -> ())
               a)
           args
-      | Some id when path_is id "Runner.task" ->
-        List.iter
-          (fun (_, a) ->
-            Option.iter
-              (fun a ->
-                match a.exp_desc with
-                | Texp_function _ ->
-                  check_domain_closure ctx ~what:"Runner task" a
-                | _ -> ())
-              a)
-          args
       | _ -> ());
       (* Skip [f] when it is a plain ident (it would double-report as a
          bare mention); always visit the arguments. *)
@@ -704,7 +693,12 @@ let check_main ctx (str : structure) =
         visit_args ())
     | Texp_record { fields; _ } ->
       (match Types.get_desc e.exp_type with
-      | Types.Tconstr (p, _, _) when path_is (path_name p) "Runner.task" ->
+      (* An experiment entry's [run] executes on a Runner worker domain;
+         inside registry.ml the record type is the bare [entry]. *)
+      | Types.Tconstr (p, _, _)
+        when path_is (path_name p) "Registry.entry"
+             || (path_name p = "entry"
+                && Filename.basename ctx.file = "registry.ml") ->
         Array.iter
           (fun (_, def) ->
             match def with
