@@ -355,12 +355,13 @@ let churn_problem () =
    on an identical problem without the resize. Returns the thunk and the
    bytes a resize owes on 64-bit: the new state, that is its record
    (seven fields) and its three public arrays (prices per link, rates and
-   weights per flow), each with its header, plus, when it polishes, the
-   two four-float KKT reports that decide between the polished and the
-   carried start. The serve loop's restart polishes (polished starts
-   included: the utilities are [Log], and the churn makes many polishes
-   add links to their active set over several rounds); the fluid xWI
-   scheme's rebind does not. *)
+   weights per flow), each with its header, and nothing more when it
+   polishes: the polish writes into the handed-down scratch, and the
+   carried water-fill it may ask for is a closed top-level function, no
+   closure. The serve loop's restart polishes (polished starts included:
+   the utilities are [Log], and the churn makes many polishes add links
+   to their active set over several rounds); the fluid xWI scheme's
+   rebind does not. *)
 let resize_kernel ~polish =
   let problem, churn = churn_problem () in
   let state = ref (Nf_num.Xwi_core.init problem) in
@@ -369,10 +370,7 @@ let resize_kernel ~polish =
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);
   let words =
-    8
-    + (Nf_num.Problem.n_links problem + 1)
-    + (2 * (Nf_num.Problem.n_flows problem + 1))
-    + if polish then 2 * 5 else 0
+    8 + (Nf_num.Problem.n_links problem + 1) + (2 * (Nf_num.Problem.n_flows problem + 1))
   in
   ( (fun () ->
       churn ();

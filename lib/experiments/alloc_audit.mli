@@ -26,8 +26,7 @@
     The warm restarts are the exception by design: each is charged its
     bytes less those of the same churn and commit without the resize,
     and may allocate the new state (its record and its three public
-    arrays), plus, for [xwi_resize], the two KKT reports that pick its
-    start, on top of the budget.
+    arrays) on top of the budget, polish or not.
 
     Exception: dune's dev profile compiles with [-opaque], which
     disables cross-unit inlining, so the kernels that take a raw float

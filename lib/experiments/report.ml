@@ -102,8 +102,6 @@ let json t =
       ("notes", strings t.notes);
     ]
 
-let to_json t = Json.to_string (json t)
-
 (* ------------------------------------------------------------------ *)
 (* CSV *)
 

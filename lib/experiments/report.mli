@@ -43,9 +43,6 @@ val json : t -> Nf_util.Json.t
 (** [{"title":...,"columns":[...],"rows":[[...]],"notes":[...]}]. Float
     cells keep full precision; non-finite ones print as [null]. *)
 
-val to_json : t -> string
-(** [Nf_util.Json.to_string (json t)]. *)
-
 val to_csv : t -> string
 (** RFC-4180-style: header line, one line per row; notes appended as
     [# ...] comment lines. *)

@@ -616,13 +616,11 @@ let rec rounds ws inc utils n round =
          round < max_rounds && rounds ws inc utils (collapse ws inc) (round + 1)
        end
 
-let solve ws problem ~prices ~rates ~out =
+let solve ws problem ~prices ~carried ~rates ~out =
   let inc = Problem.incidence problem in
   let n_links = inc.Incidence.n_links and n_flows = inc.Incidence.n_flows in
   if Array.length prices <> n_links || Array.length out <> n_links then
     invalid_arg "Newton_polish.solve: prices length";
-  if Array.length rates <> n_flows then
-    invalid_arg "Newton_polish.solve: rates length";
   let utils = Problem.utilities problem in
   ws.mark <- ints ws.mark n_links;
   ws.start <- floats ws.start n_links;
@@ -651,11 +649,11 @@ let solve ws problem ~prices ~rates ~out =
     ws.mark.(l) <- (if busy && prices.(l) > price_floor *. p_max then 0 else -1);
     ws.start.(l) <- prices.(l)
   done;
-  Incidence.link_loads_into inc ~rates ~out:ws.loads;
   (* ... plus, for each flow crossing none of them, its lowest-id link
      that the carried water-fill saturated (tag 1), started at no less
-     than the flow's marginal utility at its carried rate. *)
-  let ok = ref true in
+     than the flow's marginal utility at its carried rate. The carried
+     rates are asked for at the first such flow, and only then. *)
+  let ok = ref true and fetched = ref false and carried_rates = ref [||] in
   for i = 0 to n_flows - 1 do
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
     let covered = ref false in
@@ -663,6 +661,14 @@ let solve ws problem ~prices ~rates ~out =
       if Int.equal ws.mark.(row_cols.(j)) 0 then covered := true
     done;
     if not !covered then begin
+      if not !fetched then begin
+        let r = rates problem carried in
+        if Array.length r <> n_flows then
+          invalid_arg "Newton_polish.solve: rates length";
+        Incidence.link_loads_into inc ~rates:r ~out:ws.loads;
+        carried_rates := r;
+        fetched := true
+      end;
       let best = ref (-1) in
       for j = lo to hi - 1 do
         let l = row_cols.(j) in
@@ -674,7 +680,7 @@ let solve ws problem ~prices ~rates ~out =
       else begin
         let l = !best in
         if ws.mark.(l) < 0 then ws.mark.(l) <- 1;
-        let marginal = marginal utils.(i) rates.(i) in
+        let marginal = marginal utils.(i) !carried_rates.(i) in
         if marginal > ws.start.(l) then ws.start.(l) <- marginal
       end
     end

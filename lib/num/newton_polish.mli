@@ -51,15 +51,28 @@ val eligible : Problem.t -> bool
     not apply. *)
 
 val solve :
-  t -> Problem.t -> prices:float array -> rates:float array -> out:float array -> bool
-(** [solve ws problem ~prices ~rates ~out] polishes the carried [prices]
-    (length [n_links]) given [rates] (length [n_flows]), the allocation
-    those prices induce. On success it writes the polished prices into
-    [out] (zero off the final active set) and returns [true]. It returns
-    [false], leaving [out] unspecified, when the problem is not
+  t ->
+  Problem.t ->
+  prices:float array ->
+  carried:'a ->
+  rates:(Problem.t -> 'a -> float array) ->
+  out:float array ->
+  bool
+(** [solve ws problem ~prices ~carried ~rates ~out] polishes the carried
+    [prices] (length [n_links]). On success it writes the polished prices
+    into [out] (zero off the final active set) and returns [true]. It
+    returns [false], leaving [out] unspecified, when the problem is not
     {!eligible}-shaped, some flow crosses no link of the active set, the
     active set has more than 256 links, a solve fails with no negative
     price to drop, or the 8 solves run out. On success every returned
     price is [>= 0], and the rates the prices induce load no link above
     [(1 + 1e-9)] times its capacity.
+
+    [rates problem carried] must return the allocation the carried
+    prices induce (length [n_flows]). Only a flow that crosses no link
+    priced above 1e-3·p_max reads it, so [solve] calls it at most once,
+    at the first such flow, and not at all when there is none: the
+    caller's water-fill of the carried prices runs only when it is
+    read. A closed top-level function with its data in [carried] keeps
+    the call allocation-free.
     @raise Invalid_argument on a length that does not match the problem. *)

@@ -117,8 +117,7 @@ let[@inline] urate_fast u p =
    counts, never by these lengths) and grow with headroom, and
    [b_prices] names the owner, the state whose [prices] array it is. *)
 type buffers = {
-  b_old_prices : float array;  (* n_links; [polish_start]'s swap scratch *)
-  mutable b_old_rates : float array;  (* >= n_flows; [polish_start]'s swap scratch *)
+  b_polish_out : float array;  (* n_links; the polished prices *)
   mutable b_path_price : float array;  (* >= n_flows; computed once per step *)
   b_loads : float array;  (* n_links *)
   mutable b_residual : float array;  (* >= n_flows *)
@@ -160,8 +159,7 @@ let make_buffers problem =
   let inv_len = Array.make n_flows 0. in
   fill_inv_len inc inv_len;
   {
-    b_old_prices = Array.make n_links 0.;
-    b_old_rates = Array.make n_flows 0.;
+    b_polish_out = Array.make n_links 0.;
     b_path_price = Array.make n_flows 0.;
     b_loads = Array.make n_links 0.;
     b_residual = Array.make n_flows 0.;
@@ -183,7 +181,6 @@ let reserve a n = if Array.length a >= n then a else Array.make (n + (n / 2)) 0.
 let refresh_buffers bufs problem =
   let inc = Problem.incidence problem in
   let n_flows = inc.Incidence.n_flows and n_groups = inc.Incidence.n_groups in
-  bufs.b_old_rates <- reserve bufs.b_old_rates n_flows;
   bufs.b_path_price <- reserve bufs.b_path_price n_flows;
   bufs.b_residual <- reserve bufs.b_residual n_flows;
   bufs.b_inv_len <- reserve bufs.b_inv_len n_flows;
@@ -441,66 +438,41 @@ let init ?pool problem =
   let rates, prices = seed problem in
   make_state ?pool ~buffers:(make_buffers problem) problem ~prices ~rates
 
-(* Weights from the given prices at the equal-weight allocation, then the
-   allocation those weights induce. Only multipath groups read the
-   allocation (their §6.3 split); when every group is a singleton the
-   water-fill overwrites the rates unread, so the equal-weight solve is
-   skipped. *)
-let start_with_prices ?pool ~buffers problem ~prices =
+(* A state at a copy of the given prices whose rates [allocate] has yet
+   to fill: the equal-weight allocation, which only multipath groups read
+   (their §6.3 split); when every group is a singleton the water-fill
+   overwrites the rates unread, so the equal-weight solve is skipped. *)
+let at_prices ?pool ~buffers problem ~prices =
   let inc = Problem.incidence problem in
   let rates =
     if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
     else equal_weight_rates buffers.b_maxmin_sparse problem
   in
-  let state = make_state ?pool ~buffers problem ~prices:(Array.copy prices) ~rates in
-  allocate inc state;
-  state
+  make_state ?pool ~buffers problem ~prices:(Array.copy prices) ~rates
 
-(* [Kkt.worst], in-unit for the -opaque reason given at [fmax]: a
-   cross-unit call would box its float result on every resize. *)
-let[@inline] kkt_worst (r : Kkt.report) =
-  fmax r.Kkt.stationarity
-    (fmax r.Kkt.unused_direction (fmax r.Kkt.feasibility r.Kkt.slackness))
+(* The carried start's rates, for [Newton_polish.solve]: the Eq. 7
+   weights at the state's (carried) prices and their water-fill. Top
+   level and closed, so passing it allocates no closure. *)
+let carried_rates problem state =
+  allocate (Problem.incidence problem) state;
+  state.rates
 
-(* Swap the carried start for the Newton-polished one when that one's KKT
-   residual is smaller (DESIGN.md "Warm restart"). The state's own
-   scratch holds what a swap needs: [b_old_prices] the polished prices
-   (then the carried ones), [b_old_rates] and [b_residual] the carried
-   rates and weights, [b_loads] the checks' loads. [step] rewrites all
-   four before reading them. A rejected polish restores the carried
-   start bit for bit. *)
+(* The polish first, then the one water-fill of the start it keeps
+   (DESIGN.md "Warm restart"): a polish that succeeds is the start; one
+   that fails leaves the carried start, the water-fill of the carried
+   prices, bit for bit. The carried prices are water-filled before the
+   polish's end only when it asks for [carried_rates]. *)
 let polish_start problem state =
   let bufs = state.buffers in
-  let polished = bufs.b_old_prices in
+  let polished = bufs.b_polish_out in
   if
-    Newton_polish.eligible problem
-    && Newton_polish.solve bufs.b_polish problem ~prices:state.prices
-         ~rates:state.rates ~out:polished
+    Newton_polish.solve bufs.b_polish problem ~prices:state.prices ~carried:state
+      ~rates:carried_rates ~out:polished
   then begin
-    let loads = bufs.b_loads in
-    let carried =
-      kkt_worst (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
-    in
-    let n_links = Array.length state.prices
-    and n_flows = Array.length state.rates in
-    Array.blit state.rates 0 bufs.b_old_rates 0 n_flows;
-    Array.blit state.weights 0 bufs.b_residual 0 n_flows;
-    for l = 0 to n_links - 1 do
-      let p = polished.(l) in
-      polished.(l) <- state.prices.(l);
-      state.prices.(l) <- p
-    done;
-    allocate (Problem.incidence problem) state;
-    if
-      kkt_worst (Kkt.check_into problem ~rates:state.rates ~prices:state.prices ~loads)
-      < carried
-    then bufs.b_polished <- true
-    else begin
-      Array.blit polished 0 state.prices 0 n_links;
-      Array.blit bufs.b_old_rates 0 state.rates 0 n_flows;
-      Array.blit bufs.b_residual 0 state.weights 0 n_flows
-    end
-  end
+    Array.blit polished 0 state.prices 0 (Array.length polished);
+    bufs.b_polished <- true
+  end;
+  allocate (Problem.incidence problem) state
 
 let consumed state = state.buffers.b_prices != state.prices
 
@@ -520,12 +492,12 @@ let resize ?pool ?(polish = true) problem state =
   let pool = match pool with Some _ as p -> p | None -> state.pool in
   let buffers = state.buffers in
   refresh_buffers buffers problem;
-  let state = start_with_prices ?pool ~buffers problem ~prices:state.prices in
-  if polish then begin
-    polish_start problem state;
+  let state = at_prices ?pool ~buffers problem ~prices:state.prices in
+  if polish && Newton_polish.eligible problem then polish_start problem state
+  else allocate (Problem.incidence problem) state;
+  if polish then
     Metrics.incr
-      (if state.buffers.b_polished then m_polished_starts else m_carried_starts)
-  end;
+      (if state.buffers.b_polished then m_polished_starts else m_carried_starts);
   state
 
 let polished state = state.buffers.b_polished

@@ -77,18 +77,22 @@ val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> stat
     weights induce; when every group is a single flow the weights do not
     read the rates, and the equal-weight water-fill is skipped. With
     [polish] (default [true]), when every group is a single flow with a
-    [Log] or [Power] utility, {!Newton_polish.solve} then solves for the
+    [Log] or [Power] utility, {!Newton_polish.solve} first solves for the
     prices at which an active set of links is exactly full, adding the
     links those prices overload and dropping the ones they price below
-    zero until neither is left; if that succeeds and the allocation those
-    prices induce has a smaller {!Kkt.worst} than the carried start's,
-    the state starts there instead (the {e polished start}; DESIGN.md
-    "Warm restart"). Otherwise — [~polish:false], [Opaque] utilities,
-    §6.3 multipath groups, a failed or worse polish — the state is the
-    carried start bit for bit. On nfbench's [serve_churn] stream the
-    polished start is already certified (0 xWI iterations at tolerance
-    1e-6) in 29,998 of 30,000 epochs (seeds 1–10), against a median of
-    about 105 iterations from the carried start.
+    zero until neither is left. If that succeeds the state starts there
+    (the {e polished start}; DESIGN.md "Warm restart"): the polished
+    prices, their Eq. 7 weights and their water-fill. Otherwise —
+    [~polish:false], [Opaque] utilities, §6.3 multipath groups, a failed
+    polish — the state is the carried start bit for bit. The carried
+    prices are water-filled only for that start, or when the polish reads
+    the carried rates (a flow crossing no link priced above 1e-3 of the
+    highest price; about a quarter of [serve_churn]'s epochs), so a
+    polished restart runs one water-fill, at most two, and no KKT sweep.
+    On nfbench's [serve_churn] stream the polished start is already
+    certified (0 xWI iterations at tolerance 1e-6) in 29,998 of 30,000
+    epochs (seeds 1–10), against a median of about 105 iterations from
+    the carried start.
 
     Serve and [Oracle.solve]'s carry polish; the fluid xWI scheme
     ([Fluid_xwi]) passes [~polish:false], since its iterations from the

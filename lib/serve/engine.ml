@@ -146,9 +146,11 @@ let solve_epoch t =
            fixpoint the deltas stall at numerical noise long after the
            iterate is optimal (see [run_until_kkt]'s doc). Check
            granularity 1 keeps warm epochs from overshooting, and costs
-           little: at most check points only the last failed check's
-           witness flow is recomputed, and the full sweep runs about
-           once in 75 (1.35% on the nfbench serve_churn stream). *)
+           little: after a failed check only its witness flow is
+           recomputed until that one clears. A warm epoch the polished
+           start certifies (nearly all of nfbench's serve_churn stream)
+           runs one full KKT sweep, this one at iteration 0: [resize]
+           runs none. *)
         Xwi_core.run_until_kkt ~tol:t.tol ~check_every:1 ~max_iters:t.max_iters
           t.problem Xwi_core.default_params state
       in

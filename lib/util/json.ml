@@ -18,7 +18,12 @@ let fail pos msg = raise (Parse_error (pos, msg))
 
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
+
+(* The byte at the cursor, or ['\000'] past the end: no option per byte.
+   A NUL byte is invalid everywhere in JSON, so it can stand for the end;
+   only the error messages tell the two apart, through [at_end]. *)
+let peek c = if c.pos < String.length c.src then String.unsafe_get c.src c.pos else '\000'
 
 let advance c = c.pos <- c.pos + 1
 
@@ -26,14 +31,13 @@ let skip_ws c =
   let continue = ref true in
   while !continue do
     match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance c
+    | ' ' | '\t' | '\n' | '\r' -> advance c
     | _ -> continue := false
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when Char.equal x ch -> advance c
-  | _ -> fail c.pos (Printf.sprintf "expected '%c'" ch)
+  if Char.equal (peek c) ch then advance c
+  else fail c.pos (Printf.sprintf "expected '%c'" ch)
 
 let expect_lit c lit value =
   let n = String.length lit in
@@ -100,33 +104,32 @@ let unicode_escape c b =
   end
   else utf8_of_code b code
 
-let parse_string c =
-  expect c '"';
-  let b = Buffer.create 16 in
+(* The rest of a string from its first escape, control byte or the end
+   of the input on, into [b], which holds the plain prefix. *)
+let parse_escaped c b =
   let rec loop () =
+    if at_end c then fail c.pos "unterminated string";
     match peek c with
-    | None -> fail c.pos "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' ->
+    | '"' -> advance c
+    | '\\' ->
       advance c;
-      (match peek c with
-      | None -> fail c.pos "unterminated escape"
-      | Some ch ->
-        advance c;
-        (match ch with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' -> unicode_escape c b
-        | _ -> fail (c.pos - 1) "bad escape character"));
+      if at_end c then fail c.pos "unterminated escape";
+      let ch = peek c in
+      advance c;
+      (match ch with
+      | '"' -> Buffer.add_char b '"'
+      | '\\' -> Buffer.add_char b '\\'
+      | '/' -> Buffer.add_char b '/'
+      | 'b' -> Buffer.add_char b '\b'
+      | 'f' -> Buffer.add_char b '\012'
+      | 'n' -> Buffer.add_char b '\n'
+      | 'r' -> Buffer.add_char b '\r'
+      | 't' -> Buffer.add_char b '\t'
+      | 'u' -> unicode_escape c b
+      | _ -> fail (c.pos - 1) "bad escape character");
       loop ()
-    | Some ch when Char.code ch < 0x20 -> fail c.pos "control character in string"
-    | Some ch ->
+    | ch when Char.code ch < 0x20 -> fail c.pos "control character in string"
+    | ch ->
       advance c;
       Buffer.add_char b ch;
       loop ()
@@ -134,29 +137,84 @@ let parse_string c =
   loop ();
   Buffer.contents b
 
-let parse_number c =
-  let start = c.pos in
-  let continue = ref true in
-  while !continue do
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> advance c
-    | _ -> continue := false
+(* Plain strings, every key and value the repository writes, are one
+   [String.sub]; the first escape, control byte or the end of the input
+   hands the rest to [parse_escaped], which reports the error if any. *)
+let parse_string c =
+  expect c '"';
+  let src = c.src and start = c.pos in
+  let n = String.length src in
+  let i = ref start in
+  while
+    !i < n
+    &&
+    let ch = String.unsafe_get src !i in
+    (not (Char.equal ch '"')) && (not (Char.equal ch '\\')) && Char.code ch >= 0x20
+  do
+    incr i
   done;
-  let span = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt span with
-  | Some v -> Num v
-  | None -> fail start (Printf.sprintf "bad number %S" span)
+  c.pos <- !i;
+  if !i < n && Char.equal (String.unsafe_get src !i) '"' then begin
+    advance c;
+    String.sub src start (!i - start)
+  end
+  else begin
+    let b = Buffer.create (16 + !i - start) in
+    Buffer.add_substring b src start (!i - start);
+    parse_escaped c b
+  end
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_number_byte = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* A number is the longest run of number bytes, read by
+   [float_of_string]. A short integer, an optional minus and 1 to 14
+   digits with no leading zero (every id, count and epoch on the wire),
+   is summed in an [int] instead: below 2^53 both conversions are exact,
+   so the bits are the same, [-0] included. *)
+let parse_number c =
+  let src = c.src and start = c.pos in
+  let n = String.length src in
+  let neg = Char.equal (peek c) '-' in
+  let first = if neg then start + 1 else start in
+  let i = ref first and v = ref 0 in
+  while !i < n && !i - first < 15 && is_digit (String.unsafe_get src !i) do
+    v := (!v * 10) + (Char.code (String.unsafe_get src !i) - 48);
+    incr i
+  done;
+  let digits = !i - first in
+  if
+    digits > 0 && digits < 15
+    && (digits = 1 || not (Char.equal (String.unsafe_get src first) '0'))
+    && not (!i < n && is_number_byte (String.unsafe_get src !i))
+  then begin
+    c.pos <- !i;
+    let f = float_of_int !v in
+    Num (if neg then -.f else f)
+  end
+  else begin
+    while c.pos < n && is_number_byte (String.unsafe_get src c.pos) do
+      advance c
+    done;
+    let span = String.sub src start (c.pos - start) in
+    match float_of_string_opt span with
+    | Some v -> Num v
+    | None -> fail start (Printf.sprintf "bad number %S" span)
+  end
 
 let rec parse_value c =
   skip_ws c;
   match peek c with
-  | None -> fail c.pos "unexpected end of input"
-  | Some '"' -> Str (parse_string c)
-  | Some '{' ->
+  | '\000' when at_end c -> fail c.pos "unexpected end of input"
+  | '"' -> Str (parse_string c)
+  | '{' ->
     advance c;
     skip_ws c;
     (match peek c with
-    | Some '}' ->
+    | '}' ->
       advance c;
       Obj []
     | _ ->
@@ -168,20 +226,20 @@ let rec parse_value c =
         let v = parse_value c in
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           fields ((key, v) :: acc)
-        | Some '}' ->
+        | '}' ->
           advance c;
           List.rev ((key, v) :: acc)
         | _ -> fail c.pos "expected ',' or '}'"
       in
       Obj (fields []))
-  | Some '[' ->
+  | '[' ->
     advance c;
     skip_ws c;
     (match peek c with
-    | Some ']' ->
+    | ']' ->
       advance c;
       List []
     | _ ->
@@ -189,20 +247,20 @@ let rec parse_value c =
         let v = parse_value c in
         skip_ws c;
         match peek c with
-        | Some ',' ->
+        | ',' ->
           advance c;
           elems (v :: acc)
-        | Some ']' ->
+        | ']' ->
           advance c;
           List.rev (v :: acc)
         | _ -> fail c.pos "expected ',' or ']'"
       in
       List (elems []))
-  | Some 't' -> expect_lit c "true" (Bool true)
-  | Some 'f' -> expect_lit c "false" (Bool false)
-  | Some 'n' -> expect_lit c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c.pos (Printf.sprintf "unexpected character '%c'" ch)
+  | 't' -> expect_lit c "true" (Bool true)
+  | 'f' -> expect_lit c "false" (Bool false)
+  | 'n' -> expect_lit c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c.pos (Printf.sprintf "unexpected character '%c'" ch)
 
 let position src pos =
   let line = ref 1 and bol = ref 0 in
@@ -254,8 +312,12 @@ let write_string b s =
     s;
   Buffer.add_char b '"'
 
+(* An integral value below 1e15 converts to [int] exactly, and
+   [string_of_int] spells it as [%.0f] does; only [-0], which [%.0f]
+   keeps signed, needs its own case. *)
 let number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  if Float.is_integer v && Float.abs v < 1e15 then
+    if v = 0. && Float.sign_bit v then "-0" else string_of_int (int_of_float v)
   else if Float.is_finite v then Printf.sprintf "%.17g" v
   else "null"  (* JSON has no nan or infinity *)
 

@@ -8,9 +8,9 @@
     yojson.
 
     Numbers print round-trippably: an integral value below [1e15] as an
-    integer ([%.0f]), any other finite value with [%.17g], so parsing
-    the output gives back the same bits. JSON has no spelling for nan or
-    ±infinity; those print as [null]. *)
+    integer (what [%.0f] prints, [-0] included), any other finite value
+    with [%.17g], so parsing the output gives back the same bits. JSON
+    has no spelling for nan or ±infinity; those print as [null]. *)
 
 type t =
   | Null
@@ -25,7 +25,9 @@ val parse : string -> (t, string) result
     whitespace) is an error. Errors read ["line L, column C: msg"]
     (1-based). [\uXXXX] escapes decode to UTF-8; a surrogate pair
     decodes to its one 4-byte scalar, and a lone surrogate is an
-    error. *)
+    error. A number is the longest run of the bytes [0-9 + - . e E],
+    read to the bits [float_of_string] gives it; that also admits a few
+    spellings JSON does not, such as [01] and [1.]. *)
 
 val parse_file : string -> (t, string) result
 (** [parse] on a file's contents; the error names the file, and I/O

@@ -1576,7 +1576,8 @@ let prop_polish_prices_feasible =
         let carried = start_at p ~prices:!state.Xwi.prices in
         let out = Array.make n_links nan in
         if
-          Polish.solve ws p ~prices:carried.Xwi.prices ~rates:carried.Xwi.rates ~out
+          Polish.solve ws p ~prices:carried.Xwi.prices ~carried:carried.Xwi.rates
+            ~rates:(fun _ rates -> rates) ~out
         then begin
           let caps = Problem.caps p and loads = Array.make n_links 0. in
           for i = 0 to Problem.n_flows p - 1 do
@@ -1642,6 +1643,35 @@ let test_polish_retries_failed_solve () =
   Alcotest.(check int) "one retry" 1 (Nf_util.Metrics.counter_value retries - before);
   check_rates ~rel:1e-9 "link 1 shared" [| 0.5; 0.5 |] st.Xwi.rates;
   Alcotest.(check bool) "certified at iteration 0" true (certified_at_zero p st)
+
+(* An eligible problem whose polish fails keeps the carried start bit
+   for bit. 300 flows each alone on a link of their own: the seed prices
+   all 300 links alike, so the first active set holds 300 distinct
+   links, above the polish's cap of 256. Covered, the new flow crosses a
+   priced link, and the carried prices are water-filled only once the
+   polish has failed; uncovered, it crosses only an unpriced link, so the
+   polish asks for the carried rates first and fails after. *)
+let test_polish_over_cap_keeps_carried () =
+  let pf = Utility.proportional_fair () in
+  let n = 300 in
+  let carried_starts = polish_counter "nf_xwi_carried_starts_total" in
+  List.iter
+    (fun (what, path) ->
+      let p =
+        Problem.create ~caps:(Array.make (n + 1) 1.)
+          ~groups:(List.init n (fun l -> Problem.single_path pf [| l |]))
+      in
+      let state = Xwi.init p in
+      ignore (Problem.add_group p (Problem.single_path pf path));
+      Problem.commit p;
+      let carried = start_at p ~prices:state.Xwi.prices in
+      let before = Nf_util.Metrics.counter_value carried_starts in
+      let st = Xwi.resize p state in
+      Alcotest.(check bool) (what ^ ": carried start") false (Xwi.polished st);
+      Alcotest.(check int) (what ^ ": counted carried") 1
+        (Nf_util.Metrics.counter_value carried_starts - before);
+      check_same_state what carried st)
+    [ ("covered", [| 0 |]); ("uncovered", [| n |]) ]
 
 (* [resize] hands the old state's buffers to the new one: the old state
    can no longer step, nor be resized again. Its public arrays stay. *)
@@ -2273,6 +2303,8 @@ let () =
           quick "polish retries a failed solve without its negative link"
             test_polish_retries_failed_solve;
           quick "resize consumes the old state" test_resize_consumes;
+          quick "a polish over the active-set cap keeps the carried start"
+            test_polish_over_cap_keeps_carried;
           qcheck prop_handed_down_resize_bit_identical;
           quick "exp churn: every arrival certified at iteration 0"
             test_churn_polished_epochs;

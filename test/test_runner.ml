@@ -54,8 +54,9 @@ let test_report_text () =
 
 let test_report_json () =
   let json =
-    Report.to_json
-      (Report.make ~title:"j" ~columns:[ "x" ] [ [ Report.float Float.nan ] ])
+    Nf_util.Json.to_string
+      (Report.json
+         (Report.make ~title:"j" ~columns:[ "x" ] [ [ Report.float Float.nan ] ]))
   in
   Alcotest.(check bool) "non-finite floats become null" true
     (contains ~needle:"null" json);

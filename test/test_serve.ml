@@ -104,6 +104,87 @@ let prop_sjson_float_roundtrip =
         Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
       | Ok _ | Error _ -> false)
 
+(* The parser's integer fast path against [float_of_string], the reader
+   of every other number: the same bits, or both refusing. The literals
+   straddle the fast path's edges: up to 14 digits it sums an [int],
+   from 15 on, or with a leading zero, a fraction or an exponent, the
+   whole run goes to [float_of_string]. Leading zeros are not JSON, but
+   [float_of_string] has always read them ("007" is 7), and the fast
+   path leaves that as it was. *)
+let gen_number_literal =
+  let digits lo hi =
+    QCheck.Gen.(
+      map2
+        (fun first rest -> String.make 1 first ^ rest)
+        (char_range '1' '9')
+        (string_size ~gen:(char_range '0' '9') (int_range (lo - 1) (hi - 1))))
+  in
+  let signed g = QCheck.Gen.(map2 (fun neg d -> if neg then "-" ^ d else d) bool g) in
+  QCheck.Gen.(
+    oneof
+      [
+        map string_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000);
+        signed (digits 1 14);
+        signed (digits 15 17);
+        signed (map (fun d -> "0" ^ d) (digits 1 5));
+        map (Printf.sprintf "%.17g") (float_range (-1e16) 1e16);
+        oneofl
+          [ "0"; "-0"; "00"; "-00"; "007"; "1e5"; "1E5"; "-1e5"; "1.0"; "-1.0"; "1e+2";
+            "2.5e-3"; "99999999999999"; "-99999999999999"; "100000000000000";
+            "999999999999999"; "12345678901234567"; "-"; "1e"; "1-2" ];
+      ])
+
+let prop_sjson_number_matches_float_of_string =
+  QCheck.Test.make ~name:"a number parses to float_of_string's bits" ~count:2000
+    (QCheck.make ~print:Fun.id gen_number_literal)
+    (fun lit ->
+      match (Json.parse lit, float_of_string_opt lit) with
+      | Ok (Json.Num v), Some f ->
+        Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float f)
+      | Error _, None -> true
+      | _ -> false)
+
+let prop_sjson_integer_prints_as_printf =
+  QCheck.Test.make ~name:"an integral number prints as %.0f" ~count:2000
+    QCheck.(
+      make ~print:(Printf.sprintf "%.17g")
+        Gen.(
+          oneof
+            [
+              map float_of_int (int_range (-999_999_999_999_999) 999_999_999_999_999);
+              map float_of_int (int_range (-1000) 1000);
+              oneofl [ 0.; -0.; 999_999_999_999_999.; -999_999_999_999_999.; 1e14 ];
+            ]))
+    (fun v -> String.equal (Json.to_string (Json.Num v)) (Printf.sprintf "%.0f" v))
+
+(* Strings with an escape or a bad byte after a plain prefix leave the
+   one-[String.sub] path; they decode, and fail, as before. *)
+let test_sjson_string_paths () =
+  let str s = match Json.parse s with Ok (Json.Str v) -> Some v | _ -> None in
+  Alcotest.(check (option string)) "plain" (Some "plain") (str {|"plain"|});
+  Alcotest.(check (option string)) "empty" (Some "") (str {|""|});
+  Alcotest.(check (option string)) "escape after a prefix" (Some "ab\"c\\d")
+    (str {|"ab\"c\\d"|});
+  Alcotest.(check (option string)) "escape first" (Some "\ttab") (str {|"\ttab"|});
+  Alcotest.(check (option string)) "escape last" (Some "nl\n") (str {|"nl\n"|});
+  Alcotest.(check (option string)) "unicode after a prefix" (Some "x\xc3\xa9y")
+    (str {|"x\u00e9y"|});
+  Alcotest.(check (option string)) "raw UTF-8 stays plain" (Some "\xc3\xa9")
+    (str "\"\xc3\xa9\"");
+  let err s = match Json.parse s with Ok _ -> "accepted" | Error e -> e in
+  Alcotest.(check string) "unterminated after a prefix"
+    "line 1, column 5: unterminated string" (err {|"abc|});
+  Alcotest.(check string) "unterminated after an escape"
+    "line 1, column 7: unterminated string" (err {|"ab\nc|});
+  Alcotest.(check string) "control byte after a prefix"
+    "line 1, column 3: control character in string" (err "\"a\001b\"");
+  Alcotest.(check string) "unterminated escape" "line 1, column 5: unterminated escape"
+    (err {|"ab\|});
+  Alcotest.(check string) "end of input" "line 1, column 2: unexpected end of input"
+    (err "[");
+  Alcotest.(check string) "a NUL byte is a character, not the end"
+    "line 1, column 2: unexpected character '\000'" (err "[\000]")
+
 (* Structural equality with bit-exact numbers: [=] would call NaN
    unequal to itself and conflate 0. with -0.; the wire contract is
    "the bits you printed are the bits you get back". *)
@@ -654,6 +735,9 @@ let () =
           quick "parse errors" test_sjson_parse_errors;
           quick "print round-trip" test_sjson_print_roundtrip;
           qcheck prop_sjson_float_roundtrip;
+          qcheck prop_sjson_number_matches_float_of_string;
+          qcheck prop_sjson_integer_prints_as_printf;
+          quick "string fast and slow paths" test_sjson_string_paths;
           qcheck prop_sjson_doc_roundtrip;
           qcheck prop_sjson_parser_fails_cleanly;
           quick "malformed corpus" test_sjson_malformed_corpus;
