@@ -112,8 +112,6 @@ let m_heap_depth =
 
 let cat = Profile.intern
 
-let default_cat = cat "event"
-
 let noop () = ()
 
 let initial_nodes = 64
@@ -272,16 +270,6 @@ let periodic_cat t ~cat ?start ~interval action =
     schedule_after_cat t ~cat ~delay:interval fire
   in
   schedule_cat t ~cat ~at:first fire
-
-let cat_of_opt = function None -> default_cat | Some s -> Profile.intern s
-
-let schedule t ?cat ~at action = schedule_cat t ~cat:(cat_of_opt cat) ~at action
-
-let schedule_after t ?cat ~delay action =
-  schedule_after_cat t ~cat:(cat_of_opt cat) ~delay action
-
-let periodic t ?cat ?start ~interval action =
-  periodic_cat t ~cat:(cat_of_opt cat) ?start ~interval action
 
 let[@inline] set_cursor t c =
   t.cursor <- c;

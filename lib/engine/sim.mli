@@ -68,17 +68,9 @@ val schedule_after_cat : t -> cat:cat -> delay:float -> (unit -> unit) -> unit
 
 val periodic_cat :
   t -> cat:cat -> ?start:float -> interval:float -> (unit -> unit) -> unit
-
-val schedule : t -> ?cat:string -> at:float -> (unit -> unit) -> unit
-(** Convenience wrapper over {!schedule_cat}; [cat] (default ["event"])
-    is interned on each call. *)
-
-val schedule_after : t -> ?cat:string -> delay:float -> (unit -> unit) -> unit
-
-val periodic :
-  t -> ?cat:string -> ?start:float -> interval:float -> (unit -> unit) -> unit
 (** Fire [f] every [interval] seconds, starting at [start] (default: one
-    interval from now), until the simulation stops. *)
+    interval from now), until the simulation stops.
+    @raise Invalid_argument if [interval] is not positive. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in time order until the queue is empty, [until] is

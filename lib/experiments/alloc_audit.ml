@@ -298,7 +298,7 @@ let xwi_kernel () =
   (* The audit measures the bare solver: drop any diag a process-wide
      [--diag] config auto-attached (a diag allocates a sample per step
      by design). *)
-  Nf_num.Xwi_core.set_diag state None;
+  state.Nf_num.Xwi_core.diag <- None;
   let params = Nf_num.Xwi_core.default_params in
   fun () -> Nf_num.Xwi_core.step problem params state
 
@@ -310,7 +310,7 @@ let xwi_kernel () =
 let kkt_witness_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
   let state = Nf_num.Xwi_core.init problem in
-  Nf_num.Xwi_core.set_diag state None;
+  state.Nf_num.Xwi_core.diag <- None;
   for _ = 1 to 20 do
     Nf_num.Xwi_core.step problem Nf_num.Xwi_core.default_params state
   done;
@@ -365,7 +365,7 @@ let churn_problem () =
 let resize_kernel ~polish =
   let problem, churn = churn_problem () in
   let state = ref (Nf_num.Xwi_core.init problem) in
-  Nf_num.Xwi_core.set_diag !state None;
+  !state.Nf_num.Xwi_core.diag <- None;
   ignore
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);

@@ -3,12 +3,11 @@
    The always-on service's core claim (ROADMAP "always-on allocation
    service"): after a flow arrival/departure, the warm path re-converges
    in a small fraction of a cold start's iterations. The warm path is
-   [Xwi_core.resize] — the previous epoch's converged prices, replaced by
-   their Newton polish when that start has the smaller KKT residual
-   (DESIGN.md "Warm restart") — then xWI until the KKT certificate. This
-   experiment measures it deterministically: churn the paper's
-   128-server leaf-spine to a standing population (the §6.2
-   semi-dynamic workload's ~100 active flows), then for each of a series
+   [Xwi_core.solve] of the previous epoch's state: its converged prices,
+   or their Newton polish (DESIGN.md "Warm restart"), then xWI until the
+   KKT certificate. This experiment measures it deterministically:
+   churn the paper's 128-server leaf-spine to a standing population (the
+   §6.2 semi-dynamic workload's ~100 active flows), then for each of a series
    of single-flow arrivals run the warm re-solve *and* a from-scratch
    cold solve of the identical problem and compare iteration counts.
    The [start] column says which start the warm re-solve got. The KKT
@@ -85,9 +84,8 @@ let run ctx =
   Problem.commit problem;
   let standing = Problem.n_groups problem in
   (* Converge the standing problem once; this state is the warm lineage. *)
-  let params = Xwi.default_params in
-  let state = ref (Xwi.init problem) in
-  ignore (Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params !state);
+  let solve prev = Xwi.solve ~tol:kkt_tol ~check_every:1 problem prev in
+  let state = ref (fst (solve None)) in
   let events = ref [] in
   for k = 0 to arrivals - 1 do
     (* Force an arrival: departures shrink the problem and the acceptance
@@ -96,26 +94,17 @@ let run ctx =
     | Scenario.Arrive i -> add i
     | Scenario.Depart _ -> assert false);
     Problem.commit problem;
-    state := Xwi.resize problem !state;
-    let warm =
-      Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params !state
-    in
-    let warm_kkt =
-      Kkt.worst
-        (Kkt.check problem ~rates:!state.Xwi.rates ~prices:!state.Xwi.prices)
-    in
-    let cold_state = Xwi.init problem in
-    let cold =
-      Xwi.run_until_kkt ~tol:kkt_tol ~check_every:1 problem params cold_state
-    in
+    let warm_state, warm = solve (Some !state) in
+    state := warm_state;
+    let _, cold = solve None in
     events :=
       {
         ev_index = k;
         warm_iters = warm.Xwi.iterations;
         cold_iters = cold.Xwi.iterations;
         ratio = float_of_int warm.Xwi.iterations /. float_of_int cold.Xwi.iterations;
-        warm_kkt;
-        polished = Xwi.polished !state;
+        warm_kkt = Kkt.worst warm.Xwi.kkt;
+        polished = Xwi.polished warm_state;
         n_flows = Problem.n_flows problem;
       }
       :: !events

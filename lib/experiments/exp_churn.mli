@@ -1,11 +1,10 @@
 (* Churn: warm-started re-solves on a standing leaf-spine problem. For
    each single-flow arrival after a churn prelude, compares the iteration
-   count of the warm re-solve ([Xwi_core.resize]: the previous epoch's
-   prices or their Newton polish, then xWI) against a cold solve of the
-   identical problem; the
-   mean warm/cold ratio is the serve path's acceptance metric (at most
-   0.10). Deterministic: no wall clock,
-   all randomness seeded. *)
+   count of the warm re-solve ([Xwi_core.solve] of the previous epoch's
+   state: its prices or their Newton polish, then xWI) against a cold
+   solve of the identical problem; the mean warm/cold ratio is the serve
+   path's acceptance metric (at most 0.10). Deterministic: no wall
+   clock, all randomness seeded. *)
 
 type event = {
   ev_index : int;

@@ -1,7 +1,7 @@
 (** Opt-in per-iteration xWI solver diagnostics.
 
-    A [t] attaches to one {!Xwi_core.state} (explicitly via
-    {!Xwi_core.set_diag}, or automatically by the init functions when a
+    A [t] attaches to one {!Xwi_core.state} (explicitly, through its
+    mutable [diag] field, or automatically by the init functions when a
     process-wide {!configure}d config is active — the CLI's
     [nf_run exp --diag DIR]). Each {!Xwi_core.step} on a diagnosed state
     then:

@@ -106,33 +106,36 @@ type carry = { mutable last : Xwi_core.state option }
 let carry () = { last = None }
 
 let solve ?(tol = 1e-6) ?(max_iters = 60_000) ?carry problem =
-  let state =
-    match carry with
-    | Some { last = Some old } -> Xwi_core.resize problem old
-    | Some { last = None } | None -> Xwi_core.init problem
+  let state, first =
+    Xwi_core.solve ~tol ~max_iters problem
+      (match carry with Some c -> c.last | None -> None)
   in
-  (* [resize] consumed the carried state: until this solve certifies, the
-     carry holds nothing. *)
+  (* [solve] consumed the carried state: until this solve certifies, the
+     carry holds nothing. Emptied only now, because [resize] raises on a
+     link-count change and the carry then stays as it was. *)
   Option.iter (fun c -> c.last <- None) carry;
-  let check () =
-    Kkt.check problem ~rates:state.Xwi_core.rates ~prices:state.Xwi_core.prices
+  let last =
+    if first.Xwi_core.converged then first
+    else begin
+      (* Retry from where the first run stopped with heavier damping; helps
+         borderline multipath instances. *)
+      let retry =
+        Xwi_core.run_until_kkt ~tol ~max_iters problem
+          { Xwi_core.default_params with Xwi_core.beta = 0.9 }
+          state
+      in
+      {
+        retry with
+        Xwi_core.iterations = first.Xwi_core.iterations + retry.Xwi_core.iterations;
+      }
+    end
   in
-  let run params = Xwi_core.run_until_kkt ~tol ~max_iters problem params state in
-  let first = run Xwi_core.default_params in
-  let report = ref (check ()) in
-  let iterations = ref first.Xwi_core.iterations in
-  if Kkt.worst !report > tol then begin
-    (* Retry from where the first run stopped with heavier damping; helps
-       borderline multipath instances. *)
-    let retry = run { Xwi_core.default_params with Xwi_core.beta = 0.9 } in
-    iterations := !iterations + retry.Xwi_core.iterations;
-    report := check ()
-  end;
-  if Kkt.worst !report > tol then
+  if not last.Xwi_core.converged then
     raise
       (Did_not_converge
-         (Format.asprintf "Oracle.solve: after %d iterations, %a" !iterations
-            Kkt.pp !report));
+         (Format.asprintf "Oracle.solve: after %d iterations, %a"
+            last.Xwi_core.iterations Kkt.pp last.Xwi_core.kkt));
   Option.iter (fun c -> c.last <- Some state) carry;
   make_solution problem ~rates:(Array.copy state.Xwi_core.rates)
-    ~prices:(Array.copy state.Xwi_core.prices) ~iterations:!iterations ~kkt:!report
+    ~prices:(Array.copy state.Xwi_core.prices)
+    ~iterations:last.Xwi_core.iterations ~kkt:last.Xwi_core.kkt

@@ -42,10 +42,9 @@ val solve : ?tol:float -> ?max_iters:int -> ?carry:carry -> Problem.t -> solutio
 (** xWI fixed point run to stationarity; [tol] (default 1e-6) bounds the
     worst KKT residual.
 
-    Without a carry, or with an empty one, xWI starts at {!Xwi_core.init}.
-    With a carried state it starts at {!Xwi_core.resize} of that state:
-    its prices, or their Newton polish when that one's KKT residual is
-    smaller.
+    The first run is one {!Xwi_core.solve}: from {!Xwi_core.init}
+    without a carry or with an empty one, and from {!Xwi_core.resize} of
+    a carried state (its prices, or their Newton polish).
     Successive populations over the same links share most flows, so such
     a start needs few iterations, often none; the semi-dynamic harness
     and [Dynamic.run_ideal] solve their per-event targets this way.

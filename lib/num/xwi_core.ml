@@ -415,7 +415,7 @@ let price_update (inc : Incidence.t) params state =
           price_links_range params inc state lo hi))
 
 (* Auto-attach diagnostics when the process-wide [--diag] config is
-   active; otherwise states start undiagnosed ([set_diag] can attach
+   active; otherwise states start undiagnosed (setting [diag] can attach
    one explicitly). *)
 let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
@@ -502,10 +502,6 @@ let resize ?pool ?(polish = true) problem state =
 
 let polished state = state.buffers.b_polished
 
-let set_diag state diag = state.diag <- diag
-
-let diag state = state.diag
-
 (* One iteration, in place on the state's arrays (so live views such as
    [Fluid_xwi.rates_view] stay valid): path prices once, weights, max-min
    rates, the (possibly domain-sharded) price update. Steady-state
@@ -537,7 +533,7 @@ let step problem params state =
       ~wf_saturated:(Maxmin.sparse_saturated_links ws)
       ~shard_chunks
 
-type run = { iterations : int; converged : bool }
+type run = { iterations : int; converged : bool; kkt : Kkt.report }
 
 (* [residual] is the run's final convergence metric (the worst KKT
    residual of its last check): it rides on the [XwiNonconverged] trace
@@ -577,7 +573,7 @@ let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) proble
      residual are those of a full check at every check point. *)
   let witness = ref (-1) and used_threshold = Kkt.default_used_threshold in
   let full_checks = ref 0 and witness_checks = ref 0 in
-  let iter = ref 0 and worst = ref infinity and checking = ref true in
+  let iter = ref 0 in
   let advance () =
     let chunk = Stdlib.min check_every (max_iters - !iter) in
     for k = 1 to chunk do
@@ -586,23 +582,32 @@ let run_until_kkt ?(tol = 1e-6) ?(check_every = 10) ?(max_iters = 50_000) proble
     done;
     iter := !iter + chunk
   in
-  while !checking do
-    if !witness >= 0 && !iter < max_iters
-       && (incr witness_checks;
-           not
-             (Kkt.flow_residual ~used_threshold problem ~rates ~prices !witness
-             <= tol))
-    then advance ()
-    else begin
-      incr full_checks;
-      worst :=
-        Kkt.worst
-          (Kkt.check_into ~used_threshold ~witness problem ~rates ~prices ~loads);
-      if !worst <= tol || !iter >= max_iters then checking := false
-      else advance ()
-    end
+  let full_check () =
+    incr full_checks;
+    Kkt.check_into ~used_threshold ~witness problem ~rates ~prices ~loads
+  in
+  let report = ref (full_check ()) in
+  while not (Kkt.worst !report <= tol || !iter >= max_iters) do
+    advance ();
+    while
+      !witness >= 0 && !iter < max_iters
+      && (incr witness_checks;
+          not
+            (Kkt.flow_residual ~used_threshold problem ~rates ~prices !witness
+            <= tol))
+    do
+      advance ()
+    done;
+    report := full_check ()
   done;
   Metrics.add m_kkt_full_checks !full_checks;
   Metrics.add m_kkt_witness_checks !witness_checks;
-  finish_run state ~residual:!worst
-    { iterations = !iter; converged = !worst <= tol }
+  let worst = Kkt.worst !report in
+  finish_run state ~residual:worst
+    { iterations = !iter; converged = worst <= tol; kkt = !report }
+
+let solve ?tol ?check_every ?max_iters problem prev =
+  let state =
+    match prev with Some old -> resize problem old | None -> init problem
+  in
+  (state, run_until_kkt ?tol ?check_every ?max_iters problem default_params state)

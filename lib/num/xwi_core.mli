@@ -94,9 +94,10 @@ val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> stat
     epochs (seeds 1–10), against a median of about 105 iterations from
     the carried start.
 
-    Serve and [Oracle.solve]'s carry polish; the fluid xWI scheme
-    ([Fluid_xwi]) passes [~polish:false], since its iterations from the
-    carried start are what the experiments measure.
+    Every warm {!solve} polishes (serve's epochs, [Oracle.solve]'s carry,
+    the churn experiment); the fluid xWI scheme ([Fluid_xwi]) passes
+    [~polish:false], since its iterations from the carried start are
+    what the experiments measure.
 
     Each call that asks for a polish increments
     [nf_xwi_polished_starts_total] or [nf_xwi_carried_starts_total]; a
@@ -122,12 +123,6 @@ val polished : state -> bool
     ([false] for the carried start, for a [~polish:false] restart and for
     states from {!init}). *)
 
-val set_diag : state -> Diag.t option -> unit
-(** Attach or detach per-iteration diagnostics. The instance must be
-    sized for the state's problem ([n_links]/[n_flows]). *)
-
-val diag : state -> Diag.t option
-
 val step : Problem.t -> params -> state -> unit
 (** One full iteration over the sparse CSR/CSC working set: path prices
     (computed once), Eq. 7 weights (with the §6.3 multipath split; all
@@ -152,7 +147,13 @@ val port_update : params -> port -> unit
     [\[0, 1\]], [p' = \[p + r - eta (1 - u) p\]+] ([r] dropped when not
     finite), then [price <- beta p + (1 - beta) p']. *)
 
-type run = { iterations : int; converged : bool }
+type run = {
+  iterations : int;
+  converged : bool;
+  kkt : Kkt.report;
+      (** the report of the run's last full check: what {!Kkt.check}
+          gives on the state's final rates and prices *)
+}
 
 val run_until_kkt :
   ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> params -> state -> run
@@ -171,6 +172,15 @@ val run_until_kkt :
     [converged] and the final residual are exactly those of a full check
     at every check point. The counters [nf_xwi_kkt_full_checks_total] and
     [nf_xwi_kkt_witness_checks_total] count the two kinds of check. *)
+
+val solve :
+  ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> state option -> state * run
+(** [solve problem prev] is the certified solve every warm-or-cold caller
+    runs: {!resize} of [prev] when it is [Some] (which consumes it), {!init}
+    when it is [None], then {!run_until_kkt} at {!default_params} with the
+    given bounds and their defaults. The run's [kkt] is the returned
+    state's certificate, so a caller needs no second {!Kkt.check}.
+    @raise Invalid_argument as {!resize} does, before any work. *)
 
 (** {2 Hot-loop primitives}
 

@@ -67,7 +67,6 @@ type t = {
   mutable cold_epochs : int;
   mutable warm_iters : int;
   mutable cold_iters : int;
-  mutable last : epoch option;
   (* ring of recent epoch latencies (wall seconds) *)
   lat : float array;
   mutable lat_n : int;  (* samples ever recorded *)
@@ -86,7 +85,6 @@ let create ?(tol = 1e-6) ?(max_iters = 50_000) ~caps () =
     cold_epochs = 0;
     warm_iters = 0;
     cold_iters = 0;
-    last = None;
     lat = Array.make latency_window 0.;
     lat_n = 0;
   }
@@ -135,13 +133,8 @@ let solve_epoch t =
       (0, true, false)
     end
     else begin
-      let warm, state =
-        match t.state with
-        | Some old -> (true, Xwi_core.resize t.problem old)
-        | None -> (false, Xwi_core.init t.problem)
-      in
-      t.state <- Some state;
-      let run =
+      let warm = Option.is_some t.state in
+      let state, run =
         (* KKT-residual stopping, not per-iteration deltas: near a warm
            fixpoint the deltas stall at numerical noise long after the
            iterate is optimal (see [run_until_kkt]'s doc). Check
@@ -151,9 +144,10 @@ let solve_epoch t =
            start certifies (nearly all of nfbench's serve_churn stream)
            runs one full KKT sweep, this one at iteration 0: [resize]
            runs none. *)
-        Xwi_core.run_until_kkt ~tol:t.tol ~check_every:1 ~max_iters:t.max_iters
-          t.problem Xwi_core.default_params state
+        Xwi_core.solve ~tol:t.tol ~check_every:1 ~max_iters:t.max_iters t.problem
+          t.state
       in
+      t.state <- Some state;
       (run.Xwi_core.iterations, run.Xwi_core.converged, warm)
     end
   in
@@ -171,22 +165,16 @@ let solve_epoch t =
   Metrics.set_gauge m_flows (float_of_int n_flows);
   let elapsed = (Unix.gettimeofday () [@nf.allow "determinism"]) -. t0 in
   record_latency t elapsed;
-  let ep =
-    {
-      epoch = t.epochs;
-      events = batched;
-      iterations;
-      converged;
-      warm;
-      elapsed;
-      n_groups = Problem.n_groups t.problem;
-      n_flows;
-    }
-  in
-  t.last <- Some ep;
-  ep
-
-let last_epoch t = t.last
+  {
+    epoch = t.epochs;
+    events = batched;
+    iterations;
+    converged;
+    warm;
+    elapsed;
+    n_groups = Problem.n_groups t.problem;
+    n_flows;
+  }
 
 let ensure_fresh t =
   if t.pending > 0 || Problem.dirty t.problem then ignore (solve_epoch t)

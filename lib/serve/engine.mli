@@ -3,12 +3,12 @@
     One engine owns a delta-capable {!Nf_num.Problem} over a fixed link
     set (topology is chosen at startup; {e flows} churn), applies
     arrival/departure/capacity events, and re-solves in {e epochs}: all
-    events since the previous epoch are committed in one batch and xWI is
-    {e warm-started} from the previous epoch's converged prices via
-    [Xwi_core.resize] — near the old fixpoint this converges in a small
-    fraction of a cold start's iterations, which is the entire point of
-    an always-on service (the [churn] experiment and nfbench's
-    [serve_churn] workload quantify it).
+    events since the previous epoch are committed in one batch and
+    [Xwi_core.solve] {e warm-starts} xWI from the previous epoch's state
+    (its converged prices, or their Newton polish) — near the old
+    fixpoint this converges in a small fraction of a cold start's
+    iterations, which is the entire point of an always-on service (the
+    [churn] experiment and nfbench's [serve_churn] workload quantify it).
 
     The engine is what the socket server drives, what the tests exercise
     without any I/O, and what nfbench's [serve_churn] workload times. Wall-clock time-to-new-allocation is recorded per epoch
@@ -23,11 +23,12 @@ val create :
   caps:float array ->
   unit ->
   t
-(** An idle engine over the given link capacities. [tol] (default 1e-6)
-    and [max_iters] (default 50_000) bound each epoch's
-    [Xwi_core.run_until_kkt] (KKT-residual stopping — per-iteration
-    deltas stall at numerical noise near a warm fixpoint), which runs
-    with [Xwi_core.default_params]. *)
+(** An idle engine over the given link capacities. Each epoch is one
+    [Xwi_core.solve] of the previous epoch's state (none for the first
+    epoch, or after the problem emptied), checking the certificate at
+    every iteration; [tol] (default 1e-6) and [max_iters] (default
+    50_000) are its KKT-residual stopping bounds (per-iteration deltas
+    stall at numerical noise near a warm fixpoint). *)
 
 val problem : t -> Nf_num.Problem.t
 
@@ -64,8 +65,6 @@ val solve_epoch : t -> epoch
     epoch's prices whenever one exists; the first epoch (and any epoch
     after the problem emptied) is cold. An empty problem yields a
     trivial converged epoch of 0 iterations. *)
-
-val last_epoch : t -> epoch option
 
 val group_rate : t -> int -> float option
 (** Aggregate rate of the given gid in the current allocation. Solves

@@ -175,6 +175,27 @@ let is_number_byte = function
    digits with no leading zero (every id, count and epoch on the wire),
    is summed in an [int] instead: below 2^53 both conversions are exact,
    so the bits are the same, [-0] included. *)
+(* Whether [src.[start .. stop - 1]] is an RFC 8259 number:
+   [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?]. *)
+let is_json_number src start stop =
+  let i = ref start in
+  let at ch = !i < stop && Char.equal (String.unsafe_get src !i) ch in
+  let digits () =
+    let from = !i in
+    while !i < stop && is_digit (String.unsafe_get src !i) do
+      incr i
+    done;
+    !i > from
+  in
+  if at '-' then incr i;
+  (if at '0' then (incr i; true) else digits ())
+  && ((not (at '.')) || (incr i; digits ()))
+  && ((not (at 'e' || at 'E'))
+     || (incr i;
+         if at '+' || at '-' then incr i;
+         digits ()))
+  && !i = stop
+
 let parse_number c =
   let src = c.src and start = c.pos in
   let n = String.length src in
@@ -200,9 +221,9 @@ let parse_number c =
       advance c
     done;
     let span = String.sub src start (c.pos - start) in
-    match float_of_string_opt span with
-    | Some v -> Num v
-    | None -> fail start (Printf.sprintf "bad number %S" span)
+    if not (is_json_number src start c.pos) then
+      fail start (Printf.sprintf "bad number %S" span);
+    Num (float_of_string span)
   end
 
 let rec parse_value c =

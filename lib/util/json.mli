@@ -25,9 +25,9 @@ val parse : string -> (t, string) result
     whitespace) is an error. Errors read ["line L, column C: msg"]
     (1-based). [\uXXXX] escapes decode to UTF-8; a surrogate pair
     decodes to its one 4-byte scalar, and a lone surrogate is an
-    error. A number is the longest run of the bytes [0-9 + - . e E],
-    read to the bits [float_of_string] gives it; that also admits a few
-    spellings JSON does not, such as [01] and [1.]. *)
+    error. A number is the longest run of the bytes [0-9 + - . e E];
+    it must spell an RFC 8259 number (so [01], [1.], [-.5] and [1.e5]
+    are errors), and reads to the bits [float_of_string] gives it. *)
 
 val parse_file : string -> (t, string) result
 (** [parse] on a file's contents; the error names the file, and I/O

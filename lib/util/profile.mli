@@ -6,7 +6,7 @@
     turns it on for [--profile] and prints {!pp_table} after the run.
 
     The engine's event loop accounts each handler under its scheduling
-    category ([Nf_engine.Sim.schedule ~cat]); coarse-grained phases
+    category ([Nf_engine.Sim.schedule_cat ~cat]); coarse-grained phases
     (oracle solves, xWI runs) wrap themselves in {!time}.
 
     Categories are interned to integer {!cat} handles: hot paths intern

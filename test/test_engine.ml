@@ -7,12 +7,15 @@ let quick name f = Alcotest.test_case name `Quick f
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The profiling category of every event these tests schedule. *)
+let cat = Sim.cat "test"
+
 let test_time_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~at:3. (fun () -> log := 3 :: !log);
-  Sim.schedule sim ~at:1. (fun () -> log := 1 :: !log);
-  Sim.schedule sim ~at:2. (fun () -> log := 2 :: !log);
+  Sim.schedule_cat sim ~cat ~at:3. (fun () -> log := 3 :: !log);
+  Sim.schedule_cat sim ~cat ~at:1. (fun () -> log := 1 :: !log);
+  Sim.schedule_cat sim ~cat ~at:2. (fun () -> log := 2 :: !log);
   Sim.run sim;
   Alcotest.(check (list int)) "ordered" [ 1; 2; 3 ] (List.rev !log);
   Alcotest.(check (float 0.)) "clock at last event" 3. (Sim.now sim);
@@ -22,7 +25,7 @@ let test_fifo_ties () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    Sim.schedule sim ~at:1. (fun () -> log := i :: !log)
+    Sim.schedule_cat sim ~cat ~at:1. (fun () -> log := i :: !log)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4; 5 ]
@@ -31,38 +34,38 @@ let test_fifo_ties () =
 let test_schedule_from_handler () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~at:1. (fun () ->
+  Sim.schedule_cat sim ~cat ~at:1. (fun () ->
       log := "a" :: !log;
-      Sim.schedule_after sim ~delay:0.5 (fun () -> log := "b" :: !log));
+      Sim.schedule_after_cat sim ~cat ~delay:0.5 (fun () -> log := "b" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "nested scheduling" [ "a"; "b" ] (List.rev !log);
   Alcotest.(check (float 1e-12)) "clock" 1.5 (Sim.now sim)
 
 let test_past_rejected () =
   let sim = Sim.create () in
-  Sim.schedule sim ~at:2. (fun () ->
+  Sim.schedule_cat sim ~cat ~at:2. (fun () ->
       Alcotest.check_raises "past event names both times"
         (Invalid_argument "Sim.schedule: event in the past (at=1, now=2)")
-        (fun () -> Sim.schedule sim ~at:1. (fun () -> ())));
+        (fun () -> Sim.schedule_cat sim ~cat ~at:1. (fun () -> ())));
   Sim.run sim;
   let sim2 = Sim.create () in
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
-      Sim.schedule_after sim2 ~delay:(-1.) (fun () -> ()))
+      Sim.schedule_after_cat sim2 ~cat ~delay:(-1.) (fun () -> ()))
 
 let test_nan_rejected () =
   let sim = Sim.create () in
   Alcotest.check_raises "NaN time" (Invalid_argument "Sim.schedule: NaN time")
-    (fun () -> Sim.schedule sim ~at:Float.nan (fun () -> ()));
+    (fun () -> Sim.schedule_cat sim ~cat ~at:Float.nan (fun () -> ()));
   Alcotest.check_raises "NaN delay"
     (Invalid_argument "Sim.schedule_after: NaN delay") (fun () ->
-      Sim.schedule_after sim ~delay:Float.nan (fun () -> ()));
+      Sim.schedule_after_cat sim ~cat ~delay:Float.nan (fun () -> ()));
   Alcotest.(check int) "nothing queued" 0 (Sim.pending sim);
   (* A clock of +inf plus a delay of -inf is NaN too. *)
-  Sim.schedule sim ~at:infinity (fun () ->
+  Sim.schedule_cat sim ~cat ~at:infinity (fun () ->
       Alcotest.check_raises "NaN computed time"
         (Invalid_argument "Sim.schedule: NaN time") (fun () ->
-          Sim.schedule sim ~at:(Sim.now sim -. infinity) (fun () -> ())));
+          Sim.schedule_cat sim ~cat ~at:(Sim.now sim -. infinity) (fun () -> ())));
   Sim.run sim;
   Alcotest.(check int) "only the +inf event ran" 1 (Sim.events_processed sim)
 
@@ -73,10 +76,10 @@ let test_overflow_wins_ties () =
   let sim = Sim.create () in
   let log = ref [] in
   let at = 1e-3 in
-  Sim.schedule sim ~at (fun () -> log := "far" :: !log);
-  Sim.schedule sim ~at:(at -. 1e-6) (fun () ->
-      Sim.schedule sim ~at (fun () -> log := "near" :: !log);
-      Sim.schedule sim ~at:(at +. 1e-9) (fun () -> log := "after" :: !log));
+  Sim.schedule_cat sim ~cat ~at (fun () -> log := "far" :: !log);
+  Sim.schedule_cat sim ~cat ~at:(at -. 1e-6) (fun () ->
+      Sim.schedule_cat sim ~cat ~at (fun () -> log := "near" :: !log);
+      Sim.schedule_cat sim ~cat ~at:(at +. 1e-9) (fun () -> log := "after" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "scheduling order on the tie"
     [ "far"; "near"; "after" ] (List.rev !log)
@@ -84,18 +87,18 @@ let test_overflow_wins_ties () =
 let test_until_in_past_keeps_clock () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~at:3. (fun () -> ());
-  Sim.schedule sim ~at:5. (fun () -> log := 5. :: !log);
+  Sim.schedule_cat sim ~cat ~at:3. (fun () -> ());
+  Sim.schedule_cat sim ~cat ~at:5. (fun () -> log := 5. :: !log);
   Sim.run ~until:4. sim;
   Sim.run ~until:2. sim;
   Alcotest.(check (float 0.)) "clock does not move back" 4. (Sim.now sim);
-  Sim.schedule sim ~at:4. (fun () -> log := 4. :: !log);
+  Sim.schedule_cat sim ~cat ~at:4. (fun () -> log := 4. :: !log);
   Sim.run sim;
   Alcotest.(check (list (float 0.))) "order after resuming" [ 4.; 5. ]
     (List.rev !log)
 
 (* Handlers are accounted under their scheduling category when profiling
-   is on; unlabeled events fall into the "event" bucket. *)
+   is on. *)
 let test_profile_categories () =
   let module Profile = Nf_util.Profile in
   Profile.reset ();
@@ -106,10 +109,10 @@ let test_profile_categories () =
       Profile.reset ())
     (fun () ->
       let sim = Sim.create () in
-      Sim.schedule sim ~at:1. ~cat:"alpha" (fun () -> ());
-      Sim.schedule sim ~at:2. ~cat:"alpha" (fun () -> ());
-      Sim.schedule sim ~at:3. ~cat:"beta" (fun () -> ());
-      Sim.schedule sim ~at:4. (fun () -> ());
+      let alpha = Sim.cat "alpha" and beta = Sim.cat "beta" in
+      Sim.schedule_cat sim ~cat:alpha ~at:1. (fun () -> ());
+      Sim.schedule_cat sim ~cat:alpha ~at:2. (fun () -> ());
+      Sim.schedule_cat sim ~cat:beta ~at:3. (fun () -> ());
       Sim.run sim;
       let calls c =
         match
@@ -119,14 +122,13 @@ let test_profile_categories () =
         | None -> 0
       in
       Alcotest.(check int) "alpha handlers" 2 (calls "alpha");
-      Alcotest.(check int) "beta handler" 1 (calls "beta");
-      Alcotest.(check int) "default category" 1 (calls "event"))
+      Alcotest.(check int) "beta handler" 1 (calls "beta"))
 
 let test_until_horizon () =
   let sim = Sim.create () in
   let fired = ref [] in
   List.iter
-    (fun t -> Sim.schedule sim ~at:t (fun () -> fired := t :: !fired))
+    (fun t -> Sim.schedule_cat sim ~cat ~at:t (fun () -> fired := t :: !fired))
     [ 1.; 2.; 3.; 4. ];
   Sim.run ~until:2.5 sim;
   Alcotest.(check (list (float 0.))) "fired up to horizon" [ 1.; 2. ]
@@ -139,7 +141,7 @@ let test_until_horizon () =
 let test_until_inclusive () =
   let sim = Sim.create () in
   let fired = ref false in
-  Sim.schedule sim ~at:2. (fun () -> fired := true);
+  Sim.schedule_cat sim ~cat ~at:2. (fun () -> fired := true);
   Sim.run ~until:2. sim;
   Alcotest.(check bool) "event exactly at the horizon fires" true !fired
 
@@ -147,7 +149,7 @@ let test_stop () =
   let sim = Sim.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    Sim.schedule sim ~at:(float_of_int i) (fun () ->
+    Sim.schedule_cat sim ~cat ~at:(float_of_int i) (fun () ->
         incr count;
         if !count = 3 then Sim.stop sim)
   done;
@@ -158,7 +160,7 @@ let test_stop () =
 let test_periodic () =
   let sim = Sim.create () in
   let stamps = ref [] in
-  Sim.periodic sim ~interval:1. (fun () -> stamps := Sim.now sim :: !stamps);
+  Sim.periodic_cat sim ~cat ~interval:1. (fun () -> stamps := Sim.now sim :: !stamps);
   Sim.run ~until:4.5 sim;
   Alcotest.(check (list (float 1e-12))) "periodic stamps" [ 1.; 2.; 3.; 4. ]
     (List.rev !stamps)
@@ -166,7 +168,7 @@ let test_periodic () =
 let test_periodic_start () =
   let sim = Sim.create () in
   let stamps = ref [] in
-  Sim.periodic sim ~start:0.25 ~interval:0.5 (fun () ->
+  Sim.periodic_cat sim ~cat ~start:0.25 ~interval:0.5 (fun () ->
       stamps := Sim.now sim :: !stamps);
   Sim.run ~until:1.6 sim;
   Alcotest.(check (list (float 1e-12))) "custom start" [ 0.25; 0.75; 1.25 ]
@@ -183,7 +185,9 @@ let prop_events_fire_in_order =
     (fun times ->
       let sim = Sim.create () in
       let fired = ref [] in
-      List.iter (fun t -> Sim.schedule sim ~at:t (fun () -> fired := t :: !fired)) times;
+      List.iter
+        (fun t -> Sim.schedule_cat sim ~cat ~at:t (fun () -> fired := t :: !fired))
+        times;
       Sim.run sim;
       let fired = List.rev !fired in
       fired = List.stable_sort compare times)
@@ -256,7 +260,7 @@ let run_engine script =
   let rec add n =
     let id = !next_id in
     incr next_id;
-    Sim.schedule sim ~at:(Sim.now sim +. n.off) (fun () ->
+    Sim.schedule_cat sim ~cat ~at:(Sim.now sim +. n.off) (fun () ->
         log := (id, Sim.now sim) :: !log;
         List.iter add n.kids)
   in

@@ -767,21 +767,21 @@ let test_kkt_check_into_validates () =
 
 (* [Xwi.run_until_kkt]'s stopping rule without the witness: a full check
    at every check point. The oracle the witness-first loop must match
-   exactly; returns (iterations, converged, final worst residual). *)
+   exactly; returns (iterations, converged, final report). *)
 let run_until_kkt_oracle ~tol ~check_every ~max_iters p state =
-  let iter = ref 0 and worst = ref infinity and checking = ref true in
-  while !checking do
-    worst := Kkt.worst (Kkt.check p ~rates:state.Xwi.rates ~prices:state.Xwi.prices);
-    if !worst <= tol || !iter >= max_iters then checking := false
+  let rec go iter =
+    let report = Kkt.check p ~rates:state.Xwi.rates ~prices:state.Xwi.prices in
+    if Kkt.worst report <= tol || iter >= max_iters then
+      (iter, Kkt.worst report <= tol, report)
     else begin
-      let chunk = min check_every (max_iters - !iter) in
+      let chunk = min check_every (max_iters - iter) in
       for _ = 1 to chunk do
         Xwi.step p Xwi.default_params state
       done;
-      iter := !iter + chunk
+      go (iter + chunk)
     end
-  done;
-  (!iter, !worst <= tol, !worst)
+  in
+  go 0
 
 let full_checks =
   Nf_util.Metrics.counter Nf_util.Metrics.global "nf_xwi_kkt_full_checks_total"
@@ -791,19 +791,20 @@ let full_checks =
 let oracle_checks = ref 0 and witness_full_checks = ref 0
 
 (* Runs [Xwi.run_until_kkt] and the oracle from bit-identical states and
-   requires the same iterations, [converged], final residual (the one a
-   capped run reports on its [XwiNonconverged] trace event) and rate and
-   price bits. [perturb] edits both start states the same way. Returns
-   the run and its final state. *)
+   requires the same iterations, [converged], final report (the run's
+   [kkt], field by field), final residual (the one a capped run reports
+   on its [XwiNonconverged] trace event) and rate and price bits.
+   [perturb] edits both start states the same way. Returns the run and
+   its final state. *)
 let witness_matches_oracle what p ~tol ~check_every ~max_iters ~perturb =
   let fresh () =
     let st = Xwi.init p in
-    Xwi.set_diag st None;
+    st.Xwi.diag <- None;
     perturb st;
     st
   in
   let oracle_state = fresh () and state = fresh () in
-  let iterations, converged, worst =
+  let iterations, converged, report =
     run_until_kkt_oracle ~tol ~check_every ~max_iters p oracle_state
   in
   let sink = Nf_util.Trace.make ~kinds:[ Nf_util.Trace.XwiNonconverged ] () in
@@ -821,9 +822,19 @@ let witness_matches_oracle what p ~tol ~check_every ~max_iters ~perturb =
     !witness_full_checks + Nf_util.Metrics.counter_value full_checks - full_before;
   Alcotest.(check int) (what ^ ": iterations") iterations run.Xwi.iterations;
   Alcotest.(check bool) (what ^ ": converged") converged run.Xwi.converged;
+  let kkt = run.Xwi.kkt in
+  check_bits (what ^ ": kkt stationarity") report.Kkt.stationarity
+    kkt.Kkt.stationarity;
+  check_bits (what ^ ": kkt unused direction") report.Kkt.unused_direction
+    kkt.Kkt.unused_direction;
+  check_bits (what ^ ": kkt feasibility") report.Kkt.feasibility
+    kkt.Kkt.feasibility;
+  check_bits (what ^ ": kkt slackness") report.Kkt.slackness kkt.Kkt.slackness;
   (match Nf_util.Trace.events sink with
   | [] -> Alcotest.(check bool) (what ^ ": no capped-run event") true converged
-  | [ e ] -> check_bits (what ^ ": reported residual") worst e.Nf_util.Trace.value
+  | [ e ] ->
+    check_bits (what ^ ": reported residual") (Kkt.worst report)
+      e.Nf_util.Trace.value
   | _ -> Alcotest.fail (what ^ ": more than one capped-run event"));
   let same name a b =
     Array.iteri (fun i x -> check_bits (Printf.sprintf "%s: %s %d" what name i) x b.(i)) a
@@ -2020,7 +2031,7 @@ let test_diag_observe_and_report () =
   let p = diag_problem () in
   let state = Xwi.init p in
   let d = Diag.create ~capacity:8 ~n_links:2 ~n_flows:3 () in
-  Xwi.set_diag state (Some d);
+  state.Xwi.diag <- Some d;
   let run = Xwi.run_until_kkt ~tol:1e-10 ~check_every:1 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   Alcotest.(check int) "every iteration observed" run.Xwi.iterations
@@ -2092,7 +2103,7 @@ let test_diag_postmortem_on_nonconvergence () =
       let p = diag_problem () in
       let state = Xwi.init p in
       Alcotest.(check bool) "diag auto-attached under config" true
-        (match Xwi.diag state with Some _ -> true | None -> false);
+        (Option.is_some state.Xwi.diag);
       let run = Xwi.run_until_kkt ~max_iters:3 p Xwi.default_params state in
       Alcotest.(check bool) "capped run did not converge" false
         run.Xwi.converged;
