@@ -354,7 +354,7 @@ let churn_problem () =
    charges these kernels only their bytes beyond those of the same churn
    on an identical problem without the resize. Returns the thunk and the
    bytes a resize owes on 64-bit: the new state, that is its record
-   (seven fields) and its three public arrays (prices per link, rates and
+   (six fields) and its three public arrays (prices per link, rates and
    weights per flow), each with its header, and nothing more when it
    polishes: the polish writes into the handed-down scratch, and the
    carried water-fill it may ask for is a closed top-level function, no
@@ -370,7 +370,7 @@ let resize_kernel ~polish =
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);
   let words =
-    8 + (Nf_num.Problem.n_links problem + 1) + (2 * (Nf_num.Problem.n_flows problem + 1))
+    7 + (Nf_num.Problem.n_links problem + 1) + (2 * (Nf_num.Problem.n_flows problem + 1))
   in
   ( (fun () ->
       churn ();

@@ -2,9 +2,9 @@ module Xwi_core = Nf_num.Xwi_core
 module Trace = Nf_util.Trace
 
 let make_with_prices ?(params = Xwi_core.default_params)
-    ?(interval = Nf_num.Price_law.xwi_interval) ?pool problem =
+    ?(interval = Nf_num.Price_law.xwi_interval) problem =
   let problem = ref problem in
-  let state = ref (Xwi_core.init ?pool !problem) in
+  let state = ref (Xwi_core.init !problem) in
   let iter = ref 0 in
   let step () =
     Xwi_core.step !problem params !state;
@@ -20,7 +20,7 @@ let make_with_prices ?(params = Xwi_core.default_params)
   let rebind p =
     (* The carried start, never the polish: the scheme's own iterations
        from the old prices are what the experiments measure. *)
-    state := Xwi_core.resize ?pool ~polish:false p !state;
+    state := Xwi_core.resize ~polish:false p !state;
     problem := p
   in
   let scheme =
@@ -36,5 +36,5 @@ let make_with_prices ?(params = Xwi_core.default_params)
   in
   (scheme, fun () -> Array.copy !state.Xwi_core.prices)
 
-let make ?params ?interval ?pool problem =
-  fst (make_with_prices ?params ?interval ?pool problem)
+let make ?params ?interval problem =
+  fst (make_with_prices ?params ?interval problem)

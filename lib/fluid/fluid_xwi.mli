@@ -12,21 +12,16 @@
 val make :
   ?params:Nf_num.Xwi_core.params ->
   ?interval:float ->
-  ?pool:Nf_util.Shard.t ->
   Nf_num.Problem.t ->
   Scheme.t
 (** Each round emits an [XwiIter] trace event (time = round × interval)
-    to {!Nf_util.Trace.default} (resolved at emission time). [pool]
-    shards the per-link price update across the pool's domains
-    (borrowed, caller-owned; results byte-identical for every job count)
-    and is carried across {!Scheme.t} rebinds. Per-iteration solver
-    diagnostics attach through the process-wide
+    to {!Nf_util.Trace.default} (resolved at emission time).
+    Per-iteration solver diagnostics attach through the process-wide
     {!Nf_num.Diag.configure}. *)
 
 val make_with_prices :
   ?params:Nf_num.Xwi_core.params ->
   ?interval:float ->
-  ?pool:Nf_util.Shard.t ->
   Nf_num.Problem.t ->
   Scheme.t * (unit -> float array)
 (** Like {!make} but also returns an accessor for a snapshot of the

@@ -3,8 +3,8 @@ module Trace = Nf_util.Trace
 
 (* Opt-in per-iteration solver instrumentation. A [t] is attached to one
    [Xwi_core.state]; the solver snapshots prices/rates before each step
-   ([begin_iter]) and hands the post-step arrays plus the water-fill and
-   shard statistics to [observe], which derives residual norms, keeps a
+   ([begin_iter]) and hands the post-step arrays plus the water-fill
+   statistics to [observe], which derives residual norms, keeps a
    ring of the last K iteration samples, tracks first-iteration-to-ε, and
    emits [XwiResidual] trace events. Everything here is off the hot path
    by construction: a state without a diag pays one [match] per step. *)
@@ -19,8 +19,6 @@ type sample = {
   s_wf_rounds : int;  (* water-fill rounds (Maxmin.sparse_rounds) *)
   s_wf_level : float;  (* final fair-share fill level *)
   s_wf_saturated : int;  (* saturated (bottleneck) links this solve *)
-  s_shard_max : float;  (* slowest price-update chunk, seconds *)
-  s_shard_mean : float;  (* mean price-update chunk, seconds *)
 }
 
 let dummy_sample =
@@ -34,14 +32,9 @@ let dummy_sample =
     s_wf_rounds = 0;
     s_wf_level = 0.;
     s_wf_saturated = 0;
-    s_shard_max = 0.;
-    s_shard_mean = 0.;
   }
 
 let default_eps = [| 1e-2; 1e-4; 1e-6; 1e-8; 1e-10 |]
-
-(* Sized for any realistic pool; [observe] clamps the chunk count. *)
-let max_shard_chunks = 64
 
 type t = {
   n_links : int;
@@ -56,7 +49,6 @@ type t = {
   prev_prices : float array;  (* pre-step snapshots, filled by [begin_iter] *)
   prev_rates : float array;
   link_delta : float array;  (* |Δ price| per link, last observed iteration *)
-  shard_times : float array;  (* per-chunk seconds, written via Shard ?timings *)
   trace : Trace.t option;  (* None = resolve Trace.default at emission *)
 }
 
@@ -75,11 +67,8 @@ let create ?(capacity = 64) ?(eps = default_eps) ?trace ~n_links ~n_flows () =
     prev_prices = Array.make n_links 0.;
     prev_rates = Array.make n_flows 0.;
     link_delta = Array.make n_links 0.;
-    shard_times = Array.make max_shard_chunks 0.;
     trace;
   }
-
-let shard_timings t = t.shard_times
 
 let iterations t = t.iters
 
@@ -98,7 +87,7 @@ let push t s =
     t.len <- t.len + 1
   end
 
-let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated ~shard_chunks =
+let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated =
   let price_delta = ref 0.
   and worst = ref (-1)
   and l2 = ref 0.
@@ -123,14 +112,6 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated ~shard_chunks =
     let r = d /. scale in
     if r > !residual then residual := r
   done;
-  let chunks = Stdlib.min shard_chunks (Array.length t.shard_times) in
-  let smax = ref 0.
-  and ssum = ref 0. in
-  for k = 0 to chunks - 1 do
-    let v = t.shard_times.(k) in
-    if v > !smax then smax := v;
-    ssum := !ssum +. v
-  done;
   t.iters <- t.iters + 1;
   let iter = t.iters in
   let residual = !residual in
@@ -149,8 +130,6 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated ~shard_chunks =
       s_wf_rounds = wf_rounds;
       s_wf_level = wf_level;
       s_wf_saturated = wf_saturated;
-      s_shard_max = !smax;
-      s_shard_mean = (if chunks > 0 then !ssum /. float_of_int chunks else 0.);
     };
   let tr = match t.trace with Some tr -> tr | None -> Trace.default () in
   if Trace.on tr Trace.XwiResidual then
@@ -224,8 +203,6 @@ let sample_json s =
       ("waterfill_rounds", int_num s.s_wf_rounds);
       ("waterfill_level", Json.Num s.s_wf_level);
       ("saturated_links", int_num s.s_wf_saturated);
-      ("shard_max", Json.Num s.s_shard_max);
-      ("shard_mean", Json.Num s.s_shard_mean);
     ]
 
 (* The postmortem as JSONL: a [meta] line ([final_residual], e.g. the

@@ -11,8 +11,7 @@
       plus the l∞/l2 price deltas and the
       worst-residual link), active-link counts, the water-fill round
       count / fill level / saturated-link count from
-      {!Maxmin.sparse_workspace}, and per-shard chunk timings from
-      {!Nf_util.Shard.run}'s [?timings],
+      {!Maxmin.sparse_workspace},
     - keeps the last K iterations in a ring, tracks the
       iterations-to-ε ladder, and emits an [XwiResidual]
       {!Nf_util.Trace} event.
@@ -33,8 +32,6 @@ type sample = {
   s_wf_rounds : int;  (** water-fill rounds of this step's max-min solve *)
   s_wf_level : float;  (** final fair-share fill level *)
   s_wf_saturated : int;  (** saturated (bottleneck) links this solve *)
-  s_shard_max : float;  (** slowest price-update chunk, seconds *)
-  s_shard_mean : float;  (** mean price-update chunk, seconds *)
 }
 
 type t
@@ -64,14 +61,9 @@ val observe :
   wf_rounds:int ->
   wf_level:float ->
   wf_saturated:int ->
-  shard_chunks:int ->
   unit
 (** Record one completed iteration: post-step [prices]/[rates] are
-    compared against the {!begin_iter} snapshots; [shard_chunks] chunk
-    timings are read from {!shard_timings}. *)
-
-val shard_timings : t -> float array
-(** The scratch array to pass as {!Nf_util.Shard.run}'s [?timings]. *)
+    compared against the {!begin_iter} snapshots. *)
 
 val iterations : t -> int
 (** Iterations observed over the instance's lifetime. *)

@@ -135,7 +135,6 @@ type state = {
   prices : float array;
   rates : float array;
   weights : float array;
-  mutable pool : Nf_util.Shard.t option;
   mutable diag : Diag.t option;
   buffers : buffers;
   problem_gen : int;
@@ -338,9 +337,7 @@ let port_update params p =
 
 (* Eqs. 9-11 for links [lo, hi): the per-link work reads only flow-level
    inputs (rates, residuals, loads) and its own old price, and writes only
-   [prices.(l)], so updating in place is the synchronized update and the
-   results are independent of how the range is chunked — the property the
-   [Shard]-parallel dispatch depends on for [-j N] byte-identity. *)
+   [prices.(l)], so updating in place is the synchronized update. *)
 let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
   let col_ptr = inc.Incidence.col_ptr
   and col_rows = inc.Incidence.col_rows
@@ -397,22 +394,10 @@ let allocate (inc : Incidence.t) state =
   Maxmin.solve_sparse bufs.b_maxmin_sparse inc ~weights:state.weights
     ~rates:state.rates
 
-(* Not [@nf.hot]: the sharded dispatch allocates one closure per call,
-   which is deliberate — the tight loops above are the hot bodies. *)
-let price_update (inc : Incidence.t) params state =
+let[@nf.hot] price_update (inc : Incidence.t) params state =
   Incidence.link_loads_into inc ~rates:state.rates ~out:state.buffers.b_loads;
   residuals inc state;
-  match state.pool with
-  | None -> price_links_range params inc state 0 inc.Incidence.n_links
-  | Some pool -> (
-    match state.diag with
-    | None ->
-      Nf_util.Shard.run pool ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc state lo hi)
-    | Some d ->
-      Nf_util.Shard.run ~timings:(Diag.shard_timings d) pool
-        ~n:inc.Incidence.n_links (fun lo hi ->
-          price_links_range params inc state lo hi))
+  price_links_range params inc state 0 inc.Incidence.n_links
 
 (* Auto-attach diagnostics when the process-wide [--diag] config is
    active; otherwise states start undiagnosed (setting [diag] can attach
@@ -422,33 +407,32 @@ let attach_diag problem =
     ~n_flows:(Problem.n_flows problem)
 
 (* A state that owns [buffers] from now on. *)
-let make_state ?pool ~buffers problem ~prices ~rates =
+let make_state ~buffers problem ~prices ~rates =
   buffers.b_prices <- prices;
   {
     prices;
     rates;
     weights = Array.make (Problem.n_flows problem) 1.;
-    pool;
     diag = attach_diag problem;
     buffers;
     problem_gen = Problem.generation problem;
   }
 
-let init ?pool problem =
+let init problem =
   let rates, prices = seed problem in
-  make_state ?pool ~buffers:(make_buffers problem) problem ~prices ~rates
+  make_state ~buffers:(make_buffers problem) problem ~prices ~rates
 
 (* A state at a copy of the given prices whose rates [allocate] has yet
    to fill: the equal-weight allocation, which only multipath groups read
    (their §6.3 split); when every group is a singleton the water-fill
    overwrites the rates unread, so the equal-weight solve is skipped. *)
-let at_prices ?pool ~buffers problem ~prices =
+let at_prices ~buffers problem ~prices =
   let inc = Problem.incidence problem in
   let rates =
     if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
     else equal_weight_rates buffers.b_maxmin_sparse problem
   in
-  make_state ?pool ~buffers problem ~prices:(Array.copy prices) ~rates
+  make_state ~buffers problem ~prices:(Array.copy prices) ~rates
 
 (* The carried start's rates, for [Newton_polish.solve]: the Eq. 7
    weights at the state's (carried) prices and their water-fill. Top
@@ -484,15 +468,14 @@ let consumed state = state.buffers.b_prices != state.prices
    leaf-spine) the carried start alone needs a median of about 105 xWI
    iterations to re-certify an epoch, and the polished start certifies
    all but about 1 in 15,000 epochs at iteration 0. *)
-let resize ?pool ?(polish = true) problem state =
+let resize ?(polish = true) problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";
   if consumed state then
     invalid_arg "Xwi_core.resize: state already consumed by a resize";
-  let pool = match pool with Some _ as p -> p | None -> state.pool in
   let buffers = state.buffers in
   refresh_buffers buffers problem;
-  let state = at_prices ?pool ~buffers problem ~prices:state.prices in
+  let state = at_prices ~buffers problem ~prices:state.prices in
   if polish && Newton_polish.eligible problem then polish_start problem state
   else allocate (Problem.incidence problem) state;
   if polish then
@@ -504,8 +487,7 @@ let polished state = state.buffers.b_polished
 
 (* One iteration, in place on the state's arrays (so live views such as
    [Fluid_xwi.rates_view] stay valid): path prices once, weights, max-min
-   rates, the (possibly domain-sharded) price update. Steady-state
-   stepping allocates nothing beyond the sharding dispatch closure. *)
+   rates, the price update. Steady-state stepping allocates nothing. *)
 let step problem params state =
   if consumed state then
     invalid_arg "Xwi_core.step: state consumed by Xwi_core.resize";
@@ -522,16 +504,10 @@ let step problem params state =
   | None -> ()
   | Some d ->
     let ws = state.buffers.b_maxmin_sparse in
-    let shard_chunks =
-      match state.pool with
-      | None -> 0
-      | Some pool -> Nf_util.Shard.jobs pool
-    in
     Diag.observe d ~prices:state.prices ~rates:state.rates
       ~wf_rounds:(Maxmin.sparse_rounds ws)
       ~wf_level:(Maxmin.sparse_level ws)
       ~wf_saturated:(Maxmin.sparse_saturated_links ws)
-      ~shard_chunks
 
 type run = { iterations : int; converged : bool; kkt : Kkt.report }
 

@@ -39,12 +39,9 @@ type state = {
   prices : float array;  (** per link *)
   rates : float array;  (** per flow; last max-min allocation *)
   weights : float array;  (** per flow; last Eq. 7 weights *)
-  mutable pool : Nf_util.Shard.t option;
-      (** when set, {!step}'s per-link price update is sharded across the
-          pool's domains; results are byte-identical for every job count *)
   mutable diag : Diag.t option;
       (** when set, every {!step} records a {!Diag} iteration sample
-          (residual norms, water-fill stats, shard timings) and a capped
+          (residual norms, water-fill stats) and a capped
           run dumps a postmortem; [None] costs one [match] per step *)
   buffers : buffers;
   problem_gen : int;
@@ -60,12 +57,12 @@ val seed : Problem.t -> float array * float array
     weight computation is well-scaled. Every solver that starts from the
     xWI seed ({!init}, [Oracle.solve_dual], [Fluid_dgd]) calls this. *)
 
-val init : ?pool:Nf_util.Shard.t -> Problem.t -> state
+val init : Problem.t -> state
 (** Initial state at the {!seed}: its prices, rates at its allocation.
     When a process-wide {!Diag.configure}d config is active (the CLI's
     [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
 
-val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> state
+val resize : ?polish:bool -> Problem.t -> state -> state
 (** Warm restart after a {!Problem} delta (flow arrivals/departures), or
     on any problem over the same links: a fresh state for the problem's
     current snapshot that starts from the old state's per-link prices —
@@ -102,8 +99,8 @@ val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> stat
     Each call that asks for a polish increments
     [nf_xwi_polished_starts_total] or [nf_xwi_carried_starts_total]; a
     [~polish:false] call increments neither. {!polished} tells which
-    start a state got. The pool defaults to the old state's; diagnostics
-    re-attach per the process-wide config.
+    start a state got. Diagnostics re-attach per the process-wide
+    config.
 
     [resize] {e consumes} the old state: its scratch (the link-sized
     arrays, the water-fill workspace, the polish workspace, and the
@@ -113,7 +110,7 @@ val resize : ?pool:Nf_util.Shard.t -> ?polish:bool -> Problem.t -> state -> stat
     old state's own [prices], [rates] and [weights] stay as they were and
     stay readable, but {!step} (so also the run functions) and [resize]
     raise on it. Deterministic: the result depends only on the problem
-    and the old state's prices and pool, bit for bit, not on what its
+    and the old state's prices, bit for bit, not on what its
     scratch served before.
     @raise Invalid_argument if the link count changed, or if the state
     was already consumed by a [resize]. *)
@@ -128,8 +125,8 @@ val step : Problem.t -> params -> state -> unit
     (computed once), Eq. 7 weights (with the §6.3 multipath split; all
     strictly positive), max-min rates, Eqs. 9–11 price update. The
     kernels run directly on the state's [prices], [rates] and [weights],
-    in place — steady-state stepping performs no heap allocation beyond
-    the sharding dispatch. The capacities are {!Problem.caps} itself, so
+    in place — steady-state stepping performs no heap allocation. The
+    capacities are {!Problem.caps} itself, so
     a capacity change between steps is seen by the next one.
     @raise Invalid_argument if {!resize} consumed the state, or the
     problem's {!Problem.generation} moved on since the state was built. *)

@@ -4,9 +4,15 @@ module Trace = Nf_util.Trace
 
 type addr = Tcp of int | Unix_sock of string
 
+(* The longest request line the server buffers: a client that sends
+   more without a newline gets an error reply and is closed, so one peer
+   cannot grow the receive buffer without bound. *)
+let max_line = 1 lsl 20
+
 type client = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* bytes received, not yet split into lines *)
+  mutable scanned : int;  (* bytes of [buf] known to hold no newline *)
   mutable subscribed : bool;
   mutable closing : bool;
 }
@@ -182,23 +188,51 @@ let exec t c line =
 
 let is_http_line line = String.length line >= 4 && String.equal (String.sub line 0 4) "GET "
 
+let rec index_newline buf i =
+  if i >= Buffer.length buf then None
+  else if Char.equal (Buffer.nth buf i) '\n' then Some i
+  else index_newline buf (i + 1)
+
+let reject_long_line c =
+  send c (Protocol.error (Printf.sprintf "request line exceeds %d bytes" max_line));
+  c.closing <- true
+
+(* Split complete lines off the front of the receive buffer. The search
+   for a newline resumes where the last read's search stopped, and the
+   partial line left over is moved to the front only when a line was
+   consumed, so a line arriving in many reads costs time linear in its
+   length. *)
 let process_buffer t c =
-  (* Split complete lines off the front of the receive buffer. *)
-  let data = Buffer.contents c.buf in
   let rec loop start =
-    if c.closing then Buffer.clear c.buf
+    if c.closing then begin
+      Buffer.clear c.buf;
+      c.scanned <- 0
+    end
     else
-      match String.index_from_opt data start '\n' with
+      match index_newline c.buf (Int.max start c.scanned) with
       | None ->
-        Buffer.clear c.buf;
-        Buffer.add_substring c.buf data start (String.length data - start)
+        let pending = Buffer.length c.buf - start in
+        if pending > max_line then begin
+          reject_long_line c;
+          loop start
+        end
+        else begin
+          if start > 0 then begin
+            let rest = Buffer.sub c.buf start pending in
+            Buffer.clear c.buf;
+            Buffer.add_string c.buf rest
+          end;
+          c.scanned <- pending
+        end
+      | Some nl when nl - start > max_line ->
+        reject_long_line c;
+        loop start
       | Some nl ->
-        let line =
-          let raw = String.sub data start (nl - start) in
-          if String.length raw > 0 && Char.equal raw.[String.length raw - 1] '\r'
-          then String.sub raw 0 (String.length raw - 1)
-          else raw
+        let stop =
+          if nl > start && Char.equal (Buffer.nth c.buf (nl - 1)) '\r' then nl - 1
+          else nl
         in
+        let line = Buffer.sub c.buf start (stop - start) in
         if is_http_line line then serve_http c line
         else if String.length line > 0 then exec t c line;
         loop (nl + 1)
@@ -258,7 +292,9 @@ let close_client t c =
 let accept_client t =
   match Unix.accept t.listen_fd with
   | fd, _ ->
-    let c = { fd; buf = Buffer.create 256; subscribed = false; closing = false } in
+    let c =
+      { fd; buf = Buffer.create 256; scanned = 0; subscribed = false; closing = false }
+    in
     t.clients <- t.clients @ [ c ]
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()

@@ -9,7 +9,10 @@
     process-wide sink to them. A client whose first line is an HTTP
     [GET] is served the Prometheus exposition of
     [Nf_util.Metrics.global] ([/metrics] or [/]) and closed, so the same
-    port is both the command socket and the scrape endpoint. *)
+    port is both the command socket and the scrape endpoint.
+
+    A request line may be at most 1 MiB long: a client that sends more
+    without a newline gets a {!Protocol.error} reply and is closed. *)
 
 type addr =
   | Tcp of int  (** loopback TCP; port 0 binds an ephemeral port *)

@@ -79,30 +79,10 @@ let json t =
   let channels = List.map (fun c -> (channel_name c, channel c)) all_channels in
   Json.Obj [ ("channels", Json.Obj channels) ]
 
-let to_json t = Json.to_string (json t)
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "channel,subject,time,value\n";
-  List.iter
-    (fun channel ->
-      List.iter
-        (fun subject ->
-          let ts = series t channel ~subject in
-          List.iter
-            (fun (time, v) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s,%d,%.17g,%.17g\n" (channel_name channel)
-                   subject time v))
-            (Timeseries.to_list ts))
-        (subjects t channel))
-    all_channels;
-  Buffer.contents buf
-
 let write_file ~path contents =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_json t ~path = write_file ~path (to_json t)
+let write_json t ~path = write_file ~path (Json.to_string (json t))

@@ -6,7 +6,7 @@
     per {e subject} (a link id or a flow id). The network layer writes
     into the record as the simulation runs; experiments, the CLI
     ([nf_run exp NAME --record out.json]) read it
-    back uniformly, and it can be exported as JSON or CSV. *)
+    back uniformly, and it exports as JSON. *)
 
 type channel =
   | Queue  (** per-link queue occupancy, bytes *)
@@ -41,11 +41,5 @@ val fct : t -> int -> float option
 val json : t -> Nf_util.Json.t
 (** [{"channels":{"queue":[{"subject":3,"samples":[[t,v],...]},...],...}}]
     — every channel appears, empty ones as [[]]. *)
-
-val to_json : t -> string
-(** [Nf_util.Json.to_string (json t)]. *)
-
-val to_csv : t -> string
-(** One row per sample: [channel,subject,time,value]. *)
 
 val write_json : t -> path:string -> unit

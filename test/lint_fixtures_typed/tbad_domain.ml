@@ -1,8 +1,8 @@
 (* domain-safety bad cases: captured mutable state written inside
    parallel closures. Expected findings, in order:
-   - captured ref incremented in a Shard.run task
-   - captured Hashtbl mutated in a Shard.run task
-   - captured array written at a constant index in a Shard.run task
+   - captured ref incremented in a Domain.spawn loop
+   - captured Hashtbl mutated in a Domain.spawn loop
+   - captured array written at a constant index in a Domain.spawn loop
    - captured ref assigned in a Domain.spawn closure
    - mutable field of a captured record written in a Domain.spawn
      closure *)
@@ -13,9 +13,9 @@ let tbl : (int, int) Hashtbl.t = Hashtbl.create 8
 
 let out = Array.make 4 0.0
 
-let run_shard (pool : Nf_util.Shard.t) =
-  Nf_util.Shard.run pool ~n:4 (fun lo hi ->
-      for i = lo to hi - 1 do
+let spawn_loop () =
+  Stdlib.Domain.spawn (fun () ->
+      for i = 0 to 3 do
         counter := !counter + i;
         Hashtbl.replace tbl i i;
         Array.unsafe_set out 0 1.0

@@ -1,15 +1,16 @@
 (* domain-safety good cases: every shape the rule must accept.
    - closure-local ref (bound inside the task)
-   - captured output buffer written at a chunk-local index
+   - captured output buffer written at a chunk-local index (the task's
+     own loop variable)
    - Atomic as the sanctioned cross-domain cell
    - mutex-guarded write via Mutex.protect *)
 
 let out = Array.make 16 0.0
 
-let run_shard (pool : Nf_util.Shard.t) =
-  Nf_util.Shard.run pool ~n:16 (fun lo hi ->
+let spawn_chunk () =
+  Stdlib.Domain.spawn (fun () ->
       let acc = ref 0.0 in
-      for i = lo to hi - 1 do
+      for i = 0 to 15 do
         acc := !acc +. 1.0;
         Array.unsafe_set out i !acc
       done)

@@ -74,31 +74,6 @@ let test_xwi_rebind_preserves_prices () =
     (fun i b -> check_close ~rel:1e-9 "price preserved" b after.(i))
     before
 
-let test_xwi_scheme_pooled_identical () =
-  (* A domain pool threaded through the scheme must not change a single
-     bit of the allocation, including across a rebind. *)
-  let sequential = Nf_fluid.Fluid_xwi.make (parking_lot_problem ()) in
-  Nf_util.Shard.with_pool ~jobs:3 (fun pool ->
-      let pooled = Nf_fluid.Fluid_xwi.make ~pool (parking_lot_problem ()) in
-      let rs = settle sequential 100 and rp = settle pooled 100 in
-      Array.iteri
-        (fun i a ->
-          Alcotest.(check bool)
-            (Printf.sprintf "rate %d bit-identical" i)
-            true
-            (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float rp.(i))))
-        rs;
-      sequential.Scheme.rebind (parking_lot_problem ());
-      pooled.Scheme.rebind (parking_lot_problem ());
-      let rs = settle sequential 10 and rp = settle pooled 10 in
-      Array.iteri
-        (fun i a ->
-          Alcotest.(check bool)
-            (Printf.sprintf "post-rebind rate %d bit-identical" i)
-            true
-            (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float rp.(i))))
-        rs)
-
 let test_dgd_scheme_converges () =
   let p = parking_lot_problem () in
   let s = Nf_fluid.Fluid_dgd.make p in
@@ -419,7 +394,6 @@ let () =
           quick "xwi converges to NUM optimum" test_xwi_scheme_converges;
           quick "xwi matches oracle" test_xwi_matches_oracle;
           quick "xwi rebind preserves prices" test_xwi_rebind_preserves_prices;
-          quick "xwi pooled bit-identical" test_xwi_scheme_pooled_identical;
           quick "dgd converges" test_dgd_scheme_converges;
           quick "rcp converges" test_rcp_scheme_converges;
           quick "dgd rejects multipath" test_dgd_rejects_multipath;

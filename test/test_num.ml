@@ -966,8 +966,6 @@ let test_problem_validation () =
 (* ------------------------------------------------------------------ *)
 (* Sparse CSR/CSC core vs the legacy reference kernels *)
 
-module Shard = Nf_util.Shard
-
 let test_incidence_structure () =
   let u = Utility.proportional_fair () in
   let group = { Problem.utility = u; paths = [ [| 0 |]; [| 1; 2 |] ] } in
@@ -1107,65 +1105,6 @@ let bits_equal a b =
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
-
-let prop_sharded_prices_bit_identical =
-  QCheck.Test.make ~name:"-j 4 price update is byte-identical to -j 1"
-    ~count:40 QCheck.small_int
-    (fun seed ->
-      let rng = Rng.create ~seed:(seed + 4000) in
-      let p = random_problem rng in
-      let seq = Xwi.init p in
-      Shard.with_pool ~jobs:4 (fun pool ->
-          let par = Xwi.init ~pool p in
-          let ok = ref true in
-          for _ = 1 to 20 do
-            Xwi.step p Xwi.default_params seq;
-            Xwi.step p Xwi.default_params par;
-            ok :=
-              !ok
-              && bits_equal seq.Xwi.prices par.Xwi.prices
-              && bits_equal seq.Xwi.rates par.Xwi.rates
-              && bits_equal seq.Xwi.weights par.Xwi.weights
-          done;
-          !ok))
-
-let test_sharded_long_run_bit_identical () =
-  (* One dense instance, 200 steps, every job count: the sharded price
-     update must be bit-for-bit the sequential one whatever the chunking. *)
-  let rng = Rng.create ~seed:99 in
-  let n_links = 24 in
-  let caps = Array.init n_links (fun _ -> Rng.uniform rng ~lo:1. ~hi:10.) in
-  let groups =
-    List.init 60 (fun _ ->
-        let len = 1 + Rng.int rng 4 in
-        Problem.single_path
-          (Utility.alpha_fair ~weight:(Rng.uniform rng ~lo:0.2 ~hi:5.) ~alpha:1. ())
-          (Array.sub (Rng.permutation rng n_links) 0 len))
-  in
-  let p = Problem.create ~caps ~groups in
-  let run jobs =
-    let step_all state =
-      for _ = 1 to 200 do
-        Xwi.step p Xwi.default_params state
-      done;
-      state
-    in
-    if jobs = 1 then step_all (Xwi.init p)
-    else Shard.with_pool ~jobs (fun pool -> step_all (Xwi.init ~pool p))
-  in
-  let base = run 1 in
-  List.iter
-    (fun jobs ->
-      let s = run jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "prices identical at -j %d" jobs)
-        true
-        (bits_equal base.Xwi.prices s.Xwi.prices);
-      Alcotest.(check bool)
-        (Printf.sprintf "rates identical at -j %d" jobs)
-        true
-        (bits_equal base.Xwi.rates s.Xwi.rates))
-    [ 2; 3; 4; 7 ]
 
 (* ------------------------------------------------------------------ *)
 (* Delta interface: flow churn, gid stability, capacity generations *)
@@ -2325,8 +2264,6 @@ let () =
           quick "incidence structure" test_incidence_structure;
           qcheck prop_sparse_maxmin_matches_reference;
           qcheck prop_sparse_step_matches_reference;
-          qcheck prop_sharded_prices_bit_identical;
-          quick "long-run shard byte-identity" test_sharded_long_run_bit_identical;
         ] );
       ( "diag",
         [

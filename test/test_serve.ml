@@ -726,6 +726,51 @@ let test_socket_scrape_and_shutdown () =
   Domain.join d;
   Client.close c
 
+let test_socket_line_limit () =
+  (* A request line over the server's 1 MiB limit, sent without a
+     newline, gets an error reply and then EOF, and the server goes on
+     serving other clients. The socket deadlines turn a server that
+     buffers the line forever into a failure rather than a hang. *)
+  with_server (fun port ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+          let line = String.make ((1 lsl 20) + 1) 'x' in
+          let off = ref 0 in
+          while !off < String.length line do
+            off :=
+              !off
+              + Unix.write_substring fd line !off (String.length line - !off)
+          done;
+          let reply = Buffer.create 128 and chunk = Bytes.create 4096 in
+          let rec drain () =
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n ->
+              Buffer.add_subbytes reply chunk 0 n;
+              drain ()
+            | exception
+                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Alcotest.fail "no reply and no EOF within the deadline"
+          in
+          drain ();
+          match Protocol.decode_reply (String.trim (Buffer.contents reply)) with
+          | Ok _ -> Alcotest.fail "an over-limit line must get an error reply"
+          | Error reason ->
+            Alcotest.(check bool) "error names the limit" true
+              (contains ~needle:"exceeds" reason));
+      let c = Client.connect_tcp port in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore
+            (ok_or_fail "ping after the rejected client"
+               (Client.request c Protocol.Ping))))
+
 let test_unix_socket_roundtrip () =
   let path = Filename.temp_file "nf_serve_test" ".sock" in
   Sys.remove path;
@@ -812,6 +857,7 @@ let () =
           quick "request/reply session" test_socket_session;
           quick "subscriber epoch push" test_socket_subscribe_push;
           quick "metrics scrape + shutdown" test_socket_scrape_and_shutdown;
+          quick "over-limit line rejected and closed" test_socket_line_limit;
           quick "unix-domain socket" test_unix_socket_roundtrip;
           quick "churn drive over loopback" test_drive_loopback;
         ] );

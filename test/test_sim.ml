@@ -1172,7 +1172,9 @@ let test_record_json_has_channels () =
        ~size:200_000. ~id:0 ~src:sb.Builders.senders.(0)
        ~dst:sb.Builders.receiver ());
   Network.run net ~until:0.01;
-  let json = Nf_sim.Record.to_json (Network.record net) in
+  let json =
+    Nf_util.Json.to_string (Nf_sim.Record.json (Network.record net))
+  in
   let contains needle =
     let nl = String.length needle and jl = String.length json in
     let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
@@ -1251,24 +1253,12 @@ let test_trace_flow_lifecycle () =
         | None -> Alcotest.fail "FlowDone traced for an unfinished flow")
     evs
 
-let test_record_csv_header () =
-  let r = Nf_sim.Record.create () in
-  Nf_sim.Record.add r Nf_sim.Record.Queue ~subject:3 ~time:1e-3 1500.;
-  Nf_sim.Record.complete r ~flow:0 ~at:2e-3 ~fct:2e-3;
-  let csv = Nf_sim.Record.to_csv r in
-  (match String.index_opt csv '\n' with
-  | Some i ->
-    Alcotest.(check string) "header row" "channel,subject,time,value"
-      (String.sub csv 0 i)
-  | None -> Alcotest.fail "csv has no rows");
-  Alcotest.(check int) "header + one row per sample" 3
-    (List.length
-       (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)))
-
 let test_record_empty_json () =
   (* The .mli contract: every channel appears in the JSON, empty ones as
      []. *)
-  let json = Nf_sim.Record.to_json (Nf_sim.Record.create ()) in
+  let json =
+    Nf_util.Json.to_string (Nf_sim.Record.json (Nf_sim.Record.create ()))
+  in
   Alcotest.(check string) "empty record shape"
     "{\"channels\":{\"queue\":[],\"price\":[],\"rate\":[],\"drops\":\
      [],\"fct\":[]}}"
@@ -1332,7 +1322,6 @@ let () =
           quick "every protocol completes a 2-flow run" test_every_protocol_completes;
           quick "pinned seeded run per protocol" test_pinned_protocol_runs;
           quick "record json has all channels" test_record_json_has_channels;
-          quick "record csv header" test_record_csv_header;
           quick "record empty json shape" test_record_empty_json;
           quick "trace flow lifecycle" test_trace_flow_lifecycle;
         ] );

@@ -700,65 +700,6 @@ let test_profile_disabled_is_passthrough () =
     (List.length (Profile.categories ()))
 
 (* ------------------------------------------------------------------ *)
-(* Shard: the blocking domain pool behind the sharded price update *)
-
-module Shard = Nf_util.Shard
-
-let prop_shard_chunks_partition =
-  QCheck.Test.make ~name:"chunks exactly partition [0, n)" ~count:300
-    QCheck.(pair (0 -- 5000) (1 -- 9))
-    (fun (n, jobs) ->
-      let ok = ref true in
-      let prev_hi = ref 0 in
-      for k = 0 to jobs - 1 do
-        let lo, hi = Shard.chunk ~n ~jobs k in
-        if lo <> !prev_hi || hi < lo then ok := false;
-        prev_hi := hi
-      done;
-      !ok && !prev_hi = n)
-
-let test_shard_run_covers () =
-  Shard.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check int) "jobs" 4 (Shard.jobs pool);
-      let n = 1013 in
-      let hits = Array.make n 0 in
-      (* Each index is written exactly once, by whichever domain owns its
-         chunk; disjointness makes the unsynchronized writes safe. *)
-      Shard.run pool ~n (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check bool) "every index once" true
-        (Array.for_all (fun c -> c = 1) hits);
-      (* The pool is reusable. *)
-      Shard.run pool ~n (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check bool) "second run too" true
-        (Array.for_all (fun c -> c = 2) hits))
-
-let test_shard_exception_propagates () =
-  Shard.with_pool ~jobs:3 (fun pool ->
-      let boom lo _hi = if lo = 0 then failwith "chunk zero failed" in
-      Alcotest.check_raises "caller chunk exception wins"
-        (Failure "chunk zero failed") (fun () -> Shard.run pool ~n:30 boom);
-      (* The failed run must not poison the pool. *)
-      let total = Atomic.make 0 in
-      Shard.run pool ~n:30 (fun lo hi ->
-          ignore (Atomic.fetch_and_add total (hi - lo)));
-      Alcotest.(check int) "pool survives a failed run" 30 (Atomic.get total))
-
-let test_shard_stop_idempotent () =
-  let pool = Shard.create ~jobs:2 in
-  Shard.run pool ~n:4 (fun _ _ -> ());
-  Shard.stop pool;
-  Shard.stop pool;
-  Alcotest.check_raises "run after stop rejected"
-    (Invalid_argument "Shard.run: pool is stopped") (fun () ->
-      Shard.run pool ~n:4 (fun _ _ -> ()))
-
-(* ------------------------------------------------------------------ *)
 (* Gcstats: per-category allocation accounting and the alloc audit *)
 
 module Gcstats = Nf_util.Gcstats
@@ -880,27 +821,6 @@ let test_metrics_help_escaping () =
     (List.length
        (List.filter (fun s -> s <> "") (String.split_on_char '\n' page)))
 
-let test_shard_run_timings () =
-  Shard.with_pool ~jobs:3 (fun pool ->
-      let timings = Array.make 3 nan in
-      Shard.run pool ~timings ~n:300 (fun lo hi ->
-          let s = ref 0. in
-          for i = lo to hi - 1 do
-            s := !s +. float_of_int i
-          done;
-          ignore (Sys.opaque_identity !s : float));
-      Array.iteri
-        (fun k dt ->
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk %d timing filled and sane" k)
-            true
-            (Float.is_finite dt && dt >= 0.))
-        timings;
-      (* Entries beyond the chunk count are left untouched. *)
-      let short = Array.make 5 (-1.) in
-      Shard.run pool ~timings:short ~n:30 (fun _ _ -> ());
-      Alcotest.(check (float 0.)) "extra entries untouched" (-1.) short.(4))
-
 let quick name f = Alcotest.test_case name `Quick f
 
 let qcheck = QCheck_alcotest.to_alcotest
@@ -994,13 +914,5 @@ let () =
           quick "record and categories" test_gcstats_record_and_categories;
           quick "publish idempotent" test_gcstats_publish_idempotent;
           quick "bytes per iteration" test_gcstats_bytes_per_iteration;
-        ] );
-      ( "shard",
-        [
-          qcheck prop_shard_chunks_partition;
-          quick "run covers and is reusable" test_shard_run_covers;
-          quick "chunk timings" test_shard_run_timings;
-          quick "exceptions propagate" test_shard_exception_propagates;
-          quick "stop is idempotent" test_shard_stop_idempotent;
         ] );
     ]

@@ -85,10 +85,9 @@ let catalog =
       id = "domain-safety";
       stage = Typed;
       summary =
-        "closures passed to Shard.run, Domain.spawn or Runner tasks may \
-         not write captured mutable state (refs, mutable fields, \
-         Hashtbl/Buffer/array stores) unless chunk-local, mutex-guarded, \
-         Atomic, or waived with [@nf.allow \"domain-safety -- why\"] \
+        "closures passed to Domain.spawn or Runner tasks may not write \
+         captured mutable state (refs, mutable fields, Hashtbl/Buffer/array \
+         stores) unless chunk-local, mutex-guarded, Atomic, or waived with [@nf.allow \"domain-safety -- why\"] \
          (justification required)";
     };
     {

@@ -14,8 +14,8 @@
      argument) rather than a nested-apply heuristic. [hot-barrier] reads
      the stored value's type to tell a pointer store (which runs
      [caml_modify]) from an immediate one.
-   - [domain-safety]: closures handed to [Shard.run], [Domain.spawn] or
-     [Runner] tasks may not write captured mutable state unless the
+   - [domain-safety]: closures handed to [Domain.spawn] or [Runner]
+     tasks may not write captured mutable state unless the
      write is chunk-local (indexed by a binding of the task's own
      scope), mutex-guarded, or waived with a justification.
    - [stale-generation] / [serve-blocking]:
@@ -58,8 +58,8 @@ let emit ?(force = false) ctx ~(loc : Location.t) rule msg =
 let path_name (p : Path.t) = Path.name p
 
 (* [name] equals [cand] or ends with ".cand" — matches both the
-   wrapped-library spelling ("Nf_util.Shard.run") and a local one
-   ("Shard.run"), but never a mere substring ("link_loads_into"). *)
+   wrapped-library spelling ("Stdlib.Domain.spawn") and a local one
+   ("Domain.spawn"), but never a mere substring ("link_loads_into"). *)
 let path_is name cand =
   name = cand
   || String.length name > String.length cand + 1
@@ -268,7 +268,7 @@ type domain_scope = {
   bound : (Ident.t, unit) Hashtbl.t;  (* idents bound inside the closure *)
   mutable protect_depth : int;  (* > 0 inside Mutex.protect's thunk *)
   mutable locked : bool;  (* a Mutex.lock ran earlier in this body *)
-  what : string;  (* "Shard.run"/"Domain.spawn"/"Runner task" *)
+  what : string;  (* "Domain.spawn"/"Runner task" *)
 }
 
 let is_local_ident scope e =
@@ -414,9 +414,9 @@ let check_domain_closure ctx ~what closure =
                && (not (is_local_ident scope target))
                && not (mentions_bound scope index) ->
           (* A captured output buffer written at an index derived from
-             the task's own bindings (the [lo, hi) chunk) is the
-             sanctioned sharded-kernel shape; a constant or captured
-             index races with the other chunks. *)
+             the task's own bindings (its own chunk of the range) is the
+             sanctioned data-parallel shape; a constant or captured index
+             races with the other tasks. *)
           flag e.exp_loc
             (Printf.sprintf
                "captured buffer written with %s at an index not derived \
@@ -672,14 +672,14 @@ let check_main ctx (str : structure) =
               connected client stalls until it returns — move the work \
               out of the select loop"
              (unqualify id))
-      | Some id when path_is id "Shard.run" || path_is id "Domain.spawn" ->
-        let what = if path_is id "Shard.run" then "Shard.run" else "Domain.spawn" in
+      | Some id when path_is id "Domain.spawn" ->
         List.iter
           (fun (_, a) ->
             Option.iter
               (fun a ->
                 match a.exp_desc with
-                | Texp_function _ -> check_domain_closure ctx ~what a
+                | Texp_function _ ->
+                  check_domain_closure ctx ~what:"Domain.spawn" a
                 | _ -> ())
               a)
           args
