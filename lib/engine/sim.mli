@@ -20,20 +20,19 @@
     schedules land past the window, nearly all timers of 1 ms and more).
     The clock is an unboxed float cell. {!schedule_cat} and
     {!schedule_after_cat} are inlined at their call sites (their error,
-    pool-growth and overflow branches are out of line), so in a release
-    build a float time stays unboxed across the library boundary:
-    scheduling a preallocated handler and dispatching it measures 0
-    bytes per event on every path (the [sim_schedule_dispatch],
-    [sim_overflow] and [sim_same_time_tie] kernels of the allocation
-    audit, [test/test_alloc.exe]), and {!run} itself allocates nothing.
-    A dev build compiles with [-opaque], which disables that inlining,
-    and boxes the float a caller passes in. Handlers should be allocated
-    once and rescheduled, not built per event. Per-packet schedulers
-    should intern their category once ({!cat}) and call the [_cat]
-    variants — the [?cat:string] conveniences intern on every call.
+    pool-growth and overflow branches are out of line), so a float time
+    stays unboxed across the library boundary: scheduling a
+    preallocated handler and dispatching it measures 0 bytes per event
+    on every path (the [sim_schedule_dispatch], [sim_overflow] and
+    [sim_same_time_tie] kernels of the allocation audit,
+    [test/test_alloc.exe]), and {!run} itself allocates nothing.
+    Handlers should be allocated once and rescheduled, not built per
+    event. Every scheduling call takes an interned category ({!cat}):
+    intern it once, at module or component initialisation, not per
+    event.
 
-    {b Observability.} Every event carries a scheduling category
-    (default ["event"]); when {!Nf_util.Profile.enabled}, the event loop
+    {b Observability.} Every event carries the category it was
+    scheduled under; when {!Nf_util.Profile.enabled}, the event loop
     accounts each handler's wall time under its category, which is how
     [nf_run ... --profile] builds its "where did the time go" table. The
     loop also feeds the global metrics registry:
@@ -57,7 +56,7 @@ val now : t -> float
 (** Current virtual time, seconds. Starts at 0. *)
 
 val schedule_cat : t -> cat:cat -> at:float -> (unit -> unit) -> unit
-(** Allocation-free scheduling primitive (inlined in release builds).
+(** Allocation-free scheduling primitive (inlined at its call sites).
     @raise Invalid_argument if [at] is in the past (the message carries
     both the requested time and the current clock) or NaN. *)
 

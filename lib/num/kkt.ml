@@ -1,3 +1,5 @@
+module Fcmp = Nf_util.Fcmp
+
 type report = {
   stationarity : float;
   unused_direction : float;
@@ -5,30 +7,9 @@ type report = {
   slackness : float;
 }
 
-(* Comparison-only [Float.max]: bit-identical to it on every non-NaN
-   input (±0 included: [0. +. -0.] is [0.]) and NaN-propagating like it,
-   without the [caml_signbit_float] C calls the stdlib version makes per
-   comparison. In-unit for the reason given at [Xwi_core.fmax]. *)
-let[@inline] fmax (x : float) (y : float) =
-  if y > x then y
-  else if x > y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then x +. y
-  else x
-
 let worst r =
-  fmax r.stationarity
-    (fmax r.unused_direction (fmax r.feasibility r.slackness))
-
-(* In-unit [Utility.deriv_fast]: same expressions as the closures, so the
-   marginal is bit-identical to [(Problem.group_utility p g).deriv y]. *)
-let[@inline] deriv u x =
-  match u.Utility.shape with
-  | Utility.Log { weight } -> weight /. fmax x Utility.min_rate
-  | Utility.Power { walpha; alpha; _ } ->
-    walpha *. (fmax x Utility.min_rate ** -.alpha)
-  | Utility.Opaque -> u.Utility.deriv x
+  Fcmp.fmax r.stationarity
+    (Fcmp.fmax r.unused_direction (Fcmp.fmax r.feasibility r.slackness))
 
 let default_used_threshold = 1e-6
 
@@ -41,7 +22,7 @@ let default_used_threshold = 1e-6
 let[@inline] member_residual ~marginal ~scale ~(used_floor : float) (x : float)
     price =
   let gap = marginal -. price in
-  if x > used_floor then Float.abs gap /. scale else fmax 0. gap /. scale
+  if x > used_floor then Float.abs gap /. scale else Fcmp.fmax 0. gap /. scale
 
 (* One group-major CSR sweep computes each group's rate and marginal
    once, every member's path price, and the link loads; then one pass
@@ -76,9 +57,9 @@ let check_into ?(used_threshold = default_used_threshold) ?witness problem
       y := !y +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
     done;
     let y = !y in
-    let marginal = deriv (Array.unsafe_get utils g) y in
-    let scale = fmax marginal 1e-30 in
-    let used_floor = used_threshold *. fmax y 1e-30 in
+    let marginal = Utility.deriv_fast (Array.unsafe_get utils g) y in
+    let scale = Fcmp.fmax marginal 1e-30 in
+    let used_floor = used_threshold *. Fcmp.fmax y 1e-30 in
     for k = start to stop - 1 do
       let i = Array.unsafe_get grp_flows k in
       let x = Array.unsafe_get rates i in
@@ -89,8 +70,8 @@ let check_into ?(used_threshold = default_used_threshold) ?witness problem
         Array.unsafe_set loads l (Array.unsafe_get loads l +. x)
       done;
       let r = member_residual ~marginal ~scale ~used_floor x !price in
-      if x > used_floor then stationarity := fmax !stationarity r
-      else unused_direction := fmax !unused_direction r;
+      if x > used_floor then stationarity := Fcmp.fmax !stationarity r
+      else unused_direction := Fcmp.fmax !unused_direction r;
       if (r > !top_r || Float.is_nan r) && not (Float.is_nan !top_r) then begin
         top := i;
         top_r := r
@@ -102,17 +83,19 @@ let check_into ?(used_threshold = default_used_threshold) ?witness problem
   for l = 0 to n_links - 1 do
     let cap = Array.unsafe_get caps l in
     feasibility :=
-      fmax !feasibility (fmax 0. (Array.unsafe_get loads l -. cap) /. cap);
-    p_ref := fmax !p_ref (Array.unsafe_get prices l)
+      Fcmp.fmax !feasibility
+        (Fcmp.fmax 0. (Array.unsafe_get loads l -. cap) /. cap);
+    p_ref := Fcmp.fmax !p_ref (Array.unsafe_get prices l)
   done;
   let p_ref = !p_ref in
   let slackness = ref 0. in
   if p_ref > 0. then
     for l = 0 to n_links - 1 do
       let cap = Array.unsafe_get caps l in
-      let slack = fmax 0. (cap -. Array.unsafe_get loads l) in
+      let slack = Fcmp.fmax 0. (cap -. Array.unsafe_get loads l) in
       slackness :=
-        fmax !slackness (Array.unsafe_get prices l *. slack /. (p_ref *. cap))
+        Fcmp.fmax !slackness
+          (Array.unsafe_get prices l *. slack /. (p_ref *. cap))
     done;
   {
     stationarity = !stationarity;
@@ -144,13 +127,15 @@ let[@inline] flow_residual ~used_threshold problem ~rates ~prices i =
     y := !y +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
   done;
   let y = !y in
-  let marginal = deriv (Array.unsafe_get (Problem.utilities problem) g) y in
+  let marginal =
+    Utility.deriv_fast (Array.unsafe_get (Problem.utilities problem) g) y
+  in
   let price = ref 0. in
   for j = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1 do
     price := !price +. Array.unsafe_get prices (Array.unsafe_get row_cols j)
   done;
-  member_residual ~marginal ~scale:(fmax marginal 1e-30)
-    ~used_floor:(used_threshold *. fmax y 1e-30)
+  member_residual ~marginal ~scale:(Fcmp.fmax marginal 1e-30)
+    ~used_floor:(used_threshold *. Fcmp.fmax y 1e-30)
     (Array.unsafe_get rates i) !price
 
 let check ?used_threshold problem ~rates ~prices =

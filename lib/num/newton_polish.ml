@@ -158,16 +158,6 @@ let eligible problem =
   done;
   !ok
 
-(* In-unit {!Utility.deriv_fast}, the same expressions and so the same
-   bits on every input: a cross-unit call would box its float result on
-   dev (-opaque) builds. *)
-let[@inline] marginal (u : Utility.t) x =
-  let clamped = if x < Utility.min_rate then Utility.min_rate else x in
-  match u.Utility.shape with
-  | Utility.Log { weight } -> weight /. clamped
-  | Utility.Power { walpha; alpha; _ } -> walpha *. (clamped ** -.alpha)
-  | Utility.Opaque -> u.Utility.deriv x
-
 (* Whether links [a] and [b] carry the same flows (the same CSC column). *)
 let same_column (inc : Incidence.t) a b =
   let col_ptr = inc.Incidence.col_ptr and col_rows = inc.Incidence.col_rows in
@@ -271,17 +261,14 @@ let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
     done;
     let pp = !pp in
     if pp > 0. && pp < infinity then begin
-      (match utils.(i).Utility.shape with
-      | Utility.Log { weight } ->
-        let x = weight /. pp in
-        ws.x.(i) <- x;
-        ws.d.(i) <- x /. pp
-      | Utility.Power { weight; alpha; inv_alpha; _ } ->
-        let x = weight *. (pp ** inv_alpha) in
-        ws.x.(i) <- x;
-        ws.d.(i) <- x /. (alpha *. pp)
+      let u = utils.(i) in
+      let x = Utility.rate_from_price_fast u pp in
+      ws.x.(i) <- x;
+      (* D = -dx/dp = x / (alpha pp) for an alpha-fair U'^-1. *)
+      (match u.Utility.shape with
+      | Utility.Log _ -> ws.d.(i) <- x /. pp
+      | Utility.Power { alpha; _ } -> ws.d.(i) <- x /. (alpha *. pp)
       | Utility.Opaque -> ok := false);
-      let x = ws.x.(i) in
       for j = lo to hi - 1 do
         let k = ws.fpos.(j) in
         ws.f.(k) <- ws.f.(k) +. x
@@ -680,7 +667,7 @@ let solve ws problem ~prices ~carried ~rates ~out =
       else begin
         let l = !best in
         if ws.mark.(l) < 0 then ws.mark.(l) <- 1;
-        let marginal = marginal utils.(i) !carried_rates.(i) in
+        let marginal = Utility.deriv_fast utils.(i) !carried_rates.(i) in
         if marginal > ws.start.(l) then ws.start.(l) <- marginal
       end
     end

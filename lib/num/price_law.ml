@@ -1,22 +1,4 @@
-(* Comparison-only [Float.max] / [Float.min], in-unit for the reason
-   given at [Xwi_core.fmax]: the packet engines call the port laws below
-   across a library boundary on every update, and under -opaque a
-   cross-unit float helper would box. *)
-let[@inline] fmax (x : float) (y : float) =
-  if y > x then y
-  else if x > y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then x +. y
-  else x
-
-let[@inline] fmin (x : float) (y : float) =
-  if y < x then y
-  else if x < y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then -.(-.x -. y)
-  else x
+module Fcmp = Nf_util.Fcmp
 
 type dgd = {
   dgd_update_interval : float;
@@ -68,9 +50,9 @@ let[@inline] dgd c ~cap ~price ~rate ~queue =
   let a = c.dgd_gain_util *. c.dgd_price_scale /. cap in
   let b =
     c.dgd_gain_queue *. c.dgd_price_scale
-    /. fmax (cap *. c.dgd_update_interval /. 8.) 1.
+    /. Fcmp.fmax (cap *. c.dgd_update_interval /. 8.) 1.
   in
-  fmax 0. (price +. (a *. (rate -. cap)) +. (b *. queue))
+  Fcmp.fmax 0. (price +. (a *. (rate -. cap)) +. (b *. queue))
 
 (* Eq. 15: R <- R (1 + (T/d)(a (C - y) - b q/d) / C), the factor and
    then the rate clamped to the substrate's bounds. *)
@@ -81,8 +63,11 @@ let[@inline] rcp bounds c ~cap ~fair_rate ~rate ~queue =
     *. ((c.rcp_gain_spare *. (cap -. rate)) -. (c.rcp_gain_queue *. queue_rate))
     /. cap
   in
-  let factor = fmin bounds.factor_hi (fmax bounds.factor_lo (1. +. change)) in
-  fmin (cap *. bounds.rate_hi) (fmax (cap *. bounds.rate_lo) (fair_rate *. factor))
+  let factor =
+    Fcmp.fmin bounds.factor_hi (Fcmp.fmax bounds.factor_lo (1. +. change))
+  in
+  Fcmp.fmin (cap *. bounds.rate_hi)
+    (Fcmp.fmax (cap *. bounds.rate_lo) (fair_rate *. factor))
 
 type port = {
   cap : float;

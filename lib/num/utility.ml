@@ -83,9 +83,9 @@ let rate_from_price u ?max_rate p =
   let rate = if Float.is_finite rate then Float.min rate max_rate_cap else max_rate_cap in
   match max_rate with None -> rate | Some m -> Float.min rate m
 
-(* The fast paths clamp with [Fcmp]'s comparison-only max/min, which
-   equal [Float.max]/[Float.min] on every input (NaN and signed zeros
-   included) without their sign-bit C calls. The [alpha_fair_*]
+(* The fast paths floor their inputs with [Fcmp]'s comparison-only max,
+   which equals [Float.max] on every input (NaN and signed zeros
+   included) without its sign-bit C calls. The [alpha_fair_*]
    evaluators are the one copy of the shapes' formulas: the [_fast]
    paths apply them to a utility's shape, and a caller whose weight moves
    per event (SRPT's remaining size) to its own parameters. *)
@@ -93,8 +93,11 @@ let[@inline] alpha_fair_deriv ~log_shape ~weight ~walpha ~alpha x =
   let x = Fcmp.fmax x min_rate in
   if log_shape then weight /. x else walpha *. (x ** -.alpha)
 
+(* Two comparisons, NaN failing both: the same result as
+   [if Float.is_finite rate then Fcmp.fmin rate max_rate_cap else
+   max_rate_cap], in less code at each inlined call site. *)
 let[@inline] cap_rate rate =
-  if Float.is_finite rate then Fcmp.fmin rate max_rate_cap else max_rate_cap
+  if rate <= max_rate_cap && rate > neg_infinity then rate else max_rate_cap
 
 let[@inline] alpha_fair_rate ~log_shape ~weight ~inv_alpha p =
   let p = Fcmp.fmax p min_price in

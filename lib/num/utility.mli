@@ -88,15 +88,12 @@ val min_price : float
     as the price approaches 0, and measured prices can transiently be 0 or
     slightly negative. *)
 
-val max_rate_cap : float
-(** Ceiling (1e300) applied to [U'^-1] results so steep inverses cannot
-    overflow to infinity; only the relative ordering of weights matters. *)
-
 val rate_from_price : t -> ?max_rate:float -> float -> float
-(** [rate_from_price u p] is [U'^-1 (max p min_price)] capped at
-    {!max_rate_cap} and optionally clamped to [max_rate]. This is the safe
-    form of Eqs. 3 and 7 used by DGD senders and by xWI's weight
-    computation. *)
+(** [rate_from_price u p] is [U'^-1 (max p min_price)] capped at 1e300
+    (so steep inverses cannot overflow to infinity; only the relative
+    ordering of weights matters) and optionally clamped to [max_rate].
+    This is the safe form of Eqs. 3 and 7 used by DGD senders and by
+    xWI's weight computation. *)
 
 val deriv_fast : t -> float -> float
 (** [U'(x)] via the {!shape} dispatch: bit-identical to [u.deriv x] for
@@ -126,6 +123,6 @@ val alpha_fair_deriv :
 
 val alpha_fair_rate :
   log_shape:bool -> weight:float -> inv_alpha:float -> float -> float
-(** [U'^-1(p)] at [max p min_price], capped at {!max_rate_cap}:
+(** [U'^-1(p)] at [max p min_price], capped at 1e300:
     [weight / p] for the log shape, else [weight * p^inv_alpha] with
     [inv_alpha = -1/alpha]. *)

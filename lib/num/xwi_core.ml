@@ -1,5 +1,6 @@
 module Trace = Nf_util.Trace
 module Metrics = Nf_util.Metrics
+module Fcmp = Nf_util.Fcmp
 
 type residual_agg = Agg_min | Agg_mean
 
@@ -52,60 +53,6 @@ let trace_iter tr iter =
   if Trace.on tr Trace.XwiIter then
     Trace.emit tr Trace.XwiIter ~subject:0 ~time:(float_of_int iter)
       (float_of_int iter)
-
-(* Comparison-only [Float.max] / [Float.min] for the hot loops. The
-   stdlib pair tests sign bits with [caml_signbit_float], a C call per
-   comparison even when inlined; these use float comparisons only. They
-   equal the stdlib pair bit for bit on every non-NaN input, ±0 included
-   ([0. +. -0.] is [0.], [-.(-.0. -. -0.)] is [-0.]), and return a NaN
-   operand as the stdlib pair does. Defined in each hot unit (here,
-   [Maxmin], [Kkt], [Queue_disc], [Price_law]) rather than shared:
-   dev-profile builds compile with -opaque, which disables cross-unit
-   inlining, and a non-inlined float -> float call boxes its arguments
-   and result. *)
-
-let[@inline] fmax (x : float) (y : float) =
-  if y > x then y
-  else if x > y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then x +. y
-  else x
-
-let[@inline] fmin (x : float) (y : float) =
-  if y < x then y
-  else if x < y then x
-  else if Float.is_nan x then x
-  else if Float.is_nan y then y
-  else if Float.equal x 0. then -.(-.x -. y)
-  else x
-
-(* Local copies of {!Utility.deriv_fast} / {!Utility.rate_from_price_fast},
-   in-unit for the same -opaque reason: a cross-unit float call per flow
-   per step would box. Bit-identical to the Utility versions on every
-   input, NaN included (equivalence is tested). *)
-
-let[@inline] udv_fast u x =
-  match u.Utility.shape with
-  | Utility.Log { weight } -> weight /. fmax x Utility.min_rate
-  | Utility.Power { walpha; alpha; _ } ->
-    walpha *. (fmax x Utility.min_rate ** -.alpha)
-  | Utility.Opaque -> u.Utility.deriv x
-
-let[@inline] urate_fast u p =
-  let rate =
-    match u.Utility.shape with
-    | Utility.Log { weight } -> weight /. fmax p Utility.min_price
-    | Utility.Power { weight; inv_alpha; _ } ->
-      weight *. (fmax p Utility.min_price ** inv_alpha)
-    | Utility.Opaque -> u.Utility.inv_deriv (fmax p Utility.min_price)
-  in
-  (* [rate < inf && rate > -inf] is [Float.is_finite] spelled with
-     comparison primitives (NaN fails both); same cap semantics as
-     [Utility.rate_from_price]. *)
-  if rate < infinity && rate > neg_infinity then
-    if rate <= Utility.max_rate_cap then rate else Utility.max_rate_cap
-  else Utility.max_rate_cap
 
 (* Per-state scratch: one allocation at [init], zero per [step]. The
    state's own [prices], [rates] and [weights] are the rest of the sparse
@@ -239,8 +186,8 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
        flow [i] is exactly group [i]: skip the group indirection. *)
     for i = 0 to inc.Incidence.n_flows - 1 do
       let u = Array.unsafe_get utils i in
-      let w = urate_fast u (Array.unsafe_get path_prices i) in
-      Array.unsafe_set out i (fmax w 1e-30)
+      let w = Utility.rate_from_price_fast u (Array.unsafe_get path_prices i) in
+      Array.unsafe_set out i (Fcmp.fmax w 1e-30)
     done
   else begin
     let grp_ptr = inc.Incidence.grp_ptr
@@ -251,8 +198,10 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
       let u = Array.unsafe_get utils g in
       if stop - start = 1 then begin
         let i = Array.unsafe_get grp_flows start in
-        let w = urate_fast u (Array.unsafe_get path_prices i) in
-        Array.unsafe_set out i (fmax w 1e-30)
+        let w =
+          Utility.rate_from_price_fast u (Array.unsafe_get path_prices i)
+        in
+        Array.unsafe_set out i (Fcmp.fmax w 1e-30)
       end
       else begin
         (* §6.3: each sub-flow computes the group-level weight from its
@@ -266,12 +215,14 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
         let n = float_of_int (stop - start) in
         for k = start to stop - 1 do
           let i = Array.unsafe_get grp_flows k in
-          let total = urate_fast u (Array.unsafe_get path_prices i) in
+          let total =
+            Utility.rate_from_price_fast u (Array.unsafe_get path_prices i)
+          in
           let share =
             if y > 1e-12 then Array.unsafe_get prev_rates i /. y else 1. /. n
           in
           Array.unsafe_set out i
-            (fmax (total *. fmax share (1e-8 /. n)) 1e-30)
+            (Fcmp.fmax (total *. Fcmp.fmax share (1e-8 /. n)) 1e-30)
         done
       end
     done
@@ -292,7 +243,7 @@ let[@nf.hot] residuals (inc : Incidence.t) state =
   for g = 0 to inc.Incidence.n_groups - 1 do
     let u = Array.unsafe_get utils g in
     Array.unsafe_set group_marginal g
-      (udv_fast u (fmax (Array.unsafe_get group_rates g) 1e-12))
+      (Utility.deriv_fast u (Fcmp.fmax (Array.unsafe_get group_rates g) 1e-12))
   done;
   let group_of_flow = inc.Incidence.group_of_flow in
   (* [* inv_len] instead of [Reference]'s [/ len]: up to an ulp apart when
@@ -318,9 +269,9 @@ let[@inline] link_price params ~p_old ~min_res ~utilization =
   in
   let p_new =
     if Float.is_finite min_res then
-      fmax 0.
+      Fcmp.fmax 0.
         (p_old +. min_res -. (params.eta *. (1. -. utilization) *. p_old))
-    else fmax 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
+    else Fcmp.fmax 0. (p_old -. (params.eta *. (1. -. utilization) *. p_old))
   in
   (params.beta *. p_old) +. ((1. -. params.beta) *. p_new)
 
@@ -364,7 +315,7 @@ let[@nf.hot] price_links_range params (inc : Incidence.t) state lo hi =
         for k = start to stop - 1 do
           let i = Array.unsafe_get col_rows k in
           if Array.unsafe_get rates i *. n_here >= negligible then
-            acc := fmin !acc (Array.unsafe_get residual i)
+            acc := Fcmp.fmin !acc (Array.unsafe_get residual i)
         done;
         !acc
       | Agg_mean ->

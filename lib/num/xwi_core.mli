@@ -178,23 +178,3 @@ val solve :
     given bounds and their defaults. The run's [kkt] is the returned
     state's certificate, so a caller needs no second {!Kkt.check}.
     @raise Invalid_argument as {!resize} does, before any work. *)
-
-(** {2 Hot-loop primitives}
-
-    The in-unit scalar helpers of the step kernels, exposed so the test
-    suite can hold them to their stdlib and {!Utility} counterparts bit
-    for bit. Code outside the kernels should use those counterparts. *)
-
-val fmax : float -> float -> float
-(** [Float.max] from float comparisons only (no sign-bit C call):
-    bit-identical on every non-NaN input, ±0 included, and returns a NaN
-    operand when there is one. *)
-
-val fmin : float -> float -> float
-(** [Float.min], likewise. *)
-
-val udv_fast : Utility.t -> float -> float
-(** {!Utility.deriv_fast}. *)
-
-val urate_fast : Utility.t -> float -> float
-(** {!Utility.rate_from_price_fast}. *)

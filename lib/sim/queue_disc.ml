@@ -88,18 +88,6 @@ let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
     finish_tags := grown
   in
   let virtual_time = [| 0. |] in
-  (* Comparison-only [Float.max], the NUM core's [fmax] (see
-     [Nf_num.Xwi_core.fmax]): bit-identical to the stdlib on every
-     non-NaN input, ±0 included, NaN-propagating like it, and free of
-     its [caml_signbit_float] C calls. *)
-  let[@inline] fmax (x : float) (y : float) =
-    if y > x then y
-    else if x > y then x
-    else if Float.is_nan x then x
-    else if Float.is_nan y then y
-    else if Float.equal x 0. then x +. y
-    else x
-  in
   let bytes = ref 0 in
   let dropped = ref 0 in
   let[@nf.hot] enqueue p =
@@ -112,7 +100,7 @@ let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
       (* [fl lor (n - 1 - fl)] is negative iff [fl < 0] or [fl >= n]. *)
       if fl lor (Array.length !finish_tags - 1 - fl) < 0 then grow_tags fl;
       let tags = !finish_tags in
-      let start_tag = fmax virtual_time.(0) tags.(fl) in
+      let start_tag = Nf_util.Fcmp.fmax virtual_time.(0) tags.(fl) in
       tags.(fl) <- start_tag +. p.Packet.fl.Packet.virtual_packet_len;
       Nf_util.Fheap.push heap ~key:start_tag p.Packet.id;
       bytes := !bytes + p.Packet.size;

@@ -20,9 +20,10 @@ val within_fraction : frac:float -> actual:float -> target:float -> bool
 val fmax : float -> float -> float
 (** Comparison-only [Float.max]: bit-identical to the stdlib on every
     non-NaN input, ±0 included, and returns a NaN operand as it does, but
-    makes no [caml_signbit_float] C call. The audited per-packet and
-    solver kernels keep in-unit copies instead (a dev-profile build
-    compiles with -opaque, and a non-inlined float call boxes). *)
+    makes no [caml_signbit_float] C call. The one copy every hot loop
+    calls (the xWI and KKT sweeps, the price laws, STFQ): it is
+    [\@inline], so the call inlines across units and its floats stay
+    unboxed. *)
 
 val fmin : float -> float -> float
 (** Comparison-only [Float.min], the twin of {!fmax}. *)

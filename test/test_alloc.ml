@@ -1,8 +1,6 @@
 (* Runtime enforcement of the hot-path zero-allocation invariant: the
    [@nf.hot] kernels must not allocate in steady state. nf_lint checks
-   the same invariant syntactically; this audit measures it. The audit
-   itself knows about the dev profile's -opaque boundary boxing (see
-   Alloc_audit), so the suite passes under both build profiles. *)
+   the same invariant syntactically; this audit measures it. *)
 
 module Alloc_audit = Nf_experiments.Alloc_audit
 
@@ -21,30 +19,28 @@ let test_audit_within_limits () =
   List.iter
     (fun r ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s within limit (%.3f <= %.1f B/iter)"
-           r.Alloc_audit.kernel r.Alloc_audit.bytes_per_iter
-           r.Alloc_audit.limit)
-        true
-        (r.Alloc_audit.bytes_per_iter <= r.Alloc_audit.limit))
-    results;
-  Alcotest.(check bool) "ok agrees with the per-row limits" true
-    (Alloc_audit.ok results);
-  (* The solver kernels keep their floats inside one compilation unit, so
-     they owe 0 bytes under *every* build profile — no boundary waiver. *)
-  List.iter
-    (fun r ->
-      if r.Alloc_audit.kernel = "xwi_step"
-         || r.Alloc_audit.kernel = "maxmin_solve_sparse"
-      then
-        Alcotest.(check bool)
-          (Printf.sprintf "%s holds the strict budget" r.Alloc_audit.kernel)
-          true
-          (r.Alloc_audit.bytes_per_iter <= Alloc_audit.budget))
+        (Printf.sprintf "%s within bounds (%.3f B/iter, owes %.0f)"
+           r.Alloc_audit.kernel r.Alloc_audit.bytes_per_iter r.Alloc_audit.owed)
+        true (Alloc_audit.within r))
     results
+
+(* An owing kernel's bound is two-sided: a measurement a word or more
+   short of its owed bytes fails as one over budget does, so an owed
+   count that goes stale upward cannot pass. *)
+let test_within_two_sided () =
+  let row bytes_per_iter owed =
+    Alloc_audit.within { Alloc_audit.kernel = "k"; bytes_per_iter; owed }
+  in
+  Alcotest.(check bool) "clean kernel at 0" true (row 0. 0.);
+  Alcotest.(check bool) "clean kernel over budget" false (row 16. 0.);
+  Alcotest.(check bool) "owed bytes measured" true (row 1872. 1872.);
+  Alcotest.(check bool) "owed bytes within a word below" true (row 1865. 1872.);
+  Alcotest.(check bool) "owed count stale upward" false (row 1872. 1880.);
+  Alcotest.(check bool) "owed count stale downward" false (row 1880. 1872.)
 
 (* The serve loop's stopping test: [Kkt.check_into] on a caller-owned
    loads buffer allocates its report and nothing else (no loads array,
-   no per-flow boxing), under every build profile. *)
+   no per-flow boxing). *)
 let test_kkt_check_into_allocates_only_report () =
   let module Problem = Nf_num.Problem in
   let module Utility = Nf_num.Utility in
@@ -87,5 +83,7 @@ let () =
             test_audit_within_limits;
           Alcotest.test_case "kkt check_into allocates only its report" `Quick
             test_kkt_check_into_allocates_only_report;
+          Alcotest.test_case "owed bounds are two-sided" `Quick
+            test_within_two_sided;
         ] );
     ]

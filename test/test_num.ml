@@ -1738,13 +1738,10 @@ let test_utility_fast_paths_bitwise () =
       List.iter
         (fun x ->
           let what f = Printf.sprintf "%s: %s(%g)" u.Utility.name f x in
-          let deriv = u.Utility.deriv x in
-          check_bits (what "deriv_fast") deriv (Utility.deriv_fast u x);
-          check_bits (what "Xwi_core.udv_fast") deriv (Xwi.udv_fast u x);
-          let rate = Utility.rate_from_price u x in
-          check_bits (what "rate_from_price_fast") rate
-            (Utility.rate_from_price_fast u x);
-          check_bits (what "Xwi_core.urate_fast") rate (Xwi.urate_fast u x))
+          check_bits (what "deriv_fast") (u.Utility.deriv x)
+            (Utility.deriv_fast u x);
+          check_bits (what "rate_from_price_fast") (Utility.rate_from_price u x)
+            (Utility.rate_from_price_fast u x))
         points)
     utilities
 
@@ -1762,9 +1759,9 @@ let test_fmax_fmin_match_stdlib () =
       List.iter
         (fun y ->
           check_bits (Printf.sprintf "fmax %h %h" x y) (Float.max x y)
-            (Xwi.fmax x y);
+            (Fcmp.fmax x y);
           check_bits (Printf.sprintf "fmin %h %h" x y) (Float.min x y)
-            (Xwi.fmin x y))
+            (Fcmp.fmin x y))
         values)
     values
 
