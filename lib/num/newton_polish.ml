@@ -15,9 +15,11 @@
    factorization clears, assembles and updates only that pattern.
 
    A is then corrected by a primal-dual active-set loop ([rounds]): a
-   solve that ends with negative prices, converged or not, drops those
-   links and re-solves; a converged solve whose rates x(P_A) overload a
-   link outside A adds that link at price 0 and re-solves. Every buffer
+   solve ends at the first accepted step that leaves a link of A priced
+   below zero (or converges with one), and those links are dropped and
+   the rest re-solved; a converged solve whose rates x(P_A) overload a
+   link outside A adds that link at price 0 and re-solves. One budget of
+   Newton steps bounds the whole loop. Every buffer
    lives in the workspace and grows on demand only, so a polish
    allocates nothing once the workspace has seen a problem and an active
    set of its size: floats go through float arrays, never through refs,
@@ -53,6 +55,7 @@ type t = {
   mutable sibling : int array;  (* |A|; next child of the same parent *)
   mutable x : float array;  (* n_flows; rates at the current P *)
   mutable d : float array;  (* n_flows; -dx/dP at the current P *)
+  mutable steps : int;  (* Newton steps this polish has taken *)
   norms : float array;
       (* [evaluate]'s results, merit and max |F_l| / c_l: stored in a
          float array, they are not boxed *)
@@ -87,6 +90,7 @@ let create () =
     sibling = [||];
     x = [||];
     d = [||];
+    steps = 0;
     norms = [| 0.; 0. |];
   }
 
@@ -103,7 +107,7 @@ let max_newton = 20
 
 let max_halvings = 40
 
-let max_rounds = 8  (* Newton solves in all, over every add and drop *)
+let max_steps = 160  (* Newton steps per polish, over every add and drop *)
 
 (* Dense Cholesky is O(|A|³): past this the polish costs more than the
    xWI iterations it saves, so larger active sets keep the carried
@@ -119,6 +123,11 @@ let m_retries =
   Metrics.counter Metrics.global
     ~help:"Failed warm-start Newton solves retried without their negatively priced links"
     "nf_xwi_polish_retries_total"
+
+let m_steps =
+  Metrics.counter Metrics.global
+    ~help:"Newton steps (numeric factorizations) of the warm-start polish"
+    "nf_xwi_polish_newton_steps_total"
 
 let floats a n = if Array.length a >= n then a else Array.make n 0.
 
@@ -247,13 +256,15 @@ let index ws (inc : Incidence.t) =
   if !covered then m else -1
 
 (* Path prices, rates, D and F at prices [p]. Sets [norms] to the merit
-   Σ (F_l / c_l)² and max |F_l| / c_l, both infinity if a path price is
-   not positive and finite (the rates are then undefined). *)
+   Σ (F_l / c_l)² and max |F_l| / c_l, both infinity at the first path
+   price that is not positive and finite (the rates are then undefined,
+   and the line search rejects the trial), leaving F, x and D partial. *)
 let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
   let n_flows = inc.Incidence.n_flows and caps = inc.Incidence.caps in
-  let ok = ref true in
+  let ok = ref true and next = ref 0 in
   Array.fill ws.f 0 m 0.;
-  for i = 0 to n_flows - 1 do
+  while !ok && !next < n_flows do
+    let i = !next in
     let lo = ws.fptr.(i) and hi = ws.fptr.(i + 1) in
     let pp = ref 0. in
     for j = lo to hi - 1 do
@@ -274,17 +285,19 @@ let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
         ws.f.(k) <- ws.f.(k) +. x
       done
     end
-    else ok := false
+    else ok := false;
+    incr next
   done;
   let merit = ref 0. and worst = ref 0. in
-  for k = 0 to m - 1 do
-    let c = caps.(ws.active.(k)) in
-    let fk = ws.f.(k) -. c in
-    ws.f.(k) <- fk;
-    let r = Float.abs fk /. c in
-    merit := !merit +. (r *. r);
-    if r > !worst || Float.is_nan r then worst := r
-  done;
+  if !ok then
+    for k = 0 to m - 1 do
+      let c = caps.(ws.active.(k)) in
+      let fk = ws.f.(k) -. c in
+      ws.f.(k) <- fk;
+      let r = Float.abs fk /. c in
+      merit := !merit +. (r *. r);
+      if r > !worst || Float.is_nan r then worst := r
+    done;
   if !ok && Float.is_finite !merit then begin
     ws.norms.(0) <- !merit;
     ws.norms.(1) <- !worst
@@ -465,17 +478,30 @@ let solve_factored ws m =
     y.(j) <- !s /. a.((j * m) + j)
   done
 
+(* Whether some link of A is priced below zero. *)
+let any_negative ws m =
+  let k = ref 0 in
+  while !k < m && ws.p.(!k) >= 0. do
+    incr k
+  done;
+  !k < m
+
 (* Damped Newton on [ws.p]; true once max |F_l| / c_l <= [tol]. The
    step -J⁻¹F is a descent direction of the merit Σ (F_l / c_l)², so
    halving it until the merit falls (Armijo, 1e-4) terminates short of
-   the noise floor. *)
+   the noise floor. The solve also ends, unconverged, at the first
+   accepted step that prices a link of A below zero: such a link usually
+   cannot be full beside the others, so [rounds] drops it at once rather
+   than after [max_newton] steps. Every step counts against the polish's
+   [max_steps]. *)
 let newton ws inc utils m =
   evaluate ws inc utils m ws.p;
   let merit = ref ws.norms.(0) and rmax = ref ws.norms.(1) in
   let it = ref 0 and live = ref (!merit < infinity) in
   if !live && !rmax > tol then symbolic ws inc m;
-  while !live && !rmax > tol && !it < max_newton do
+  while !live && !rmax > tol && !it < max_newton && ws.steps < max_steps do
     incr it;
+    ws.steps <- ws.steps + 1;
     if not (factor ws inc m) then live := false
     else begin
       solve_factored ws m;
@@ -495,7 +521,8 @@ let newton ws inc utils m =
         (* [evaluate] left F, x and D at the accepted trial. *)
         Array.blit ws.trial 0 ws.p 0 m;
         merit := ws.norms.(0);
-        rmax := ws.norms.(1)
+        rmax := ws.norms.(1);
+        if !rmax > tol && any_negative ws m then live := false
       end
       else live := false
     end
@@ -575,15 +602,16 @@ let add_overloaded ws (inc : Incidence.t) =
   done;
   !added
 
-(* The primal-dual active-set loop over the [n] links marked in A, at
-   most [max_rounds] Newton solves in all: number A, solve; drop the
-   links the solve left negatively priced, whether or not it converged,
-   and re-solve; after a converged solve with none negative, add the
-   links x(P_A) overloads (collapsed onto A as above) and re-solve, or
-   succeed if there are none. A failed solve with no negative price
-   fails the polish, as does an A that leaves a flow uncovered or
-   outgrows [max_active]. *)
-let rec rounds ws inc utils n round =
+(* The primal-dual active-set loop over the [n] links marked in A,
+   within [max_steps] Newton steps in all: number A, solve; drop the
+   links the solve left negatively priced, whether it converged or
+   stopped at the first negative price, and re-solve; after a converged
+   solve with none negative, add the links x(P_A) overloads (collapsed
+   onto A as above) and re-solve, or succeed if there are none. A failed
+   solve with no negative price fails the polish, as does a spent step
+   budget with A still to correct, an A that leaves a flow uncovered or
+   one that outgrows [max_active]. *)
+let rec rounds ws inc utils n =
   let m = if n > 0 && n <= max_active then (reserve ws n; index ws inc) else -1 in
   m > 0
   &&
@@ -591,7 +619,7 @@ let rec rounds ws inc utils n round =
   let dropped = drop_negative ws m in
   if dropped > 0 then begin
     if not converged then Metrics.incr m_retries;
-    round < max_rounds && rounds ws inc utils (m - dropped) (round + 1)
+    ws.steps < max_steps && rounds ws inc utils (m - dropped)
   end
   else
     converged
@@ -600,7 +628,7 @@ let rec rounds ws inc utils n round =
     Int.equal added 0
     || begin
          Metrics.add m_added added;
-         round < max_rounds && rounds ws inc utils (collapse ws inc) (round + 1)
+         ws.steps < max_steps && rounds ws inc utils (collapse ws inc)
        end
 
 let solve ws problem ~prices ~carried ~rates ~out =
@@ -673,7 +701,9 @@ let solve ws problem ~prices ~carried ~rates ~out =
     end
   done;
   let n = collapse ws inc in
-  let solved = !ok && rounds ws inc utils n 1 in
+  ws.steps <- 0;
+  let solved = !ok && rounds ws inc utils n in
+  Metrics.add m_steps ws.steps;
   if solved then begin
     Array.fill out 0 n_links 0.;
     for l = 0 to n_links - 1 do

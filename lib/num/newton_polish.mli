@@ -18,20 +18,24 @@
       computed once per active set, and each factorization clears and
       updates only that pattern;
     - a backtracking line search keeps every path price positive, and a
-      solve stops at [max_l |F_l| / c_l <= 1e-12] within 20 steps;
-    - links a solve leaves negatively priced, whether it converged or
-      not, are dropped and the rest re-solved from their prices;
+      solve stops at [max_l |F_l| / c_l <= 1e-12] within 20 steps, or
+      unconverged at the first accepted step that leaves a link of A
+      priced below zero;
+    - links a solve leaves negatively priced, converged or not, are
+      dropped at once and the rest re-solved from their prices;
     - after a converged solve with no negative price, every busy link
       outside A that the rates [x(P_A)] overload by more than 1e-9 of
       its capacity joins A at price 0 and A is re-solved; with none, the
       polish succeeds;
-    - at most 8 solves in all, and A never above 256 links.
+    - at most 160 Newton steps per polish over all its solves, and A
+      never above 256 links.
 
-    On nfbench's [serve_churn] stream about 62% of polishes succeed in
-    the first solve, and nearly all of the rest within 6. The counters
-    [nf_xwi_polish_added_links_total] and [nf_xwi_polish_retries_total]
-    (failed solves retried without their negatively priced links) count
-    the corrections.
+    On nfbench's [serve_churn] stream a polish takes about 5 Newton
+    steps on average. The counters [nf_xwi_polish_added_links_total] and
+    [nf_xwi_polish_retries_total] (unconverged solves retried without
+    their negatively priced links) count the corrections, and
+    [nf_xwi_polish_newton_steps_total] the Newton steps (numeric
+    factorizations).
 
     Deterministic: every choice is by link or flow id. *)
 
@@ -64,9 +68,9 @@ val solve :
     returns [false], leaving [out] unspecified, when the problem is not
     {!eligible}-shaped, some flow crosses no link of the active set, the
     active set has more than 256 links, a solve fails with no negative
-    price to drop, or the 8 solves run out. On success every returned
-    price is [>= 0], and the rates the prices induce load no link above
-    [(1 + 1e-9)] times its capacity.
+    price to drop, or the 160 Newton steps run out. On success every
+    returned price is [>= 0], and the rates the prices induce load no
+    link above [(1 + 1e-9)] times its capacity.
 
     [rates problem carried] must return the allocation the carried
     prices induce (length [n_flows]). Only a flow that crosses no link

@@ -418,7 +418,7 @@ let consumed state = state.buffers.b_prices != state.prices
    carried start. On nfbench's serve_churn stream (a churning 100-flow
    leaf-spine) the carried start alone needs a median of about 105 xWI
    iterations to re-certify an epoch, and the polished start certifies
-   all but about 1 in 15,000 epochs at iteration 0. *)
+   every one of 30,000 epochs (seeds 1-10) at iteration 0. *)
 let resize ?(polish = true) problem state =
   if Problem.n_links problem <> Array.length state.prices then
     invalid_arg "Xwi_core.resize: link count changed";

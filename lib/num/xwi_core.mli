@@ -87,8 +87,8 @@ val resize : ?polish:bool -> Problem.t -> state -> state
     highest price; about a quarter of [serve_churn]'s epochs), so a
     polished restart runs one water-fill, at most two, and no KKT sweep.
     On nfbench's [serve_churn] stream the polished start is already
-    certified (0 xWI iterations at tolerance 1e-6) in 29,998 of 30,000
-    epochs (seeds 1–10), against a median of about 105 iterations from
+    certified (0 xWI iterations at tolerance 1e-6) in all 30,000
+    epochs of seeds 1–10, against a median of about 105 iterations from
     the carried start.
 
     Every warm {!solve} polishes (serve's epochs, [Oracle.solve]'s carry,

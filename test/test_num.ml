@@ -1572,8 +1572,8 @@ let test_polish_adds_overloaded_link () =
 (* A first solve that fails: flow 1 (links 0 and 1) is the only flow on
    link 0, and both links have capacity 1, so once flow 0 (link 0 only)
    departs, no prices fill both carried links. Newton drives link 0's
-   price negative without converging; the polish drops link 0 and the
-   retry on A = {1} is the optimum. *)
+   price negative without converging; the solve ends at that step, the
+   polish drops link 0 and the retry on A = {1} is the optimum. *)
 let test_polish_retries_failed_solve () =
   let pf = Utility.proportional_fair () in
   let p =
@@ -1587,10 +1587,14 @@ let test_polish_retries_failed_solve () =
   Problem.remove_group p 0;
   Problem.commit p;
   let retries = polish_counter "nf_xwi_polish_retries_total" in
+  let steps = polish_counter "nf_xwi_polish_newton_steps_total" in
   let before = Nf_util.Metrics.counter_value retries in
+  let steps_before = Nf_util.Metrics.counter_value steps in
   let st = Xwi.resize p state in
   Alcotest.(check bool) "polished" true (Xwi.polished st);
   Alcotest.(check int) "one retry" 1 (Nf_util.Metrics.counter_value retries - before);
+  (* Dropping link 0 only after a whole 20-step solve took 32 steps. *)
+  Alcotest.(check int) "Newton steps" 5 (Nf_util.Metrics.counter_value steps - steps_before);
   check_rates ~rel:1e-9 "link 1 shared" [| 0.5; 0.5 |] st.Xwi.rates;
   Alcotest.(check bool) "certified at iteration 0" true (certified_at_zero p st)
 

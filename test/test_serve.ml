@@ -562,6 +562,60 @@ let test_engine_pinned_churn () =
   Alcotest.(check string) "final price bits" pinned_churn_prices_md5
     (md5_of_bits (Engine.prices e))
 
+(* nfbench's serve_churn stream without the wire codec: the seeded
+   leaf-spine, its arrival/departure draws (the client's generator is
+   seeded with [seed lxor 0x5eed], departures swap the last live gid
+   into the departed one's place), a ramp to [target] flows, the cold
+   epoch, then one epoch per event. Returns the warm epochs and how many
+   of them took an xWI iteration or kept the carried start. *)
+let serve_churn_misses ~seed ~target ~events =
+  let sc = Scenario.leaf_spine ~seed () in
+  let rng = Rng.create ~seed:(seed lxor 0x5eed) in
+  let e = Engine.create ~caps:sc.Scenario.caps () in
+  let live = Array.make (target + events) 0 and n_live = ref 0 in
+  let event () =
+    match Scenario.next_event rng sc ~live:!n_live ~target with
+    | Scenario.Arrive p ->
+      live.(!n_live) <- Engine.add_flow e ~utility:(pf ()) ~paths:[ sc.Scenario.path_pool.(p) ];
+      incr n_live
+    | Scenario.Depart j ->
+      let gid = live.(j) in
+      live.(j) <- live.(!n_live - 1);
+      decr n_live;
+      Engine.remove_flow e gid
+  in
+  while !n_live < target do
+    event ()
+  done;
+  ignore (Engine.solve_epoch e : Engine.epoch);
+  let carried = Nf_util.Metrics.counter Nf_util.Metrics.global "nf_xwi_carried_starts_total" in
+  let warm = ref 0 and iterated = ref 0 and kept = ref 0 in
+  for _ = 1 to events do
+    event ();
+    let before = Nf_util.Metrics.counter_value carried in
+    let ep = Engine.solve_epoch e in
+    if ep.Engine.warm then begin
+      incr warm;
+      if ep.Engine.iterations > 0 then incr iterated;
+      if Nf_util.Metrics.counter_value carried > before then incr kept
+    end
+  done;
+  (!warm, !iterated, !kept)
+
+(* On seeds 7 and 8 one epoch each once ran out of the polish's budget
+   (then 8 Newton solves) and fell back to 1,155-2,032 xWI iterations
+   from the carried start. Every warm epoch of both streams is polished
+   and certified at iteration 0. *)
+let test_engine_serve_churn_polished () =
+  List.iter
+    (fun seed ->
+      let warm, iterated, kept = serve_churn_misses ~seed ~target:100 ~events:3000 in
+      let what = Printf.sprintf "seed %d" seed in
+      Alcotest.(check int) (what ^ ": warm epochs") 3000 warm;
+      Alcotest.(check int) (what ^ ": carried starts") 0 kept;
+      Alcotest.(check int) (what ^ ": epochs past iteration 0") 0 iterated)
+    [ 7; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Scenario *)
 
@@ -846,6 +900,8 @@ let () =
           quick "capacity change" test_engine_set_cap;
           quick "emptied fabric restarts cold" test_engine_emptied_restarts_cold;
           quick "pinned seeded churn stream" test_engine_pinned_churn;
+          quick "serve_churn seeds 7 and 8: every warm epoch polished"
+            test_engine_serve_churn_polished;
         ] );
       ( "scenario",
         [
