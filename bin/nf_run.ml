@@ -36,9 +36,8 @@ let list_cmd =
       in
       let protos =
         List.map
-          (fun name ->
-            entry name (Nf_sim.Protocol.description (Nf_sim.Protocols.get name)))
-          (Nf_sim.Protocols.names ())
+          (fun p -> entry (Nf_sim.Protocol.name p) (Nf_sim.Protocol.description p))
+          Nf_sim.Protocols.builtins
       in
       let listing = [ ("experiments", Json.List exps); ("protocols", Json.List protos) ] in
       print_endline (Json.to_string (Json.Obj listing))
@@ -51,10 +50,10 @@ let list_cmd =
         E.Registry.all;
       Format.printf "@.Transport protocols (nf_run proto NAME):@.";
       List.iter
-        (fun name ->
-          let p = Nf_sim.Protocols.get name in
-          Format.printf "  %-14s %s@." name (Nf_sim.Protocol.description p))
-        (Nf_sim.Protocols.names ())
+        (fun p ->
+          Format.printf "  %-14s %s@." (Nf_sim.Protocol.name p)
+            (Nf_sim.Protocol.description p))
+        Nf_sim.Protocols.builtins
     end
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ json_arg)
@@ -132,7 +131,7 @@ let with_observability ~trace ~metrics ~profile ~diag f =
   | None -> ()
   | Some dir ->
     mkdir_p dir;
-    Nf_num.Diag.configure (Some (Nf_num.Diag.default_config ~dir)));
+    Nf_num.Diag.configure (Some dir));
   f ();
   (match sink with
   | None -> ()
@@ -205,11 +204,6 @@ let export_records path =
 (* ------------------------------------------------------------------ *)
 (* exp: run one experiment or the whole sweep through [Runner]. *)
 
-let failure_text = function
-  | E.Runner.Timed_out budget ->
-    Printf.sprintf "timed out (no attempt finished within %gs)" budget
-  | E.Runner.Failed msg -> Printf.sprintf "failed: %s" msg
-
 let render_text ~all results =
   let buf = Buffer.create 4096 in
   List.iter
@@ -217,8 +211,8 @@ let render_text ~all results =
       if all then Buffer.add_string buf (Printf.sprintf "==== %s ====\n" r.E.Runner.task_name);
       (match r.E.Runner.outcome with
       | Ok report -> Buffer.add_string buf (E.Report.to_text report)
-      | Error f ->
-        Buffer.add_string buf (Printf.sprintf "%s: %s\n" r.E.Runner.task_name (failure_text f)));
+      | Error msg ->
+        Buffer.add_string buf (Printf.sprintf "%s: failed: %s\n" r.E.Runner.task_name msg));
       if all then Buffer.add_char buf '\n')
     results;
   Buffer.contents buf
@@ -227,13 +221,7 @@ let report_json_entry (r : E.Runner.result) =
   let status =
     match r.E.Runner.outcome with
     | Ok report -> [ ("status", Json.Str "ok"); ("report", E.Report.json report) ]
-    | Error (E.Runner.Timed_out budget) ->
-      [
-        ("status", Json.Str "timed_out");
-        ("error", Json.Str (Printf.sprintf "no attempt finished within %gs" budget));
-      ]
-    | Error (E.Runner.Failed msg) ->
-      [ ("status", Json.Str "failed"); ("error", Json.Str msg) ]
+    | Error msg -> [ ("status", Json.Str "failed"); ("error", Json.Str msg) ]
   in
   Json.Obj (("name", Json.Str r.E.Runner.task_name) :: status)
 
@@ -257,9 +245,8 @@ let render_csv ~all results =
         Buffer.add_string buf (Printf.sprintf "# experiment: %s\n" r.E.Runner.task_name);
       (match r.E.Runner.outcome with
       | Ok report -> Buffer.add_string buf (E.Report.to_csv report)
-      | Error f ->
-        Buffer.add_string buf
-          (Printf.sprintf "# %s %s\n" r.E.Runner.task_name (failure_text f)));
+      | Error msg ->
+        Buffer.add_string buf (Printf.sprintf "# %s failed: %s\n" r.E.Runner.task_name msg));
       if all then Buffer.add_char buf '\n')
     results;
   Buffer.contents buf
@@ -278,8 +265,8 @@ let write_output ~out data =
       Format.eprintf "cannot write report: %s@." msg;
       exit 1)
 
-let run_experiments name all jobs timeout retries quick scale seed json csv out
-    record trace metrics profile diag =
+let run_experiments name all jobs quick scale seed json csv out record trace
+    metrics profile diag =
   let tasks =
     if all then E.Registry.all
     else
@@ -325,7 +312,7 @@ let run_experiments name all jobs timeout retries quick scale seed json csv out
      not anything that feeds a run record. *)
   let t0 = (Unix.gettimeofday () [@nf.allow "determinism"]) in
   with_observability ~trace ~metrics ~profile ~diag (fun () ->
-      results := E.Runner.run ~jobs ?timeout ~retries ~ctx tasks);
+      results := E.Runner.run ~jobs ~ctx tasks);
   let elapsed = (Unix.gettimeofday () [@nf.allow "determinism"]) -. t0 in
   let results = !results in
   let data =
@@ -355,20 +342,6 @@ let jobs_arg =
      Output is byte-identical whatever $(docv) is."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let timeout_arg =
-  let doc =
-    "Per-experiment wall-clock budget in seconds; a timed-out attempt is \
-     abandoned and retried (see --retries)."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
-
-let retries_arg =
-  let doc =
-    "Extra attempts after a transient failure (solver non-convergence, \
-     timeout); each retry perturbs the experiment's RNG seed."
-  in
-  Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
 
 let scale_arg =
   let doc =
@@ -400,10 +373,9 @@ let exp_cmd =
   in
   Cmd.v (Cmd.info "exp" ~doc)
     Term.(
-      const run_experiments $ name_arg $ all_arg $ jobs_arg $ timeout_arg
-      $ retries_arg $ quick_arg $ scale_arg $ seed_arg $ json_flag $ csv_flag
-      $ out_arg $ record_arg $ trace_arg $ metrics_arg $ profile_arg
-      $ diag_arg)
+      const run_experiments $ name_arg $ all_arg $ jobs_arg $ quick_arg
+      $ scale_arg $ seed_arg $ json_flag $ csv_flag $ out_arg $ record_arg
+      $ trace_arg $ metrics_arg $ profile_arg $ diag_arg)
 
 (* Smoke-run one registered transport: two finite flows over a shared
    10 Gbps bottleneck, report FCTs and the link counters. Exercises the
@@ -425,7 +397,7 @@ let proto_cmd =
     match Nf_sim.Protocols.find name with
     | None ->
       Format.eprintf "unknown protocol %S (known: %s)@." name
-        (String.concat ", " (Nf_sim.Protocols.names ()));
+        (String.concat ", " Nf_sim.Protocols.names);
       exit 2
     | Some protocol ->
       with_observability ~trace ~metrics ~profile ~diag:None @@ fun () ->

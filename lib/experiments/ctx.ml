@@ -1,19 +1,16 @@
 type t = {
   scale : float;
   seed : int;
-  attempt : int;
 }
 
 let make ~scale ~seed =
   if scale <= 0. || not (Float.is_finite scale) then
     invalid_arg (Printf.sprintf "Ctx.make: scale %g not positive" scale);
-  { scale; seed; attempt = 0 }
+  { scale; seed }
 
 let scaled ~floor t n =
   Stdlib.max floor (int_of_float (Float.ceil (float_of_int n *. t.scale)))
 
-(* A large odd stride keeps retry seeds far from every task's seed+index
-   neighborhood. *)
-let rng_seed t ~default = t.seed + default + (t.attempt * 1_000_003)
+let rng_seed t ~default = t.seed + default
 
-let for_task t ~index ~attempt = { t with seed = t.seed + index; attempt }
+let for_task t ~index = { t with seed = t.seed + index }

@@ -1,10 +1,10 @@
 (** Execution context for experiments.
 
     A context tells an experiment {e how} to run without touching {e
-    what} it computes: the scenario scale, the RNG seed base and the
-    retry attempt. It is the unit of sharding for {!Runner}: every task
-    gets its own context (seed offset by the task index, attempt set by
-    the retry loop), so parallel tasks never share RNG state.
+    what} it computes: the scenario scale and the RNG seed base. It is
+    the unit of sharding for {!Runner}: every task gets its own context
+    (seed offset by the task index), so parallel tasks never share RNG
+    state.
 
     Experiments must derive every random stream from {!rng_seed} and
     every scenario size from {!scaled}; given equal contexts they must
@@ -14,12 +14,10 @@
 type t = {
   scale : float;  (** scenario scale factor: 1.0 = the paper's setup *)
   seed : int;  (** RNG seed base; {!Runner} offsets it per task *)
-  attempt : int;  (** 0 on the first try; bumped by {!Runner} retries *)
 }
 
 val make : scale:float -> seed:int -> t
-(** A first-attempt context.
-    @raise Invalid_argument if [scale <= 0]. *)
+(** @raise Invalid_argument if [scale <= 0]. *)
 
 val scaled : floor:int -> t -> int -> int
 (** [scaled ~floor ctx n] is [ceil (n * ctx.scale)], at least [floor]:
@@ -27,11 +25,10 @@ val scaled : floor:int -> t -> int -> int
 
 val rng_seed : t -> default:int -> int
 (** The seed an experiment should feed to [Nf_util.Rng.create]:
-    [ctx.seed + default], perturbed on retries so a transiently diverging
-    instance re-rolls. With seed base 0 on a first attempt this is
-    exactly [default], keeping headline numbers comparable with the
-    historical records in EXPERIMENTS.md. *)
+    [ctx.seed + default]. With seed base 0 this is exactly [default],
+    keeping headline numbers comparable with the historical records in
+    EXPERIMENTS.md. *)
 
-val for_task : t -> index:int -> attempt:int -> t
+val for_task : t -> index:int -> t
 (** The context {!Runner} hands to task [index]: [seed] offset by the
-    task index (tasks never share an RNG stream) and [attempt] set. *)
+    task index, so tasks never share an RNG stream. *)

@@ -4,9 +4,9 @@
     is one more {!entry} in {!all}.
 
     An experiment is a {e pure data producer}: [run ctx] maps an
-    execution context (scale factor, seed base, retry attempt — see
-    {!Ctx}) to a structured {!Report.t}. It must not print, and equal
-    contexts must yield equal reports — that contract is what lets
+    execution context (scale factor and seed base — see {!Ctx}) to a
+    structured {!Report.t}. It must not print, and equal contexts must
+    yield equal reports — that contract is what lets
     {!Runner} shard experiments across domains with deterministic
     merged output.
     Formatting lives in {!Report}'s renderers; scheduling in {!Runner}. *)

@@ -34,7 +34,8 @@ let dummy_sample =
     s_wf_saturated = 0;
   }
 
-let default_eps = [| 1e-2; 1e-4; 1e-6; 1e-8; 1e-10 |]
+(* Descending thresholds of the iterations-to-ε ladder. *)
+let eps = [| 1e-2; 1e-4; 1e-6; 1e-8; 1e-10 |]
 
 type t = {
   n_links : int;
@@ -44,15 +45,13 @@ type t = {
   mutable len : int;
   mutable iters : int;
   final_residual : float array;  (* length 1; unboxed store per observe *)
-  eps : float array;  (* descending thresholds of the iterations-to-ε ladder *)
   eps_iter : int array;  (* first iteration at or below eps.(k); -1 = never *)
   prev_prices : float array;  (* pre-step snapshots, filled by [begin_iter] *)
   prev_rates : float array;
   link_delta : float array;  (* |Δ price| per link, last observed iteration *)
-  trace : Trace.t option;  (* None = resolve Trace.default at emission *)
 }
 
-let create ?(capacity = 64) ?(eps = default_eps) ?trace ~n_links ~n_flows () =
+let create ?(capacity = 64) ~n_links ~n_flows () =
   if capacity <= 0 then invalid_arg "Diag.create: capacity must be positive";
   {
     n_links;
@@ -62,12 +61,10 @@ let create ?(capacity = 64) ?(eps = default_eps) ?trace ~n_links ~n_flows () =
     len = 0;
     iters = 0;
     final_residual = Array.make 1 infinity;
-    eps = Array.copy eps;
     eps_iter = Array.make (Array.length eps) (-1);
     prev_prices = Array.make n_links 0.;
     prev_rates = Array.make n_flows 0.;
     link_delta = Array.make n_links 0.;
-    trace;
   }
 
 let iterations t = t.iters
@@ -116,8 +113,8 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated =
   let iter = t.iters in
   let residual = !residual in
   t.final_residual.(0) <- residual;
-  for k = 0 to Array.length t.eps - 1 do
-    if t.eps_iter.(k) < 0 && residual <= t.eps.(k) then t.eps_iter.(k) <- iter
+  for k = 0 to Array.length eps - 1 do
+    if t.eps_iter.(k) < 0 && residual <= eps.(k) then t.eps_iter.(k) <- iter
   done;
   push t
     {
@@ -131,7 +128,7 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated =
       s_wf_level = wf_level;
       s_wf_saturated = wf_saturated;
     };
-  let tr = match t.trace with Some tr -> tr | None -> Trace.default () in
+  let tr = Trace.default () in
   if Trace.on tr Trace.XwiResidual then
     Trace.emit tr Trace.XwiResidual ~subject:0 ~time:(float_of_int iter)
       ~aux:!price_delta residual
@@ -169,7 +166,7 @@ let report t =
     r_final_residual =
       (if t.iters > 0 then t.final_residual.(0) else infinity);
     r_to_eps =
-      Array.init (Array.length t.eps) (fun k -> (t.eps.(k), t.eps_iter.(k)));
+      Array.init (Array.length eps) (fun k -> (eps.(k), t.eps_iter.(k)));
   }
 
 let int_num i = Json.Num (float_of_int i)
@@ -244,40 +241,35 @@ let dump ?final_residual t ~converged ~path =
 
 (* --- process-wide configuration (the [--diag] switch) --------------- *)
 
-type config = {
-  c_ring : int;  (* ring capacity for auto-attached diags *)
-  c_dir : string;  (* directory receiving postmortem JSONL files *)
-  c_max_postmortems : int;  (* cap on files written per configuration *)
-}
+let auto_capacity = 64  (* ring capacity for auto-attached diags *)
 
-let default_config ~dir = { c_ring = 64; c_dir = dir; c_max_postmortems = 16 }
+let max_postmortems = 16  (* cap on files written per configuration *)
 
-let config_ref : config option Atomic.t = Atomic.make None
+(* The directory receiving postmortem JSONL files; None = unconfigured. *)
+let dir_ref : string option Atomic.t = Atomic.make None
 
 let written = Atomic.make 0
 
-let configure c =
-  Atomic.set config_ref c;
+let configure dir =
+  Atomic.set dir_ref dir;
   Atomic.set written 0
-
-let configured () = Atomic.get config_ref
 
 let postmortems_written () = Atomic.get written
 
 let attach ~n_links ~n_flows =
-  match configured () with
+  match Atomic.get dir_ref with
   | None -> None
-  | Some c -> Some (create ~capacity:c.c_ring ~n_links ~n_flows ())
+  | Some _ -> Some (create ~capacity:auto_capacity ~n_links ~n_flows ())
 
 let dump_auto ?final_residual t ~converged =
-  match configured () with
+  match Atomic.get dir_ref with
   | None -> ()
-  | Some c ->
+  | Some dir ->
     let n = Atomic.get written in
-    if n < c.c_max_postmortems then begin
+    if n < max_postmortems then begin
       Atomic.set written (n + 1);
       let path =
-        Filename.concat c.c_dir (Printf.sprintf "xwi_postmortem_%04d.jsonl" n)
+        Filename.concat dir (Printf.sprintf "xwi_postmortem_%04d.jsonl" n)
       in
       dump ?final_residual t ~converged ~path
     end

@@ -2,7 +2,7 @@
 
     A [t] attaches to one {!Xwi_core.state} (explicitly, through its
     mutable [diag] field, or automatically by the init functions when a
-    process-wide {!configure}d config is active — the CLI's
+    postmortem directory is {!configure}d — the CLI's
     [nf_run exp --diag DIR]). Each {!Xwi_core.step} on a diagnosed state
     then:
 
@@ -36,20 +36,12 @@ type sample = {
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?eps:float array ->
-  ?trace:Nf_util.Trace.t ->
-  n_links:int ->
-  n_flows:int ->
-  unit ->
-  t
+val create : ?capacity:int -> n_links:int -> n_flows:int -> unit -> t
 (** A diagnostics instance for one solver state shape. [capacity]
-    (default 64) bounds the iteration-sample ring. [eps] (default
-    [[| 1e-2; 1e-4; 1e-6; 1e-8; 1e-10 |]]) are the thresholds of the
-    iterations-to-ε ladder. [trace] overrides the sink for
-    [XwiResidual] events (default: {!Nf_util.Trace.default} resolved at
-    emission time). *)
+    (default 64) bounds the iteration-sample ring. The iterations-to-ε
+    ladder's thresholds are [1e-2; 1e-4; 1e-6; 1e-8; 1e-10], and
+    [XwiResidual] events go to {!Nf_util.Trace.default}, resolved at
+    emission time. *)
 
 val begin_iter : t -> prices:float array -> rates:float array -> unit
 (** Snapshot the pre-step prices and rates (called by {!Xwi_core.step}). *)
@@ -88,25 +80,17 @@ val report_to_json : report -> string
 
 (** {2 Process-wide configuration}
 
-    The [--diag] CLI switch installs a config; solver states created
-    while one is active auto-attach a diag, and non-converged runs dump
-    postmortems into the configured directory (up to the file cap). *)
+    The [--diag] CLI switch names a directory; solver states created
+    while one is configured auto-attach a diag (a ring of 64 samples),
+    and non-converged runs dump postmortems into the directory (at most
+    16 files per configuration). *)
 
-type config = {
-  c_ring : int;  (** ring capacity for auto-attached instances *)
-  c_dir : string;  (** directory receiving postmortem JSONL files *)
-  c_max_postmortems : int;  (** cap on postmortem files per configuration *)
-}
-
-val default_config : dir:string -> config
-(** Ring of 64, at most 16 postmortem files. *)
-
-val configure : config option -> unit
-(** Install ([Some]) or clear ([None]) the process-wide config; resets
-    the {!postmortems_written} counter. *)
+val configure : string option -> unit
+(** Install ([Some dir]) or clear ([None]) the postmortem directory;
+    resets the {!postmortems_written} counter. *)
 
 val attach : n_links:int -> n_flows:int -> t option
-(** A fresh instance per the process-wide config, or [None] when
+(** A fresh instance while a directory is configured, or [None] when
     unconfigured. Called by the {!Xwi_core} init functions. *)
 
 val dump_auto : ?final_residual:float -> t -> converged:bool -> unit

@@ -59,7 +59,7 @@ val seed : Problem.t -> float array * float array
 
 val init : Problem.t -> state
 (** Initial state at the {!seed}: its prices, rates at its allocation.
-    When a process-wide {!Diag.configure}d config is active (the CLI's
+    When a postmortem directory is {!Diag.configure}d (the CLI's
     [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
 
 val resize : ?polish:bool -> Problem.t -> state -> state

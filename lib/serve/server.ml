@@ -1,6 +1,5 @@
 module Json = Nf_util.Json
 module Metrics = Nf_util.Metrics
-module Trace = Nf_util.Trace
 
 type addr = Tcp of int | Unix_sock of string
 
@@ -25,7 +24,6 @@ type t = {
   stop_w : Unix.file_descr;
   mutable clients : client list;
   mutable running : bool;
-  mutable trace_seen : int;  (* Trace.emitted already streamed *)
 }
 
 let create ?(backlog = 64) ~engine addr =
@@ -55,7 +53,6 @@ let create ?(backlog = 64) ~engine addr =
     stop_w;
     clients = [];
     running = false;
-    trace_seen = Trace.emitted (Trace.default ());
   }
 
 let port t =
@@ -248,39 +245,6 @@ let push_epoch t (e : Engine.epoch) =
   in
   List.iter (fun c -> if c.subscribed then send c line) t.clients
 
-let push_trace t =
-  let sink = Trace.default () in
-  let emitted = Trace.emitted sink in
-  if emitted > t.trace_seen then begin
-    let events = Trace.events sink in
-    let fresh = emitted - t.trace_seen in
-    let buffered = List.length events in
-    (* The ring may have overwritten older events; stream what survives. *)
-    let events =
-      if buffered > fresh then
-        List.filteri (fun i _ -> i >= buffered - fresh) events
-      else events
-    in
-    t.trace_seen <- emitted;
-    if List.exists (fun c -> c.subscribed) t.clients then
-      List.iter
-        (fun (ev : Trace.event) ->
-          let line =
-            Json.to_string
-              (Json.Obj
-                 [
-                   ("push", Json.Str "trace");
-                   ("time", num ev.Trace.time);
-                   ("kind", Json.Str (Trace.kind_name ev.Trace.kind));
-                   ("subject", int_num ev.Trace.subject);
-                   ("value", num ev.Trace.value);
-                   ("aux", num ev.Trace.aux);
-                 ])
-          in
-          List.iter (fun c -> if c.subscribed then send c line) t.clients)
-        events
-  end
-
 (* ------------------------------------------------------------------ *)
 (* The loop *)
 
@@ -332,7 +296,6 @@ let run t =
           let e = Engine.solve_epoch t.engine in
           push_epoch t e
         end;
-        push_trace t;
         List.iter (fun c -> if c.closing then close_client t c) t.clients
       end
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

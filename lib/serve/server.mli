@@ -4,9 +4,8 @@
 
     Epoch batching: every select round first drains all readable
     clients, then — if any events arrived — runs {e one} warm-started
-    {!Engine.solve_epoch} for the whole batch, pushes an epoch line to
-    subscribers, and streams any new {!Nf_util.Trace} events from the
-    process-wide sink to them. A client whose first line is an HTTP
+    {!Engine.solve_epoch} for the whole batch and pushes an epoch line
+    to subscribers. A client whose first line is an HTTP
     [GET] is served the Prometheus exposition of
     [Nf_util.Metrics.global] ([/metrics] or [/]) and closed, so the same
     port is both the command socket and the scrape endpoint.

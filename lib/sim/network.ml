@@ -39,11 +39,6 @@ let m_flows_stopped =
   Metrics.counter Metrics.global
     ~help:"Flow senders stopped before completing" "nf_sim_flows_stopped_total"
 
-let m_wall_per_sim_second =
-  Metrics.gauge Metrics.global
-    ~help:"Wall-clock seconds per simulated second of the last Network.run"
-    "nf_sim_wall_seconds_per_sim_second"
-
 type flow_spec = {
   fs_id : int;
   fs_src : int;
@@ -405,14 +400,7 @@ let stop_flow_at t ~id at =
         Metrics.incr m_flows_stopped;
       Host.stop s)
 
-let run t ~until =
-  let wall0 = Nf_util.Profile.now () in
-  let sim0 = Sim.now t.sim in
-  Sim.run ~until t.sim;
-  let sim_dt = Sim.now t.sim -. sim0 in
-  if sim_dt > 0. then
-    Metrics.set_gauge m_wall_per_sim_second
-      ((Nf_util.Profile.now () -. wall0) /. sim_dt)
+let run t ~until = Sim.run ~until t.sim
 
 (* ------------------------------------------------------------------ *)
 (* Measurement *)

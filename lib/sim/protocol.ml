@@ -52,15 +52,3 @@ let description (module P : PROTOCOL) = P.description
 let needs_utility (module P : PROTOCOL) = P.needs_utility
 
 let default_rto ~d0 = Float.max (30. *. d0) 1e-3
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let register ((module P : PROTOCOL) as p) =
-  if Hashtbl.mem registry P.name then
-    invalid_arg (Printf.sprintf "Protocol.register: duplicate protocol %S" P.name);
-  Hashtbl.replace registry P.name p
-
-let find name = Hashtbl.find_opt registry name
-
-let names () =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry [])

@@ -11,10 +11,10 @@
       stamping on send, state updates on ACK, and the send discipline
       (window- or rate-paced).
 
-    Protocols are first-class modules registered by name; {!Network}
-    knows nothing about any particular protocol, so adding one is a new
-    module plus one {!register} call (the built-ins are registered by
-    {!Protocols}). *)
+    Protocols are first-class modules looked up by name in
+    {!Protocols}' static list; {!Network} knows nothing about any
+    particular protocol, so adding one is a new module plus one entry in
+    {!Protocols.builtins}. *)
 
 (** What a protocol's flow can query from the generic sender machinery. *)
 type flow_env = {
@@ -101,16 +101,3 @@ val needs_utility : t -> bool
 val default_rto : d0:float -> float
 (** The coarse safety RTO shared by the loss-rare protocols:
     [max (30 * d0) 1 ms]. *)
-
-(** {2 Registry} *)
-
-val register : t -> unit
-(** @raise Invalid_argument on a duplicate name. *)
-
-val find : string -> t option
-(** Note: only protocols whose defining module has been initialized are
-    visible; the built-ins are registered by {!Protocols}, so prefer
-    {!Protocols.find} / {!Protocols.get} unless you registered your own. *)
-
-val names : unit -> string list
-(** Registered names, sorted. *)

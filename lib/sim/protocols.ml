@@ -8,14 +8,9 @@ let builtins =
     Proto_pfabric.protocol;
   ]
 
-(* Registration happens here, not in the defining modules: OCaml only runs
-   a module's initializer if something links against it, and this module —
-   the public lookup path — references them all. *)
-let () = List.iter Protocol.register builtins
+let find name = List.find_opt (fun p -> String.equal (Protocol.name p) name) builtins
 
-let find = Protocol.find
-
-let names = Protocol.names
+let names = List.sort String.compare (List.map Protocol.name builtins)
 
 let get name =
   match find name with
@@ -23,4 +18,4 @@ let get name =
   | None ->
     invalid_arg
       (Printf.sprintf "unknown protocol %S (known: %s)" name
-         (String.concat ", " (names ())))
+         (String.concat ", " names))

@@ -1,8 +1,5 @@
-(** The built-in protocols, registered.
-
-    Linking this module guarantees all six built-ins are in the
-    {!Protocol} registry; use it (rather than {!Protocol.find}) as the
-    lookup entry point. *)
+(** The transport protocols, as one static list: the lookup entry point
+    for every protocol by name. *)
 
 val builtins : Protocol.t list
 (** numfabric, numfabric-srpt, dgd, rcp, dctcp, pfabric. *)
@@ -11,7 +8,7 @@ val find : string -> Protocol.t option
 
 val get : string -> Protocol.t
 (** @raise Invalid_argument on an unknown name (the message lists the
-    registered names). *)
+    known names). *)
 
-val names : unit -> string list
-(** Registered names (built-ins plus any externally registered), sorted. *)
+val names : string list
+(** The names of {!builtins}, sorted. *)

@@ -2030,7 +2030,7 @@ let test_diag_postmortem_on_nonconvergence () =
   let sink = Trace.make ~kinds:[ Trace.XwiNonconverged ] () in
   let saved = Trace.default () in
   Trace.set_default sink;
-  Diag.configure (Some (Diag.default_config ~dir));
+  Diag.configure (Some dir);
   let nonconverged =
     Metrics.counter Metrics.global "nf_xwi_nonconverged_total"
   in

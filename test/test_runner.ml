@@ -1,6 +1,6 @@
 (* Tests for the structured experiment API (Ctx/Report) and the sharded
-   Runner: parallel output must equal sequential output, timeouts must
-   trigger a retry, and a failing task must not take its neighbors down. *)
+   Runner: parallel output must equal sequential output, every task runs
+   exactly once, and a failing task must not take its neighbors down. *)
 
 module E = Nf_experiments
 module Ctx = E.Ctx
@@ -97,12 +97,9 @@ let test_ctx_seeds () =
     (Ctx.rng_seed full_ctx ~default:17);
   let shifted = Ctx.make ~scale:1. ~seed:5 in
   Alcotest.(check int) "seed base adds" 22 (Ctx.rng_seed shifted ~default:17);
-  let t3 = Ctx.for_task full_ctx ~index:3 ~attempt:0 in
+  let t3 = Ctx.for_task full_ctx ~index:3 in
   Alcotest.(check int) "task index offsets the seed" 20
-    (Ctx.rng_seed t3 ~default:17);
-  let retry = Ctx.for_task full_ctx ~index:3 ~attempt:2 in
-  Alcotest.(check bool) "retries perturb the seed" true
-    (Ctx.rng_seed retry ~default:17 <> Ctx.rng_seed t3 ~default:17)
+    (Ctx.rng_seed t3 ~default:17)
 
 (* ------------------------------------------------------------------ *)
 (* Runner *)
@@ -115,10 +112,7 @@ let find_entry name =
 let outcome_report (r : Runner.result) =
   match r.Runner.outcome with
   | Ok report -> report
-  | Error (Runner.Timed_out t) ->
-    Alcotest.failf "%s timed out (%gs)" r.Runner.task_name t
-  | Error (Runner.Failed msg) ->
-    Alcotest.failf "%s failed: %s" r.Runner.task_name msg
+  | Error msg -> Alcotest.failf "%s failed: %s" r.Runner.task_name msg
 
 (* The acceptance check in miniature: sharding the cheap experiments over
    4 domains must merge to exactly the sequential reports. swift and churn
@@ -127,8 +121,8 @@ let test_parallel_equals_sequential () =
   let tasks =
     List.map find_entry [ "table1"; "table2"; "fig2"; "fig9"; "swift"; "churn" ]
   in
-  let seq = Runner.run ~jobs:1 ~retries:1 ~ctx:quick_ctx tasks in
-  let par = Runner.run ~jobs:4 ~retries:1 ~ctx:quick_ctx tasks in
+  let seq = Runner.run ~jobs:1 ~ctx:quick_ctx tasks in
+  let par = Runner.run ~jobs:4 ~ctx:quick_ctx tasks in
   Alcotest.(check (list string))
     "task order preserved"
     (List.map (fun (t : E.Registry.entry) -> t.name) tasks)
@@ -149,92 +143,60 @@ let trivial_report name =
 
 let task name run = { E.Registry.name; description = ""; run }
 
-let test_failing_task_isolates () =
-  let boom = Failure "synthetic crash" in
+(* A raising task sits between two good ones: it must run exactly once
+   and fail with its exception's text while both neighbours finish. *)
+let check_isolated exn =
+  let runs = Atomic.make 0 in
   let tasks =
     [
       task "ok-before" (fun _ -> trivial_report "ok-before");
-      task "crashes" (fun _ -> raise boom);
+      task "raises" (fun _ ->
+          Atomic.incr runs;
+          raise exn);
       task "ok-after" (fun _ -> trivial_report "ok-after");
     ]
   in
-  match Runner.run ~jobs:2 ~retries:2 ~ctx:full_ctx tasks with
-  | [ before; crashed; after ] ->
+  match Runner.run ~jobs:2 ~ctx:full_ctx tasks with
+  | [ before; raised; after ] -> (
+    Alcotest.(check int) "ran exactly once" 1 (Atomic.get runs);
     Alcotest.check report_t "neighbor before survives" (trivial_report "ok-before")
       (outcome_report before);
     Alcotest.check report_t "neighbor after survives" (trivial_report "ok-after")
       (outcome_report after);
-    (match crashed.Runner.outcome with
-    | Error (Runner.Failed msg) ->
-      Alcotest.(check bool) "failure message kept" true
-        (contains ~needle:"synthetic crash" msg);
-      Alcotest.(check int) "non-transient failures are not retried" 1
-        crashed.Runner.attempts
-    | Ok _ | Error (Runner.Timed_out _) ->
-      Alcotest.fail "crashing task should report Failed")
+    match raised.Runner.outcome with
+    | Error msg ->
+      Alcotest.(check string) "failure message kept" (Printexc.to_string exn) msg
+    | Ok _ -> Alcotest.fail "a raising task should report a failure")
   | rs -> Alcotest.failf "expected 3 results, got %d" (List.length rs)
 
-let test_transient_retry () =
-  (* Diverges on attempt 0, converges on the retry: the attempt counter
-     in the task's Ctx is the only state, so the behavior is exactly the
-     [Did_not_converge]-then-recover path. *)
-  let t =
-    task "flaky" (fun ctx ->
-        if ctx.Ctx.attempt = 0 then
-          raise (Nf_num.Oracle.Did_not_converge "synthetic divergence")
-        else trivial_report "flaky")
-  in
-  match Runner.run ~jobs:1 ~retries:1 ~ctx:full_ctx [ t ] with
-  | [ r ] ->
-    Alcotest.check report_t "recovered on retry" (trivial_report "flaky")
-      (outcome_report r);
-    Alcotest.(check int) "took two attempts" 2 r.Runner.attempts
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
+let test_failing_task_isolates () = check_isolated (Failure "synthetic crash")
 
-let test_transient_exhausted () =
-  let t =
-    task "hopeless" (fun _ ->
-        raise (Nf_num.Oracle.Did_not_converge "always"))
-  in
-  match Runner.run ~jobs:1 ~retries:2 ~ctx:full_ctx [ t ] with
-  | [ r ] -> (
-    match r.Runner.outcome with
-    | Error (Runner.Failed _) ->
-      Alcotest.(check int) "all attempts used" 3 r.Runner.attempts
-    | Ok _ | Error (Runner.Timed_out _) ->
-      Alcotest.fail "exhausted retries should report Failed")
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
+(* A solver that does not converge is reported, not re-rolled. *)
+let test_nonconvergence_runs_once () =
+  check_isolated (Nf_num.Oracle.Did_not_converge "synthetic divergence")
 
-let test_timeout_triggers_retry () =
-  (* Attempt 0 overruns the budget and is abandoned; attempt 1 returns
-     immediately. *)
-  let t =
-    task "slow-once" (fun ctx ->
-        if ctx.Ctx.attempt = 0 then Unix.sleepf 0.5;
-        trivial_report "slow-once")
+(* More jobs than tasks: the pool shrinks to one worker per task, and the
+   merged results equal the one-worker run. Each task's report carries
+   its context's seed, so a task that ran with another task's index
+   would show. *)
+let test_wide_pool_equals_one_worker () =
+  let tasks =
+    List.init 3 (fun i ->
+        let name = Printf.sprintf "t%d" i in
+        task name (fun ctx ->
+            Report.make ~title:name ~columns:[ "seed" ]
+              [ [ Report.int (Ctx.rng_seed ctx ~default:0) ] ]))
   in
-  match Runner.run ~jobs:1 ~timeout:0.1 ~retries:1 ~ctx:full_ctx [ t ] with
-  | [ r ] ->
-    Alcotest.check report_t "retry beat the budget" (trivial_report "slow-once")
-      (outcome_report r);
-    Alcotest.(check int) "timeout consumed an attempt" 2 r.Runner.attempts
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
-
-let test_timeout_exhausted () =
-  let t =
-    task "sleeper" (fun _ ->
-        Unix.sleepf 0.4;
-        trivial_report "sleeper")
-  in
-  match Runner.run ~jobs:1 ~timeout:0.05 ~retries:0 ~ctx:full_ctx [ t ] with
-  | [ r ] -> (
-    match r.Runner.outcome with
-    | Error (Runner.Timed_out budget) ->
-      Alcotest.(check (float 1e-9)) "budget reported" 0.05 budget;
-      Alcotest.(check int) "single attempt" 1 r.Runner.attempts
-    | Ok _ | Error (Runner.Failed _) ->
-      Alcotest.fail "over-budget task should report Timed_out")
-  | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
+  let one = Runner.run ~jobs:1 ~ctx:full_ctx tasks in
+  let wide = Runner.run ~jobs:16 ~ctx:full_ctx tasks in
+  Alcotest.(check (list string)) "task order preserved" [ "t0"; "t1"; "t2" ]
+    (List.map (fun (r : Runner.result) -> r.Runner.task_name) wide);
+  List.iter2
+    (fun a b ->
+      Alcotest.check report_t
+        ("jobs:16 = jobs:1 for " ^ a.Runner.task_name)
+        (outcome_report a) (outcome_report b))
+    one wide
 
 (* The static list is the registry: every id once, in paper order. *)
 let test_registry_covers_paper () =
@@ -270,10 +232,8 @@ let () =
         [
           slow "jobs:4 merges to jobs:1 bytes" test_parallel_equals_sequential;
           quick "failing task isolates" test_failing_task_isolates;
-          quick "transient failure retries" test_transient_retry;
-          quick "transient retries exhaust" test_transient_exhausted;
-          quick "timeout triggers retry" test_timeout_triggers_retry;
-          quick "timeout exhausts" test_timeout_exhausted;
+          quick "non-convergence runs once" test_nonconvergence_runs_once;
+          quick "jobs:16 over 3 tasks = jobs:1" test_wide_pool_equals_one_worker;
           quick "registry covers the paper" test_registry_covers_paper;
         ] );
     ]
