@@ -2,9 +2,9 @@
 
     A context tells an experiment {e how} to run without touching {e
     what} it computes: the scenario scale and the RNG seed base. It is
-    the unit of sharding for {!Runner}: every task gets its own context
-    (seed offset by the task index), so parallel tasks never share RNG
-    state.
+    the unit of work {!Runner}'s worker pool hands out: every task gets
+    its own context (seed offset by the task index), so parallel tasks
+    never share RNG state.
 
     Experiments must derive every random stream from {!rng_seed} and
     every scenario size from {!scaled}; given equal contexts they must

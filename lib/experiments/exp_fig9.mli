@@ -7,5 +7,4 @@ type point = {
 }
 type t = point list
 val run : unit -> point list
-val max_rel_error : point list -> float
 val report : point list -> Report.t

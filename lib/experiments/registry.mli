@@ -7,8 +7,8 @@
     execution context (scale factor and seed base — see {!Ctx}) to a
     structured {!Report.t}. It must not print, and equal contexts must
     yield equal reports — that contract is what lets
-    {!Runner} shard experiments across domains with deterministic
-    merged output.
+    {!Runner}'s worker pool run experiments on several domains with
+    deterministic merged output.
     Formatting lives in {!Report}'s renderers; scheduling in {!Runner}. *)
 
 type entry = {

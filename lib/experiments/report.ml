@@ -26,19 +26,6 @@ let int i = Int i
 
 let float f = Float f
 
-let cell_equal a b =
-  match (a, b) with
-  | Text a, Text b -> String.equal a b
-  | Int a, Int b -> a = b
-  | Float a, Float b -> Float.compare a b = 0  (* nan = nan *)
-  | _ -> false
-
-let equal a b =
-  String.equal a.title b.title
-  && List.equal String.equal a.columns b.columns
-  && List.equal (List.equal cell_equal) a.rows b.rows
-  && List.equal String.equal a.notes b.notes
-
 (* ------------------------------------------------------------------ *)
 (* Text *)
 

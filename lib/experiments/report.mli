@@ -30,14 +30,8 @@ val int : int -> cell
 
 val float : float -> cell
 
-val equal : t -> t -> bool
-(** Structural equality; NaN cells compare equal to themselves (so two
-    runs of the same seeded experiment compare equal). *)
-
-val pp : Format.formatter -> t -> unit
-(** Aligned plain-text table: title, header, rows, then notes. *)
-
 val to_text : t -> string
+(** Aligned plain-text table: title, header, rows, then notes. *)
 
 val json : t -> Nf_util.Json.t
 (** [{"title":...,"columns":[...],"rows":[[...]],"notes":[...]}]. Float

@@ -1,8 +1,8 @@
-(** Multicore sharded experiment executor.
+(** Multicore experiment executor: a worker pool.
 
-    {!run} shards a list of {!Registry.entry}s (each a named pure
-    function from a {!Ctx.t} to a {!Report.t}) across a fixed pool of
-    OCaml 5 domains and merges the results {e deterministically}: the
+    {!run} hands a list of {!Registry.entry}s (each a named pure
+    function from a {!Ctx.t} to a {!Report.t}) to a fixed pool of
+    OCaml 5 worker domains and merges the results {e deterministically}: the
     result list is in task order, each task's context depends only on
     its index (never on scheduling), and reports carry no wall-clock
     data — so the merged output is byte-identical whatever [jobs] is.

@@ -8,6 +8,7 @@ type criteria = {
 let paper_criteria =
   { within = 0.1; fraction = 0.95; sustain = 5e-3; max_time = 50e-3 }
 
+(* Fraction of flows whose rate is within [within] of the target. *)
 let fraction_within ~target ~within rates =
   let n = Array.length target in
   if n = 0 then 1.

@@ -18,12 +18,6 @@ type criteria = {
   max_time : float;  (** give up after this much simulated time *)
 }
 
-val fraction_within :
-  target:float array -> within:float -> float array -> float
-(** Fraction of flows whose rate is within the relative tolerance of the
-    target (targets of 0 match rates below an absolute epsilon; a NaN
-    rate is never within). An empty population counts as all within. *)
-
 val sustained :
   criteria ->
   period:float ->
@@ -36,7 +30,9 @@ val sustained :
     [i] (it may advance a simulation, and the array is read before the
     next call). Sample [i] is {e inside} when at least
     [criteria.fraction] of the rates are within [criteria.within] of
-    [target]. Returns [Some e] at the first sample [i] that ends a run of
+    [target] (relative tolerance; a target of 0 matches rates below an
+    absolute epsilon, a NaN rate is never within, and an empty population
+    counts as all within). Returns [Some e] at the first sample [i] that ends a run of
     inside samples [e .. i] with [i - e >= ceil (sustain /. period)],
     calling [sample] no further; [None] once sample [last] has been
     taken without one ([last < 0]: no sample at all).

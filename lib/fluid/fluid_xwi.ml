@@ -1,7 +1,7 @@
 module Xwi_core = Nf_num.Xwi_core
 module Trace = Nf_util.Trace
 
-let make_with_prices ?(params = Xwi_core.default_params)
+let make ?(params = Xwi_core.default_params)
     ?(interval = Nf_num.Price_law.xwi_interval) problem =
   let problem = ref problem in
   let state = ref (Xwi_core.init !problem) in
@@ -23,18 +23,12 @@ let make_with_prices ?(params = Xwi_core.default_params)
     state := Xwi_core.resize ~polish:false p !state;
     problem := p
   in
-  let scheme =
-    {
-      Scheme.name = "NUMFabric";
-      interval;
-      step;
-      rates;
-      rates_view;
-      rebind;
-      observe_remaining = Scheme.nop_observe;
-    }
-  in
-  (scheme, fun () -> Array.copy !state.Xwi_core.prices)
-
-let make ?params ?interval problem =
-  fst (make_with_prices ?params ?interval problem)
+  {
+    Scheme.name = "NUMFabric";
+    interval;
+    step;
+    rates;
+    rates_view;
+    rebind;
+    observe_remaining = Scheme.nop_observe;
+  }

@@ -18,11 +18,3 @@ val make :
     to {!Nf_util.Trace.default} (resolved at emission time).
     Per-iteration solver diagnostics attach through the process-wide
     {!Nf_num.Diag.configure}. *)
-
-val make_with_prices :
-  ?params:Nf_num.Xwi_core.params ->
-  ?interval:float ->
-  Nf_num.Problem.t ->
-  Scheme.t * (unit -> float array)
-(** Like {!make} but also returns an accessor for a snapshot of the
-    current link prices (for instrumentation and tests). *)

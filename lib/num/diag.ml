@@ -51,8 +51,10 @@ type t = {
   link_delta : float array;  (* |Δ price| per link, last observed iteration *)
 }
 
-let create ?(capacity = 64) ~n_links ~n_flows () =
-  if capacity <= 0 then invalid_arg "Diag.create: capacity must be positive";
+(* Ring capacity: the iteration samples a postmortem keeps. *)
+let capacity = 64
+
+let create ~n_links ~n_flows =
   {
     n_links;
     n_flows;
@@ -67,20 +69,17 @@ let create ?(capacity = 64) ~n_links ~n_flows () =
     link_delta = Array.make n_links 0.;
   }
 
-let iterations t = t.iters
-
 let begin_iter t ~prices ~rates =
   Array.blit prices 0 t.prev_prices 0 t.n_links;
   Array.blit rates 0 t.prev_rates 0 t.n_flows
 
 let push t s =
-  let cap = Array.length t.ring in
-  if Int.equal t.len cap then begin
+  if Int.equal t.len capacity then begin
     t.ring.(t.head) <- s;
-    t.head <- (t.head + 1) mod cap
+    t.head <- (t.head + 1) mod capacity
   end
   else begin
-    t.ring.((t.head + t.len) mod cap) <- s;
+    t.ring.((t.head + t.len) mod capacity) <- s;
     t.len <- t.len + 1
   end
 
@@ -133,11 +132,11 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated =
     Trace.emit tr Trace.XwiResidual ~subject:0 ~time:(float_of_int iter)
       ~aux:!price_delta residual
 
-let samples t =
-  let cap = Array.length t.ring in
-  List.init t.len (fun i -> t.ring.((t.head + i) mod cap))
+let samples t = List.init t.len (fun i -> t.ring.((t.head + i) mod capacity))
 
-let worst_links ?(n = 8) t =
+(* The 8 links with the largest |Δ price| in the last observed
+   iteration. *)
+let worst_links t =
   let rows = ref [] in
   for l = t.n_links - 1 downto 0 do
     if t.link_delta.(l) > 0. then rows := (l, t.link_delta.(l)) :: !rows
@@ -150,42 +149,27 @@ let worst_links ?(n = 8) t =
         if c <> 0 then c else Int.compare l1 l2)
       !rows
   in
-  List.filteri (fun i _ -> i < n) rows
+  List.filteri (fun i _ -> i < 8) rows
 
-(* --- iterations-to-ε report ---------------------------------------- *)
-
-type report = {
-  r_iterations : int;
-  r_final_residual : float;
-  r_to_eps : (float * int) array;
-}
-
-let report t =
-  {
-    r_iterations = t.iters;
-    r_final_residual =
-      (if t.iters > 0 then t.final_residual.(0) else infinity);
-    r_to_eps =
-      Array.init (Array.length eps) (fun k -> (eps.(k), t.eps_iter.(k)));
-  }
+(* --- postmortem dump ------------------------------------------------ *)
 
 let int_num i = Json.Num (float_of_int i)
 
-let report_json r =
+(* Residual of the last iteration; [infinity] before the first. *)
+let final_residual t = if t.iters > 0 then t.final_residual.(0) else infinity
+
+(* The iterations-to-ε report: each threshold with the first iteration
+   at or below it (-1 if never reached). *)
+let report_json t =
   Json.Obj
     [
-      ("iterations", int_num r.r_iterations);
-      ("final_residual", Json.Num r.r_final_residual);
+      ("iterations", int_num t.iters);
+      ("final_residual", Json.Num (final_residual t));
       ( "to_eps",
         Json.List
-          (Array.fold_right
-             (fun (eps, it) l -> Json.List [ Json.Num eps; int_num it ] :: l)
-             r.r_to_eps []) );
+          (List.init (Array.length eps) (fun k ->
+               Json.List [ Json.Num eps.(k); int_num t.eps_iter.(k) ])) );
     ]
-
-let report_to_json r = Json.to_string (report_json r)
-
-(* --- postmortem dump ------------------------------------------------ *)
 
 let sample_json s =
   Json.Obj
@@ -205,17 +189,14 @@ let sample_json s =
 (* The postmortem as JSONL: a [meta] line ([final_residual], e.g. the
    KKT residual, overrides the report's), one [iter] line per ring sample
    (oldest first), a [worst_links] line and a [to_eps] line. *)
-let dump ?final_residual t ~converged ~path =
-  let r = report t in
-  let final =
-    match final_residual with Some f -> f | None -> r.r_final_residual
-  in
+let dump ?final_residual:final t ~converged ~path =
+  let final = match final with Some f -> f | None -> final_residual t in
   let meta =
     Json.Obj
       [
         ("kind", Json.Str "meta");
         ("converged", Json.Bool converged);
-        ("iterations", int_num r.r_iterations);
+        ("iterations", int_num t.iters);
         ("final_residual", Json.Num final);
         ("n_links", int_num t.n_links);
         ("n_flows", int_num t.n_flows);
@@ -230,7 +211,7 @@ let dump ?final_residual t ~converged ~path =
             (List.map (fun (l, d) -> Json.List [ int_num l; Json.Num d ]) (worst_links t)) );
       ]
   in
-  let to_eps = Json.Obj [ ("kind", Json.Str "to_eps"); ("report", report_json r) ] in
+  let to_eps = Json.Obj [ ("kind", Json.Str "to_eps"); ("report", report_json t) ] in
   let lines = (meta :: List.map sample_json (samples t)) @ [ worst; to_eps ] in
   Out_channel.with_open_text path (fun oc ->
       List.iter
@@ -240,8 +221,6 @@ let dump ?final_residual t ~converged ~path =
         lines)
 
 (* --- process-wide configuration (the [--diag] switch) --------------- *)
-
-let auto_capacity = 64  (* ring capacity for auto-attached diags *)
 
 let max_postmortems = 16  (* cap on files written per configuration *)
 
@@ -259,7 +238,7 @@ let postmortems_written () = Atomic.get written
 let attach ~n_links ~n_flows =
   match Atomic.get dir_ref with
   | None -> None
-  | Some _ -> Some (create ~capacity:auto_capacity ~n_links ~n_flows ())
+  | Some _ -> Some (create ~n_links ~n_flows)
 
 let dump_auto ?final_residual t ~converged =
   match Atomic.get dir_ref with

@@ -226,16 +226,9 @@ let remove_group t gid =
       t.dirty <- true
     end
 
-let mem_group t gid =
-  match Hashtbl.find_opt t.by_gid gid with None -> false | Some e -> e.alive
-
 let group_index t gid =
   force t;
   match Hashtbl.find_opt t.by_gid gid with None -> None | Some e -> Some e.slot
-
-let group_gid t g =
-  force t;
-  t.entries.(g).gid
 
 let dirty t = t.dirty
 

@@ -65,14 +65,8 @@ val remove_group : t -> int -> unit
     compacted) at the next commit.
     @raise Invalid_argument on an unknown or already-removed gid. *)
 
-val mem_group : t -> int -> bool
-(** Whether the gid names a live (not removed) group. *)
-
 val group_index : t -> int -> int option
 (** Dense group id of a gid (commits first). [None] after removal. *)
-
-val group_gid : t -> int -> int
-(** Stable gid of dense group [g] (commits first). *)
 
 val commit : t -> unit
 (** Force the lazy recompile now (compaction + dense rebuild + fresh

@@ -24,6 +24,8 @@ type t = {
 let make ~name ~value ~deriv ~inv_deriv =
   { name; value; deriv; inv_deriv; shape = Opaque }
 
+(* Floor applied to rates before evaluating [U']: [deriv] diverges at 0
+   and measured rates can transiently be 0. *)
 let min_rate = 1e-12
 
 let alpha_fair ?(weight = 1.) ~alpha () =

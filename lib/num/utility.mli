@@ -76,10 +76,6 @@ val fct_remaining : remaining:float -> eps:float -> t
     utility evaluated at the flow's current remaining size; senders
     re-derive it as the flow drains. *)
 
-val min_rate : float
-(** Floor (1e-12) applied to rates before evaluating [U'] — {!deriv}
-    diverges at 0 and measured rates can transiently be 0. *)
-
 val min_price : float
 (** Floor applied to path prices before inverting the marginal utility
     (1e-300 — guards division by zero only; any larger floor would impose
@@ -118,7 +114,8 @@ val rate_from_price_fast : t -> float -> float
 
 val alpha_fair_deriv :
   log_shape:bool -> weight:float -> walpha:float -> alpha:float -> float -> float
-(** [U'(x)] at [max x min_rate]: [weight / x] for the log shape, else
+(** [U'(x)] at [max x 1e-12] (the rate floor every shape's [deriv]
+    applies): [weight / x] for the log shape, else
     [walpha * x^(-alpha)]. *)
 
 val alpha_fair_rate :

@@ -82,7 +82,7 @@ type state = {
   prices : float array;
   rates : float array;
   weights : float array;
-  mutable diag : Diag.t option;
+  diag : Diag.t option;
   buffers : buffers;
   problem_gen : int;
       (* Problem.generation the buffers were sized for; [step] refuses a
@@ -351,8 +351,7 @@ let[@nf.hot] price_update (inc : Incidence.t) params state =
   price_links_range params inc state 0 inc.Incidence.n_links
 
 (* Auto-attach diagnostics when the process-wide [--diag] config is
-   active; otherwise states start undiagnosed (setting [diag] can attach
-   one explicitly). *)
+   active; otherwise states start undiagnosed. *)
 let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
     ~n_flows:(Problem.n_flows problem)

@@ -39,10 +39,12 @@ type state = {
   prices : float array;  (** per link *)
   rates : float array;  (** per flow; last max-min allocation *)
   weights : float array;  (** per flow; last Eq. 7 weights *)
-  mutable diag : Diag.t option;
-      (** when set, every {!step} records a {!Diag} iteration sample
-          (residual norms, water-fill stats) and a capped
-          run dumps a postmortem; [None] costs one [match] per step *)
+  diag : Diag.t option;
+      (** attached at creation while a postmortem directory is
+          {!Diag.configure}d: every {!step} then records a {!Diag}
+          iteration sample (residual norms, water-fill stats) and a
+          capped run dumps a postmortem; [None] costs one [match] per
+          step *)
   buffers : buffers;
   problem_gen : int;
       (** {!Problem.generation} the buffers were sized for; {!step}

@@ -104,8 +104,6 @@ let fat_tree ?(link_capacity = gbps 10.) ?(link_delay = usec 2.) ~k () =
 
 let fat_tree_k16 () = fat_tree ~k:16 ()
 
-let fat_tree_k32 () = fat_tree ~k:32 ()
-
 type single_bottleneck = {
   sb_topo : Topology.t;
   senders : int array;
@@ -130,35 +128,6 @@ let single_bottleneck ?access_capacity ?(capacity = gbps 10.)
     senders;
   let bottleneck, _ = Topology.Builder.add_duplex b sw receiver ~capacity ~delay in
   { sb_topo = Topology.Builder.finish b; senders; receiver; bottleneck }
-
-type parking_lot = {
-  pl_topo : Topology.t;
-  pl_hosts : int array;
-  pl_links : int array;
-}
-
-let parking_lot ?access_capacity ?(capacity = gbps 10.) ?(delay = usec 2.)
-    ~n_links () =
-  if n_links <= 0 then invalid_arg "Builders.parking_lot: need at least one link";
-  let access = match access_capacity with Some c -> c | None -> 4. *. capacity in
-  let b = Topology.Builder.create () in
-  let switches =
-    Array.init (n_links + 1) (fun i ->
-        Topology.Builder.add_switch b ~label:(Printf.sprintf "sw%d" i) ())
-  in
-  let pl_hosts =
-    Array.init (n_links + 1) (fun i ->
-        Topology.Builder.add_host b ~label:(Printf.sprintf "h%d" i) ())
-  in
-  Array.iteri
-    (fun i h ->
-      ignore (Topology.Builder.add_duplex b h switches.(i) ~capacity:access ~delay))
-    pl_hosts;
-  let pl_links =
-    Array.init n_links (fun i ->
-        fst (Topology.Builder.add_duplex b switches.(i) switches.(i + 1) ~capacity ~delay))
-  in
-  { pl_topo = Topology.Builder.finish b; pl_hosts; pl_links }
 
 type three_link_pooling = {
   tl_topo : Topology.t;

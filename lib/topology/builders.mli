@@ -51,9 +51,6 @@ val fat_tree_k16 : unit -> fat_tree
 (** 1024 servers, 64 cores, 128 edge + 128 aggregation switches: the
     scale-study fabric for 100k+ flow workloads. *)
 
-val fat_tree_k32 : unit -> fat_tree
-(** 8192 servers, 256 cores, 512 edge + 512 aggregation switches. *)
-
 type single_bottleneck = {
   sb_topo : Topology.t;
   senders : int array;
@@ -71,22 +68,6 @@ val single_bottleneck :
 (** [n_senders] hosts -> one switch -> one receiver. The switch->receiver
     link (capacity [capacity], default 10 Gbps) is the only bottleneck:
     sender access links default to 4x that capacity. *)
-
-type parking_lot = {
-  pl_topo : Topology.t;
-  pl_hosts : int array;  (** n_links + 1 hosts; host i attaches switch i *)
-  pl_links : int array;  (** the chain links (switch i -> switch i+1) *)
-}
-
-val parking_lot :
-  ?access_capacity:float ->
-  ?capacity:float ->
-  ?delay:float ->
-  n_links:int ->
-  unit ->
-  parking_lot
-(** A chain of [n_links + 1] switches. The classic NUM test: one long flow
-    crossing every chain link competing with [n_links] one-hop flows. *)
 
 type three_link_pooling = {
   tl_topo : Topology.t;

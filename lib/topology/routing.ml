@@ -18,10 +18,6 @@ let bfs_distances topo ~src =
   done;
   dist
 
-let hop_count topo ~src ~dst =
-  let dist = bfs_distances topo ~src in
-  if dist.(dst) = max_int then None else Some dist.(dst)
-
 let shortest_path topo ~src ~dst =
   if src = dst then Some []
   else begin
@@ -215,13 +211,6 @@ let router_table r ~dst =
     let t = (dist, count) in
     Hashtbl.add r.r_tables dst t;
     t
-
-let ecmp_path_count r ~src ~dst =
-  if src = dst then 1
-  else begin
-    let dist, count = router_table r ~dst in
-    if dist.(src) = max_int then 0 else count.(src)
-  end
 
 let ecmp_path_fast r ~src ~dst ~hash =
   if src = dst then []

@@ -18,8 +18,6 @@ val ecmp_path : Topology.t -> src:int -> dst:int -> hash:int -> int list
 (** The [hash mod n]-th of the [n] shortest paths — per-flow ECMP.
     @raise Invalid_argument when [dst] is unreachable from [src]. *)
 
-val hop_count : Topology.t -> src:int -> dst:int -> int option
-
 type router
 (** Memoized ECMP state over one topology: the reverse adjacency plus,
     per destination (computed on first use), hop distances and
@@ -34,7 +32,3 @@ val ecmp_path_fast : router -> src:int -> dst:int -> hash:int -> int list
 (** Exactly [ecmp_path topo ~src ~dst ~hash] — same path, same tie-break
     and hash-index semantics — computed without path enumeration.
     @raise Invalid_argument when [dst] is unreachable from [src]. *)
-
-val ecmp_path_count : router -> src:int -> dst:int -> int
-(** Number of equal-cost shortest paths ([0] when unreachable, [1] when
-    [src = dst]). *)

@@ -75,17 +75,6 @@ let link t id = t.link_arr.(id)
 
 let links t = t.link_arr
 
-let ids_of_kind t kind =
-  let acc = ref [] in
-  for i = Array.length t.node_arr - 1 downto 0 do
-    if t.node_arr.(i).kind = kind then acc := i :: !acc
-  done;
-  Array.of_list !acc
-
-let hosts t = ids_of_kind t Host
-
-let switches t = ids_of_kind t Switch
-
 let out_links t id = t.out.(id)
 
 let find_link t ~src ~dst =
@@ -104,9 +93,6 @@ let path_is_valid t ~src ~dst path =
       && walk (link t lid).dst rest
   in
   (match path with [] -> src = dst | _ -> true) && walk src path
-
-let path_delay t path =
-  List.fold_left (fun acc lid -> acc +. (link t lid).delay) 0. path
 
 let path_min_capacity t path =
   match path with

@@ -54,11 +54,6 @@ val link : t -> int -> link
 
 val links : t -> link array
 
-val hosts : t -> int array
-(** Ids of all hosts, in id order. *)
-
-val switches : t -> int array
-
 val out_links : t -> int -> int list
 (** Link ids leaving the given node. *)
 
@@ -67,9 +62,6 @@ val find_link : t -> src:int -> dst:int -> int option
 
 val path_is_valid : t -> src:int -> dst:int -> int list -> bool
 (** Whether the link-id list forms a contiguous path from [src] to [dst]. *)
-
-val path_delay : t -> int list -> float
-(** Sum of propagation delays along a path of link ids. *)
 
 val path_min_capacity : t -> int list -> float
 (** Minimum capacity along a (non-empty) path.

@@ -37,9 +37,4 @@ let[@inline] timed_value_exn f =
   if not (timed_is_set f) then timed_unset ();
   f.tv
 
-let timed_reset f =
-  f.tv <- 0.;
-  f.last <- neg_infinity;
-  f.set <- 0.
-
 let rise_time_90 ~tau = log 10. *. tau

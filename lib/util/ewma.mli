@@ -18,14 +18,11 @@ val timed_update : timed -> now:float -> float -> unit
     than the previous update) are treated as [dt = 0] (ignored). *)
 
 val timed_is_set : timed -> bool
-(** [true] once a sample has been blended in (and until {!timed_reset}):
-    the allocation-free guard for {!timed_value_exn}. *)
+(** [true] once a sample has been blended in: the allocation-free guard for {!timed_value_exn}. *)
 
 val timed_value : timed -> float option
 
 val timed_value_exn : timed -> float
-
-val timed_reset : timed -> unit
 
 val rise_time_90 : tau:float -> float
 (** Time for the step response to reach 90% of its final value,

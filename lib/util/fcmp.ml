@@ -1,11 +1,3 @@
-let default_eps = 1e-9
-
-let approx_eq ?(eps = default_eps) a b = Float.abs (a -. b) <= eps
-
-let rel_eq ?(rel = 1e-9) a b =
-  let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) <= rel *. scale
-
 let within_fraction ~frac ~actual ~target =
   if target = 0. then Float.abs actual <= frac *. 1e-6
   else Float.abs (actual -. target) <= frac *. Float.abs target

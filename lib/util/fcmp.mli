@@ -5,13 +5,6 @@
     All tolerances are expressed either absolutely ([eps]) or relatively
     ([rel]). *)
 
-val approx_eq : ?eps:float -> float -> float -> bool
-(** [approx_eq a b] is [true] iff [|a - b| <= eps]. *)
-
-val rel_eq : ?rel:float -> float -> float -> bool
-(** [rel_eq a b] is [true] iff [|a - b| <= rel *. max 1. (max |a| |b|)].
-    The [max 1.] floor makes the test behave absolutely near zero. *)
-
 val within_fraction : frac:float -> actual:float -> target:float -> bool
 (** [within_fraction ~frac ~actual ~target] is [true] iff [actual] is within
     [frac] (e.g. [0.1] for 10%) of [target]. A [target] of exactly [0.] only

@@ -119,10 +119,3 @@ let[@nf.hot] drop h =
     seqs.(!i) <- seq;
     handles.(!i) <- v
   end
-
-let[@nf.hot] pop h =
-  let v = top h in
-  drop h;
-  v
-
-let clear h = h.size <- 0

@@ -9,13 +9,13 @@
     of boxed records ordered by a [cmp] closure, it stores keys in an
     unboxed [float array] and handles in an [int array], compares with
     raw [<] on floats, and exposes field readers ([top_key], [top]) so
-    steady-state push/peek/pop allocates nothing (no [Some], no record).
+    steady-state push/peek/drop allocates nothing (no [Some], no record).
     It holds no pointers at all, so no store into it runs the write
     barrier: a caller with a payload keeps it in its own table and
     pushes the index.
 
     Ties on the key break FIFO by an internal per-heap sequence number:
-    elements with equal keys pop in push order. The heap is 4-ary — one
+    elements with equal keys leave in push order. The heap is 4-ary — one
     level shallower than a binary heap per 4x elements, which wins on the
     mostly-sorted workloads event queues see.
 
@@ -44,10 +44,3 @@ val top : t -> int
 val drop : t -> unit
 (** Remove the minimum element.
     @raise Invalid_argument on an empty heap. *)
-
-val pop : t -> int
-(** [top] + [drop].
-    @raise Invalid_argument on an empty heap. *)
-
-val clear : t -> unit
-(** Empty the heap. *)

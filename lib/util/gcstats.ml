@@ -1,9 +1,8 @@
 (* Runtime allocation/GC accounting: per-category allocated-bytes
    accumulators (keyed by the same interned [Profile.cat] ints, flat
    float arrays so recording is an unboxed store), process-wide GC
-   counters exported through [Metrics], and the [bytes_per_iteration]
-   primitive behind the [--audit-alloc] hot-kernel audit. Kept free of
-   any [Profile] dependency so [Profile] can hook into it. *)
+   counters exported through [Metrics]. Kept free of any [Profile]
+   dependency so [Profile] can hook into it. *)
 
 let enabled_flag = ref false
 
@@ -105,31 +104,3 @@ let publish ?(registry = Metrics.global) () =
     (Metrics.gauge registry ~help:"Largest major heap size in bytes"
        "nf_gc_top_heap_bytes")
     (float_of_int s.Gc.top_heap_words *. word)
-
-(* --- steady-state allocation audit --------------------------------- *)
-
-let bytes_per_iteration ?(warmup = 256) ?(iters = 10_000) f =
-  if iters <= 0 then invalid_arg "Gcstats.bytes_per_iteration: iters must be positive";
-  for _ = 1 to warmup do
-    f ()
-  done;
-  (* [Gc.allocated_bytes] is only advanced at minor collections on this
-     runtime (the live young-area delta is not included), so each read is
-     preceded by a [Gc.minor] flush — otherwise rates below one minor
-     heap per measurement window are quantized away. Two adjacent
-     flush+reads measure the probe's own fixed allocation (the minor
-     collection's bookkeeping plus the boxed float the read returns),
-     subtracted below. *)
-  let flush_read () =
-    Gc.minor ();
-    Gc.allocated_bytes ()
-  in
-  let b0 = flush_read () in
-  let b1 = flush_read () in
-  let overhead = b1 -. b0 in
-  let before = flush_read () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  let after = flush_read () in
-  (after -. before -. overhead) /. float_of_int iters

@@ -1,6 +1,6 @@
 (** Runtime allocation and GC accounting: "where did the bytes go".
 
-    Three related facilities:
+    Two related facilities:
 
     - {b Per-category allocation accounting.} When {!enabled} (the CLI
       turns it on together with [--profile]), {!Nf_util.Profile.time} and
@@ -10,10 +10,9 @@
     - {b Process-wide GC metrics.} {!publish} snapshots [Gc.quick_stat]
       into [nf_gc_*] counters/gauges on a {!Nf_util.Metrics} registry, so
       GC behaviour lands in every metrics export.
-    - {b Steady-state allocation audit.} {!bytes_per_iteration} measures
-      the exact per-iteration allocation of a closed loop — the runtime
-      enforcement of the [nf_lint] hot-alloc rule used by the
-      allocation audit (see [Nf_experiments.Alloc_audit]).
+
+    The steady-state allocation audit of the [\@nf.hot] kernels is test
+    code: [test/support/alloc_audit.ml] in the [nf_testkit] library.
 
     Categories are plain ints so this module has no [Profile] dependency
     (Profile hooks into Gcstats, not vice versa); in practice they are
@@ -29,7 +28,7 @@ val bytes : unit -> float
 (** Bytes allocated by the current domain since process start
     ([Gc.allocated_bytes]; monotone, sub-word exact). The call itself
     allocates one boxed float — irrelevant for the coarse per-category
-    deltas, and {!bytes_per_iteration} self-corrects. *)
+    deltas. *)
 
 val record : int -> float -> unit
 (** [record cat db] adds [db] allocated bytes and one call to category
@@ -56,12 +55,3 @@ val publish : ?registry:Metrics.t -> unit -> unit
     gauges [nf_gc_heap_bytes], [nf_gc_top_heap_bytes]. Counters are
     raised to the process-lifetime totals, so publish is idempotent and
     the counters stay monotone. *)
-
-val bytes_per_iteration : ?warmup:int -> ?iters:int -> (unit -> unit) -> float
-(** [bytes_per_iteration f] is the average number of bytes allocated per
-    call of [f] in steady state: runs [f] [warmup] times (default 256) to
-    reach steady state (lazy growth done, caches warm), then measures the
-    [Gc.allocated_bytes] delta over [iters] calls (default 10_000),
-    correcting for the probe's own allocation. A truly allocation-free
-    kernel measures exactly [0.]. The closure [f] must not capture
-    [float ref]s it assigns (each store would box). *)

@@ -110,18 +110,6 @@ let histogram_count h = Array.fold_left ( + ) h.inf_count h.counts
 
 let histogram_sum h = h.sum
 
-let reset t =
-  List.iter
-    (fun m ->
-      match m.value with
-      | Counter c -> c := 0
-      | Gauge g -> g := 0.
-      | Histogram h ->
-        Array.fill h.counts 0 (Array.length h.counts) 0;
-        h.inf_count <- 0;
-        h.sum <- 0.)
-    t.metrics
-
 let in_order t = List.rev t.metrics
 
 let primary_value = function

@@ -55,9 +55,6 @@ val histogram_count : histogram -> int
 
 val histogram_sum : histogram -> float
 
-val reset : t -> unit
-(** Zero every metric (registrations are kept). *)
-
 val fold_values : t -> init:'a -> f:('a -> id:int -> name:string -> float -> 'a) -> 'a
 (** Fold over each metric's primary value: a counter's count, a gauge's
     value, a histogram's observation count. [id] is the registration

@@ -48,8 +48,6 @@ let eval f x =
 
 let min_x f = f.xs.(0)
 
-let max_x f = f.xs.(n_points f - 1)
-
 let strictly_increasing f =
   let ok = ref true in
   for i = 0 to n_points f - 2 do

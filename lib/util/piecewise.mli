@@ -29,9 +29,6 @@ val inverse : t -> float -> float
 
 val strictly_increasing : t -> bool
 
-val max_x : t -> float
-(** The last breakpoint's x; {!eval} still extends beyond it. *)
-
 val integral_pow_between : t -> alpha:float -> lo:float -> hi:float -> float
 (** [∫_{lo}^{hi} (eval f τ)^(-alpha) dτ], computed in closed form on each
     linear segment, requiring [eval f] strictly positive on [\[lo, hi\]]

@@ -62,8 +62,6 @@ let record_cat id dt =
   !calls.(id) <- !calls.(id) + 1;
   !seconds.(id) <- !seconds.(id) +. dt
 
-let record name dt = record_cat (intern name) dt
-
 let time name f =
   if not !enabled_flag then f ()
   else begin

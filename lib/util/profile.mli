@@ -24,7 +24,8 @@ val intern : string -> cat
 val cat_name : cat -> string
 
 val record_cat : cat -> float -> unit
-(** Like {!record}, without the interning lookup. *)
+(** [record_cat cat dt] adds one call of [dt] seconds to [cat]
+    (unconditionally — callers guard with {!enabled}). *)
 
 val enabled : unit -> bool
 
@@ -35,10 +36,6 @@ val reset : unit -> unit
 
 val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]). *)
-
-val record : string -> float -> unit
-(** [record cat dt] adds one call of [dt] seconds to [cat]
-    (unconditionally — callers guard with {!enabled}). *)
 
 val time : string -> (unit -> 'a) -> 'a
 (** [time cat f] runs [f ()], accounting its wall time under [cat] when

@@ -32,16 +32,6 @@ let bits64 t =
   t.s3 <- rotl t.s3 45;
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 (* Uniform in [0, 1) using the top 53 bits. *)
 let unit_float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in

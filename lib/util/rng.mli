@@ -3,20 +3,11 @@
 
     Every stochastic component of the simulator draws from an explicit
     [Rng.t] so that experiments are reproducible from a single integer
-    seed and independent components can use {!split} streams. *)
+    seed. *)
 
 type t
 
 val create : seed:int -> t
-
-val split : t -> t
-(** A new generator whose stream is independent of (and deterministically
-    derived from) the current state of [t]. Advances [t]. *)
-
-val copy : t -> t
-
-val bits64 : t -> int64
-(** 64 uniformly random bits. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)

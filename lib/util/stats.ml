@@ -5,12 +5,6 @@ let mean xs =
   ensure_nonempty "Stats.mean" xs;
   Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
 
-let stddev xs =
-  ensure_nonempty "Stats.stddev" xs;
-  let m = mean xs in
-  let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs in
-  sqrt (acc /. float_of_int (Array.length xs))
-
 let percentile xs p =
   ensure_nonempty "Stats.percentile" xs;
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of [0, 100]";

@@ -7,9 +7,6 @@
 val mean : float array -> float
 (** @raise Invalid_argument on an empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation. @raise Invalid_argument if empty. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation between
     order statistics. Does not mutate [xs].

@@ -27,8 +27,6 @@ let add t ~time v =
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let last t =
   if t.size = 0 then None else Some (t.times.(t.size - 1), t.values.(t.size - 1))
 
@@ -55,25 +53,6 @@ let index_at t time =
 let value_at t time =
   let i = index_at t time in
   if i < 0 then None else Some t.values.(i)
-
-let mean_over t ~t0 ~t1 =
-  if t1 <= t0 then invalid_arg "Timeseries.mean_over: t1 must exceed t0";
-  let i0 = index_at t t0 in
-  if i0 < 0 then None
-  else begin
-    let acc = ref 0. in
-    let cursor = ref t0 in
-    let i = ref i0 in
-    while !cursor < t1 do
-      let seg_end =
-        if !i + 1 < t.size && t.times.(!i + 1) < t1 then t.times.(!i + 1) else t1
-      in
-      acc := !acc +. (t.values.(!i) *. (seg_end -. !cursor));
-      cursor := seg_end;
-      if !i + 1 < t.size && t.times.(!i + 1) <= !cursor then incr i
-    done;
-    Some (!acc /. (t1 -. t0))
-  end
 
 let resample t ~t0 ~t1 ~dt =
   if dt <= 0. then invalid_arg "Timeseries.resample: dt must be positive";

@@ -13,8 +13,6 @@ val add : t -> time:float -> float -> unit
 
 val length : t -> int
 
-val is_empty : t -> bool
-
 val last : t -> (float * float) option
 
 val to_list : t -> (float * float) list
@@ -22,10 +20,6 @@ val to_list : t -> (float * float) list
 val value_at : t -> float -> float option
 (** Sample-and-hold interpolation: the value of the most recent sample at
     or before the given time; [None] before the first sample. *)
-
-val mean_over : t -> t0:float -> t1:float -> float option
-(** Time-weighted mean of the sample-and-hold signal over [\[t0, t1\]];
-    [None] if the series has no sample at or before [t0]. *)
 
 val resample : t -> t0:float -> t1:float -> dt:float -> (float * float) list
 (** Sample-and-hold values on the regular grid [t0, t0+dt, ... <= t1];

@@ -43,23 +43,6 @@ let kind_name = function
   | XwiResidual -> "xwi_residual"
   | XwiNonconverged -> "xwi_nonconverged"
 
-let all_kinds =
-  [
-    Enqueue;
-    Dequeue;
-    Drop;
-    EcnMark;
-    PktSend;
-    PktRecv;
-    RateUpdate;
-    PriceUpdate;
-    FlowStart;
-    FlowDone;
-    XwiIter;
-    XwiResidual;
-    XwiNonconverged;
-  ]
-
 type event = {
   time : float;
   kind : kind;
@@ -73,7 +56,6 @@ let dummy_event =
 
 type t = {
   mask : int;  (* bit per kind; 0 = fully disabled *)
-  subjects : (int, unit) Hashtbl.t option;  (* None = all subjects *)
   buf : event array;  (* ring / batch buffer, capacity = length *)
   mutable head : int;  (* index of the oldest buffered event (ring mode) *)
   mutable len : int;  (* buffered events *)
@@ -84,7 +66,6 @@ type t = {
 let null =
   {
     mask = 0;
-    subjects = None;
     buf = [||];
     head = 0;
     len = 0;
@@ -92,23 +73,15 @@ let null =
     out = None;
   }
 
-let make ?(capacity = 65536) ?kinds ?subjects ?path () =
+let make ?(capacity = 65536) ?kinds ?path () =
   if capacity <= 0 then invalid_arg "Trace.make: capacity must be positive";
   let mask =
     match kinds with
-    | None -> (1 lsl List.length all_kinds) - 1
+    | None -> (1 lsl (kind_index XwiNonconverged + 1)) - 1  (* the last kind *)
     | Some ks -> List.fold_left (fun m k -> m lor (1 lsl kind_index k)) 0 ks
   in
-  let subjects =
-    match subjects with
-    | None -> None
-    | Some ss ->
-      let tbl = Hashtbl.create (List.length ss) in
-      List.iter (fun s -> Hashtbl.replace tbl s ()) ss;
-      Some tbl
-  in
   let out = Option.map open_out path in
-  { mask; subjects; buf = Array.make capacity dummy_event; head = 0; len = 0;
+  { mask; buf = Array.make capacity dummy_event; head = 0; len = 0;
     total = 0; out }
 
 let[@inline] on t kind = t.mask land (1 lsl kind_index kind) <> 0
@@ -151,13 +124,7 @@ let store t ev =
   t.total <- t.total + 1
 
 let emit t kind ~subject ~time ?(aux = Float.nan) value =
-  if on t kind then
-    let pass =
-      match t.subjects with
-      | None -> true
-      | Some tbl -> Hashtbl.mem tbl subject
-    in
-    if pass then store t { time; kind; subject; value; aux }
+  if on t kind then store t { time; kind; subject; value; aux }
 
 let emitted t = t.total
 

@@ -2,8 +2,7 @@
 
     Every execution layer (the event engine, the packet simulator, the
     fluid schemes, the xWI solver) emits events through a sink; the sink
-    filters by event kind and by subject (link or flow id), buffers a
-    bounded number of events, and optionally streams them to a JSONL file
+    filters by event kind, buffers a bounded number of events, and optionally streams them to a JSONL file
     — one JSON object per line, e.g.
 
     {v {"time":3.2e-05,"kind":"drop","subject":4,"value":1500,"aux":1} v}
@@ -38,8 +37,6 @@ val kind_name : kind -> string
 (** Lower-snake name used in the JSONL output ("enqueue", ...,
     "xwi_iter"). *)
 
-val all_kinds : kind list
-
 type event = {
   time : float;  (** simulated seconds (or iteration time for fluid runs) *)
   kind : kind;
@@ -56,13 +53,12 @@ val null : t
 val make :
   ?capacity:int ->
   ?kinds:kind list ->
-  ?subjects:int list ->
   ?path:string ->
   unit ->
   t
 (** A live sink. [capacity] (default 65536) bounds the in-memory buffer.
-    [kinds] restricts which event kinds are accepted (default: all);
-    [subjects] restricts subjects (default: all). With [path], events are
+    [kinds] restricts which event kinds are accepted (default: all). With
+    [path], events are
     streamed to that file as JSONL whenever the buffer fills and on
     {!close}; without it the buffer is a ring that keeps the most recent
     [capacity] events for in-process inspection ({!events}). *)
@@ -72,8 +68,8 @@ val on : t -> kind -> bool
     paths must guard emissions with it. *)
 
 val emit : t -> kind -> subject:int -> time:float -> ?aux:float -> float -> unit
-(** [emit t k ~subject ~time v] records an event (subject to the kind and
-    subject filters). *)
+(** [emit t k ~subject ~time v] records an event (subject to the kind
+    filter). *)
 
 val emitted : t -> int
 (** Events accepted since creation (including ones already flushed or

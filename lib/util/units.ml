@@ -1,14 +1,6 @@
 let gbps g = g *. 1e9
 
-let mbps m = m *. 1e6
-
 let usec u = u *. 1e-6
-
-let kb k = k *. 1e3
-
-let transmission_time ~bytes ~rate_bps =
-  if rate_bps <= 0. then invalid_arg "Units.transmission_time: rate must be positive";
-  bytes *. 8. /. rate_bps
 
 let pp_time ppf t =
   let a = Float.abs t in

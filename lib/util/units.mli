@@ -8,16 +8,8 @@
 val gbps : float -> float
 (** [gbps 10.] = 1e10 bits per second. *)
 
-val mbps : float -> float
-
 val usec : float -> float
 (** [usec 16.] = 1.6e-5 seconds. *)
-
-val kb : float -> float
-(** Kilobytes to bytes (factor 1e3, as in the paper's flow sizes). *)
-
-val transmission_time : bytes:float -> rate_bps:float -> float
-(** Serialization delay of [bytes] at [rate_bps], in seconds. *)
 
 val pp_time : Format.formatter -> float -> unit
 (** Pretty-print a duration in seconds with an adaptive unit (ns/µs/ms/s). *)

@@ -74,15 +74,6 @@ let enterprise =
          (10_000_000., 1.0);
        ])
 
-let uniform ~lo ~hi =
-  if not (0. < lo && lo < hi) then invalid_arg "Size_dist.uniform: need 0 < lo < hi";
-  with_name "uniform" (of_cdf [ (lo, 0.); (hi, 1.) ])
-
-let fixed size =
-  if not (size > 0.) then invalid_arg "Size_dist.fixed: size must be positive";
-  with_name "fixed"
-    (of_cdf [ (size, 0.); (size *. (1. +. 1e-9), 1.) ])
-
 let sample t rng =
   let u = Nf_util.Rng.float rng 1. in
   let n = Array.length t.probs in
@@ -106,15 +97,3 @@ let mean t =
     acc := !acc +. (mass *. 0.5 *. (t.sizes.(i) +. t.sizes.(i - 1)))
   done;
   !acc
-
-let cdf_at t size =
-  let n = Array.length t.probs in
-  if size <= t.sizes.(0) then 0.
-  else if size >= t.sizes.(n - 1) then 1.
-  else begin
-    let rec find i = if t.sizes.(i) >= size then i else find (i + 1) in
-    let i = find 1 in
-    let s0 = t.sizes.(i - 1) and s1 = t.sizes.(i) in
-    let p0 = t.probs.(i - 1) and p1 = t.probs.(i) in
-    p0 +. ((size -. s0) /. (s1 -. s0) *. (p1 -. p0))
-  end

@@ -27,17 +27,10 @@ val websearch : t
 
 val enterprise : t
 
-val uniform : lo:float -> hi:float -> t
-
-val fixed : float -> t
-(** Degenerate distribution (every flow the same size). *)
-
 val sample : t -> Nf_util.Rng.t -> float
 (** A flow size in bytes (>= 1). *)
 
 val mean : t -> float
 (** Exact mean of the interpolated distribution. *)
-
-val cdf_at : t -> float -> float
 
 val name : t -> string

@@ -1,7 +1,7 @@
 (* Steady-state allocation audit of the [@nf.hot] kernels.
 
    Each kernel is prebuilt once (topology, problem, queues, workspaces)
-   and then driven through [Gcstats.bytes_per_iteration], which warms the
+   and then driven through [bytes_per_iteration], which warms the
    kernel up past any lazy workspace growth and reports minor-heap bytes
    per steady-state iteration. A clean kernel measures exactly 0.0; the
    [budget] of 1 byte/iter absorbs only measurement noise, not real
@@ -12,6 +12,32 @@
 
    Run with the process-wide [Nf_num.Diag] config *cleared*: an attached
    diag deliberately allocates one sample record per observed step. *)
+
+let bytes_per_iteration ?(warmup = 256) ?(iters = 10_000) f =
+  if iters <= 0 then invalid_arg "Alloc_audit.bytes_per_iteration: iters must be positive";
+  for _ = 1 to warmup do
+    f ()
+  done;
+  (* [Gc.allocated_bytes] is only advanced at minor collections on this
+     runtime (the live young-area delta is not included), so each read is
+     preceded by a [Gc.minor] flush — otherwise rates below one minor
+     heap per measurement window are quantized away. Two adjacent
+     flush+reads measure the probe's own fixed allocation (the minor
+     collection's bookkeeping plus the boxed float the read returns),
+     subtracted below. *)
+  let flush_read () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let b0 = flush_read () in
+  let b1 = flush_read () in
+  let overhead = b1 -. b0 in
+  let before = flush_read () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  let after = flush_read () in
+  (after -. before -. overhead) /. float_of_int iters
 
 type result = { kernel : string; bytes_per_iter : float; owed : float }
 
@@ -272,10 +298,6 @@ let xwi_problem ~k ~n_flows =
 let xwi_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
   let state = Nf_num.Xwi_core.init problem in
-  (* The audit measures the bare solver: drop any diag a process-wide
-     [--diag] config auto-attached (a diag allocates a sample per step
-     by design). *)
-  state.Nf_num.Xwi_core.diag <- None;
   let params = Nf_num.Xwi_core.default_params in
   fun () -> Nf_num.Xwi_core.step problem params state
 
@@ -287,7 +309,6 @@ let xwi_kernel () =
 let kkt_witness_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
   let state = Nf_num.Xwi_core.init problem in
-  state.Nf_num.Xwi_core.diag <- None;
   for _ = 1 to 20 do
     Nf_num.Xwi_core.step problem Nf_num.Xwi_core.default_params state
   done;
@@ -342,7 +363,6 @@ let churn_problem () =
 let resize_kernel ~polish =
   let problem, churn = churn_problem () in
   let state = ref (Nf_num.Xwi_core.init problem) in
-  !state.Nf_num.Xwi_core.diag <- None;
   ignore
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);
@@ -402,7 +422,7 @@ let kernels () =
   ]
 
 let run ?iters () =
-  let measure f = Nf_util.Gcstats.bytes_per_iteration ?iters f in
+  let measure f = bytes_per_iteration ?iters f in
   List.map
     (fun (kernel, f, baseline, owed) ->
       let base = match baseline with None -> 0. | Some b -> measure b in

@@ -20,7 +20,7 @@
     their active set over several rounds), and [xwi_carry] passes
     [~polish:false], as the fluid xWI scheme's rebind does — are
     prebuilt, warmed past lazy workspace growth, and measured with
-    {!Nf_util.Gcstats.bytes_per_iteration}. Each must allocate 0 bytes
+    {!bytes_per_iteration}. Each must allocate 0 bytes
     per steady-state iteration; a budget of 1 byte per iteration absorbs
     only measurement noise — a single boxed float already costs 16 bytes.
     The warm restarts are the exception by design: each is charged its
@@ -32,8 +32,18 @@
 
     Driven by the [test_alloc] suite ([dune exec test/test_alloc.exe]).
     Run with the process-wide {!Nf_num.Diag} config cleared: an attached
-    diag allocates one sample record per observed step by design (the
-    xwi kernel detaches its own diag defensively). *)
+    diag allocates one sample record per observed step by design, and a
+    solver state only gets one while a postmortem directory is
+    configured. *)
+
+val bytes_per_iteration : ?warmup:int -> ?iters:int -> (unit -> unit) -> float
+(** [bytes_per_iteration f] is the average number of bytes allocated per
+    call of [f] in steady state: runs [f] [warmup] times (default 256) to
+    reach steady state (lazy growth done, caches warm), then measures the
+    [Gc.allocated_bytes] delta over [iters] calls (default 10_000),
+    correcting for the probe's own allocation. A truly allocation-free
+    kernel measures exactly [0.]. The closure [f] must not capture
+    [float ref]s it assigns (each store would box). *)
 
 type result = {
   kernel : string;
@@ -43,7 +53,7 @@ type result = {
 
 val run : ?iters:int -> unit -> result list
 (** Measure every audited kernel ([iters] forwarded to
-    {!Nf_util.Gcstats.bytes_per_iteration}, default 10_000). *)
+    {!bytes_per_iteration}, default 10_000). *)
 
 val within : result -> bool
 (** [bytes_per_iter] is at most [owed] plus the budget and, when [owed]

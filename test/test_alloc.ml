@@ -2,7 +2,27 @@
    [@nf.hot] kernels must not allocate in steady state. nf_lint checks
    the same invariant syntactically; this audit measures it. *)
 
-module Alloc_audit = Nf_experiments.Alloc_audit
+module Alloc_audit = Nf_testkit.Alloc_audit
+
+(* The audit's probe: an allocating loop measures its bytes, an empty
+   one measures clean. *)
+let test_bytes_per_iteration () =
+  let sink = ref [||] in
+  let allocating () =
+    sink := Sys.opaque_identity (Array.make 8 0.)
+  in
+  let b = Alloc_audit.bytes_per_iteration ~warmup:16 ~iters:2_000 allocating in
+  (* 8 floats + header = 72 bytes on 64-bit; quantization noise is
+     amortized over the iteration count. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "allocating loop measured (%.1f B/iter)" b)
+    true
+    (b >= 64. && b <= 96.);
+  let clean () = () in
+  let b0 = Alloc_audit.bytes_per_iteration ~warmup:16 ~iters:2_000 clean in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty loop measures clean (%.3f B/iter)" b0)
+    true (Float.abs b0 <= 1.)
 
 let test_audit_within_limits () =
   let added =
@@ -85,5 +105,10 @@ let () =
             test_kkt_check_into_allocates_only_report;
           Alcotest.test_case "owed bounds are two-sided" `Quick
             test_within_two_sided;
+        ] );
+      ( "gcstats",
+        [
+          Alcotest.test_case "bytes per iteration" `Quick
+            test_bytes_per_iteration;
         ] );
     ]

@@ -5,11 +5,12 @@ module Fabric = Nf_core.Fabric
 module Builders = Nf_topo.Builders
 module Utility = Nf_num.Utility
 module Fcmp = Nf_util.Fcmp
+module Approx = Nf_testkit.Approx
 
 let quick name f = Alcotest.test_case name `Quick f
 
 let check_close ?(rel = 1e-4) what expected actual =
-  if not (Fcmp.rel_eq ~rel expected actual) then
+  if not (Approx.rel_eq ~rel expected actual) then
     Alcotest.failf "%s: expected %.6g, got %.6g" what expected actual
 
 (* ------------------------------------------------------------------ *)

@@ -30,8 +30,8 @@ let test_fig2_matches_paper () =
     Alcotest.(check bool) "10G: flow1 takes all" true
       (at10.E.Exp_fig2.num.(0) > 9.9e9 && at10.E.Exp_fig2.num.(1) < 0.1e9);
     Alcotest.(check bool) "25G: 15/10 split" true
-      (Nf_util.Fcmp.rel_eq ~rel:1e-3 15e9 at25.E.Exp_fig2.num.(0)
-      && Nf_util.Fcmp.rel_eq ~rel:1e-3 10e9 at25.E.Exp_fig2.num.(1))
+      (Nf_testkit.Approx.rel_eq ~rel:1e-3 15e9 at25.E.Exp_fig2.num.(0)
+      && Nf_testkit.Approx.rel_eq ~rel:1e-3 10e9 at25.E.Exp_fig2.num.(1))
   | _ -> Alcotest.fail "expected two capacities"
 
 let test_fig4a_speedup () =
@@ -145,8 +145,20 @@ let test_fig8_pooling_wins () =
   Alcotest.(check bool) "pooled fairness" true (fp < 0.3 && fp < fs /. 2.)
 
 let test_fig9_tracks_expected () =
-  let r = E.Exp_fig9.run () in
-  Alcotest.(check bool) "max error below 1%" true (E.Exp_fig9.max_rel_error r < 0.01)
+  List.iter
+    (fun p ->
+      Array.iteri
+        (fun i e ->
+          (* Flows the reference starves (below 1 Mb/s) have no
+             meaningful relative error. *)
+          if e >= 1e6 then
+            Alcotest.(check bool)
+              (Printf.sprintf "flow %d at %g Gb/s within 1%%" i
+                 (p.E.Exp_fig9.capacity /. 1e9))
+              true
+              (Float.abs (p.E.Exp_fig9.achieved.(i) -. e) /. e < 0.01))
+        p.E.Exp_fig9.expected)
+    (E.Exp_fig9.run ())
 
 let test_fig10_reconverges () =
   let r = E.Exp_fig10.run () in

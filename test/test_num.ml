@@ -11,6 +11,7 @@ module Kkt = Nf_num.Kkt
 module Xwi = Nf_num.Xwi_core
 module Oracle = Nf_num.Oracle
 module Fcmp = Nf_util.Fcmp
+module Approx = Nf_testkit.Approx
 module Units = Nf_util.Units
 module Piecewise = Nf_util.Piecewise
 module Rng = Nf_util.Rng
@@ -22,13 +23,13 @@ let slow name f = Alcotest.test_case name `Slow f
 let qcheck = QCheck_alcotest.to_alcotest
 
 let check_close ?(rel = 1e-9) what expected actual =
-  if not (Fcmp.rel_eq ~rel expected actual) then
+  if not (Approx.rel_eq ~rel expected actual) then
     Alcotest.failf "%s: expected %.10g, got %.10g" what expected actual
 
 let check_rates ?(rel = 1e-6) what expected actual =
   Array.iteri
     (fun i e ->
-      if not (Fcmp.rel_eq ~rel e actual.(i)) then
+      if not (Approx.rel_eq ~rel e actual.(i)) then
         Alcotest.failf "%s: flow %d expected %.10g, got %.10g" what i e actual.(i))
     expected
 
@@ -118,7 +119,7 @@ let prop_inv_deriv_roundtrip =
     QCheck.(triple (float_range 0.125 5.) (float_range 0.1 10.) (float_range 0.01 1e4))
     (fun (alpha, weight, x) ->
       let u = Utility.alpha_fair ~weight ~alpha () in
-      Fcmp.rel_eq ~rel:1e-6 x (u.Utility.inv_deriv (u.Utility.deriv x)))
+      Approx.rel_eq ~rel:1e-6 x (u.Utility.inv_deriv (u.Utility.deriv x)))
 
 let prop_deriv_decreasing =
   QCheck.Test.make ~name:"marginal utility decreases (concavity)" ~count:300
@@ -251,7 +252,7 @@ let prop_maxmin_scale_invariant =
       let r2 =
         Reference.water_fill ~caps ~paths ~weights:(Array.map (fun w -> w *. k) weights)
       in
-      Array.for_all2 (Fcmp.rel_eq ~rel:1e-6) r1.Reference.rates r2.Reference.rates)
+      Array.for_all2 (Approx.rel_eq ~rel:1e-6) r1.Reference.rates r2.Reference.rates)
 
 (* ------------------------------------------------------------------ *)
 (* Bandwidth functions *)
@@ -260,7 +261,7 @@ let test_bf_fig2_shape () =
   let b1 = Bf.fig2_flow1 () and b2 = Bf.fig2_flow2 () in
   check_close "B1(2) = 10G" (Units.gbps 10.) (Bf.bandwidth b1 2.);
   check_close "B1(2.5) = 15G" (Units.gbps 15.) (Bf.bandwidth b1 2.5);
-  Alcotest.(check bool) "B2(2) ~ 0" true (Bf.bandwidth b2 2. < Units.mbps 1.);
+  Alcotest.(check bool) "B2(2) ~ 0" true (Bf.bandwidth b2 2. < 1e6);
   check_close ~rel:1e-3 "B2(2.5) = 10G" (Units.gbps 10.) (Bf.bandwidth b2 2.5)
 
 let test_bf_fig2_allocation_10g () =
@@ -268,7 +269,7 @@ let test_bf_fig2_allocation_10g () =
   let rates, f = Bf.single_link_allocation ~bfs ~capacity:(Units.gbps 10.) in
   (* Flow 1 has strict priority on the first 10 Gbps. *)
   check_close ~rel:1e-3 "flow1 gets everything" (Units.gbps 10.) rates.(0);
-  Alcotest.(check bool) "flow2 gets ~nothing" true (rates.(1) < Units.mbps 10.);
+  Alcotest.(check bool) "flow2 gets ~nothing" true (rates.(1) < 1e7);
   Alcotest.(check bool) "fair share ~2" true (Float.abs (f -. 2.) < 0.01)
 
 let test_bf_fig2_allocation_25g () =
@@ -517,7 +518,7 @@ let prop_xwi_matches_dual_random =
         | exception Oracle.Did_not_converge _ -> false
         | sol ->
           Array.for_all2
-            (fun a b -> Fcmp.rel_eq ~rel:5e-3 a b)
+            (fun a b -> Approx.rel_eq ~rel:5e-3 a b)
             dual.Oracle.rates sol.Oracle.rates))
 
 let prop_xwi_fixed_point_unique =
@@ -545,7 +546,7 @@ let prop_xwi_fixed_point_unique =
       let n_links = Array.length caps in
       let lo = solve_from (Array.make n_links 1e-12) in
       let hi = solve_from (Array.make n_links (10. ** float_of_int scale_exp)) in
-      Array.for_all2 (fun a b -> Fcmp.rel_eq ~rel:1e-4 a b) lo hi)
+      Array.for_all2 (fun a b -> Approx.rel_eq ~rel:1e-4 a b) lo hi)
 
 let prop_multipath_oracle_kkt =
   (* Random multipath instances: the general Oracle must return solutions
@@ -799,7 +800,6 @@ let oracle_checks = ref 0 and witness_full_checks = ref 0
 let witness_matches_oracle what p ~tol ~check_every ~max_iters ~perturb =
   let fresh () =
     let st = Xwi.init p in
-    st.Xwi.diag <- None;
     perturb st;
     st
   in
@@ -1075,7 +1075,7 @@ let prop_sparse_maxmin_matches_reference =
       Array.for_all (fun x -> Float.is_finite x && x >= 0.) rates
       && Problem.feasible p ~rates
       && (kind = 1
-         || Array.for_all2 (Fcmp.rel_eq ~rel:1e-9)
+         || Array.for_all2 (Approx.rel_eq ~rel:1e-9)
               (Reference.maxmin p ~weights).Reference.rates rates))
 
 let prop_sparse_step_matches_reference =
@@ -1094,9 +1094,9 @@ let prop_sparse_step_matches_reference =
         Reference.step p Xwi.default_params ~prices ~rates ~weights;
         ok :=
           !ok
-          && Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) prices state.Xwi.prices
-          && Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) rates state.Xwi.rates
-          && Array.for_all2 (Fcmp.rel_eq ~rel:1e-9) weights state.Xwi.weights
+          && Array.for_all2 (Approx.rel_eq ~rel:1e-9) prices state.Xwi.prices
+          && Array.for_all2 (Approx.rel_eq ~rel:1e-9) rates state.Xwi.rates
+          && Array.for_all2 (Approx.rel_eq ~rel:1e-9) weights state.Xwi.weights
       done;
       !ok)
 
@@ -1125,11 +1125,10 @@ let test_delta_add_remove_commit () =
   Alcotest.(check int) "three groups" 3 (Problem.n_groups p);
   (* First commit assigns dense ids in insertion order. *)
   Alcotest.(check (option int)) "a dense 0" (Some 0) (Problem.group_index p a);
-  Alcotest.(check int) "gid of dense 1" b (Problem.group_gid p 1);
+  Alcotest.(check (option int)) "b dense 1" (Some 1) (Problem.group_index p b);
   (* Remove the middle group: tombstone now, compaction at the next read;
      survivors keep their gids but dense ids shift down. *)
   Problem.remove_group p b;
-  Alcotest.(check bool) "b no longer live" false (Problem.mem_group p b);
   Alcotest.(check int) "two groups after compaction" 2 (Problem.n_groups p);
   Alcotest.(check (option int)) "b unmapped" None (Problem.group_index p b);
   Alcotest.(check (option int)) "a keeps dense 0" (Some 0)
@@ -1259,7 +1258,7 @@ let prop_warm_churn_matches_cold =
       let cold_g = Array.make n_groups 0. in
       Problem.group_rates_into p ~rates:!state.Xwi.rates warm_g;
       Problem.group_rates_into p ~rates:cold_state.Xwi.rates cold_g;
-      Array.for_all2 (Fcmp.rel_eq ~rel) warm_g cold_g)
+      Array.for_all2 (Approx.rel_eq ~rel) warm_g cold_g)
 
 let prop_kkt_after_random_churn =
   QCheck.Test.make
@@ -1381,7 +1380,7 @@ let test_polish_fallback_bit_identical () =
   (* An [Opaque] utility: the log utility's closures without its shape. *)
   let opaque =
     Utility.make ~name:"opaque-log" ~value:log
-      ~deriv:(fun x -> 1. /. Float.max x Utility.min_rate)
+      ~deriv:(fun x -> 1. /. Float.max x 1e-12)
       ~inv_deriv:(fun p -> 1. /. p)
   in
   let single =
@@ -1967,66 +1966,128 @@ let diag_problem () =
   in
   Problem.create ~caps ~groups
 
+let temp_dir () =
+  let f = Filename.temp_file "nf_diag_test" "" in
+  Sys.remove f;
+  Sys.mkdir f 0o700;
+  f
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* What [--diag] observes, read back from the postmortem a capped run
+   writes: the meta line, the ring of the last 64 iteration samples, the
+   worst links and the iterations-to-ε report. A negative KKT tolerance
+   is never met (the problem reaches a residual of exactly 0 after 52
+   iterations), so the run takes all 100 and the ring wraps. *)
 let test_diag_observe_and_report () =
-  let p = diag_problem () in
-  let state = Xwi.init p in
-  let d = Diag.create ~capacity:8 ~n_links:2 ~n_flows:3 () in
-  state.Xwi.diag <- Some d;
-  let run = Xwi.run_until_kkt ~tol:1e-10 ~check_every:1 p Xwi.default_params state in
-  Alcotest.(check bool) "converged" true run.Xwi.converged;
-  Alcotest.(check int) "every iteration observed" run.Xwi.iterations
-    (Diag.iterations d);
-  let samples = Diag.samples d in
-  Alcotest.(check bool) "ring non-empty" true (samples <> []);
-  Alcotest.(check bool) "ring bounded by capacity" true
-    (List.length samples <= 8);
+  let dir = temp_dir () in
+  Diag.configure (Some dir);
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Diag.configure None)
+      (fun () ->
+        let p = diag_problem () in
+        Xwi.run_until_kkt ~tol:(-1.) ~check_every:1 ~max_iters:100 p
+          Xwi.default_params (Xwi.init p))
+  in
+  Alcotest.(check bool) "capped" false run.Xwi.converged;
+  Alcotest.(check int) "ran to the cap" 100 run.Xwi.iterations;
+  let lines =
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          match Nf_util.Json.parse l with
+          | Ok j -> Some j
+          | Error e -> Alcotest.failf "postmortem line %S: %s" l e)
+      (String.split_on_char '\n'
+         (read_file (Filename.concat dir "xwi_postmortem_0000.jsonl")))
+  in
+  remove_dir dir;
+  let module J = Nf_util.Json in
+  let of_kind k = List.filter (fun j -> J.obj_str "kind" j = Some k) lines in
+  let int_of what j key =
+    match J.obj_int key j with
+    | Some i -> i
+    | None -> Alcotest.failf "%s: no integer %s" what key
+  in
+  let float_of what j key =
+    match J.obj_float key j with
+    | Some f -> f
+    | None -> Alcotest.failf "%s: no number %s" what key
+  in
+  (match of_kind "meta" with
+  | [ meta ] ->
+    Alcotest.(check (option bool)) "meta: not converged" (Some false)
+      (match J.member "converged" meta with Some (J.Bool b) -> Some b | _ -> None);
+    Alcotest.(check int) "meta: every iteration observed" run.Xwi.iterations
+      (int_of "meta" meta "iterations");
+    Alcotest.(check int) "meta: links" 2 (int_of "meta" meta "n_links");
+    Alcotest.(check int) "meta: flows" 3 (int_of "meta" meta "n_flows")
+  | l -> Alcotest.failf "expected one meta line, got %d" (List.length l));
+  let samples = of_kind "iter" in
+  Alcotest.(check int) "ring holds the last 64 samples" 64 (List.length samples);
   List.iter
     (fun s ->
+      let residual = float_of "iter" s "residual" in
       Alcotest.(check bool) "residual finite and non-negative" true
-        (s.Diag.s_residual >= 0. && Float.is_finite s.Diag.s_residual);
-      Alcotest.(check bool) "wf rounds positive" true (s.Diag.s_wf_rounds >= 1);
+        (residual >= 0. && Float.is_finite residual);
+      Alcotest.(check bool) "wf rounds positive" true
+        (int_of "iter" s "waterfill_rounds" >= 1);
+      let saturated = int_of "iter" s "saturated_links" in
       Alcotest.(check bool) "saturated links in range" true
-        (s.Diag.s_wf_saturated >= 0 && s.Diag.s_wf_saturated <= 2))
+        (saturated >= 0 && saturated <= 2))
     samples;
-  (let iters = List.map (fun s -> s.Diag.s_iter) samples in
-   Alcotest.(check (list int)) "samples oldest-first" (List.sort compare iters)
-     iters);
-  let r = Diag.report d in
-  Alcotest.(check int) "report iterations" run.Xwi.iterations
-    r.Diag.r_iterations;
-  Alcotest.(check bool) "final residual below tol" true
-    (r.Diag.r_final_residual <= 1e-10);
-  (* The ε ladder tightens left to right, so first-hit iterations must be
-     non-decreasing (ignoring never-reached entries). *)
-  let prev = ref 0 in
-  Array.iter
-    (fun (eps, it) ->
-      if it >= 0 then begin
-        Alcotest.(check bool)
-          (Printf.sprintf "eps %g reached no earlier than looser eps" eps)
-          true (it >= !prev);
-        prev := it
-      end)
-    r.Diag.r_to_eps;
-  Alcotest.(check bool) "tightest default eps reached" true
-    (let n = Array.length r.Diag.r_to_eps in
-     n > 0 && snd r.Diag.r_to_eps.(n - 1) >= 1);
-  List.iter
-    (fun (l, delta) ->
-      Alcotest.(check bool) "worst link id in range" true (l >= 0 && l < 2);
-      Alcotest.(check bool) "worst link delta non-negative" true (delta >= 0.))
-    (Diag.worst_links d);
-  let json = Diag.report_to_json r in
-  Alcotest.(check bool) "report json mentions iterations" true
-    (contains ~needle:"\"iterations\"" json)
+  Alcotest.(check (list int)) "samples oldest-first, the run's last 64"
+    (List.init 64 (fun i -> run.Xwi.iterations - 63 + i))
+    (List.map (fun s -> int_of "iter" s "iter") samples);
+  (match of_kind "worst_links" with
+  | [ w ] ->
+    List.iter
+      (fun pair ->
+        match J.to_list pair with
+        | Some [ l; d ] ->
+          let l = Option.get (J.to_int l) and d = Option.get (J.to_float d) in
+          Alcotest.(check bool) "worst link id in range" true (l >= 0 && l < 2);
+          Alcotest.(check bool) "worst link delta non-negative" true (d >= 0.)
+        | _ -> Alcotest.fail "worst link is not a [link, delta] pair")
+      (Option.value ~default:[] (Option.bind (J.member "links" w) J.to_list))
+  | l -> Alcotest.failf "expected one worst_links line, got %d" (List.length l));
+  match List.map (J.member "report") (of_kind "to_eps") with
+  | [ Some r ] ->
+    Alcotest.(check int) "report iterations" run.Xwi.iterations
+      (int_of "report" r "iterations");
+    let ladder =
+      List.map
+        (fun pair ->
+          match J.to_list pair with
+          | Some [ eps; it ] -> (Option.get (J.to_float eps), Option.get (J.to_int it))
+          | _ -> Alcotest.fail "to_eps entry is not an [eps, iteration] pair")
+        (Option.value ~default:[] (Option.bind (J.member "to_eps" r) J.to_list))
+    in
+    Alcotest.(check int) "five thresholds" 5 (List.length ladder);
+    (* The ε ladder tightens left to right, so first-hit iterations must
+       be non-decreasing (ignoring never-reached entries). *)
+    ignore
+      (List.fold_left
+         (fun prev (eps, it) ->
+           if it < 0 then prev
+           else begin
+             Alcotest.(check bool)
+               (Printf.sprintf "eps %g reached no earlier than looser eps" eps)
+               true (it >= prev);
+             it
+           end)
+         0 ladder
+        : int);
+    Alcotest.(check bool) "tightest eps reached" true
+      (snd (List.nth ladder 4) >= 1)
+  | _ -> Alcotest.fail "expected one to_eps line with a report"
 
 let test_diag_postmortem_on_nonconvergence () =
-  let dir =
-    let f = Filename.temp_file "nf_diag_test" "" in
-    Sys.remove f;
-    Sys.mkdir f 0o700;
-    f
-  in
+  let dir = temp_dir () in
   let sink = Trace.make ~kinds:[ Trace.XwiNonconverged ] () in
   let saved = Trace.default () in
   Trace.set_default sink;
@@ -2065,6 +2126,7 @@ let test_diag_postmortem_on_nonconvergence () =
         (contains ~needle:"\"kind\":\"worst_links\"" contents);
       Alcotest.(check bool) "postmortem carries iteration samples" true
         (contains ~needle:"\"kind\":\"iter\"" contents));
+  remove_dir dir;
   (* A second configure resets the sequence counter. *)
   Alcotest.(check int) "configure resets counter" 0
     (Diag.postmortems_written ())

@@ -463,8 +463,8 @@ let test_engine_epochs () =
   (match (Engine.group_rate e a, Engine.group_rate e b) with
   | Some ra, Some rb ->
     Alcotest.(check bool) "equal shares" true
-      (Nf_util.Fcmp.rel_eq ~rel:1e-6 ra 5.
-      && Nf_util.Fcmp.rel_eq ~rel:1e-6 rb 5.)
+      (Nf_testkit.Approx.rel_eq ~rel:1e-6 ra 5.
+      && Nf_testkit.Approx.rel_eq ~rel:1e-6 rb 5.)
   | _ -> Alcotest.fail "live gids must have rates");
   (* Departure: reads resolve pending events implicitly. *)
   Engine.remove_flow e a;
@@ -473,7 +473,7 @@ let test_engine_epochs () =
   (match Engine.group_rate e b with
   | Some rb ->
     Alcotest.(check bool) "survivor takes the link" true
-      (Nf_util.Fcmp.rel_eq ~rel:1e-6 rb 10.)
+      (Nf_testkit.Approx.rel_eq ~rel:1e-6 rb 10.)
   | None -> Alcotest.fail "survivor lost its rate");
   Alcotest.(check int) "rates sized to live flows" 1
     (Array.length (Engine.rates e));
@@ -493,7 +493,7 @@ let test_engine_set_cap () =
   (match Engine.group_rate e a with
   | Some r ->
     Alcotest.(check bool) "allocation tracks the new capacity" true
-      (Nf_util.Fcmp.rel_eq ~rel:1e-6 r 20.)
+      (Nf_testkit.Approx.rel_eq ~rel:1e-6 r 20.)
   | None -> Alcotest.fail "flow lost its rate");
   Alcotest.(check int) "capacity change solved warm" 1
     (Engine.stats e).Engine.warm_epochs
@@ -715,7 +715,7 @@ let test_socket_session () =
           (match Json.obj_float "rate" (Json.Obj fields) with
           | Some r ->
             Alcotest.(check bool) "sole flow takes the link" true
-              (Nf_util.Fcmp.rel_eq ~rel:1e-6 r 10.)
+              (Nf_testkit.Approx.rel_eq ~rel:1e-6 r 10.)
           | None -> Alcotest.fail "query reply must carry a rate");
           (* Errors come back as protocol errors, not closed connections. *)
           (match Client.request c (Protocol.Remove { gid = 9999 }) with

@@ -9,6 +9,7 @@ module Network = Nf_sim.Network
 module Builders = Nf_topo.Builders
 module Utility = Nf_num.Utility
 module Fcmp = Nf_util.Fcmp
+module Fixtures = Nf_testkit.Fixtures
 
 let proto = Nf_sim.Protocols.get
 
@@ -391,9 +392,9 @@ let test_numfabric_parking_lot_optimum () =
   (* Proportional fairness on a 2-link parking lot: the NUM optimum is
      (C/3, 2C/3, 2C/3) — NOT max-min — so this checks that xWI's prices
      actually steer Swift away from plain fair queueing. *)
-  let pl = Builders.parking_lot ~n_links:2 () in
-  let h = pl.Builders.pl_hosts in
-  let net = Network.create ~topology:pl.Builders.pl_topo ~protocol:(proto "numfabric") () in
+  let pl = Fixtures.parking_lot ~n_links:2 () in
+  let h = pl.Fixtures.pl_hosts in
+  let net = Network.create ~topology:pl.Fixtures.pl_topo ~protocol:(proto "numfabric") () in
   let u () = Utility.proportional_fair () in
   Network.add_flow net (Network.flow ~utility:(u ()) ~id:0 ~src:h.(0) ~dst:h.(2) ());
   Network.add_flow net (Network.flow ~utility:(u ()) ~id:1 ~src:h.(0) ~dst:h.(1) ());
@@ -406,9 +407,9 @@ let test_numfabric_parking_lot_optimum () =
 let test_numfabric_alpha2_packet () =
   (* alpha = 2 on the parking lot: optimum (y/sqrt 2, y, y), y = C/(1+2^-.5).
      Exercises the small-price regime (p* ~ 1e-20). *)
-  let pl = Builders.parking_lot ~n_links:2 () in
-  let h = pl.Builders.pl_hosts in
-  let net = Network.create ~topology:pl.Builders.pl_topo ~protocol:(proto "numfabric") () in
+  let pl = Fixtures.parking_lot ~n_links:2 () in
+  let h = pl.Fixtures.pl_hosts in
+  let net = Network.create ~topology:pl.Fixtures.pl_topo ~protocol:(proto "numfabric") () in
   let u () = Utility.alpha_fair ~alpha:2. () in
   Network.add_flow net (Network.flow ~utility:(u ()) ~id:0 ~src:h.(0) ~dst:h.(2) ());
   Network.add_flow net (Network.flow ~utility:(u ()) ~id:1 ~src:h.(0) ~dst:h.(1) ());

@@ -7,6 +7,7 @@ module Stats = Nf_util.Stats
 module Piecewise = Nf_util.Piecewise
 module Timeseries = Nf_util.Timeseries
 module Fcmp = Nf_util.Fcmp
+module Approx = Nf_testkit.Approx
 module Units = Nf_util.Units
 module Trace = Nf_util.Trace
 module Metrics = Nf_util.Metrics
@@ -15,13 +16,18 @@ module Profile = Nf_util.Profile
 let check_float = Alcotest.(check (float 1e-9))
 
 let check_close ?(eps = 1e-9) what expected actual =
-  if not (Fcmp.rel_eq ~rel:eps expected actual) then
+  if not (Approx.rel_eq ~rel:eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" what expected actual
 
 (* ------------------------------------------------------------------ *)
 (* Fheap (the SoA float-keyed heap under the event engine and STFQ) *)
 
 module Fheap = Nf_util.Fheap
+
+let pop h =
+  let v = Fheap.top h in
+  Fheap.drop h;
+  v
 
 let test_fheap_basic () =
   let h = Fheap.create ~capacity:2 () in
@@ -32,12 +38,12 @@ let test_fheap_basic () =
   Alcotest.(check int) "length" 3 (Fheap.length h);
   check_float "top key" 1. (Fheap.top_key h);
   Alcotest.(check int) "top" 100 (Fheap.top h);
-  Alcotest.(check int) "pop1" 100 (Fheap.pop h);
-  Alcotest.(check int) "pop2" 300 (Fheap.pop h);
-  Alcotest.(check int) "pop3" 500 (Fheap.pop h);
+  Alcotest.(check int) "pop1" 100 (pop h);
+  Alcotest.(check int) "pop2" 300 (pop h);
+  Alcotest.(check int) "pop3" 500 (pop h);
   Alcotest.(check bool) "empty again" true (Fheap.is_empty h);
   Alcotest.check_raises "pop on empty" (Invalid_argument "Fheap.top: empty heap")
-    (fun () -> ignore (Fheap.pop h : int))
+    (fun () -> ignore (pop h : int))
 
 let test_fheap_fifo_ties () =
   let h = Fheap.create () in
@@ -45,7 +51,7 @@ let test_fheap_fifo_ties () =
     Fheap.push h ~key:1. i
   done;
   for i = 0 to 9 do
-    Alcotest.(check int) (Printf.sprintf "tie %d in FIFO order" i) i (Fheap.pop h)
+    Alcotest.(check int) (Printf.sprintf "tie %d in FIFO order" i) i (pop h)
   done
 
 let test_fheap_clear_and_growth () =
@@ -55,13 +61,13 @@ let test_fheap_clear_and_growth () =
   done;
   Alcotest.(check int) "grown length" 100 (Fheap.length h);
   for i = 0 to 99 do
-    Alcotest.(check int) (Printf.sprintf "pop %d" i) i (Fheap.pop h)
+    Alcotest.(check int) (Printf.sprintf "pop %d" i) i (pop h)
   done;
   Fheap.push h ~key:1. 7;
-  Fheap.clear h;
+  Fheap.drop h;
   Alcotest.(check bool) "cleared" true (Fheap.is_empty h);
   Fheap.push h ~key:2. 9;
-  Alcotest.(check int) "usable after clear" 9 (Fheap.pop h)
+  Alcotest.(check int) "usable after clear" 9 (pop h)
 
 (* The correctness contract of the event-engine swap: Fheap pops in
    exactly the order of the reference, the pushes sorted by (key, push
@@ -91,7 +97,7 @@ let prop_fheap_matches_reference =
         | (key, seq) :: rest ->
           if Fheap.is_empty h then ok := false
           else if Fheap.top_key h <> key then ok := false
-          else if Fheap.pop h <> seq then ok := false
+          else if pop h <> seq then ok := false
           else drain rest
       in
       drain reference;
@@ -157,11 +163,9 @@ let test_ewma_timed_out_of_order () =
   Ewma.timed_update f ~now:3. 100.;
   (* dt clamped to 0 -> weight 0 -> unchanged *)
   check_float "out of order ignored" 5. (Ewma.timed_value_exn f);
-  Ewma.timed_reset f;
-  Alcotest.(check bool) "unset by reset" false (Ewma.timed_is_set f);
   Alcotest.check_raises "value_exn on an unset filter"
     (Invalid_argument "Ewma.timed_value_exn: no samples yet") (fun () ->
-      ignore (Ewma.timed_value_exn f : float))
+      ignore (Ewma.timed_value_exn (Ewma.timed ~tau:1.) : float))
 
 let test_ewma_rise_time () =
   check_close "rise time formula" (log 10. *. 80e-6) (Ewma.rise_time_90 ~tau:80e-6);
@@ -183,24 +187,18 @@ let test_ewma_rise_time () =
     Alcotest.(check bool) "crossing near ln(10)*tau" true
       (Float.abs (t -. Ewma.rise_time_90 ~tau:80e-6) < 5e-6)
 
-let test_ewma_reset () =
-  let f = Ewma.timed ~tau:1. in
-  Ewma.timed_update f ~now:0. 7.;
-  Ewma.timed_reset f;
-  Alcotest.(check (option (float 0.))) "reset" None (Ewma.timed_value f)
-
 (* ------------------------------------------------------------------ *)
 (* RNG *)
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    Alcotest.(check (float 0.)) "same stream" (Rng.float a 1.) (Rng.float b 1.)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
-  Alcotest.(check bool) "different streams" true (Rng.bits64 a <> Rng.bits64 b)
+  Alcotest.(check bool) "different streams" true (Rng.float a 1. <> Rng.float b 1.)
 
 let test_rng_float_range () =
   let r = Rng.create ~seed:7 in
@@ -231,12 +229,6 @@ let test_rng_exponential_mean () =
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean near 2" true (Float.abs (mean -. 2.) < 0.05)
 
-let test_rng_split_independent () =
-  let r = Rng.create ~seed:3 in
-  let a = Rng.split r in
-  let b = Rng.split r in
-  Alcotest.(check bool) "split streams differ" true (Rng.bits64 a <> Rng.bits64 b)
-
 let test_rng_permutation () =
   let r = Rng.create ~seed:11 in
   let p = Rng.permutation r 100 in
@@ -244,15 +236,6 @@ let test_rng_permutation () =
   Array.sort compare sorted;
   Alcotest.(check bool) "is a permutation" true
     (Array.to_list sorted = List.init 100 (fun i -> i))
-
-let prop_rng_copy_replays =
-  QCheck.Test.make ~name:"rng copy replays the stream" ~count:50
-    QCheck.small_int
-    (fun seed ->
-      let r = Rng.create ~seed in
-      ignore (Rng.bits64 r);
-      let c = Rng.copy r in
-      Rng.bits64 r = Rng.bits64 c)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -266,8 +249,7 @@ let test_stats_percentile () =
 
 let test_stats_mean_stddev () =
   let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  check_float "mean" 5. (Stats.mean xs);
-  check_float "stddev" 2. (Stats.stddev xs)
+  check_float "mean" 5. (Stats.mean xs)
 
 let test_stats_boxplot () =
   let xs = Array.init 101 (fun i -> float_of_int i) in
@@ -353,9 +335,9 @@ let prop_piecewise_inverse_roundtrip =
           [ (0., 0.) ] deltas
       in
       let f = Piecewise.of_points (List.rev pts) in
-      let x = frac *. Piecewise.max_x f in
+      let x = frac *. fst (List.hd pts) in
       let y = Piecewise.eval f x in
-      Fcmp.rel_eq ~rel:1e-6 (Piecewise.eval f (Piecewise.inverse f y)) y)
+      Approx.rel_eq ~rel:1e-6 (Piecewise.eval f (Piecewise.inverse f y)) y)
 
 let prop_piecewise_integral_matches_quadrature =
   QCheck.Test.make ~name:"closed-form integral matches numeric quadrature"
@@ -375,7 +357,7 @@ let prop_piecewise_integral_matches_quadrature =
         | [] -> assert false
       done;
       let f = Piecewise.of_points (List.rev !pts) in
-      let lo = 0.2 and hi = Piecewise.max_x f -. 0.1 in
+      let lo = 0.2 and hi = fst (List.hd !pts) -. 0.1 in
       let exact = Piecewise.integral_pow_between f ~alpha ~lo ~hi in
       (* midpoint rule, 4000 slices *)
       let n = 4000 in
@@ -385,7 +367,7 @@ let prop_piecewise_integral_matches_quadrature =
         let x = lo +. ((float_of_int i +. 0.5) *. h) in
         acc := !acc +. (Piecewise.eval f x ** -.alpha *. h)
       done;
-      Fcmp.rel_eq ~rel:1e-3 exact !acc)
+      Approx.rel_eq ~rel:1e-3 exact !acc)
 
 let prop_piecewise_integral_additive =
   QCheck.Test.make ~name:"integral is additive over ranges" ~count:200
@@ -399,14 +381,14 @@ let prop_piecewise_integral_additive =
         Piecewise.integral_pow_between f ~alpha ~lo ~hi:mid
         +. Piecewise.integral_pow_between f ~alpha ~lo:mid ~hi
       in
-      Fcmp.rel_eq ~rel:1e-9 whole parts)
+      Approx.rel_eq ~rel:1e-9 whole parts)
 
 (* ------------------------------------------------------------------ *)
 (* Timeseries *)
 
 let test_timeseries_basics () =
   let ts = Timeseries.create () in
-  Alcotest.(check bool) "empty" true (Timeseries.is_empty ts);
+  Alcotest.(check int) "empty" 0 (Timeseries.length ts);
   Timeseries.add ts ~time:0. 1.;
   Timeseries.add ts ~time:1. 2.;
   Timeseries.add ts ~time:2. 4.;
@@ -427,17 +409,6 @@ let test_timeseries_out_of_order () =
     (Invalid_argument "Timeseries.add: samples must be time-ordered")
     (fun () -> Timeseries.add ts ~time:0.5 2.)
 
-let test_timeseries_mean_over () =
-  let ts = Timeseries.create () in
-  Timeseries.add ts ~time:0. 1.;
-  Timeseries.add ts ~time:1. 3.;
-  (* signal: 1 on [0,1), 3 on [1,2): mean over [0,2] = 2 *)
-  (match Timeseries.mean_over ts ~t0:0. ~t1:2. with
-  | Some m -> check_float "time-weighted mean" 2. m
-  | None -> Alcotest.fail "expected a mean");
-  Alcotest.(check (option (float 0.))) "before first sample" None
-    (Timeseries.mean_over ts ~t0:(-2.) ~t1:(-1.))
-
 let test_timeseries_resample () =
   let ts = Timeseries.create () in
   Timeseries.add ts ~time:0. 5.;
@@ -457,13 +428,9 @@ let test_timeseries_resample () =
 
 let test_units () =
   check_float "gbps" 1e10 (Units.gbps 10.);
-  check_float "usec" 1.6e-5 (Units.usec 16.);
-  check_float "bytes" 12e3 (Units.kb 12.);
-  check_close "transmission time" 1.2e-6
-    (Units.transmission_time ~bytes:1500. ~rate_bps:1e10)
+  check_float "usec" 1.6e-5 (Units.usec 16.)
 
 let test_fcmp () =
-  Alcotest.(check bool) "approx_eq" true (Fcmp.approx_eq 1. (1. +. 1e-12));
   Alcotest.(check bool) "within_fraction yes" true
     (Fcmp.within_fraction ~frac:0.1 ~actual:95. ~target:100.);
   Alcotest.(check bool) "within_fraction no" false
@@ -509,20 +476,22 @@ let test_trace_ring () =
     "oldest first, oldest two evicted" [ 3; 4; 5; 6 ]
     (List.map (fun e -> e.Trace.subject) evs)
 
+(* The sink filters kinds; a subject is picked out of the captured
+   events. *)
 let test_trace_filters () =
-  let tr = Trace.make ~kinds:[ Trace.Drop; Trace.FlowDone ] ~subjects:[ 7 ] () in
+  let tr = Trace.make ~kinds:[ Trace.Drop; Trace.FlowDone ] () in
   Alcotest.(check bool) "on Drop" true (Trace.on tr Trace.Drop);
   Alcotest.(check bool) "off Enqueue" false (Trace.on tr Trace.Enqueue);
   Trace.emit tr Trace.Drop ~subject:7 ~time:1. 1500.;
   Trace.emit tr Trace.Drop ~subject:8 ~time:2. 1500.;
-  (* wrong subject *)
-  Trace.emit tr Trace.Enqueue ~subject:7 ~time:3. 1500.;
   (* wrong kind *)
+  Trace.emit tr Trace.Enqueue ~subject:7 ~time:3. 1500.;
   Trace.emit tr Trace.FlowDone ~subject:7 ~time:4. 0.01;
-  Alcotest.(check int) "only matching events pass" 2 (Trace.emitted tr);
+  Alcotest.(check int) "only matching kinds pass" 3 (Trace.emitted tr);
+  let subject_7 = List.filter (fun e -> e.Trace.subject = 7) (Trace.events tr) in
   Alcotest.(check (list string))
-    "kinds in order" [ "drop"; "flow_done" ]
-    (List.map (fun e -> Trace.kind_name e.Trace.kind) (Trace.events tr))
+    "subject 7's kinds in order" [ "drop"; "flow_done" ]
+    (List.map (fun e -> Trace.kind_name e.Trace.kind) subject_7)
 
 let test_trace_null_disabled () =
   List.iter
@@ -530,7 +499,11 @@ let test_trace_null_disabled () =
       Alcotest.(check bool)
         (Printf.sprintf "null sink off for %s" (Trace.kind_name k))
         false (Trace.on Trace.null k))
-    Trace.all_kinds;
+    Trace.
+      [
+        Enqueue; Dequeue; Drop; EcnMark; PktSend; PktRecv; RateUpdate;
+        PriceUpdate; FlowStart; FlowDone; XwiIter; XwiResidual; XwiNonconverged;
+      ];
   Trace.emit Trace.null Trace.Drop ~subject:0 ~time:0. 0.;
   Alcotest.(check int) "null sink accepts nothing" 0 (Trace.emitted Trace.null)
 
@@ -621,10 +594,7 @@ let test_metrics_counter_gauge () =
   Alcotest.check_raises "kind mismatch"
     (Invalid_argument
        "Metrics: \"test_depth\" is already registered as a gauge, not a counter")
-    (fun () -> ignore (Metrics.counter r "test_depth" : Metrics.counter));
-  Metrics.reset r;
-  Alcotest.(check int) "reset zeroes counters" 0 (Metrics.counter_value c);
-  Alcotest.(check (float 0.)) "reset zeroes gauges" 0. (Metrics.gauge_value g)
+    (fun () -> ignore (Metrics.counter r "test_depth" : Metrics.counter))
 
 let test_metrics_histogram () =
   let r = Metrics.create () in
@@ -680,8 +650,8 @@ let test_profile_accounting () =
     (fun () ->
       let r = Profile.time "work" (fun () -> 41 + 1) in
       Alcotest.(check int) "thunk result returned" 42 r;
-      Profile.record "work" 0.5;
-      Profile.record "other" 0.1;
+      Profile.record_cat (Profile.intern "work") 0.5;
+      Profile.record_cat (Profile.intern "other") 0.1;
       match Profile.categories () with
       | (cat1, calls1, sec1) :: (cat2, _, _) :: [] ->
         Alcotest.(check string) "most expensive first" "work" cat1;
@@ -700,7 +670,7 @@ let test_profile_disabled_is_passthrough () =
     (List.length (Profile.categories ()))
 
 (* ------------------------------------------------------------------ *)
-(* Gcstats: per-category allocation accounting and the alloc audit *)
+(* Gcstats: per-category allocation accounting *)
 
 module Gcstats = Nf_util.Gcstats
 
@@ -738,24 +708,6 @@ let test_gcstats_publish_idempotent () =
   Alcotest.(check bool) "monotone across publishes" true (second >= first);
   Alcotest.(check bool) "heap gauge present and positive" true
     (Metrics.gauge_value (Metrics.gauge r "nf_gc_heap_bytes") > 0.)
-
-let test_gcstats_bytes_per_iteration () =
-  let sink = ref [||] in
-  let allocating () =
-    sink := Sys.opaque_identity (Array.make 8 0.)
-  in
-  let b = Gcstats.bytes_per_iteration ~warmup:16 ~iters:2_000 allocating in
-  (* 8 floats + header = 72 bytes on 64-bit; quantization noise is
-     amortized over the iteration count. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "allocating loop measured (%.1f B/iter)" b)
-    true
-    (b >= 64. && b <= 96.);
-  let clean () = () in
-  let b0 = Gcstats.bytes_per_iteration ~warmup:16 ~iters:2_000 clean in
-  Alcotest.(check bool)
-    (Printf.sprintf "empty loop measures clean (%.3f B/iter)" b0)
-    true (Float.abs b0 <= 1.)
 
 let test_profile_time_feeds_gcstats () =
   Profile.reset ();
@@ -845,7 +797,6 @@ let () =
           quick "timed converges to step" test_ewma_timed_convergence;
           quick "out-of-order samples ignored" test_ewma_timed_out_of_order;
           quick "90% rise time" test_ewma_rise_time;
-          quick "reset" test_ewma_reset;
         ] );
       ( "rng",
         [
@@ -854,9 +805,7 @@ let () =
           quick "float range" test_rng_float_range;
           quick "int uniformity" test_rng_int_range;
           quick "exponential mean" test_rng_exponential_mean;
-          quick "split independence" test_rng_split_independent;
           quick "permutation" test_rng_permutation;
-          qcheck prop_rng_copy_replays;
         ] );
       ( "stats",
         [
@@ -881,7 +830,6 @@ let () =
         [
           quick "basics" test_timeseries_basics;
           quick "ordering enforced" test_timeseries_out_of_order;
-          quick "time-weighted mean" test_timeseries_mean_over;
           quick "resample" test_timeseries_resample;
         ] );
       ("units", [ quick "conversions" test_units; quick "fcmp" test_fcmp ]);
@@ -913,6 +861,5 @@ let () =
         [
           quick "record and categories" test_gcstats_record_and_categories;
           quick "publish idempotent" test_gcstats_publish_idempotent;
-          quick "bytes per iteration" test_gcstats_bytes_per_iteration;
         ] );
     ]

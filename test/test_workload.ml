@@ -13,34 +13,44 @@ let qcheck = QCheck_alcotest.to_alcotest
 (* ------------------------------------------------------------------ *)
 (* Size distributions *)
 
+(* [n] sizes drawn from [d] on one seed. *)
+let draws ?(n = 50_000) ~seed d =
+  let rng = Rng.create ~seed in
+  Array.init n (fun _ -> Size_dist.sample d rng)
+
+(* The fraction of [sizes] at or below [size]. *)
+let fraction_below sizes size =
+  let k = Array.fold_left (fun k s -> if s <= size then k + 1 else k) 0 sizes in
+  float_of_int k /. float_of_int (Array.length sizes)
+
 let test_websearch_summary () =
   let d = Size_dist.websearch in
   Alcotest.(check string) "name" "websearch" (Size_dist.name d);
+  let sizes = draws ~seed:42 d in
   (* The paper: ~50% of flows below 100 KB; ~30% above 1 MB. *)
-  let below_100k = Size_dist.cdf_at d 100e3 in
+  let below_100k = fraction_below sizes 100e3 in
   Alcotest.(check bool) "about half below 100 KB" true
     (below_100k > 0.45 && below_100k < 0.62);
-  let above_1m = 1. -. Size_dist.cdf_at d 1e6 in
+  let above_1m = 1. -. fraction_below sizes 1e6 in
   Alcotest.(check bool) "roughly 30% above 1 MB" true
     (above_1m > 0.25 && above_1m < 0.35);
   (* Byte skew: flows above 1 MB should carry the overwhelming majority of
-     bytes. Estimate by sampling. *)
-  let rng = Rng.create ~seed:42 in
+     bytes. *)
   let total = ref 0. and big = ref 0. in
-  for _ = 1 to 50_000 do
-    let s = Size_dist.sample d rng in
-    total := !total +. s;
-    if s > 1e6 then big := !big +. s
-  done;
+  Array.iter
+    (fun s ->
+      total := !total +. s;
+      if s > 1e6 then big := !big +. s)
+    sizes;
   Alcotest.(check bool) "bytes concentrated in large flows" true
     (!big /. !total > 0.85)
 
 let test_enterprise_summary () =
-  let d = Size_dist.enterprise in
-  let below_10k = Size_dist.cdf_at d 10e3 in
+  let sizes = draws ~seed:43 Size_dist.enterprise in
+  let below_10k = fraction_below sizes 10e3 in
   Alcotest.(check bool) "~95% below 10 KB" true
     (below_10k > 0.9 && below_10k <= 0.96);
-  let two_packets = Size_dist.cdf_at d 3000. in
+  let two_packets = fraction_below sizes 3000. in
   Alcotest.(check bool) "~70% within 2 packets" true
     (two_packets > 0.6 && two_packets < 0.78)
 
@@ -56,21 +66,6 @@ let test_sample_mean_matches () =
   let exact = Size_dist.mean d in
   Alcotest.(check bool) "sample mean ~ analytic mean" true
     (Float.abs (sample_mean -. exact) /. exact < 0.1)
-
-let test_fixed_and_uniform () =
-  let rng = Rng.create ~seed:1 in
-  let f = Size_dist.fixed 5000. in
-  for _ = 1 to 100 do
-    let s = Size_dist.sample f rng in
-    if Float.abs (s -. 5000.) > 1. then Alcotest.failf "fixed sampled %g" s
-  done;
-  let u = Size_dist.uniform ~lo:1000. ~hi:2000. in
-  for _ = 1 to 1000 do
-    let s = Size_dist.sample u rng in
-    if s < 999. || s > 2001. then Alcotest.failf "uniform out of range: %g" s
-  done;
-  Alcotest.(check bool) "uniform mean" true
-    (Float.abs (Size_dist.mean u -. 1500.) < 1.)
 
 let test_of_cdf_validation () =
   Alcotest.check_raises "last probability must be 1"
@@ -125,7 +120,7 @@ let test_poisson_arrivals () =
   let rng = Rng.create ~seed:9 in
   let pairs = [| { Traffic.src = 0; dst = 1 } |] in
   let arrivals =
-    Traffic.poisson_arrivals rng ~pairs ~size_dist:(Size_dist.fixed 1000.)
+    Traffic.poisson_arrivals rng ~pairs ~size_dist:Size_dist.websearch
       ~rate_per_sec:1000. ~duration:10.
   in
   let n = List.length arrivals in
@@ -206,7 +201,6 @@ let () =
           quick "websearch summary stats" test_websearch_summary;
           quick "enterprise summary stats" test_enterprise_summary;
           quick "sample mean" test_sample_mean_matches;
-          quick "fixed and uniform" test_fixed_and_uniform;
           quick "of_cdf validation" test_of_cdf_validation;
           qcheck prop_samples_in_support;
         ] );
