@@ -338,8 +338,9 @@ let run_experiments name all jobs quick scale seed json csv out record trace
 
 let jobs_arg =
   let doc =
-    "Worker-pool width: shard the experiments across $(docv) domains. \
-     Output is byte-identical whatever $(docv) is."
+    "Worker-pool width: run the experiments on $(docv) worker domains, \
+     each claiming the next experiment when it finishes one. Output is \
+     byte-identical whatever $(docv) is."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -664,14 +665,16 @@ let serve_drive_cmd =
           exit 1
         end;
         Format.printf "(metrics scrape ok: %d bytes)@." (String.length body);
-        (* The warm-start counters' sample lines, verbatim: CI requires a
-           nonzero polished-start count and bounds the carried-start
-           count. *)
+        (* The start counters' sample lines, verbatim: CI requires
+           nonzero polished warm and cold start counts and bounds the
+           carried-start count. *)
+        let starts =
+          [ "nf_xwi_polished_starts_total "; "nf_xwi_carried_starts_total ";
+            "nf_xwi_cold_polished_starts_total "; "nf_xwi_cold_seed_starts_total " ]
+        in
         List.iter
           (fun line ->
-            if
-              String.starts_with ~prefix:"nf_xwi_polished_starts_total " line
-              || String.starts_with ~prefix:"nf_xwi_carried_starts_total " line
+            if List.exists (fun prefix -> String.starts_with ~prefix line) starts
             then Format.printf "%s@." line)
           (String.split_on_char '\n' body)
       | Error reason ->

@@ -2,7 +2,8 @@
    each single-flow arrival after a churn prelude, compares the iteration
    count of the warm re-solve ([Xwi_core.solve] of the previous epoch's
    state: its prices or their Newton polish, then xWI) against a cold
-   solve of the identical problem; the mean warm/cold ratio is the serve
+   solve of the identical problem (xWI from its seed,
+   [Xwi_core.at_seed]); the mean warm/cold ratio is the serve
    path's acceptance metric (at most 0.10). Deterministic: no wall
    clock, all randomness seeded. *)
 

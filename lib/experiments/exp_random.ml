@@ -58,7 +58,10 @@ let run ctx =
       for k = 1 to instances_per_alpha do
         let multipath = k mod 3 = 0 in
         let problem = random_instance rng ~alpha ~multipath in
-        let state, run = Xwi.solve ~tol:1e-4 ~max_iters:3000 problem None in
+        let state = Xwi.at_seed problem in
+        let run =
+          Xwi.run_until_kkt ~tol:1e-4 ~max_iters:3000 problem Xwi.default_params state
+        in
         if run.Xwi.converged then begin
           incr converged;
           iters := float_of_int run.Xwi.iterations :: !iters;

@@ -51,7 +51,7 @@ let build_problem ~topo ~hosts ~n_flows ~seed =
 
 let run_fabric ~name ~topo ~hosts ~n_flows ~iterations ~seed =
   let problem = build_problem ~topo ~hosts ~n_flows ~seed in
-  let state = Xwi.init problem in
+  let state = Xwi.at_seed problem in
   let kkt rates prices =
     Kkt.worst (Kkt.check problem ~rates ~prices)
   in

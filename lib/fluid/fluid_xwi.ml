@@ -4,7 +4,7 @@ module Trace = Nf_util.Trace
 let make ?(params = Xwi_core.default_params)
     ?(interval = Nf_num.Price_law.xwi_interval) problem =
   let problem = ref problem in
-  let state = ref (Xwi_core.init !problem) in
+  let state = ref (Xwi_core.at_seed !problem) in
   let iter = ref 0 in
   let step () =
     Xwi_core.step !problem params !state;

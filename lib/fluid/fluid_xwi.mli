@@ -3,6 +3,9 @@
 
     One round = one synchronized price update ([interval] defaults to
     Table 2's priceUpdateInterval, {!Nf_num.Price_law.xwi_interval}).
+    The scheme starts at xWI's seed ({!Nf_num.Xwi_core.at_seed}), never
+    at the polished cold start: its rounds from there are what the
+    experiments measure.
     Rebinding preserves link prices across flow arrivals/departures,
     exactly as real switches would: it restarts through
     {!Nf_num.Xwi_core.resize} with [~polish:false], whose handed-down

@@ -111,22 +111,23 @@ let max_steps = 160  (* Newton steps per polish, over every add and drop *)
 
 (* Dense Cholesky is O(|A|³): past this the polish costs more than the
    xWI iterations it saves, so larger active sets keep the carried
-   start. *)
+   start, and [Xwi_core.init] skips the polish on problems with more
+   busy links. *)
 let max_active = 256
 
 let m_added =
   Metrics.counter Metrics.global
-    ~help:"Links the warm-start polish added to its active set (overloaded by x(P_A))"
+    ~help:"Links the polish (cold and warm starts) added to its active set (overloaded by x(P_A))"
     "nf_xwi_polish_added_links_total"
 
 let m_retries =
   Metrics.counter Metrics.global
-    ~help:"Failed warm-start Newton solves retried without their negatively priced links"
+    ~help:"Failed Newton solves of the polish (cold and warm starts) retried without their negatively priced links"
     "nf_xwi_polish_retries_total"
 
 let m_steps =
   Metrics.counter Metrics.global
-    ~help:"Newton steps (numeric factorizations) of the warm-start polish"
+    ~help:"Newton steps (numeric factorizations) of the polish, cold and warm starts"
     "nf_xwi_polish_newton_steps_total"
 
 let floats a n = if Array.length a >= n then a else Array.make n 0.

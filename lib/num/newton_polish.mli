@@ -1,5 +1,6 @@
 (** Active-set Newton polish of a carried price vector: the math behind
-    {!Xwi_core.resize}'s polished warm start (DESIGN.md "Warm restart").
+    {!Xwi_core.resize}'s polished warm start and, from zero prices,
+    {!Xwi_core.init}'s polished cold start (DESIGN.md "Warm restart").
 
     From the prices an xWI state carries across a flow-churn delta and
     the rates they induce, it guesses the set A of links that are full at
@@ -35,7 +36,8 @@
     [nf_xwi_polish_retries_total] (unconverged solves retried without
     their negatively priced links) count the corrections, and
     [nf_xwi_polish_newton_steps_total] the Newton steps (numeric
-    factorizations).
+    factorizations). All three count every polish, {!Xwi_core.init}'s
+    cold ones and {!Xwi_core.resize}'s warm ones alike.
 
     Deterministic: every choice is by link or flow id. *)
 
@@ -53,6 +55,12 @@ val eligible : Problem.t -> bool
     (its {!Utility.shape}); otherwise there is no closed-form [U'^-1] to
     differentiate or no single path price per group, and the polish does
     not apply. *)
+
+val max_active : int
+(** 256: the largest active set a polish factors. A dense Cholesky is
+    O(|A|³), so past this the polish costs more than the xWI iterations
+    it saves, and {!solve} fails. [Xwi_core.init] skips the polish when
+    more links than this carry a flow. *)
 
 val solve :
   t ->

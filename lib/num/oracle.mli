@@ -42,11 +42,15 @@ val solve : ?tol:float -> ?max_iters:int -> ?carry:carry -> Problem.t -> solutio
 (** xWI fixed point run to stationarity; [tol] (default 1e-6) bounds the
     worst KKT residual.
 
-    The first run is one {!Xwi_core.solve}: from {!Xwi_core.init}
+    The first run is one {!Xwi_core.solve}: from {!Xwi_core.init} (the
+    Newton polish of zero prices where it applies, else xWI's seed)
     without a carry or with an empty one, and from {!Xwi_core.resize} of
     a carried state (its prices, or their Newton polish).
-    Successive populations over the same links share most flows, so such
-    a start needs few iterations, often none; the semi-dynamic harness
+    The polish applies to [Log]/[Power] single-path problems over at
+    most 256 busy links; where it succeeds the cold start needs no
+    iteration, and where it fails xWI runs from its seed. Successive
+    populations over the same links share most flows, so a carried
+    start needs few iterations, often none; the semi-dynamic harness
     and [Dynamic.run_ideal] solve their per-event targets this way.
 
     xWI runs for up to [max_iters] (default 60,000) iterations; if that

@@ -49,16 +49,27 @@ let m_carried_starts =
     ~help:"Warm restarts that asked for a polish and keep the carried prices"
     "nf_xwi_carried_starts_total"
 
+let m_cold_polished_starts =
+  Metrics.counter Metrics.global
+    ~help:"Cold starts (init) from the Newton polish of zero prices"
+    "nf_xwi_cold_polished_starts_total"
+
+let m_cold_seed_starts =
+  Metrics.counter Metrics.global
+    ~help:"Cold starts (init) that keep the seed: no polish applies, or it failed"
+    "nf_xwi_cold_seed_starts_total"
+
 let trace_iter tr iter =
   if Trace.on tr Trace.XwiIter then
     Trace.emit tr Trace.XwiIter ~subject:0 ~time:(float_of_int iter)
       (float_of_int iter)
 
-(* Per-state scratch: one allocation at [init], zero per [step]. The
+(* Per-state scratch: one allocation at [at_seed], zero per [step]. The
    state's own [prices], [rates] and [weights] are the rest of the sparse
    step's working set (see DESIGN.md "Sparse NUM core"). Abstract in the
-   interface so states can only come from [init] and [resize]. [resize]
-   hands the whole record down to the state it builds: the link-sized
+   interface so states can only come from [at_seed], [init] and
+   [resize]. [resize] hands the whole record down to the state it
+   builds: the link-sized
    arrays carry over as they are, the per-flow and per-group ones hold at
    least the problem's counts (every sweep is bounded by the incidence's
    counts, never by these lengths) and grow with headroom, and
@@ -73,8 +84,8 @@ type buffers = {
   mutable b_inv_len : float array;  (* >= n_flows; 1 / |L(i)|, fixed per problem *)
   mutable b_utils : Utility.t array;  (* n_groups; the snapshot's, shared *)
   b_maxmin_sparse : Maxmin.sparse_workspace;
-  b_polish : Newton_polish.t;  (* [resize]'s scratch *)
-  mutable b_polished : bool;  (* [resize] kept the polished start *)
+  b_polish : Newton_polish.t;  (* [init]'s and [resize]'s scratch *)
+  mutable b_polished : bool;  (* [init] or [resize] kept the polished start *)
   mutable b_prices : float array;  (* the owning state's [prices] *)
 }
 
@@ -146,7 +157,7 @@ let equal_weight_rates ws problem =
   Maxmin.solve_sparse ws inc ~weights:(Array.make n_flows 1.) ~rates;
   rates
 
-(* The xWI seed, shared by every solver that starts from it ([init],
+(* The xWI seed, shared by every solver that starts from it ([at_seed],
    [Oracle.solve_dual], [Fluid_dgd]): the equal-weight max-min
    allocation, by the sparse water-fill, and per link
    p_l = max over flows on l of U'_g(y_g) / |L(i)|, the price each link
@@ -368,7 +379,7 @@ let make_state ~buffers problem ~prices ~rates =
     problem_gen = Problem.generation problem;
   }
 
-let init problem =
+let at_seed problem =
   let rates, prices = seed problem in
   make_state ~buffers:(make_buffers problem) problem ~prices ~rates
 
@@ -391,24 +402,63 @@ let carried_rates problem state =
   allocate (Problem.incidence problem) state;
   state.rates
 
+(* [Newton_polish.solve] from [prices], with [rates] the allocation
+   they induce: on success the state takes the polished prices and is
+   marked polished; on failure it is untouched. *)
+let polish problem state ~prices ~rates =
+  let bufs = state.buffers in
+  let polished = bufs.b_polish_out in
+  Newton_polish.solve bufs.b_polish problem ~prices ~carried:state ~rates ~out:polished
+  && begin
+    Array.blit polished 0 state.prices 0 (Array.length polished);
+    bufs.b_polished <- true;
+    true
+  end
+
 (* The polish first, then the one water-fill of the start it keeps
    (DESIGN.md "Warm restart"): a polish that succeeds is the start; one
    that fails leaves the carried start, the water-fill of the carried
    prices, bit for bit. The carried prices are water-filled before the
    polish's end only when it asks for [carried_rates]. *)
 let polish_start problem state =
-  let bufs = state.buffers in
-  let polished = bufs.b_polish_out in
-  if
-    Newton_polish.solve bufs.b_polish problem ~prices:state.prices ~carried:state
-      ~rates:carried_rates ~out:polished
-  then begin
-    Array.blit polished 0 state.prices 0 (Array.length polished);
-    bufs.b_polished <- true
-  end;
+  ignore (polish problem state ~prices:state.prices ~rates:carried_rates : bool);
   allocate (Problem.incidence problem) state
 
 let consumed state = state.buffers.b_prices != state.prices
+
+(* The links some flow crosses: the non-empty CSC columns. *)
+let busy_links (inc : Incidence.t) =
+  let col_ptr = inc.Incidence.col_ptr and n = ref 0 in
+  for l = 0 to inc.Incidence.n_links - 1 do
+    if col_ptr.(l + 1) > col_ptr.(l) then incr n
+  done;
+  !n
+
+(* The seed's rates, for the cold polish: the equal-weight water-fill,
+   which [seed] has already run, is what zero prices induce. *)
+let seed_rates (_ : Problem.t) state = state.rates
+
+(* Cold start (DESIGN.md "Warm restart"): the Newton polish of zero
+   prices. No link clears the polish's 1e-3 p_max floor, so each flow is
+   covered by its lowest-id link the equal-weight water-fill saturates,
+   priced at the flow's marginal utility there: the polish solves the
+   centralized problem's KKT system from scratch. Tried only where its
+   dense factor can hold every busy link; a failed or skipped polish
+   leaves the seed state bit for bit. *)
+let init problem =
+  let state = at_seed problem in
+  let inc = Problem.incidence problem in
+  if
+    Newton_polish.eligible problem
+    && busy_links inc <= Newton_polish.max_active
+    && polish problem state ~prices:(Array.make inc.Incidence.n_links 0.)
+         ~rates:seed_rates
+  then begin
+    allocate inc state;
+    Metrics.incr m_cold_polished_starts
+  end
+  else Metrics.incr m_cold_seed_starts;
+  state
 
 (* Warm restart across a problem delta: keep the converged per-link price
    vector (links are stable across flow churn), re-size the old state's

@@ -31,7 +31,7 @@ val default_params : params
 
 type buffers
 (** Preallocated per-state scratch arrays (sized for the state's problem):
-    {!step} allocates nothing. Only {!init} builds these;
+    {!step} allocates nothing. Only {!at_seed} (and so {!init}) builds these;
     {!resize} re-sizes them in place and hands them to the state it
     returns. *)
 
@@ -57,12 +57,38 @@ val seed : Problem.t -> float array * float array
     {!Maxmin.solve_sparse}) and the prices seeded from its marginal
     utilities, [p_l = max_{i ∋ l} U'_g(y_g) / |L(i)|], so that a first
     weight computation is well-scaled. Every solver that starts from the
-    xWI seed ({!init}, [Oracle.solve_dual], [Fluid_dgd]) calls this. *)
+    xWI seed ({!at_seed}, [Oracle.solve_dual], [Fluid_dgd]) calls this. *)
+
+val at_seed : Problem.t -> state
+(** The seed-only start: the state at the {!seed}, its prices, rates at
+    its allocation, weights 1. This is xWI's standard initialization, so
+    every caller that measures xWI's own convergence starts here: the
+    fluid scheme ([Fluid_xwi]; Figs. 4a, 5, 6, 7, 9, 10), [exp random]'s
+    iteration counts, [exp churn]'s cold baseline and lineage start, and
+    [exp scale]'s fixed step budget.
+    Counts no start. When a postmortem directory is {!Diag.configure}d
+    (the CLI's [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
 
 val init : Problem.t -> state
-(** Initial state at the {!seed}: its prices, rates at its allocation.
-    When a postmortem directory is {!Diag.configure}d (the CLI's
-    [--diag]), the state auto-attaches a fresh {!Diag.t}. *)
+(** The cold start of a certified solve: {!at_seed}, then the Newton
+    polish ({!Newton_polish.solve}) of {e zero} prices. At zero prices
+    no link clears the polish's 1e-3·p_max floor, so each flow is
+    covered by its lowest-id link the seed's equal-weight water-fill
+    saturates, priced at the flow's marginal utility; the seed's rates
+    are that water-fill, so the polish runs none of its own. On success
+    the state takes the polished prices, their Eq. 7 weights and their
+    water-fill, and {!polished} is [true]. The polish is tried only when
+    the problem is {!Newton_polish.eligible} and at most
+    {!Newton_polish.max_active} links carry a flow; when it is skipped
+    or fails, the state is {!at_seed}'s, bit for bit.
+
+    On nfbench's [serve_churn] stream the polished cold start is
+    certified at iteration 0 (seeds 1–10), where xWI from the seed took
+    238 to 7,507 iterations; [solve_cold]'s fat tree (768 busy links)
+    skips the polish. Each call increments
+    [nf_xwi_cold_polished_starts_total] or
+    [nf_xwi_cold_seed_starts_total], kept apart from {!resize}'s warm
+    counters. *)
 
 val resize : ?polish:bool -> Problem.t -> state -> state
 (** Warm restart after a {!Problem} delta (flow arrivals/departures), or
@@ -118,9 +144,10 @@ val resize : ?polish:bool -> Problem.t -> state -> state
     was already consumed by a [resize]. *)
 
 val polished : state -> bool
-(** Whether {!resize} started this state from the Newton-polished prices
-    ([false] for the carried start, for a [~polish:false] restart and for
-    states from {!init}). *)
+(** Whether {!init} or {!resize} started this state from the
+    Newton-polished prices ([false] for the carried start, for a
+    [~polish:false] restart, for {!at_seed} and for an {!init} that kept
+    the seed). *)
 
 val step : Problem.t -> params -> state -> unit
 (** One full iteration over the sparse CSR/CSC working set: path prices
@@ -175,8 +202,11 @@ val run_until_kkt :
 val solve :
   ?tol:float -> ?check_every:int -> ?max_iters:int -> Problem.t -> state option -> state * run
 (** [solve problem prev] is the certified solve every warm-or-cold caller
-    runs: {!resize} of [prev] when it is [Some] (which consumes it), {!init}
-    when it is [None], then {!run_until_kkt} at {!default_params} with the
-    given bounds and their defaults. The run's [kkt] is the returned
-    state's certificate, so a caller needs no second {!Kkt.check}.
+    runs (serve's [Engine], [Oracle.solve], and through it [Fabric]):
+    {!resize} of [prev] when it is [Some] (which consumes it), {!init}
+    (the polished cold start) when it is [None], then {!run_until_kkt}
+    at {!default_params} with the given bounds and their defaults. The
+    run's [kkt] is the returned state's certificate, so a caller needs
+    no second {!Kkt.check}. A caller that measures xWI from its seed
+    runs {!run_until_kkt} on {!at_seed} instead.
     @raise Invalid_argument as {!resize} does, before any work. *)

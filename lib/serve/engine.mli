@@ -9,6 +9,9 @@
     fixpoint this converges in a small fraction of a cold start's
     iterations, which is the entire point of an always-on service (the
     [churn] experiment and nfbench's [serve_churn] workload quantify it).
+    A cold epoch, with no state to carry, starts from [Xwi_core.init]:
+    the Newton polish of zero prices where it applies (at most 256 busy
+    links, [Log]/[Power] single-path flows), otherwise xWI's seed.
 
     The engine is what the socket server drives, what the tests exercise
     without any I/O, and what nfbench's [serve_churn] workload times. Wall-clock time-to-new-allocation is recorded per epoch
@@ -24,8 +27,9 @@ val create :
   unit ->
   t
 (** An idle engine over the given link capacities. Each epoch is one
-    [Xwi_core.solve] of the previous epoch's state (none for the first
-    epoch, or after the problem emptied), checking the certificate at
+    [Xwi_core.solve] of the previous epoch's state (none, so the
+    polished cold start of [Xwi_core.init], for the first epoch and
+    after the problem emptied), checking the certificate at
     every iteration; [tol] (default 1e-6) and [max_iters] (default
     50_000) are its KKT-residual stopping bounds (per-iteration deltas
     stall at numerical noise near a warm fixpoint). *)

@@ -297,7 +297,7 @@ let xwi_problem ~k ~n_flows =
 
 let xwi_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
-  let state = Nf_num.Xwi_core.init problem in
+  let state = Nf_num.Xwi_core.at_seed problem in
   let params = Nf_num.Xwi_core.default_params in
   fun () -> Nf_num.Xwi_core.step problem params state
 
@@ -308,7 +308,7 @@ let xwi_kernel () =
    so it must not box. *)
 let kkt_witness_kernel () =
   let problem = xwi_problem ~k:4 ~n_flows:64 in
-  let state = Nf_num.Xwi_core.init problem in
+  let state = Nf_num.Xwi_core.at_seed problem in
   for _ = 1 to 20 do
     Nf_num.Xwi_core.step problem Nf_num.Xwi_core.default_params state
   done;
@@ -362,7 +362,7 @@ let churn_problem () =
    rebind does not. *)
 let resize_kernel ~polish =
   let problem, churn = churn_problem () in
-  let state = ref (Nf_num.Xwi_core.init problem) in
+  let state = ref (Nf_num.Xwi_core.at_seed problem) in
   ignore
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);

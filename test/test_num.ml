@@ -44,7 +44,7 @@ let check_bits what expected actual =
 (* The carried start at [prices]: a state holding them, restarted by
    [resize] without the polish. *)
 let start_at p ~prices =
-  let st = Xwi.init p in
+  let st = Xwi.at_seed p in
   Array.blit prices 0 st.Xwi.prices 0 (Array.length st.Xwi.prices);
   Xwi.resize ~polish:false p st
 
@@ -366,11 +366,28 @@ let test_oracle_dual_kkt_certified () =
 (* ------------------------------------------------------------------ *)
 (* Oracle (xWI) with a carry *)
 
+(* An [Opaque] utility: the log utility's closures without its shape,
+   so no Newton polish applies to a problem that has it. *)
+let opaque_log () =
+  Utility.make ~name:"opaque-log" ~value:log
+    ~deriv:(fun x -> 1. /. Float.max x 1e-12)
+    ~inv_deriv:(fun p -> 1. /. p)
+
+(* The alpha = 1 parking lot over links of 9 with [opaque_log]: a cold
+   solve is xWI from its seed, and a carried one keeps the carried
+   prices. *)
+let opaque_parking_lot () =
+  let u = opaque_log () in
+  Problem.create ~caps:[| 9.; 9. |]
+    ~groups:
+      [ Problem.single_path u [| 0; 1 |]; Problem.single_path u [| 0 |];
+        Problem.single_path u [| 1 |] ]
+
 let test_oracle_carry_rejects_other_links () =
   let u = Utility.proportional_fair () in
   let carry = Oracle.carry () in
-  let cold = Oracle.solve (parking_lot_problem ~alpha:1. ~cap:9.) in
-  ignore (Oracle.solve ~carry (parking_lot_problem ~alpha:1. ~cap:9.));
+  let cold = Oracle.solve (opaque_parking_lot ()) in
+  ignore (Oracle.solve ~carry (opaque_parking_lot ()));
   Alcotest.check_raises "three links against a carry over two"
     (Invalid_argument "Xwi_core.resize: link count changed")
     (fun () ->
@@ -380,7 +397,7 @@ let test_oracle_carry_rejects_other_links () =
               ~groups:[ Problem.single_path u [| 0; 1; 2 |] ])));
   (* The carry is left as it was: the same problem again starts from its
      certified state, so it needs no iteration. *)
-  let warm = Oracle.solve ~carry (parking_lot_problem ~alpha:1. ~cap:9.) in
+  let warm = Oracle.solve ~carry (opaque_parking_lot ()) in
   Alcotest.(check bool) "the cold solve iterates" true (cold.Oracle.iterations > 0);
   Alcotest.(check int) "the carried solve certifies at once" 0 warm.Oracle.iterations;
   check_rates ~rel:1e-5 "carried against cold" cold.Oracle.rates warm.Oracle.rates
@@ -415,7 +432,7 @@ let test_oracle_carry_emptied_on_failure () =
 let test_xwi_single_link_proportional () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u ] in
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   let run = Xwi.run_until_kkt ~tol:1e-12 p Xwi.default_params state in
   Alcotest.(check bool) "converged" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares" [| 5.; 5. |] state.Xwi.rates
@@ -436,7 +453,7 @@ let test_xwi_parking_lot_leaves_seed () =
           Problem.single_path u [| 1 |];
         ]
   in
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   let prices = Array.copy state.Xwi.prices in
   let rates = Array.copy state.Xwi.rates in
   let weights = Array.copy state.Xwi.weights in
@@ -466,7 +483,7 @@ let test_xwi_prices_drive_weights () =
   (* At the fixed point, weights equal the optimal rates (paper §4.2). *)
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u; u; u ] in
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   ignore (Xwi.run_until_kkt ~tol:1e-13 p Xwi.default_params state);
   (* The equal-share seed is already certified here, so the run may take
      no step and leave the seed's weights; one step at the certified
@@ -747,7 +764,7 @@ let test_kkt_check_into_matches_oracle () =
     agree "all -0. prices" ~rates ~prices:(Array.make n_links (-0.));
     (* Iterates along an xWI run, where the residuals are small and the
        multipath split leaves some sub-flows nearly idle. *)
-    let st = Xwi.init p in
+    let st = Xwi.at_seed p in
     agree "xWI seed" ~rates:st.Xwi.rates ~prices:st.Xwi.prices;
     for _ = 1 to 20 do
       Xwi.step p Xwi.default_params st
@@ -799,7 +816,7 @@ let oracle_checks = ref 0 and witness_full_checks = ref 0
    its final state. *)
 let witness_matches_oracle what p ~tol ~check_every ~max_iters ~perturb =
   let fresh () =
-    let st = Xwi.init p in
+    let st = Xwi.at_seed p in
     perturb st;
     st
   in
@@ -1084,7 +1101,7 @@ let prop_sparse_step_matches_reference =
     (fun seed ->
       let rng = Rng.create ~seed:(seed + 3000) in
       let p = random_problem rng in
-      let state = Xwi.init p in
+      let state = Xwi.at_seed p in
       let prices = Array.copy state.Xwi.prices in
       let rates = Array.copy state.Xwi.rates in
       let weights = Array.copy state.Xwi.weights in
@@ -1187,7 +1204,7 @@ let test_delta_caps_midrun () =
      the new capacity. *)
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u ] in
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   let run = Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params state in
   Alcotest.(check bool) "converged at 10G" true run.Xwi.converged;
   check_rates ~rel:1e-6 "equal shares of 10" [| 5.; 5. |] state.Xwi.rates;
@@ -1210,7 +1227,10 @@ let test_delta_caps_midrun () =
     (Int.equal topo_gen (Problem.generation p))
 
 (* A random single-link-id path over the problem's links, for churn
-   properties. *)
+   properties. These start from [Xwi.at_seed], not [Xwi.init]'s
+   polished cold start: the prices they carry into a resize are xWI's
+   own, partly converged where a run is capped, and a cold reference is
+   xWI from its seed, independent of the polish the warm path runs. *)
 let random_path rng ~n_links =
   let len = 1 + Rng.int rng (min 3 n_links) in
   Array.sub (Rng.permutation rng n_links) 0 len
@@ -1227,7 +1247,7 @@ let prop_warm_churn_matches_cold =
          tolerance — run to the floor and compare the allocations. *)
       let tol = 1e-10 in
       let solve st = Xwi.run_until_kkt ~tol ~check_every:1 p Xwi.default_params st in
-      let state = ref (Xwi.init p) in
+      let state = ref (Xwi.at_seed p) in
       ignore (solve !state);
       (* Arrival: a fresh proportional-fair flow on a random path. *)
       let gid =
@@ -1243,7 +1263,7 @@ let prop_warm_churn_matches_cold =
       Problem.commit p;
       state := Xwi.resize p !state;
       let warm_run = solve !state in
-      let cold_state = Xwi.init p in
+      let cold_state = Xwi.at_seed p in
       let cold_run = solve cold_state in
       (* Compare *group* totals: multipath sub-flow splits are not unique
          at the optimum (only the group rate is), so per-flow rates of two
@@ -1273,7 +1293,7 @@ let prop_kkt_after_random_churn =
       (* The always-on service's tolerance: comfortably above any random
          instance's KKT-residual floor, so converged must hold. *)
       let tol = 1e-6 in
-      let state = ref (Xwi.init p) in
+      let state = ref (Xwi.at_seed p) in
       ignore (Xwi.run_until_kkt ~tol ~check_every:1 p Xwi.default_params !state);
       let ok = ref true in
       for _ = 1 to 6 do
@@ -1332,7 +1352,7 @@ let prop_polished_start_no_worse =
       let p = random_single_path_problem rng in
       let n_links = Problem.n_links p in
       let live = ref (List.init (Problem.n_groups p) Fun.id) in
-      let state = ref (Xwi.init p) in
+      let state = ref (Xwi.at_seed p) in
       ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params !state);
       let ok = ref true in
       for _ = 1 to 6 do
@@ -1367,7 +1387,7 @@ let check_same_state what (a : Xwi.state) (b : Xwi.state) =
 (* Converge [p], add one flow on [path] with [utility], and return the
    converged state's resize against the carried start. *)
 let resize_after_arrival p ~utility ~paths =
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
   ignore (Problem.add_group p { Problem.utility; paths });
   Problem.commit p;
@@ -1377,12 +1397,7 @@ let resize_after_arrival p ~utility ~paths =
 let test_polish_fallback_bit_identical () =
   let caps = [| 10.; 4.; 6. |] in
   let pf = Utility.proportional_fair () in
-  (* An [Opaque] utility: the log utility's closures without its shape. *)
-  let opaque =
-    Utility.make ~name:"opaque-log" ~value:log
-      ~deriv:(fun x -> 1. /. Float.max x 1e-12)
-      ~inv_deriv:(fun p -> 1. /. p)
-  in
+  let opaque = opaque_log () in
   let single =
     Problem.create ~caps
       ~groups:
@@ -1439,7 +1454,7 @@ let test_polish_deterministic () =
   (* A resize consumes its state, so the two resizes take two old states
      converged the same way, each with its own buffers. *)
   let converged () =
-    let state = Xwi.init p in
+    let state = Xwi.at_seed p in
     ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
     state
   in
@@ -1468,7 +1483,8 @@ let test_polish_fill_pinned () =
   let p =
     Problem.create ~caps:(Array.make 7 1.) ~groups:(List.map (Problem.single_path pf) paths)
   in
-  let state = Xwi.init p in
+  (* The carried prices are xWI's from its seed, as when pinned. *)
+  let state = Xwi.at_seed p in
   ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
   ignore (Problem.add_group p (Problem.single_path pf [| 0 |]));
   Problem.commit p;
@@ -1504,7 +1520,7 @@ let prop_polish_prices_feasible =
       let p = random_single_path_problem rng in
       let n_links = Problem.n_links p in
       let live = ref (List.init (Problem.n_groups p) Fun.id) in
-      let state = ref (Xwi.init p) in
+      let state = ref (Xwi.at_seed p) in
       let ws = Polish.create () in
       let ok = ref true in
       for _ = 1 to 6 do
@@ -1581,7 +1597,7 @@ let test_polish_retries_failed_solve () =
         [ Problem.single_path pf [| 0 |]; Problem.single_path pf [| 0; 1 |];
           Problem.single_path pf [| 1 |] ]
   in
-  let state = Xwi.init p in
+  let state = Xwi.at_seed p in
   ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
   Problem.remove_group p 0;
   Problem.commit p;
@@ -1614,7 +1630,7 @@ let test_polish_over_cap_keeps_carried () =
         Problem.create ~caps:(Array.make (n + 1) 1.)
           ~groups:(List.init n (fun l -> Problem.single_path pf [| l |]))
       in
-      let state = Xwi.init p in
+      let state = Xwi.at_seed p in
       ignore (Problem.add_group p (Problem.single_path pf path));
       Problem.commit p;
       let carried = start_at p ~prices:state.Xwi.prices in
@@ -1625,6 +1641,104 @@ let test_polish_over_cap_keeps_carried () =
         (Nf_util.Metrics.counter_value carried_starts - before);
       check_same_state what carried st)
     [ ("covered", [| 0 |]); ("uncovered", [| n |]) ]
+
+(* The cold start over [exp random]'s single-path instances (3-10 links
+   of 1-10 G, 3-14 flows on 1-4 distinct links, alpha-fair utilities of
+   weight 0.25-4): [init] is either polished and certified without an
+   xWI step, or the seed-only start bit for bit. On these seeds every
+   instance polishes, so the second branch is not reached here; the
+   hand-built failed polish below covers it. *)
+let prop_cold_start_polished_or_seed =
+  QCheck.Test.make
+    ~name:"init is a certified polish or the seed-only start bit for bit"
+    ~count:100 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 11_000) in
+      let alpha = [| 0.25; 0.5; 1.; 2.; 4. |].(Rng.int rng 5) in
+      let n_links = 3 + Rng.int rng 8 in
+      let caps = Array.init n_links (fun _ -> Rng.uniform rng ~lo:1e9 ~hi:1e10) in
+      let p =
+        Problem.create ~caps
+          ~groups:
+            (List.init
+               (3 + Rng.int rng 12)
+               (fun _ ->
+                 let weight = Rng.uniform rng ~lo:0.25 ~hi:4. in
+                 let len = 1 + Rng.int rng (min 4 n_links) in
+                 Problem.single_path
+                   (Utility.alpha_fair ~weight ~alpha ())
+                   (Array.sub (Rng.permutation rng n_links) 0 len)))
+      in
+      let st = Xwi.init p in
+      if Xwi.polished st then begin
+        let run = Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params st in
+        run.Xwi.iterations = 0 && Kkt.worst run.Xwi.kkt <= 1e-6
+      end
+      else begin
+        check_same_state "seed start" (Xwi.at_seed p) st;
+        true
+      end)
+
+(* More busy links than the polish's dense factor holds: [init] skips
+   the polish, without a Newton step, and is the seed-only start bit for
+   bit. One link of capacity 1 is every flow's bottleneck, so the polish
+   from zero prices would solve on that link alone; each of the 300
+   flows also crosses a wide link of its own. *)
+let test_cold_start_skips_past_max_active () =
+  let pf = Utility.proportional_fair () in
+  let n = Polish.max_active + 44 in
+  let p =
+    Problem.create
+      ~caps:(Array.init (n + 1) (fun l -> if l = 0 then 1. else 100.))
+      ~groups:(List.init n (fun i -> Problem.single_path pf [| 0; i + 1 |]))
+  in
+  let steps = polish_counter "nf_xwi_polish_newton_steps_total" in
+  let cold_seed = polish_counter "nf_xwi_cold_seed_starts_total" in
+  let steps_before = Nf_util.Metrics.counter_value steps in
+  let seed_before = Nf_util.Metrics.counter_value cold_seed in
+  let st = Xwi.init p in
+  Alcotest.(check bool) "seed start" false (Xwi.polished st);
+  Alcotest.(check int) "no Newton step" 0
+    (Nf_util.Metrics.counter_value steps - steps_before);
+  Alcotest.(check int) "counted a seed start" 1
+    (Nf_util.Metrics.counter_value cold_seed - seed_before);
+  check_same_state "past the cap" (Xwi.at_seed p) st;
+  (* Under the cap, the same bottleneck is polished and certified. *)
+  let small =
+    Problem.create
+      ~caps:(Array.init 11 (fun l -> if l = 0 then 1. else 100.))
+      ~groups:(List.init 10 (fun i -> Problem.single_path pf [| 0; i + 1 |]))
+  in
+  let st = Xwi.init small in
+  Alcotest.(check bool) "polished under the cap" true (Xwi.polished st);
+  Alcotest.(check bool) "certified at iteration 0" true (certified_at_zero small st);
+  check_rates ~rel:1e-12 "one tenth each" (Array.make 10 0.1) st.Xwi.rates
+
+(* An eligible cold start under the cap whose polish runs and fails
+   keeps the seed-only start bit for bit. Flow 0 crosses links 0 and 1,
+   flow 1 link 0 alone, both alpha = 4 with weights 10 and 0.01: at the
+   optimum link 1 holds flow 0 to 2 at a path price of 625, and flow 1's
+   8 on link 0 takes a price near 2.4e-12. The polish solves on link 0,
+   adds link 1, and its Newton steps cannot walk link 0's price down
+   those twelve decades within a solve's 20 steps. *)
+let test_cold_start_failed_polish_keeps_seed () =
+  let p =
+    Problem.create ~caps:[| 10.; 2. |]
+      ~groups:
+        [ Problem.single_path (Utility.alpha_fair ~weight:10. ~alpha:4. ()) [| 0; 1 |];
+          Problem.single_path (Utility.alpha_fair ~weight:0.01 ~alpha:4. ()) [| 0 |] ]
+  in
+  let steps = polish_counter "nf_xwi_polish_newton_steps_total" in
+  let cold_seed = polish_counter "nf_xwi_cold_seed_starts_total" in
+  let steps_before = Nf_util.Metrics.counter_value steps in
+  let seed_before = Nf_util.Metrics.counter_value cold_seed in
+  let st = Xwi.init p in
+  Alcotest.(check bool) "seed start" false (Xwi.polished st);
+  Alcotest.(check bool) "the polish ran Newton steps" true
+    (Nf_util.Metrics.counter_value steps - steps_before > 0);
+  Alcotest.(check int) "counted a seed start" 1
+    (Nf_util.Metrics.counter_value cold_seed - seed_before);
+  check_same_state "failed polish" (Xwi.at_seed p) st
 
 (* [resize] hands the old state's buffers to the new one: the old state
    can no longer step, nor be resized again. Its public arrays stay. *)
@@ -1657,7 +1771,7 @@ let prop_handed_down_resize_bit_identical =
       let p = random_single_path_problem rng in
       let n_links = Problem.n_links p in
       let live = ref (List.init (Problem.n_groups p) Fun.id) in
-      let state = ref (Xwi.init p) in
+      let state = ref (Xwi.at_seed p) in
       let ok = ref true in
       for _ = 1 to 8 do
         (if List.length !live <= 1 || Rng.int rng 3 > 0 then
@@ -1954,8 +2068,9 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let diag_problem () =
-  (* Two-link parking lot with proportional fairness: converges in tens
-     of iterations at the default tolerance, never in three. *)
+  (* Two-link parking lot with proportional fairness: from the seed
+     ([Xwi.at_seed]) it converges in tens of iterations at the default
+     tolerance, never in three. *)
   let caps = [| 1.; 1. |] in
   let groups =
     [
@@ -1990,7 +2105,7 @@ let test_diag_observe_and_report () =
       (fun () ->
         let p = diag_problem () in
         Xwi.run_until_kkt ~tol:(-1.) ~check_every:1 ~max_iters:100 p
-          Xwi.default_params (Xwi.init p))
+          Xwi.default_params (Xwi.at_seed p))
   in
   Alcotest.(check bool) "capped" false run.Xwi.converged;
   Alcotest.(check int) "ran to the cap" 100 run.Xwi.iterations;
@@ -2102,7 +2217,7 @@ let test_diag_postmortem_on_nonconvergence () =
       Trace.set_default saved)
     (fun () ->
       let p = diag_problem () in
-      let state = Xwi.init p in
+      let state = Xwi.at_seed p in
       Alcotest.(check bool) "diag auto-attached under config" true
         (Option.is_some state.Xwi.diag);
       let run = Xwi.run_until_kkt ~max_iters:3 p Xwi.default_params state in
@@ -2318,6 +2433,11 @@ let () =
           quick "resize consumes the old state" test_resize_consumes;
           quick "a polish over the active-set cap keeps the carried start"
             test_polish_over_cap_keeps_carried;
+          qcheck prop_cold_start_polished_or_seed;
+          quick "a cold start past the cap's busy links keeps the seed"
+            test_cold_start_skips_past_max_active;
+          quick "a cold start whose polish fails keeps the seed"
+            test_cold_start_failed_polish_keeps_seed;
           qcheck prop_handed_down_resize_bit_identical;
           quick "exp churn: every arrival certified at iteration 0"
             test_churn_polished_epochs;

@@ -514,17 +514,16 @@ let test_engine_emptied_restarts_cold () =
    iteration counts and the bits of the final rates are pinned: the
    stopping test decides how many xWI steps each epoch takes, so any
    drift in the KKT check or in the kernels it stops shows up here as a
-   changed count or a changed bit. The 55s are cold epochs (the first,
-   and the first after the fabric empties); every warm epoch is
-   certified by its Newton-polished start ([Xwi_core.resize]) and takes
-   0 iterations. The final rates are whole shares of 10 G links, which
+   changed count or a changed bit. Every epoch takes 0 iterations: the
+   cold ones (the first, and the first after the fabric empties) are
+   certified by the Newton polish of zero prices ([Xwi_core.init]; from
+   the seed they took 55 each), and every warm one by its
+   Newton-polished start ([Xwi_core.resize]). The final rates are whole shares of 10 G links, which
    the water-fill sets exactly, so their bits do not depend on the start
    the last epoch took; the final prices' bits are pinned beside them,
    and those do: a drift in the warm start or in the last epoch's solve
    changes them. *)
-let pinned_churn_iters =
-  [ 55; 0; 55; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-    0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]
+let pinned_churn_iters = List.init 40 (fun _ -> 0)
 
 let pinned_churn_rates_md5 = "d63d9452e66b6c98ce37e6b33013b88a"
 
@@ -566,8 +565,9 @@ let test_engine_pinned_churn () =
    leaf-spine, its arrival/departure draws (the client's generator is
    seeded with [seed lxor 0x5eed], departures swap the last live gid
    into the departed one's place), a ramp to [target] flows, the cold
-   epoch, then one epoch per event. Returns the warm epochs and how many
-   of them took an xWI iteration or kept the carried start. *)
+   epoch, then one epoch per event. Returns the cold epoch's iterations,
+   the warm epochs and how many of them took an xWI iteration or kept
+   the carried start. *)
 let serve_churn_misses ~seed ~target ~events =
   let sc = Scenario.leaf_spine ~seed () in
   let rng = Rng.create ~seed:(seed lxor 0x5eed) in
@@ -587,7 +587,7 @@ let serve_churn_misses ~seed ~target ~events =
   while !n_live < target do
     event ()
   done;
-  ignore (Engine.solve_epoch e : Engine.epoch);
+  let cold = Engine.solve_epoch e in
   let carried = Nf_util.Metrics.counter Nf_util.Metrics.global "nf_xwi_carried_starts_total" in
   let warm = ref 0 and iterated = ref 0 and kept = ref 0 in
   for _ = 1 to events do
@@ -600,17 +600,19 @@ let serve_churn_misses ~seed ~target ~events =
       if Nf_util.Metrics.counter_value carried > before then incr kept
     end
   done;
-  (!warm, !iterated, !kept)
+  (cold.Engine.iterations, !warm, !iterated, !kept)
 
 (* On seeds 7 and 8 one epoch each once ran out of the polish's budget
    (then 8 Newton solves) and fell back to 1,155-2,032 xWI iterations
    from the carried start. Every warm epoch of both streams is polished
-   and certified at iteration 0. *)
+   and certified at iteration 0, and so is the cold epoch, by the polish
+   of zero prices. *)
 let test_engine_serve_churn_polished () =
   List.iter
     (fun seed ->
-      let warm, iterated, kept = serve_churn_misses ~seed ~target:100 ~events:3000 in
+      let cold, warm, iterated, kept = serve_churn_misses ~seed ~target:100 ~events:3000 in
       let what = Printf.sprintf "seed %d" seed in
+      Alcotest.(check int) (what ^ ": cold epoch iterations") 0 cold;
       Alcotest.(check int) (what ^ ": warm epochs") 3000 warm;
       Alcotest.(check int) (what ^ ": carried starts") 0 kept;
       Alcotest.(check int) (what ^ ": epochs past iteration 0") 0 iterated)
