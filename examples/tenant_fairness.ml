@@ -18,11 +18,9 @@ module Builders = Nf_topo.Builders
 module Routing = Nf_topo.Routing
 
 let connections topo srcs dst =
+  let router = Routing.router topo in
   List.map
-    (fun src ->
-      match Routing.shortest_path topo ~src ~dst with
-      | Some p -> Array.of_list p
-      | None -> assert false)
+    (fun src -> Array.of_list (Routing.ecmp_path_fast router ~src ~dst ~hash:0))
     srcs
 
 let () =

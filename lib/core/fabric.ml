@@ -23,7 +23,7 @@ type t = {
   prob : Problem.t;
 }
 
-let resolve_paths topology d =
+let resolve_paths topology router d =
   match d.pinned_paths with
   | Some paths ->
     List.iteri
@@ -39,7 +39,7 @@ let resolve_paths topology d =
   | None ->
     List.init d.subflows (fun i ->
         Array.of_list
-          (Routing.ecmp_path topology ~src:d.src ~dst:d.dst
+          (Routing.ecmp_path_fast router ~src:d.src ~dst:d.dst
              ~hash:((d.key * 2654435761) + (i * 40503))))
 
 let plan ~topology ~objective ~demands =
@@ -57,10 +57,11 @@ let plan ~topology ~objective ~demands =
       | _ -> invalid_arg "Fabric.plan: demand endpoints must be hosts")
     demands;
   let resolved = Hashtbl.create 64 in
+  let router = Routing.router topology in
   let groups =
     List.map
       (fun d ->
-        let paths = resolve_paths topology d in
+        let paths = resolve_paths topology router d in
         Hashtbl.replace resolved d.key paths;
         {
           Problem.utility = Objective.utility_for objective ~key:d.key ~size:d.size;

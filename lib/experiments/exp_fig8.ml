@@ -26,14 +26,15 @@ type t = {
   fairness_single : float array;
 }
 
-let build_flows rng topology servers k =
+(* Each sub-flow draws one of the pair's shortest paths uniformly. *)
+let build_flows rng router servers k =
   let pairs = Nf_workload.Traffic.half_permutation rng ~hosts:servers in
   Array.map
     (fun { Nf_workload.Traffic.src; dst } ->
       List.init k (fun _ ->
-          let all = Routing.all_shortest_paths topology ~src ~dst in
-          let n = List.length all in
-          Array.of_list (List.nth all (Nf_util.Rng.int rng n))))
+          let n = Routing.ecmp_width router ~src ~dst in
+          Array.of_list
+            (Routing.ecmp_path_fast router ~src ~dst ~hash:(Nf_util.Rng.int rng n))))
     pairs
 
 (* xWI rounds per case, and the sweep's largest sub-flow count. *)
@@ -83,12 +84,13 @@ let run ctx =
   in
   let topology = ls.Builders.topo in
   let servers = ls.Builders.servers in
+  let router = Routing.router topology in
   let per_flow_optimal = Nf_util.Units.gbps 10. in
   let optimal_total = per_flow_optimal *. 64. in
   let case k pooling =
     let rng = Nf_util.Rng.create ~seed in
     (* Same seed: pooling and no-pooling see the same sub-flow placement. *)
-    let paths = build_flows rng topology servers k in
+    let paths = build_flows rng router servers k in
     run_case topology paths ~pooling
   in
   let series =

@@ -3,10 +3,10 @@
    ROADMAP's scale goal: run the xWI fluid iteration on fabrics far
    beyond the paper's 128-server leaf-spine — a k=16 fat tree with 100k+
    concurrent flows — and verify it still drives the KKT residual down.
-   Flows are placed with the memoized ECMP router (exact [ecmp_path]
-   semantics, no path enumeration), and the iteration runs a fixed
-   budget of sparse steps so the report stays deterministic: the
-   solver's throughput is measured separately, by nfbench's solve_cold. *)
+   Flows are placed with the memoized ECMP router, and the iteration
+   runs a fixed budget of sparse steps so the report stays
+   deterministic: the solver's throughput is measured separately, by
+   nfbench's solve_cold. *)
 
 module Problem = Nf_num.Problem
 module Utility = Nf_num.Utility

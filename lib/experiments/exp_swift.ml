@@ -38,10 +38,11 @@ let run ctx =
   let rng = Nf_util.Rng.create ~seed:(Ctx.rng_seed ctx ~default:21) in
   let pairs = Nf_workload.Traffic.random_pairs rng ~hosts ~n:n_flows in
   let weights = Array.init n_flows (fun _ -> Nf_util.Rng.uniform rng ~lo:0.5 ~hi:4.) in
+  let router = Routing.router topology in
   let paths =
     Array.mapi
       (fun i { Nf_workload.Traffic.src; dst } ->
-        Array.of_list (Routing.ecmp_path topology ~src ~dst ~hash:(i * 7919)))
+        Array.of_list (Routing.ecmp_path_fast router ~src ~dst ~hash:(i * 7919)))
       pairs
   in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in

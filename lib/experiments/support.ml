@@ -91,10 +91,11 @@ let semidyn_prepare ~setup ~topology ~hosts () =
       ~active_max:setup.active_max ~n_events:setup.n_events ()
   in
   (* Resolve each path once. *)
+  let router = Routing.router topology in
   let paths =
     Array.mapi
       (fun i { Nf_workload.Traffic.src; dst } ->
-        Array.of_list (Routing.ecmp_path topology ~src ~dst ~hash:(i * 2654435761)))
+        Array.of_list (Routing.ecmp_path_fast router ~src ~dst ~hash:(i * 2654435761)))
       workload.Nf_workload.Semidynamic.pairs
   in
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
@@ -151,12 +152,13 @@ let dynamic_flows ~seed ~topology ~hosts ~size_dist ~load ~n_flows ~utility_of =
   let arrivals =
     Nf_workload.Traffic.poisson_arrivals rng ~pairs ~size_dist ~rate_per_sec ~duration
   in
+  let router = Routing.router topology in
   let flows =
     List.filteri (fun i _ -> i < n_flows) arrivals
     |> List.mapi (fun i { Nf_workload.Traffic.at; size; pair } ->
            let path =
              Array.of_list
-               (Routing.ecmp_path topology ~src:pair.Nf_workload.Traffic.src
+               (Routing.ecmp_path_fast router ~src:pair.Nf_workload.Traffic.src
                   ~dst:pair.Nf_workload.Traffic.dst ~hash:(i * 2654435761))
            in
            {

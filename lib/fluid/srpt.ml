@@ -24,7 +24,7 @@ let allocate ~caps ~paths ~remaining =
     order;
   rates
 
-let make ?(interval = 16e-6) problem =
+let make problem =
   if not (Problem.is_single_path problem) then
     invalid_arg "Srpt.make: multipath problems are not supported";
   let problem = ref problem in
@@ -54,7 +54,7 @@ let make ?(interval = 16e-6) problem =
   in
   {
     Scheme.name = "pFabric(SRPT)";
-    interval;
+    interval = 16e-6;
     step;
     rates = (fun () -> Array.copy !rates);
     rates_view = (fun () -> !rates);

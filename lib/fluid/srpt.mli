@@ -14,8 +14,8 @@ val allocate :
 (** Greedy SRPT: flows sorted by remaining size (ties by lower index);
     each flow in turn gets the minimum residual capacity on its path. *)
 
-val make : ?interval:float -> Nf_num.Problem.t -> Scheme.t
+val make : Nf_num.Problem.t -> Scheme.t
 (** A {!Scheme.t} whose rates follow {!allocate} (group remaining sizes;
-    multipath groups are not supported). [interval] defaults to 16 µs.
+    multipath groups are not supported), recomputed every 16 µs.
     Until the first [observe_remaining] call all remaining sizes are
     treated as equal. *)

@@ -106,7 +106,7 @@ type carry = { mutable last : Xwi_core.state option }
 let carry () = { last = None }
 
 let solve ?(tol = 1e-6) ?(max_iters = 60_000) ?carry problem =
-  let state, first =
+  let state, run =
     Xwi_core.solve ~tol ~max_iters problem
       (match carry with Some c -> c.last | None -> None)
   in
@@ -114,28 +114,12 @@ let solve ?(tol = 1e-6) ?(max_iters = 60_000) ?carry problem =
      carry holds nothing. Emptied only now, because [resize] raises on a
      link-count change and the carry then stays as it was. *)
   Option.iter (fun c -> c.last <- None) carry;
-  let last =
-    if first.Xwi_core.converged then first
-    else begin
-      (* Retry from where the first run stopped with heavier damping; helps
-         borderline multipath instances. *)
-      let retry =
-        Xwi_core.run_until_kkt ~tol ~max_iters problem
-          { Xwi_core.default_params with Xwi_core.beta = 0.9 }
-          state
-      in
-      {
-        retry with
-        Xwi_core.iterations = first.Xwi_core.iterations + retry.Xwi_core.iterations;
-      }
-    end
-  in
-  if not last.Xwi_core.converged then
+  if not run.Xwi_core.converged then
     raise
       (Did_not_converge
          (Format.asprintf "Oracle.solve: after %d iterations, %a"
-            last.Xwi_core.iterations Kkt.pp last.Xwi_core.kkt));
+            run.Xwi_core.iterations Kkt.pp run.Xwi_core.kkt));
   Option.iter (fun c -> c.last <- Some state) carry;
   make_solution problem ~rates:(Array.copy state.Xwi_core.rates)
     ~prices:(Array.copy state.Xwi_core.prices)
-    ~iterations:last.Xwi_core.iterations ~kkt:last.Xwi_core.kkt
+    ~iterations:run.Xwi_core.iterations ~kkt:run.Xwi_core.kkt

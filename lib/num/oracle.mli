@@ -53,11 +53,9 @@ val solve : ?tol:float -> ?max_iters:int -> ?carry:carry -> Problem.t -> solutio
     start needs few iterations, often none; the semi-dynamic harness
     and [Dynamic.run_ideal] solve their per-event targets this way.
 
-    xWI runs for up to [max_iters] (default 60,000) iterations; if that
-    does not certify, it runs on from where it stopped with heavier price
-    averaging ([beta = 0.9]) for up to [max_iters] more. On success the
-    final state goes into the carry; on failure the carry is emptied, so
-    the next solve starts cold.
+    xWI runs for up to [max_iters] (default 60,000) iterations. On
+    success the final state goes into the carry; on failure the carry is
+    emptied, so the next solve starts cold.
     @raise Invalid_argument if the carried state's link count differs
     from the problem's (the carry is left as it was).
     @raise Did_not_converge if the residual target is not met. *)

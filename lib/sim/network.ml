@@ -4,8 +4,11 @@ module Sim = Nf_engine.Sim
 module Trace = Nf_util.Trace
 module Metrics = Nf_util.Metrics
 
-(* Global observability: counters are cheap enough to bump unconditionally;
-   trace emissions are guarded by [Trace.on] so a disabled sink costs one
+(* Global observability. The per-packet counts (forwarded, dropped,
+   ECN-marked, delivered) are plain ints of the network, added to these
+   registry counters once per [run] ([settle]), so the packet hop stays
+   free of atomics; the per-flow counts go to the registry directly.
+   Trace emissions are guarded by [Trace.on] so a disabled sink costs one
    branch per potential event. *)
 let m_forwarded =
   Metrics.counter Metrics.global
@@ -108,6 +111,7 @@ type flow_entry = {
 type t = {
   sim : Sim.t;
   topo : Topology.t;
+  router : Routing.router;  (* places flows added without a pinned path *)
   protocol : Protocol.t;
   config : Config.t;
   links : link_state array;
@@ -117,6 +121,10 @@ type t = {
   trace : Trace.t;
   pool : Packet.pool;  (* every packet of this network *)
   ctx : Host.ctx;
+  mutable pkts_forwarded : int;  (* packet counts not yet added to the registry *)
+  mutable pkts_dropped : int;
+  mutable pkts_marked : int;
+  mutable pkts_delivered : int;
 }
 
 let sim t = t.sim
@@ -157,8 +165,6 @@ let[@inline never] trace_host t kind pkt =
     (float_of_int pkt.Packet.seq)
 
 let[@nf.hot] rec try_transmit t ls =
-  (* [packet_count] then [dequeue_exn] rather than [dequeue]: the option
-     wrapper would allocate once per transmitted packet. *)
   if (not ls.busy) && ls.qdisc.Queue_disc.packet_count () > 0 then begin
     let pkt = ls.qdisc.Queue_disc.dequeue_exn () in
     ls.engine.Price_engine.on_dequeue pkt;
@@ -177,11 +183,11 @@ and[@nf.hot] forward t pkt link_id =
   let ls = t.links.(link_id) in
   let marked_before = pkt.Packet.ecn in
   if ls.qdisc.Queue_disc.enqueue pkt then begin
-    Metrics.incr m_forwarded;
+    t.pkts_forwarded <- t.pkts_forwarded + 1;
     if Trace.on t.trace Trace.Enqueue then
       trace_link t Trace.Enqueue link_id pkt;
     if pkt.Packet.ecn && not marked_before then begin
-      Metrics.incr m_ecn_marks;
+      t.pkts_marked <- t.pkts_marked + 1;
       if Trace.on t.trace Trace.EcnMark then
         trace_link t Trace.EcnMark link_id pkt
     end;
@@ -189,7 +195,7 @@ and[@nf.hot] forward t pkt link_id =
     try_transmit t ls
   end
   else begin
-    Metrics.incr m_dropped;
+    t.pkts_dropped <- t.pkts_dropped + 1;
     if Trace.on t.trace Trace.Drop then trace_link t Trace.Drop link_id pkt;
     Packet.release t.pool pkt
   end
@@ -200,7 +206,7 @@ and[@nf.hot] arrive t pkt =
     forward t pkt pkt.Packet.path.(pkt.Packet.hop)
   else begin
     (* Reached the end host. *)
-    Metrics.incr m_delivered;
+    t.pkts_delivered <- t.pkts_delivered + 1;
     if Trace.on t.trace Trace.PktRecv then trace_host t Trace.PktRecv pkt;
     (match find_flow t pkt.Packet.flow with
     | Some fe -> (
@@ -218,14 +224,9 @@ let transmit t pkt =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
+let create ?(config = Config.default) ?trace ~topology ~protocol () =
   let module P = (val protocol : Protocol.PROTOCOL) in
   let sim = Sim.create () in
-  let record =
-    match record with
-    | Some r -> r
-    | None -> Record.create ()
-  in
   let trace =
     match trace with
     | Some tr -> tr
@@ -253,11 +254,12 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
     {
       sim;
       topo = topology;
+      router = Routing.router topology;
       protocol;
       config;
       links;
       flows = Array.make 256 None;
-      record;
+      record = Record.create ();
       trace;
       pool;
       ctx =
@@ -282,6 +284,10 @@ let create ?(config = Config.default) ?record ?trace ~topology ~protocol () =
               Record.complete t.record ~flow:flow_id ~at:now ~fct);
           cfg = config;
         };
+      pkts_forwarded = 0;
+      pkts_dropped = 0;
+      pkts_marked = 0;
+      pkts_delivered = 0;
     }
   in
   Array.iter
@@ -357,7 +363,7 @@ let add_flow t spec =
       p
     | None ->
       Array.of_list
-        (Routing.ecmp_path t.topo ~src:spec.fs_src ~dst:spec.fs_dst
+        (Routing.ecmp_path_fast t.router ~src:spec.fs_src ~dst:spec.fs_dst
            ~hash:(spec.fs_id * 2654435761))
   in
   let rpath = reverse_path t path in
@@ -400,7 +406,25 @@ let stop_flow_at t ~id at =
         Metrics.incr m_flows_stopped;
       Host.stop s)
 
-let run t ~until = Sim.run ~until t.sim
+let settle t =
+  Metrics.add m_forwarded t.pkts_forwarded;
+  Metrics.add m_dropped t.pkts_dropped;
+  Metrics.add m_ecn_marks t.pkts_marked;
+  Metrics.add m_delivered t.pkts_delivered;
+  t.pkts_forwarded <- 0;
+  t.pkts_dropped <- 0;
+  t.pkts_marked <- 0;
+  t.pkts_delivered <- 0
+
+(* Settled also on an escaping exception, as [Sim.run] settles its
+   event count. *)
+let run t ~until =
+  match Sim.run ~until t.sim with
+  | () -> settle t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    settle t;
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Measurement *)

@@ -9,13 +9,14 @@
     driven by the hooks that protocol builds per flow. Use
     {!Protocols.get} to look a protocol up by name.
 
-    Flows are source-routed: each flow's path is fixed at creation (ECMP
-    hash of the flow id by default). ACKs travel the reverse path.
+    Flows are source-routed: each flow's path is fixed at creation (by
+    default the ECMP hash of the flow id, through the network's one
+    {!Nf_topo.Routing.router}). ACKs travel the reverse path.
 
     Every measurement a run emits — queue/price/drops samples from
     {!monitor_links}, per-flow rates when [config.record_rates], flow
-    completions — lands in the network's {!Record.t} ({!record}), which
-    can be shared across networks or exported.
+    completions — lands in the network's own {!Record.t} ({!record}),
+    which can be exported.
 
     {b Observability.} Every packet-level action additionally emits a
     structured trace event (Enqueue / Dequeue / Drop / EcnMark / PktSend /
@@ -24,7 +25,8 @@
     unless one is passed to {!create}. Emissions are guarded by
     {!Nf_util.Trace.on}, so a disabled sink costs one branch per event.
     Global counters (packets forwarded / dropped / delivered, ECN marks,
-    flows started / completed) are kept in {!Nf_util.Metrics.global}. *)
+    flows started / completed) are kept in {!Nf_util.Metrics.global}; the
+    packet counts reach it at the end of each {!run}. *)
 
 type flow_spec = {
   fs_id : int;  (** unique flow id *)
@@ -53,14 +55,12 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?record:Record.t ->
   ?trace:Nf_util.Trace.t ->
   topology:Nf_topo.Topology.t ->
   protocol:Protocol.t ->
   unit ->
   t
-(** [record] lets several networks write into one shared record; by
-    default each network gets a fresh one. [trace] overrides the process
+(** Each network gets a fresh {!Record.t}. [trace] overrides the process
     default trace sink (resolved once, at creation). *)
 
 val sim : t -> Nf_engine.Sim.t
@@ -96,7 +96,8 @@ val stop_flow_at : t -> id:int -> float -> unit
 
 val run : t -> until:float -> unit
 (** Advance the simulation (can be called repeatedly with increasing
-    horizons). *)
+    horizons), then add the run's packet counts to the registry, also
+    when a handler raises. *)
 
 (** {2 Measurement} *)
 

@@ -1,6 +1,5 @@
 type t = {
   enqueue : Packet.t -> bool;
-  dequeue : unit -> Packet.t option;
   dequeue_exn : unit -> Packet.t;
   byte_length : unit -> int;
   packet_count : unit -> int;
@@ -35,12 +34,8 @@ let fifo_generic ~pool ~limit_bytes ~on_enqueue =
     bytes := !bytes - p.Packet.size;
     p
   in
-  let dequeue () =
-    if Nf_util.Int_ring.length ring = 0 then None else Some (dequeue_exn ())
-  in
   {
     enqueue;
-    dequeue;
     dequeue_exn;
     byte_length = (fun () -> !bytes);
     packet_count = (fun () -> Nf_util.Int_ring.length ring);
@@ -115,12 +110,8 @@ let stfq ~pool ?(limit_bytes = default_limit_bytes) () =
     bytes := !bytes - p.Packet.size;
     p
   in
-  let dequeue () =
-    if Nf_util.Fheap.is_empty heap then None else Some (dequeue_exn ())
-  in
   {
     enqueue;
-    dequeue;
     dequeue_exn;
     byte_length = (fun () -> !bytes);
     packet_count = (fun () -> Nf_util.Fheap.length heap);
@@ -180,47 +171,32 @@ let pfabric ~pool ?(limit_bytes = default_limit_bytes) () =
         false
     end
   in
-  let dequeue () =
-    match !entries with
-    | [] -> None
-    | _ :: _ ->
-      (* Min-priority packet decides the flow... *)
-      let best =
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | None -> Some e
-            | Some b ->
-              if
-                prio e < prio b || (prio e = prio b && e.arrival < b.arrival)
-              then Some e
-              else acc)
-          None !entries
-      in
-      (match best with
-      | None -> None
-      | Some b ->
-        (* ... then serve that flow's earliest-queued packet. *)
-        let first =
-          List.fold_left
-            (fun acc e ->
-              if e.p.Packet.flow <> b.p.Packet.flow then acc
-              else
-                match acc with
-                | None -> Some e
-                | Some f -> if e.arrival < f.arrival then Some e else acc)
-            None !entries
-        in
-        let e = match first with Some e -> e | None -> b in
-        remove_entry e;
-        Some e.p)
-  in
   let dequeue_exn () =
-    match dequeue () with Some p -> p | None -> empty_queue ()
+    match !entries with
+    | [] -> empty_queue ()
+    | e0 :: rest ->
+      (* Min-priority packet decides the flow... *)
+      let b =
+        List.fold_left
+          (fun b e ->
+            if prio e < prio b || (prio e = prio b && e.arrival < b.arrival)
+            then e
+            else b)
+          e0 rest
+      in
+      (* ... then serve that flow's earliest-queued packet. *)
+      let e =
+        List.fold_left
+          (fun f e ->
+            if e.p.Packet.flow = b.p.Packet.flow && e.arrival < f.arrival then e
+            else f)
+          b !entries
+      in
+      remove_entry e;
+      e.p
   in
   {
     enqueue;
-    dequeue;
     dequeue_exn;
     byte_length = (fun () -> !bytes);
     packet_count = (fun () -> List.length !entries);

@@ -24,12 +24,11 @@
 type t = {
   enqueue : Packet.t -> bool;
     (** [false] if the packet was dropped instead of queued *)
-  dequeue : unit -> Packet.t option;
   dequeue_exn : unit -> Packet.t;
-    (** Like [dequeue] but raises [Invalid_argument] on an empty queue
-        instead of allocating an option. The transmit loop checks
-        [packet_count () > 0] first and calls this; on {!stfq} and the
-        FIFOs the pair is allocation-free. *)
+    (** The next packet in service order.
+        @raise Invalid_argument on an empty queue. The transmit loop
+        checks [packet_count () > 0] first; on {!stfq} and the FIFOs the
+        pair is allocation-free. *)
   byte_length : unit -> int;
   packet_count : unit -> int;
   drops : unit -> int;  (** cumulative *)

@@ -1,144 +1,12 @@
-(* BFS over nodes; distances by hop count. *)
-let bfs_distances topo ~src =
-  let n = Topology.n_nodes topo in
-  let dist = Array.make n max_int in
-  dist.(src) <- 0;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let explore lid =
-      let l = Topology.link topo lid in
-      if dist.(l.dst) = max_int then begin
-        dist.(l.dst) <- dist.(u) + 1;
-        Queue.add l.dst queue
-      end
-    in
-    List.iter explore (Topology.out_links topo u)
-  done;
-  dist
-
-let shortest_path topo ~src ~dst =
-  if src = dst then Some []
-  else begin
-    (* BFS from dst over reversed edges would need a reverse adjacency; run
-       BFS from src and walk back greedily instead: recompute distance to dst
-       from every node via a reverse pass. Simpler: BFS distances from all
-       nodes is wasteful, so we BFS from src and then find a shortest path by
-       BFS from dst on the reversed graph implicitly via distances. *)
-    let dist_from_src = bfs_distances topo ~src in
-    if dist_from_src.(dst) = max_int then None
-    else begin
-      (* Walk forward from src, always taking the smallest link id that makes
-         progress: a link u->v is on a shortest path iff
-         dist(src,u) + 1 + dist(v,dst) = dist(src,dst). We need dist(v,dst),
-         i.e. distances to dst in the forward graph = distances from dst in
-         the reverse graph. Build the reverse adjacency once. *)
-      let n = Topology.n_nodes topo in
-      let rev = Array.make n [] in
-      Array.iter
-        (fun (l : Topology.link) -> rev.(l.dst) <- l.link_id :: rev.(l.dst))
-        (Topology.links topo);
-      let dist_to_dst = Array.make n max_int in
-      dist_to_dst.(dst) <- 0;
-      let queue = Queue.create () in
-      Queue.add dst queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        let explore lid =
-          let l = Topology.link topo lid in
-          if dist_to_dst.(l.src) = max_int then begin
-            dist_to_dst.(l.src) <- dist_to_dst.(v) + 1;
-            Queue.add l.src queue
-          end
-        in
-        List.iter explore rev.(v)
-      done;
-      let total = dist_from_src.(dst) in
-      let rec walk at acc =
-        if at = dst then Some (List.rev acc)
-        else begin
-          let depth = List.length acc in
-          let good lid =
-            let l = Topology.link topo lid in
-            dist_to_dst.(l.dst) <> max_int
-            && depth + 1 + dist_to_dst.(l.dst) = total
-          in
-          match List.find_opt good (Topology.out_links topo at) with
-          | None -> None
-          | Some lid -> walk (Topology.link topo lid).dst (lid :: acc)
-        end
-      in
-      walk src []
-    end
-  end
-
-let all_shortest_paths topo ~src ~dst =
-  if src = dst then [ [] ]
-  else begin
-    let n = Topology.n_nodes topo in
-    let rev = Array.make n [] in
-    Array.iter
-      (fun (l : Topology.link) -> rev.(l.dst) <- l.link_id :: rev.(l.dst))
-      (Topology.links topo);
-    let dist_to_dst = Array.make n max_int in
-    dist_to_dst.(dst) <- 0;
-    let queue = Queue.create () in
-    Queue.add dst queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let explore lid =
-        let l = Topology.link topo lid in
-        if dist_to_dst.(l.src) = max_int then begin
-          dist_to_dst.(l.src) <- dist_to_dst.(v) + 1;
-          Queue.add l.src queue
-        end
-      in
-      List.iter explore rev.(v)
-    done;
-    if dist_to_dst.(src) = max_int then []
-    else begin
-      let rec extend at =
-        if at = dst then [ [] ]
-        else begin
-          let good lid =
-            let l = Topology.link topo lid in
-            dist_to_dst.(l.dst) <> max_int
-            && dist_to_dst.(l.dst) + 1 = dist_to_dst.(at)
-          in
-          let next = List.filter good (Topology.out_links topo at) in
-          List.concat_map
-            (fun lid ->
-              let l = Topology.link topo lid in
-              List.map (fun tail -> lid :: tail) (extend l.dst))
-            next
-        end
-      in
-      extend src
-    end
-  end
-
-let ecmp_path topo ~src ~dst ~hash =
-  match all_shortest_paths topo ~src ~dst with
-  | [] -> invalid_arg "Routing.ecmp_path: destination unreachable"
-  | paths ->
-    let n = List.length paths in
-    let idx = ((hash mod n) + n) mod n in
-    List.nth paths idx
-
-(* ------------------------------------------------------------------ *)
 (* Memoized ECMP router.
 
-   [ecmp_path] rebuilds the reverse adjacency and enumerates every
-   shortest path on each call — fine for a few hundred flows, hopeless
-   for the 100k+ flow workloads the sparse NUM core targets. The router
-   precomputes the reverse adjacency once and, per destination (computed
-   on first use, then cached), the hop distances to it plus the number of
-   shortest paths from every node. Selecting the [hash]-th path is then a
-   single walk: at each node, the shortest-path counts of the viable next
-   hops say which branch the index falls into. The walk visits next hops
-   in [Topology.out_links] order — the same order [all_shortest_paths]
-   enumerates — so the selected path is exactly [ecmp_path]'s. *)
+   The router precomputes the reverse adjacency once and, per destination
+   (computed on first use, then cached), the hop distances to it plus the
+   number of shortest paths from every node. Selecting the [hash]-th path
+   is then a single walk: at each node, the shortest-path counts of the
+   viable next hops say which branch the index falls into. The walk
+   visits next hops in [Topology.out_links] order, so path [i] is the
+   [i]-th of the shortest paths enumerated depth-first in that order. *)
 
 type router = {
   r_topo : Topology.t;
@@ -211,6 +79,9 @@ let router_table r ~dst =
     let t = (dist, count) in
     Hashtbl.add r.r_tables dst t;
     t
+
+let ecmp_width r ~src ~dst =
+  if src = dst then 1 else (snd (router_table r ~dst)).(src)
 
 let ecmp_path_fast r ~src ~dst ~hash =
   if src = dst then []

@@ -1,34 +1,29 @@
-(** Path computation: shortest paths by hop count and ECMP path
-    enumeration/selection.
+(** ECMP routing: one memoized router per topology places every flow on
+    one of its equal-cost (minimum-hop) paths.
 
     Datacenter fabrics (leaf–spine) have many equal-length paths between a
     pair of hosts; ECMP-style per-flow hashing picks one of them, which is
     exactly how the paper's simulations place flows and sub-flows (§6.3
     "each sub-flow hashed onto a path at random"). *)
 
-val shortest_path : Topology.t -> src:int -> dst:int -> int list option
-(** A minimum-hop path (list of link ids) from [src] to [dst], or [None]
-    when unreachable. Deterministic: ties are broken by smallest link id. *)
-
-val all_shortest_paths : Topology.t -> src:int -> dst:int -> int list list
-(** All minimum-hop paths, in lexicographic link-id order. The empty list
-    means unreachable; [\[\[\]\]] means [src = dst]. *)
-
-val ecmp_path : Topology.t -> src:int -> dst:int -> hash:int -> int list
-(** The [hash mod n]-th of the [n] shortest paths — per-flow ECMP.
-    @raise Invalid_argument when [dst] is unreachable from [src]. *)
-
 type router
 (** Memoized ECMP state over one topology: the reverse adjacency plus,
-    per destination (computed on first use), hop distances and
-    shortest-path counts for every node. Lets large workloads place
-    hundreds of thousands of flows in O(path length) per flow instead of
-    enumerating every equal-cost path per call. Not thread-safe (the
-    per-destination tables are cached in a hash table). *)
+    per destination (computed on first use by one BFS), hop distances and
+    shortest-path counts for every node. A path costs one walk of
+    O(path length × out-degree), with no path enumeration. Not
+    thread-safe (the per-destination tables are cached in a hash
+    table). *)
 
 val router : Topology.t -> router
 
+val ecmp_width : router -> src:int -> dst:int -> int
+(** The number [n] of shortest paths from [src] to [dst]: 1 when
+    [src = dst], 0 when [dst] is unreachable. *)
+
 val ecmp_path_fast : router -> src:int -> dst:int -> hash:int -> int list
-(** Exactly [ecmp_path topo ~src ~dst ~hash] — same path, same tie-break
-    and hash-index semantics — computed without path enumeration.
+(** The [(hash mod n)]-th of the [n = ecmp_width] shortest paths (list of
+    link ids) — per-flow ECMP; negative hashes wrap to [0, n). Paths are
+    numbered in depth-first order over {!Topology.out_links}, so hash 0 is
+    the path that always takes the first viable next hop. [src = dst]
+    gives [\[\]].
     @raise Invalid_argument when [dst] is unreachable from [src]. *)

@@ -3,10 +3,11 @@ type hist_state = {
   counts : int array;  (* per-bound counts; +Inf bucket is implicit *)
   mutable inf_count : int;
   mutable sum : float;
+  lock : Mutex.t;  (* held by [observe]: domains may share a histogram *)
 }
 
 type value =
-  | Counter of int ref
+  | Counter of int Atomic.t
   | Gauge of float ref
   | Histogram of hist_state
 
@@ -14,7 +15,7 @@ type metric = { name : string; help : string; value : value }
 
 type t = { mutable metrics : metric list (* reverse registration order *) }
 
-type counter = int ref
+type counter = int Atomic.t
 
 type gauge = float ref
 
@@ -45,7 +46,7 @@ let counter t ?(help = "") name =
   | Some { value = Counter c; _ } -> c
   | Some { value; _ } -> mismatch name value "counter"
   | None -> (
-    match register t ~help name (Counter (ref 0)) with
+    match register t ~help name (Counter (Atomic.make 0)) with
     | Counter c -> c
     | _ -> assert false)
 
@@ -72,19 +73,19 @@ let histogram t ?(help = "") ~buckets name =
       invalid_arg "Metrics.histogram: buckets must be non-empty and increasing";
     let h =
       { bounds; counts = Array.make (Array.length bounds) 0; inf_count = 0;
-        sum = 0. }
+        sum = 0.; lock = Mutex.create () }
     in
     (match register t ~help name (Histogram h) with
     | Histogram h -> h
     | _ -> assert false)
 
-let incr c = Stdlib.incr c
+let incr c = Atomic.incr c
 
 let add c n =
   if n < 0 then invalid_arg "Metrics.add: negative increment";
-  c := !c + n
+  ignore (Atomic.fetch_and_add c n : int)
 
-let counter_value c = !c
+let counter_value c = Atomic.get c
 
 let set_gauge g v = g := v
 
@@ -97,14 +98,16 @@ let[@inline] max_gauge (g : gauge) (v : float) = if v > !g then g := v
 let gauge_value g = !g
 
 let observe h v =
-  h.sum <- h.sum +. v;
   let n = Array.length h.bounds in
   let rec place i =
     if i >= n then h.inf_count <- h.inf_count + 1
     else if v <= h.bounds.(i) then h.counts.(i) <- h.counts.(i) + 1
     else place (i + 1)
   in
-  place 0
+  Mutex.lock h.lock;
+  h.sum <- h.sum +. v;
+  place 0;
+  Mutex.unlock h.lock
 
 let histogram_count h = Array.fold_left ( + ) h.inf_count h.counts
 
@@ -113,7 +116,7 @@ let histogram_sum h = h.sum
 let in_order t = List.rev t.metrics
 
 let primary_value = function
-  | Counter c -> float_of_int !c
+  | Counter c -> float_of_int (Atomic.get c)
   | Gauge g -> !g
   | Histogram h -> float_of_int (histogram_count h)
 
@@ -161,7 +164,8 @@ let to_prometheus t =
       Buffer.add_string buf
         (Printf.sprintf "# TYPE %s %s\n" m.name (kind_label m.value));
       (match m.value with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "%s %d\n" m.name !c)
+      | Counter c ->
+        Buffer.add_string buf (Printf.sprintf "%s %d\n" m.name (Atomic.get c))
       | Gauge g ->
         Buffer.add_string buf (Printf.sprintf "%s %s\n" m.name (num !g))
       | Histogram h ->
@@ -187,7 +191,7 @@ let json t =
   let int i = Json.Num (float_of_int i) in
   let value m =
     match m.value with
-    | Counter c -> [ ("value", int !c) ]
+    | Counter c -> [ ("value", int (Atomic.get c)) ]
     | Gauge g -> [ ("value", Json.Num !g) ]
     | Histogram h ->
       let bucket i b = Json.List [ Json.Num b; int h.counts.(i) ] in

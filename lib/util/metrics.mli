@@ -1,10 +1,15 @@
 (** Metrics registry: named counters, gauges and histograms.
 
     Modules register their metrics once (usually against {!global} at
-    module-init time) and update them unconditionally — an update is an
-    int/float store, cheap enough for packet-rate hot paths. A registry
-    snapshots to a Prometheus-style text page ({!to_prometheus}) or to
-    JSON ({!to_json}); {!fold_values} walks the primary values.
+    module-init time) and update them unconditionally. Parallel sweeps
+    update one registry from several domains, so updates are exact under
+    [-j N]: a counter is an [int Atomic.t], and {!observe} takes the
+    histogram's mutex. Gauges are plain float stores. A packet-rate hot
+    path does not touch the registry per event: it counts in its own ints
+    and adds them once per run (as [Nf_engine.Sim.run] and
+    [Nf_sim.Network.run] do). A registry snapshots to a Prometheus-style
+    text page ({!to_prometheus}) or to JSON ({!to_json}); {!fold_values}
+    walks the primary values.
 
     Metric names follow Prometheus conventions:
     [nf_<layer>_<what>{_total,_seconds,...}], e.g.

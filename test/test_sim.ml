@@ -33,6 +33,16 @@ let mk ?(flow = 0) ?(seq = 0) ?(size = 1500) ?(vpl = 1500.) ?(prio = infinity) (
 (* ------------------------------------------------------------------ *)
 (* Queue disciplines *)
 
+(* The next packet in service order, [None] on an empty queue. *)
+let take q =
+  if q.Queue_disc.packet_count () = 0 then None else Some (q.Queue_disc.dequeue_exn ())
+
+(* Every queued packet, in service order. *)
+let rec drain q =
+  match take q with
+  | Some p -> p :: drain q
+  | None -> []
+
 let test_fifo_order_and_drop () =
   let q = Queue_disc.fifo ~pool ~limit_bytes:4000 () in
   Alcotest.(check bool) "e1" true (q.Queue_disc.enqueue (mk ~seq:1 ()));
@@ -41,7 +51,7 @@ let test_fifo_order_and_drop () =
     (q.Queue_disc.enqueue (mk ~seq:3 ()));
   Alcotest.(check int) "drops" 1 (q.Queue_disc.drops ());
   Alcotest.(check int) "bytes" 3000 (q.Queue_disc.byte_length ());
-  (match q.Queue_disc.dequeue () with
+  (match take q with
   | Some p -> Alcotest.(check int) "FIFO head" 1 p.Packet.seq
   | None -> Alcotest.fail "empty");
   Alcotest.(check int) "bytes after dequeue" 1500 (q.Queue_disc.byte_length ())
@@ -65,7 +75,7 @@ let test_stfq_weighted_service () =
   done;
   let served = Array.make 2 0 in
   for _ = 1 to 12 do
-    match q.Queue_disc.dequeue () with
+    match take q with
     | Some p -> served.(p.Packet.flow) <- served.(p.Packet.flow) + 1
     | None -> Alcotest.fail "queue empty early"
   done;
@@ -82,9 +92,9 @@ let test_stfq_control_packets_jump () =
      current virtual time, i.e. before most queued data. *)
   let ack = Packet.alloc_ack pool ~data:(mk ~flow:7 ()) ~path:[| 0 |] ~now:0. in
   ignore (q.Queue_disc.enqueue ack);
-  ignore (q.Queue_disc.dequeue ());
+  ignore (take q);
   (* after one data service, V > 0 *)
-  match q.Queue_disc.dequeue () with
+  match take q with
   | Some p -> Alcotest.(check int) "ack served promptly" 7 p.Packet.flow
   | None -> Alcotest.fail "empty"
 
@@ -96,7 +106,7 @@ let test_stfq_per_flow_order () =
   let last = ref (-1) in
   let ok = ref true in
   for _ = 1 to 10 do
-    match q.Queue_disc.dequeue () with
+    match take q with
     | Some p ->
       if p.Packet.seq <> !last + 1 then ok := false;
       last := p.Packet.seq
@@ -104,50 +114,35 @@ let test_stfq_per_flow_order () =
   done;
   Alcotest.(check bool) "packets of one flow stay in order" true !ok
 
-let test_dequeue_exn_matches_dequeue () =
-  (* [dequeue_exn] is the allocation-free twin the transmit loop uses:
-     same service order as [dequeue], Invalid_argument on empty. *)
+let test_dequeue_exn_drains () =
+  (* [dequeue_exn] after a [packet_count] check is how the transmit loop
+     serves a queue: every queued packet comes out once, the byte and
+     packet counts reach 0, and an empty queue raises. *)
   List.iter
-    (fun (name, make_q) ->
-      let q = make_q () in
+    (fun (name, q) ->
       for i = 0 to 7 do
         ignore
           (q.Queue_disc.enqueue
              (mk ~flow:(i mod 3) ~seq:i ~vpl:(500. *. float_of_int (1 + (i mod 4))) ())
             : bool)
       done;
-      let q' = make_q () in
-      for i = 0 to 7 do
-        ignore
-          (q'.Queue_disc.enqueue
-             (mk ~flow:(i mod 3) ~seq:i ~vpl:(500. *. float_of_int (1 + (i mod 4))) ())
-            : bool)
-      done;
-      for n = 1 to 8 do
-        match q.Queue_disc.dequeue () with
-        | None -> Alcotest.failf "%s: empty after %d services" name (n - 1)
-        | Some expected ->
-            let got = q'.Queue_disc.dequeue_exn () in
-            Alcotest.(check int)
-              (Printf.sprintf "%s: service %d same flow" name n)
-              expected.Packet.flow got.Packet.flow;
-            Alcotest.(check int)
-              (Printf.sprintf "%s: service %d same seq" name n)
-              expected.Packet.seq got.Packet.seq
-      done;
+      let seqs = List.map (fun p -> p.Packet.seq) (drain q) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: every packet served once" name)
+        (List.init 8 Fun.id) (List.sort compare seqs);
       Alcotest.(check int)
         (Printf.sprintf "%s: bytes drained" name)
         0
-        (q'.Queue_disc.byte_length ());
+        (q.Queue_disc.byte_length ());
       Alcotest.check_raises
         (Printf.sprintf "%s: dequeue_exn on empty" name)
         (Invalid_argument "Queue_disc.dequeue_exn: empty queue")
-        (fun () -> ignore (q'.Queue_disc.dequeue_exn () : Packet.t)))
+        (fun () -> ignore (q.Queue_disc.dequeue_exn () : Packet.t)))
     [
-      ("fifo", fun () -> Queue_disc.fifo ~pool ~limit_bytes:100_000 ());
-      ("ecn_fifo", fun () -> Queue_disc.ecn_fifo ~pool ~mark_threshold_bytes:3000 ());
-      ("stfq", fun () -> Queue_disc.stfq ~pool ());
-      ("pfabric", fun () -> Queue_disc.pfabric ~pool ~limit_bytes:100_000 ());
+      ("fifo", Queue_disc.fifo ~pool ~limit_bytes:100_000 ());
+      ("ecn_fifo", Queue_disc.ecn_fifo ~pool ~mark_threshold_bytes:3000 ());
+      ("stfq", Queue_disc.stfq ~pool ());
+      ("pfabric", Queue_disc.pfabric ~pool ~limit_bytes:100_000 ());
     ]
 
 let test_stfq_flow_table_growth () =
@@ -174,7 +169,7 @@ let test_pfabric_priority () =
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:0 ~prio:9000. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:1 ~seq:0 ~prio:3000. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:2 ~seq:0 ~prio:6000. ()));
-  (match q.Queue_disc.dequeue () with
+  (match take q with
   | Some p -> Alcotest.(check int) "smallest remaining first" 1 p.Packet.flow
   | None -> Alcotest.fail "empty");
   (* Fill up, then a higher-priority (smaller) arrival evicts the worst. *)
@@ -185,16 +180,8 @@ let test_pfabric_priority () =
     (q.Queue_disc.enqueue (mk ~flow:5 ~seq:0 ~prio:100. ()));
   Alcotest.(check int) "one drop" 1 (q.Queue_disc.drops ());
   (* Flow 0 (prio 9000) must be the one that was evicted. *)
-  let seen = ref [] in
-  let rec drain () =
-    match q.Queue_disc.dequeue () with
-    | Some p ->
-      seen := p.Packet.flow :: !seen;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check bool) "worst evicted" false (List.mem 0 !seen)
+  let seen = List.map (fun p -> p.Packet.flow) (drain q) in
+  Alcotest.(check bool) "worst evicted" false (List.mem 0 seen)
 
 let test_pfabric_same_flow_in_order () =
   let q = Queue_disc.pfabric ~pool () in
@@ -203,7 +190,7 @@ let test_pfabric_same_flow_in_order () =
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:0 ~prio:9000. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:1 ~prio:7500. ()));
   ignore (q.Queue_disc.enqueue (mk ~flow:0 ~seq:2 ~prio:6000. ()));
-  match q.Queue_disc.dequeue () with
+  match take q with
   | Some p -> Alcotest.(check int) "earliest of the flow" 0 p.Packet.seq
   | None -> Alcotest.fail "empty"
 
@@ -221,16 +208,7 @@ let test_stfq_weight_change_ordering () =
     let vpl = if i < 2 then 1500. else 500. in
     ignore (q.Queue_disc.enqueue (mk ~flow:1 ~seq:i ~vpl ()))
   done;
-  let served = ref [] in
-  let rec drain () =
-    match q.Queue_disc.dequeue () with
-    | Some p ->
-      served := (p.Packet.flow, p.Packet.seq) :: !served;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  let served = List.rev !served in
+  let served = List.map (fun p -> (p.Packet.flow, p.Packet.seq)) (drain q) in
   Alcotest.(check int) "all served" 8 (List.length served);
   let pos x =
     let rec go i = function
@@ -281,7 +259,7 @@ let test_drops_counter_monotone () =
     let d = q.Queue_disc.drops () in
     Alcotest.(check bool) "monotone" true (d >= !last);
     last := d;
-    if i mod 3 = 0 then ignore (q.Queue_disc.dequeue ())
+    if i mod 3 = 0 then ignore (take q)
   done;
   Alcotest.(check int) "drops = rejections" !rejected (q.Queue_disc.drops ());
   Alcotest.(check bool) "some drops happened" true (!rejected > 0)
@@ -454,6 +432,30 @@ let test_completion_increments_metric () =
   Alcotest.(check bool) "flow completed" true (Network.fct net 0 <> None);
   Alcotest.(check bool) "completed counter incremented" true
     (Nf_util.Metrics.counter_value m > before)
+
+(* [Network.run] adds its packet counts to the registry when it returns
+   and when a handler raises out of it. *)
+let test_packet_counts_settle_on_raise () =
+  let m =
+    Nf_util.Metrics.counter Nf_util.Metrics.global "nf_sim_packets_delivered_total"
+  in
+  let before = Nf_util.Metrics.counter_value m in
+  let sb = Builders.single_bottleneck ~n_senders:1 () in
+  let net =
+    Network.create ~topology:sb.Builders.sb_topo ~protocol:(proto "numfabric") ()
+  in
+  Network.add_flow net
+    (Network.flow ~utility:(Utility.proportional_fair ()) ~id:0
+       ~src:sb.Builders.senders.(0) ~dst:sb.Builders.receiver ());
+  Nf_engine.Sim.schedule_cat (Network.sim net) ~cat:(Nf_engine.Sim.cat "test-raise")
+    ~at:1e-3 (fun () -> raise Exit);
+  Alcotest.check_raises "the handler's exception escapes" Exit (fun () ->
+      Network.run net ~until:2e-3);
+  let at_raise = Nf_util.Metrics.counter_value m - before in
+  Alcotest.(check bool) "packets counted up to the raise" true (at_raise > 0);
+  Network.run net ~until:2e-3;
+  Alcotest.(check bool) "the next run adds its packets" true
+    (Nf_util.Metrics.counter_value m - before > at_raise)
 
 let test_stop_flow_releases_bandwidth () =
   let sb = Builders.single_bottleneck ~n_senders:2 () in
@@ -1279,7 +1281,7 @@ let () =
           quick "stfq ordering under weight change" test_stfq_weight_change_ordering;
           quick "fifo drop accounting" test_fifo_drop_accounting;
           quick "drops counter monotone" test_drops_counter_monotone;
-          quick "dequeue_exn matches dequeue" test_dequeue_exn_matches_dequeue;
+          quick "dequeue_exn drains then raises" test_dequeue_exn_drains;
           quick "stfq flow-table growth" test_stfq_flow_table_growth;
         ] );
       ( "price_engine",
@@ -1296,6 +1298,7 @@ let () =
           quick "numfabric alpha=2" test_numfabric_alpha2_packet;
           quick "finite flow completes" test_flow_completion;
           quick "completion increments metric" test_completion_increments_metric;
+          quick "packet counts settle when a run raises" test_packet_counts_settle_on_raise;
           quick "stop releases bandwidth" test_stop_flow_releases_bandwidth;
           quick "dctcp shares the link" test_dctcp_shares_link;
           quick "rcp fair share" test_rcp_fair_share;

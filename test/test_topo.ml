@@ -3,6 +3,7 @@
 module Topology = Nf_topo.Topology
 module Routing = Nf_topo.Routing
 module Builders = Nf_topo.Builders
+module Ecmp_enum = Nf_reference.Ecmp_enum
 module Fixtures = Nf_testkit.Fixtures
 module Units = Nf_util.Units
 module Rng = Nf_util.Rng
@@ -11,11 +12,23 @@ let quick name f = Alcotest.test_case name `Quick f
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The router's first shortest path (hash 0); [None] when unreachable. *)
+let shortest_path topo ~src ~dst =
+  let r = Routing.router topo in
+  if Routing.ecmp_width r ~src ~dst = 0 then None
+  else Some (Routing.ecmp_path_fast r ~src ~dst ~hash:0)
+
 (* Hop count of a shortest path; [None] when unreachable. *)
-let hops topo ~src ~dst = Option.map List.length (Routing.shortest_path topo ~src ~dst)
+let hops topo ~src ~dst = Option.map List.length (shortest_path topo ~src ~dst)
 
 (* Number of equal-cost shortest paths. *)
-let n_paths topo ~src ~dst = List.length (Routing.all_shortest_paths topo ~src ~dst)
+let n_paths topo ~src ~dst = Routing.ecmp_width (Routing.router topo) ~src ~dst
+
+(* Every shortest path, in the router's hash order. *)
+let router_paths topo ~src ~dst =
+  let r = Routing.router topo in
+  List.init (Routing.ecmp_width r ~src ~dst) (fun hash ->
+      Routing.ecmp_path_fast r ~src ~dst ~hash)
 
 (* ------------------------------------------------------------------ *)
 (* Builder / Topology *)
@@ -72,12 +85,12 @@ let test_builder_validation () =
 
 let test_shortest_path_line () =
   let topo, h0, _, h1, l0, _, l1, _ = line_topology () in
-  (match Routing.shortest_path topo ~src:h0 ~dst:h1 with
+  (match shortest_path topo ~src:h0 ~dst:h1 with
   | Some p -> Alcotest.(check (list int)) "path" [ l0; l1 ] p
   | None -> Alcotest.fail "expected a path");
   Alcotest.(check (option int)) "hops" (Some 2) (hops topo ~src:h0 ~dst:h1);
   Alcotest.(check (option (list int))) "self path" (Some [])
-    (Routing.shortest_path topo ~src:h0 ~dst:h0)
+    (shortest_path topo ~src:h0 ~dst:h0)
 
 let test_unreachable () =
   let b = Topology.Builder.create () in
@@ -86,9 +99,10 @@ let test_unreachable () =
   ignore (Topology.Builder.add_link b ~src:a ~dst:c ~capacity:1. ~delay:0.);
   let topo = Topology.Builder.finish b in
   Alcotest.(check (option (list int))) "one way only" None
-    (Routing.shortest_path topo ~src:c ~dst:a);
-  Alcotest.(check (list (list int))) "no paths" []
-    (Routing.all_shortest_paths topo ~src:c ~dst:a)
+    (shortest_path topo ~src:c ~dst:a);
+  Alcotest.(check int) "no paths" 0 (n_paths topo ~src:c ~dst:a);
+  Alcotest.(check (list (list int))) "no paths (reference)" []
+    (Ecmp_enum.all_shortest_paths topo ~src:c ~dst:a)
 
 let test_leaf_spine_paths () =
   let ls = Builders.leaf_spine ~n_leaves:4 ~n_spines:3 ~servers_per_leaf:2 () in
@@ -97,11 +111,12 @@ let test_leaf_spine_paths () =
   (* Same-leaf pair: unique 2-hop path. *)
   let s0 = ls.Builders.servers.(0) and s1 = ls.Builders.servers.(1) in
   Alcotest.(check int) "same leaf: 1 path" 1
-    (List.length (Routing.all_shortest_paths topo ~src:s0 ~dst:s1));
+    (n_paths topo ~src:s0 ~dst:s1);
   (* Cross-leaf pair: one path per spine. *)
   let s2 = ls.Builders.servers.(2) in
-  let paths = Routing.all_shortest_paths topo ~src:s0 ~dst:s2 in
+  let paths = router_paths topo ~src:s0 ~dst:s2 in
   Alcotest.(check int) "cross leaf: n_spines paths" 3 (List.length paths);
+  Alcotest.(check int) "distinct" 3 (List.length (List.sort_uniq compare paths));
   List.iter
     (fun p ->
       Alcotest.(check int) "4 hops" 4 (List.length p);
@@ -112,15 +127,16 @@ let test_leaf_spine_paths () =
 let test_ecmp_selection () =
   let ls = Builders.leaf_spine ~n_leaves:2 ~n_spines:4 ~servers_per_leaf:1 () in
   let topo = ls.Builders.topo in
+  let r = Routing.router topo in
   let s0 = ls.Builders.servers.(0) and s1 = ls.Builders.servers.(1) in
   let seen = Hashtbl.create 4 in
   for hash = 0 to 7 do
-    let p = Routing.ecmp_path topo ~src:s0 ~dst:s1 ~hash in
+    let p = Routing.ecmp_path_fast r ~src:s0 ~dst:s1 ~hash in
     Hashtbl.replace seen p ()
   done;
   Alcotest.(check int) "hashes cover all 4 paths" 4 (Hashtbl.length seen);
   (* Negative hashes are fine too. *)
-  let p = Routing.ecmp_path topo ~src:s0 ~dst:s1 ~hash:(-3) in
+  let p = Routing.ecmp_path_fast r ~src:s0 ~dst:s1 ~hash:(-3) in
   Alcotest.(check bool) "negative hash valid" true
     (Topology.path_is_valid topo ~src:s0 ~dst:s1 p)
 
@@ -149,7 +165,7 @@ let test_single_bottleneck () =
   let topo = sb.Builders.sb_topo in
   Array.iter
     (fun s ->
-      match Routing.shortest_path topo ~src:s ~dst:sb.Builders.receiver with
+      match shortest_path topo ~src:s ~dst:sb.Builders.receiver with
       | Some p ->
         Alcotest.(check bool) "sender path crosses bottleneck" true
           (List.mem sb.Builders.bottleneck p)
@@ -160,7 +176,7 @@ let test_parking_lot () =
   let pl = Fixtures.parking_lot ~n_links:3 () in
   let topo = pl.Fixtures.pl_topo in
   let h0 = pl.Fixtures.pl_hosts.(0) and h3 = pl.Fixtures.pl_hosts.(3) in
-  match Routing.shortest_path topo ~src:h0 ~dst:h3 with
+  match shortest_path topo ~src:h0 ~dst:h3 with
   | Some p ->
     (* access + 3 chain links + access = 5 hops *)
     Alcotest.(check int) "long flow hops" 5 (List.length p);
@@ -192,14 +208,14 @@ let prop_random_leaf_spine_routes =
       let ls = Builders.leaf_spine ~n_leaves ~n_spines ~servers_per_leaf:per_leaf () in
       let topo = ls.Builders.topo in
       let servers = ls.Builders.servers in
+      let r = Routing.router topo in
       let rng = Rng.create ~seed:(n_leaves + (7 * n_spines) + (31 * per_leaf)) in
       let ok = ref true in
       for _ = 1 to 10 do
         let s = Rng.pick rng servers and d = Rng.pick rng servers in
         if s <> d then begin
-          match Routing.shortest_path topo ~src:s ~dst:d with
-          | None -> ok := false
-          | Some p -> if not (Topology.path_is_valid topo ~src:s ~dst:d p) then ok := false
+          let p = Routing.ecmp_path_fast r ~src:s ~dst:d ~hash:(s + d) in
+          if not (Topology.path_is_valid topo ~src:s ~dst:d p) then ok := false
         end
       done;
       !ok)
@@ -215,13 +231,12 @@ let test_fat_tree () =
   let s0 = ft.Builders.ft_servers.(0) and s2 = ft.Builders.ft_servers.(2) in
   Alcotest.(check (option int)) "intra-pod hops" (Some 4)
     (hops topo ~src:s0 ~dst:s2);
-  Alcotest.(check int) "intra-pod ECMP" 2
-    (List.length (Routing.all_shortest_paths topo ~src:s0 ~dst:s2));
+  Alcotest.(check int) "intra-pod ECMP" 2 (n_paths topo ~src:s0 ~dst:s2);
   (* Cross-pod pair: 6 hops, (k/2)^2 ECMP paths. *)
   let s8 = ft.Builders.ft_servers.(8) in
   Alcotest.(check (option int)) "cross-pod hops" (Some 6)
     (hops topo ~src:s0 ~dst:s8);
-  let paths = Routing.all_shortest_paths topo ~src:s0 ~dst:s8 in
+  let paths = router_paths topo ~src:s0 ~dst:s8 in
   Alcotest.(check int) "cross-pod ECMP" 4 (List.length paths);
   List.iter
     (fun p ->
@@ -268,20 +283,22 @@ let test_fat_tree_presets () =
   Alcotest.(check int) "k16 cross-pod ECMP" 64
     (n_paths topo ~src:srv.(0) ~dst:srv.(64))
 
+(* Fat tree or paper leaf-spine, with its hosts. *)
+let sample_topology use_fat_tree =
+  if use_fat_tree then
+    let ft = Builders.fat_tree ~k:4 () in
+    (ft.Builders.ft_topo, ft.Builders.ft_servers)
+  else
+    let ls = Builders.paper_leaf_spine () in
+    (ls.Builders.topo, ls.Builders.servers)
+
 let prop_router_matches_ecmp_path =
-  (* The memoized router must reproduce the enumerating ecmp_path exactly:
+  (* The memoized router must reproduce the enumerating reference exactly:
      same path for every hash. *)
   QCheck.Test.make ~name:"router matches enumerating ECMP" ~count:60
     QCheck.(pair small_int bool)
     (fun (seed, use_fat_tree) ->
-      let topo, hosts =
-        if use_fat_tree then
-          let ft = Builders.fat_tree ~k:4 () in
-          (ft.Builders.ft_topo, ft.Builders.ft_servers)
-        else
-          let ls = Builders.paper_leaf_spine () in
-          (ls.Builders.topo, ls.Builders.servers)
-      in
+      let topo, hosts = sample_topology use_fat_tree in
       let r = Routing.router topo in
       let rng = Rng.create ~seed:(seed + 71) in
       let ok = ref true in
@@ -289,21 +306,37 @@ let prop_router_matches_ecmp_path =
         let s = Rng.pick rng hosts and d = Rng.pick rng hosts in
         if s <> d then begin
           let hash = (i * 2654435761) + seed in
-          let slow = Routing.ecmp_path topo ~src:s ~dst:d ~hash in
+          let slow = Ecmp_enum.ecmp_path topo ~src:s ~dst:d ~hash in
           let fast = Routing.ecmp_path_fast r ~src:s ~dst:d ~hash in
           if slow <> fast then ok := false
         end
       done;
       !ok)
 
+(* Hashes 0 .. width - 1 list every shortest path once, in the reference's
+   enumeration order: fig8 draws a uniform index in that range. *)
+let test_router_lists_all_paths () =
+  List.iter
+    (fun use_fat_tree ->
+      let topo, hosts = sample_topology use_fat_tree in
+      let rng = Rng.create ~seed:5 in
+      for _ = 1 to 20 do
+        let s = Rng.pick rng hosts and d = Rng.pick rng hosts in
+        Alcotest.(check (list (list int))) "all shortest paths, in order"
+          (Ecmp_enum.all_shortest_paths topo ~src:s ~dst:d)
+          (router_paths topo ~src:s ~dst:d)
+      done)
+    [ true; false ]
+
 let test_router_unreachable () =
-  (* Two disconnected hosts: fast router must mirror ecmp_path's error. *)
+  (* Two disconnected hosts: the router has no path and raises. *)
   let b = Topology.Builder.create () in
   let h0 = Topology.Builder.add_host b ~label:"h0" () in
   let h1 = Topology.Builder.add_host b ~label:"h1" () in
   let topo = Topology.Builder.finish b in
   let r = Routing.router topo in
-  Alcotest.check_raises "fast raises like slow"
+  Alcotest.(check int) "no paths" 0 (Routing.ecmp_width r ~src:h0 ~dst:h1);
+  Alcotest.check_raises "raises"
     (Invalid_argument "Routing.ecmp_path_fast: destination unreachable")
     (fun () -> ignore (Routing.ecmp_path_fast r ~src:h0 ~dst:h1 ~hash:3))
 
@@ -323,6 +356,7 @@ let () =
           quick "ecmp selection" test_ecmp_selection;
           qcheck prop_random_leaf_spine_routes;
           qcheck prop_router_matches_ecmp_path;
+          quick "router lists all shortest paths in order" test_router_lists_all_paths;
           quick "router unreachable" test_router_unreachable;
         ] );
       ( "builders",

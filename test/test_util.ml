@@ -603,6 +603,25 @@ let test_metrics_histogram () =
   Alcotest.(check int) "count" 5 (Metrics.histogram_count h);
   Alcotest.(check (float 1e-9)) "sum" 562.5 (Metrics.histogram_sum h)
 
+(* A parallel sweep updates one registry from several domains: no update
+   may be lost. *)
+let test_metrics_parallel_updates () =
+  let r = Metrics.create () in
+  let c = Metrics.counter r "test_parallel_total" in
+  let h = Metrics.histogram r ~buckets:[ 1. ] "test_parallel" in
+  let work () =
+    for _ = 1 to 100_000 do
+      Metrics.incr c;
+      Metrics.observe h 1.
+    done
+  in
+  let other = Domain.spawn work in
+  work ();
+  Domain.join other;
+  Alcotest.(check int) "counter" 200_000 (Metrics.counter_value c);
+  Alcotest.(check int) "histogram count" 200_000 (Metrics.histogram_count h);
+  Alcotest.(check (float 0.)) "histogram sum" 200_000. (Metrics.histogram_sum h)
+
 let test_metrics_prometheus () =
   let r = Metrics.create () in
   let c = Metrics.counter r ~help:"demo counter" "demo_total" in
@@ -846,6 +865,7 @@ let () =
         [
           quick "counter and gauge" test_metrics_counter_gauge;
           quick "histogram" test_metrics_histogram;
+          quick "exact under parallel updates" test_metrics_parallel_updates;
           quick "prometheus exposition" test_metrics_prometheus;
           quick "exact float bucket labels" test_metrics_histogram_float_bounds;
           quick "help line escaping" test_metrics_help_escaping;
