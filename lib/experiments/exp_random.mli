@@ -1,4 +1,4 @@
-(* Random-instance sweep: xWI vs dual oracle on random topologies. *)
+(* Random-instance sweep: xWI vs the exact solve on random topologies. *)
 
 type alpha_stats = {
   alpha : float;
@@ -6,8 +6,8 @@ type alpha_stats = {
   converged : int;
   iters_p50 : float;
   iters_p95 : float;
-  max_rate_error_vs_dual : float;
-  dual_checks : int;
+  max_rate_error_vs_exact : float;
+  exact_checks : int;
 }
 type t = alpha_stats list
 val run : Ctx.t -> alpha_stats list

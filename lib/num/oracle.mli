@@ -1,19 +1,10 @@
-(** Exact NUM solvers ("Oracle" of §6).
-
-    Two independent methods are provided so that each can certify the
-    other (and the packet-level system) in tests:
-
-    - {!solve_dual}: classical dual (sub)gradient descent with backtracking
-      line search — independent of the xWI machinery but restricted to
-      single-path problems (the multipath dual is non-smooth);
-    - {!solve}: damped xWI fixed-point iteration run to a tight tolerance —
-      handles multipath groups; its output is certified by the returned
-      KKT residuals, which are checked against an explicit tolerance. A
-      {!carry} restarts it from the previous solve's certified state, so
-      a sequence of similar problems is solved warm.
-
-    Both return the KKT report so callers never have to trust the solver
-    blindly. *)
+(** The exact NUM solve ("Oracle" of §6): xWI run to stationarity,
+    with a Newton polish first where one applies. It handles multipath
+    groups, and its output is certified by the returned KKT residuals,
+    checked against an explicit tolerance, so callers never have to
+    trust the solver blindly. A {!carry} restarts it from the previous
+    solve's certified state, so a sequence of similar problems is solved
+    warm. *)
 
 type solution = {
   rates : float array;  (** per sub-flow *)
@@ -24,12 +15,6 @@ type solution = {
 }
 
 exception Did_not_converge of string
-
-val solve_dual : ?tol:float -> ?max_iters:int -> Problem.t -> solution
-(** Dual gradient descent; [tol] (default 1e-8) bounds the worst KKT
-    residual of the returned solution.
-    @raise Invalid_argument on multipath problems.
-    @raise Did_not_converge if the residual target is not met. *)
 
 type carry
 (** The last certified xWI state of a sequence of solves over one link

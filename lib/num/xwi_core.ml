@@ -158,7 +158,7 @@ let equal_weight_rates ws problem =
   rates
 
 (* The xWI seed, shared by every solver that starts from it ([at_seed],
-   [Oracle.solve_dual], [Fluid_dgd]): the equal-weight max-min
+   [Fluid_dgd], the tests' dual gradient reference): the equal-weight max-min
    allocation, by the sparse water-fill, and per link
    p_l = max over flows on l of U'_g(y_g) / |L(i)|, the price each link
    would carry if it were the only bottleneck of its steepest flow. *)

@@ -57,7 +57,8 @@ val seed : Problem.t -> float array * float array
     {!Maxmin.solve_sparse}) and the prices seeded from its marginal
     utilities, [p_l = max_{i ∋ l} U'_g(y_g) / |L(i)|], so that a first
     weight computation is well-scaled. Every solver that starts from the
-    xWI seed ({!at_seed}, [Oracle.solve_dual], [Fluid_dgd]) calls this. *)
+    xWI seed ({!at_seed}, [Fluid_dgd], the tests' dual gradient
+    reference) calls this. *)
 
 val at_seed : Problem.t -> state
 (** The seed-only start: the state at the {!seed}, its prices, rates at

@@ -1,7 +1,8 @@
 (* The pre-sparse (list/array-walking) xWI kernels, retained verbatim as
    the differential-testing oracle for the CSR/CSC implementations in
    [Xwi_core], [Maxmin.solve_sparse] and the [Incidence] sweeps, plus a
-   checker of the max-min conditions themselves. They read
+   checker of the max-min conditions themselves and a dual gradient NUM
+   solver the xWI optimum is checked against. They read
    only [Problem]'s flow paths and group members, never its incidence, so
    they share no structure with the code they check. Nothing here is on a
    hot path and everything may allocate; clarity and faithfulness to the
@@ -307,3 +308,89 @@ let step problem params ~prices ~rates ~weights =
   Array.blit x 0 rates 0 (Array.length x);
   let p = price_update problem params ~prices ~rates in
   Array.blit p 0 prices 0 (Array.length p)
+
+(* Rates induced by prices for a single-path problem (Eq. 3). *)
+let rates_of_prices problem ~prices =
+  Array.init (Problem.n_flows problem) (fun i ->
+      let u = Problem.group_utility problem (Problem.flow_group problem i) in
+      Utility.rate_from_price u (path_price problem ~prices i))
+
+(* Dual objective: q(p) = sum_i [U(x_i(p)) - x_i(p) P_i] + sum_l p_l c_l. *)
+let dual_objective problem ~prices =
+  let rates = rates_of_prices problem ~prices in
+  let total = ref 0. in
+  for i = 0 to Problem.n_flows problem - 1 do
+    let u = Problem.group_utility problem (Problem.flow_group problem i) in
+    let price = path_price problem ~prices i in
+    total := !total +. u.Utility.value rates.(i) -. (rates.(i) *. price)
+  done;
+  let caps = Problem.caps problem in
+  Array.iteri (fun l p -> total := !total +. (p *. caps.(l))) prices;
+  !total
+
+let solve_dual ?(tol = 1e-8) ?(max_iters = 300_000) problem =
+  if not (Problem.is_single_path problem) then
+    invalid_arg "Reference.solve_dual: multipath problems are not supported";
+  let n_links = Problem.n_links problem in
+  let caps = Problem.caps problem in
+  (* Seed prices as in xWI so the first iterate is well-scaled. *)
+  let _, prices = Xwi_core.seed problem in
+  let mean_price =
+    let s = Array.fold_left ( +. ) 0. prices in
+    Float.max (s /. float_of_int n_links) 1e-12
+  in
+  let mean_cap = Array.fold_left ( +. ) 0. caps /. float_of_int n_links in
+  let step = ref (mean_price /. mean_cap) in
+  let obj = ref (dual_objective problem ~prices) in
+  let iterations = ref 0 in
+  let converged = ref false in
+  while (not !converged) && !iterations < max_iters do
+    incr iterations;
+    let loads = link_loads problem ~rates:(rates_of_prices problem ~prices) in
+    let grad = Array.init n_links (fun l -> caps.(l) -. loads.(l)) in
+    (* Backtracking projected gradient step. *)
+    let accepted = ref false in
+    let tries = ref 0 in
+    while (not !accepted) && !tries < 80 do
+      incr tries;
+      let candidate =
+        Array.init n_links (fun l -> Float.max 0. (prices.(l) -. (!step *. grad.(l))))
+      in
+      let move =
+        let acc = ref 0. in
+        Array.iteri
+          (fun l p ->
+            let d = p -. prices.(l) in
+            acc := !acc +. (d *. d))
+          candidate;
+        !acc
+      in
+      let cand_obj = dual_objective problem ~prices:candidate in
+      if cand_obj <= !obj -. (0.25 /. !step *. move) || Float.equal move 0. then begin
+        Array.blit candidate 0 prices 0 n_links;
+        obj := cand_obj;
+        accepted := true;
+        step := !step *. 1.3
+      end
+      else step := !step /. 2.
+    done;
+    if !iterations mod 25 = 0 || !iterations = 1 then begin
+      let rates = rates_of_prices problem ~prices in
+      if Kkt.worst (Kkt.check problem ~rates ~prices) < tol then converged := true
+    end
+  done;
+  let rates = rates_of_prices problem ~prices in
+  let kkt = Kkt.check problem ~rates ~prices in
+  if Kkt.worst kkt > tol then
+    raise
+      (Oracle.Did_not_converge
+         (Format.asprintf "Reference.solve_dual: after %d iterations, %a"
+            !iterations Kkt.pp kkt));
+  {
+    Oracle.rates;
+    group_rates =
+      Array.init (Problem.n_groups problem) (fun g -> group_rate problem ~rates g);
+    prices;
+    iterations = !iterations;
+    kkt;
+  }

@@ -1,4 +1,5 @@
-(** Legacy (pre-sparse) xWI kernels, kept as the test oracle.
+(** Legacy (pre-sparse) xWI kernels and a dual gradient NUM solver,
+    kept as the test oracle.
 
     These are the original list/array-walking implementations of the
     quantities the sparse CSR/CSC kernels now compute: path prices, link
@@ -56,3 +57,15 @@ val step :
     with the same ordering as {!Xwi_core.step}: weights from [prices] and
     the previous [rates], max-min rates for those weights, then the price
     update. *)
+
+val solve_dual : ?tol:float -> ?max_iters:int -> Problem.t -> Oracle.solution
+(** The NUM optimum of a single-path problem by projected gradient
+    descent on the dual, with a backtracking line search from xWI's seed
+    prices ({!Xwi_core.seed}). It shares only the seed, [Utility]'s
+    derivatives and {!Kkt.check} with xWI and the Newton polish, and
+    computes path prices and link loads with the kernels above.
+    [tol] (default 1e-8) bounds the worst KKT residual of the returned
+    solution; the method runs for up to [max_iters] (default 300,000)
+    iterations.
+    @raise Invalid_argument on multipath problems.
+    @raise Oracle.Did_not_converge if the residual target is not met. *)

@@ -193,9 +193,9 @@ let test_random_validation () =
         (Printf.sprintf "alpha %g: most instances converge" s.E.Exp_random.alpha)
         true
         (s.E.Exp_random.converged >= s.E.Exp_random.instances - 1);
-      if s.E.Exp_random.dual_checks > 0 then
-        Alcotest.(check bool) "rates match the dual solver" true
-          (s.E.Exp_random.max_rate_error_vs_dual < 0.01))
+      if s.E.Exp_random.exact_checks > 0 then
+        Alcotest.(check bool) "rates match the exact solve" true
+          (s.E.Exp_random.max_rate_error_vs_exact < 0.01))
     stats
 
 let test_queues_track_dt () =

@@ -300,7 +300,7 @@ let test_bf_utility_consistency () =
     [ Units.gbps 2.; Units.gbps 10.; Units.gbps 14. ]
 
 (* ------------------------------------------------------------------ *)
-(* Oracle (dual) against closed forms *)
+(* The reference dual solver against closed forms *)
 
 let single_link_problem ~cap utilities =
   Problem.create ~caps:[| cap |]
@@ -309,7 +309,7 @@ let single_link_problem ~cap utilities =
 let test_oracle_dual_single_link_proportional () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u; u; u ] in
-  let sol = Oracle.solve_dual p in
+  let sol = Reference.solve_dual p in
   check_rates ~rel:1e-4 "equal shares" [| 2.5; 2.5; 2.5; 2.5 |] sol.Oracle.rates
 
 let test_oracle_dual_single_link_weighted () =
@@ -320,7 +320,7 @@ let test_oracle_dual_single_link_weighted () =
       Utility.proportional_fair ~weight:5. () ]
   in
   let p = single_link_problem ~cap:16. us in
-  let sol = Oracle.solve_dual p in
+  let sol = Reference.solve_dual p in
   check_rates ~rel:1e-4 "weighted shares" [| 2.; 4.; 10. |] sol.Oracle.rates
 
 let parking_lot_problem ~alpha ~cap =
@@ -337,14 +337,14 @@ let parking_lot_problem ~alpha ~cap =
 let test_oracle_dual_parking_lot_alpha1 () =
   (* alpha = 1: x0 = C/3, x1 = x2 = 2C/3. *)
   let p = parking_lot_problem ~alpha:1. ~cap:9. in
-  let sol = Oracle.solve_dual p in
+  let sol = Reference.solve_dual p in
   check_rates ~rel:1e-4 "proportional parking lot" [| 3.; 6.; 6. |] sol.Oracle.rates
 
 let test_oracle_dual_parking_lot_alpha2 () =
   (* alpha = 2: with y = x1 = x2 and x0 = y / sqrt 2, x0 + y = C. *)
   let cap = 10. in
   let p = parking_lot_problem ~alpha:2. ~cap in
-  let sol = Oracle.solve_dual p in
+  let sol = Reference.solve_dual p in
   let y = cap /. (1. +. (1. /. sqrt 2.)) in
   check_rates ~rel:1e-4 "alpha=2 parking lot" [| y /. sqrt 2.; y; y |] sol.Oracle.rates
 
@@ -355,12 +355,12 @@ let test_oracle_dual_rejects_multipath () =
       ~groups:[ { Problem.utility = u; paths = [ [| 0 |]; [| 1 |] ] } ]
   in
   Alcotest.check_raises "multipath rejected"
-    (Invalid_argument "Oracle.solve_dual: multipath problems are not supported")
-    (fun () -> ignore (Oracle.solve_dual p))
+    (Invalid_argument "Reference.solve_dual: multipath problems are not supported")
+    (fun () -> ignore (Reference.solve_dual p))
 
 let test_oracle_dual_kkt_certified () =
   let p = parking_lot_problem ~alpha:0.5 ~cap:4. in
-  let sol = Oracle.solve_dual p in
+  let sol = Reference.solve_dual p in
   Alcotest.(check bool) "kkt residual small" true (Kkt.worst sol.Oracle.kkt < 1e-8)
 
 (* ------------------------------------------------------------------ *)
@@ -472,7 +472,7 @@ let test_xwi_matches_dual_on_parking_lot () =
   List.iter
     (fun alpha ->
       let p = parking_lot_problem ~alpha ~cap:8. in
-      let dual = Oracle.solve_dual p in
+      let dual = Reference.solve_dual p in
       let sol = Oracle.solve ~tol:1e-5 p in
       check_rates ~rel:1e-3
         (Printf.sprintf "alpha=%g" alpha)
@@ -528,7 +528,7 @@ let prop_xwi_matches_dual_random =
              paths weights)
       in
       let p = Problem.create ~caps ~groups in
-      match Oracle.solve_dual ~tol:1e-7 p with
+      match Reference.solve_dual ~tol:1e-7 p with
       | exception Oracle.Did_not_converge _ -> QCheck.assume_fail ()
       | dual -> (
         match Oracle.solve ~tol:1e-5 p with
