@@ -24,8 +24,6 @@ type t = { flows : flow_report list; max_rel_error : float }
 
 let static_weight w =
   Nf_num.Utility.make
-    ~name:(Printf.sprintf "static_weight(%g)" w)
-    ~value:(fun x -> x)
     ~deriv:(fun _ -> 1.)
     ~inv_deriv:(fun _ -> w)
 

@@ -11,7 +11,7 @@ let price_scale problem ~rates =
     let u = Problem.group_utility problem (Problem.flow_group problem i) in
     acc :=
       !acc
-      +. u.Utility.deriv (Float.max rates.(i) 1e-12)
+      +. Utility.deriv u (Float.max rates.(i) 1e-12)
          /. float_of_int (Problem.path_len problem i)
   done;
   Float.max (!acc /. float_of_int (Stdlib.max n 1)) 1e-30
@@ -19,9 +19,9 @@ let price_scale problem ~rates =
 let compute_rates problem ~prices =
   Array.init (Problem.n_flows problem) (fun i ->
       let u = Problem.group_utility problem (Problem.flow_group problem i) in
-      Utility.rate_from_price u
-        ~max_rate:(Scheme.path_line_rate problem i)
-        (Problem.path_price problem ~prices i))
+      Float.min
+        (Utility.rate_from_price u (Problem.path_price problem ~prices i))
+        (Scheme.path_line_rate problem i))
 
 let make problem =
   (* Start from the seed prices xWI also uses so that the comparison is

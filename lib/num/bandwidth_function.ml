@@ -1,13 +1,8 @@
 module Piecewise = Nf_util.Piecewise
 
-type t = {
-  b : Piecewise.t;  (* B : fair share -> bandwidth, strictly increasing *)
-  f : Piecewise.t;  (* F = B^-1 : bandwidth -> fair share *)
-}
-
-let invert_curve b =
-  (* Swap coordinates; requires strictly increasing values. *)
-  Piecewise.of_points (List.map (fun (x, y) -> (y, x)) (Piecewise.points b))
+(* B : fair share -> bandwidth, strictly increasing; F = B^-1 is
+   [Piecewise.inverse]. *)
+type t = Piecewise.t
 
 let create curve =
   (match Piecewise.points curve with
@@ -16,7 +11,7 @@ let create curve =
   if not (Piecewise.strictly_increasing curve) then
     invalid_arg
       "Bandwidth_function.create: curve must be strictly increasing (use create_strict)";
-  { b = curve; f = invert_curve curve }
+  curve
 
 let create_strict ?slope_floor curve =
   (match Piecewise.points curve with
@@ -45,31 +40,26 @@ let create_strict ?slope_floor curve =
 
 let bandwidth t f =
   if f < 0. then invalid_arg "Bandwidth_function.bandwidth: negative fair share";
-  Piecewise.eval t.b f
+  Piecewise.eval t f
 
 let fair_share t x =
   if x < 0. then invalid_arg "Bandwidth_function.fair_share: negative bandwidth";
-  if Float.equal x 0. then 0. else Piecewise.inverse t.b x
+  if Float.equal x 0. then 0. else Piecewise.inverse t x
 
 let utility t ~alpha =
   if not (alpha > 0.) then
     invalid_arg "Bandwidth_function.utility: alpha must be positive";
   let max_y =
-    List.fold_left (fun acc (_, y) -> Float.max acc y) 0. (Piecewise.points t.b)
+    List.fold_left (fun acc (_, y) -> Float.max acc y) 0. (Piecewise.points t)
   in
+  (* F(x) is 0 at x = 0, where F^-α diverges. *)
   let x_floor = Float.max (1e-9 *. max_y) 1e-30 in
-  let value x =
-    let x = Float.max x x_floor in
-    Piecewise.integral_pow_between t.f ~alpha ~lo:x_floor ~hi:x
-  in
   let deriv x =
     let fs = fair_share t (Float.max x x_floor) in
     Float.max fs 1e-30 ** -.alpha
   in
   let inv_deriv p = bandwidth t (p ** (-1. /. alpha)) in
-  Utility.make
-    ~name:(Printf.sprintf "bandwidth_function(alpha=%g)" alpha)
-    ~value ~deriv ~inv_deriv
+  Utility.make ~deriv ~inv_deriv
 
 let max_fair_share = 1e9
 

@@ -6,7 +6,9 @@
     {!single_link_allocation} computes for flows on one link. The paper
     shows (Eq. 2) that the utility [U(x) = ∫ F(τ)^-α dτ] with
     [F = B^-1] makes the NUM solution approach that allocation as [α]
-    grows; [α ≈ 5] suffices in practice (§6.3). *)
+    grows; [α ≈ 5] suffices in practice (§6.3). The solvers read that
+    utility only through [U' = F^-α] and its inverse, so {!utility}
+    builds those two and never the integral. *)
 
 type t
 
@@ -32,11 +34,10 @@ val fair_share : t -> float -> float
 (** [F(x) = B^-1(x)] for [x >= 0]. *)
 
 val utility : t -> alpha:float -> Utility.t
-(** The Table 1 (last row) utility for this bandwidth function:
-    [U'(x) = F(x)^-α], [U'^-1(p) = B(p^(-1/α))]. The reported
-    [value] integrates [F^-α] from a small positive floor rather than 0
-    (the integral can diverge at 0 for [α >= 1]); this constant shift does
-    not affect the induced allocation. *)
+(** The Table 1 (last row) utility for this bandwidth function, an
+    {!Utility.Opaque} one: [U'(x) = F(x)^-α] (with [x] floored at 1e-9 of
+    the curve's largest breakpoint value, and at 1e-30, as [F(0) = 0]) and
+    [U'^-1(p) = B(p^(-1/α))]. *)
 
 val single_link_allocation : bfs:t array -> capacity:float -> float array * float
 (** The water-filling allocation of §2: the largest common fair share [f*]

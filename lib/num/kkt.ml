@@ -57,7 +57,7 @@ let check_into ?(used_threshold = default_used_threshold) ?witness problem
       y := !y +. Array.unsafe_get rates (Array.unsafe_get grp_flows k)
     done;
     let y = !y in
-    let marginal = Utility.deriv_fast (Array.unsafe_get utils g) y in
+    let marginal = Utility.deriv (Array.unsafe_get utils g) y in
     let scale = Fcmp.fmax marginal 1e-30 in
     let used_floor = used_threshold *. Fcmp.fmax y 1e-30 in
     for k = start to stop - 1 do
@@ -128,7 +128,7 @@ let[@inline] flow_residual ~used_threshold problem ~rates ~prices i =
   done;
   let y = !y in
   let marginal =
-    Utility.deriv_fast (Array.unsafe_get (Problem.utilities problem) g) y
+    Utility.deriv (Array.unsafe_get (Problem.utilities problem) g) y
   in
   let price = ref 0. in
   for j = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1 do

@@ -161,9 +161,9 @@ let eligible problem =
   let inc = Problem.incidence problem and utils = Problem.utilities problem in
   let ok = ref inc.Incidence.singleton and g = ref 0 in
   while !ok && !g < Array.length utils do
-    (match utils.(!g).Utility.shape with
+    (match utils.(!g) with
     | Utility.Log _ | Utility.Power _ -> ()
-    | Utility.Opaque -> ok := false);
+    | Utility.Opaque _ -> ok := false);
     incr g
   done;
   !ok
@@ -274,13 +274,13 @@ let evaluate ws (inc : Incidence.t) (utils : Utility.t array) m p =
     let pp = !pp in
     if pp > 0. && pp < infinity then begin
       let u = utils.(i) in
-      let x = Utility.rate_from_price_fast u pp in
+      let x = Utility.rate_from_price u pp in
       ws.x.(i) <- x;
       (* D = -dx/dp = x / (alpha pp) for an alpha-fair U'^-1. *)
-      (match u.Utility.shape with
+      (match u with
       | Utility.Log _ -> ws.d.(i) <- x /. pp
       | Utility.Power { alpha; _ } -> ws.d.(i) <- x /. (alpha *. pp)
-      | Utility.Opaque -> ok := false);
+      | Utility.Opaque _ -> ok := false);
       for j = lo to hi - 1 do
         let k = ws.fpos.(j) in
         ws.f.(k) <- ws.f.(k) +. x
@@ -696,7 +696,7 @@ let solve ws problem ~prices ~carried ~rates ~out =
       else begin
         let l = !best in
         if ws.mark.(l) < 0 then ws.mark.(l) <- 1;
-        let marginal = Utility.deriv_fast utils.(i) !carried_rates.(i) in
+        let marginal = Utility.deriv utils.(i) !carried_rates.(i) in
         if marginal > ws.start.(l) then ws.start.(l) <- marginal
       end
     end

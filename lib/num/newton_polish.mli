@@ -52,7 +52,7 @@ val create : unit -> t
 
 val eligible : Problem.t -> bool
 (** Every group is a single flow and every utility is [Log] or [Power]
-    (its {!Utility.shape}); otherwise there is no closed-form [U'^-1] to
+    ({!Utility.t}); otherwise there is no closed-form [U'^-1] to
     differentiate or no single path price per group, and the polish does
     not apply. *)
 

@@ -275,12 +275,6 @@ let path_len t i =
   force t;
   Array.length t.flow_paths.(i)
 
-let group_members t g =
-  force t;
-  let inc = t.incidence in
-  let start = inc.Incidence.grp_ptr.(g) in
-  Array.sub inc.Incidence.grp_flows start (inc.Incidence.grp_ptr.(g + 1) - start)
-
 let group_utility t g =
   force t;
   t.utilities.(g)
@@ -294,10 +288,6 @@ let link_flows t l =
   let inc = t.incidence in
   Array.sub inc.Incidence.col_rows inc.Incidence.col_ptr.(l)
     (Incidence.link_degree inc l)
-
-let paths t =
-  force t;
-  t.flow_paths
 
 let incidence t =
   force t;

@@ -115,10 +115,6 @@ val flow_group : t -> int -> int
 val path_len : t -> int -> int
 (** [|L(i)|] of the paper: number of links on flow [i]'s path. *)
 
-val group_members : t -> int -> int array
-(** The flow ids of dense group [g], in member order: a fresh copy of the
-    incidence's group row. *)
-
 val group_utility : t -> int -> Utility.t
 
 val utilities : t -> Utility.t array
@@ -130,12 +126,6 @@ val link_flows : t -> int -> int array
 (** Flows crossing the given link ([S(l)] of the paper): a copy of the
     incidence's CSC column, ascending, each flow once even if its path
     repeats the link. *)
-
-val paths : t -> int array array
-(** The live flow→path incidence array ([paths.(flow)] = link ids).
-    Shared, not copied: callers must treat it as read-only. The test
-    oracle's dense solvers read paths in this form; the sparse kernels
-    use {!incidence}. *)
 
 val incidence : t -> Incidence.t
 (** The sparse CSR/CSC index structure of the current snapshot. Shared,

@@ -1,10 +1,14 @@
 (** Utility functions for network utility maximization (Table 1 of the
     paper).
 
-    A utility is represented by the three functions every algorithm in this
-    repository needs: the value [U], the marginal utility [U'], and its
-    inverse [U'^-1] (which maps a path price to the rate/weight at which the
-    marginal utility equals that price — Eqs. 3 and 7 of the paper).
+    Every algorithm in this repository reads a utility through two
+    functions: the marginal utility [U'] ({!deriv}: Eq. 9's residuals and
+    the KKT check) and its inverse [U'^-1] ({!rate_from_price}: the
+    rate/weight at which the marginal utility equals a path price, Eqs. 3
+    and 7). A utility is therefore its shape: the parameters of an
+    α-fair [U'], or, for a custom utility, the two functions themselves.
+    [U] itself has no reader here; the test reference's dual objective
+    evaluates its own α-fair formula.
 
     All utilities here are smooth, increasing and strictly concave on
     rates [x > 0]. Rates can be expressed in any unit (the library uses
@@ -12,39 +16,30 @@
     induced allocation of a NUM problem does not depend on the unit as long
     as it is used consistently. *)
 
-type shape = private
+type t = private
   | Log of { weight : float }
       (** [U'(x) = w/x]: α-fair with [α = 1] (proportional fairness). *)
   | Power of { weight : float; alpha : float; walpha : float; inv_alpha : float }
       (** [U'(x) = w^α x^(-α)]: α-fair with [α <> 1]. [walpha = w^α] and
-          [inv_alpha = -1/α] are precomputed with the exact expressions
-          the closure fields use, so the fast evaluators below are
-          bit-identical to the closures. *)
-  | Opaque  (** Custom utility from {!make}: only the closures exist. *)
-(** Analytic shape of the built-in utilities, letting hot solver loops
-    evaluate [U'] / [U'^-1] with inline unboxed arithmetic instead of a
-    closure call (which boxes the float argument and result). *)
+          [inv_alpha = -1/α] are precomputed once. *)
+  | Opaque of { deriv : float -> float; inv_deriv : float -> float }
+      (** A custom utility from {!make}: [U'] and [U'^-1] as closures. *)
+(** Hot solver loops evaluate the [Log] and [Power] shapes with inline
+    unboxed arithmetic; only [Opaque] makes a closure call (which boxes
+    the float argument and result). Other modules match on the shape
+    where they need α itself: [Newton_polish.eligible]/[evaluate] and
+    [Proto_swift]'s SRPT law. *)
 
-type t = private {
-  name : string;
-  value : float -> float;  (** [U(x)], for [x > 0] *)
-  deriv : float -> float;  (** [U'(x)], positive and decreasing *)
-  inv_deriv : float -> float;  (** [U'^-1(p)], for [p > 0] *)
-  shape : shape;  (** Analytic shape; {!Opaque} for custom utilities. *)
-}
-
-val make :
-  name:string ->
-  value:(float -> float) ->
-  deriv:(float -> float) ->
-  inv_deriv:(float -> float) ->
-  t
-(** Escape hatch for custom utilities. The caller is responsible for
-    concavity and for [inv_deriv] actually inverting [deriv]. *)
+val make : deriv:(float -> float) -> inv_deriv:(float -> float) -> t
+(** Escape hatch for custom utilities: [deriv] is [U'(x)], positive and
+    decreasing, and [inv_deriv] is [U'^-1(p)] for [p > 0]. The caller is
+    responsible for concavity and for [inv_deriv] actually inverting
+    [deriv]. *)
 
 val alpha_fair : ?weight:float -> alpha:float -> unit -> t
 (** Weighted α-fair utility (rows 1–2 of Table 1):
-    [U(x) = w^α x^(1-α) / (1-α)] for [α <> 1] and [w ln x] for [α = 1].
+    [U(x) = w^α x^(1-α) / (1-α)] for [α <> 1] and [w ln x] for [α = 1]
+    ([Log] when [α] is within 1e-12 of 1, else [Power]).
     [α = 0] is disallowed (not strictly concave); α must be positive and
     [weight] (default 1) positive.
     - [α -> 0]: throughput maximization;
@@ -73,8 +68,8 @@ val deadline : deadline:float -> eps:float -> t
 
 val fct_remaining : remaining:float -> eps:float -> t
 (** Shortest-Remaining-Processing-Time approximation (§2): the {!fct}
-    utility evaluated at the flow's current remaining size; senders
-    re-derive it as the flow drains. *)
+    utility evaluated at the flow's current remaining size (floored at
+    1); senders re-derive it as the flow drains. *)
 
 val min_price : float
 (** Floor applied to path prices before inverting the marginal utility
@@ -84,33 +79,29 @@ val min_price : float
     as the price approaches 0, and measured prices can transiently be 0 or
     slightly negative. *)
 
-val rate_from_price : t -> ?max_rate:float -> float -> float
-(** [rate_from_price u p] is [U'^-1 (max p min_price)] capped at 1e300
-    (so steep inverses cannot overflow to infinity; only the relative
-    ordering of weights matters) and optionally clamped to [max_rate].
-    This is the safe form of Eqs. 3 and 7 used by DGD senders and by
-    xWI's weight computation. *)
+val deriv : t -> float -> float
+(** [U'(x)]. The [Log] and [Power] shapes floor [x] at 1e-12 (measured
+    rates can transiently be 0, where [U'] diverges): [w / x] and
+    [w^α x^(-α)]. [Opaque] applies its closure to [x] as given.
+    Allocation-free except for [Opaque]. *)
 
-val deriv_fast : t -> float -> float
-(** [U'(x)] via the {!shape} dispatch: bit-identical to [u.deriv x] for
-    the built-in utilities but allocation-free (the closure call would box
-    argument and result). Falls back to the closure for {!Opaque}. *)
-
-val rate_from_price_fast : t -> float -> float
-(** [rate_from_price u p] (no [max_rate] clamp) via the {!shape}
-    dispatch: bit-identical to the closure path but allocation-free for
-    the built-in utilities. *)
+val rate_from_price : t -> float -> float
+(** [U'^-1 (max p min_price)] capped at 1e300 (so steep inverses cannot
+    overflow to infinity; only the relative ordering of weights matters;
+    NaN also maps to the cap): [w / p] and [w p^(-1/α)] for the shapes,
+    the closure for [Opaque]. This is the safe form of Eqs. 3 and 7 used
+    by DGD senders and by xWI's weight computation. Allocation-free
+    except for [Opaque]. *)
 
 (** {2 Shapes on explicit parameters}
 
-    The formulas behind {!deriv_fast} and {!rate_from_price_fast}, for a
-    caller whose α-fair weight moves per event and who keeps it (and
+    The formulas behind {!deriv} and {!rate_from_price}, for a caller
+    whose α-fair weight moves per event and who keeps it (and
     [weight ** alpha]) itself instead of building a utility each time:
     SRPT senders re-derive an {!fct} weight from the remaining size per
-    ACK. [log_shape] selects the {!Log} formula ([alpha_fair] picks it
-    when [alpha] is within 1e-12 of 1), else the {!Power} one; the
-    results are bit-identical to the [_fast] evaluators on the
-    corresponding utility. *)
+    ACK. [log_shape] selects the {!Log} formula, else the {!Power} one;
+    the results are bit-identical to {!deriv} and {!rate_from_price} on
+    the corresponding utility. *)
 
 val alpha_fair_deriv :
   log_shape:bool -> weight:float -> walpha:float -> alpha:float -> float -> float

@@ -171,7 +171,7 @@ let seed problem =
   for i = 0 to n_flows - 1 do
     let g = Problem.flow_group problem i in
     let y = Problem.group_rate problem ~rates g in
-    let marginal = (Problem.group_utility problem g).Utility.deriv (Float.max y 1e-12) in
+    let marginal = Utility.deriv (Problem.group_utility problem g) (Float.max y 1e-12) in
     let share = marginal /. float_of_int (Problem.path_len problem i) in
     Array.iter
       (fun l -> if share > prices.(l) then prices.(l) <- share)
@@ -197,7 +197,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
        flow [i] is exactly group [i]: skip the group indirection. *)
     for i = 0 to inc.Incidence.n_flows - 1 do
       let u = Array.unsafe_get utils i in
-      let w = Utility.rate_from_price_fast u (Array.unsafe_get path_prices i) in
+      let w = Utility.rate_from_price u (Array.unsafe_get path_prices i) in
       Array.unsafe_set out i (Fcmp.fmax w 1e-30)
     done
   else begin
@@ -210,7 +210,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
       if stop - start = 1 then begin
         let i = Array.unsafe_get grp_flows start in
         let w =
-          Utility.rate_from_price_fast u (Array.unsafe_get path_prices i)
+          Utility.rate_from_price u (Array.unsafe_get path_prices i)
         in
         Array.unsafe_set out i (Fcmp.fmax w 1e-30)
       end
@@ -227,7 +227,7 @@ let[@nf.hot] flow_weights (utils : Utility.t array) (inc : Incidence.t)
         for k = start to stop - 1 do
           let i = Array.unsafe_get grp_flows k in
           let total =
-            Utility.rate_from_price_fast u (Array.unsafe_get path_prices i)
+            Utility.rate_from_price u (Array.unsafe_get path_prices i)
           in
           let share =
             if y > 1e-12 then Array.unsafe_get prev_rates i /. y else 1. /. n
@@ -254,7 +254,7 @@ let[@nf.hot] residuals (inc : Incidence.t) state =
   for g = 0 to inc.Incidence.n_groups - 1 do
     let u = Array.unsafe_get utils g in
     Array.unsafe_set group_marginal g
-      (Utility.deriv_fast u (Fcmp.fmax (Array.unsafe_get group_rates g) 1e-12))
+      (Utility.deriv u (Fcmp.fmax (Array.unsafe_get group_rates g) 1e-12))
   done;
   let group_of_flow = inc.Incidence.group_of_flow in
   (* [* inv_len] instead of [Reference]'s [/ len]: up to an ulp apart when

@@ -66,28 +66,22 @@ let stop t =
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
-let send c line =
-  if not c.closing then begin
-    let data = line ^ "\n" in
-    let n = String.length data in
-    let off = ref 0 in
-    (try
-       while !off < n do
-         off := !off + Unix.write_substring c.fd data !off (n - !off)
-       done
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-       c.closing <- true)
-  end
+(* The one write loop: blocks until all of [data] is written; a peer
+   that has gone away marks the client closing. *)
+let write_all c data =
+  let n = String.length data in
+  let off = ref 0 in
+  try
+    while !off < n do
+      off := !off + Unix.write_substring c.fd data !off (n - !off)
+    done
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> c.closing <- true
+
+let send c line = if not c.closing then write_all c (line ^ "\n")
 
 let send_raw c data =
   if not c.closing then begin
-    let n = String.length data in
-    let off = ref 0 in
-    (try
-       while !off < n do
-         off := !off + Unix.write_substring c.fd data !off (n - !off)
-       done
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    write_all c data;
     c.closing <- true  (* HTTP responses are one-shot *)
   end
 

@@ -224,14 +224,10 @@ let transmit t pkt =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ?(config = Config.default) ?trace ~topology ~protocol () =
+let create ?(config = Config.default) ~topology ~protocol () =
   let module P = (val protocol : Protocol.PROTOCOL) in
   let sim = Sim.create () in
-  let trace =
-    match trace with
-    | Some tr -> tr
-    | None -> Trace.default ()
-  in
+  let trace = Trace.default () in
   let pool = Packet.create_pool () in
   let links =
     Array.map

@@ -55,13 +55,12 @@ type t
 
 val create :
   ?config:Config.t ->
-  ?trace:Nf_util.Trace.t ->
   topology:Nf_topo.Topology.t ->
   protocol:Protocol.t ->
   unit ->
   t
-(** Each network gets a fresh {!Record.t}. [trace] overrides the process
-    default trace sink (resolved once, at creation). *)
+(** Each network gets a fresh {!Record.t}. Its trace sink is the process
+    default ({!Nf_util.Trace.default}), resolved once, at creation. *)
 
 val sim : t -> Nf_engine.Sim.t
 

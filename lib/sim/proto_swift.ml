@@ -27,7 +27,7 @@ type floats = {
    whose weight, [Utility.fct_weight] of the remaining size floored at
    one byte, alone moves as the flow drains. The sender keeps that
    weight in [floats] and evaluates it with [Utility.alpha_fair_deriv] /
-   [alpha_fair_rate], the formulas [deriv_fast]/[rate_from_price_fast]
+   [alpha_fair_rate], the formulas [Utility.deriv]/[rate_from_price]
    apply to the utility [fct_remaining] would build, so a per-ACK update
    allocates nothing and every result is bit-identical to rebuilding the
    utility. *)
@@ -49,14 +49,14 @@ let[@inline] srpt_set_remaining ~eps ~alpha f remaining =
 
 let[@inline] deriv st x =
   match st.law with
-  | Fixed u -> Utility.deriv_fast u x
+  | Fixed u -> Utility.deriv u x
   | Srpt { log_shape; alpha; _ } ->
     Utility.alpha_fair_deriv ~log_shape ~weight:st.f.u_weight
       ~walpha:st.f.u_walpha ~alpha x
 
 let[@inline] rate_from_price st p =
   match st.law with
-  | Fixed u -> Utility.rate_from_price_fast u p
+  | Fixed u -> Utility.rate_from_price u p
   | Srpt { log_shape; inv_alpha; _ } ->
     Utility.alpha_fair_rate ~log_shape ~weight:st.f.u_weight ~inv_alpha p
 
@@ -109,10 +109,10 @@ let make ~srpt ~name ~description : Protocol.t =
           (* Built once: validates [eps] and yields the shape's constants. *)
           let u = Utility.fct_remaining ~remaining:env.Protocol.env_size ~eps in
           let law =
-            match u.Utility.shape with
+            match u with
             | Utility.Power { alpha; inv_alpha; _ } ->
               Srpt { eps; log_shape = false; alpha; inv_alpha }
-            | Utility.Log _ | Utility.Opaque (* never: it is alpha-fair *) ->
+            | Utility.Log _ | Utility.Opaque _ (* never: it is alpha-fair *) ->
               Srpt { eps; log_shape = true; alpha = eps; inv_alpha = -1. /. eps }
           in
           srpt_set_remaining ~eps ~alpha:eps f env.Protocol.env_size;

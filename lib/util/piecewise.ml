@@ -46,8 +46,6 @@ let eval f x =
   let i = segment_index f x in
   f.ys.(i) +. (slope f i *. (x -. f.xs.(i)))
 
-let min_x f = f.xs.(0)
-
 let strictly_increasing f =
   let ok = ref true in
   for i = 0 to n_points f - 2 do
@@ -75,34 +73,3 @@ let inverse f y =
       else f.xs.(i - 1) +. ((y -. f.ys.(i - 1)) /. s)
     end
   end
-
-(* Closed-form ∫ (a + b u)^(-alpha) du over [0, d]. *)
-let segment_integral ~alpha ~a ~b d =
-  if a <= 0. || a +. (b *. d) <= 0. then
-    invalid_arg "Piecewise.integral_pow_between: function must stay positive";
-  if b = 0. then (a ** -.alpha) *. d
-  else if Float.abs (alpha -. 1.) < 1e-12 then log ((a +. (b *. d)) /. a) /. b
-  else
-    (((a +. (b *. d)) ** (1. -. alpha)) -. (a ** (1. -. alpha)))
-    /. (b *. (1. -. alpha))
-
-let integral_pow_between f ~alpha ~lo ~hi =
-  if lo < min_x f then invalid_arg "Piecewise.integral_pow_between: lo below domain";
-  if hi < lo then invalid_arg "Piecewise.integral_pow_between: hi below lo";
-  let total = ref 0. in
-  let n = n_points f in
-  let i = ref (segment_index f lo) in
-  let cursor = ref lo in
-  while !cursor < hi do
-    let seg_hi = if !i + 1 < n then f.xs.(!i + 1) else infinity in
-    let upto = Float.min hi seg_hi in
-    let d = upto -. !cursor in
-    if d > 0. then begin
-      let idx = Stdlib.min !i (n - 2) in
-      total :=
-        !total +. segment_integral ~alpha ~a:(eval f !cursor) ~b:(slope f idx) d
-    end;
-    cursor := upto;
-    if upto < hi then incr i
-  done;
-  !total

@@ -1,8 +1,8 @@
 (** Non-decreasing piecewise-linear functions.
 
     The representation behind bandwidth functions (BwE, §2 of the paper):
-    a function [B : fair-share -> Gbps] given by breakpoints, evaluated,
-    inverted and integrated in closed form. Beyond the last breakpoint the
+    a function [B : fair-share -> Gbps] given by breakpoints, evaluated
+    and inverted in closed form. Beyond the last breakpoint the
     function continues with the slope of its final segment. *)
 
 type t
@@ -28,9 +28,3 @@ val inverse : t -> float -> float
     @raise Invalid_argument if [y] is below [eval f x0]. *)
 
 val strictly_increasing : t -> bool
-
-val integral_pow_between : t -> alpha:float -> lo:float -> hi:float -> float
-(** [∫_{lo}^{hi} (eval f τ)^(-alpha) dτ], computed in closed form on each
-    linear segment, requiring [eval f] strictly positive on [\[lo, hi\]]
-    only (the function may touch 0 below [lo]). [lo <= hi] and
-    [lo >= min_x f] required. *)

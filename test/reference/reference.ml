@@ -2,11 +2,12 @@
    the differential-testing oracle for the CSR/CSC implementations in
    [Xwi_core], [Maxmin.solve_sparse] and the [Incidence] sweeps, plus a
    checker of the max-min conditions themselves and a dual gradient NUM
-   solver the xWI optimum is checked against. They read
-   only [Problem]'s flow paths and group members, never its incidence, so
-   they share no structure with the code they check. Nothing here is on a
-   hot path and everything may allocate; clarity and faithfulness to the
-   original code win over speed. *)
+   solver the xWI optimum is checked against. They read only
+   [Problem]'s flow paths and its groups' member lists (the incidence's
+   group rows, an input like the paths), never the incidence's link
+   columns or sweeps, so they share no kernel with the code they check.
+   Nothing here is on a hot path and everything may allocate; clarity and
+   faithfulness to the original code win over speed. *)
 
 open Nf_num
 
@@ -16,11 +17,16 @@ let path_price problem ~prices i =
     0.
     (Problem.flow_path problem i)
 
+let group_members problem g =
+  let inc = Problem.incidence problem in
+  let start = inc.Incidence.grp_ptr.(g) in
+  Array.sub inc.Incidence.grp_flows start (inc.Incidence.grp_ptr.(g + 1) - start)
+
 let group_rate problem ~rates g =
   Array.fold_left
     (fun acc i -> acc +. rates.(i))
     0.
-    (Problem.group_members problem g)
+    (group_members problem g)
 
 let link_loads problem ~rates =
   let loads = Array.make (Problem.n_links problem) 0. in
@@ -49,7 +55,7 @@ let link_flows problem =
 let flow_weights problem ~prices ~prev_rates =
   let out = Array.make (Problem.n_flows problem) 0. in
   for g = 0 to Problem.n_groups problem - 1 do
-    let members = Problem.group_members problem g in
+    let members = group_members problem g in
     let u = Problem.group_utility problem g in
     if Array.length members = 1 then begin
       let i = members.(0) in
@@ -80,7 +86,7 @@ let price_update problem (params : Xwi_core.params) ~prices ~rates =
   let n_groups = Problem.n_groups problem in
   let group_marginal =
     Array.init n_groups (fun g ->
-        (Problem.group_utility problem g).Utility.deriv
+        Utility.deriv (Problem.group_utility problem g)
           (Float.max (group_rate problem ~rates g) 1e-12))
   in
   let n_flows = Problem.n_flows problem in
@@ -258,7 +264,8 @@ let water_fill ~caps ~paths ~weights =
   { rates; bottleneck; fair_share }
 
 let maxmin problem ~weights =
-  water_fill ~caps:(Problem.caps problem) ~paths:(Problem.paths problem)
+  water_fill ~caps:(Problem.caps problem)
+    ~paths:(Array.init (Problem.n_flows problem) (Problem.flow_path problem))
     ~weights
 
 let is_maxmin ~caps ~paths ~weights rates =
@@ -315,6 +322,15 @@ let rates_of_prices problem ~prices =
       let u = Problem.group_utility problem (Problem.flow_group problem i) in
       Utility.rate_from_price u (path_price problem ~prices i))
 
+(* U(x) of Table 1's alpha-fair rows at x floored at 1e-12, the floor
+   [Utility.deriv] applies. *)
+let utility_value u x =
+  let x = Float.max x 1e-12 in
+  match u with
+  | Utility.Log { weight } -> weight *. log x
+  | Utility.Power { alpha; walpha; _ } -> walpha *. (x ** (1. -. alpha)) /. (1. -. alpha)
+  | Utility.Opaque _ -> invalid_arg "Reference.utility_value: opaque utility"
+
 (* Dual objective: q(p) = sum_i [U(x_i(p)) - x_i(p) P_i] + sum_l p_l c_l. *)
 let dual_objective problem ~prices =
   let rates = rates_of_prices problem ~prices in
@@ -322,7 +338,7 @@ let dual_objective problem ~prices =
   for i = 0 to Problem.n_flows problem - 1 do
     let u = Problem.group_utility problem (Problem.flow_group problem i) in
     let price = path_price problem ~prices i in
-    total := !total +. u.Utility.value rates.(i) -. (rates.(i) *. price)
+    total := !total +. utility_value u rates.(i) -. (rates.(i) *. price)
   done;
   let caps = Problem.caps problem in
   Array.iteri (fun l p -> total := !total +. (p *. caps.(l))) prices;

@@ -7,8 +7,9 @@
     Eqs. 9–11 price update, and the full xWI step. They are intentionally slow, allocate freely, and must not be
     called from production paths — qcheck properties compare the sparse
     results against them (see test/test_num.ml). They read only the
-    problem's flow paths and group members (building the link → flows
-    map S(l) themselves), never its {!Nf_num.Incidence.t}. *)
+    problem's flow paths and its groups' member lists (the
+    {!Nf_num.Incidence.t}'s group rows), building the link → flows map
+    S(l) themselves, never the incidence's link columns or sweeps. *)
 
 open Nf_num
 
@@ -58,6 +59,13 @@ val step :
     the previous [rates], max-min rates for those weights, then the price
     update. *)
 
+val utility_value : Utility.t -> float -> float
+(** [U(x)] at [max x 1e-12] for an α-fair utility: [w ln x] for [Log],
+    [w^α x^(1-α) / (1-α)] for [Power]; the dual objective of
+    {!solve_dual} sums it. The library has no [U(x)]: its solvers read
+    only [U'] and [U'^-1].
+    @raise Invalid_argument on an [Opaque] utility. *)
+
 val solve_dual : ?tol:float -> ?max_iters:int -> Problem.t -> Oracle.solution
 (** The NUM optimum of a single-path problem by projected gradient
     descent on the dual, with a backtracking line search from xWI's seed
@@ -67,5 +75,5 @@ val solve_dual : ?tol:float -> ?max_iters:int -> Problem.t -> Oracle.solution
     [tol] (default 1e-8) bounds the worst KKT residual of the returned
     solution; the method runs for up to [max_iters] (default 300,000)
     iterations.
-    @raise Invalid_argument on multipath problems.
+    @raise Invalid_argument on multipath problems or an [Opaque] utility.
     @raise Oracle.Did_not_converge if the residual target is not met. *)

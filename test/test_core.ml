@@ -19,7 +19,7 @@ let check_close ?(rel = 1e-4) what expected actual =
 let test_objective_alpha () =
   let u = Objective.utility_for (Objective.Alpha_fairness { alpha = 2. }) ~key:0 ~size:0. in
   let v = Utility.alpha_fair ~alpha:2. () in
-  check_close ~rel:1e-12 "same marginal" (v.Utility.deriv 3.) (u.Utility.deriv 3.)
+  check_close ~rel:1e-12 "same marginal" (Utility.deriv v 3.) (Utility.deriv u 3.)
 
 let test_objective_weighted () =
   let weight_of key = float_of_int (key + 1) in
@@ -28,14 +28,14 @@ let test_objective_weighted () =
   let u2 = Objective.utility_for o ~key:2 ~size:0. in
   (* weight 3 flow has 3x the marginal utility at the same rate *)
   check_close ~rel:1e-12 "weights applied" 3.
-    (u2.Utility.deriv 5. /. u0.Utility.deriv 5.)
+    (Utility.deriv u2 5. /. Utility.deriv u0 5.)
 
 let test_objective_fct_uses_size () =
   let o = Objective.minimize_fct in
   let small = Objective.utility_for o ~key:0 ~size:1e4 in
   let big = Objective.utility_for o ~key:1 ~size:1e7 in
   Alcotest.(check bool) "small flows steeper" true
-    (small.Utility.deriv 1e6 > big.Utility.deriv 1e6)
+    (Utility.deriv small 1e6 > Utility.deriv big 1e6)
 
 let test_objective_describe () =
   Alcotest.(check string) "describe alpha" "alpha-fairness (alpha = 1)"

@@ -53,15 +53,23 @@ let start_at p ~prices =
 
 let test_alpha_fair_log () =
   let u = Utility.proportional_fair () in
-  check_close "U(x) = ln x" (log 5.) (u.Utility.value 5.);
-  check_close "U'(x) = 1/x" 0.2 (u.Utility.deriv 5.);
-  check_close "U'^-1(p) = 1/p" 5. (u.Utility.inv_deriv 0.2)
+  check_close "reference U(x) = ln x" (log 5.) (Reference.utility_value u 5.);
+  check_close "U'(x) = 1/x" 0.2 (Utility.deriv u 5.);
+  check_close "U'^-1(p) = 1/p" 5. (Utility.rate_from_price u 0.2)
 
 let test_alpha_fair_weighted () =
   let u = Utility.alpha_fair ~weight:3. ~alpha:2. () in
   (* U'(x) = w^a x^-a = 9 x^-2 *)
-  check_close "deriv" (9. /. 25.) (u.Utility.deriv 5.);
-  check_close "inverse" 5. (u.Utility.inv_deriv (9. /. 25.))
+  check_close "deriv" (9. /. 25.) (Utility.deriv u 5.);
+  check_close "inverse" 5. (Utility.rate_from_price u (9. /. 25.));
+  (* U(x) = w^a x^(1-a) / (1-a) = -9/x *)
+  check_close "reference U(x)" (-9. /. 5.) (Reference.utility_value u 5.);
+  Alcotest.check_raises "reference U(x) of an opaque utility"
+    (Invalid_argument "Reference.utility_value: opaque utility") (fun () ->
+      ignore
+        (Reference.utility_value
+           (Utility.make ~deriv:(fun x -> 1. /. x) ~inv_deriv:(fun p -> 1. /. p))
+           5.))
 
 let test_alpha_fair_validation () =
   Alcotest.check_raises "alpha 0"
@@ -78,19 +86,19 @@ let test_fct_matches_weighted_alpha () =
   let v = Utility.alpha_fair ~weight:(size ** (-1. /. eps)) ~alpha:eps () in
   List.iter
     (fun x ->
-      check_close "deriv agreement" (v.Utility.deriv x) (u.Utility.deriv x))
+      check_close "deriv agreement" (Utility.deriv v x) (Utility.deriv u x))
     [ 1e3; 1e6; 1e9 ];
   (* Marginal utility at equal rate is larger for smaller flows. *)
   let small = Utility.fct ~size:1e3 ~eps in
   Alcotest.(check bool) "smaller flows have steeper utility" true
-    (small.Utility.deriv 1e6 > u.Utility.deriv 1e6)
+    (Utility.deriv small 1e6 > Utility.deriv u 1e6)
 
 let test_deadline_utility () =
   (* Earlier deadlines get steeper utilities, hence priority. *)
   let tight = Utility.deadline ~deadline:1e-3 ~eps:0.125 in
   let loose = Utility.deadline ~deadline:50e-3 ~eps:0.125 in
   Alcotest.(check bool) "tight deadline is steeper" true
-    (tight.Utility.deriv 1e9 > loose.Utility.deriv 1e9);
+    (Utility.deriv tight 1e9 > Utility.deriv loose 1e9);
   Alcotest.check_raises "bad deadline"
     (Invalid_argument "Utility.deadline: deadline must be positive") (fun () ->
       ignore (Utility.deadline ~deadline:0. ~eps:0.125))
@@ -101,39 +109,37 @@ let test_fct_remaining_tracks () =
   let big = Utility.fct_remaining ~remaining:1e7 ~eps:0.125 in
   let drained = Utility.fct_remaining ~remaining:1e4 ~eps:0.125 in
   Alcotest.(check bool) "drained flow gains priority" true
-    (drained.Utility.deriv 1e8 > big.Utility.deriv 1e8);
+    (Utility.deriv drained 1e8 > Utility.deriv big 1e8);
   (* Degenerate remaining values are clamped, not errors. *)
   let z = Utility.fct_remaining ~remaining:0. ~eps:0.125 in
   Alcotest.(check bool) "zero remaining clamps" true
-    (Float.is_finite (z.Utility.deriv 1e6))
+    (Float.is_finite (Utility.deriv z 1e6))
 
 let test_rate_from_price_clamps () =
   let u = Utility.proportional_fair () in
   let r = Utility.rate_from_price u 0. in
-  Alcotest.(check bool) "zero price clamped, finite rate" true (Float.is_finite r);
-  let r2 = Utility.rate_from_price u ~max_rate:100. 0. in
-  check_close "max_rate clamp" 100. r2
+  Alcotest.(check bool) "zero price clamped, finite rate" true (Float.is_finite r)
 
 let prop_inv_deriv_roundtrip =
   QCheck.Test.make ~name:"U'^-1 inverts U' for alpha-fair" ~count:300
     QCheck.(triple (float_range 0.125 5.) (float_range 0.1 10.) (float_range 0.01 1e4))
     (fun (alpha, weight, x) ->
       let u = Utility.alpha_fair ~weight ~alpha () in
-      Approx.rel_eq ~rel:1e-6 x (u.Utility.inv_deriv (u.Utility.deriv x)))
+      Approx.rel_eq ~rel:1e-6 x (Utility.rate_from_price u (Utility.deriv u x)))
 
 let prop_deriv_decreasing =
   QCheck.Test.make ~name:"marginal utility decreases (concavity)" ~count:300
     QCheck.(triple (float_range 0.125 5.) (float_range 0.01 100.) (float_range 1.01 10.))
     (fun (alpha, x, factor) ->
       let u = Utility.alpha_fair ~alpha () in
-      u.Utility.deriv (x *. factor) < u.Utility.deriv x)
+      Utility.deriv u (x *. factor) < Utility.deriv u x)
 
 let prop_value_increasing =
   QCheck.Test.make ~name:"utility value increases in rate" ~count:300
     QCheck.(triple (float_range 0.125 5.) (float_range 0.01 100.) (float_range 1.01 10.))
     (fun (alpha, x, factor) ->
       let u = Utility.alpha_fair ~alpha () in
-      u.Utility.value (x *. factor) > u.Utility.value x)
+      Reference.utility_value u (x *. factor) > Reference.utility_value u x)
 
 (* ------------------------------------------------------------------ *)
 (* Weighted max-min *)
@@ -293,10 +299,11 @@ let test_bf_create_requires_origin () =
 let test_bf_utility_consistency () =
   let b1 = Bf.fig2_flow1 () in
   let u = Bf.utility b1 ~alpha:5. in
-  (* inv_deriv inverts deriv on the rising part of the curve. *)
+  (* U'^-1 inverts U' on the rising part of the curve. *)
   List.iter
     (fun x ->
-      check_close ~rel:1e-6 "U'^-1(U'(x)) = x" x (u.Utility.inv_deriv (u.Utility.deriv x)))
+      check_close ~rel:1e-6 "U'^-1(U'(x)) = x" x
+        (Utility.rate_from_price u (Utility.deriv u x)))
     [ Units.gbps 2.; Units.gbps 10.; Units.gbps 14. ]
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +376,7 @@ let test_oracle_dual_kkt_certified () =
 (* An [Opaque] utility: the log utility's closures without its shape,
    so no Newton polish applies to a problem that has it. *)
 let opaque_log () =
-  Utility.make ~name:"opaque-log" ~value:log
+  Utility.make
     ~deriv:(fun x -> 1. /. Float.max x 1e-12)
     ~inv_deriv:(fun p -> 1. /. p)
 
@@ -636,7 +643,7 @@ let kkt_oracle ?(used_threshold = 1e-6) problem ~rates ~prices =
   for i = 0 to n_flows - 1 do
     let g = Problem.flow_group problem i in
     let y = Problem.group_rate problem ~rates g in
-    let marginal = (Problem.group_utility problem g).Utility.deriv y in
+    let marginal = Utility.deriv (Problem.group_utility problem g) y in
     let price = Problem.path_price problem ~prices i in
     let scale = Float.max marginal 1e-30 in
     let used = rates.(i) > used_threshold *. Float.max y 1e-30 in
@@ -691,7 +698,7 @@ let random_kkt_problem rng =
     | 1 -> Utility.alpha_fair ~weight:(weight ()) ~alpha:2. ()
     | 2 -> Utility.alpha_fair ~weight:(weight ()) ~alpha:0.5 ()
     | _ ->
-      Utility.make ~name:"opaque" ~value:sqrt
+      Utility.make
         ~deriv:(fun x -> 0.5 /. sqrt (Float.max x 1e-12))
         ~inv_deriv:(fun p -> 0.25 /. (p *. p))
   in
@@ -1548,7 +1555,7 @@ let prop_polish_prices_feasible =
           for i = 0 to Problem.n_flows p - 1 do
             let path = Problem.flow_path p i in
             let price = Array.fold_left (fun acc l -> acc +. out.(l)) 0. path in
-            let x = (Problem.group_utility p (Problem.flow_group p i)).Utility.inv_deriv price in
+            let x = Utility.rate_from_price (Problem.group_utility p (Problem.flow_group p i)) price in
             Array.iter (fun l -> loads.(l) <- loads.(l) +. x) path
           done;
           Array.iteri
@@ -1822,28 +1829,39 @@ let test_churn_polished_epochs () =
   Alcotest.(check int) "epochs that take 0 iterations" 10 zero
 
 (* ------------------------------------------------------------------ *)
-(* Utility fast paths, sparse solve statistics, and solver diagnostics *)
+(* Float min/max, sparse solve statistics, and solver diagnostics *)
 
 module Diag = Nf_num.Diag
 module Metrics = Nf_util.Metrics
 module Trace = Nf_util.Trace
 
-let test_utility_fast_paths_bitwise () =
-  (* The shape-dispatch evaluators must be *bit-identical* to the closure
-     fields: xWI's sparse hot path uses the fast forms while the legacy
-     dense path keeps the closures, and the repo's determinism guarantee
-     (-j N byte-identical to -j 1, dense matches sparse) rests on the two
-     agreeing exactly. *)
-  let utilities =
+let test_utility_closed_forms_bitwise () =
+  (* The one evaluator of U' and U'^-1 must equal Table 1's closed forms
+     bit for bit, with the 1e-12 rate floor, the 1e-300 price floor and
+     the 1e300 rate cap, on every special input: the determinism guarantee
+     (-j N byte-identical to -j 1, pinned reports) rests on every caller
+     computing the same bits. An [Opaque] utility built from the same
+     formulas goes through its closures and must agree too. *)
+  let cap r = if Float.is_finite r then Float.min r 1e300 else 1e300 in
+  let log_deriv w x = w /. Float.max x 1e-12 in
+  let log_rate w p = cap (w /. Float.max p 1e-300) in
+  let power_deriv w a x = (w ** a) *. (Float.max x 1e-12 ** -.a) in
+  let power_rate w a p = cap (w *. (Float.max p 1e-300 ** (-1. /. a))) in
+  let fct_w = 1e6 ** (-1. /. 0.125) in
+  let cases =
     [
-      Utility.proportional_fair ();
-      Utility.alpha_fair ~weight:3.5 ~alpha:1. ();
-      Utility.alpha_fair ~weight:2. ~alpha:2. ();
-      Utility.alpha_fair ~weight:0.25 ~alpha:0.5 ();
-      Utility.fct ~size:1e6 ~eps:0.125;
-      Utility.make ~name:"custom" ~value:sqrt
-        ~deriv:(fun x -> 0.5 /. sqrt x)
-        ~inv_deriv:(fun p -> 0.25 /. (p *. p));
+      ("log", Utility.proportional_fair (), log_deriv 1., log_rate 1.);
+      ("log w=3.5", Utility.alpha_fair ~weight:3.5 ~alpha:1. (), log_deriv 3.5, log_rate 3.5);
+      ("power a=2", Utility.alpha_fair ~weight:2. ~alpha:2. (), power_deriv 2. 2., power_rate 2. 2.);
+      ( "power a=0.5",
+        Utility.alpha_fair ~weight:0.25 ~alpha:0.5 (),
+        power_deriv 0.25 0.5,
+        power_rate 0.25 0.5 );
+      ("fct", Utility.fct ~size:1e6 ~eps:0.125, power_deriv fct_w 0.125, power_rate fct_w 0.125);
+      ( "opaque a=2",
+        Utility.make ~deriv:(power_deriv 2. 2.) ~inv_deriv:(fun p -> 2. *. (p ** (-1. /. 2.))),
+        power_deriv 2. 2.,
+        power_rate 2. 2. );
     ]
   in
   let points =
@@ -1851,16 +1869,14 @@ let test_utility_fast_paths_bitwise () =
       neg_infinity ]
   in
   List.iter
-    (fun u ->
+    (fun (name, u, deriv, rate) ->
       List.iter
         (fun x ->
-          let what f = Printf.sprintf "%s: %s(%g)" u.Utility.name f x in
-          check_bits (what "deriv_fast") (u.Utility.deriv x)
-            (Utility.deriv_fast u x);
-          check_bits (what "rate_from_price_fast") (Utility.rate_from_price u x)
-            (Utility.rate_from_price_fast u x))
+          let what f = Printf.sprintf "%s: %s(%g)" name f x in
+          check_bits (what "deriv") (deriv x) (Utility.deriv u x);
+          check_bits (what "rate_from_price") (rate x) (Utility.rate_from_price u x))
         points)
-    utilities
+    cases
 
 let test_fmax_fmin_match_stdlib () =
   (* The hot loops' comparison-only min/max must be Float.max/Float.min
@@ -2334,6 +2350,7 @@ let () =
           quick "deadline utility (EDF)" test_deadline_utility;
           quick "remaining-size utility (SRPT)" test_fct_remaining_tracks;
           quick "price clamping" test_rate_from_price_clamps;
+          quick "closed forms bitwise" test_utility_closed_forms_bitwise;
           qcheck prop_inv_deriv_roundtrip;
           qcheck prop_deriv_decreasing;
           qcheck prop_value_increasing;
@@ -2450,7 +2467,6 @@ let () =
         ] );
       ( "diag",
         [
-          quick "utility fast paths bitwise" test_utility_fast_paths_bitwise;
           quick "fmax/fmin match Float.max/min" test_fmax_fmin_match_stdlib;
           quick "sparse maxmin stats" test_maxmin_sparse_stats;
           quick "sparse maxmin tolerance round" test_maxmin_sparse_tolerance_round;

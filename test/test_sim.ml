@@ -15,6 +15,15 @@ let proto = Nf_sim.Protocols.get
 
 let quick name f = Alcotest.test_case name `Quick f
 
+(* A network whose trace sink is [tr]: [Network.create] resolves the
+   process default sink once, at creation, so [tr] is the default for
+   that call only. *)
+let create_traced tr ~config ~topology ~protocol =
+  Nf_util.Trace.set_default tr;
+  Fun.protect
+    ~finally:(fun () -> Nf_util.Trace.set_default Nf_util.Trace.null)
+    (fun () -> Network.create ~config ~topology ~protocol ())
+
 let check_rate what ~frac expected actual =
   if not (Fcmp.within_fraction ~frac ~actual ~target:expected) then
     Alcotest.failf "%s: expected %.3g within %g%%, got %.3g" what expected
@@ -653,12 +662,12 @@ let test_srpt_weights_bitwise () =
           h.Protocol.fh_on_ack ack;
           h.Protocol.fh_on_send data;
           let u = Utility.fct_remaining ~remaining:r ~eps in
-          let w = Utility.rate_from_price_fast u (Fcmp.fmax price Utility.min_price) in
+          let w = Utility.rate_from_price u (Fcmp.fmax price Utility.min_price) in
           let what = Printf.sprintf "eps %g ack %d" eps k in
           Alcotest.(check int64) (what ^ ": weight") (bits (mss /. Fcmp.fmax w 1e-30))
             (bits data.Packet.fl.Packet.virtual_packet_len);
           let residual =
-            (Utility.deriv_fast u (Fcmp.fmax rate 1.) -. price) /. float_of_int hops
+            (Utility.deriv u (Fcmp.fmax rate 1.) -. price) /. float_of_int hops
           in
           Alcotest.(check int64) (what ^ ": residual") (bits residual)
             (bits data.Packet.fl.Packet.normalized_residual))
@@ -699,7 +708,7 @@ let test_pool_lifecycle_under_drops () =
       let tr = Trace.make ~capacity:(1 lsl 18) ~kinds:[ Trace.PktRecv ] () in
       let sb = Builders.single_bottleneck ~n_senders:3 () in
       let p = proto name in
-      let net = Network.create ~config ~trace:tr ~topology:sb.Builders.sb_topo ~protocol:p () in
+      let net = create_traced tr ~config ~topology:sb.Builders.sb_topo ~protocol:p in
       Array.iteri
         (fun i src ->
           let utility =
@@ -915,8 +924,8 @@ let test_rto_resends_ascend () =
   let sb = Builders.single_bottleneck ~n_senders:2 () in
   let config = { Nf_sim.Config.default with Nf_sim.Config.buffer_bytes = 4_500 } in
   let net =
-    Network.create ~config ~trace:tr ~topology:sb.Builders.sb_topo
-      ~protocol:(proto "numfabric") ()
+    create_traced tr ~config ~topology:sb.Builders.sb_topo
+      ~protocol:(proto "numfabric")
   in
   let size = 200_000. in
   Array.iteri
@@ -1201,8 +1210,8 @@ let test_trace_flow_lifecycle () =
   let sb = Builders.single_bottleneck ~n_senders:2 () in
   let config = { Nf_sim.Config.default with Nf_sim.Config.buffer_bytes = 4_500 } in
   let net =
-    Network.create ~config ~trace:tr ~topology:sb.Builders.sb_topo
-      ~protocol:(proto "numfabric") ()
+    create_traced tr ~config ~topology:sb.Builders.sb_topo
+      ~protocol:(proto "numfabric")
   in
   Array.iteri
     (fun i src ->

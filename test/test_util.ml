@@ -304,21 +304,6 @@ let test_piecewise_invalid () =
     (Invalid_argument "Piecewise.of_points: y must be non-decreasing")
     (fun () -> ignore (Piecewise.of_points [ (0., 1.); (1., 0.) ]))
 
-let test_piecewise_integral_constant () =
-  (* f(x) = 2 on [0, 4]: integral of 2^-1 over [0, 3] = 1.5 *)
-  let f = Piecewise.of_points [ (0., 2.); (4., 2.) ] in
-  check_close "constant alpha=1" 1.5
-    (Piecewise.integral_pow_between f ~alpha:1. ~lo:0. ~hi:3.)
-
-let test_piecewise_integral_linear () =
-  (* f(x) = x on [0,10]; integral x^-0.5 dx over [1, 4] = 2(2 - 1) = 2 *)
-  let f = Piecewise.of_points [ (0., 0.); (10., 10.) ] in
-  check_close "linear alpha=0.5" 2.
-    (Piecewise.integral_pow_between f ~alpha:0.5 ~lo:1. ~hi:4.);
-  (* alpha = 1: integral 1/x over [1, e] = 1 *)
-  check_close "linear alpha=1" 1.
-    (Piecewise.integral_pow_between f ~alpha:1. ~lo:1. ~hi:(exp 1.))
-
 let prop_piecewise_inverse_roundtrip =
   QCheck.Test.make ~name:"inverse roundtrips on increasing curves" ~count:200
     QCheck.(pair (list_of_size Gen.(2 -- 8) (float_bound_exclusive 10.))
@@ -338,50 +323,6 @@ let prop_piecewise_inverse_roundtrip =
       let x = frac *. fst (List.hd pts) in
       let y = Piecewise.eval f x in
       Approx.rel_eq ~rel:1e-6 (Piecewise.eval f (Piecewise.inverse f y)) y)
-
-let prop_piecewise_integral_matches_quadrature =
-  QCheck.Test.make ~name:"closed-form integral matches numeric quadrature"
-    ~count:100
-    QCheck.(pair (float_range 0.25 4.) small_int)
-    (fun (alpha, seed) ->
-      let rng = Rng.create ~seed in
-      (* random increasing positive curve *)
-      let pts = ref [ (0., Rng.uniform rng ~lo:0.5 ~hi:2.) ] in
-      for _ = 1 to 4 do
-        match !pts with
-        | (x, y) :: _ ->
-          pts :=
-            ( x +. Rng.uniform rng ~lo:0.5 ~hi:2.,
-              y +. Rng.uniform rng ~lo:0. ~hi:2. )
-            :: !pts
-        | [] -> assert false
-      done;
-      let f = Piecewise.of_points (List.rev !pts) in
-      let lo = 0.2 and hi = fst (List.hd !pts) -. 0.1 in
-      let exact = Piecewise.integral_pow_between f ~alpha ~lo ~hi in
-      (* midpoint rule, 4000 slices *)
-      let n = 4000 in
-      let h = (hi -. lo) /. float_of_int n in
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        let x = lo +. ((float_of_int i +. 0.5) *. h) in
-        acc := !acc +. (Piecewise.eval f x ** -.alpha *. h)
-      done;
-      Approx.rel_eq ~rel:1e-3 exact !acc)
-
-let prop_piecewise_integral_additive =
-  QCheck.Test.make ~name:"integral is additive over ranges" ~count:200
-    QCheck.(triple (float_range 0.5 2.) (float_range 0.1 4.) (float_range 0.1 4.))
-    (fun (alpha, a, b) ->
-      let f = Piecewise.of_points [ (0., 1.); (5., 6.) ] in
-      let lo = Float.min a b and hi = Float.max a b in
-      let mid = 0.5 *. (lo +. hi) in
-      let whole = Piecewise.integral_pow_between f ~alpha ~lo ~hi in
-      let parts =
-        Piecewise.integral_pow_between f ~alpha ~lo ~hi:mid
-        +. Piecewise.integral_pow_between f ~alpha ~lo:mid ~hi
-      in
-      Approx.rel_eq ~rel:1e-9 whole parts)
 
 (* ------------------------------------------------------------------ *)
 (* Timeseries *)
@@ -839,11 +780,7 @@ let () =
           quick "eval" test_piecewise_eval;
           quick "inverse" test_piecewise_inverse;
           quick "validation" test_piecewise_invalid;
-          quick "integral of constant" test_piecewise_integral_constant;
-          quick "integral of linear" test_piecewise_integral_linear;
           qcheck prop_piecewise_inverse_roundtrip;
-          qcheck prop_piecewise_integral_additive;
-          qcheck prop_piecewise_integral_matches_quadrature;
         ] );
       ( "timeseries",
         [
