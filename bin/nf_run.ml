@@ -183,16 +183,28 @@ let with_observability ~trace ~metrics ~profile ~diag f =
 
 let record_arg =
   let doc =
-    "Write the run record (queue/price/rate/drops/fct series of every \
-     packet-level network the experiment ran) to $(docv) as JSON."
+    "Write the run records the experiments keep (queue/price/rate/drops/fct \
+     series of their packet-level networks; fig4bc keeps its two) to \
+     $(docv) as JSON, in experiment order."
   in
   Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
 
-let export_records path =
-  let json = E.Support.records_json () in
+(* The records of the experiments that ran, in task order. *)
+let export_records path results =
+  let run (label, record) =
+    Json.Obj [ ("label", Json.Str label); ("record", Nf_sim.Record.json record) ]
+  in
+  let runs =
+    List.concat_map
+      (fun (r : E.Runner.result) ->
+        match r.E.Runner.outcome with
+        | Ok report -> List.map run report.E.Report.records
+        | Error _ -> [])
+      results
+  in
   match
     let oc = open_out path in
-    output_string oc json;
+    output_string oc (Json.to_string (Json.Obj [ ("runs", Json.List runs) ]));
     output_char oc '\n';
     close_out oc
   with
@@ -306,7 +318,6 @@ let run_experiments name all jobs quick scale seed json csv out record trace
     end
     else jobs
   in
-  E.Support.reset_records ();
   let results = ref [] in
   (* Wall-clock on purpose: this is the elapsed time shown to the user,
      not anything that feeds a run record. *)
@@ -321,7 +332,7 @@ let run_experiments name all jobs quick scale seed json csv out record trace
     else render_text ~all results
   in
   write_output ~out data;
-  (match record with Some path -> export_records path | None -> ());
+  (match record with Some path -> export_records path results | None -> ());
   (* [total_wall] sums the tasks' own walls, taken while they contend
      for the machine: it is work done, not what a serial run would take. *)
   let task_seconds = E.Runner.total_wall results in
@@ -352,7 +363,10 @@ let scale_arg =
   Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"S" ~doc)
 
 let seed_arg =
-  let doc = "RNG seed base, offset per task; 0 reproduces EXPERIMENTS.md." in
+  let doc =
+    "RNG seed base, the same for every experiment of a sweep; 0 \
+     reproduces EXPERIMENTS.md."
+  in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let json_flag = Arg.(value & flag & info [ "json" ] ~doc:"Emit reports as JSON.")
@@ -565,6 +579,10 @@ let serve_cmd =
       | Some p, _ -> Format.eprintf "nf_run serve: listening on 127.0.0.1:%d@." p
       | None, Some path -> Format.eprintf "nf_run serve: listening on %s@." path
       | None, None -> ());
+      (* A client that closes before reading its reply must not end the
+         daemon: with SIGPIPE ignored the write fails with EPIPE, and
+         the server drops that client. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       Serve.Server.run srv;
       let s = Serve.Engine.stats engine in
       Format.eprintf

@@ -12,5 +12,3 @@ let scaled ~floor t n =
   Stdlib.max floor (int_of_float (Float.ceil (float_of_int n *. t.scale)))
 
 let rng_seed t ~default = t.seed + default
-
-let for_task t ~index = { t with seed = t.seed + index }

@@ -1,10 +1,10 @@
 (** Execution context for experiments.
 
-    A context tells an experiment {e how} to run without touching {e
-    what} it computes: the scenario scale and the RNG seed base. It is
-    the unit of work {!Runner}'s worker pool hands out: every task gets
-    its own context (seed offset by the task index), so parallel tasks
-    never share RNG state.
+    A context tells an experiment {e how} to run: the scenario scale and
+    the RNG seed base. {!Runner} hands every task the same context, and
+    each experiment offsets the seed with its own [~default], so a
+    task's report does not depend on its place in the sweep: [nf_run
+    exp X] reports exactly X's entry in [nf_run exp --all].
 
     Experiments must derive every random stream from {!rng_seed} and
     every scenario size from {!scaled}; given equal contexts they must
@@ -13,7 +13,7 @@
 
 type t = {
   scale : float;  (** scenario scale factor: 1.0 = the paper's setup *)
-  seed : int;  (** RNG seed base; {!Runner} offsets it per task *)
+  seed : int;  (** RNG seed base, shared by every task of a sweep *)
 }
 
 val make : scale:float -> seed:int -> t
@@ -29,6 +29,3 @@ val rng_seed : t -> default:int -> int
     keeping headline numbers comparable with the historical records in
     EXPERIMENTS.md. *)
 
-val for_task : t -> index:int -> t
-(** The context {!Runner} hands to task [index]: [seed] offset by the
-    task index, so tasks never share an RNG stream. *)

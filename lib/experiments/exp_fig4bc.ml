@@ -20,6 +20,7 @@ type t = {
   epochs : epoch list;
   series_dctcp : (float * float) list;  (* (ms, Gbps), resampled *)
   series_numfabric : (float * float) list;
+  records : (string * Nf_sim.Record.t) list;
 }
 
 (* Competitor count in each 5 ms epoch; the tracked flow is always on. *)
@@ -63,8 +64,6 @@ let run_protocol proto =
 let run () =
   let dctcp = run_protocol (Nf_sim.Protocols.get "dctcp") in
   let numfabric = run_protocol (Nf_sim.Protocols.get "numfabric") in
-  Support.keep_record ~label:"fig4bc-dctcp" (Network.record dctcp);
-  Support.keep_record ~label:"fig4bc-numfabric" (Network.record numfabric);
   let series net =
     match Network.rate_series net 0 with
     | Some ts -> ts
@@ -112,42 +111,54 @@ let run () =
       (fun (t, v) -> (t *. 1e3, v /. 1e9))
       (Nf_util.Timeseries.resample ts ~t0:0.5e-3 ~t1:total ~dt:1e-3)
   in
-  { epochs; series_dctcp = resample s_d; series_numfabric = resample s_n }
+  {
+    epochs;
+    series_dctcp = resample s_d;
+    series_numfabric = resample s_n;
+    records =
+      [
+        ("fig4bc-dctcp", Network.record dctcp);
+        ("fig4bc-numfabric", Network.record numfabric);
+      ];
+  }
 
 let report t =
   let mean sel =
     let xs = List.map sel t.epochs in
     List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
   in
-  Report.make
-    ~title:
-      "Figures 4b/4c: rate of a tracked flow through network events (packet \
-       level)"
-    ~columns:
-      [
-        "from_ms";
-        "until_ms";
-        "expected_gbps";
-        "within10pct_dctcp";
-        "within10pct_numfabric";
-      ]
-    ~notes:
-      [
-        Printf.sprintf
-          "overall: DCTCP %.0f%%, NUMFabric %.0f%% of samples within 10%% of \
-           the expected rate"
-          (100. *. mean (fun e -> e.within_fraction_dctcp))
-          (100. *. mean (fun e -> e.within_fraction_numfabric));
-        "paper: DCTCP essentially never stays within 10%; NUMFabric does";
-        "full rate series in the run record (nf_run exp fig4bc --record)";
-      ]
-    (List.map
-       (fun e ->
-         [
-           Report.float (e.from_t *. 1e3);
-           Report.float (e.until_t *. 1e3);
-           Report.float (e.expected /. 1e9);
-           Report.float e.within_fraction_dctcp;
-           Report.float e.within_fraction_numfabric;
-         ])
-       t.epochs)
+  let report =
+    Report.make
+      ~title:
+        "Figures 4b/4c: rate of a tracked flow through network events (packet \
+         level)"
+      ~columns:
+        [
+          "from_ms";
+          "until_ms";
+          "expected_gbps";
+          "within10pct_dctcp";
+          "within10pct_numfabric";
+        ]
+      ~notes:
+        [
+          Printf.sprintf
+            "overall: DCTCP %.0f%%, NUMFabric %.0f%% of samples within 10%% of \
+             the expected rate"
+            (100. *. mean (fun e -> e.within_fraction_dctcp))
+            (100. *. mean (fun e -> e.within_fraction_numfabric));
+          "paper: DCTCP essentially never stays within 10%; NUMFabric does";
+          "full rate series in the run record (nf_run exp fig4bc --record)";
+        ]
+      (List.map
+         (fun e ->
+           [
+             Report.float (e.from_t *. 1e3);
+             Report.float (e.until_t *. 1e3);
+             Report.float (e.expected /. 1e9);
+             Report.float e.within_fraction_dctcp;
+             Report.float e.within_fraction_numfabric;
+           ])
+         t.epochs)
+  in
+  { report with Report.records = t.records }

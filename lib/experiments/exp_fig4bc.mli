@@ -11,6 +11,8 @@ type t = {
   epochs : epoch list;
   series_dctcp : (float * float) list;
   series_numfabric : (float * float) list;
+  records : (string * Nf_sim.Record.t) list;
+      (** each network's run record, DCTCP first; {!report} passes them on *)
 }
 val run : unit -> t
 val report : t -> Report.t

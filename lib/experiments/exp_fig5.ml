@@ -4,12 +4,10 @@
 
    Per §6.1: rate of a flow = size / FCT; normalized deviation =
    (rate_scheme - rate_oracle) / rate_oracle; bins are log-scale in the
-   BDP (10 Gbps x 16 us = 20 KB). *)
+   BDP (Support.bdp_bytes, 20 KB). *)
 
 module Dynamic = Nf_fluid.Dynamic
 module Stats = Nf_util.Stats
-
-let bdp_bytes = 20_000.
 
 let bins = [ (0., 5.); (5., 10.); (10., 100.); (100., 1_000.); (1_000., 10_000.) ]
 
@@ -25,7 +23,7 @@ type workload_result = { workload : string; schemes : scheme_result list }
 
 type t = workload_result list
 
-let deviations flows result ideal_rates =
+let deviations result ideal_rates =
   (* ideal_rates: key -> oracle achieved rate *)
   List.filter_map
     (fun c ->
@@ -36,9 +34,6 @@ let deviations flows result ideal_rates =
             (Dynamic.achieved_rate c -. ideal) /. ideal )
       | Some _ | None -> None)
     result.Dynamic.completions
-  |> fun devs ->
-  ignore flows;
-  devs
 
 let bin_up devs =
   List.map
@@ -46,7 +41,7 @@ let bin_up devs =
       let inside =
         List.filter_map
           (fun (size, d) ->
-            let b = size /. bdp_bytes in
+            let b = size /. Support.bdp_bytes in
             if b >= lo && b < hi then Some d else None)
           devs
       in
@@ -82,7 +77,7 @@ let run_workload ~seed ~topology ~hosts ~n_flows ~load dist =
       List.map
         (fun (name, make_scheme) ->
           let result = Dynamic.run ~caps ~make_scheme ~flows () in
-          { scheme = name; per_bin = bin_up (deviations flows result ideal_rates) })
+          { scheme = name; per_bin = bin_up (deviations result ideal_rates) })
         schemes;
   }
 

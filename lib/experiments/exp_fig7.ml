@@ -19,8 +19,6 @@ type point = {
 
 type t = point list
 
-let bdp_bytes = 20_000.
-
 (* The fluid model has no propagation or serialization delay, so the lowest
    possible FCT is simply line-rate transmission. *)
 let ideal_fct topology path size =
@@ -80,7 +78,9 @@ let run ctx =
       let pf_fcts = normalized_fcts topology flows pf in
       let srpt_fcts = normalized_fcts topology flows nf_srpt in
       let all (_, v) = Some v in
-      let large (size, v) = if size >= 5. *. bdp_bytes then Some v else None in
+      let large (size, v) =
+        if size >= 5. *. Support.bdp_bytes then Some v else None
+      in
       {
         load;
         numfabric_mean = mean_of all nf_fcts;

@@ -17,9 +17,8 @@ let run () =
            %g, beta = %g, initial burst = %d packets"
           (us c.Nf_sim.Config.swift.Nf_sim.Config.ewma_time)
           (us c.Nf_sim.Config.swift.Nf_sim.Config.dt_slack)
-          (us c.Nf_sim.Config.swift.Nf_sim.Config.price_update_interval)
-          c.Nf_sim.Config.swift.Nf_sim.Config.eta
-          c.Nf_sim.Config.swift.Nf_sim.Config.beta
+          (us Nf_num.Price_law.xwi_interval)
+          Nf_num.Price_law.eta Nf_num.Price_law.beta
           c.Nf_sim.Config.swift.Nf_sim.Config.init_burst;
     };
     {

@@ -7,6 +7,7 @@ type t = {
   columns : string list;
   rows : cell list list;
   notes : string list;
+  records : (string * Nf_sim.Record.t) list;
 }
 
 let make ~title ~columns ?(notes = []) rows =
@@ -18,7 +19,7 @@ let make ~title ~columns ?(notes = []) rows =
           (Printf.sprintf "Report.make: row %d has %d cells, expected %d" i
              (List.length row) width))
     rows;
-  { title; columns; rows; notes }
+  { title; columns; rows; notes; records = [] }
 
 let text s = Text s
 

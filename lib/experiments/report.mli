@@ -18,11 +18,17 @@ type t = {
   columns : string list;  (** header of the table; every row must match *)
   rows : cell list list;
   notes : string list;  (** headline numbers, paper quotes, caveats *)
+  records : (string * Nf_sim.Record.t) list;
+      (** the labelled run record of each packet-level network the
+          experiment kept, in run order, for [nf_run exp --record]; the
+          renderers ignore it *)
 }
 
 val make :
   title:string -> columns:string list -> ?notes:string list -> cell list list -> t
-(** @raise Invalid_argument if a row's width differs from [columns]. *)
+(** A report with no [records]; an experiment that keeps its networks'
+    records sets them by record update.
+    @raise Invalid_argument if a row's width differs from [columns]. *)
 
 val text : string -> cell
 

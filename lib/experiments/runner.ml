@@ -8,10 +8,10 @@ type result = {
    nothing derived from it enters a Report. *)
 let[@nf.allow "determinism"] now () = Unix.gettimeofday ()
 
-let run_task ~ctx (e : Registry.entry) index =
+let run_task ~ctx (e : Registry.entry) =
   let started = now () in
   let outcome =
-    match e.run (Ctx.for_task ctx ~index) with
+    match e.run ctx with
     | report -> Ok report
     | exception exn -> Error (Printexc.to_string exn)
   in
@@ -28,7 +28,7 @@ let run ~jobs ~ctx tasks =
   let worker () =
     let rec loop acc =
       let idx = Atomic.fetch_and_add next 1 in
-      if idx >= n then acc else loop ((idx, run_task ~ctx tasks.(idx) idx) :: acc)
+      if idx >= n then acc else loop ((idx, run_task ~ctx tasks.(idx)) :: acc)
     in
     loop []
   in

@@ -2,10 +2,11 @@
 
     {!run} hands a list of {!Registry.entry}s (each a named pure
     function from a {!Ctx.t} to a {!Report.t}) to a fixed pool of
-    OCaml 5 worker domains and merges the results {e deterministically}: the
-    result list is in task order, each task's context depends only on
-    its index (never on scheduling), and reports carry no wall-clock
-    data — so the merged output is byte-identical whatever [jobs] is.
+    OCaml 5 worker domains and merges the results {e deterministically}:
+    the result list is in task order, every task runs on the one context
+    it is given (never on its index or on scheduling), and reports carry
+    no wall-clock data — so the merged output is byte-identical whatever
+    [jobs] is.
     Timings are returned alongside, for diagnostics, but live outside
     the reports.
 
@@ -24,8 +25,8 @@ type result = {
 
 val run : jobs:int -> ctx:Ctx.t -> Registry.entry list -> result list
 (** Runs every entry (a {e task}) once and returns results {e in task
-    order}; [task_name] is the entry's name. Task [k] runs with
-    [Ctx.for_task ctx ~index:k].
+    order}; [task_name] is the entry's name. Every task runs with [ctx]
+    itself, so a task's report equals the one it gives when run alone.
 
     [jobs] bounds the pool: [min jobs n] worker domains for [n] tasks,
     at least one, so with [jobs = 1] the tasks still run off the calling

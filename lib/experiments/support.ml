@@ -1,4 +1,3 @@
-module Json = Nf_util.Json
 module Problem = Nf_num.Problem
 module Xwi_core = Nf_num.Xwi_core
 module Oracle = Nf_num.Oracle
@@ -27,6 +26,8 @@ let make_scheme kind problem =
     Nf_fluid.Fluid_xwi.make ~params ~interval problem
   | Scheme_dgd -> Nf_fluid.Fluid_dgd.make problem
   | Scheme_rcp { alpha } -> Nf_fluid.Fluid_rcp.make ~alpha problem
+
+let bdp_bytes = 20_000.
 
 type semidyn_setup = {
   seed : int;
@@ -173,38 +174,3 @@ let dynamic_flows ~seed ~topology ~hosts ~size_dist ~load ~n_flows ~utility_of =
     invalid_arg "Support.dynamic_flows: horizon too short (internal)";
   let caps = Array.map (fun l -> l.Topology.capacity) (Topology.links topology) in
   (flows, caps)
-
-(* ------------------------------------------------------------------ *)
-(* Run-record collection: experiments deposit the Record.t of each
-   packet-level network they ran; the CLI exports the collection after
-   the experiment returns ([nf_run exp NAME --record out.json]).
-
-   The collection is process-global shared state, and Runner executes
-   experiments on worker domains — so deposits are mutex-protected and
-   the JSON export is sorted by label, which keeps the exported bytes
-   independent of domain scheduling. (Everything else the experiments
-   touch is task-local: every RNG is an explicit Nf_util.Rng.t created
-   from a Ctx-derived seed; there is no process-global random state.) *)
-
-let records_mutex = Mutex.create ()
-
-let collected_records : (string * Nf_sim.Record.t) list ref = ref []
-
-let with_records f =
-  Mutex.lock records_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock records_mutex) f
-
-let reset_records () = with_records (fun () -> collected_records := [])
-
-let keep_record ~label record =
-  with_records (fun () ->
-      collected_records := (label, record) :: !collected_records)
-
-let records () = with_records (fun () -> List.rev !collected_records)
-
-let records_json () =
-  let run (label, record) =
-    Json.Obj [ ("label", Json.Str label); ("record", Nf_sim.Record.json record) ]
-  in
-  let by_label = List.sort (fun (a, _) (b, _) -> String.compare a b) (records ()) in
-  Json.to_string (Json.Obj [ ("runs", Json.List (List.map run by_label)) ])

@@ -22,6 +22,10 @@ val numfabric_default : scheme_kind
 
 val scheme_name : scheme_kind -> string
 
+val bdp_bytes : float
+(** 20 KB, the fabric's bandwidth-delay product (10 Gbps x 16 us): the
+    unit of Figure 5's size bins and of Figure 7's large-flow cut. *)
+
 type semidyn_setup = {
   seed : int;
   n_paths : int;
@@ -100,20 +104,3 @@ val dynamic_flows :
     aggregate host capacity, sized from [size_dist], routed by ECMP.
     Returns the flow list (exactly [n_flows] of them) and the link
     capacity vector of [topology]. *)
-
-(** {2 Run records}
-
-    Packet-level experiments deposit each network's {!Nf_sim.Record.t}
-    here ({!keep_record}); the CLI resets the collection before a run and
-    exports it afterwards ([nf_run exp NAME --record out.json]).
-    Deposits are mutex-protected (experiments may run on {!Runner}
-    worker domains) and the JSON export is sorted by label so its bytes
-    do not depend on scheduling. *)
-
-val reset_records : unit -> unit
-
-val keep_record : label:string -> Nf_sim.Record.t -> unit
-
-val records_json : unit -> string
-(** [{"runs":[{"label":...,"record":<Record.json>},...]}],
-    sorted by label. *)

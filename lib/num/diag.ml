@@ -44,7 +44,7 @@ type t = {
   mutable head : int;  (* oldest buffered sample *)
   mutable len : int;
   mutable iters : int;
-  final_residual : float array;  (* length 1; unboxed store per observe *)
+  final_step_change : float array;  (* length 1; unboxed store per observe *)
   eps_iter : int array;  (* first iteration at or below eps.(k); -1 = never *)
   prev_prices : float array;  (* pre-step snapshots, filled by [begin_iter] *)
   prev_rates : float array;
@@ -62,7 +62,7 @@ let create ~n_links ~n_flows =
     head = 0;
     len = 0;
     iters = 0;
-    final_residual = Array.make 1 infinity;
+    final_step_change = Array.make 1 infinity;
     eps_iter = Array.make (Array.length eps) (-1);
     prev_prices = Array.make n_links 0.;
     prev_rates = Array.make n_flows 0.;
@@ -111,7 +111,7 @@ let observe t ~prices ~rates ~wf_rounds ~wf_level ~wf_saturated =
   t.iters <- t.iters + 1;
   let iter = t.iters in
   let residual = !residual in
-  t.final_residual.(0) <- residual;
+  t.final_step_change.(0) <- residual;
   for k = 0 to Array.length eps - 1 do
     if t.eps_iter.(k) < 0 && residual <= eps.(k) then t.eps_iter.(k) <- iter
   done;
@@ -155,8 +155,10 @@ let worst_links t =
 
 let int_num i = Json.Num (float_of_int i)
 
-(* Residual of the last iteration; [infinity] before the first. *)
-let final_residual t = if t.iters > 0 then t.final_residual.(0) else infinity
+(* The last iteration's relative price/rate change; [infinity] before
+   the first. *)
+let final_step_change t =
+  if t.iters > 0 then t.final_step_change.(0) else infinity
 
 (* The iterations-to-ε report: each threshold with the first iteration
    at or below it (-1 if never reached). *)
@@ -164,7 +166,7 @@ let report_json t =
   Json.Obj
     [
       ("iterations", int_num t.iters);
-      ("final_residual", Json.Num (final_residual t));
+      ("final_step_change", Json.Num (final_step_change t));
       ( "to_eps",
         Json.List
           (List.init (Array.length eps) (fun k ->
@@ -187,10 +189,10 @@ let sample_json s =
     ]
 
 (* The postmortem as JSONL: a [meta] line ([final_residual], e.g. the
-   KKT residual, overrides the report's), one [iter] line per ring sample
-   (oldest first), a [worst_links] line and a [to_eps] line. *)
+   KKT residual, else the last step change), one [iter] line per ring
+   sample (oldest first), a [worst_links] line and a [to_eps] line. *)
 let dump ?final_residual:final t ~converged ~path =
-  let final = match final with Some f -> f | None -> final_residual t in
+  let final = match final with Some f -> f | None -> final_step_change t in
   let meta =
     Json.Obj
       [

@@ -56,12 +56,15 @@ val dump_auto : ?final_residual:float -> t -> converged:bool -> unit
 (** Write the postmortem into the configured directory under a sequential
     [xwi_postmortem_NNNN.jsonl] name; no-op when unconfigured or at the
     file cap. The JSONL holds a [meta] line ([converged], [iterations],
-    [final_residual] — [final_residual] when given, else the last
-    iteration's —, [n_links], [n_flows]), one [iter] line per ring sample
-    (oldest first: residual, price deltas, worst link, active links,
-    water-fill rounds/level/saturated links), a [worst_links] line (the 8
-    largest last-iteration |Δ price|) and a [to_eps] line (the
-    iterations-to-ε report). *)
+    [final_residual] — [final_residual] when given, as {!Xwi_core}
+    gives its worst KKT residual, else the last step change —,
+    [n_links], [n_flows]), one [iter] line per ring sample (oldest first:
+    residual, price deltas, worst link, active links, water-fill
+    rounds/level/saturated links), a [worst_links] line (the 8 largest
+    last-iteration |Δ price|) and a [to_eps] line (the iterations-to-ε
+    report: [iterations], [final_step_change] — the last iteration's
+    max relative price/rate change, not a KKT residual — and the
+    ladder). *)
 
 val postmortems_written : unit -> int
 (** Postmortem files written since the last {!configure}. *)

@@ -513,7 +513,7 @@ type run = { iterations : int; converged : bool; kkt : Kkt.report }
 
 (* [residual] is the run's final convergence metric (the worst KKT
    residual of its last check): it rides on the [XwiNonconverged] trace
-   event and overrides the postmortem's meta residual, so a capped run's
+   event and is the postmortem's meta residual, so a capped run's
    forensics carry the number the caller was actually iterating on. *)
 let finish_run state ~residual run =
   Metrics.incr m_runs;

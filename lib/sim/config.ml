@@ -2,9 +2,6 @@ type swift = {
   ewma_time : float;
   dt_slack : float;
   init_burst : int;
-  price_update_interval : float;
-  eta : float;
-  beta : float;
   weight_quant_base : float option;
   srpt_eps : float;
 }
@@ -39,9 +36,6 @@ let default_swift =
     ewma_time = 20e-6;
     dt_slack = 6e-6;
     init_burst = 3;
-    price_update_interval = Nf_num.Price_law.xwi_interval;
-    eta = Nf_num.Price_law.eta;
-    beta = Nf_num.Price_law.beta;
     weight_quant_base = None;
     srpt_eps = 0.125;
   }

@@ -11,9 +11,6 @@ type swift = {
   ewma_time : float;  (** rate-estimator EWMA time constant; 20 µs *)
   dt_slack : float;  (** window slack over the BDP; 6 µs *)
   init_burst : int;  (** packets sent at flow start; 3 *)
-  price_update_interval : float;  (** xWI; {!Nf_num.Price_law.xwi_interval} *)
-  eta : float;  (** {!Nf_num.Price_law.eta} *)
-  beta : float;  (** {!Nf_num.Price_law.beta} *)
   weight_quant_base : float option;
       (** §8's "small set of queues with different weights": when set,
           Swift weights are rounded to the nearest power of this base

@@ -24,10 +24,8 @@ module Price_law = Nf_num.Price_law
    per-interval work neither boxes nor runs the write barrier. *)
 
 (* The NUMFabric switch of Fig. 3. *)
-let xwi (c : Config.swift) ~capacity =
-  let params =
-    { Xwi_core.default_params with Xwi_core.eta = c.Config.eta; beta = c.Config.beta }
-  and interval = c.Config.price_update_interval in
+let xwi ~capacity =
+  let params = Xwi_core.default_params and interval = Price_law.xwi_interval in
   let port = { Xwi_core.price = 0.; min_residual = infinity; utilization = 0. } in
   let bytes_serviced = ref 0 in
   (* Eq. 9's minimum by a strict [<]: it differs from [Float.min] only on

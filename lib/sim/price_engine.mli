@@ -25,9 +25,9 @@ type t = {
 val none : t
 (** No-op engine (interval 1 s; [update] does nothing). *)
 
-val xwi : Config.swift -> capacity:float -> t
-(** Updates every [price_update_interval] by {!Nf_num.Xwi_core.port_update}
-    with the config's [eta] and [beta]. *)
+val xwi : capacity:float -> t
+(** Updates every {!Nf_num.Price_law.xwi_interval} by
+    {!Nf_num.Xwi_core.port_update} at {!Nf_num.Xwi_core.default_params}. *)
 
 val dgd : Config.dgd -> capacity:float -> queue_bytes:(unit -> int) -> t
 (** Updates every [dgd_update_interval] by {!Nf_num.Price_law.dgd_port}. *)

@@ -76,14 +76,13 @@ let make ~srpt ~name ~description : Protocol.t =
 
     let needs_utility = not srpt
 
-    let update_interval (cfg : Config.t) =
-      Some cfg.Config.swift.Config.price_update_interval
+    let update_interval (_ : Config.t) = Some Nf_num.Price_law.xwi_interval
 
     let make_link (cfg : Config.t) ~pool ~capacity =
       {
         Protocol.lh_qdisc =
           Queue_disc.stfq ~pool ~limit_bytes:cfg.Config.buffer_bytes ();
-        lh_engine = Price_engine.xwi cfg.Config.swift ~capacity;
+        lh_engine = Price_engine.xwi ~capacity;
       }
 
     let make_flow (env : Protocol.flow_env) ~utility =

@@ -127,7 +127,7 @@ let hop_protocol : Nf_sim.Protocol.t =
         Nf_sim.Protocol.lh_qdisc =
           Nf_sim.Queue_disc.stfq ~pool
             ~limit_bytes:cfg.Nf_sim.Config.buffer_bytes ();
-        lh_engine = Nf_sim.Price_engine.xwi cfg.Nf_sim.Config.swift ~capacity;
+        lh_engine = Nf_sim.Price_engine.xwi ~capacity;
       }
 
     (* NUMFabric's own Swift sender, for the round trip. *)
@@ -239,7 +239,7 @@ let price_update_kernel () =
   let capacity = 10e9 and queue_bytes () = 3000 in
   let engines =
     [|
-      Pe.xwi Nf_sim.Config.default_swift ~capacity;
+      Pe.xwi ~capacity;
       Pe.dgd
         { Nf_num.Price_law.dgd_table2 with Nf_num.Price_law.dgd_price_scale = 1e-9 }
         ~capacity ~queue_bytes;

@@ -2256,7 +2256,31 @@ let test_diag_postmortem_on_nonconvergence () =
       Alcotest.(check bool) "postmortem names worst links" true
         (contains ~needle:"\"kind\":\"worst_links\"" contents);
       Alcotest.(check bool) "postmortem carries iteration samples" true
-        (contains ~needle:"\"kind\":\"iter\"" contents));
+        (contains ~needle:"\"kind\":\"iter\"" contents);
+      (* Two residuals, two names: the meta line carries the KKT worst
+         the run stopped on, the to_eps report the last step's relative
+         price/rate change. *)
+      let module J = Nf_util.Json in
+      let line kind =
+        match
+          List.find_map
+            (fun l ->
+              match J.parse l with
+              | Ok j when J.obj_str "kind" j = Some kind -> Some j
+              | Ok _ | Error _ -> None)
+            (String.split_on_char '\n' contents)
+        with
+        | Some j -> j
+        | None -> Alcotest.failf "postmortem has no %s line" kind
+      in
+      Alcotest.(check (option (float 0.))) "meta residual is the KKT worst"
+        (Some (Nf_num.Kkt.worst run.Xwi.kkt))
+        (J.obj_float "final_residual" (line "meta"));
+      let report = Option.get (J.member "report" (line "to_eps")) in
+      Alcotest.(check bool) "report names the step change" true
+        (Option.is_some (J.obj_float "final_step_change" report));
+      Alcotest.(check bool) "report has no final_residual" true
+        (Option.is_none (J.member "final_residual" report)));
   remove_dir dir;
   (* A second configure resets the sequence counter. *)
   Alcotest.(check int) "configure resets counter" 0

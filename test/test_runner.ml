@@ -100,10 +100,7 @@ let test_ctx_seeds () =
   Alcotest.(check int) "seed base 0 preserves historical seeds" 17
     (Ctx.rng_seed full_ctx ~default:17);
   let shifted = Ctx.make ~scale:1. ~seed:5 in
-  Alcotest.(check int) "seed base adds" 22 (Ctx.rng_seed shifted ~default:17);
-  let t3 = Ctx.for_task full_ctx ~index:3 in
-  Alcotest.(check int) "task index offsets the seed" 20
-    (Ctx.rng_seed t3 ~default:17)
+  Alcotest.(check int) "seed base adds" 22 (Ctx.rng_seed shifted ~default:17)
 
 (* ------------------------------------------------------------------ *)
 (* Runner *)
@@ -180,16 +177,12 @@ let test_nonconvergence_runs_once () =
   check_isolated (Nf_num.Oracle.Did_not_converge "synthetic divergence")
 
 (* More jobs than tasks: the pool shrinks to one worker per task, and the
-   merged results equal the one-worker run. Each task's report carries
-   its context's seed, so a task that ran with another task's index
-   would show. *)
+   merged results equal the one-worker run. *)
 let test_wide_pool_equals_one_worker () =
   let tasks =
     List.init 3 (fun i ->
         let name = Printf.sprintf "t%d" i in
-        task name (fun ctx ->
-            Report.make ~title:name ~columns:[ "seed" ]
-              [ [ Report.int (Ctx.rng_seed ctx ~default:0) ] ]))
+        task name (fun _ -> trivial_report name))
   in
   let one = Runner.run ~jobs:1 ~ctx:full_ctx tasks in
   let wide = Runner.run ~jobs:16 ~ctx:full_ctx tasks in
@@ -201,6 +194,19 @@ let test_wide_pool_equals_one_worker () =
         ("jobs:16 = jobs:1 for " ^ a.Runner.task_name)
         (outcome_report a) (outcome_report b))
     one wide
+
+(* A task's report does not depend on its place in the sweep: swift
+   draws its flows from the context's seed, and run second it reports
+   exactly what it reports alone. *)
+let test_report_independent_of_index () =
+  let swift = find_entry "swift" in
+  let alone = Runner.run ~jobs:1 ~ctx:quick_ctx [ swift ] in
+  let second = Runner.run ~jobs:1 ~ctx:quick_ctx [ find_entry "table1"; swift ] in
+  match (alone, second) with
+  | [ a ], [ _; b ] ->
+    check_report "swift at index 1 = swift alone" (outcome_report a)
+      (outcome_report b)
+  | _ -> Alcotest.fail "expected one result per task"
 
 (* The static list is the registry: every id once, in paper order. *)
 let test_registry_covers_paper () =
@@ -238,6 +244,7 @@ let () =
           quick "failing task isolates" test_failing_task_isolates;
           quick "non-convergence runs once" test_nonconvergence_runs_once;
           quick "jobs:16 over 3 tasks = jobs:1" test_wide_pool_equals_one_worker;
+          quick "report independent of task index" test_report_independent_of_index;
           quick "registry covers the paper" test_registry_covers_paper;
         ] );
     ]

@@ -277,7 +277,7 @@ let test_drops_counter_monotone () =
 (* Price engines *)
 
 let test_xwi_engine_stamps () =
-  let e = Price_engine.xwi Config.default_swift ~capacity:1e10 in
+  let e = Price_engine.xwi ~capacity:1e10 in
   (* Push the price up via a positive residual at full utilization. *)
   let fill () =
     (* one update interval worth of bytes: 30us * 10G / 8 = 37500 B *)
