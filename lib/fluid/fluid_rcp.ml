@@ -16,9 +16,9 @@ let make ~alpha problem =
   let law = Price_law.rcp_table2 in
   (* Advertise the per-link equal share initially. *)
   let fair_rates =
+    let inc = Problem.incidence problem in
     Array.mapi
-      (fun l cap ->
-        cap /. float_of_int (Stdlib.max (Array.length (Problem.link_flows problem l)) 1))
+      (fun l cap -> cap /. float_of_int (Stdlib.max (Nf_num.Incidence.link_degree inc l) 1))
       (Problem.caps problem)
   in
   Scheme.baseline ~name:"RCP*" ~unit_name:"Fluid_rcp"

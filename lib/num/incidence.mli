@@ -3,8 +3,9 @@
     The flat data layout the hot NUM kernels iterate over: CSR
     (flow → links on its path), CSC (link → flows crossing it), and the
     group → flows map, all as dense [int array] index arrays, plus the
-    per-link capacities. Built once per {!Problem.t} snapshot; see
-    DESIGN.md "Sparse NUM core" for layout and ownership rules. *)
+    per-link capacities. A {!Problem.t} patches one {!store} of these
+    arrays in place at every commit; see DESIGN.md "Sparse NUM core" for
+    layout and ownership rules. *)
 
 type vec = float array
 (** Per-flow / per-link / per-group working vector of the sparse
@@ -31,10 +32,15 @@ type t = private {
   group_of_flow : int array;
   singleton : bool;  (** every group has exactly one flow *)
   caps : float array;
-      (** link capacities: the array given to {!create}, shared, not
-          copied — {!Problem} passes its live capacity array, so a
-          capacity change is seen by the next kernel call *)
+      (** link capacities: the array given to {!create} or {!store},
+          shared, not copied — {!Problem} passes its live capacity
+          array, so a capacity change is seen by the next kernel call *)
 }
+(** One snapshot. The index arrays may be longer than the counts need
+    (a {!store}'s headroom): every sweep is bounded by [n_flows],
+    [n_groups], [nnz] and [n_links], never by [Array.length]. A snapshot
+    sealed from a {!store} is valid only until the store is next
+    patched, which rewrites the arrays in place. *)
 
 val create :
   caps:float array ->
@@ -42,13 +48,55 @@ val create :
   group_of_flow:int array ->
   n_groups:int ->
   t
-(** Build the index arrays; [caps] and [group_of_flow] are kept as
-    {!field-caps} and {!field-group_of_flow} without a copy, so the
-    caller hands [group_of_flow] over and must not write it afterwards.
+(** The snapshot of the given flows: {!append_group} of each group's
+    run of flows onto an empty {!store} sized to fit, then {!seal}.
     Flows must be numbered group-major (all of group 0's flows first,
-    then group 1's, ...) as {!Problem.create} guarantees. Allocates the
-    index arrays and no scratch.
-    @raise Invalid_argument on out-of-range ids. *)
+    then group 1's, ...), as {!Problem} guarantees; [caps] is kept as
+    {!field-caps} without a copy.
+    @raise Invalid_argument on out-of-range link or group ids or flows
+    that are not group-major. *)
+
+(** {2 Patching in place}
+
+    A {!store} holds the index arrays of a sequence of snapshots, sized
+    with headroom. A delta is one {!compact} of the groups marked with
+    {!drop_group}, then the new groups' {!append_group}s (after one
+    {!reserve} for all of them), then one {!seal}: O(nnz + links) moves,
+    and no allocation but the new record's unless an array must grow. *)
+
+type store
+
+val store : caps:float array -> store
+(** An empty store (no flows, no groups) over [caps], shared. *)
+
+val drop_group : store -> int -> unit
+(** Mark group [g] of the last sealed snapshot to leave at the next
+    {!compact}.
+    @raise Invalid_argument on a bad group id, or after an
+    {!append_group} that is not sealed yet. *)
+
+val compact : store -> unit
+(** Remove the marked groups' flows from every array. Survivors keep
+    their order and take dense group and flow ids; each CSC column is
+    renumbered and stays ascending. No-op when nothing is marked. *)
+
+val reserve : store -> flows:int -> nnz:int -> groups:int -> unit
+(** Make room for [flows] more flows, with [nnz] more path entries, in
+    [groups] more groups: an array that is short grows once, to the need
+    or to twice its length, whichever is more, instead of step by step
+    through the appends. An empty store is filled to fit. *)
+
+val append_group : store -> int array array -> unit
+(** Append a group whose flows have the given paths: their CSR rows go
+    at the tail, their CSC entries at the next {!seal}. The paths are
+    copied.
+    @raise Invalid_argument on an out-of-range link id (the store is
+    left unchanged). *)
+
+val seal : store -> t
+(** Merge the flows appended since the last seal into the CSC, each
+    flow once per link even if its path repeats the link, and return the
+    current snapshot: a fresh record over the store's arrays. *)
 
 val link_degree : t -> int -> int
 (** Number of distinct flows crossing the link. *)

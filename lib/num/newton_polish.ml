@@ -160,7 +160,7 @@ let reserve ws n =
 let eligible problem =
   let inc = Problem.incidence problem and utils = Problem.utilities problem in
   let ok = ref inc.Incidence.singleton and g = ref 0 in
-  while !ok && !g < Array.length utils do
+  while !ok && !g < inc.Incidence.n_groups do
     (match utils.(!g) with
     | Utility.Log _ | Utility.Power _ -> ()
     | Utility.Opaque _ -> ok := false);

@@ -1,20 +1,21 @@
 (* NUM problem instances, now delta-capable: groups can arrive and depart
    after construction (the always-on allocation service applies thousands
    of such events per second). Mutations go to a ledger of group entries
-   keyed by stable handles (gids); the dense flow/group index arrays and
-   the sparse [Incidence.t] the solvers iterate over are a compiled
-   snapshot, rebuilt lazily at the next read ([commit]) rather than per
-   event — N arrivals followed by one solve cost one rebuild. See
-   DESIGN.md "Serve & delta API". *)
+   keyed by stable handles (gids); the dense utilities and the sparse
+   [Incidence.t] the solvers iterate over are a compiled snapshot,
+   patched in place at the next read ([commit]) rather than per event:
+   one pass compacts the removed groups out of its arrays, one appends
+   the new ledger entries, and N arrivals followed by one solve cost one
+   patch. See DESIGN.md "Delta problem interface". *)
 
 type group_spec = { utility : Utility.t; paths : int array list }
 
 let single_path utility path = { utility; paths = [ path ] }
 
 (* One ledger row per group ever added. [epaths] is validated and copied
-   at entry creation and never mutated afterwards, so compiled snapshots
-   can share the arrays. A removed group is tombstoned ([alive = false])
-   and physically dropped at the next commit (compaction). [slot] is the
+   at entry creation and never mutated afterwards: [flow_path] returns
+   its arrays. A removed group is tombstoned ([alive = false]) and
+   physically dropped at the next commit (compaction). [slot] is the
    entry's index in [entries], which a compaction rewrites in place: the
    dense group id once the ledger is clean. *)
 type entry = {
@@ -29,103 +30,137 @@ type t = {
   capacities : float array;
       (* live; fixed length for the problem's life; shared with every
          compiled incidence *)
-  (* compiled snapshot: exactly the dense structure solvers iterate over;
-     the group <-> flow maps are the incidence's *)
-  mutable flow_paths : int array array;  (* flow -> link ids *)
-  mutable utilities : Utility.t array;  (* group -> utility *)
-  mutable incidence : Incidence.t;
-  mutable topo_gen : int;  (* bumped on every commit that recompiled *)
-  mutable dirty : bool;  (* ledger changed since the last compile *)
+  (* compiled snapshot: exactly the dense structure solvers iterate over.
+     The arrays are owned here, sized with headroom and patched in place
+     by [commit]; the group <-> flow maps are the incidence's. *)
+  store : Incidence.store;
+  mutable utilities : Utility.t array;  (* group -> utility; >= n_groups *)
+  mutable incidence : Incidence.t;  (* sealed from [store] at the last commit *)
+  mutable topo_gen : int;  (* bumped on every commit that patched *)
+  mutable dirty : bool;  (* ledger changed since the last commit *)
   (* ledger *)
-  mutable entries : entry array;  (* slots 0..n_entries-1; insertion order *)
+  mutable entries : entry array;
+      (* slots 0..n_entries-1, insertion order; once clean, slot = dense
+         group id *)
   mutable n_entries : int;
   mutable next_gid : int;
   by_gid : (int, entry) Hashtbl.t;
       (* gid -> entry, for every entry in [entries]: a commit removes
          only the dropped gids, and the survivors' slots change in their
          entries, not here *)
-  filler : entry;  (* dummy for the growable array's tail *)
+  filler : entry;  (* dummy for the growable arrays' tails *)
 }
 
 let validate_path ~ctx ~n_links path =
   if Array.length path = 0 then invalid_arg (ctx ^ ": empty path");
-  Array.iter
-    (fun lid ->
-      if lid < 0 || lid >= n_links then
-        invalid_arg (ctx ^ ": link id out of range"))
-    path
+  for k = 0 to Array.length path - 1 do
+    let lid = path.(k) in
+    if lid < 0 || lid >= n_links then invalid_arg (ctx ^ ": link id out of range")
+  done
+
+(* Copy the spec's paths into [epaths] from index [k]. Top level and
+   closed, so an entry owes its record, its path array and the path
+   copies, and no closure or list cell. *)
+let rec copy_paths ~ctx ~n_links epaths k = function
+  | [] -> ()
+  | path :: rest ->
+    validate_path ~ctx ~n_links path;
+    epaths.(k) <- Array.copy path;
+    copy_paths ~ctx ~n_links epaths (k + 1) rest
 
 let entry_of_spec ~ctx ~n_links ~gid spec =
   if List.is_empty spec.paths then invalid_arg (ctx ^ ": group with no paths");
-  let epaths =
-    Array.of_list
-      (List.map
-         (fun path ->
-           validate_path ~ctx ~n_links path;
-           Array.copy path)
-         spec.paths)
-  in
+  let epaths = Array.make (List.length spec.paths) [||] in
+  copy_paths ~ctx ~n_links epaths 0 spec.paths;
   { gid; utility = spec.utility; epaths; alive = true; slot = -1 }
 
 (* ------------------------------------------------------------------ *)
-(* Compile: rebuild the dense snapshot (and the sparse incidence) from
-   the live ledger entries. Flows are numbered group-major in ledger
-   order, exactly the layout [Incidence.create] requires. The snapshot
-   is the flow paths, the utilities and the incidence: the incidence's
-   [grp_ptr]/[grp_flows]/[group_of_flow] are the only group <-> flow
-   maps ([group_of_flow] is built here and handed over, not copied),
-   and the build needs no link-sized scratch. O(flows + nnz + links) —
-   shared by [create] and the delta path, so batch construction and
-   churn maintenance exercise one code route. *)
+(* Commit: patch the compiled snapshot in place from the live ledger, in
+   two linear passes over the snapshot's own arrays.
 
-let compile t =
-  let n_groups = t.n_entries in
-  let total = ref 0 in
-  for s = 0 to n_groups - 1 do
-    total := !total + Array.length t.entries.(s).epaths
-  done;
-  let n_flows = !total in
-  let flow_paths = Array.make n_flows [||] in
-  let group_of_flow = Array.make n_flows 0 in
-  let utilities = Array.init n_groups (fun g -> t.entries.(g).utility) in
-  let idx = ref 0 in
-  for g = 0 to n_groups - 1 do
-    let e = t.entries.(g) in
-    for k = 0 to Array.length e.epaths - 1 do
-      flow_paths.(!idx) <- e.epaths.(k);
-      group_of_flow.(!idx) <- g;
-      incr idx
-    done
-  done;
-  t.flow_paths <- flow_paths;
-  t.utilities <- utilities;
-  t.incidence <-
-    Incidence.create ~caps:t.capacities ~paths:flow_paths ~group_of_flow ~n_groups;
-  t.topo_gen <- t.topo_gen + 1;
-  t.dirty <- false
+   - Compaction: tombstoned entries leave the ledger, preserving
+     insertion order, so slot index = dense group id. A survivor's new
+     slot is an int store in its entry; only the dropped gids leave the
+     table. The dropped snapshot groups are marked in the store, which
+     [Incidence.compact] then squeezes out of every index array, and each
+     surviving utility moves down with its group.
+   - Append: the entries added since the last commit, still alive, take
+     the next dense ids: room for all of them reserved at once, their
+     utilities at the tail, their flows through [Incidence.append_group],
+     and one [Incidence.seal] merges them into the CSC and returns the
+     new record.
+
+   Flows are numbered group-major in ledger order, the layout the
+   incidence keeps. A one-group delta costs O(nnz + links) plain moves
+   and allocates only the new [Incidence.t] record (and an array that
+   outgrows its headroom). [create_groups] is the same append onto an
+   empty snapshot, so batch construction and churn maintenance run one
+   code route. *)
 
 let commit t =
   if t.dirty then begin
-    (* Compaction: drop tombstoned entries, preserving insertion order,
-       so slot index = dense group id for the compiled snapshot. A
-       survivor's new slot is an int store in its entry; only the
-       dropped gids leave the table. *)
+    let snapshot = t.incidence.Incidence.n_groups in
     let kept = ref 0 in
-    for s = 0 to t.n_entries - 1 do
+    for s = 0 to snapshot - 1 do
+      let e = t.entries.(s) in
+      if e.alive then begin
+        if !kept < s then begin
+          t.entries.(!kept) <- e;
+          t.utilities.(!kept) <- e.utility;
+          e.slot <- !kept
+        end;
+        incr kept
+      end
+      else begin
+        Hashtbl.remove t.by_gid e.gid;
+        Incidence.drop_group t.store s
+      end
+    done;
+    Incidence.compact t.store;
+    let survivors = !kept in
+    if Array.length t.utilities < t.n_entries then begin
+      let grown =
+        Array.make
+          (Stdlib.max t.n_entries (2 * Array.length t.utilities))
+          t.filler.utility
+      in
+      Array.blit t.utilities 0 grown 0 survivors;
+      t.utilities <- grown
+    end;
+    let flows = ref 0 and nnz = ref 0 and groups = ref 0 in
+    for s = snapshot to t.n_entries - 1 do
+      let e = t.entries.(s) in
+      if e.alive then begin
+        incr groups;
+        flows := !flows + Array.length e.epaths;
+        for k = 0 to Array.length e.epaths - 1 do
+          nnz := !nnz + Array.length e.epaths.(k)
+        done
+      end
+    done;
+    Incidence.reserve t.store ~flows:!flows ~nnz:!nnz ~groups:!groups;
+    for s = snapshot to t.n_entries - 1 do
       let e = t.entries.(s) in
       if e.alive then begin
         t.entries.(!kept) <- e;
+        t.utilities.(!kept) <- e.utility;
         e.slot <- !kept;
+        Incidence.append_group t.store e.epaths;
         incr kept
       end
       else Hashtbl.remove t.by_gid e.gid
     done;
-    (* Unpin the dropped entries' memory. *)
+    (* Unpin the dropped entries and utilities. *)
     for s = !kept to t.n_entries - 1 do
       t.entries.(s) <- t.filler
     done;
+    for g = !kept to snapshot - 1 do
+      t.utilities.(g) <- t.filler.utility
+    done;
     t.n_entries <- !kept;
-    compile t
+    t.incidence <- Incidence.seal t.store;
+    t.topo_gen <- t.topo_gen + 1;
+    t.dirty <- false
   end
 
 let[@inline] force t = if t.dirty then commit t
@@ -146,61 +181,10 @@ let validate_caps caps =
           (Printf.sprintf "Problem.create: capacity %d not positive and finite" i))
     caps
 
-let create_groups ~caps ~groups =
-  validate_caps caps;
-  let capacities = Array.copy caps in
-  let n_links = Array.length capacities in
-  let n = Array.length groups in
-  let filler =
-    {
-      gid = -1;
-      utility = Utility.proportional_fair ();
-      epaths = [||];
-      alive = false;
-      slot = -1;
-    }
-  in
-  let entries =
-    Array.init (Stdlib.max n 1) (fun g ->
-        if g < n then entry_of_spec ~ctx:"Problem.create" ~n_links ~gid:g groups.(g)
-        else filler)
-  in
-  let by_gid = Hashtbl.create (Stdlib.max n 16) in
-  for g = 0 to n - 1 do
-    entries.(g).slot <- g;
-    Hashtbl.replace by_gid entries.(g).gid entries.(g)
-  done;
-  let t =
-    {
-      capacities;
-      flow_paths = [||];
-      utilities = [||];
-      incidence =
-        Incidence.create ~caps:capacities ~paths:[||] ~group_of_flow:[||]
-          ~n_groups:0;
-      topo_gen = 0;
-      dirty = false;
-      entries;
-      n_entries = n;
-      next_gid = n;
-      by_gid;
-      filler;
-    }
-  in
-  compile t;
-  t
-
-let create ~caps ~groups =
-  if List.is_empty groups then invalid_arg "Problem.create: no groups";
-  create_groups ~caps ~groups:(Array.of_list groups)
-
-(* ------------------------------------------------------------------ *)
-(* Delta interface *)
-
-let add_group t spec =
+(* Append a ledger entry; the snapshot takes it at the next commit. *)
+let push_entry t ~ctx spec =
   let e =
-    entry_of_spec ~ctx:"Problem.add_group" ~n_links:(Array.length t.capacities)
-      ~gid:t.next_gid spec
+    entry_of_spec ~ctx ~n_links:(Array.length t.capacities) ~gid:t.next_gid spec
   in
   t.next_gid <- t.next_gid + 1;
   if t.n_entries = Array.length t.entries then begin
@@ -215,10 +199,57 @@ let add_group t spec =
   t.dirty <- true;
   e.gid
 
+(* An empty snapshot, then every group's entry and one commit: the same
+   append a delta runs. The commit runs even for no groups, so a new
+   problem is at generation 1 either way. *)
+let create_groups ~caps ~groups =
+  validate_caps caps;
+  let capacities = Array.copy caps in
+  let n = Array.length groups in
+  let filler =
+    {
+      gid = -1;
+      utility = Utility.proportional_fair ();
+      epaths = [||];
+      alive = false;
+      slot = -1;
+    }
+  in
+  let store = Incidence.store ~caps:capacities in
+  let t =
+    {
+      capacities;
+      store;
+      utilities = [||];
+      incidence = Incidence.seal store;
+      topo_gen = 0;
+      dirty = true;
+      entries = Array.make (Stdlib.max n 4) filler;
+      n_entries = 0;
+      next_gid = 0;
+      by_gid = Hashtbl.create (Stdlib.max n 16);
+      filler;
+    }
+  in
+  Array.iter (fun spec -> ignore (push_entry t ~ctx:"Problem.create" spec : int)) groups;
+  commit t;
+  t
+
+let create ~caps ~groups =
+  if List.is_empty groups then invalid_arg "Problem.create: no groups";
+  create_groups ~caps ~groups:(Array.of_list groups)
+
+(* ------------------------------------------------------------------ *)
+(* Delta interface *)
+
+let add_group t spec = push_entry t ~ctx:"Problem.add_group" spec
+
+(* [find], not [find_opt]: a departure allocates no option. *)
 let remove_group t gid =
-  match Hashtbl.find_opt t.by_gid gid with
-  | None -> invalid_arg (Printf.sprintf "Problem.remove_group: unknown gid %d" gid)
-  | Some e ->
+  match Hashtbl.find t.by_gid gid with
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Problem.remove_group: unknown gid %d" gid)
+  | e ->
     if not e.alive then
       invalid_arg (Printf.sprintf "Problem.remove_group: gid %d already removed" gid)
     else begin
@@ -253,6 +284,8 @@ let set_cap t l c =
 (* ------------------------------------------------------------------ *)
 (* Compiled-snapshot accessors (all force a pending commit first) *)
 
+let check ok msg = if not ok then invalid_arg msg
+
 let n_links t = Array.length t.capacities
 
 let n_flows t =
@@ -263,31 +296,35 @@ let n_groups t =
   force t;
   t.incidence.Incidence.n_groups
 
+(* The snapshot's arrays are longer than its counts, so an id is checked
+   against the counts, not left to the array bounds. *)
 let flow_path t i =
   force t;
-  t.flow_paths.(i)
+  let inc = t.incidence in
+  check (i >= 0 && i < inc.Incidence.n_flows) "Problem.flow_path: flow id";
+  let g = inc.Incidence.group_of_flow.(i) in
+  t.entries.(g).epaths.(i - inc.Incidence.grp_ptr.(g))
 
 let flow_group t i =
   force t;
-  t.incidence.Incidence.group_of_flow.(i)
+  let inc = t.incidence in
+  check (i >= 0 && i < inc.Incidence.n_flows) "Problem.flow_group: flow id";
+  inc.Incidence.group_of_flow.(i)
 
 let path_len t i =
   force t;
-  Array.length t.flow_paths.(i)
+  let inc = t.incidence in
+  check (i >= 0 && i < inc.Incidence.n_flows) "Problem.path_len: flow id";
+  inc.Incidence.row_ptr.(i + 1) - inc.Incidence.row_ptr.(i)
 
 let group_utility t g =
   force t;
+  check (g >= 0 && g < t.incidence.Incidence.n_groups) "Problem.group_utility: group id";
   t.utilities.(g)
 
 let utilities t =
   force t;
   t.utilities
-
-let link_flows t l =
-  force t;
-  let inc = t.incidence in
-  Array.sub inc.Incidence.col_rows inc.Incidence.col_ptr.(l)
-    (Incidence.link_degree inc l)
 
 let incidence t =
   force t;
@@ -297,8 +334,6 @@ let incidence t =
    over the current snapshot. The sweeps index without bounds checks, and
    these entry points take ids and arrays from any caller, so they check
    them first. *)
-
-let check ok msg = if not ok then invalid_arg msg
 
 let group_rate t ~rates g =
   force t;

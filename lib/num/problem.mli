@@ -15,9 +15,10 @@
     {!add_group} and depart with {!remove_group}, which is how the
     always-on allocation service ([nf_run serve]) tracks per-flow churn.
     Mutations are cheap — they tombstone or append a ledger entry — and
-    the dense index arrays plus the sparse {!Incidence.t} are recompiled
-    {e lazily} at the next read, so a batch of N events followed by one
-    solve costs one rebuild, not N.
+    the compiled snapshot (the utilities and the sparse {!Incidence.t})
+    is patched in place {e lazily} at the next read, so a batch of N
+    events followed by one solve costs one patch, not N. A snapshot read
+    before a commit is valid only until that commit.
 
     Two id spaces coexist:
     - {e gids} (returned by {!add_group}) are stable handles that survive
@@ -47,16 +48,17 @@ val create : caps:float array -> groups:group_spec list -> t
     gids [0 .. n-1] in list order. *)
 
 val create_groups : caps:float array -> groups:group_spec array -> t
-(** Array fast path of {!create}, shared by the batch builders and the
-    delta layer (both compile through one construction route). Unlike
-    {!create}, an empty [groups] array is allowed: the service starts
-    idle and populates the problem via {!add_group}. *)
+(** Array fast path of {!create}: an empty problem, every group's
+    {!add_group} and one {!commit}, so batch construction and the delta
+    layer share one build route. Unlike {!create}, an empty [groups]
+    array is allowed: the service starts idle and populates the problem
+    via {!add_group}. A new problem is at generation 1. *)
 
 (** {2 Delta operations} *)
 
 val add_group : t -> group_spec -> int
-(** Append a group; returns its stable gid. The dense arrays are not
-    recompiled until the next read (lazy commit). Paths are validated
+(** Append a group; returns its stable gid. The snapshot takes it at
+    the next read (lazy commit). Paths are validated
     (and copied) immediately.
     @raise Invalid_argument on an invalid spec. *)
 
@@ -69,18 +71,24 @@ val group_index : t -> int -> int option
 (** Dense group id of a gid (commits first). [None] after removal. *)
 
 val commit : t -> unit
-(** Force the lazy recompile now (compaction + dense rebuild + fresh
-    {!Incidence.t}). No-op when nothing changed. Reads commit implicitly;
-    call this to control when the O(flows + nnz) rebuild happens. The
-    compaction rewrites each surviving group's dense id in place and
+(** Apply the pending ledger changes to the snapshot now. No-op when
+    nothing changed. Reads commit implicitly; call this to control when
+    the work happens. The snapshot's arrays are patched in place, in two
+    linear passes: one compacts the removed groups' flows out of every
+    array, one appends the new groups. A one-group delta costs
+    O(nnz + links) moves and allocates only the new {!Incidence.t}
+    record, unless an array outgrows its headroom. The previous
+    snapshot's {!incidence} and {!utilities} are invalid from here on.
+    The compaction rewrites each surviving group's dense id in place and
     touches the gid table only for the dropped gids. *)
 
 val dirty : t -> bool
 (** Uncommitted ledger changes pending. *)
 
 val generation : t -> int
-(** Topology generation: bumped by every commit that recompiled. Solver
-    state caching the incidence or dense ids is stale once this moves. *)
+(** Topology generation: bumped by every commit that changed the
+    snapshot. Solver state caching the incidence or dense ids is stale
+    once this moves. *)
 
 (** {2 Capacities} *)
 
@@ -99,7 +107,9 @@ val set_cap : t -> int -> float -> unit
 
 (** {2 Compiled-snapshot accessors}
 
-    All of these commit pending deltas first. *)
+    All of these commit pending deltas first, and raise
+    [Invalid_argument] on a flow or group id past the snapshot's
+    counts. *)
 
 val n_links : t -> int
 
@@ -120,18 +130,17 @@ val group_utility : t -> int -> Utility.t
 val utilities : t -> Utility.t array
 (** Every group's utility, indexed by dense group id
     ([(utilities t).(g)] is [group_utility t g]). Shared, not copied:
-    callers must treat it as read-only; a commit replaces it. *)
-
-val link_flows : t -> int -> int array
-(** Flows crossing the given link ([S(l)] of the paper): a copy of the
-    incidence's CSC column, ascending, each flow once even if its path
-    repeats the link. *)
+    callers must treat it as read-only. Its length may exceed
+    {!n_groups} (headroom): read only the first [n_groups]. A commit
+    rewrites it in place or replaces it. *)
 
 val incidence : t -> Incidence.t
 (** The sparse CSR/CSC index structure of the current snapshot. Shared,
-    read-only for callers; replaced wholesale by a commit (check
-    {!generation} before caching it across events). Its capacities are
-    {!caps} itself, so a cached incidence sees capacity changes. *)
+    read-only for callers, and valid only until the next commit, which
+    patches its arrays in place and returns a new record (check
+    {!generation} before caching it across events). Its arrays may be
+    longer than its counts. Its capacities are {!caps} itself, so a
+    cached incidence sees capacity changes. *)
 
 val group_rate : t -> rates:float array -> int -> float
 (** [y_g = Σ_{i ∈ g} rates.(i)] ({!Incidence.group_rate}). *)

@@ -328,9 +328,13 @@ let kkt_witness_kernel () =
    a spare one (a second draw of 64 pairs), so every churn moves the
    population on, and some arrivals overload a link that no flow
    bottlenecked before. *)
+let churn_size = 64
+
+let churn_paths () = fat_tree_paths ~k:4 ~n_flows:(2 * churn_size)
+
 let churn_problem () =
-  let n = 64 in
-  let caps, paths = fat_tree_paths ~k:4 ~n_flows:(2 * n) in
+  let n = churn_size in
+  let caps, paths = churn_paths () in
   let problem = pf_problem ~caps (Array.sub paths 0 n) in
   let utility = Nf_num.Problem.group_utility problem 0 in
   (* Initial groups get gids [0 .. n-1]. *)
@@ -347,10 +351,34 @@ let churn_problem () =
   in
   (problem, churn)
 
+(* The commit layer of a serve epoch alone: the churn above. The commit
+   patches the snapshot's arrays in place, so the churn owes, on 64-bit,
+   only what one arrival adds to the ledger and the commit's new
+   snapshot record, and nothing per flow or per link:
+   - the caller's group spec: its record (two fields) and its one-path
+     list cell;
+   - the ledger entry: its record (five fields), its array of one path
+     and the path's copy;
+   - the gid table's bucket for the new gid (the departed gid's bucket
+     is unlinked, so the table keeps its size);
+   - the [Incidence.t] record (thirteen fields).
+   Each with its header. The path copy's length is the arriving pair's
+   path length, so it is charged at its mean over one period of the
+   churn, in which each of the 2n paths arrives once; the audit's warmup
+   and its measurement start on a period boundary. *)
+let commit_kernel () =
+  let _, churn = churn_problem () in
+  let _, paths = churn_paths () in
+  let path_words =
+    float_of_int (Array.fold_left (fun acc p -> acc + Array.length p + 1) 0 paths)
+    /. float_of_int (Array.length paths)
+  in
+  (churn, 8. *. (float_of_int (3 + 3 + 6 + 2 + 4 + 14) +. path_words))
+
 (* A warm restart: the churn above, then [Xwi_core.resize] of the last
-   state. [Problem.commit] allocates the new snapshot by design, so [run]
-   charges these kernels only their bytes beyond those of the same churn
-   on an identical problem without the resize. Returns the thunk and the
+   state. [run] charges these kernels only their bytes beyond those of
+   the same churn on an identical problem without the resize (the
+   [problem_commit] kernel's bytes). Returns the thunk and the
    bytes a resize owes on 64-bit: the new state, that is its record
    (six fields) and its three public arrays (prices per link, rates and
    weights per flow), each with its header, and nothing more when it
@@ -415,6 +443,8 @@ let kernels () =
     plain "xwi_step" (xwi_kernel ());
     plain "kkt_witness_check" (kkt_witness_kernel ());
     plain "maxmin_solve_sparse" (maxmin_kernel ());
+    (let commit, owed = commit_kernel () in
+     ("problem_commit", commit, None, owed));
     (let resize, owed = resize_kernel ~polish:true in
      ("xwi_resize", resize, Some (snd (churn_problem ())), owed));
     (let carry, owed = resize_kernel ~polish:false in

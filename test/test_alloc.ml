@@ -35,7 +35,7 @@ let test_audit_within_limits () =
      multi-round polishes. *)
   Alcotest.(check bool) "xwi_resize drove polishes that added links" true
     (Nf_util.Metrics.counter_value added > before);
-  Alcotest.(check int) "fourteen kernels audited" 14 (List.length results);
+  Alcotest.(check int) "fifteen kernels audited" 15 (List.length results);
   List.iter
     (fun r ->
       Alcotest.(check bool)

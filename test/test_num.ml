@@ -925,10 +925,11 @@ let test_problem_structure () =
   Alcotest.(check int) "flow 2 group" 1 (Problem.flow_group p 2);
   (* S(l) is a set: the looping flow appears once in link 2's CSC
      column, as in the reference's own S(l). *)
-  Alcotest.(check (array int)) "link 2 flows" [| 1; 2; 3 |] (Problem.link_flows p 2);
   Alcotest.(check (array int))
     "reference S(2)" [| 1; 2; 3 |]
     (Nf_reference.Reference.link_flows p).(2);
+  Alcotest.(check int) "link 2 degree" 3
+    (Incidence.link_degree (Problem.incidence p) 2);
   let rates = [| 1.; 2.; 4.; 8. |] in
   check_close "group rate" 3. (Problem.group_rate p ~rates 0);
   let loads = Array.make (Problem.n_links p) 0. in
@@ -997,7 +998,10 @@ let test_incidence_structure () =
   let p = Problem.create ~caps:[| 1.; 2.; 3. |] ~groups:[ group; solo ] in
   let inc = Problem.incidence p in
   Alcotest.(check int) "nnz" 5 inc.Incidence.nnz;
-  Alcotest.(check (array int)) "row_ptr" [| 0; 1; 3; 5 |] inc.Incidence.row_ptr;
+  (* The arrays may carry headroom past the counts: compare prefixes. *)
+  Alcotest.(check (array int))
+    "row_ptr" [| 0; 1; 3; 5 |]
+    (Array.sub inc.Incidence.row_ptr 0 (inc.Incidence.n_flows + 1));
   Alcotest.(check (array int))
     "row_cols keeps path order" [| 0; 1; 2; 0; 2 |]
     (Array.sub inc.Incidence.row_cols 0 5);
@@ -1005,12 +1009,15 @@ let test_incidence_structure () =
   Alcotest.(check (array int))
     "col_rows ascending per link" [| 0; 2; 1; 1; 2 |]
     (Array.sub inc.Incidence.col_rows 0 5);
-  Alcotest.(check (array int)) "grp_ptr" [| 0; 2; 3 |] inc.Incidence.grp_ptr;
+  Alcotest.(check (array int))
+    "grp_ptr" [| 0; 2; 3 |]
+    (Array.sub inc.Incidence.grp_ptr 0 (inc.Incidence.n_groups + 1));
   Alcotest.(check (array int))
     "grp_flows" [| 0; 1; 2 |]
     (Array.sub inc.Incidence.grp_flows 0 3);
   Alcotest.(check (array int))
-    "group_of_flow" [| 0; 0; 1 |] inc.Incidence.group_of_flow;
+    "group_of_flow" [| 0; 0; 1 |]
+    (Array.sub inc.Incidence.group_of_flow 0 inc.Incidence.n_flows);
   Alcotest.(check bool) "multipath => not singleton" false
     inc.Incidence.singleton;
   Alcotest.(check bool) "caps shared with the problem" true
@@ -1328,6 +1335,135 @@ let prop_kkt_after_random_churn =
         ok := !ok && run.Xwi.converged && worst <= tol
       done;
       !ok)
+
+(* [p]'s snapshot against [fresh]'s, field by field up to the counts (the
+   patched arrays carry headroom), plus the accessors the incidence does
+   not hold. Utilities compare physically: both problems hold the
+   specs' own values. *)
+let check_same_snapshot p fresh =
+  let a = Problem.incidence p and b = Problem.incidence fresh in
+  let ints name n x y =
+    if Array.sub x 0 n <> Array.sub y 0 n then QCheck.Test.fail_reportf "%s differs" name
+  in
+  let count name x y = if x <> y then QCheck.Test.fail_reportf "%s: %d vs %d" name x y in
+  count "n_links" a.Incidence.n_links b.Incidence.n_links;
+  count "n_flows" a.Incidence.n_flows b.Incidence.n_flows;
+  count "n_groups" a.Incidence.n_groups b.Incidence.n_groups;
+  count "nnz" a.Incidence.nnz b.Incidence.nnz;
+  let n_flows = a.Incidence.n_flows
+  and n_groups = a.Incidence.n_groups
+  and n_links = a.Incidence.n_links in
+  ints "row_ptr" (n_flows + 1) a.Incidence.row_ptr b.Incidence.row_ptr;
+  ints "row_cols" a.Incidence.nnz a.Incidence.row_cols b.Incidence.row_cols;
+  ints "col_ptr" (n_links + 1) a.Incidence.col_ptr b.Incidence.col_ptr;
+  ints "col_rows" a.Incidence.col_ptr.(n_links) a.Incidence.col_rows b.Incidence.col_rows;
+  ints "grp_ptr" (n_groups + 1) a.Incidence.grp_ptr b.Incidence.grp_ptr;
+  ints "grp_flows" n_flows a.Incidence.grp_flows b.Incidence.grp_flows;
+  ints "group_of_flow" n_flows a.Incidence.group_of_flow b.Incidence.group_of_flow;
+  if a.Incidence.singleton <> b.Incidence.singleton then
+    QCheck.Test.fail_reportf "singleton differs";
+  if a.Incidence.caps != Problem.caps p || a.Incidence.caps <> b.Incidence.caps then
+    QCheck.Test.fail_reportf "caps differ";
+  for i = 0 to n_flows - 1 do
+    if Problem.flow_path p i <> Problem.flow_path fresh i then
+      QCheck.Test.fail_reportf "flow_path %d differs" i;
+    count "flow_group" (Problem.flow_group p i) (Problem.flow_group fresh i)
+  done;
+  for g = 0 to n_groups - 1 do
+    if (Problem.utilities p).(g) != (Problem.utilities fresh).(g) then
+      QCheck.Test.fail_reportf "utility %d differs" g
+  done;
+  (* The CSC against S(l) built from the flow paths alone. *)
+  Array.iteri
+    (fun l flows ->
+      ints
+        (Printf.sprintf "S(%d)" l)
+        (Array.length flows)
+        (Array.sub a.Incidence.col_rows a.Incidence.col_ptr.(l)
+           (Incidence.link_degree a l))
+        flows)
+    (Reference.link_flows p)
+
+(* The in-place commit against a fresh build: random scripts of arrivals
+   (single-path and multipath groups, some paths crossing a link twice),
+   departures and capacity changes, committed in batches of 1-20 events;
+   one batch drains every group and the ones after it refill. After
+   every commit the snapshot must equal [Problem.create_groups] of the
+   live ledger in insertion order; the generation moves by one exactly
+   when the batch added or removed a group; and a solver state built for
+   the previous generation must refuse to step. *)
+let prop_commit_matches_fresh_build =
+  QCheck.Test.make ~name:"in-place commit equals a fresh build of the live ledger"
+    ~count:40 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 7000) in
+      let n_links = 2 + Rng.int rng 12 in
+      let caps = Array.init n_links (fun _ -> Rng.uniform rng ~lo:1. ~hi:10.) in
+      let p = Problem.create_groups ~caps ~groups:[||] in
+      let path () =
+        let path = random_path rng ~n_links in
+        if Rng.int rng 4 = 0 then Array.append path [| path.(0) |] else path
+      in
+      let spec () =
+        let utility =
+          Utility.alpha_fair ~alpha:[| 0.5; 1.; 2. |].(Rng.int rng 3) ()
+        in
+        let n_sub = if Rng.int rng 3 = 0 then 2 + Rng.int rng 2 else 1 in
+        { Problem.utility; paths = List.init n_sub (fun _ -> path ()) }
+      in
+      (* The live ledger in insertion order: (gid, spec). *)
+      let live = ref [||] in
+      let add () =
+        let sp = spec () in
+        live := Array.append !live [| (Problem.add_group p sp, sp) |]
+      in
+      let remove k =
+        Problem.remove_group p (fst !live.(k));
+        live := Array.append (Array.sub !live 0 k)
+            (Array.sub !live (k + 1) (Array.length !live - k - 1))
+      in
+      let stale = ref None and gen = ref (Problem.generation p) in
+      for batch = 1 to 30 do
+        let changed = ref false in
+        if batch = 12 then begin
+          (* Drain. *)
+          changed := Array.length !live > 0;
+          while Array.length !live > 0 do
+            remove (Rng.int rng (Array.length !live))
+          done
+        end
+        else
+          for _ = 1 to 1 + Rng.int rng 20 do
+            let n = Array.length !live in
+            match Rng.int rng 10 with
+            | 9 -> Problem.set_cap p (Rng.int rng n_links) (Rng.uniform rng ~lo:1. ~hi:10.)
+            | r when n = 0 || (r < 5 && n < 30) ->
+              add ();
+              changed := true
+            | _ ->
+              remove (Rng.int rng n);
+              changed := true
+          done;
+        if Problem.dirty p <> !changed then QCheck.Test.fail_reportf "dirty flag";
+        Problem.commit p;
+        let fresh =
+          Problem.create_groups ~caps:(Problem.caps p) ~groups:(Array.map snd !live)
+        in
+        check_same_snapshot p fresh;
+        let expected = if !changed then !gen + 1 else !gen in
+        if Problem.generation p <> expected then
+          QCheck.Test.fail_reportf "generation %d, expected %d" (Problem.generation p)
+            expected;
+        gen := expected;
+        (match !stale with
+        | Some st when !changed -> (
+          match Xwi.step p Xwi.default_params st with
+          | () -> QCheck.Test.fail_reportf "a stale state stepped"
+          | exception Invalid_argument _ -> ())
+        | _ -> ());
+        stale := if Problem.n_flows p > 0 then Some (Xwi.at_seed p) else None
+      done;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Warm restart: the Newton-polished start of [Xwi_core.resize] *)
@@ -2458,6 +2594,7 @@ let () =
           quick "capacity change mid-run (Fig. 10 path)" test_delta_caps_midrun;
           qcheck prop_warm_churn_matches_cold;
           qcheck prop_kkt_after_random_churn;
+          qcheck prop_commit_matches_fresh_build;
         ] );
       ( "warm-restart",
         [

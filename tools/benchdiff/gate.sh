@@ -14,8 +14,10 @@
 # the diff to .benchgate/benchdiff.md and .benchgate/benchdiff.json. Each
 # run's fingerprint line goes to <workload>.fingerprints beside its
 # result line, and .benchgate/fingerprints.md compares base and head per
-# workload and seed; that comparison is a report and never gates. The
-# exit status is nf_benchdiff's: 0 pass, 1 fail, 2 could not run.
+# workload and seed; that comparison is a report and never gates, nor
+# does .benchgate/hotsyms.md, the hot functions' offsets mod 64 in each
+# side's binary. The exit status is nf_benchdiff's: 0 pass, 1 fail, 2
+# could not run.
 set -euo pipefail
 base_rev=${1:?usage: bash tools/benchdiff/gate.sh BASE_REV}
 root=$(pwd)
@@ -91,6 +93,38 @@ for w in workloads:
         rows.append("| %s | %s | %s | %s | %s |"
                     % (w, seed, verdict, "<br>".join(o), "<br>".join(n)))
 open("%s/fingerprints.md" % out, "w").write("\n".join(rows) + "\n")
+EOF
+
+# Where the hot functions sit in each side's nfbench binary: their
+# offsets mod 64 from tools/hotsyms.sh (this tree's copy, on both), one
+# row per function, the rows whose offset moved marked. A benchmark
+# delta between builds whose hot code only moved is a placement effect.
+hotsyms() {
+  bash "$root/tools/hotsyms.sh" "$1/.nfbench/build/default/nfbench/main.exe" || true
+}
+hotsyms "$out/base" > "$out/hotsyms.old"
+hotsyms "$root" > "$out/hotsyms.new"
+python3 - "$out" <<'EOF'
+import sys
+out = sys.argv[1]
+def read(side):
+    offsets = {}
+    for line in open("%s/hotsyms.%s" % (out, side)).read().splitlines():
+        off, _addr, sym = line.split()
+        offsets[sym] = int(off)
+    return offsets
+old, new = read("old"), read("new")
+rows = ["# Hot functions' offsets mod 64, base against head", "",
+        "| function | base | head | |", "|---|---|---|---|"]
+moved = 0
+for sym in sorted(set(old) | set(new)):
+    o, n = old.get(sym), new.get(sym)
+    mark = "" if o == n else "moved"
+    moved += bool(mark)
+    rows.append("| %s | %s | %s | %s |"
+                % (sym, "-" if o is None else o, "-" if n is None else n, mark))
+rows += ["", "%d of %d functions moved." % (moved, len(set(old) | set(new)))]
+open("%s/hotsyms.md" % out, "w").write("\n".join(rows) + "\n")
 EOF
 
 dune build ./tools/benchdiff/nf_benchdiff.exe >&2
