@@ -7,6 +7,13 @@
      F_l(p) = Σ_{i ∋ l} x_i(P_i) - c_l = 0   for l ∈ A,
      P_i = Σ_{l ∈ L(i) ∩ A} p_l,  x_i(P) = U_i'^-1(P).
 
+   Each Newton solve first tries one proportional price step ([scale]):
+   p_l (load_l / c_l)^α_l on every priced link of A whose flows share
+   one α, kept only if the merit Σ (F_l / c_l)² strictly falls. A flow
+   whose only priced link is l has x ∝ p_l^(-1/α), so the step fills
+   every link whose flows cross no other priced link exactly, with no
+   factorization; after a one-flow delta that is often all of A.
+
    The Jacobian is -R_A D R_Aᵀ with D_i = -dx_i/dP_i > 0, so a Newton
    step solves the positive semi-definite system M Δ = F, M = R_A D R_Aᵀ,
    by a Cholesky over |A| (dense storage, sparse work). A and its
@@ -16,10 +23,11 @@
 
    A is then corrected by a primal-dual active-set loop ([rounds]): a
    solve ends at the first accepted step that leaves a link of A priced
-   below zero (or converges with one), and those links are dropped and
-   the rest re-solved; a converged solve whose rates x(P_A) overload a
-   link outside A adds that link at price 0 and re-solves. One budget of
-   Newton steps bounds the whole loop. Every buffer
+   below zero (or converges with one, or fails where M is singular with
+   links the full step would price below zero), and those links are
+   dropped and the rest re-solved; a converged solve whose rates x(P_A)
+   overload a link outside A adds that link at price 0 and re-solves.
+   One budget of Newton steps bounds the whole loop. Every buffer
    lives in the workspace and grows on demand only, so a polish
    allocates nothing once the workspace has seen a problem and an active
    set of its size: floats go through float arrays, never through refs,
@@ -35,6 +43,10 @@ type t = {
   mutable active : int array;  (* |A| link ids *)
   mutable p : float array;  (* |A| prices *)
   mutable trial : float array;  (* |A| line-search prices *)
+  mutable alpha : float array;
+      (* |A|; the α every flow crossing a position shares, nan if they
+         mix α, unset (0) until its first flow; filled unless [log_only] *)
+  mutable log_only : bool;  (* every utility is [Log]: each α is 1 *)
   mutable f : float array;  (* |A| residuals F *)
   mutable dir : float array;  (* |A| Newton direction *)
   mutable m : float array;  (* |A|²; M, then its Cholesky factor *)
@@ -70,6 +82,8 @@ let create () =
     active = [||];
     p = [||];
     trial = [||];
+    alpha = [||];
+    log_only = true;
     f = [||];
     dir = [||];
     m = [||];
@@ -143,6 +157,7 @@ let reserve ws n =
     ws.capacity <- c;
     ws.p <- Array.make c 0.;
     ws.trial <- Array.make c 0.;
+    ws.alpha <- Array.make c 0.;
     ws.f <- Array.make c 0.;
     ws.dir <- Array.make c 0.;
     ws.m <- Array.make (c * c) 0.;
@@ -230,9 +245,11 @@ let order ws (inc : Incidence.t) =
 
 (* Number the links still in A 0 .. m-1 in {!order}, load their
    starting prices into [p], and build the flow -> A position rows (a
-   link the path repeats appears once per traversal). Returns m, or -1
-   if some flow crosses no link of A (its rate would be unbounded). *)
-let index ws (inc : Incidence.t) =
+   link the path repeats appears once per traversal), and, unless every
+   utility is [Log], each position's shared α for {!scale}. Returns m,
+   or -1 if some flow crosses no link of A (its rate would be
+   unbounded). *)
+let index ws (inc : Incidence.t) (utils : Utility.t array) =
   let n_flows = inc.Incidence.n_flows in
   let m = order ws inc in
   for k = 0 to m - 1 do
@@ -241,14 +258,28 @@ let index ws (inc : Incidence.t) =
     ws.p.(k) <- ws.start.(l)
   done;
   let row_ptr = inc.Incidence.row_ptr and row_cols = inc.Incidence.row_cols in
-  let nnz = ref 0 and covered = ref true in
+  let nnz = ref 0 and covered = ref true and log_only = ws.log_only in
+  if not log_only then Array.fill ws.alpha 0 m 0.;
   for i = 0 to n_flows - 1 do
     ws.fptr.(i) <- !nnz;
+    let a =
+      if log_only then 1.
+      else
+        match utils.(i) with
+        | Utility.Log _ -> 1.
+        | Utility.Power { alpha; _ } -> alpha
+        | Utility.Opaque _ -> nan
+    in
     for j = row_ptr.(i) to row_ptr.(i + 1) - 1 do
       let k = ws.mark.(row_cols.(j)) in
       if k >= 0 then begin
         ws.fpos.(!nnz) <- k;
-        incr nnz
+        incr nnz;
+        if not log_only then begin
+          let seen = ws.alpha.(k) in
+          if Float.equal seen 0. then ws.alpha.(k) <- a
+          else if not (Float.equal seen a) then ws.alpha.(k) <- nan
+        end
       end
     done;
     if Int.equal !nnz ws.fptr.(i) then covered := false
@@ -479,6 +510,24 @@ let solve_factored ws m =
     y.(j) <- !s /. a.((j * m) + j)
   done
 
+(* The proportional step's trial, from the F of [evaluate] at [p]:
+   each position priced above zero moves to p_k (load_k / c_k)^α_k,
+   load_k = F_k + c_k, when its flows share one α_k, and stays put when
+   they mix α. A flow whose only priced link is l has rate ∝ p_l^(-1/α),
+   so a link whose flows cross no other priced link is full at the
+   trial. Prices keep their sign. *)
+let scale ws (inc : Incidence.t) m =
+  let caps = inc.Incidence.caps and log_only = ws.log_only in
+  for k = 0 to m - 1 do
+    let p = ws.p.(k) and c = caps.(ws.active.(k)) in
+    let a = if log_only then 1. else ws.alpha.(k) in
+    let ratio = (ws.f.(k) +. c) /. c in
+    ws.trial.(k) <-
+      (if not (p > 0.) || Float.is_nan a then p
+       else if Float.equal a 1. then p *. ratio
+       else p *. (ratio ** a))
+  done
+
 (* Whether some link of A is priced below zero. *)
 let any_negative ws m =
   let k = ref 0 in
@@ -487,18 +536,35 @@ let any_negative ws m =
   done;
   !k < m
 
-(* Damped Newton on [ws.p]; true once max |F_l| / c_l <= [tol]. The
-   step -J⁻¹F is a descent direction of the merit Σ (F_l / c_l)², so
-   halving it until the merit falls (Armijo, 1e-4) terminates short of
-   the noise floor. The solve also ends, unconverged, at the first
-   accepted step that prices a link of A below zero: such a link usually
-   cannot be full beside the others, so [rounds] drops it at once rather
-   than after [max_newton] steps. Every step counts against the polish's
-   [max_steps]. *)
+(* Damped Newton on [ws.p], after the proportional step ([scale]) when
+   that strictly lowers the merit Σ (F_l / c_l)²; true once
+   max |F_l| / c_l <= [tol], so a start the step fills builds no pattern
+   and no factor. Where M is regular, the step -J⁻¹F is a descent
+   direction of the merit, so halving it until the merit falls (Armijo,
+   1e-4) terminates short of the noise floor. The solve also ends,
+   unconverged, at the first accepted step that prices a link of A below
+   zero: such a link usually cannot be full beside the others, so
+   [rounds] drops it at once rather than after [max_newton] steps. Where
+   M is singular (the flows of a link of A are exactly those of other
+   links of A), the ridged step runs far along the null direction, which
+   moves no path price, and no halving lowers the merit: that solve
+   fails with the links the full step prices below zero priced there,
+   so [rounds] drops them the same way. Every step counts against the
+   polish's [max_steps]. *)
 let newton ws inc utils m =
   evaluate ws inc utils m ws.p;
   let merit = ref ws.norms.(0) and rmax = ref ws.norms.(1) in
   let it = ref 0 and live = ref (!merit < infinity) in
+  if !live && !rmax > tol then begin
+    scale ws inc m;
+    evaluate ws inc utils m ws.trial;
+    if ws.norms.(0) < !merit then begin
+      Array.blit ws.trial 0 ws.p 0 m;
+      merit := ws.norms.(0);
+      rmax := ws.norms.(1)
+    end
+    else evaluate ws inc utils m ws.p
+  end;
   if !live && !rmax > tol then symbolic ws inc m;
   while !live && !rmax > tol && !it < max_newton && ws.steps < max_steps do
     incr it;
@@ -525,7 +591,13 @@ let newton ws inc utils m =
         rmax := ws.norms.(1);
         if !rmax > tol && any_negative ws m then live := false
       end
-      else live := false
+      else begin
+        for k = 0 to m - 1 do
+          let full = ws.p.(k) +. ws.dir.(k) in
+          if full < 0. then ws.p.(k) <- full
+        done;
+        live := false
+      end
     end
   done;
   !rmax <= tol
@@ -613,7 +685,7 @@ let add_overloaded ws (inc : Incidence.t) =
    budget with A still to correct, an A that leaves a flow uncovered or
    one that outgrows [max_active]. *)
 let rec rounds ws inc utils n =
-  let m = if n > 0 && n <= max_active then (reserve ws n; index ws inc) else -1 in
+  let m = if n > 0 && n <= max_active then (reserve ws n; index ws inc utils) else -1 in
   m > 0
   &&
   let converged = newton ws inc utils m in
@@ -670,7 +742,11 @@ let solve ws problem ~prices ~carried ~rates ~out =
      than the flow's marginal utility at its carried rate. The carried
      rates are asked for at the first such flow, and only then. *)
   let ok = ref true and fetched = ref false and carried_rates = ref [||] in
+  let log_only = ref true in
   for i = 0 to n_flows - 1 do
+    (match utils.(i) with
+    | Utility.Log _ -> ()
+    | Utility.Power _ | Utility.Opaque _ -> log_only := false);
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
     let covered = ref false in
     for j = lo to hi - 1 do
@@ -702,6 +778,7 @@ let solve ws problem ~prices ~carried ~rates ~out =
     end
   done;
   let n = collapse ws inc in
+  ws.log_only <- !log_only;
   ws.steps <- 0;
   let solved = !ok && rounds ws inc utils n in
   Metrics.add m_steps ws.steps;

@@ -13,6 +13,12 @@
     - links whose flow sets are identical collapse onto the one with the
       smallest capacity (lowest id on ties), each time A is formed or
       grows;
+    - each Newton solve starts with one proportional price step: every
+      link of A priced above zero whose flows share one α moves to
+      [p_l (load_l / c_l)^α], kept only if the merit
+      [Σ (F_l / c_l)²] strictly falls. It fills exactly every link
+      whose flows cross no other priced link, so a solve it settles
+      builds no factor;
     - the system matrix is [R_A D R_Aᵀ] with [D_i = -dx_i/dP_i], with a
       1e-8 relative ridge, factored by a Cholesky (dense storage, links
       in a static minimum-degree order); the factor's nonzero pattern is
@@ -23,7 +29,9 @@
       unconverged at the first accepted step that leaves a link of A
       priced below zero;
     - links a solve leaves negatively priced, converged or not, are
-      dropped at once and the rest re-solved from their prices;
+      dropped at once and the rest re-solved from their prices; so are
+      the links a Newton step would price below zero when its line
+      search finds no descent (a singular [R_A D R_Aᵀ]);
     - after a converged solve with no negative price, every busy link
       outside A that the rates [x(P_A)] overload by more than 1e-9 of
       its capacity joins A at price 0 and A is re-solved; with none, the
@@ -31,8 +39,8 @@
     - at most 160 Newton steps per polish over all its solves, and A
       never above 256 links.
 
-    On nfbench's [serve_churn] stream a polish takes about 5 Newton
-    steps on average. The counters [nf_xwi_polish_added_links_total] and
+    On nfbench's [serve_churn] stream a polish takes about 2.7 Newton
+    steps on average, and nearly half of the polishes none. The counters [nf_xwi_polish_added_links_total] and
     [nf_xwi_polish_retries_total] (unconverged solves retried without
     their negatively priced links) count the corrections, and
     [nf_xwi_polish_newton_steps_total] the Newton steps (numeric

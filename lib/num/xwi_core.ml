@@ -69,11 +69,11 @@ let trace_iter tr iter =
    step's working set (see DESIGN.md "Sparse NUM core"). Abstract in the
    interface so states can only come from [at_seed], [init] and
    [resize]. [resize] hands the whole record down to the state it
-   builds: the link-sized
+   builds, with the old state's [prices] array: the link-sized
    arrays carry over as they are, the per-flow and per-group ones hold at
    least the problem's counts (every sweep is bounded by the incidence's
    counts, never by these lengths) and grow with headroom, and
-   [b_prices] names the owner, the state whose [prices] array it is. *)
+   [b_owner] names the owner, the state whose [owner] token it is. *)
 type buffers = {
   b_polish_out : float array;  (* n_links; the polished prices *)
   mutable b_path_price : float array;  (* >= n_flows; computed once per step *)
@@ -86,7 +86,7 @@ type buffers = {
   b_maxmin_sparse : Maxmin.sparse_workspace;
   b_polish : Newton_polish.t;  (* [init]'s and [resize]'s scratch *)
   mutable b_polished : bool;  (* [init] or [resize] kept the polished start *)
-  mutable b_prices : float array;  (* the owning state's [prices] *)
+  mutable b_owner : int;  (* the owning state's [owner] token *)
 }
 
 type state = {
@@ -99,6 +99,7 @@ type state = {
       (* Problem.generation the buffers were sized for; [step] refuses a
          problem whose topology moved on (stale CSR/CSC shapes would
          corrupt memory through the unsafe sweeps). *)
+  owner : int;  (* the token [buffers.b_owner] holds while this state owns them *)
 }
 
 (* 1 / |L(i)| for every flow of [inc], into [out]. *)
@@ -127,7 +128,7 @@ let make_buffers problem =
     b_maxmin_sparse = Maxmin.sparse_workspace inc;
     b_polish = Newton_polish.create ();
     b_polished = false;
-    b_prices = [||];
+    b_owner = 0;
   }
 
 (* [a] if it holds [n] floats, else a zeroed array with headroom. *)
@@ -367,9 +368,10 @@ let attach_diag problem =
   Diag.attach ~n_links:(Problem.n_links problem)
     ~n_flows:(Problem.n_flows problem)
 
-(* A state that owns [buffers] from now on. *)
+(* A state that owns [buffers] from now on, under a fresh token. *)
 let make_state ~buffers problem ~prices ~rates =
-  buffers.b_prices <- prices;
+  let owner = buffers.b_owner + 1 in
+  buffers.b_owner <- owner;
   {
     prices;
     rates;
@@ -377,23 +379,25 @@ let make_state ~buffers problem ~prices ~rates =
     diag = attach_diag problem;
     buffers;
     problem_gen = Problem.generation problem;
+    owner;
   }
 
 let at_seed problem =
   let rates, prices = seed problem in
   make_state ~buffers:(make_buffers problem) problem ~prices ~rates
 
-(* A state at a copy of the given prices whose rates [allocate] has yet
-   to fill: the equal-weight allocation, which only multipath groups read
-   (their §6.3 split); when every group is a singleton the water-fill
-   overwrites the rates unread, so the equal-weight solve is skipped. *)
+(* A state at the given prices array, handed down, not copied, whose
+   rates [allocate] has yet to fill: the equal-weight allocation, which
+   only multipath groups read (their §6.3 split); when every group is a
+   singleton the water-fill overwrites the rates unread, so the
+   equal-weight solve is skipped. *)
 let at_prices ~buffers problem ~prices =
   let inc = Problem.incidence problem in
   let rates =
     if inc.Incidence.singleton then Incidence.vec inc.Incidence.n_flows
     else equal_weight_rates buffers.b_maxmin_sparse problem
   in
-  make_state ~buffers problem ~prices:(Array.copy prices) ~rates
+  make_state ~buffers problem ~prices ~rates
 
 (* The carried start's rates, for [Newton_polish.solve]: the Eq. 7
    weights at the state's (carried) prices and their water-fill. Top
@@ -424,7 +428,7 @@ let polish_start problem state =
   ignore (polish problem state ~prices:state.prices ~rates:carried_rates : bool);
   allocate (Problem.incidence problem) state
 
-let consumed state = state.buffers.b_prices != state.prices
+let consumed state = not (Int.equal state.owner state.buffers.b_owner)
 
 (* The links some flow crosses: the non-empty CSC columns. *)
 let busy_links (inc : Incidence.t) =
@@ -462,9 +466,9 @@ let init problem =
 
 (* Warm restart across a problem delta: keep the converged per-link price
    vector (links are stable across flow churn), re-size the old state's
-   scratch in place for the new snapshot and hand it down, then try the
-   Newton polish of the carried prices unless the caller asked for the
-   carried start. On nfbench's serve_churn stream (a churning 100-flow
+   scratch in place for the new snapshot and hand it down with the price
+   array itself, then try the Newton polish of the carried prices unless
+   the caller asked for the carried start. On nfbench's serve_churn stream (a churning 100-flow
    leaf-spine) the carried start alone needs a median of about 105 xWI
    iterations to re-certify an epoch, and the polished start certifies
    every one of 30,000 epochs (seeds 1-10) at iteration 0. *)

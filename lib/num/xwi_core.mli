@@ -50,6 +50,10 @@ type state = {
       (** {!Problem.generation} the buffers were sized for; {!step}
           raises once the problem's topology moves on — rebuild via
           {!resize} *)
+  owner : int;
+      (** the token under which this state owns [buffers]; a {!resize}
+          hands them to a new state under another, {e consuming} this
+          one *)
 }
 
 val seed : Problem.t -> float array * float array
@@ -134,13 +138,16 @@ val resize : ?polish:bool -> Problem.t -> state -> state
     [resize] {e consumes} the old state: its scratch (the link-sized
     arrays, the water-fill workspace, the polish workspace, and the
     per-flow arrays, grown with headroom when the population grows) is
-    re-sized in place and handed to the new state, so a warm restart
-    allocates only the new state's [prices], [rates] and [weights]. The
-    old state's own [prices], [rates] and [weights] stay as they were and
-    stay readable, but {!step} (so also the run functions) and [resize]
-    raise on it. Deterministic: the result depends only on the problem
-    and the old state's prices, bit for bit, not on what its
-    scratch served before.
+    re-sized in place and handed to the new state, and so is its
+    [prices] array, which becomes the new state's [prices]. A warm
+    restart therefore allocates only the new state's [rates] and
+    [weights] and its record. The old state's [rates] and [weights]
+    stay as they were and stay readable; its [prices] are the new
+    state's, so a caller that keeps a published price vector across a
+    [resize] copies it first. {!step} (so also the run functions) and
+    [resize] raise on the old state. Deterministic: the result depends
+    only on the problem and the old state's prices, bit for bit, not on
+    what its scratch served before.
     @raise Invalid_argument if the link count changed, or if the state
     was already consumed by a [resize]. *)
 

@@ -80,7 +80,9 @@ val rates : t -> float array
     epoch. Solves pending events first. Shared, read-only. *)
 
 val prices : t -> float array
-(** Current per-link prices; zeros before the first epoch. *)
+(** Current per-link prices; zeros before the first epoch. The live
+    array: the next epoch's warm restart takes it over and overwrites
+    it, so copy it to keep it. *)
 
 (** {2 Accounting} *)
 

@@ -380,11 +380,11 @@ let commit_kernel () =
    the same churn on an identical problem without the resize (the
    [problem_commit] kernel's bytes). Returns the thunk and the
    bytes a resize owes on 64-bit: the new state, that is its record
-   (six fields) and its three public arrays (prices per link, rates and
-   weights per flow), each with its header, and nothing more when it
-   polishes: the polish writes into the handed-down scratch, and the
-   carried water-fill it may ask for is a closed top-level function, no
-   closure. The serve loop's restart polishes (polished starts included:
+   (seven fields) and its two per-flow arrays (rates and weights), each
+   with its header, and nothing more when it polishes: the price array
+   is handed down with the scratch, the polish writes into that
+   scratch, and the carried water-fill it may ask for is a closed
+   top-level function, no closure. The serve loop's restart polishes (polished starts included:
    the utilities are [Log], and the churn makes many polishes add links
    to their active set over several rounds); the fluid xWI scheme's
    rebind does not. *)
@@ -394,9 +394,7 @@ let resize_kernel ~polish =
   ignore
     (Nf_num.Xwi_core.run_until_kkt problem Nf_num.Xwi_core.default_params !state
       : Nf_num.Xwi_core.run);
-  let words =
-    7 + (Nf_num.Problem.n_links problem + 1) + (2 * (Nf_num.Problem.n_flows problem + 1))
-  in
+  let words = 8 + (2 * (Nf_num.Problem.n_flows problem + 1)) in
   ( (fun () ->
       churn ();
       (* Constant arguments: a variable [~polish] would box its option. *)

@@ -25,8 +25,9 @@
     only measurement noise — a single boxed float already costs 16 bytes.
     The warm restarts are the exception by design: each is charged its
     bytes less those of the same churn and commit without the resize,
-    and owes the new state (its record and its three public arrays),
-    polish or not. An owing kernel must measure its owed bytes to less
+    and owes the new state (its record and its [rates] and [weights];
+    its [prices] are the old state's array, handed down), polish or
+    not. An owing kernel must measure its owed bytes to less
     than one word below and the budget above, so an owed count that goes
     stale in either direction fails.
 

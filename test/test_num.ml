@@ -1610,13 +1610,19 @@ let test_polish_deterministic () =
   Alcotest.(check bool) "same start" (Xwi.polished a) (Xwi.polished b);
   check_same_state "two identical old states" a b
 
+module Polish = Nf_num.Newton_polish
+
+let polish_counter name = Nf_util.Metrics.counter Nf_util.Metrics.global name
+
 (* An active set whose Cholesky factor has fill: host link 0 couples
    links 1 and 2, which share no flow, and is eliminated first (links 1
    and 2 also couple to two links each), so the factor gains the entry
    (2, 1) through the elimination tree. The polished prices are pinned
    bit for bit to those a dense factorization (every entry of M cleared
    and scanned) gives: a pattern that missed fill would still converge,
-   but to other bits. *)
+   but to other bits (it takes 10 Newton steps here, not 5). The
+   proportional step before the first factorization leaves Newton steps
+   to take, so the factor still runs. *)
 let test_polish_fill_pinned () =
   let pf = Utility.proportional_fair () in
   let paths =
@@ -1631,11 +1637,14 @@ let test_polish_fill_pinned () =
   ignore (Xwi.run_until_kkt ~tol:1e-6 ~check_every:1 p Xwi.default_params state);
   ignore (Problem.add_group p (Problem.single_path pf [| 0 |]));
   Problem.commit p;
+  let steps = polish_counter "nf_xwi_polish_newton_steps_total" in
+  let steps_before = Nf_util.Metrics.counter_value steps in
   let st = Xwi.resize p state in
   Alcotest.(check bool) "polished" true (Xwi.polished st);
+  Alcotest.(check int) "Newton steps" 5 (Nf_util.Metrics.counter_value steps - steps_before);
   let pinned =
-    [| 0x40026e056f9ab9f9L; 0x3ff3af825195a034L; 0x3ff3af825195a034L;
-       0x3ff8f13c1f67d2eaL; 0x3ff8f13c1f67d2eaL; 0x3ff8f13c1f67d2eaL;
+    [| 0x40026e056f9ab9fbL; 0x3ff3af825195a030L; 0x3ff3af825195a030L;
+       0x3ff8f13c1f67d2ebL; 0x3ff8f13c1f67d2ebL; 0x3ff8f13c1f67d2eaL;
        0x3ff8f13c1f67d2eaL |]
   in
   Array.iteri
@@ -1643,10 +1652,6 @@ let test_polish_fill_pinned () =
       check_bits (Printf.sprintf "prices.(%d)" l) (Int64.float_of_bits bits)
         st.Xwi.prices.(l))
     pinned
-
-module Polish = Nf_num.Newton_polish
-
-let polish_counter name = Nf_util.Metrics.counter Nf_util.Metrics.global name
 
 (* Whenever the polish succeeds, its prices are a primal-dual pair for
    the links it solved: no price is negative, and the rates they induce
@@ -1731,7 +1736,9 @@ let test_polish_adds_overloaded_link () =
    link 0, and both links have capacity 1, so once flow 0 (link 0 only)
    departs, no prices fill both carried links. Newton drives link 0's
    price negative without converging; the solve ends at that step, the
-   polish drops link 0 and the retry on A = {1} is the optimum. *)
+   polish drops link 0 and the retry on A = {1} is the optimum, which
+   the retry's proportional step reaches with no Newton step: both
+   flows are then priced by link 1 alone. *)
 let test_polish_retries_failed_solve () =
   let pf = Utility.proportional_fair () in
   let p =
@@ -1751,10 +1758,132 @@ let test_polish_retries_failed_solve () =
   let st = Xwi.resize p state in
   Alcotest.(check bool) "polished" true (Xwi.polished st);
   Alcotest.(check int) "one retry" 1 (Nf_util.Metrics.counter_value retries - before);
-  (* Dropping link 0 only after a whole 20-step solve took 32 steps. *)
-  Alcotest.(check int) "Newton steps" 5 (Nf_util.Metrics.counter_value steps - steps_before);
+  (* Dropping link 0 only after a whole 20-step solve took 32 steps,
+     and at its first negative price 5 before the proportional step. *)
+  Alcotest.(check int) "Newton steps" 1 (Nf_util.Metrics.counter_value steps - steps_before);
   check_rates ~rel:1e-9 "link 1 shared" [| 0.5; 0.5 |] st.Xwi.rates;
   Alcotest.(check bool) "certified at iteration 0" true (certified_at_zero p st)
+
+(* [Polish.solve] of [prices] on [p], where every link is priced, so
+   the carried rates are never read; returns (success, polished prices,
+   Newton steps taken). *)
+let polish_at p prices =
+  let steps = polish_counter "nf_xwi_polish_newton_steps_total" in
+  let before = Nf_util.Metrics.counter_value steps in
+  let out = Array.make (Problem.n_links p) nan in
+  let ok =
+    Polish.solve (Polish.create ()) p ~prices ~carried:()
+      ~rates:(fun _ () -> Alcotest.fail "carried rates read")
+      ~out
+  in
+  (ok, out, Nf_util.Metrics.counter_value steps - before)
+
+(* The proportional step is exact where a link's flows cross no other
+   priced link: alpha-fair flows x_i = w_i P^(-1/alpha) alone on a link
+   of capacity c fill it at P = (Σ w_i / c)^alpha. From carried prices 4
+   and 0.25 times that, on a Log-only problem and on one whose links
+   carry Log, alpha = 0.5 and alpha = 2 flows, the polish succeeds
+   without a Newton step at the closed form. *)
+let test_polish_single_link_exact () =
+  let caps = [| 10.; 4.; 25. |] in
+  let weights = [| [| 1.; 3. |]; [| 0.5; 2. |]; [| 7.; 1.5 |] |] in
+  List.iter
+    (fun (what, alphas) ->
+      let p =
+        Problem.create ~caps
+          ~groups:
+            (List.concat
+               (List.init 3 (fun l ->
+                    Array.to_list
+                      (Array.map
+                         (fun weight ->
+                           Problem.single_path
+                             (Utility.alpha_fair ~weight ~alpha:alphas.(l) ())
+                             [| l |])
+                         weights.(l)))))
+      in
+      let exact =
+        Array.init 3 (fun l ->
+            (Array.fold_left ( +. ) 0. weights.(l) /. caps.(l)) ** alphas.(l))
+      in
+      List.iter
+        (fun scale ->
+          let ok, out, steps = polish_at p (Array.map (fun e -> e *. scale) exact) in
+          let what = Printf.sprintf "%s, carried x%g" what scale in
+          Alcotest.(check bool) (what ^ ": polished") true ok;
+          Alcotest.(check int) (what ^ ": no Newton step") 0 steps;
+          Array.iteri
+            (fun l e ->
+              if not (Float.abs (out.(l) -. e) <= 1e-12 *. e) then
+                Alcotest.failf "%s: link %d price %.17g, closed form %.17g" what l
+                  out.(l) e)
+            exact)
+        [ 4.; 0.25 ])
+    [ ("Log only", [| 1.; 1.; 1. |]); ("alpha 1, 0.5, 2", [| 1.; 0.5; 2. |]) ]
+
+(* A link whose flows mix alpha keeps its price through the step: one
+   Log and one alpha = 2 flow alone on a link, carried at 4 times the
+   optimum. The step leaves the trial equal to the carried price, so its
+   merit does not fall and Newton starts from the carried price: the
+   polish takes exactly the steps of the scalar damped Newton below
+   (D = Σ x_i / (alpha_i P), the same ridge, line search and stopping
+   test), and reaches the optimum. *)
+let test_polish_mixed_alpha_keeps_price () =
+  let cap = 10. and w_log = 2. and w_pow = 3. in
+  let p =
+    Problem.create ~caps:[| cap |]
+      ~groups:
+        [ Problem.single_path (Utility.alpha_fair ~weight:w_log ~alpha:1. ()) [| 0 |];
+          Problem.single_path (Utility.alpha_fair ~weight:w_pow ~alpha:2. ()) [| 0 |] ]
+  in
+  (* w_log / P + w_pow P^(-1/2) = cap: a quadratic in s = P^(-1/2). *)
+  let s = (-.w_pow +. sqrt ((w_pow *. w_pow) +. (4. *. w_log *. cap))) /. (2. *. w_log) in
+  let optimum = 1. /. (s *. s) in
+  let residual price = (w_log /. price) +. (w_pow /. sqrt price) -. cap in
+  let merit price = (residual price /. cap) ** 2. in
+  let newton_steps =
+    let price = ref (4. *. optimum) and n = ref 0 in
+    while Float.abs (residual !price) /. cap > 1e-12 do
+      incr n;
+      let d = ((w_log /. !price) +. (w_pow /. sqrt !price /. 2.)) /. !price in
+      let dir = residual !price /. (d *. (1. +. 1e-8)) in
+      let t = ref 1. in
+      let trial () = !price +. (!t *. dir) in
+      while
+        not (trial () > 0. && merit (trial ()) <= (1. -. (2e-4 *. !t)) *. merit !price)
+      do
+        t := !t *. 0.5
+      done;
+      price := trial ()
+    done;
+    !n
+  in
+  let ok, out, steps = polish_at p [| 4. *. optimum |] in
+  Alcotest.(check bool) "polished" true ok;
+  Alcotest.(check bool) "the scalar Newton takes steps" true (newton_steps > 0);
+  Alcotest.(check int) "Newton steps from the carried price" newton_steps steps;
+  check_close ~rel:1e-12 "optimum" optimum out.(0)
+
+(* A singular M: flows 0 and 1 each cross a link of capacity 1 of
+   their own and share link 2 (capacity 10), so raising links 0 and 1
+   and lowering link 2 alike moves no path price. From carried prices
+   (0.5, 0.5, 0.05) the ridged Newton step runs along that direction and
+   no halving lowers the merit. The failed solve prices link 2 where the
+   full step takes it, below zero, and the retry without it is the
+   optimum: both flows at 1, link 2 slack and unpriced. *)
+let test_polish_singular_drops_link () =
+  let pf = Utility.proportional_fair () in
+  let p =
+    Problem.create ~caps:[| 1.; 1.; 10. |]
+      ~groups:[ Problem.single_path pf [| 0; 2 |]; Problem.single_path pf [| 1; 2 |] ]
+  in
+  let retries = polish_counter "nf_xwi_polish_retries_total" in
+  let before = Nf_util.Metrics.counter_value retries in
+  let ok, out, _ = polish_at p [| 0.5; 0.5; 0.05 |] in
+  Alcotest.(check bool) "polished" true ok;
+  Alcotest.(check int) "one retry" 1 (Nf_util.Metrics.counter_value retries - before);
+  check_rates ~rel:1e-12 "links 0 and 1 at price 1" [| 1.; 1. |] [| out.(0); out.(1) |];
+  check_bits "link 2 unpriced" 0. out.(2)
 
 (* An eligible problem whose polish fails keeps the carried start bit
    for bit. 300 flows each alone on a link of their own: the seed prices
@@ -1883,14 +2012,15 @@ let test_cold_start_failed_polish_keeps_seed () =
     (Nf_util.Metrics.counter_value cold_seed - seed_before);
   check_same_state "failed polish" (Xwi.at_seed p) st
 
-(* [resize] hands the old state's buffers to the new one: the old state
-   can no longer step, nor be resized again. Its public arrays stay. *)
+(* [resize] hands the old state's buffers and its price array to the
+   new one: the old state can no longer step, nor be resized again. Its
+   rates and weights stay; its prices are the new state's. *)
 let test_resize_consumes () =
   let u = Utility.proportional_fair () in
   let p = single_link_problem ~cap:10. [ u; u ] in
   let old = Xwi.init p in
   ignore (Xwi.run_until_kkt ~tol:1e-9 ~check_every:1 p Xwi.default_params old);
-  let prices = Array.copy old.Xwi.prices in
+  let rates = Array.copy old.Xwi.rates and weights = Array.copy old.Xwi.weights in
   ignore (Problem.add_group p (Problem.single_path u [| 0 |]));
   Problem.commit p;
   let fresh = Xwi.resize p old in
@@ -1900,8 +2030,11 @@ let test_resize_consumes () =
   Alcotest.check_raises "resize of a consumed state"
     (Invalid_argument "Xwi_core.resize: state already consumed by a resize")
     (fun () -> ignore (Xwi.resize p old));
-  Array.iteri (fun l v -> check_bits (Printf.sprintf "old prices.(%d)" l) v prices.(l))
-    old.Xwi.prices;
+  Alcotest.(check bool) "prices handed down" true (old.Xwi.prices == fresh.Xwi.prices);
+  Array.iteri (fun i v -> check_bits (Printf.sprintf "old rates.(%d)" i) v rates.(i))
+    old.Xwi.rates;
+  Array.iteri (fun i v -> check_bits (Printf.sprintf "old weights.(%d)" i) v weights.(i))
+    old.Xwi.weights;
   Xwi.step p Xwi.default_params fresh;
   Alcotest.(check int) "the new state steps" 3 (Array.length fresh.Xwi.rates)
 
@@ -2608,6 +2741,12 @@ let () =
             test_polish_adds_overloaded_link;
           quick "polish retries a failed solve without its negative link"
             test_polish_retries_failed_solve;
+          quick "the proportional step fills single-flow-set links exactly"
+            test_polish_single_link_exact;
+          quick "a mixed-alpha link keeps its price through the step"
+            test_polish_mixed_alpha_keeps_price;
+          quick "a singular Newton step drops the link it prices below zero"
+            test_polish_singular_drops_link;
           quick "resize consumes the old state" test_resize_consumes;
           quick "a polish over the active-set cap keeps the carried start"
             test_polish_over_cap_keeps_carried;
